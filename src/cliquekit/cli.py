@@ -19,7 +19,6 @@ from .conjectures import (
     CHECKS,
     CampaignConfig,
     THEOREM,
-    check_conjecture1,
     resolve_checks,
     run_campaign,
 )
@@ -31,15 +30,6 @@ from .graphs import (
     parse_graph6,
     random_gnp,
     to_graph6,
-)
-from .identities import (
-    INTERPRETATION_CLIQUES,
-    INTERPRETATION_EDGE_SUBSETS,
-    check_edge_recurrence,
-    check_triangle_recurrence,
-    check_vertex_recurrence,
-    clique_deletion_expansion,
-    triangle_identity,
 )
 from .incidence import (
     edge_deck_matrix,
@@ -120,30 +110,15 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-def _verify_reports(g: Graph, name: str, args) -> list:
-    """Reports for one identity: explicit parameters if given, else all valid ones."""
-    if name == "vertex_recurrence" and args.v is not None:
-        return [check_vertex_recurrence(g, args.v)]
-    if name == "edge_recurrence" and args.e is not None:
-        return [check_edge_recurrence(g, _parse_vertex_tuple(args.e, 2))]
-    if name == "triangle_identity" and args.delta is not None:
-        return [triangle_identity(g, _parse_vertex_tuple(args.delta, 3))[0]]
-    if name == "triangle_recurrence" and args.delta is not None:
-        return [check_triangle_recurrence(g, _parse_vertex_tuple(args.delta, 3))]
-    if name in ("clique_deletion", "clique_deletion_edge_subsets") and args.clique is not None:
-        vs = _parse_vertex_tuple(args.clique)
-        edge_set = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
-        interp = (
-            INTERPRETATION_EDGE_SUBSETS
-            if name == "clique_deletion_edge_subsets"
-            else args.interpretation
-        )
-        return [clique_deletion_expansion(g, edge_set, interp)]
-    if name in ("conjecture1_first", "conjecture1_second"):
-        first, second = check_conjecture1(g, include_unit=args.with_unit)
-        return [first if name == "conjecture1_first" else second]
-    k_range = (args.k, args.k) if args.k is not None else None
-    return CHECKS[name].run(g, k_range)
+_VERTEX_TUPLE_FLAGS = {"e": 2, "delta": 3, "clique": None}  # flag -> vertex count
+
+
+def _flag_instance(args, param):
+    """The one instance a verify flag selects for a check's param, or None (--k filters)."""
+    value = None if param in (None, "k") else getattr(args, param)
+    if value is not None and param in _VERTEX_TUPLE_FLAGS:
+        return _parse_vertex_tuple(value, _VERTEX_TUPLE_FLAGS[param])
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -154,12 +129,15 @@ def cmd_verify(args) -> int:
     for chunk in args.identity or []:
         names.extend(chunk.split(","))
     resolved = resolve_checks(names)
+    k_range = (args.k, args.k) if args.k is not None else None
     reports = []
     theorem_failure = False
     for name in resolved:
-        for report in _verify_reports(g, name, args):
+        cd = CHECKS[name]
+        value = _flag_instance(args, cd.param)
+        for report in cd.run(g, k_range) if value is None else cd.applicable(g, [value]):
             reports.append(report)
-            if CHECKS[name].kind == THEOREM and report.holds is False:
+            if cd.kind == THEOREM and report.holds is False:
                 theorem_failure = True
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=2))
@@ -248,14 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--v", type=int, help="vertex for vertex_recurrence")
     p_verify.add_argument("--e", metavar="U-V", help="edge for edge_recurrence")
     p_verify.add_argument("--delta", metavar="A-B-C",
-                          help="triangle for triangle_identity / triangle_recurrence")
+                          help="triangle for triangle_identity / triangle_recurrence / "
+                               "triangle_deletion_counts")
     p_verify.add_argument("--clique", metavar="V1-V2-...",
-                          help="clique whose edges form M for clique_deletion")
-    p_verify.add_argument("--interpretation",
-                          choices=[INTERPRETATION_CLIQUES, INTERPRETATION_EDGE_SUBSETS],
-                          default=INTERPRETATION_CLIQUES,
-                          help="inner-sum reading for clique_deletion")
-    p_verify.add_argument("--with-unit", action="store_true",
+                          help="clique whose edges form M for clique_deletion / "
+                               "clique_deletion_edge_subsets")
+    p_verify.add_argument("--with-unit", dest="unit", action="store_true", default=None,
                           help="conjecture1 on the reversed polynomial with literal unit")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)

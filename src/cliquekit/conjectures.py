@@ -1,11 +1,12 @@
 """Conjecture checks, seeded fuzz campaigns over G(n, p) corpora, and
 counterexample shrinking.
 
-The check catalog maps identity ids to runners that evaluate every valid
-parameter of a check on one graph.  Checks are classed as 'theorem' (proved;
-a campaign failure is a regression alarm) or 'conjecture' (open; failures are
-findings, collected and optionally shrunk).  Campaigns are deterministic:
-identical configs, including the seed, produce identical reports.
+The check catalog gives every identity id one shape: the parameter instances
+a check takes on a graph, and a function that evaluates one instance.  Checks
+are classed as 'theorem' (proved; a campaign failure is a regression alarm) or
+'conjecture' (open; failures are findings, collected and optionally shrunk).
+Campaigns are deterministic: identical configs, including the seed, produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .cliques import (
     clique_count,
@@ -23,7 +24,6 @@ from .cliques import (
     enumerate_cliques,
     poly_derivative,
     poly_divided_derivative,
-    poly_normalize,
     poly_reverse,
     poly_sum,
 )
@@ -41,6 +41,8 @@ from .graphs import (
 )
 from .identities import (
     IdentityReport,
+    NotApplicable,
+    _poly_report,
     check_edge_deck_identity,
     check_edge_recurrence,
     check_first_derivative,
@@ -71,31 +73,27 @@ def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityRep
     reversed at base n.  include_unit switches to the variant of c that keeps
     an extra literal constant 1.
     """
-    n = g.n
-    reversed_poly = poly_reverse(clique_polynomial(g), n, include_unit)
-    g6 = to_graph6(g)
-    params = {"include_unit": include_unit}
+    return _conjecture1_first(g, include_unit), _conjecture1_second(g, include_unit)
 
-    lhs1 = poly_derivative(reversed_poly, 1)
-    rhs1 = poly_sum(
+
+def _conjecture1_first(g: Graph, include_unit: bool) -> IdentityReport:
+    n = g.n
+    lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
+    rhs = poly_sum(
         poly_reverse(clique_polynomial(delete_vertex(g, v)), n - 1, include_unit)
         for v in range(n)
     )
-    first = IdentityReport(
-        "conjecture1_first", g6, params, poly_normalize(lhs1), poly_normalize(rhs1),
-        poly_normalize(lhs1) == poly_normalize(rhs1),
-    )
+    return _poly_report("conjecture1_first", g, {"include_unit": include_unit}, lhs, rhs)
 
-    lhs2 = poly_divided_derivative(reversed_poly, 2)
-    rhs2 = poly_sum(
+
+def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
+    n = g.n
+    lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
+    rhs = poly_sum(
         poly_reverse(clique_polynomial(delete_edge(g, e)), n, include_unit)
         for e in g.edges()
     )
-    second = IdentityReport(
-        "conjecture1_second", g6, params, poly_normalize(lhs2), poly_normalize(rhs2),
-        poly_normalize(lhs2) == poly_normalize(rhs2),
-    )
-    return first, second
+    return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
 
 
 def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
@@ -158,10 +156,7 @@ def check_conjecture3(g: Graph) -> IdentityReport:
         clique_polynomial(delete_edge_set(g, itertools.combinations(d, 2)))
         for d in triangles(g)
     )
-    return IdentityReport(
-        "conjecture3", to_graph6(g), {}, poly_normalize(lhs), poly_normalize(rhs),
-        poly_normalize(lhs) == poly_normalize(rhs),
-    )
+    return _poly_report("conjecture3", g, {}, lhs, rhs)
 
 
 # -- check catalog ---------------------------------------------------------------
@@ -174,142 +169,120 @@ KRange = Optional[tuple[int, int]]
 
 @dataclass(frozen=True)
 class CheckDef:
-    """A catalog entry: id, theorem/conjecture class, and an all-parameters runner."""
+    """A catalog entry: id, theorem/conjecture class, and its parameter instances.
+
+    param names the `verify` flag that supplies one instance ('k', 'v', 'e',
+    'delta', 'clique' or 'unit'), or is None for checks without a parameter.
+    params(g, k_range) lists the instances on g, and check(g, p) evaluates
+    one of them.  run(g, k_range) checks every listed instance and keeps the
+    reports that apply (holds is not None); it is an init field so that a
+    wrapped runner can replace it.
+    """
 
     name: str
     kind: str
-    run: Callable[[Graph, KRange], list[IdentityReport]]
+    param: Optional[str]
+    params: Callable[[Graph, KRange], Iterable]
+    check: Callable[[Graph, object], IdentityReport]
+    run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = None
+
+    def __post_init__(self) -> None:
+        if self.run is None:
+            run = lambda g, k_range: self.applicable(g, self.params(g, k_range))
+            object.__setattr__(self, "run", run)
+
+    def applicable(self, g: Graph, instances: Iterable) -> list[IdentityReport]:
+        """Reports of the given instances on g, without those that do not apply."""
+        reports = (self.check(g, p) for p in instances)
+        return [r for r in reports if r.holds is not None]
 
 
-def _ks(lo: int, hi: int, k_range: KRange) -> range:
-    if k_range is not None:
-        lo, hi = max(lo, k_range[0]), min(hi, k_range[1])
-    return range(lo, hi + 1)
+def _k_params(lo: int) -> Callable[[Graph, KRange], range]:
+    """Every k from lo up to the clique number (at least lo), within k_range."""
+    def params(g: Graph, k_range: KRange) -> range:
+        hi = max(enumerate_cliques(g).omega, lo)
+        if k_range is not None:
+            return range(max(lo, k_range[0]), min(hi, k_range[1]) + 1)
+        return range(lo, hi + 1)
+
+    return params
 
 
-def _run_handshake(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    omega = enumerate_cliques(g).omega
-    return [check_handshake(g, k) for k in _ks(1, max(omega, 1), k_range)]
+def _once(g: Graph, k_range: KRange) -> list:
+    return [None]
 
 
-def _run_vertex_recurrence(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_vertex_recurrence(g, v) for v in range(g.n)]
+def _k5_free(g: Graph) -> bool:
+    return enumerate_cliques(g, k_max=5).omega < 5
 
 
-def _run_edge_recurrence(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_edge_recurrence(g, e) for e in g.edges()]
+def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
+    catalog = enumerate_cliques(g, k_max=4)
+    return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
 
 
-def _run_vertex_deck(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    omega = enumerate_cliques(g).omega
-    return [check_vertex_deck_identity(g, k) for k in _ks(1, max(omega, 1), k_range)]
+def _clique_deletion(interpretation: str) -> Callable[[Graph, tuple], IdentityReport]:
+    return lambda g, q: clique_deletion_expansion(
+        g, itertools.combinations(q, 2), interpretation
+    )
 
 
-def _run_edge_deck(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    omega = enumerate_cliques(g).omega
-    return [check_edge_deck_identity(g, k) for k in _ks(2, max(omega, 2), k_range)]
-
-
-def _run_first_derivative(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_first_derivative(g)]
-
-
-def _run_second_derivative(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_second_derivative(g)]
-
-
-def _run_triangle_identity(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [triangle_identity(g, d)[0] for d in triangles(g)]
-
-
-def _run_clique_deletion(interpretation: str):
-    def run(g: Graph, k_range: KRange) -> list[IdentityReport]:
-        catalog = enumerate_cliques(g, k_max=4)
-        reports = []
-        for size in (2, 3, 4):
-            for q in catalog.cliques(size):
-                edge_set = list(itertools.combinations(q, 2))
-                reports.append(clique_deletion_expansion(g, edge_set, interpretation))
-        return reports
-
-    return run
-
-
-def _run_third_derivative(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    if enumerate_cliques(g, k_max=5).omega >= 5:
-        return []
-    return [check_third_derivative_k5free(g)]
-
-
-def _run_triangle_deletion_counts(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    if enumerate_cliques(g, k_max=5).omega >= 5:
-        return []
-    reports = []
-    for d in triangles(g):
+def _triangle_deletion_report(g: Graph, d) -> IdentityReport:
+    try:
         result = triangle_deletion_counts(g, d)
-        reports.append(
-            IdentityReport(
-                "triangle_deletion_counts", to_graph6(g), {"delta": list(d)},
-                list(result.formula), list(result.direct), result.matches,
-            )
-        )
-    return reports
+    except NotApplicable:
+        return IdentityReport("triangle_deletion_counts", to_graph6(g), {"delta": list(d)})
+    return IdentityReport(
+        "triangle_deletion_counts", to_graph6(g), {"delta": list(result.delta)},
+        list(result.formula), list(result.direct), result.matches,
+    )
 
 
-def _run_kth_derivative(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    omega = enumerate_cliques(g).omega
-    return [check_kth_derivative_general(g, k) for k in _ks(1, max(omega, 1), k_range)]
-
-
-def _run_triangle_recurrence(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_triangle_recurrence(g, d) for d in triangles(g)]
-
-
-def _run_conjecture1_first(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_conjecture1(g, include_unit=False)[0]]
-
-
-def _run_conjecture1_second(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_conjecture1(g, include_unit=False)[1]]
-
-
-def _run_triangle_deck(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    omega = enumerate_cliques(g).omega
-    return [check_triangle_deck_identity(g, k) for k in _ks(3, max(omega, 3), k_range)]
-
-
-def _run_conjecture2(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    report = check_conjecture2(g)
-    return [] if report.holds is None else [report]
-
-
-def _run_conjecture3(g: Graph, k_range: KRange) -> list[IdentityReport]:
-    return [check_conjecture3(g)]
-
-
+# Entries look every identity function up in the module globals at call time
+# (hence the lambdas), so a function swapped for a wrapper is seen here too.
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in [
-        CheckDef("handshake", THEOREM, _run_handshake),
-        CheckDef("vertex_recurrence", THEOREM, _run_vertex_recurrence),
-        CheckDef("edge_recurrence", THEOREM, _run_edge_recurrence),
-        CheckDef("vertex_deck", THEOREM, _run_vertex_deck),
-        CheckDef("edge_deck", THEOREM, _run_edge_deck),
-        CheckDef("first_derivative", THEOREM, _run_first_derivative),
-        CheckDef("second_derivative", THEOREM, _run_second_derivative),
-        CheckDef("triangle_identity", THEOREM, _run_triangle_identity),
-        CheckDef("clique_deletion", THEOREM, _run_clique_deletion(INTERPRETATION_CLIQUES)),
-        CheckDef("third_derivative_k5free", THEOREM, _run_third_derivative),
-        CheckDef("triangle_deletion_counts", THEOREM, _run_triangle_deletion_counts),
-        CheckDef("clique_deletion_edge_subsets", CONJECTURE,
-                 _run_clique_deletion(INTERPRETATION_EDGE_SUBSETS)),
-        CheckDef("kth_derivative", CONJECTURE, _run_kth_derivative),
-        CheckDef("triangle_recurrence", CONJECTURE, _run_triangle_recurrence),
-        CheckDef("conjecture1_first", CONJECTURE, _run_conjecture1_first),
-        CheckDef("conjecture1_second", CONJECTURE, _run_conjecture1_second),
-        CheckDef("triangle_deck", CONJECTURE, _run_triangle_deck),
-        CheckDef("conjecture2", CONJECTURE, _run_conjecture2),
-        CheckDef("conjecture3", CONJECTURE, _run_conjecture3),
+        CheckDef("handshake", THEOREM, "k", _k_params(1),
+                 lambda g, k: check_handshake(g, k)),
+        CheckDef("vertex_recurrence", THEOREM, "v", lambda g, _: range(g.n),
+                 lambda g, v: check_vertex_recurrence(g, v)),
+        CheckDef("edge_recurrence", THEOREM, "e", lambda g, _: g.edges(),
+                 lambda g, e: check_edge_recurrence(g, e)),
+        CheckDef("vertex_deck", THEOREM, "k", _k_params(1),
+                 lambda g, k: check_vertex_deck_identity(g, k)),
+        CheckDef("edge_deck", THEOREM, "k", _k_params(2),
+                 lambda g, k: check_edge_deck_identity(g, k)),
+        CheckDef("first_derivative", THEOREM, None, _once,
+                 lambda g, _: check_first_derivative(g)),
+        CheckDef("second_derivative", THEOREM, None, _once,
+                 lambda g, _: check_second_derivative(g)),
+        CheckDef("triangle_identity", THEOREM, "delta", lambda g, _: triangles(g),
+                 lambda g, d: triangle_identity(g, d)[0]),
+        CheckDef("clique_deletion", THEOREM, "clique", _small_cliques,
+                 _clique_deletion(INTERPRETATION_CLIQUES)),
+        CheckDef("third_derivative_k5free", THEOREM, None,
+                 lambda g, _: [None] if _k5_free(g) else [],
+                 lambda g, _: check_third_derivative_k5free(g)),
+        CheckDef("triangle_deletion_counts", THEOREM, "delta",
+                 lambda g, _: triangles(g) if _k5_free(g) else [],
+                 _triangle_deletion_report),
+        CheckDef("clique_deletion_edge_subsets", CONJECTURE, "clique", _small_cliques,
+                 _clique_deletion(INTERPRETATION_EDGE_SUBSETS)),
+        CheckDef("kth_derivative", CONJECTURE, "k", _k_params(1),
+                 lambda g, k: check_kth_derivative_general(g, k)),
+        CheckDef("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
+                 lambda g, d: check_triangle_recurrence(g, d)),
+        CheckDef("conjecture1_first", CONJECTURE, "unit", lambda g, _: [False],
+                 _conjecture1_first),
+        CheckDef("conjecture1_second", CONJECTURE, "unit", lambda g, _: [False],
+                 _conjecture1_second),
+        CheckDef("triangle_deck", CONJECTURE, "k", _k_params(3),
+                 lambda g, k: check_triangle_deck_identity(g, k)),
+        CheckDef("conjecture2", CONJECTURE, None, _once,
+                 lambda g, _: check_conjecture2(g)),
+        CheckDef("conjecture3", CONJECTURE, None, _once,
+                 lambda g, _: check_conjecture3(g)),
     ]
 }
 

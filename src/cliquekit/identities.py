@@ -48,6 +48,10 @@ from .graphs import (
 Side = Union[int, list, None]
 
 
+class NotApplicable(ValueError):
+    """The graph lies outside the class a check is stated for."""
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """One verdict: identity id, graph, parameters, both sides, and whether they agree.
@@ -187,7 +191,7 @@ def check_third_derivative_k5free(g: Graph) -> IdentityReport:
     """
     omega = enumerate_cliques(g, k_max=5).omega
     if omega >= 5:
-        raise ValueError("graph contains a 5-clique")
+        raise NotApplicable("graph contains a 5-clique")
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
     rhs = poly_sum(
         clique_polynomial(neighborhood_subgraph(g, d)) for d in triangles(g)
@@ -233,6 +237,9 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     normalized = {edge(*e) for e in edge_set}
     support = sorted({v for e in normalized for v in e})
     q = len(support)
+    for v in support:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
     expected = {edge(u, v) for u, v in itertools.combinations(support, 2)}
     if normalized != expected:
         raise ValueError("edge set does not induce a complete subgraph")
@@ -375,7 +382,7 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
     """
     d = _require_triangle(g, delta)
     if enumerate_cliques(g, k_max=5).omega >= 5:
-        raise ValueError("graph contains a 5-clique")
+        raise NotApplicable("graph contains a 5-clique")
     a, b, c = d
     pairs = ((a, b), (a, c), (b, c))
     val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]

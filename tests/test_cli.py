@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
-from cliquekit import complete_graph, to_graph6
+import pytest
+
+from cliquekit import CHECKS, complete_graph, to_graph6
 
 K4_G6 = to_graph6(complete_graph(4))
+K5_G6 = to_graph6(complete_graph(5))
 
 
 def run_cli(*args, stdin=None):
@@ -127,6 +130,65 @@ class TestVerify:
     def test_comma_separated_ids(self):
         r = run_cli("verify", "-g", "Bw", "--identity", "handshake,conjecture3")
         assert "handshake" in r.stdout and "conjecture3" in r.stdout
+
+    def test_edge_subsets_reading_is_a_finding(self):
+        r = run_cli("verify", "-g", K4_G6, "--identity", "clique_deletion_edge_subsets",
+                    "--clique", "0-1-2-3")
+        assert r.returncode == 0
+        assert r.stdout.count("\n") == 1
+        assert "holds=false" in r.stdout
+
+    def test_interpretation_option_rejected(self):
+        r = run_cli("verify", "-g", K4_G6, "--identity", "clique_deletion",
+                    "--clique", "0-1-2-3", "--interpretation", "edge-subsets")
+        assert r.returncode == 2
+        assert r.stdout == ""
+
+    def test_clique_outside_the_graph_is_a_usage_error(self):
+        r = run_cli("verify", "-g", "Bw", "--identity", "clique_deletion", "--clique", "9-10")
+        assert r.returncode == 2
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_delta_selects_one_triangle_deletion_count(self):
+        r = run_cli("verify", "-g", K4_G6, "--identity", "triangle_deletion_counts",
+                    "--delta", "0-1-2")
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            'triangle_deletion_counts params={"delta": [0, 1, 2]} '
+            "lhs=[4, 3, 0, 0] rhs=[4, 3, 0, 0] holds=true"
+        ]
+
+    def test_delta_must_be_a_triangle_for_triangle_deletion_counts(self):
+        r = run_cli("verify", "-g", "Dhc", "--identity", "triangle_deletion_counts",
+                    "--delta", "0-1-2")
+        assert r.returncode == 2
+        assert "not a triangle" in r.stderr
+
+    def test_delta_on_a_5_clique_graph_is_not_applicable(self):
+        args = ("verify", "-g", K5_G6, "--identity", "handshake,triangle_deletion_counts",
+                "--k", "2")
+        default = run_cli(*args)
+        r = run_cli(*args, "--delta", "0-1-2")
+        assert r.returncode == default.returncode == 0
+        assert "triangle_deletion_counts" not in r.stdout
+        assert r.stdout == default.stdout
+
+
+def _flag_value(instance) -> str:
+    return str(instance) if isinstance(instance, int) else "-".join(map(str, instance))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, cd in CHECKS.items() if cd.param in ("v", "e", "delta", "clique")]
+)
+def test_flag_selects_the_matching_default_line(name):
+    cd = CHECKS[name]
+    first = list(cd.params(complete_graph(4), None))[0]
+    default = run_cli("verify", "-g", K4_G6, "--identity", name)
+    r = run_cli("verify", "-g", K4_G6, "--identity", name, f"--{cd.param}", _flag_value(first))
+    assert r.returncode == default.returncode
+    assert r.stdout == default.stdout.splitlines(keepends=True)[0]
 
 
 class TestFuzz:

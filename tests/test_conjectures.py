@@ -165,6 +165,21 @@ class TestCatalog:
         with pytest.raises(ValueError, match="no checks"):
             resolve_checks([])
 
+    def test_run_checks_every_listed_instance(self, corpus):
+        for g in corpus:
+            for name, cd in CHECKS.items():
+                checked = [cd.check(g, p) for p in cd.params(g, None)]
+                applicable = [r for r in checked if r.holds is not None]
+                assert cd.run(g, None) == applicable, (name, to_graph6(g))
+
+    def test_k_range_selects_the_single_k_instance(self, corpus):
+        for g in corpus:
+            for name, cd in CHECKS.items():
+                if cd.param != "k":
+                    continue
+                for k in cd.params(g, None):
+                    assert cd.run(g, (k, k)) == [cd.check(g, k)], (name, k, to_graph6(g))
+
     def test_every_runner_handles_the_empty_graph(self):
         g = empty_graph(0)
         for name, cd in CHECKS.items():

@@ -261,6 +261,10 @@ class TestCliqueDeletionExpansion:
         with pytest.raises(ValueError, match="not an edge"):
             clique_deletion_expansion(path_graph(3), [(0, 1), (1, 2), (0, 2)])
 
+    def test_rejects_out_of_range_vertices(self):
+        with pytest.raises(ValueError, match="out of range"):
+            clique_deletion_expansion(complete_graph(3), [(9, 10)])
+
     def test_rejects_unknown_interpretation(self):
         with pytest.raises(ValueError, match="interpretation"):
             clique_deletion_expansion(complete_graph(3), [(0, 1)], "mystery")
