@@ -111,6 +111,8 @@ def cmd_matrix(args) -> int:
 
 
 _VERTEX_TUPLE_FLAGS = {"e": 2, "delta": 3, "clique": None}  # flag -> vertex count
+_INSTANCE_FLAGS = {"v": "--v", "e": "--e", "delta": "--delta", "clique": "--clique",
+                   "unit": "--with-unit"}  # param -> the verify flag that supplies it
 
 
 def _flag_instance(args, param):
@@ -129,6 +131,10 @@ def cmd_verify(args) -> int:
     for chunk in args.identity or []:
         names.extend(chunk.split(","))
     resolved = resolve_checks(names)
+    taken = {CHECKS[name].param for name in resolved}
+    for param, flag in _INSTANCE_FLAGS.items():
+        if getattr(args, param) is not None and param not in taken:
+            raise ValueError(f"{flag} is not taken by any selected check")
     k_range = (args.k, args.k) if args.k is not None else None
     reports = []
     theorem_failure = False

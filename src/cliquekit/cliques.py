@@ -1,4 +1,14 @@
-"""Clique enumeration, exact counting, clique polynomials, and polynomial calculus.
+"""Clique counting and listing, clique polynomials, and polynomial calculus.
+
+Counting has one kernel, clique_counts_in(adj, mask): the clique counts of the
+subgraph that a vertex bitmask induces over bit-row adjacency.  It lists
+nothing, and it is memoised in a bounded LRU cache, because the identity
+checks count the neighbourhoods and deletions of one graph many times over.
+Neighbourhoods and vertex deletions are masks over the original rows; edge
+deletions are edited copies of the rows.  clique_counts, clique_count and
+clique_polynomial are thin wrappers over it.  enumerate_cliques lists cliques
+and serves only where the cliques themselves are needed; it and
+brute_force_counts are the kernel's independent references.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -9,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
-from .graphs import Graph, bits, common_neighborhood_bits
+from .graphs import Graph, common_neighborhood_bits
 
 Clique = tuple[int, ...]
 Polynomial = list[int]
@@ -72,9 +83,45 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     return CliqueCatalog(g.n, tuple(tuple(lst) for lst in per))
 
 
+@lru_cache(maxsize=1024)
+def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """(c_1, ..., c_omega) of the subgraph that the vertex bitmask mask induces.
+
+    adj holds symmetric bit rows (Graph.adj, or an edited copy of it); it must
+    be a tuple, since (adj, mask) is the cache key.  Depth-first over candidate
+    bitmasks: a clique is extended only by common neighbours above its largest
+    vertex, so each clique is counted exactly once.  A node adds the size of
+    its candidate set to the next clique size and recurses only into
+    candidates that leave at least two common neighbours, so nothing is
+    listed and memory stays at one count per size.
+    """
+    if mask < 0 or mask >> len(adj):
+        raise ValueError(f"mask has bits outside 0..{len(adj) - 1}")
+    counts = [0] * (mask.bit_count() + 1)
+
+    def grow(size: int, cand: int) -> None:
+        counts[size] += cand.bit_count()
+        size += 1
+        c = cand
+        while c:
+            low = c & -c
+            c ^= low
+            nxt = c & adj[low.bit_length() - 1]
+            if nxt & (nxt - 1):
+                grow(size, nxt)
+            elif nxt:
+                counts[size] += 1
+
+    if mask:
+        grow(1, mask)
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return tuple(counts[1:])
+
+
 def clique_counts(g: Graph) -> tuple[int, ...]:
     """(c_1, ..., c_omega): the number of k-cliques for each size."""
-    return enumerate_cliques(g).counts
+    return clique_counts_in(g.adj, (1 << g.n) - 1)
 
 
 def clique_count(g: Graph, k: int) -> int:
@@ -115,9 +162,9 @@ def clique_value(g: Graph, q) -> int:
 def brute_force_counts(g: Graph) -> tuple[int, ...]:
     """Clique counts by testing every vertex subset for completeness.
 
-    Independent oracle: shares no code path with enumerate_cliques (no bit
-    recursion, no catalogs), only the adjacency data itself.  Exponential,
-    so it is capped at 20 vertices.
+    Independent oracle: shares no code path with clique_counts_in or
+    enumerate_cliques (no bit recursion, no catalogs), only the adjacency
+    data itself.  Exponential, so it is capped at 20 vertices.
     """
     if g.n > 20:
         raise ValueError(f"{g.n} vertices is too large for the exhaustive oracle")

@@ -20,8 +20,10 @@ from typing import Callable, Iterable, Optional
 
 from .cliques import (
     clique_count,
+    clique_counts,
     clique_polynomial,
     enumerate_cliques,
+    is_clique,
     poly_derivative,
     poly_divided_derivative,
     poly_reverse,
@@ -32,8 +34,8 @@ from .graphs import (
     RngSpec,
     Splitmix64,
     delete_edge,
-    delete_edge_set,
     delete_vertex,
+    edge_deleted_adj,
     parse_graph6,
     random_gnp,
     to_graph6,
@@ -42,7 +44,10 @@ from .graphs import (
 from .identities import (
     IdentityReport,
     NotApplicable,
+    _count,
+    _poly,
     _poly_report,
+    _without_vertex,
     check_edge_deck_identity,
     check_edge_recurrence,
     check_first_derivative,
@@ -80,7 +85,7 @@ def _conjecture1_first(g: Graph, include_unit: bool) -> IdentityReport:
     n = g.n
     lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
     rhs = poly_sum(
-        poly_reverse(clique_polynomial(delete_vertex(g, v)), n - 1, include_unit)
+        poly_reverse(_poly(g.adj, _without_vertex(g, v)), n - 1, include_unit)
         for v in range(n)
     )
     return _poly_report("conjecture1_first", g, {"include_unit": include_unit}, lhs, rhs)
@@ -90,7 +95,7 @@ def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
     n = g.n
     lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
     rhs = poly_sum(
-        poly_reverse(clique_polynomial(delete_edge(g, e)), n, include_unit)
+        poly_reverse(_poly(edge_deleted_adj(g, [e])), n, include_unit)
         for e in g.edges()
     )
     return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
@@ -107,7 +112,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
     tris = triangles(g)
     lhs = (len(tris) - comb(k, 3)) * clique_count(g, k)
     rhs = sum(
-        clique_count(delete_edge_set(g, itertools.combinations(d, 2)), k)
+        _count(edge_deleted_adj(g, itertools.combinations(d, 2)), k)
         for d in tris
     )
     return IdentityReport(
@@ -132,7 +137,7 @@ def check_conjecture2(g: Graph) -> IdentityReport:
     g6 = to_graph6(g)
     if not _triangle_graph_is_edgeless(g):
         return IdentityReport("conjecture2", g6, {"applicable": False}, None, None, None)
-    omega = enumerate_cliques(g).omega
+    omega = len(clique_counts(g))
     ks = list(range(3, omega + 1))
     lhs, rhs = [], []
     for k in ks:
@@ -153,7 +158,7 @@ def check_conjecture3(g: Graph) -> IdentityReport:
     """
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
     rhs = poly_sum(
-        clique_polynomial(delete_edge_set(g, itertools.combinations(d, 2)))
+        _poly(edge_deleted_adj(g, itertools.combinations(d, 2)))
         for d in triangles(g)
     )
     return _poly_report("conjecture3", g, {}, lhs, rhs)
@@ -200,7 +205,7 @@ class CheckDef:
 def _k_params(lo: int) -> Callable[[Graph, KRange], range]:
     """Every k from lo up to the clique number (at least lo), within k_range."""
     def params(g: Graph, k_range: KRange) -> range:
-        hi = max(enumerate_cliques(g).omega, lo)
+        hi = max(len(clique_counts(g)), lo)
         if k_range is not None:
             return range(max(lo, k_range[0]), min(hi, k_range[1]) + 1)
         return range(lo, hi + 1)
@@ -213,7 +218,7 @@ def _once(g: Graph, k_range: KRange) -> list:
 
 
 def _k5_free(g: Graph) -> bool:
-    return enumerate_cliques(g, k_max=5).omega < 5
+    return len(clique_counts(g)) < 5
 
 
 def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
@@ -222,9 +227,13 @@ def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
 
 
 def _clique_deletion(interpretation: str) -> Callable[[Graph, tuple], IdentityReport]:
-    return lambda g, q: clique_deletion_expansion(
-        g, itertools.combinations(q, 2), interpretation
-    )
+    def check(g: Graph, q: tuple) -> IdentityReport:
+        # A one-vertex q has no edges, so the expansion alone would never see it.
+        if not is_clique(g, q):
+            raise ValueError(f"{tuple(q)} is not a clique of the graph")
+        return clique_deletion_expansion(g, itertools.combinations(q, 2), interpretation)
+
+    return check
 
 
 def _triangle_deletion_report(g: Graph, d) -> IdentityReport:

@@ -271,26 +271,28 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph(g.n - 1, tuple(rows))
 
 
-def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    u, v = edge(*e)
-    if not (0 <= u and v < g.n and g.has_edge(u, v)):
-        raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    rows = list(g.adj)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    return Graph(g.n, tuple(rows))
+def edge_deleted_adj(g: Graph, edge_set: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Adjacency rows of g with exactly the given edges deleted, every vertex kept.
 
-
-def delete_edge_set(g: Graph, edge_set: Iterable[tuple[int, int]]) -> Graph:
-    """Delete exactly the given edges, keeping every vertex."""
-    normalized = {edge(*e) for e in edge_set}
+    The rows of delete_edge_set(g, edge_set), without building (and so
+    without re-validating) a Graph: the counting kernel takes them as they are.
+    """
     rows = list(g.adj)
-    for u, v in normalized:
+    for u, v in {edge(*e) for e in edge_set}:
         if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-    return Graph(g.n, tuple(rows))
+    return tuple(rows)
+
+
+def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    return Graph(g.n, edge_deleted_adj(g, [e]))
+
+
+def delete_edge_set(g: Graph, edge_set: Iterable[tuple[int, int]]) -> Graph:
+    """Delete exactly the given edges, keeping every vertex."""
+    return Graph(g.n, edge_deleted_adj(g, edge_set))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:

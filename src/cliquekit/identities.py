@@ -6,6 +6,10 @@ same machinery serves regression tests (which assert holds=True for proved
 identities) and conjecture exploration (which only records outcomes).  All
 comparisons are exact integer polynomial or count equality; divisions are
 avoided by using binomial-scaled derivatives and cross-multiplied forms.
+
+Every polynomial of a neighbourhood or a vertex deletion is counted as a
+vertex bitmask over the graph's own adjacency rows, and every edge deletion
+as an edited copy of the rows, so no check builds a subgraph.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from typing import Optional, Union
 from .cliques import (
     Polynomial,
     clique_count,
+    clique_counts,
+    clique_counts_in,
     clique_polynomial,
     clique_value,
     enumerate_cliques,
@@ -35,12 +41,9 @@ from .cliques import (
 from .graphs import (
     Graph,
     common_neighborhood_bits,
-    delete_edge,
-    delete_edge_set,
-    delete_vertex,
     edge,
+    edge_deleted_adj,
     is_connected,
-    neighborhood_subgraph,
     to_graph6,
     triangles,
 )
@@ -88,6 +91,29 @@ def _count_report(identity: str, g: Graph, params: dict,
     return IdentityReport(identity, to_graph6(g), params, lhs, rhs, lhs == rhs)
 
 
+def _poly(adj: tuple[int, ...], mask: int | None = None) -> Polynomial:
+    """C(x) of the subgraph that mask induces over the rows adj (all of them by default)."""
+    if mask is None:
+        mask = (1 << len(adj)) - 1
+    return [1, *clique_counts_in(adj, mask)]
+
+
+def _count(adj: tuple[int, ...], k: int, mask: int | None = None) -> int:
+    """c_k (k >= 1) of the subgraph that mask induces over the rows adj."""
+    poly = _poly(adj, mask)
+    return poly[k] if k < len(poly) else 0
+
+
+def _nbhd_poly(g: Graph, vertices) -> Polynomial:
+    """C(G[N(S)], x) for the common neighbourhood N(S) of the vertex set S."""
+    return _poly(g.adj, common_neighborhood_bits(g, vertices))
+
+
+def _without_vertex(g: Graph, v: int) -> int:
+    """The vertex set of G - v, as a mask over the rows of g."""
+    return ((1 << g.n) - 1) & ~(1 << v)
+
+
 def _require_triangle(g: Graph, delta) -> tuple[int, int, int]:
     d = tuple(sorted(delta))
     if len(d) != 3 or not is_clique(g, d):
@@ -106,9 +132,8 @@ def check_handshake(g: Graph, k: int) -> IdentityReport:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    catalog = enumerate_cliques(g, k_max=k + 1)
-    lhs = sum(clique_value(g, q) for q in catalog.cliques(k))
-    rhs = (k + 1) * len(catalog.cliques(k + 1))
+    lhs = sum(clique_value(g, q) for q in enumerate_cliques(g, k_max=k).cliques(k))
+    rhs = (k + 1) * clique_count(g, k + 1)
     return _count_report("handshake", g, {"k": k}, lhs, rhs)
 
 
@@ -120,8 +145,7 @@ def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
         raise ValueError(f"vertex {v} out of range")
     lhs = clique_polynomial(g)
     rhs = poly_add(
-        clique_polynomial(delete_vertex(g, v)),
-        poly_shift(clique_polynomial(neighborhood_subgraph(g, [v])), 1),
+        _poly(g.adj, _without_vertex(g, v)), poly_shift(_poly(g.adj, g.adj[v]), 1)
     )
     return _poly_report("vertex_recurrence", g, {"v": v}, lhs, rhs)
 
@@ -129,12 +153,9 @@ def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
 def check_edge_recurrence(g: Graph, e) -> IdentityReport:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
     u, v = edge(*e)
-    without = delete_edge(g, (u, v))
+    without = edge_deleted_adj(g, [(u, v)])
     lhs = clique_polynomial(g)
-    rhs = poly_add(
-        clique_polynomial(without),
-        poly_shift(clique_polynomial(neighborhood_subgraph(g, [u, v])), 2),
-    )
+    rhs = poly_add(_poly(without), poly_shift(_nbhd_poly(g, (u, v)), 2))
     return _poly_report("edge_recurrence", g, {"e": [u, v]}, lhs, rhs)
 
 
@@ -145,7 +166,7 @@ def check_vertex_deck_identity(g: Graph, k: int) -> IdentityReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     lhs = (g.n - k) * clique_count(g, k)
-    rhs = sum(clique_count(delete_vertex(g, v), k) for v in range(g.n))
+    rhs = sum(_count(g.adj, k, _without_vertex(g, v)) for v in range(g.n))
     return _count_report("vertex_deck", g, {"k": k}, lhs, rhs)
 
 
@@ -154,7 +175,7 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
     if k < 2:
         raise ValueError("k must be >= 2")
     lhs = (g.m - comb(k, 2)) * clique_count(g, k)
-    rhs = sum(clique_count(delete_edge(g, e), k) for e in g.edges())
+    rhs = sum(_count(edge_deleted_adj(g, [e]), k) for e in g.edges())
     return _count_report("edge_deck", g, {"k": k}, lhs, rhs)
 
 
@@ -163,9 +184,7 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
 def check_first_derivative(g: Graph) -> IdentityReport:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
     lhs = poly_derivative(clique_polynomial(g), 1)
-    rhs = poly_sum(
-        clique_polynomial(neighborhood_subgraph(g, [v])) for v in range(g.n)
-    )
+    rhs = poly_sum(_poly(g.adj, row) for row in g.adj)
     return _poly_report("first_derivative", g, {}, lhs, rhs)
 
 
@@ -176,9 +195,7 @@ def check_second_derivative(g: Graph) -> IdentityReport:
     comparison stays in exact integers.
     """
     lhs = poly_divided_derivative(clique_polynomial(g), 2)
-    rhs = poly_sum(
-        clique_polynomial(neighborhood_subgraph(g, [u, v])) for u, v in g.edges()
-    )
+    rhs = poly_sum(_poly(g.adj, g.adj[u] & g.adj[v]) for u, v in g.edges())
     return _poly_report("second_derivative", g, {}, lhs, rhs)
 
 
@@ -189,13 +206,11 @@ def check_third_derivative_k5free(g: Graph) -> IdentityReport:
     the report rather than required, so campaigns can probe whether it
     matters.
     """
-    omega = enumerate_cliques(g, k_max=5).omega
+    omega = len(clique_counts(g))
     if omega >= 5:
         raise NotApplicable("graph contains a 5-clique")
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
-    rhs = poly_sum(
-        clique_polynomial(neighborhood_subgraph(g, d)) for d in triangles(g)
-    )
+    rhs = poly_sum(_nbhd_poly(g, d) for d in triangles(g))
     params = {"connected": is_connected(g), "omega": omega}
     return _poly_report("third_derivative_k5free", g, params, lhs, rhs)
 
@@ -209,10 +224,7 @@ def check_kth_derivative_general(g: Graph, k: int) -> IdentityReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     lhs = poly_divided_derivative(clique_polynomial(g), k)
-    rhs = poly_sum(
-        clique_polynomial(neighborhood_subgraph(g, q))
-        for q in enumerate_cliques(g, k_max=k).cliques(k)
-    )
+    rhs = poly_sum(_nbhd_poly(g, q) for q in enumerate_cliques(g, k_max=k).cliques(k))
     return _poly_report("kth_derivative", g, {"k": k}, lhs, rhs)
 
 
@@ -249,12 +261,11 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     if interpretation not in (INTERPRETATION_CLIQUES, INTERPRETATION_EDGE_SUBSETS):
         raise ValueError(f"unknown interpretation {interpretation!r}")
 
-    rhs = clique_polynomial(delete_edge_set(g, normalized))
+    rhs = _poly(edge_deleted_adj(g, normalized))
     if interpretation == INTERPRETATION_CLIQUES:
         for r in range(2, q + 1):
             inner = poly_sum(
-                clique_polynomial(neighborhood_subgraph(g, t))
-                for t in itertools.combinations(support, r)
+                _nbhd_poly(g, t) for t in itertools.combinations(support, r)
             )
             rhs = poly_add(rhs, poly_scale(poly_shift(inner, r), (-1) ** r * (r - 1)))
     else:
@@ -262,9 +273,7 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
         r = 2
         while comb(r, 2) <= len(edges_sorted):
             inner = poly_sum(
-                clique_polynomial(
-                    neighborhood_subgraph(g, {v for e in s for v in e})
-                )
+                _nbhd_poly(g, {v for e in s for v in e})
                 for s in itertools.combinations(edges_sorted, comb(r, 2))
             )
             rhs = poly_add(rhs, poly_scale(poly_shift(inner, r), (-1) ** r * (r - 1)))
@@ -296,11 +305,8 @@ class TriangleIdentityParts:
 
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     a, b, c = d
-    edge_sum = poly_sum(
-        clique_polynomial(neighborhood_subgraph(g, pair))
-        for pair in ((a, b), (a, c), (b, c))
-    )
-    tri = clique_polynomial(neighborhood_subgraph(g, d))
+    edge_sum = poly_sum(_nbhd_poly(g, pair) for pair in ((a, b), (a, c), (b, c)))
+    tri = _nbhd_poly(g, d)
     return TriangleIdentityParts(d, edge_sum, tri)
 
 
@@ -313,9 +319,9 @@ def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentity
     d = _require_triangle(g, delta)
     parts = _triangle_parts(g, d)
     a, b, c = d
-    without = delete_edge_set(g, [(a, b), (a, c), (b, c)])
+    without = edge_deleted_adj(g, [(a, b), (a, c), (b, c)])
     rhs = poly_add(
-        clique_polynomial(without),
+        _poly(without),
         poly_sub(
             poly_shift(parts.edge_neighborhood_sum, 2),
             poly_scale(poly_shift(parts.triangle_neighborhood, 3), 2),
@@ -337,11 +343,9 @@ def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
     d = _require_triangle(g, delta)
     parts = _triangle_parts(g, d)
     a, b, c = d
-    without = delete_edge_set(g, [(a, b), (a, c), (b, c)])
+    without = edge_deleted_adj(g, [(a, b), (a, c), (b, c)])
     lhs = clique_polynomial(g)
-    rhs = poly_add(
-        clique_polynomial(without), poly_shift(parts.triangle_neighborhood, 3)
-    )
+    rhs = poly_add(_poly(without), poly_shift(parts.triangle_neighborhood, 3))
     shifted = poly_scale(poly_shift(parts.triangle_neighborhood, 1), 3)
     params = {
         "delta": list(d),
@@ -381,13 +385,13 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
     where e_1..e_3 are the triangle's edges and val is the clique-value.
     """
     d = _require_triangle(g, delta)
-    if enumerate_cliques(g, k_max=5).omega >= 5:
+    if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
     a, b, c = d
     pairs = ((a, b), (a, c), (b, c))
     val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]
     c2_edge_nbhd = [
-        clique_count(neighborhood_subgraph(g, pair), 2) for pair in pairs
+        _count(g.adj, 2, common_neighborhood_bits(g, pair)) for pair in pairs
     ]
     val_delta = common_neighborhood_bits(g, d).bit_count()
     formula = (
@@ -396,6 +400,6 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
         clique_count(g, 3) - sum(val_edges) + 2,
         clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
     )
-    remaining = delete_edge_set(g, pairs)
-    direct = tuple(clique_count(remaining, k) for k in range(1, 5))
+    remaining = edge_deleted_adj(g, pairs)
+    direct = tuple(_count(remaining, k) for k in range(1, 5))
     return TriangleDeletionCounts(d, formula, direct)

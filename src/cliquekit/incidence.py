@@ -26,11 +26,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cliques import enumerate_cliques
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KIND_SUBCLIQUE_SUPERCLIQUE = "subclique-superclique"
 KIND_VERTEX_DECK = "vertex-deck"
@@ -86,6 +88,9 @@ class IncidenceMatrix:
         return sum(self.col_sums())
 
     def to_dense(self) -> np.ndarray:
+        """Dense uint8 copy of the matrix; needs the optional numpy extra (dense)."""
+        import numpy as np
+
         dense = np.zeros(self.shape, dtype=np.uint8)
         for i, j in self.entries:
             dense[i, j] = 1

@@ -150,6 +150,41 @@ class TestVerify:
         assert "error:" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("name", ["clique_deletion", "clique_deletion_edge_subsets"])
+    def test_one_vertex_clique_outside_the_graph_is_a_usage_error(self, name):
+        r = run_cli("verify", "-g", "Bw", "--identity", name, "--clique", "9")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "error:" in r.stderr and "out of range" in r.stderr
+
+    @pytest.mark.parametrize("name", ["clique_deletion", "clique_deletion_edge_subsets"])
+    def test_non_clique_is_a_usage_error(self, name):
+        r = run_cli("verify", "-g", "Dhc", "--identity", name, "--clique", "0-1-2")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "error:" in r.stderr and "not a clique" in r.stderr
+
+    @pytest.mark.parametrize("name, flag", [
+        ("handshake", ("--delta", "9-9-9")),
+        ("first_derivative", ("--with-unit",)),
+    ])
+    def test_flag_no_selected_check_takes_is_a_usage_error(self, name, flag):
+        r = run_cli("verify", "-g", "Bw", "--identity", name, *flag)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "error:" in r.stderr and flag[0] in r.stderr
+
+    def test_all_theorems_with_a_vertex_flag(self):
+        default = run_cli("verify", "-g", "Bw", "--all-theorems")
+        r = run_cli("verify", "-g", "Bw", "--all-theorems", "--v", "1")
+        assert r.returncode == 0
+        assert r.stdout.count("vertex_recurrence") == 1
+        assert '"v": 1' in r.stdout
+        others = [line for line in default.stdout.splitlines()
+                  if not line.startswith("vertex_recurrence")]
+        assert [line for line in r.stdout.splitlines()
+                if not line.startswith("vertex_recurrence")] == others
+
     def test_delta_selects_one_triangle_deletion_count(self):
         r = run_cli("verify", "-g", K4_G6, "--identity", "triangle_deletion_counts",
                     "--delta", "0-1-2")

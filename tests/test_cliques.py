@@ -1,20 +1,34 @@
+import itertools
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from math import comb
 
+import cliquekit.cliques
 from cliquekit import (
+    Graph,
+    RngSpec,
+    bits,
     brute_force_counts,
     clique_count,
     clique_counts,
+    clique_counts_in,
     clique_polynomial,
     clique_value,
     complete_graph,
     cycle_graph,
     delete_edge,
+    delete_edge_set,
     disjoint_union,
+    edge_deleted_adj,
     empty_graph,
     enumerate_cliques,
+    induced_subgraph,
     is_clique,
+    parse_graph6,
     poly_add,
     poly_derivative,
     poly_divided_derivative,
@@ -22,9 +36,13 @@ from cliquekit import (
     poly_normalize,
     poly_reverse,
     poly_sub,
+    random_gnp,
+    triangles,
 )
 
 from _helpers import graphs, naive_cliques_of_size
+
+DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense_poly.json"
 
 
 class TestEnumeration:
@@ -94,6 +112,85 @@ class TestOracle:
     @settings(max_examples=150)
     def test_oracle_equivalence_property(self, g):
         assert clique_counts(g) == brute_force_counts(g)
+
+
+def _all_graphs(n: int):
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[i] for i in bits(chosen)])
+
+
+class TestCountingKernel:
+    def test_every_mask_of_every_small_graph_matches_the_oracle(self):
+        for n in range(6):
+            for g in _all_graphs(n):
+                for mask in range(1 << n):
+                    expected = brute_force_counts(induced_subgraph(g, bits(mask)))
+                    assert clique_counts_in(g.adj, mask) == expected
+
+    @pytest.mark.parametrize("n, p", [
+        (10, 0.85), (20, 0.85), (24, 0.85), (30, 0.5), (30, 0.7),
+        (40, 0.3), (40, 0.5), (40, 0.6),
+    ])
+    def test_matches_networkx(self, n, p):
+        nx = pytest.importorskip("networkx")
+        g = random_gnp(n, p, RngSpec(1000 * n + round(100 * p)))
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
+        assert clique_counts(g) == tuple(sizes[k] for k in range(1, max(sizes) + 1))
+
+    def test_edited_adjacency_matches_deleted_graph(self, corpus):
+        for g in corpus:
+            full = (1 << g.n) - 1
+            for e in g.edges():
+                assert clique_counts_in(edge_deleted_adj(g, [e]), full) \
+                    == enumerate_cliques(delete_edge(g, e)).counts
+            for d in triangles(g):
+                pairs = list(itertools.combinations(d, 2))
+                assert clique_counts_in(edge_deleted_adj(g, pairs), full) \
+                    == enumerate_cliques(delete_edge_set(g, pairs)).counts
+
+    def test_edge_deleted_adj_rejects_a_non_edge(self):
+        with pytest.raises(ValueError, match="is not an edge"):
+            edge_deleted_adj(cycle_graph(5), [(0, 2)])
+        with pytest.raises(ValueError, match="is not an edge"):
+            edge_deleted_adj(cycle_graph(5), [(0, 9)])
+
+    def test_rejects_mask_outside_the_rows(self):
+        g = complete_graph(3)
+        with pytest.raises(ValueError, match="outside"):
+            clique_counts_in(g.adj, 1 << 3)
+        with pytest.raises(ValueError, match="outside"):
+            clique_counts_in(g.adj, -1)
+
+    def test_wrappers_never_list_cliques(self, monkeypatch):
+        g = random_gnp(14, 0.6, RngSpec(5))
+        expected = enumerate_cliques(g).counts
+        clique_counts_in.cache_clear()
+
+        def listing(*args, **kwargs):
+            raise AssertionError("enumerate_cliques called")
+
+        monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", listing)
+        assert clique_counts(g) == expected
+        assert clique_polynomial(g) == [1, *expected]
+        assert [clique_count(g, k) for k in range(len(expected) + 2)] \
+            == [1, *expected, 0]
+
+    def test_cache_is_bounded(self):
+        assert clique_counts_in.cache_parameters()["maxsize"] is not None
+
+    def test_dense_reference_polynomials(self):
+        """One stored instance per template, each checked against networkx when stored."""
+        templates = json.loads(DENSE_REFERENCE.read_text())["templates"]
+        assert len(templates) == 9
+        for template in templates:
+            g6, poly = template["items"][0]
+            g = parse_graph6(g6)
+            assert g.n == template["n"]
+            assert clique_polynomial(g) == poly
 
 
 class TestPolynomial:

@@ -180,6 +180,15 @@ class TestCatalog:
                 for k in cd.params(g, None):
                     assert cd.run(g, (k, k)) == [cd.check(g, k)], (name, k, to_graph6(g))
 
+    @pytest.mark.parametrize("name", ["clique_deletion", "clique_deletion_edge_subsets"])
+    def test_clique_deletion_rejects_an_instance_that_is_not_a_clique(self, name):
+        check = CHECKS[name].check
+        with pytest.raises(ValueError, match="out of range"):
+            check(complete_graph(3), (9,))
+        with pytest.raises(ValueError, match="not a clique"):
+            check(cycle_graph(5), (0, 1, 2))
+        assert check(complete_graph(3), (1,)).holds is True
+
     def test_every_runner_handles_the_empty_graph(self):
         g = empty_graph(0)
         for name, cd in CHECKS.items():

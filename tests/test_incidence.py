@@ -2,7 +2,6 @@ import itertools
 import json
 from math import comb
 
-import numpy as np
 import pytest
 
 from cliquekit import (
@@ -209,6 +208,7 @@ class TestExport:
         assert d["double_count"] == [2, 2]
 
     def test_dense_matches_entries(self):
+        np = pytest.importorskip("numpy")
         m = edge_deck_matrix(complete_graph(4), 2)
         dense = m.to_dense()
         assert dense.shape == (6, 6)
