@@ -38,7 +38,6 @@ from .graphs import (
     edge_deleted_adj,
     parse_graph6,
     random_gnp,
-    to_graph6,
     triangles,
 )
 from .identities import (
@@ -116,7 +115,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
         for d in tris
     )
     return IdentityReport(
-        "triangle_deck", to_graph6(g), {"k": k}, lhs, rhs, lhs == rhs
+        "triangle_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs
     )
 
 
@@ -134,7 +133,7 @@ def check_conjecture2(g: Graph) -> IdentityReport:
 
     Applicable only on that class; otherwise the report carries holds=None.
     """
-    g6 = to_graph6(g)
+    g6 = g.graph6
     if not _triangle_graph_is_edgeless(g):
         return IdentityReport("conjecture2", g6, {"applicable": False}, None, None, None)
     omega = len(clique_counts(g))
@@ -240,9 +239,9 @@ def _triangle_deletion_report(g: Graph, d) -> IdentityReport:
     try:
         result = triangle_deletion_counts(g, d)
     except NotApplicable:
-        return IdentityReport("triangle_deletion_counts", to_graph6(g), {"delta": list(d)})
+        return IdentityReport("triangle_deletion_counts", g.graph6, {"delta": list(d)})
     return IdentityReport(
-        "triangle_deletion_counts", to_graph6(g), {"delta": list(result.delta)},
+        "triangle_deletion_counts", g.graph6, {"delta": list(result.delta)},
         list(result.formula), list(result.direct), result.matches,
     )
 
@@ -541,10 +540,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
                     if r.holds is False
                 )
                 shrunk = ShrunkForm(
-                    to_graph6(small), small_bad.params, small_bad.lhs, small_bad.rhs
+                    small.graph6, small_bad.params, small_bad.lhs, small_bad.rhs
                 )
             tally.counterexamples.append(
-                Counterexample(name, to_graph6(g), bad.params, bad.lhs, bad.rhs, shrunk)
+                Counterexample(name, g.graph6, bad.params, bad.lhs, bad.rhs, shrunk)
             )
     elapsed = time.perf_counter() - start
     return CampaignReport(cfg, tallies, elapsed)

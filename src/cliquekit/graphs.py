@@ -8,6 +8,7 @@ are immutable; every operation is a pure function returning a new Graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
@@ -84,6 +85,11 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
+
+    @cached_property
+    def graph6(self) -> str:
+        """to_graph6(self), encoded once per Graph object."""
+        return to_graph6(self)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)

@@ -44,7 +44,6 @@ from .graphs import (
     edge,
     edge_deleted_adj,
     is_connected,
-    to_graph6,
     triangles,
 )
 
@@ -83,12 +82,12 @@ class IdentityReport:
 def _poly_report(identity: str, g: Graph, params: dict,
                  lhs: Polynomial, rhs: Polynomial) -> IdentityReport:
     lhs, rhs = poly_normalize(lhs), poly_normalize(rhs)
-    return IdentityReport(identity, to_graph6(g), params, lhs, rhs, lhs == rhs)
+    return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
 
 
 def _count_report(identity: str, g: Graph, params: dict,
                   lhs: int, rhs: int) -> IdentityReport:
-    return IdentityReport(identity, to_graph6(g), params, lhs, rhs, lhs == rhs)
+    return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
 
 
 def _poly(adj: tuple[int, ...], mask: int | None = None) -> Polynomial:

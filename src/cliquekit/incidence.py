@@ -17,8 +17,11 @@ Four kinds are built here:
   sums count surviving k-cliques; row sums are reported but deliberately not
   asserted constant (their constancy is an open question probed elsewhere).
 
-Summing all entries by rows and by columns is the double-counting step that
-turns each matrix into a counting identity.
+Every matrix is stored as one bit row per matrix row (bit j of a row is its
+entry in column j), built by one helper from the labels and a predicate on
+the vertex masks of a row label and a column label.  Summing all entries by
+rows and by columns is the double-counting step that turns each matrix into
+a counting identity.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .cliques import enumerate_cliques
-from .graphs import Graph
+from .graphs import Graph, bits
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,6 +44,9 @@ KIND_TRIANGLE_DECK = "triangle-deck"
 
 Label = tuple[int, ...]
 
+# maps the digits of bin() to the cell values 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def _label_text(label: Label) -> str:
     return "-".join(str(v) for v in label)
@@ -48,38 +54,53 @@ def _label_text(label: Label) -> str:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Sparse 0/1 matrix whose rows and columns carry clique / deck-member labels."""
+    """0/1 matrix whose rows and columns carry clique / deck-member labels.
+
+    rows[i] is row i as a bitmask: bit j is the entry in column j.  `entries`
+    is a view derived from it, the set of (i, j) positions holding a 1.
+    """
 
     kind: str
     k: int
     row_labels: tuple[Label, ...]
     col_labels: tuple[Label, ...]
-    entries: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
 
+    @property
+    def entries(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, row in enumerate(self.rows) for j in bits(row))
+
+    def _row(self, i: int) -> int:
+        if not 0 <= i < len(self.rows):
+            raise IndexError(f"row {i} outside a matrix of {len(self.rows)} rows")
+        return self.rows[i]
+
+    def _col(self, j: int) -> int:
+        if not 0 <= j < len(self.col_labels):
+            raise IndexError(f"column {j} outside a matrix of {len(self.col_labels)} columns")
+        return j
+
     def entry(self, i: int, j: int) -> int:
-        return 1 if (i, j) in self.entries else 0
+        return self._row(i) >> self._col(j) & 1
 
     def row_sum(self, i: int) -> int:
-        return sum(1 for r, _ in self.entries if r == i)
+        return self._row(i).bit_count()
 
     def col_sum(self, j: int) -> int:
-        return sum(1 for _, c in self.entries if c == j)
+        j = self._col(j)
+        return sum(row >> j & 1 for row in self.rows)
 
     def row_sums(self) -> list[int]:
-        out = [0] * len(self.row_labels)
-        for i, _ in self.entries:
-            out[i] += 1
-        return out
+        return [row.bit_count() for row in self.rows]
 
     def col_sums(self) -> list[int]:
-        out = [0] * len(self.col_labels)
-        for _, j in self.entries:
-            out[j] += 1
-        return out
+        if not self.rows:
+            return [0] * len(self.col_labels)
+        return [sum(col) for col in zip(*self._dense_rows())]
 
     def total_by_rows(self) -> int:
         return sum(self.row_sums())
@@ -87,14 +108,21 @@ class IncidenceMatrix:
     def total_by_cols(self) -> int:
         return sum(self.col_sums())
 
+    def _dense_rows(self) -> list[list[int]]:
+        """Every row as a list of its 0/1 cells, column 0 first."""
+        width = len(self.col_labels)
+        # bin() of a row with a sentinel bit at `width` is "0b1" and then one
+        # digit per column, the last column first
+        return [
+            list(bin(row | 1 << width)[:2:-1].encode().translate(_DIGIT_VALUES))
+            for row in self.rows
+        ]
+
     def to_dense(self) -> np.ndarray:
         """Dense uint8 copy of the matrix; needs the optional numpy extra (dense)."""
         import numpy as np
 
-        dense = np.zeros(self.shape, dtype=np.uint8)
-        for i, j in self.entries:
-            dense[i, j] = 1
-        return dense
+        return np.array(self._dense_rows(), dtype=np.uint8).reshape(self.shape)
 
     def to_csv(self) -> str:
         """CSV with labels, a trailing row_sum column, and a trailing col_sum row.
@@ -102,41 +130,42 @@ class IncidenceMatrix:
         The corner cell of the sums row/column holds the grand total, i.e. the
         double count.
         """
+        csums = self.col_sums()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + [_label_text(c) for c in self.col_labels] + ["row_sum"])
-        rsums, csums = self.row_sums(), self.col_sums()
-        for i, label in enumerate(self.row_labels):
-            writer.writerow(
-                [_label_text(label)]
-                + [self.entry(i, j) for j in range(len(self.col_labels))]
-                + [rsums[i]]
-            )
+        for label, cells, rsum in zip(self.row_labels, self._dense_rows(), self.row_sums()):
+            writer.writerow([_label_text(label)] + cells + [rsum])
         writer.writerow(["col_sum"] + csums + [sum(csums)])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        dense = [
-            [self.entry(i, j) for j in range(len(self.col_labels))]
-            for i in range(len(self.row_labels))
-        ]
+        rsums, csums = self.row_sums(), self.col_sums()
         return {
             "kind": self.kind,
             "k": self.k,
             "row_labels": [list(l) for l in self.row_labels],
             "col_labels": [list(l) for l in self.col_labels],
-            "matrix": dense,
-            "row_sums": self.row_sums(),
-            "col_sums": self.col_sums(),
-            "double_count": list(double_count(self)),
+            "matrix": self._dense_rows(),
+            "row_sums": rsums,
+            "col_sums": csums,
+            "double_count": [sum(rsums), sum(csums)],
         }
 
 
 def _mask(label: Label) -> int:
-    m = 0
-    for v in label:
-        m |= 1 << v
-    return m
+    return sum(1 << v for v in label)
+
+
+def _incidence(kind: str, k: int, row_labels, col_labels,
+               hit: Callable[[int, int], bool]) -> IncidenceMatrix:
+    """The matrix whose entry (i, j) is hit(mask of row label i, mask of column label j)."""
+    col_masks = [_mask(c) for c in col_labels]
+    rows = tuple(
+        sum(1 << j for j, cm in enumerate(col_masks) if hit(qm, cm))
+        for qm in map(_mask, row_labels)
+    )
+    return IncidenceMatrix(kind, k, tuple(row_labels), tuple(col_labels), rows)
 
 
 def subclique_superclique_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -144,17 +173,8 @@ def subclique_superclique_matrix(g: Graph, k: int) -> IncidenceMatrix:
     if k < 1:
         raise ValueError("order k must be >= 1")
     catalog = enumerate_cliques(g, k_max=k + 1)
-    rows = catalog.cliques(k)
-    cols = catalog.cliques(k + 1)
-    row_masks = [_mask(q) for q in rows]
-    col_masks = [_mask(c) for c in cols]
-    entries = frozenset(
-        (i, j)
-        for i, qm in enumerate(row_masks)
-        for j, cm in enumerate(col_masks)
-        if qm & ~cm == 0
-    )
-    return IncidenceMatrix(KIND_SUBCLIQUE_SUPERCLIQUE, k, rows, tuple(cols), entries)
+    return _incidence(KIND_SUBCLIQUE_SUPERCLIQUE, k, catalog.cliques(k), catalog.cliques(k + 1),
+                      lambda qm, cm: qm & cm == qm)
 
 
 def vertex_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -162,15 +182,8 @@ def vertex_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     if k < 1:
         raise ValueError("order k must be >= 1")
     rows = enumerate_cliques(g, k_max=k).cliques(k)
-    cols = tuple((v,) for v in range(g.n))
-    row_masks = [_mask(q) for q in rows]
-    entries = frozenset(
-        (i, v)
-        for i, qm in enumerate(row_masks)
-        for v in range(g.n)
-        if not qm >> v & 1
-    )
-    return IncidenceMatrix(KIND_VERTEX_DECK, k, rows, cols, entries)
+    return _incidence(KIND_VERTEX_DECK, k, rows, [(v,) for v in range(g.n)],
+                      lambda qm, vm: not qm & vm)
 
 
 def edge_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -178,16 +191,8 @@ def edge_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     if k < 2:
         raise ValueError("order k must be >= 2")
     rows = enumerate_cliques(g, k_max=k).cliques(k)
-    cols = tuple((u, v) for u, v in g.edges())
-    row_masks = [_mask(q) for q in rows]
-    col_masks = [(1 << u) | (1 << v) for u, v in cols]
-    entries = frozenset(
-        (i, j)
-        for i, qm in enumerate(row_masks)
-        for j, em in enumerate(col_masks)
-        if qm & em != em
-    )
-    return IncidenceMatrix(KIND_EDGE_DECK, k, rows, cols, entries)
+    return _incidence(KIND_EDGE_DECK, k, rows, [(u, v) for u, v in g.edges()],
+                      lambda qm, em: qm & em != em)
 
 
 def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -199,17 +204,8 @@ def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     if k < 3:
         raise ValueError("order k must be >= 3")
     catalog = enumerate_cliques(g, k_max=k)
-    rows = catalog.cliques(k)
-    cols = catalog.cliques(3)
-    row_masks = [_mask(q) for q in rows]
-    col_masks = [_mask(c) for c in cols]
-    entries = frozenset(
-        (i, j)
-        for i, qm in enumerate(row_masks)
-        for j, dm in enumerate(col_masks)
-        if (qm & dm).bit_count() <= 1
-    )
-    return IncidenceMatrix(KIND_TRIANGLE_DECK, k, rows, tuple(cols), entries)
+    return _incidence(KIND_TRIANGLE_DECK, k, catalog.cliques(k), catalog.cliques(3),
+                      lambda qm, dm: (qm & dm).bit_count() <= 1)
 
 
 def double_count(matrix: IncidenceMatrix) -> tuple[int, int]:

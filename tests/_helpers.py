@@ -8,6 +8,8 @@ check.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -24,6 +26,16 @@ from cliquekit import (
 )
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child Python process: ours, with src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 @st.composite
 def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     n = draw(st.integers(min_n, max_n))
@@ -33,6 +45,13 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     else:
         chosen = []
     return Graph.from_edges(n, chosen)
+
+
+def all_labelled_graphs(n: int):
+    """Every graph on the vertices 0..n-1, one per subset of the vertex pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
 
 
 def named_graphs() -> dict[str, Graph]:

@@ -44,6 +44,8 @@ from cliquekit import (
     vertex_deck_matrix,
 )
 
+from _helpers import subprocess_env
+
 
 def _verdict(num: int, ok: bool, description: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {description}")
@@ -92,6 +94,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=300,
+        env=subprocess_env(),
     )
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from cliquekit import CHECKS, complete_graph, to_graph6
 
+from _helpers import subprocess_env
+
 K4_G6 = to_graph6(complete_graph(4))
 K5_G6 = to_graph6(complete_graph(5))
 
@@ -17,6 +19,7 @@ def run_cli(*args, stdin=None):
         text=True,
         input=stdin,
         timeout=120,
+        env=subprocess_env(),
     )
 
 

@@ -9,7 +9,6 @@ from math import comb
 
 import cliquekit.cliques
 from cliquekit import (
-    Graph,
     RngSpec,
     bits,
     brute_force_counts,
@@ -40,7 +39,7 @@ from cliquekit import (
     triangles,
 )
 
-from _helpers import graphs, naive_cliques_of_size
+from _helpers import all_labelled_graphs, graphs, naive_cliques_of_size
 
 DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense_poly.json"
 
@@ -114,16 +113,10 @@ class TestOracle:
         assert clique_counts(g) == brute_force_counts(g)
 
 
-def _all_graphs(n: int):
-    pairs = list(itertools.combinations(range(n), 2))
-    for chosen in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pairs[i] for i in bits(chosen)])
-
-
 class TestCountingKernel:
     def test_every_mask_of_every_small_graph_matches_the_oracle(self):
         for n in range(6):
-            for g in _all_graphs(n):
+            for g in all_labelled_graphs(n):
                 for mask in range(1 << n):
                     expected = brute_force_counts(induced_subgraph(g, bits(mask)))
                     assert clique_counts_in(g.adj, mask) == expected

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
+import cliquekit.graphs
 from cliquekit import (
     Graph,
     GraphFormatError,
@@ -125,6 +126,18 @@ class TestGraph6:
     @given(graphs(max_n=12))
     def test_roundtrip_property(self, g):
         assert parse_graph6(to_graph6(g)) == g
+
+    def test_graph6_property_encodes_once_per_graph(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return to_graph6(g)
+
+        monkeypatch.setattr(cliquekit.graphs, "to_graph6", counted)
+        g = cycle_graph(5)
+        assert g.graph6 == g.graph6 == to_graph6(g)
+        assert calls == [g]
 
 
 class TestEdgeList:

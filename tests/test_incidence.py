@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,56 @@ from cliquekit import (
     double_count,
     edge_deck_matrix,
     enumerate_cliques,
+    parse_graph6,
     subclique_superclique_matrix,
     triangle_deck_matrix,
     triangle_graph,
     vertex_deck_matrix,
 )
 
-from _helpers import naive_cliques_of_size, naive_is_clique
+from _helpers import (
+    all_labelled_graphs,
+    naive_cliques_of_size,
+    naive_edge_set,
+    naive_is_clique,
+)
+
+MATRIX_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "matrix_export.json"
+)
+
+# kind -> (builder, smallest valid k)
+BUILDERS = {
+    "super": (subclique_superclique_matrix, 1),
+    "vdeck": (vertex_deck_matrix, 1),
+    "edeck": (edge_deck_matrix, 2),
+    "tdeck": (triangle_deck_matrix, 3),
+}
+
+
+def naive_matrix(g, kind: str, k: int):
+    """Labels, entries, row sums and column sums straight from the definitions."""
+    rows = naive_cliques_of_size(g, k)
+    if kind == "super":
+        cols = naive_cliques_of_size(g, k + 1)
+        hit = lambda q, c: set(q) <= set(c)
+    elif kind == "vdeck":
+        cols = [(v,) for v in range(g.n)]
+        hit = lambda q, c: c[0] not in q
+    elif kind == "edeck":
+        cols = sorted(naive_edge_set(g))
+        hit = lambda q, c: not set(c) <= set(q)
+    else:
+        cols = naive_cliques_of_size(g, 3)
+        hit = lambda q, c: len(set(q) & set(c)) <= 1
+    entries = {(i, j) for i, q in enumerate(rows) for j, c in enumerate(cols) if hit(q, c)}
+    row_sums = [sum((i, j) in entries for j in range(len(cols))) for i in range(len(rows))]
+    col_sums = [sum((i, j) in entries for i in range(len(rows))) for j in range(len(cols))]
+    return rows, cols, entries, row_sums, col_sums
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 class TestSubcliqueSuperclique:
@@ -222,3 +267,46 @@ class TestExport:
             assert all(naive_is_clique(g, lbl) for lbl in m.col_labels)
             assert m.row_labels == tuple((v,) for v in range(g.n))
             assert naive_cliques_of_size(g, 2) == list(m.col_labels)
+
+
+class TestBitRows:
+    def test_every_small_graph_matches_the_definitions(self):
+        for n in range(6):
+            for g in all_labelled_graphs(n):
+                omega = max((k for k in range(n + 1) if naive_cliques_of_size(g, k)), default=0)
+                for kind, (build, k_min) in BUILDERS.items():
+                    for k in range(k_min, omega + 2):
+                        m = build(g, k)
+                        rows, cols, entries, row_sums, col_sums = naive_matrix(g, kind, k)
+                        assert list(m.row_labels) == rows and list(m.col_labels) == cols
+                        assert m.entries == entries
+                        assert m.row_sums() == row_sums
+                        assert m.col_sums() == col_sums
+
+    def test_rows_hold_one_bitmask_per_row(self):
+        m = subclique_superclique_matrix(complete_graph(3), 1)
+        assert m.rows == (0b011, 0b101, 0b110)
+
+    @pytest.mark.parametrize("query, args", [
+        ("entry", (99, 99)), ("entry", (-1, 0)), ("entry", (0, -1)),
+        ("entry", (3, 0)), ("entry", (0, 3)),
+        ("row_sum", (-1,)), ("row_sum", (3,)),
+        ("col_sum", (-1,)), ("col_sum", (3,)), ("col_sum", (50,)),
+    ])
+    def test_out_of_range_query_raises(self, query, args):
+        m = subclique_superclique_matrix(complete_graph(3), 1)
+        with pytest.raises(IndexError):
+            getattr(m, query)(*args)
+
+    def test_matrix_export_reference_digests(self):
+        """First stored instance of each template: CSV and JSON digests as stored."""
+        templates = json.loads(MATRIX_REFERENCE.read_text())["templates"]
+        assert len(templates) == 9
+        for template in templates:
+            item = template["items"][0]
+            build, _ = BUILDERS[template["kind"]]
+            m = build(parse_graph6(item["g6"]), template["k"])
+            json_text = json.dumps(m.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            assert _digest(m.to_csv()) == item["csv"]
+            assert _digest(json_text) == item["json"]
+            assert double_count(m) == (item["total"], item["total"])
