@@ -1,15 +1,18 @@
 import json
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 from cliquekit import CHECKS, complete_graph, to_graph6
+from cliquekit.cliques import LISTING_BUDGET
 
 from _helpers import subprocess_env
 
 K4_G6 = to_graph6(complete_graph(4))
 K5_G6 = to_graph6(complete_graph(5))
+K64_G6 = to_graph6(complete_graph(64))
 
 
 def run_cli(*args, stdin=None):
@@ -227,6 +230,34 @@ def test_flag_selects_the_matching_default_line(name):
     r = run_cli("verify", "-g", K4_G6, "--identity", name, f"--{cd.param}", _flag_value(first))
     assert r.returncode == default.returncode
     assert r.stdout == default.stdout.splitlines(keepends=True)[0]
+
+
+class TestSixtyFourVertices:
+    def test_poly_prints_the_binomial_row(self):
+        r = run_cli("poly", "-g", K64_G6)
+        assert r.returncode == 0
+        assert r.stdout.splitlines() == [
+            " ".join(str(comb(64, k)) for k in range(65)), "omega 64",
+        ]
+
+    @pytest.mark.parametrize("name", ["first_derivative", "second_derivative"])
+    def test_derivative_identity_holds(self, name):
+        r = run_cli("verify", "-g", K64_G6, "--identity", name)
+        assert r.returncode == 0
+        assert r.stdout.startswith(f"{name} ")
+        assert r.stdout.rstrip("\n").endswith("holds=true")
+
+    @pytest.mark.parametrize("args, k_max", [
+        (("matrix", "--kind", "super", "--k", "10"), 11),
+        (("verify", "--identity", "handshake", "--k", "40"), 40),
+    ])
+    def test_listing_over_the_budget_is_a_usage_error(self, args, k_max):
+        command, *rest = args
+        r = run_cli(command, "-g", K64_G6, *rest)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        listed = sum(comb(64, k) for k in range(1, k_max + 1))
+        assert f"would list {listed} cliques, over the budget of {LISTING_BUDGET}" in r.stderr
 
 
 class TestFuzz:

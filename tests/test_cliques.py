@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from math import comb
 
 import cliquekit.cliques
+from cliquekit.cliques import LISTING_BUDGET
 from cliquekit import (
+    CliqueBudgetExceeded,
+    Graph,
     RngSpec,
     bits,
     brute_force_counts,
@@ -42,6 +46,25 @@ from cliquekit import (
 from _helpers import all_labelled_graphs, graphs, naive_cliques_of_size
 
 DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense_poly.json"
+
+
+def networkx_counts(g):
+    """(c_1, ..., c_omega) from networkx's clique listing, an independent oracle."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
+    return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
+
+
+def complete_multipartite(parts):
+    """The complete multipartite graph with parts of the given sizes."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+    )
 
 
 class TestEnumeration:
@@ -126,13 +149,8 @@ class TestCountingKernel:
         (40, 0.3), (40, 0.5), (40, 0.6),
     ])
     def test_matches_networkx(self, n, p):
-        nx = pytest.importorskip("networkx")
         g = random_gnp(n, p, RngSpec(1000 * n + round(100 * p)))
-        h = nx.Graph()
-        h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges())
-        sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
-        assert clique_counts(g) == tuple(sizes[k] for k in range(1, max(sizes) + 1))
+        assert clique_counts(g) == networkx_counts(g)
 
     def test_edited_adjacency_matches_deleted_graph(self, corpus):
         for g in corpus:
@@ -186,8 +204,97 @@ class TestCountingKernel:
             assert clique_polynomial(g) == poly
 
 
+class TestPivotPath:
+    """Inputs with candidate sets at or above the kernel's pivot cutoff."""
+
+    @pytest.mark.parametrize("parts", [
+        [2] * 32, [8] * 8, [32, 32], [3] * 21 + [1], list(range(1, 11)), [1] * 12 + [5] * 4,
+    ])
+    def test_complete_multipartite_is_the_product_of_its_parts(self, parts):
+        expected = [1]
+        for a in parts:  # multiply by (1 + a x)
+            expected = [c + a * b for c, b in zip(expected + [0], [0] + expected)]
+        assert clique_polynomial(complete_multipartite(parts)) == expected
+
+    @pytest.mark.parametrize("n, p", [
+        (14, 0.95), (16, 0.9), (18, 0.9), (20, 0.85), (20, 0.95), (22, 0.8),
+        (24, 0.75), (26, 0.7), (28, 0.6), (30, 0.5), (30, 0.7),
+    ])
+    def test_dense_graphs_match_listing_and_networkx(self, n, p):
+        g = random_gnp(n, p, RngSpec(1000 * n + round(100 * p)))
+        counts = clique_counts(g)
+        assert counts == enumerate_cliques(g).counts
+        assert counts == networkx_counts(g)
+
+    def test_every_prefix_mask_of_a_dense_graph(self):
+        g = random_gnp(24, 0.8, RngSpec(24080))
+        for k in range(g.n + 1):
+            sub = induced_subgraph(g, range(k))
+            expected = brute_force_counts(sub) if k <= 20 else networkx_counts(sub)
+            assert clique_counts_in(g.adj, (1 << k) - 1) == expected, k
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 5, 65])
+    def test_counts_do_not_depend_on_the_cutoff(self, monkeypatch, cutoff):
+        """2 splits every set of two or more candidates, 65 never splits."""
+        monkeypatch.setattr(cliquekit.cliques, "_PIVOT_MIN_SIZE", cutoff)
+        kernel = clique_counts_in.__wrapped__
+        for n in range(5):
+            for g in all_labelled_graphs(n):
+                for mask in range(1 << n):
+                    assert kernel(g.adj, mask) == brute_force_counts(induced_subgraph(g, bits(mask)))
+        for n, p in [(12, 0.5), (16, 0.8), (18, 0.95)]:
+            g = random_gnp(n, p, RngSpec(n))
+            assert kernel(g.adj, (1 << n) - 1) == brute_force_counts(g)
+
+    def test_dense_graph_near_the_vertex_cap_is_counted_quickly(self):
+        g = random_gnp(48, 0.95, RngSpec(1))
+        start = time.perf_counter()
+        poly = clique_polynomial(g)
+        assert time.perf_counter() - start < 30
+        assert poly[:3] == [1, 48, g.m]
+
+
+class TestListingBudget:
+    def test_over_budget_raises_before_listing(self):
+        g = complete_graph(64)
+        with pytest.raises(CliqueBudgetExceeded) as info:
+            enumerate_cliques(g, k_max=5)
+        listed = sum(comb(64, k) for k in range(1, 6))
+        assert f"{listed} cliques" in str(info.value)
+        assert f"budget of {LISTING_BUDGET}" in str(info.value)
+        assert isinstance(info.value, ValueError)
+
+    def test_within_budget_lists(self):
+        assert enumerate_cliques(complete_graph(64), k_max=3).counts \
+            == (64, comb(64, 2), comb(64, 3))
+
+    def test_the_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 15)
+        assert enumerate_cliques(complete_graph(4)).counts == (4, 6, 4, 1)
+        monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 14)
+        with pytest.raises(CliqueBudgetExceeded, match="would list 15 cliques"):
+            enumerate_cliques(complete_graph(4))
+
+    def test_only_sizes_up_to_k_max_count(self, monkeypatch):
+        monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 10)
+        assert enumerate_cliques(complete_graph(4), k_max=2).counts == (4, 6)
+
+    def test_no_count_where_no_graph_of_that_order_exceeds_the_budget(self, monkeypatch):
+        """A 20-vertex graph has at most 21 699 cliques of up to 5 vertices."""
+        g = random_gnp(20, 0.7, RngSpec(3))
+        expected = enumerate_cliques(g, k_max=5).counts
+
+        def counting(*args, **kwargs):
+            raise AssertionError("clique_counts called")
+
+        monkeypatch.setattr(cliquekit.cliques, "clique_counts", counting)
+        assert enumerate_cliques(g, k_max=5).counts == expected
+        with pytest.raises(AssertionError, match="clique_counts called"):
+            enumerate_cliques(g)
+
+
 class TestPolynomial:
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", [*range(9), 16, 17, 32, 63, 64])
     def test_complete_graph_is_binomial_row(self, n):
         assert clique_polynomial(complete_graph(n)) == [comb(n, k) for k in range(n + 1)]
 
