@@ -2,9 +2,10 @@
 verify identities, and run fuzz campaigns.
 
 Exit codes: 0 success (conjecture-class failures are findings, not errors),
-1 theorem-class regression, 2 usage or parse errors.  All randomness flows
-through explicit --seed flags; stdout is byte-stable for fixed inputs and
-seeds (timing goes to stderr).
+1 theorem-class regression, 2 usage or parse errors, or a verify check
+skipped because it would list more cliques than the budget.  All randomness
+flows through explicit --seed flags; stdout is byte-stable for fixed inputs
+and seeds (timing goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import json
 import sys
 from pathlib import Path
 
-from .cliques import clique_polynomial, poly_divided_derivative, poly_reverse
+from .cliques import (
+    CliqueBudgetExceeded,
+    clique_polynomial,
+    poly_divided_derivative,
+    poly_reverse,
+)
 from .conjectures import (
     CHECKS,
     CampaignConfig,
@@ -137,11 +143,17 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{flag} is not taken by any selected check")
     k_range = (args.k, args.k) if args.k is not None else None
     reports = []
-    theorem_failure = False
+    theorem_failure = skipped = False
     for name in resolved:
         cd = CHECKS[name]
         value = _flag_instance(args, cd.param)
-        for report in cd.run(g, k_range) if value is None else cd.applicable(g, [value]):
+        try:
+            done = cd.run(g, k_range) if value is None else cd.applicable(g, [value])
+        except CliqueBudgetExceeded as exc:
+            print(f"skipped {name}: {exc}", file=sys.stderr)
+            skipped = True
+            continue
+        for report in done:
             reports.append(report)
             if cd.kind == THEOREM and report.holds is False:
                 theorem_failure = True
@@ -154,7 +166,7 @@ def cmd_verify(args) -> int:
                 f"{r.identity} params={json.dumps(r.params, sort_keys=True)} "
                 f"lhs={json.dumps(r.lhs)} rhs={json.dumps(r.rhs)} holds={holds}"
             )
-    return 1 if theorem_failure else 0
+    return 1 if theorem_failure else 2 if skipped else 0
 
 
 def cmd_fuzz(args) -> int:

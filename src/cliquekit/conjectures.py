@@ -19,6 +19,7 @@ from math import comb
 from typing import Callable, Iterable, Optional
 
 from .cliques import (
+    CliqueBudgetExceeded,
     clique_count,
     clique_counts,
     clique_polynomial,
@@ -436,9 +437,12 @@ class CheckTally:
     fails: int = 0
     not_applicable: int = 0
     counterexamples: list[Counterexample] = field(default_factory=list)
+    # graphs on which the check would have listed more cliques than the budget;
+    # rendered only when nonzero, so a campaign without skips does not show it
+    skipped_budget: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "kind": self.kind,
             "tested": self.tested,
             "holds": self.holds,
@@ -446,6 +450,9 @@ class CheckTally:
             "not_applicable": self.not_applicable,
             "counterexamples": [ce.to_json_dict() for ce in self.counterexamples],
         }
+        if self.skipped_budget:
+            out["skipped_budget"] = self.skipped_budget
+        return out
 
 
 @dataclass
@@ -481,10 +488,13 @@ class CampaignReport:
             f"p in [{cfg.p_range[0]}, {cfg.p_range[1]}], seed {cfg.rng.seed}"
         ]
         for name, tally in self.tallies.items():
-            lines.append(
+            line = (
                 f"check {name} [{tally.kind}]: tested {tally.tested}, "
                 f"holds {tally.holds}, fails {tally.fails}, n/a {tally.not_applicable}"
             )
+            if tally.skipped_budget:
+                line += f", skipped (budget) {tally.skipped_budget}"
+            lines.append(line)
             for ce in tally.counterexamples[:max_listed]:
                 lines.append(
                     f"  counterexample graph6={ce.graph6} "
@@ -507,7 +517,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Sweep seeded G(n, p) graphs through the configured checks.
 
     Graphs are evaluated one by one and tallies are accumulated in sample
-    order, so the report content depends only on the config.
+    order, so the report content depends only on the config.  A check that
+    would list more cliques than the budget on a graph is counted in
+    skipped_budget instead of tested, and the campaign goes on.
     """
     cfg.validate()
     names = resolve_checks(cfg.checks)
@@ -522,7 +534,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         g = random_gnp(n, p, RngSpec(stream.next_u64()))
         for name in names:
             tally = tallies[name]
-            reports = CHECKS[name].run(g, cfg.k_range)
+            try:
+                reports = CHECKS[name].run(g, cfg.k_range)
+            except CliqueBudgetExceeded:
+                tally.skipped_budget += 1
+                continue
             tally.tested += 1
             if not reports:
                 tally.not_applicable += 1

@@ -332,11 +332,6 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> set[int]:
     return set(bits(common_neighborhood_bits(g, vertices)))
 
 
-def neighborhood_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """The subgraph induced by the common neighborhood of the given set."""
-    return induced_subgraph(g, bits(common_neighborhood_bits(g, vertices)))
-
-
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

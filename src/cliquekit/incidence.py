@@ -18,18 +18,22 @@ Four kinds are built here:
   asserted constant (their constancy is an open question probed elsewhere).
 
 Every matrix is stored as one bit row per matrix row (bit j of a row is its
-entry in column j), built by one helper from the labels and a predicate on
-the vertex masks of a row label and a column label.  Summing all entries by
-rows and by columns is the double-counting step that turns each matrix into
-a counting identity.
+entry in column j).  Each kind is a rule on how many vertices a row clique q
+shares with a column label c: super keeps the columns that contain q, the
+vertex deck those sharing no vertex with q, and the edge and triangle decks
+those sharing at most one.  One helper builds every row from touch[v], the
+mask of the columns whose label contains vertex v, so a row costs a few
+big-int operations per vertex of q rather than one test per cell.  The 0/1
+digits of each row and the column sums are derived once per matrix, and
+every rendering reads them.  Summing all entries by rows and by columns is
+the double-counting step that turns each matrix into a counting identity.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .cliques import enumerate_cliques
 from .graphs import Graph, bits
@@ -49,7 +53,7 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _label_text(label: Label) -> str:
-    return "-".join(str(v) for v in label)
+    return "-".join(map(str, label))
 
 
 @dataclass(frozen=True)
@@ -91,32 +95,38 @@ class IncidenceMatrix:
         return self._row(i).bit_count()
 
     def col_sum(self, j: int) -> int:
-        j = self._col(j)
-        return sum(row >> j & 1 for row in self.rows)
+        return self._col_sums[self._col(j)]
 
     def row_sums(self) -> list[int]:
         return [row.bit_count() for row in self.rows]
 
     def col_sums(self) -> list[int]:
-        if not self.rows:
-            return [0] * len(self.col_labels)
-        return [sum(col) for col in zip(*self._dense_rows())]
+        return list(self._col_sums)
 
     def total_by_rows(self) -> int:
         return sum(self.row_sums())
 
     def total_by_cols(self) -> int:
-        return sum(self.col_sums())
+        return sum(self._col_sums)
+
+    @cached_property
+    def _digits(self) -> tuple[str, ...]:
+        """Every row as its string of 0/1 digits, column 0 first."""
+        # bin() of a row with a sentinel bit at `width` is "0b1" and then one
+        # digit per column, the last column first
+        sentinel = 1 << len(self.col_labels)
+        return tuple(bin(row | sentinel)[:2:-1] for row in self.rows)
+
+    @cached_property
+    def _col_sums(self) -> tuple[int, ...]:
+        # in the digits of all rows, laid end to end, column j is every
+        # width-th digit from position j
+        width, digits = len(self.col_labels), "".join(self._digits)
+        return tuple(digits[j::width].count("1") for j in range(width))
 
     def _dense_rows(self) -> list[list[int]]:
         """Every row as a list of its 0/1 cells, column 0 first."""
-        width = len(self.col_labels)
-        # bin() of a row with a sentinel bit at `width` is "0b1" and then one
-        # digit per column, the last column first
-        return [
-            list(bin(row | 1 << width)[:2:-1].encode().translate(_DIGIT_VALUES))
-            for row in self.rows
-        ]
+        return [list(d.encode().translate(_DIGIT_VALUES)) for d in self._digits]
 
     def to_dense(self) -> np.ndarray:
         """Dense uint8 copy of the matrix; needs the optional numpy extra (dense)."""
@@ -128,16 +138,16 @@ class IncidenceMatrix:
         """CSV with labels, a trailing row_sum column, and a trailing col_sum row.
 
         The corner cell of the sums row/column holds the grand total, i.e. the
-        double count.
+        double count.  Labels are digits and hyphens, so no field is quoted.
         """
-        csums = self.col_sums()
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + [_label_text(c) for c in self.col_labels] + ["row_sum"])
-        for label, cells, rsum in zip(self.row_labels, self._dense_rows(), self.row_sums()):
-            writer.writerow([_label_text(label)] + cells + [rsum])
-        writer.writerow(["col_sum"] + csums + [sum(csums)])
-        return buf.getvalue()
+        csums = self._col_sums
+        lines = [",".join(["", *map(_label_text, self.col_labels), "row_sum"])]
+        lines += [
+            ",".join([_label_text(label), *digits, str(row.bit_count())])
+            for label, digits, row in zip(self.row_labels, self._digits, self.rows)
+        ]
+        lines.append(",".join(["col_sum", *map(str, csums), str(sum(csums))]))
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         rsums, csums = self.row_sums(), self.col_sums()
@@ -153,19 +163,30 @@ class IncidenceMatrix:
         }
 
 
-def _mask(label: Label) -> int:
-    return sum(1 << v for v in label)
+# what a row keeps, as a rule on the vertices its clique q shares with column c
+_CONTAINS = "c contains q"
+_DISJOINT = "q and c share no vertex"
+_AT_MOST_ONE = "q and c share at most one vertex"
 
 
-def _incidence(kind: str, k: int, row_labels, col_labels,
-               hit: Callable[[int, int], bool]) -> IncidenceMatrix:
-    """The matrix whose entry (i, j) is hit(mask of row label i, mask of column label j)."""
-    col_masks = [_mask(c) for c in col_labels]
-    rows = tuple(
-        sum(1 << j for j, cm in enumerate(col_masks) if hit(qm, cm))
-        for qm in map(_mask, row_labels)
-    )
-    return IncidenceMatrix(kind, k, tuple(row_labels), tuple(col_labels), rows)
+def _incidence(kind: str, k: int, row_labels, col_labels, n: int, rule: str) -> IncidenceMatrix:
+    """The matrix over vertices 0..n-1 whose entry (i, j) is 1 iff the labels obey rule."""
+    touch = [0] * n  # touch[v]: the columns whose label contains v
+    for j, label in enumerate(col_labels):
+        for v in label:
+            touch[v] |= 1 << j
+    full = (1 << len(col_labels)) - 1
+    rows = []
+    for q in row_labels:
+        one = two = 0  # the columns sharing at least one / two vertices with q
+        every = full  # the columns containing q
+        for v in q:
+            t = touch[v]
+            two |= one & t
+            one |= t
+            every &= t
+        rows.append(every if rule == _CONTAINS else full & ~(one if rule == _DISJOINT else two))
+    return IncidenceMatrix(kind, k, tuple(row_labels), tuple(col_labels), tuple(rows))
 
 
 def subclique_superclique_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -174,7 +195,7 @@ def subclique_superclique_matrix(g: Graph, k: int) -> IncidenceMatrix:
         raise ValueError("order k must be >= 1")
     catalog = enumerate_cliques(g, k_max=k + 1)
     return _incidence(KIND_SUBCLIQUE_SUPERCLIQUE, k, catalog.cliques(k), catalog.cliques(k + 1),
-                      lambda qm, cm: qm & cm == qm)
+                      g.n, _CONTAINS)
 
 
 def vertex_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -183,7 +204,7 @@ def vertex_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
         raise ValueError("order k must be >= 1")
     rows = enumerate_cliques(g, k_max=k).cliques(k)
     return _incidence(KIND_VERTEX_DECK, k, rows, [(v,) for v in range(g.n)],
-                      lambda qm, vm: not qm & vm)
+                      g.n, _DISJOINT)
 
 
 def edge_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -192,7 +213,7 @@ def edge_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
         raise ValueError("order k must be >= 2")
     rows = enumerate_cliques(g, k_max=k).cliques(k)
     return _incidence(KIND_EDGE_DECK, k, rows, [(u, v) for u, v in g.edges()],
-                      lambda qm, em: qm & em != em)
+                      g.n, _AT_MOST_ONE)
 
 
 def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -205,7 +226,7 @@ def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
         raise ValueError("order k must be >= 3")
     catalog = enumerate_cliques(g, k_max=k)
     return _incidence(KIND_TRIANGLE_DECK, k, catalog.cliques(k), catalog.cliques(3),
-                      lambda qm, dm: (qm & dm).bit_count() <= 1)
+                      g.n, _AT_MOST_ONE)
 
 
 def double_count(matrix: IncidenceMatrix) -> tuple[int, int]:

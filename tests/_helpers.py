@@ -7,6 +7,8 @@ check.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import os
 from pathlib import Path
@@ -134,3 +136,22 @@ def naive_common_neighbors(g: Graph, vertices) -> set[int]:
     for s in sets[1:]:
         out = out & s
     return out
+
+
+def csv_oracle(row_labels, col_labels, cells: list[list[int]]) -> str:
+    """A labelled 0/1 matrix in the CSV layout of `IncidenceMatrix.to_csv`.
+
+    Written cell by cell through csv.writer over lists of ints, with the sums
+    taken from the cells, so it shares no rendering path with the library.
+    """
+    def text(label):
+        return "-".join(str(v) for v in label)
+
+    col_sums = [sum(row[j] for row in cells) for j in range(len(col_labels))]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([""] + [text(c) for c in col_labels] + ["row_sum"])
+    for label, row in zip(row_labels, cells):
+        writer.writerow([text(label)] + row + [sum(row)])
+    writer.writerow(["col_sum"] + col_sums + [sum(col_sums)])
+    return buf.getvalue()

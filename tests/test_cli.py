@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,13 +6,15 @@ from math import comb
 
 import pytest
 
-from cliquekit import CHECKS, complete_graph, to_graph6
+from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
+from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
 
 from _helpers import subprocess_env
 
 K4_G6 = to_graph6(complete_graph(4))
 K5_G6 = to_graph6(complete_graph(5))
+K6_G6 = to_graph6(complete_graph(6))
 K64_G6 = to_graph6(complete_graph(64))
 
 
@@ -258,6 +261,64 @@ class TestSixtyFourVertices:
         assert r.stdout == ""
         listed = sum(comb(64, k) for k in range(1, k_max + 1))
         assert f"would list {listed} cliques, over the budget of {LISTING_BUDGET}" in r.stderr
+
+
+class TestBudgetSkips:
+    """A check over the listing budget is skipped; the others still report."""
+
+    # K6 lists 21 cliques up to size 2, so handshake and clique_deletion go over 20
+    def test_verify_prints_the_checks_within_the_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
+        code = main(["verify", "-g", K6_G6, "--all-theorems"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        printed = {line.split()[0] for line in out.splitlines()}
+        not_applicable = {"third_derivative_k5free", "triangle_deletion_counts"}
+        assert printed == set(ALL_THEOREMS) - {"handshake", "clique_deletion"} - not_applicable
+        assert "holds=false" not in out
+        assert err.splitlines() == [
+            "skipped handshake: listing the cliques of up to 2 vertices would list "
+            "21 cliques, over the budget of 20",
+            "skipped clique_deletion: listing the cliques of up to 4 vertices would list "
+            "56 cliques, over the budget of 20",
+        ]
+
+    def test_a_theorem_failure_outranks_a_skip(self, monkeypatch, capsys):
+        monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
+        failing = IdentityReport("first_derivative", K6_G6, {}, [1], [2], False)
+        monkeypatch.setitem(CHECKS, "first_derivative", dataclasses.replace(
+            CHECKS["first_derivative"], run=lambda g, k_range: [failing]))
+        code = main(["verify", "-g", K6_G6, "--identity", "handshake,first_derivative"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out.splitlines() == ["first_derivative params={} lhs=[1] rhs=[2] holds=false"]
+        assert err.startswith("skipped handshake: ")
+
+    def test_verify_on_k64(self):
+        r = run_cli("verify", "-g", K64_G6, "--identity", "handshake,first_derivative",
+                    "--k", "40")
+        assert r.returncode == 2
+        assert len(r.stdout.splitlines()) == 1
+        assert r.stdout.startswith("first_derivative ")
+        assert r.stdout.rstrip("\n").endswith("holds=true")
+        assert r.stderr.startswith("skipped handshake: ")
+
+    @pytest.mark.parametrize("extra", [(), ("--json",)])
+    def test_fuzz_on_k64_counts_the_skip_and_goes_on(self, extra):
+        r = run_cli("fuzz", "--n", "64..64", "--p", "1..1", "--count", "1", "--seed", "1",
+                    "--check", "handshake,first_derivative", "--k", "40..40", *extra)
+        assert r.returncode == 0
+        if extra:
+            checks = json.loads(r.stdout)["checks"]
+            assert checks["handshake"]["skipped_budget"] == 1
+            assert checks["handshake"]["tested"] == 0
+            assert "skipped_budget" not in checks["first_derivative"]
+        else:
+            assert r.stdout.splitlines()[1:] == [
+                "check handshake [theorem]: tested 0, holds 0, fails 0, n/a 0, "
+                "skipped (budget) 1",
+                "check first_derivative [theorem]: tested 1, holds 1, fails 0, n/a 0",
+            ]
 
 
 class TestFuzz:

@@ -300,6 +300,23 @@ class TestCampaign:
         report = run_campaign(cfg)
         assert report.tallies["vertex_deck"].holds == 10
 
+    def test_a_check_over_the_budget_is_skipped_and_the_campaign_goes_on(self, monkeypatch):
+        monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
+        cfg = CampaignConfig((6, 6), (1.0, 1.0), 3, RngSpec(1),
+                             ("handshake", "first_derivative"))
+        report = run_campaign(cfg)
+        skipped, counted = report.tallies["handshake"], report.tallies["first_derivative"]
+        assert (skipped.tested, skipped.skipped_budget) == (0, 3)
+        assert (counted.tested, counted.holds, counted.skipped_budget) == (3, 3, 0)
+        assert report.theorem_failures == 0
+        assert report.to_text().splitlines()[1:] == [
+            "check handshake [theorem]: tested 0, holds 0, fails 0, n/a 0, skipped (budget) 3",
+            "check first_derivative [theorem]: tested 3, holds 3, fails 0, n/a 0",
+        ]
+        checks = report.to_json_dict()["checks"]
+        assert checks["handshake"]["skipped_budget"] == 3
+        assert "skipped_budget" not in checks["first_derivative"]
+
 
 class TestConjecture1OnDecks:
     def test_vertex_deck_reversal_bases(self, corpus):

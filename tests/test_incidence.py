@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cliquekit import (
+    RngSpec,
     clique_count,
     clique_value,
     complete_graph,
@@ -17,8 +18,10 @@ from cliquekit import (
     disjoint_union,
     double_count,
     edge_deck_matrix,
+    empty_graph,
     enumerate_cliques,
     parse_graph6,
+    random_gnp,
     subclique_superclique_matrix,
     triangle_deck_matrix,
     triangle_graph,
@@ -27,6 +30,7 @@ from cliquekit import (
 
 from _helpers import (
     all_labelled_graphs,
+    csv_oracle,
     naive_cliques_of_size,
     naive_edge_set,
     naive_is_clique,
@@ -261,6 +265,17 @@ class TestExport:
         assert int(dense.sum()) == len(m.entries)
         assert all(dense[i, j] == 1 for i, j in m.entries)
 
+    @pytest.mark.parametrize("g, kind, k, text", [
+        (complete_graph(3), "super", 3, ",row_sum\n0-1-2,0\ncol_sum,0\n"),
+        (complete_graph(3), "super", 4, ",row_sum\ncol_sum,0\n"),
+        (empty_graph(3), "edeck", 2, ",row_sum\ncol_sum,0\n"),
+        (empty_graph(3), "vdeck", 2, ",0,1,2,row_sum\ncol_sum,0,0,0,0\n"),
+    ])
+    def test_csv_of_an_empty_shape(self, g, kind, k, text):
+        m = BUILDERS[kind][0](g, k)
+        assert m.to_csv() == text
+        assert double_count(m) == (0, 0)
+
     def test_entries_are_binary_and_labeled(self, corpus):
         for g in corpus[:12]:
             m = subclique_superclique_matrix(g, 1)
@@ -271,6 +286,8 @@ class TestExport:
 
 class TestBitRows:
     def test_every_small_graph_matches_the_definitions(self):
+        """Labels, entries, sums, CSV and JSON against the definitions and the CSV oracle."""
+        shapes = set()
         for n in range(6):
             for g in all_labelled_graphs(n):
                 omega = max((k for k in range(n + 1) if naive_cliques_of_size(g, k)), default=0)
@@ -282,6 +299,28 @@ class TestBitRows:
                         assert m.entries == entries
                         assert m.row_sums() == row_sums
                         assert m.col_sums() == col_sums
+                        cells = [[int((i, j) in entries) for j in range(len(cols))]
+                                 for i in range(len(rows))]
+                        assert m.to_csv() == csv_oracle(rows, cols, cells)
+                        d = m.to_json_dict()
+                        assert d["matrix"] == cells and d["col_sums"] == col_sums
+                        assert double_count(m) == (len(entries), len(entries))
+                        shapes.add((bool(rows), bool(cols)))
+        # 0-row, 0-column and 0x0 matrices are all among them
+        assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("kind, k", [("tdeck", 4), ("super", 3)])
+    @pytest.mark.parametrize("n, seed", [(18, 1), (19, 2), (20, 3)])
+    def test_dense_graphs_match_the_definitions(self, kind, k, n, seed):
+        g = random_gnp(n, 0.7, RngSpec(seed))
+        m = BUILDERS[kind][0](g, k)
+        rows, cols, entries, row_sums, col_sums = naive_matrix(g, kind, k)
+        assert rows and cols
+        assert list(m.row_labels) == rows and list(m.col_labels) == cols
+        assert m.entries == entries
+        assert m.row_sums() == row_sums
+        assert m.col_sums() == col_sums
+        assert [m.col_sum(j) for j in range(len(cols))] == col_sums
 
     def test_rows_hold_one_bitmask_per_row(self):
         m = subclique_superclique_matrix(complete_graph(3), 1)
