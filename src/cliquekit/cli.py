@@ -84,6 +84,10 @@ def _parse_float_range(text: str) -> tuple[float, float]:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_poly(args) -> int:
+    if args.derivative is not None and args.reversed:
+        raise ValueError("--reversed cannot be combined with --derivative")
+    if args.with_unit and not args.reversed:
+        raise ValueError("--with-unit needs --reversed")
     g = _load_graph(args)
     poly = clique_polynomial(g)
     if args.derivative is not None:

@@ -2,19 +2,30 @@
 
 Counting has one kernel, clique_counts_in(adj, mask): the clique counts of the
 subgraph that a vertex bitmask induces over bit-row adjacency.  It lists
-nothing, and it is memoised in a bounded LRU cache, because the identity
-checks count the neighbourhoods and deletions of one graph many times over.
-Neighbourhoods and vertex deletions are masks over the original rows; edge
-deletions are edited copies of the rows.  clique_counts, clique_count and
-clique_polynomial are thin wrappers over it.
+nothing.  Neighbourhoods and vertex deletions are masks over the original
+rows; edge deletions are edited copies of the rows.  clique_counts,
+clique_count and clique_polynomial are thin wrappers over it.
 
-The kernel counts by pivoting (Jain & Seshadhri, "The Power of Pivoting for
-Exact Clique Counting", WSDM 2020), with the pivot rule of Tomita, Tanaka &
-Takahashi (TCS 2006): a recursion path that holds h vertices and passes p
-pivots stands for C(p, k - h) k-cliques, so K64 takes one path instead of
-2**64 cliques.  Candidate sets smaller than _PIVOT_MIN_SIZE, a cutoff taken
-from a measured per-size crossover, are counted by the plain depth-first
-extension, which is faster on them.
+The kernel is one recurrence on the candidate set S, split on a pivot u
+(Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
+2020) chosen by the rule of Tomita, Tanaka & Takahashi (TCS 2006), the
+candidate with the most neighbours in S:
+
+    C(S) = (1 + x) C(S & N(u)) + sum over non-neighbours w of u of x C(S_w & N(w)),
+
+where S_w drops u and the non-neighbours before w.  Candidate sets smaller
+than _PIVOT_MIN_SIZE, a cutoff taken from a measured per-size crossover, are
+counted by the plain depth-first extension, which is faster on them.
+
+Results are memoised at two lifetimes.  Within one call, a dict keyed by
+candidate set holds every pivot node, so a set reached along several
+branches is counted once: K64 and complete multipartite graphs take one
+entry per level, and the complement of a 64-vertex path 52 entries.  The
+dict goes when the call returns, so no state is kept at module level.
+Across calls, each Graph keeps the top-level results asked of it in
+Graph.counts_table, keyed by (rows, mask): the identity checks count the
+neighbourhoods and deletions of one graph many times over, and the table
+lives exactly as long as the graph.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -30,17 +41,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
 Clique = tuple[int, ...]
 Polynomial = list[int]
-
-# _PASCAL[p][j] == C(p, j); a path of the pivot recursion passes at most one
-# pivot per vertex.
-_PASCAL = tuple(tuple(comb(p, j) for j in range(p + 1)) for p in range(MAX_VERTICES + 1))
 
 # Candidate sets of at least this many vertices are split on a pivot; smaller
 # ones are counted by the plain DFS.  Kernel time per call, in microseconds,
@@ -113,7 +119,7 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     at most C(n, j) j-cliques.
     """
     limit = g.n if k_max is None else max(0, min(k_max, g.n))
-    if sum(_PASCAL[g.n][1:limit + 1]) > LISTING_BUDGET:
+    if sum(comb(g.n, j) for j in range(1, limit + 1)) > LISTING_BUDGET:
         listed = sum(clique_counts(g)[:limit])
         if listed > LISTING_BUDGET:
             raise CliqueBudgetExceeded(
@@ -140,86 +146,37 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     return CliqueCatalog(g.n, tuple(tuple(lst) for lst in per))
 
 
-@lru_cache(maxsize=1024)
 def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """(c_1, ..., c_omega) of the subgraph that the vertex bitmask mask induces.
 
-    adj holds symmetric bit rows (Graph.adj, or an edited copy of it); it must
-    be a tuple, since (adj, mask) is the cache key.  Nothing is listed, and
-    counts stay exact Python ints.
+    adj holds symmetric bit rows (Graph.adj, or an edited copy of it).
+    Nothing is listed, counts stay exact Python ints, and nothing is kept
+    after the call: the recursion's memo is a dict made for this call alone.
 
     A mask of fewer than _PIVOT_MIN_SIZE vertices is counted depth-first: a
     clique is extended only by common neighbours above its largest vertex, so
     each is counted once, and a node adds the size of its candidate set to
     the next clique size.
 
-    A larger mask whose complement is disconnected induces the join of its
-    co-components: every clique is one clique from each, so the polynomial is
-    the product of theirs, each counted by this kernel (a lone vertex adds a
-    factor 1 + x).  Otherwise the candidate set is split on a pivot u, the
-    candidate with the most neighbours among the candidates.  One branch takes
-    u as a pivot and goes on with cand & adj[u]; then each non-neighbour w of
-    u is held, with cand & adj[w], and u and every processed w are dropped
-    from cand.  Each clique of the candidates lies in exactly one branch.  A
-    candidate adjacent to every other one becomes a pivot at once, without a
-    branch.  A path with h held vertices and p pivots stands for C(p, k - h)
-    k-cliques, since any subset of its pivots completes its held vertices.
-    When fewer than _PIVOT_MIN_SIZE candidates are left, the depth-first count
-    is the base case: it tallies the cliques made of the path's held vertices
-    and some remaining candidates, by size h, one tally per pivot count p;
-    at the end each tally[p][h] adds tally[p][h] * C(p, j) cliques of size
-    h + j.
+    A larger candidate set S is split on a pivot u, the candidate with the
+    most neighbours in S.  A clique of S either avoids every non-neighbour of
+    u, and then it is a clique of S & N(u) with or without u; or its first
+    non-neighbour w of u in bit order is in it, and then the rest is a clique
+    of S_w & N(w), where S_w is S without u and without the non-neighbours
+    before w.  So
+
+        C(S) = (1 + x) C(S & N(u)) + sum over w of x C(S_w & N(w)),
+
+    each term counted by the same rule, and memoised on its candidate set.
+    A universal vertex is a pivot with no non-neighbours, and on a complete
+    multipartite graph every S_w & N(w) equals S & N(u), so both take one
+    memo entry per level.  Terms below the cutoff are grown straight into
+    the node's coefficient row by the depth-first count.
     """
     limit = min(len(adj), MAX_VERTICES)
     if mask < 0 or mask >> limit:
         raise ValueError(f"mask has bits outside 0..{limit - 1}")
-    top = mask.bit_count()
-    counts = [0] * (top + 1)
-    if top < _PIVOT_MIN_SIZE:
-        if mask:
-            _grow(adj, counts, 1, mask)
-    else:
-        parts = _co_components(adj, mask)
-        if len(parts) > 1:
-            counts = list(_PASCAL[sum(part.bit_count() == 1 for part in parts)])
-            for part in parts:
-                if part & (part - 1):
-                    factor = (1, *clique_counts_in(adj, part))
-                    product = [0] * (len(counts) + len(factor) - 1)
-                    for i, a in enumerate(counts):
-                        for j, b in enumerate(factor, i):
-                            product[j] += a * b
-                    counts = product
-        else:
-            tallies: dict[int, list[int]] = {}
-            _split(adj, tallies, 0, 0, mask)
-            for p, row in tallies.items():
-                binomials = _PASCAL[p]
-                for h, m in enumerate(row):
-                    if m:
-                        for j, b in enumerate(binomials, h):
-                            counts[j] += m * b
-    while len(counts) > 1 and not counts[-1]:
-        counts.pop()
-    return tuple(counts[1:])
-
-
-def _co_components(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Vertex masks of the components of the complement of the subgraph on mask."""
-    parts = []
-    rest = mask
-    while rest:
-        part = frontier = rest & -rest
-        rest ^= part
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = rest & ~adj[low.bit_length() - 1]
-            rest ^= new
-            part |= new
-            frontier |= new
-        parts.append(part)
-    return parts
+    return tuple(_poly_of(adj, mask, {})[1:])
 
 
 def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
@@ -237,46 +194,69 @@ def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
             row[size] += 1
 
 
-def _split(adj: tuple[int, ...], tallies: dict[int, list[int]],
-           held: int, piv: int, cand: int) -> None:
-    """Tally the cliques of cand below held vertices and piv pivots."""
+def _poly_of(adj: tuple[int, ...], cand: int,
+             memo: dict[int, tuple[int, ...]]) -> list[int] | tuple[int, ...]:
+    """C(G[cand], x) without trailing zeros; pivot nodes are memoised in memo."""
     size = cand.bit_count()
-    if size >= _PIVOT_MIN_SIZE:
-        best, universal = -1, 0
+    if size < _PIVOT_MIN_SIZE:
+        row = [0] * (size + 1)
+        row[0] = 1
+        if cand:
+            _grow(adj, row, 1, cand)
+    else:
+        known = memo.get(cand)
+        if known is not None:
+            return known
+        row = [0] * (size + 1)
+        best = -1
         c = cand
         while c:
             low = c & -c
             c ^= low
             d = (cand & adj[low.bit_length() - 1]).bit_count()
-            if d == size - 1:
-                universal |= low
-            elif d > best:
+            if d > best:
                 best, u = d, low
-        cand ^= universal
-        piv += universal.bit_count()
-        size -= universal.bit_count()
-    if size < _PIVOT_MIN_SIZE:
-        row = tallies.get(piv)
-        if row is None:
-            row = tallies[piv] = [0] * (len(adj) + 1)
-        row[held] += 1
-        if cand:
-            _grow(adj, row, held + 1, cand)
-        return
-    nb = adj[u.bit_length() - 1]
-    _split(adj, tallies, held, piv + 1, cand & nb)
-    rest = (cand & ~nb) ^ u
-    cand ^= u
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        _split(adj, tallies, held + 1, piv, cand & adj[low.bit_length() - 1])
-        cand ^= low
+                if d == size - 1:
+                    break
+        nb = adj[u.bit_length() - 1]
+        for j, a in enumerate(_poly_of(adj, cand & nb, memo)):
+            row[j] += a
+            row[j + 1] += a
+        rest = (cand & ~nb) ^ u
+        left = cand ^ u
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            sub = left & adj[low.bit_length() - 1]
+            if sub.bit_count() >= _PIVOT_MIN_SIZE:
+                for j, a in enumerate(_poly_of(adj, sub, memo), 1):
+                    row[j] += a
+            else:
+                row[1] += 1
+                if sub:
+                    _grow(adj, row, 2, sub)
+            left ^= low
+    while not row[-1]:
+        row.pop()
+    if size >= _PIVOT_MIN_SIZE:
+        # frozen: a tuple is smaller, and the garbage collector stops tracking it
+        row = memo[cand] = tuple(row)
+    return row
+
+
+def _table_counts(g: Graph, adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """clique_counts_in(adj, mask), kept in g.counts_table; adj is g.adj or an edited copy."""
+    table = g.counts_table
+    key = (adj, mask)
+    counts = table.get(key)
+    if counts is None:
+        counts = table[key] = clique_counts_in(adj, mask)
+    return counts
 
 
 def clique_counts(g: Graph) -> tuple[int, ...]:
     """(c_1, ..., c_omega): the number of k-cliques for each size."""
-    return clique_counts_in(g.adj, (1 << g.n) - 1)
+    return _table_counts(g, g.adj, (1 << g.n) - 1)
 
 
 def clique_count(g: Graph, k: int) -> int:

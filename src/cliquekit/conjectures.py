@@ -85,7 +85,7 @@ def _conjecture1_first(g: Graph, include_unit: bool) -> IdentityReport:
     n = g.n
     lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
     rhs = poly_sum(
-        poly_reverse(_poly(g.adj, _without_vertex(g, v)), n - 1, include_unit)
+        poly_reverse(_poly(g, _without_vertex(g, v)), n - 1, include_unit)
         for v in range(n)
     )
     return _poly_report("conjecture1_first", g, {"include_unit": include_unit}, lhs, rhs)
@@ -95,7 +95,7 @@ def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
     n = g.n
     lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
     rhs = poly_sum(
-        poly_reverse(_poly(edge_deleted_adj(g, [e])), n, include_unit)
+        poly_reverse(_poly(g, adj=edge_deleted_adj(g, [e])), n, include_unit)
         for e in g.edges()
     )
     return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
@@ -112,7 +112,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
     tris = triangles(g)
     lhs = (len(tris) - comb(k, 3)) * clique_count(g, k)
     rhs = sum(
-        _count(edge_deleted_adj(g, itertools.combinations(d, 2)), k)
+        _count(g, k, adj=edge_deleted_adj(g, itertools.combinations(d, 2)))
         for d in tris
     )
     return IdentityReport(
@@ -158,7 +158,7 @@ def check_conjecture3(g: Graph) -> IdentityReport:
     """
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
     rhs = poly_sum(
-        _poly(edge_deleted_adj(g, itertools.combinations(d, 2)))
+        _poly(g, adj=edge_deleted_adj(g, itertools.combinations(d, 2)))
         for d in triangles(g)
     )
     return _poly_report("conjecture3", g, {}, lhs, rhs)

@@ -91,6 +91,16 @@ class Graph:
         """to_graph6(self), encoded once per Graph object."""
         return to_graph6(self)
 
+    @cached_property
+    def counts_table(self) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:
+        """Clique counts computed over this graph, keyed by (rows, vertex mask).
+
+        The rows are adj or an edited copy of it.  cliquekit.cliques fills the
+        table, so every count asked of one Graph object is computed once; it
+        lives exactly as long as the object.
+        """
+        return {}
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -389,10 +399,15 @@ class RngSpec:
 
 
 class Splitmix64:
-    """The splitmix64 generator: 64-bit state, platform-independent output."""
+    """The splitmix64 generator: 64-bit state, platform-independent output.
+
+    The seed must lie in 0..2**64-1; a seed outside would alias one inside.
+    """
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed {seed} outside 0..2**64-1")
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64

@@ -9,7 +9,9 @@ avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
 Every polynomial of a neighbourhood or a vertex deletion is counted as a
 vertex bitmask over the graph's own adjacency rows, and every edge deletion
-as an edited copy of the rows, so no check builds a subgraph.
+as an edited copy of the rows, so no check builds a subgraph.  Each count is
+read through the graph's result table (Graph.counts_table), so a count that
+several checks ask of one graph is computed once.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Optional, Union
 
 from .cliques import (
     Polynomial,
+    _table_counts,
     clique_count,
     clique_counts,
-    clique_counts_in,
     clique_polynomial,
     clique_value,
     enumerate_cliques,
@@ -90,22 +92,24 @@ def _count_report(identity: str, g: Graph, params: dict,
     return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
 
 
-def _poly(adj: tuple[int, ...], mask: int | None = None) -> Polynomial:
-    """C(x) of the subgraph that mask induces over the rows adj (all of them by default)."""
+def _poly(g: Graph, mask: int | None = None, adj: tuple[int, ...] | None = None) -> Polynomial:
+    """C(x) of the subgraph that mask (all vertices by default) induces over the
+    rows adj (g.adj by default, or an edited copy of it), read through g's table."""
     if mask is None:
-        mask = (1 << len(adj)) - 1
-    return [1, *clique_counts_in(adj, mask)]
+        mask = (1 << g.n) - 1
+    return [1, *_table_counts(g, g.adj if adj is None else adj, mask)]
 
 
-def _count(adj: tuple[int, ...], k: int, mask: int | None = None) -> int:
-    """c_k (k >= 1) of the subgraph that mask induces over the rows adj."""
-    poly = _poly(adj, mask)
+def _count(g: Graph, k: int, mask: int | None = None,
+           adj: tuple[int, ...] | None = None) -> int:
+    """c_k (k >= 1) of the subgraph that mask induces over the rows adj, as in _poly."""
+    poly = _poly(g, mask, adj)
     return poly[k] if k < len(poly) else 0
 
 
 def _nbhd_poly(g: Graph, vertices) -> Polynomial:
     """C(G[N(S)], x) for the common neighbourhood N(S) of the vertex set S."""
-    return _poly(g.adj, common_neighborhood_bits(g, vertices))
+    return _poly(g, common_neighborhood_bits(g, vertices))
 
 
 def _without_vertex(g: Graph, v: int) -> int:
@@ -144,7 +148,7 @@ def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
         raise ValueError(f"vertex {v} out of range")
     lhs = clique_polynomial(g)
     rhs = poly_add(
-        _poly(g.adj, _without_vertex(g, v)), poly_shift(_poly(g.adj, g.adj[v]), 1)
+        _poly(g, _without_vertex(g, v)), poly_shift(_poly(g, g.adj[v]), 1)
     )
     return _poly_report("vertex_recurrence", g, {"v": v}, lhs, rhs)
 
@@ -154,7 +158,7 @@ def check_edge_recurrence(g: Graph, e) -> IdentityReport:
     u, v = edge(*e)
     without = edge_deleted_adj(g, [(u, v)])
     lhs = clique_polynomial(g)
-    rhs = poly_add(_poly(without), poly_shift(_nbhd_poly(g, (u, v)), 2))
+    rhs = poly_add(_poly(g, adj=without), poly_shift(_nbhd_poly(g, (u, v)), 2))
     return _poly_report("edge_recurrence", g, {"e": [u, v]}, lhs, rhs)
 
 
@@ -165,7 +169,7 @@ def check_vertex_deck_identity(g: Graph, k: int) -> IdentityReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     lhs = (g.n - k) * clique_count(g, k)
-    rhs = sum(_count(g.adj, k, _without_vertex(g, v)) for v in range(g.n))
+    rhs = sum(_count(g, k, _without_vertex(g, v)) for v in range(g.n))
     return _count_report("vertex_deck", g, {"k": k}, lhs, rhs)
 
 
@@ -174,7 +178,7 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
     if k < 2:
         raise ValueError("k must be >= 2")
     lhs = (g.m - comb(k, 2)) * clique_count(g, k)
-    rhs = sum(_count(edge_deleted_adj(g, [e]), k) for e in g.edges())
+    rhs = sum(_count(g, k, adj=edge_deleted_adj(g, [e])) for e in g.edges())
     return _count_report("edge_deck", g, {"k": k}, lhs, rhs)
 
 
@@ -183,7 +187,7 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
 def check_first_derivative(g: Graph) -> IdentityReport:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
     lhs = poly_derivative(clique_polynomial(g), 1)
-    rhs = poly_sum(_poly(g.adj, row) for row in g.adj)
+    rhs = poly_sum(_poly(g, row) for row in g.adj)
     return _poly_report("first_derivative", g, {}, lhs, rhs)
 
 
@@ -194,7 +198,7 @@ def check_second_derivative(g: Graph) -> IdentityReport:
     comparison stays in exact integers.
     """
     lhs = poly_divided_derivative(clique_polynomial(g), 2)
-    rhs = poly_sum(_poly(g.adj, g.adj[u] & g.adj[v]) for u, v in g.edges())
+    rhs = poly_sum(_poly(g, g.adj[u] & g.adj[v]) for u, v in g.edges())
     return _poly_report("second_derivative", g, {}, lhs, rhs)
 
 
@@ -260,7 +264,7 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     if interpretation not in (INTERPRETATION_CLIQUES, INTERPRETATION_EDGE_SUBSETS):
         raise ValueError(f"unknown interpretation {interpretation!r}")
 
-    rhs = _poly(edge_deleted_adj(g, normalized))
+    rhs = _poly(g, adj=edge_deleted_adj(g, normalized))
     if interpretation == INTERPRETATION_CLIQUES:
         for r in range(2, q + 1):
             inner = poly_sum(
@@ -320,7 +324,7 @@ def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentity
     a, b, c = d
     without = edge_deleted_adj(g, [(a, b), (a, c), (b, c)])
     rhs = poly_add(
-        _poly(without),
+        _poly(g, adj=without),
         poly_sub(
             poly_shift(parts.edge_neighborhood_sum, 2),
             poly_scale(poly_shift(parts.triangle_neighborhood, 3), 2),
@@ -344,7 +348,7 @@ def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
     a, b, c = d
     without = edge_deleted_adj(g, [(a, b), (a, c), (b, c)])
     lhs = clique_polynomial(g)
-    rhs = poly_add(_poly(without), poly_shift(parts.triangle_neighborhood, 3))
+    rhs = poly_add(_poly(g, adj=without), poly_shift(parts.triangle_neighborhood, 3))
     shifted = poly_scale(poly_shift(parts.triangle_neighborhood, 1), 3)
     params = {
         "delta": list(d),
@@ -390,7 +394,7 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
     pairs = ((a, b), (a, c), (b, c))
     val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]
     c2_edge_nbhd = [
-        _count(g.adj, 2, common_neighborhood_bits(g, pair)) for pair in pairs
+        _count(g, 2, common_neighborhood_bits(g, pair)) for pair in pairs
     ]
     val_delta = common_neighborhood_bits(g, d).bit_count()
     formula = (
@@ -400,5 +404,5 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
         clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
     )
     remaining = edge_deleted_adj(g, pairs)
-    direct = tuple(_count(remaining, k) for k in range(1, 5))
+    direct = tuple(_count(g, k, adj=remaining) for k in range(1, 5))
     return TriangleDeletionCounts(d, formula, direct)

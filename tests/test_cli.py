@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -49,6 +50,17 @@ class TestPoly:
         assert r.stdout == "1 2 1\n"
         r = run_cli("poly", "-g", "A_", "--reversed", "--with-unit")
         assert r.stdout == "2 2 1\n"
+
+    @pytest.mark.parametrize("args, flag", [
+        (("--with-unit",), "--with-unit"),
+        (("--derivative", "1", "--with-unit"), "--with-unit"),
+        (("--derivative", "1", "--reversed"), "--reversed"),
+    ])
+    def test_ignored_flag_is_a_usage_error(self, args, flag):
+        r = run_cli("poly", "-g", "Bw", *args)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "error:" in r.stderr and flag in r.stderr
 
     def test_parse_error_exit_code(self):
         r = run_cli("poly", "-g", "??bad")
@@ -344,6 +356,13 @@ class TestFuzz:
                 "--check", "conjecture3,triangle_deck", "--shrink", "--json")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    def test_seed_outside_64_bits_rejected(self):
+        r = run_cli("fuzz", "--n", "3..8", "--count", "5", "--seed", "-5",
+                    "--check", "conjecture3")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "seed -5 outside 0..2**64-1" in r.stderr
+
     def test_bad_range_rejected(self):
         r = run_cli("fuzz", "--n", "8..3", "--count", "5", "--seed", "1",
                     "--check", "conjecture3")
@@ -366,7 +385,40 @@ class TestGen:
         r = run_cli("gen", "3", "2", "0")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        r = run_cli("gen", "10", "0.5", seed)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"seed {seed} outside 0..2**64-1" in r.stderr
+
+    def test_largest_seed_differs_from_seed_zero(self):
+        top = run_cli("gen", "10", "0.5", str(2**64 - 1))
+        assert top.returncode == 0
+        assert top.stdout != run_cli("gen", "10", "0.5", "0").stdout
+
     def test_deterministic(self):
         a = run_cli("gen", "10", "0.5", "123").stdout
         b = run_cli("gen", "10", "0.5", "123").stdout
         assert a == b
+
+
+# sha256 of stdout at the commit before the counting kernel was rewritten as
+# one memoised pivot recurrence; a kernel or catalog change must keep every
+# report byte for byte.
+FUZZ_THEOREMS = ("fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200",
+                 "--seed", "7", "--check", "all-theorems")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (FUZZ_THEOREMS, "7f0f61173783530b1f3cc3da54f25629916374b0979cf30cdf9e5220ea861ef0"),
+    ((*FUZZ_THEOREMS, "--json"),
+     "47bb86cad257693502b314dc1f5c751d027730f57b2b323ff9ae308a293326f4"),
+    (("fuzz", "--check", "conjecture3,triangle_deck", "--n", "3..8", "--count", "200",
+      "--seed", "7", "--shrink", "--json"),
+     "c9952c4ee6bbe02357c3c0e4e79d2e97230ce04ffdd9c669277a393718908c59"),
+])
+def test_campaign_stdout_is_pinned(argv, digest, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

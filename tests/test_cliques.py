@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from math import comb
 
 import cliquekit.cliques
 from cliquekit.cliques import LISTING_BUDGET
+from cliquekit.graphs import MAX_VERTICES
 from cliquekit import (
     CliqueBudgetExceeded,
     Graph,
@@ -32,6 +34,7 @@ from cliquekit import (
     induced_subgraph,
     is_clique,
     parse_graph6,
+    path_graph,
     poly_add,
     poly_derivative,
     poly_divided_derivative,
@@ -56,6 +59,12 @@ def networkx_counts(g):
     h.add_edges_from(g.edges())
     sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
     return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
+
+
+def complement(g):
+    """The complement of g, from its rows."""
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full ^ row ^ (1 << v) for v, row in enumerate(g.adj)))
 
 
 def complete_multipartite(parts):
@@ -179,7 +188,6 @@ class TestCountingKernel:
     def test_wrappers_never_list_cliques(self, monkeypatch):
         g = random_gnp(14, 0.6, RngSpec(5))
         expected = enumerate_cliques(g).counts
-        clique_counts_in.cache_clear()
 
         def listing(*args, **kwargs):
             raise AssertionError("enumerate_cliques called")
@@ -190,8 +198,18 @@ class TestCountingKernel:
         assert [clique_count(g, k) for k in range(len(expected) + 2)] \
             == [1, *expected, 0]
 
-    def test_cache_is_bounded(self):
-        assert clique_counts_in.cache_parameters()["maxsize"] is not None
+    def test_results_live_exactly_as_long_as_their_graph(self):
+        """No module-level cache: counts go to the Graph's own table and die with it."""
+        state = {name: value for name, value in vars(cliquekit.cliques).items()
+                 if not name.startswith("__")}
+        assert not [name for name, value in state.items()
+                    if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info")]
+        g = random_gnp(20, 0.7, RngSpec(2))
+        counts = clique_counts(g)
+        assert g.counts_table == {(g.adj, (1 << g.n) - 1): counts}
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
 
     def test_dense_reference_polynomials(self):
         """One stored instance per template, each checked against networkx when stored."""
@@ -237,14 +255,36 @@ class TestPivotPath:
     def test_counts_do_not_depend_on_the_cutoff(self, monkeypatch, cutoff):
         """2 splits every set of two or more candidates, 65 never splits."""
         monkeypatch.setattr(cliquekit.cliques, "_PIVOT_MIN_SIZE", cutoff)
-        kernel = clique_counts_in.__wrapped__
         for n in range(5):
             for g in all_labelled_graphs(n):
                 for mask in range(1 << n):
-                    assert kernel(g.adj, mask) == brute_force_counts(induced_subgraph(g, bits(mask)))
+                    assert clique_counts_in(g.adj, mask) \
+                        == brute_force_counts(induced_subgraph(g, bits(mask)))
         for n, p in [(12, 0.5), (16, 0.8), (18, 0.95)]:
             g = random_gnp(n, p, RngSpec(n))
-            assert kernel(g.adj, (1 << n) - 1) == brute_force_counts(g)
+            assert clique_counts_in(g.adj, (1 << n) - 1) == brute_force_counts(g)
+
+    def test_complements_of_paths_and_cycles_match_their_independence_recurrences(self):
+        """C(complement of H) is the independence polynomial I(H), and
+        I(P_n) = I(P_{n-1}) + x I(P_{n-2}), I(C_n) = I(P_{n-1}) + x I(P_{n-3})."""
+        paths = [[1], [1, 1]]  # I(P_0), I(P_1)
+        for n in range(2, MAX_VERTICES + 1):
+            paths.append(poly_add(paths[n - 1], [0, *paths[n - 2]]))
+        for n in range(1, MAX_VERTICES + 1):
+            assert clique_polynomial(complement(path_graph(n))) == paths[n], n
+        for n in range(3, MAX_VERTICES + 1):
+            expected = poly_add(paths[n - 1], [0, *paths[n - 3]])
+            assert clique_polynomial(complement(cycle_graph(n))) == expected, n
+
+    @pytest.mark.parametrize("g, entries", [
+        (complement(path_graph(64)), 52),
+        (complete_multipartite([2] * 32), 27),
+    ])
+    def test_memo_entries_of_one_count(self, g, entries):
+        """One entry per pivot level: the recursion's work, counted instead of timed."""
+        memo = {}
+        cliquekit.cliques._poly_of(g.adj, (1 << g.n) - 1, memo)
+        assert len(memo) == entries
 
     def test_dense_graph_near_the_vertex_cap_is_counted_quickly(self):
         g = random_gnp(48, 0.95, RngSpec(1))

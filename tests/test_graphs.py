@@ -314,6 +314,18 @@ class TestRandomGnp:
         ]
         assert Splitmix64(0).next_u64() == 0xE220A8397B1DCDAF
 
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        """Masking such a seed would alias it to one inside 0..2**64-1."""
+        with pytest.raises(ValueError, match="outside 0..2"):
+            Splitmix64(seed)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            random_gnp(10, 0.5, RngSpec(seed))
+
+    def test_seed_range_ends_are_accepted(self):
+        assert Splitmix64(2**64 - 1).next_u64() != Splitmix64(0).next_u64()
+        assert random_gnp(10, 0.5, RngSpec(2**64 - 1)).n == 10
+
     def test_mean_edge_count_at_half(self):
         total = 0
         samples = 10_000
