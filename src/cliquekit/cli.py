@@ -146,6 +146,8 @@ def cmd_verify(args) -> int:
         if getattr(args, param) is not None and param not in taken:
             raise ValueError(f"{flag} is not taken by any selected check")
     k_range = (args.k, args.k) if args.k is not None else None
+    if k_range is not None and not any(CHECKS[name].takes_k(k_range) for name in resolved):
+        raise ValueError(f"--k {args.k} is not taken by any selected check")
     reports = []
     theorem_failure = skipped = False
     for name in resolved:

@@ -15,7 +15,12 @@ candidate with the most neighbours in S:
 
 where S_w drops u and the non-neighbours before w.  Candidate sets smaller
 than _PIVOT_MIN_SIZE, a cutoff taken from a measured per-size crossover, are
-counted by the plain depth-first extension, which is faster on them.
+counted by the plain depth-first extension, which is faster on them.  Its
+leaves are counted in closed form: a candidate set of t <= 3 vertices adds
+t cliques of one more vertex, one per edge among them of two more, and for
+a triangle one of three more, so the extension makes no call for it.  Sets
+of 2 and 3 candidates are most of the nodes of the extension, so this
+takes out about two thirds of its calls.
 
 Results are memoised at two lifetimes.  Within one call, a dict keyed by
 candidate set holds every pivot node, so a set reached along several
@@ -30,7 +35,9 @@ lives exactly as long as the graph.
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
 list more than LISTING_BUDGET.  It and brute_force_counts are the kernel's
-independent references.
+independent references.  The identity checks read their cliques through
+_listed_catalog, which keeps the largest catalog listed for a graph in
+Graph.catalog_table and answers smaller sizes from it.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -49,28 +56,28 @@ Clique = tuple[int, ...]
 Polynomial = list[int]
 
 # Candidate sets of at least this many vertices are split on a pivot; smaller
-# ones are counted by the plain DFS.  Kernel time per call, in microseconds,
-# DFS / split (at the root only, DFS below it) on the full mask of G(s, p),
-# 80 graphs per cell, median of 5 interleaved runs, Python 3.11, 2-core
-# x86-64 host:
+# ones are counted by the plain DFS (with sets of up to three candidates in
+# closed form).  Kernel time per call, in microseconds, DFS / split (at the
+# root only, DFS below it) on the full mask of G(s, p), 80 graphs per cell,
+# median of 5 interleaved runs, Python 3.11, 2-core x86-64 host:
 #
 #    s     p=0.3     p=0.5     p=0.6     p=0.7    p=0.85    p=0.95
-#    8   4.4/12.6  6.4/13.3  6.4/11.5  8.7/9.4   21/10.1   35/9.8
-#   10   6.4/14.5  9.2/14.6 12.2/14.3   24/19.2   51/12.7  107/12.6
-#   11   6.4/15.9 13.9/22.7 18.6/19.5   33/20.6   75/12.1  189/13.4
-#   12   8.8/17.2 20.9/28.5 21.3/23.9   36/26.8  148/24.5  371/16.8
-#   13  10.3/19.6 24.7/30.5 26.3/28.3   43/30.1  161/15.4  673/18.5
-#   14  12.0/22.1 25.5/28.9 44.9/43.8   86/55.1  325/27.7 1136/20.0
-#   16  14.9/25.4 36.3/39.7 61.3/53.9  128/85.0  695/68.1 3506/26.3
+#    8   4.4/7.6   5.8/8.0   7.0/8.3   9.2/8.8 14.2/10.5 23.2/14.5
+#   10  6.5/10.3  9.8/11.8 13.0/12.9 18.8/15.8 40.8/25.0 75.0/41.3
+#   11  7.4/11.6 12.5/13.9 17.3/15.9 26.1/20.2 58.5/34.3  164/83.5
+#   12  8.5/12.9 14.3/15.5 22.8/19.8 33.6/25.5 89.4/50.2   290/144
+#   13 10.0/15.0 18.6/19.6 28.6/25.1 45.6/32.9  163/85.3   485/242
+#   14 10.9/15.9 22.3/21.5 34.6/28.2 62.7/43.4   245/128   820/420
+#   16 14.1/18.9 31.2/28.9 55.2/41.6 96.3/65.5   489/260 2683/1377
 #
-# Splitting pays from about 9 vertices at p >= 0.7, as inside a dense
-# graph's pivot recursion, but only from about 14 at p = 0.6 and not by 16
-# at p <= 0.5.  The neighbourhoods and deletions of small fuzzed graphs
-# (median density about 0.6) sit on the sparse side: a campaign over
-# G(4..12, 0.2..0.8) runs about 3 % slower with the cutoff at 10 and as fast
-# as with no splitting at 12 or 13.  Of those, 12 keeps most of the dense
-# gain: G(36..64, 0.5..0.85) take 16 % longer at 12 than at 10, and 22 %
-# longer at 13.
+# Splitting pays from about 8 vertices at p >= 0.7, as inside a dense
+# graph's pivot recursion, from about 10 at p = 0.6 and 14 at p = 0.5, and
+# not by 16 at p = 0.3.  The neighbourhoods and deletions of small fuzzed
+# graphs (median density about 0.6) sit on the sparse side, where the kernel
+# is a small share of the time: a campaign over G(4..12, 0.2..0.8) runs as
+# fast, within noise, with the cutoff anywhere from 9 to 14.  On the dense
+# graphs G(36..64, 0.5..0.85), cutoffs of 10 and 11 are within 6 % of 12,
+# while 13 takes 11 % longer and 14 29 % longer, so 12 stays.
 _PIVOT_MIN_SIZE = 12
 
 # Most cliques enumerate_cliques lists before it refuses (CliqueBudgetExceeded).
@@ -119,13 +126,7 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     at most C(n, j) j-cliques.
     """
     limit = g.n if k_max is None else max(0, min(k_max, g.n))
-    if sum(comb(g.n, j) for j in range(1, limit + 1)) > LISTING_BUDGET:
-        listed = sum(clique_counts(g)[:limit])
-        if listed > LISTING_BUDGET:
-            raise CliqueBudgetExceeded(
-                f"listing the cliques of up to {limit} vertices would list {listed} "
-                f"cliques, over the budget of {LISTING_BUDGET}"
-            )
+    _require_listing_budget(g, limit)
     per: list[list[Clique]] = [[] for _ in range(limit + 1)]
     if limit >= 1:
         adj = g.adj
@@ -146,6 +147,40 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     return CliqueCatalog(g.n, tuple(tuple(lst) for lst in per))
 
 
+def _require_listing_budget(g: Graph, k_max: int) -> None:
+    """Raise CliqueBudgetExceeded if g has more than LISTING_BUDGET cliques of
+    up to k_max vertices; lists nothing."""
+    limit = max(0, min(k_max, g.n))
+    if sum(comb(g.n, j) for j in range(1, limit + 1)) > LISTING_BUDGET:
+        listed = sum(clique_counts(g)[:limit])
+        if listed > LISTING_BUDGET:
+            raise CliqueBudgetExceeded(
+                f"listing the cliques of up to {limit} vertices would list {listed} "
+                f"cliques, over the budget of {LISTING_BUDGET}"
+            )
+
+
+def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
+    """The cliques of enumerate_cliques(g, k_max), listed once per Graph.
+
+    g.catalog_table keeps the largest catalog listed for g.  It answers any
+    k_max up to its own size limit with a prefix, and any k_max at all once
+    that limit reaches the clique number; a larger k_max lists again, under
+    the same LISTING_BUDGET, and replaces it.
+    """
+    table = g.catalog_table
+    limit = max(0, min(k_max, g.n))
+    for have, catalog in table.items():
+        if limit <= have:
+            return CliqueCatalog(g.n, catalog.by_size[:limit + 1])
+        if have >= len(clique_counts(g)):
+            return catalog
+    catalog = enumerate_cliques(g, k_max)
+    table.clear()
+    table[limit] = catalog
+    return catalog
+
+
 def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """(c_1, ..., c_omega) of the subgraph that the vertex bitmask mask induces.
 
@@ -156,7 +191,8 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     A mask of fewer than _PIVOT_MIN_SIZE vertices is counted depth-first: a
     clique is extended only by common neighbours above its largest vertex, so
     each is counted once, and a node adds the size of its candidate set to
-    the next clique size.
+    the next clique size.  Candidate sets of at most three vertices are
+    counted in closed form, without a node of their own (see _grow).
 
     A larger candidate set S is split on a pivot u, the candidate with the
     most neighbours in S.  A clique of S either avoids every non-neighbour of
@@ -180,7 +216,14 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
 
 def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
-    """Add the cliques that extend a (size - 1)-clique by candidates to row."""
+    """Add the cliques that extend a (size - 1)-clique by candidates to row.
+
+    Each candidate w (in bit order) starts the cliques whose next vertex is
+    w, and the candidates above w adjacent to it extend those.  Up to three
+    such candidates are counted in place: t of them give t cliques of one
+    vertex more, e edges among them e cliques of two more, and three edges
+    one clique of three more.  Only four or more candidates recurse.
+    """
     row[size] += cand.bit_count()
     size += 1
     c = cand
@@ -188,10 +231,29 @@ def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
         low = c & -c
         c ^= low
         nxt = c & adj[low.bit_length() - 1]
-        if nxt & (nxt - 1):
-            _grow(adj, row, size, nxt)
-        elif nxt:
+        if not nxt:
+            continue
+        t = nxt.bit_count()
+        if t == 1:
             row[size] += 1
+        elif t == 2:
+            row[size] += 2
+            if adj[(nxt & -nxt).bit_length() - 1] & nxt:
+                row[size + 1] += 1
+        elif t == 3:
+            row[size] += 3
+            a = nxt & -nxt
+            rest = nxt ^ a
+            b = rest & -rest
+            e = (adj[a.bit_length() - 1] & rest).bit_count()
+            if adj[b.bit_length() - 1] & rest:
+                e += 1
+            if e:
+                row[size + 1] += e
+                if e == 3:
+                    row[size + 2] += 1
+        else:
+            _grow(adj, row, size, nxt)
 
 
 def _poly_of(adj: tuple[int, ...], cand: int,

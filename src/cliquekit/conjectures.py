@@ -20,10 +20,11 @@ from typing import Callable, Iterable, Optional
 
 from .cliques import (
     CliqueBudgetExceeded,
+    _listed_catalog,
+    _require_listing_budget,
     clique_count,
     clique_counts,
     clique_polynomial,
-    enumerate_cliques,
     is_clique,
     poly_derivative,
     poly_divided_derivative,
@@ -82,6 +83,19 @@ def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityRep
 
 
 def _conjecture1_first(g: Graph, include_unit: bool) -> IdentityReport:
+    """The first claim of check_conjecture1.
+
+    Without the unit it holds on every graph: it is the vertex-deck identity
+    read coefficient by coefficient.  c(G, x) = sum over k of c_k x^(n-k),
+    with c_0 = 1, so its derivative has (n - k) c_k at x^(n-1-k).  The deck
+    member c(G - v, x), reversed at base n - 1, has c_k(G - v) there, and
+    summed over v this counts each k-clique once per vertex outside it:
+    (n - k) c_k again.  With the unit, the derivative drops the literal 1 but
+    each of the n deck members keeps its own, so the right side has n more
+    at x^0 and the claim fails whenever n >= 1.  The catalog still classes
+    it as a conjecture, as the paper poses it; re-classing it would change
+    the exit codes of verify and fuzz.
+    """
     n = g.n
     lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
     rhs = poly_sum(
@@ -179,9 +193,10 @@ class CheckDef:
     param names the `verify` flag that supplies one instance ('k', 'v', 'e',
     'delta', 'clique' or 'unit'), or is None for checks without a parameter.
     params(g, k_range) lists the instances on g, and check(g, p) evaluates
-    one of them.  run(g, k_range) checks every listed instance and keeps the
-    reports that apply (holds is not None); it is an init field so that a
-    wrapped runner can replace it.
+    one of them; k_min is the smallest k a 'k' check takes on any graph.
+    run(g, k_range) checks every listed instance and keeps the reports that
+    apply (holds is not None); it is an init field so that a wrapped runner
+    can replace it.
     """
 
     name: str
@@ -189,6 +204,7 @@ class CheckDef:
     param: Optional[str]
     params: Callable[[Graph, KRange], Iterable]
     check: Callable[[Graph, object], IdentityReport]
+    k_min: Optional[int] = None
     run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = None
 
     def __post_init__(self) -> None:
@@ -201,16 +217,36 @@ class CheckDef:
         reports = (self.check(g, p) for p in instances)
         return [r for r in reports if r.holds is not None]
 
+    def takes_k(self, k_range: tuple[int, int]) -> bool:
+        """Whether some graph has an instance of this check with k in k_range.
 
-def _k_params(lo: int) -> Callable[[Graph, KRange], range]:
-    """Every k from lo up to the clique number (at least lo), within k_range."""
+        Only the lower end is fixed: how high k goes depends on the graph.
+        """
+        return self.k_min is not None and k_range[1] >= self.k_min
+
+
+def _k_check(name: str, kind: str, lo: int, check: Callable[[Graph, int], IdentityReport],
+             listing: bool = False) -> CheckDef:
+    """A check over every k from lo up to the clique number (at least lo), within k_range.
+
+    A listing check reads the k-cliques themselves: its params list the
+    cliques of up to the largest such k first, once per graph, so every
+    instance reads a prefix of that catalog.  Over the listing budget they
+    list nothing and raise CliqueBudgetExceeded for the first k over it.
+    """
     def params(g: Graph, k_range: KRange) -> range:
         hi = max(len(clique_counts(g)), lo)
         if k_range is not None:
-            return range(max(lo, k_range[0]), min(hi, k_range[1]) + 1)
-        return range(lo, hi + 1)
+            ks = range(max(lo, k_range[0]), min(hi, k_range[1]) + 1)
+        else:
+            ks = range(lo, hi + 1)
+        if listing and ks:
+            for k in ks:
+                _require_listing_budget(g, k)
+            _listed_catalog(g, ks[-1])
+        return ks
 
-    return params
+    return CheckDef(name, kind, "k", params, check, k_min=lo)
 
 
 def _once(g: Graph, k_range: KRange) -> list:
@@ -222,7 +258,7 @@ def _k5_free(g: Graph) -> bool:
 
 
 def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
-    catalog = enumerate_cliques(g, k_max=4)
+    catalog = _listed_catalog(g, 4)
     return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
 
 
@@ -252,16 +288,14 @@ def _triangle_deletion_report(g: Graph, d) -> IdentityReport:
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in [
-        CheckDef("handshake", THEOREM, "k", _k_params(1),
-                 lambda g, k: check_handshake(g, k)),
+        _k_check("handshake", THEOREM, 1, lambda g, k: check_handshake(g, k),
+                 listing=True),
         CheckDef("vertex_recurrence", THEOREM, "v", lambda g, _: range(g.n),
                  lambda g, v: check_vertex_recurrence(g, v)),
         CheckDef("edge_recurrence", THEOREM, "e", lambda g, _: g.edges(),
                  lambda g, e: check_edge_recurrence(g, e)),
-        CheckDef("vertex_deck", THEOREM, "k", _k_params(1),
-                 lambda g, k: check_vertex_deck_identity(g, k)),
-        CheckDef("edge_deck", THEOREM, "k", _k_params(2),
-                 lambda g, k: check_edge_deck_identity(g, k)),
+        _k_check("vertex_deck", THEOREM, 1, lambda g, k: check_vertex_deck_identity(g, k)),
+        _k_check("edge_deck", THEOREM, 2, lambda g, k: check_edge_deck_identity(g, k)),
         CheckDef("first_derivative", THEOREM, None, _once,
                  lambda g, _: check_first_derivative(g)),
         CheckDef("second_derivative", THEOREM, None, _once,
@@ -278,15 +312,15 @@ CHECKS: dict[str, CheckDef] = {
                  _triangle_deletion_report),
         CheckDef("clique_deletion_edge_subsets", CONJECTURE, "clique", _small_cliques,
                  _clique_deletion(INTERPRETATION_EDGE_SUBSETS)),
-        CheckDef("kth_derivative", CONJECTURE, "k", _k_params(1),
-                 lambda g, k: check_kth_derivative_general(g, k)),
+        _k_check("kth_derivative", CONJECTURE, 1,
+                 lambda g, k: check_kth_derivative_general(g, k), listing=True),
         CheckDef("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
                  lambda g, d: check_triangle_recurrence(g, d)),
         CheckDef("conjecture1_first", CONJECTURE, "unit", lambda g, _: [False],
                  _conjecture1_first),
         CheckDef("conjecture1_second", CONJECTURE, "unit", lambda g, _: [False],
                  _conjecture1_second),
-        CheckDef("triangle_deck", CONJECTURE, "k", _k_params(3),
+        _k_check("triangle_deck", CONJECTURE, 3,
                  lambda g, k: check_triangle_deck_identity(g, k)),
         CheckDef("conjecture2", CONJECTURE, None, _once,
                  lambda g, _: check_conjecture2(g)),
@@ -382,7 +416,10 @@ class CampaignConfig:
             raise ValueError("sample count must be >= 1")
         if self.k_range is not None and self.k_range[0] > self.k_range[1]:
             raise ValueError(f"invalid k range {self.k_range}")
-        resolve_checks(self.checks)
+        names = resolve_checks(self.checks)
+        if self.k_range is not None and not any(CHECKS[n].takes_k(self.k_range) for n in names):
+            lo, hi = self.k_range
+            raise ValueError(f"--k {lo}..{hi} is not taken by any selected check")
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from .cliques import CliqueCatalog
 
 MAX_VERTICES = 64
 
@@ -98,6 +101,16 @@ class Graph:
         The rows are adj or an edited copy of it.  cliquekit.cliques fills the
         table, so every count asked of one Graph object is computed once; it
         lives exactly as long as the object.
+        """
+        return {}
+
+    @cached_property
+    def catalog_table(self) -> dict[int, CliqueCatalog]:
+        """The largest clique catalog listed for this graph, keyed by its size limit.
+
+        cliquekit.cliques fills it for the identity checks, which read smaller
+        sizes as a prefix of it; it holds at most one catalog and lives
+        exactly as long as the object.
         """
         return {}
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+import cliquekit.cliques
 from cliquekit import (
     Graph,
     RngSpec,
@@ -36,6 +37,19 @@ def subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def record_listings(monkeypatch) -> list:
+    """Record the k_max of every enumerate_cliques call made through cliquekit.cliques."""
+    listing = cliquekit.cliques.enumerate_cliques
+    asked = []
+
+    def spy(g, k_max=None):
+        asked.append(k_max)
+        return listing(g, k_max)
+
+    monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", spy)
+    return asked
 
 
 @st.composite

@@ -195,6 +195,27 @@ class TestVerify:
         assert r.stdout == ""
         assert "error:" in r.stderr and flag[0] in r.stderr
 
+    @pytest.mark.parametrize("selection, k", [
+        (("--identity", "handshake"), "0"),
+        (("--identity", "edge_deck"), "1"),
+        (("--identity", "triangle_deck,edge_deck"), "1"),
+        (("--identity", "first_derivative"), "2"),
+        (("--all-theorems",), "0"),
+    ])
+    def test_k_no_selected_check_takes_is_a_usage_error(self, selection, k, capsys):
+        assert main(["verify", "-g", "Bw", *selection, "--k", k]) == 2
+        assert capsys.readouterr() == ("", f"error: --k {k} is not taken by any selected check\n")
+
+    def test_k_above_the_clique_number_is_valid(self, capsys):
+        assert main(["verify", "-g", "Bw", "--identity", "handshake", "--k", "9"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_k_taken_by_one_selected_check(self, capsys):
+        assert main(["verify", "-g", "Bw", "--identity", "edge_deck,handshake", "--k", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert [line.split()[0] for line in out.splitlines()] == ["handshake"]
+        assert err == ""
+
     def test_all_theorems_with_a_vertex_flag(self):
         default = run_cli("verify", "-g", "Bw", "--all-theorems")
         r = run_cli("verify", "-g", "Bw", "--all-theorems", "--v", "1")
@@ -362,6 +383,19 @@ class TestFuzz:
         assert r.returncode == 2
         assert r.stdout == ""
         assert "seed -5 outside 0..2**64-1" in r.stderr
+
+    @pytest.mark.parametrize("checks, k", [
+        ("handshake", "0..0"), ("edge_deck", "0..1"), ("first_derivative", "1..3"),
+    ])
+    def test_k_no_selected_check_takes_is_a_usage_error(self, checks, k, capsys):
+        argv = ["fuzz", "--n", "4..8", "--count", "3", "--seed", "1", "--check", checks]
+        assert main([*argv, "--k", k]) == 2
+        assert capsys.readouterr() == ("", f"error: --k {k} is not taken by any selected check\n")
+
+    def test_k_range_reaching_one_check_is_valid(self, capsys):
+        assert main(["fuzz", "--n", "4..8", "--count", "3", "--seed", "1",
+                     "--check", "handshake,first_derivative", "--k", "0..1"]) == 0
+        assert "check handshake [theorem]: tested 3, holds 3" in capsys.readouterr().out
 
     def test_bad_range_rejected(self):
         r = run_cli("fuzz", "--n", "8..3", "--count", "5", "--seed", "1",

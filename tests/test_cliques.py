@@ -46,7 +46,7 @@ from cliquekit import (
     triangles,
 )
 
-from _helpers import all_labelled_graphs, graphs, naive_cliques_of_size
+from _helpers import all_labelled_graphs, graphs, naive_cliques_of_size, record_listings
 
 DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense_poly.json"
 
@@ -292,6 +292,64 @@ class TestPivotPath:
         poly = clique_polynomial(g)
         assert time.perf_counter() - start < 30
         assert poly[:3] == [1, 48, g.m]
+
+
+class TestDepthFirstCount:
+    """The DFS below the pivot cutoff: candidate sets of at most three are
+    counted in closed form, so every call it makes has at least four."""
+
+    # _grow calls on the first instance of each dense_poly template, in order
+    # G(64, 0.5), G(60, 0.55), ..., G(36, 0.85)
+    GROW_CALLS = [1055, 1360, 1800, 2034, 2708, 2653, 2666, 2177, 1722]
+
+    def test_grow_calls_on_the_dense_reference(self, monkeypatch):
+        grow = cliquekit.cliques._grow
+        calls = []  # (calls open inside _grow, candidates) per call
+        depth = 0
+
+        def counted(adj, row, size, cand):
+            nonlocal depth
+            calls.append((depth, cand.bit_count()))
+            depth += 1
+            try:
+                grow(adj, row, size, cand)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(cliquekit.cliques, "_grow", counted)
+        totals = []
+        for template in json.loads(DENSE_REFERENCE.read_text())["templates"]:
+            g6, poly = template["items"][0]
+            g = parse_graph6(g6)
+            calls.clear()
+            assert [1, *clique_counts_in(g.adj, (1 << g.n) - 1)] == poly
+            totals.append(len(calls))
+            assert min(size for depth_at, size in calls if depth_at) >= 4
+        assert totals == self.GROW_CALLS
+
+
+class TestListingOncePerGraph:
+    def test_every_request_order_reads_the_same_cliques(self, corpus):
+        """However the sizes are asked for, each answer equals a fresh listing."""
+        for g in corpus:
+            top = g.n + 1
+            for order in (range(top), range(top - 1, -1, -1), [2, 0, 4, 1, top, 3]):
+                h = Graph(g.n, g.adj)
+                for k in order:
+                    listed = cliquekit.cliques._listed_catalog(h, k)
+                    fresh = enumerate_cliques(g, k_max=k)
+                    assert [listed.cliques(j) for j in range(top + 1)] \
+                        == [fresh.cliques(j) for j in range(top + 1)], (k, g.adj)
+                assert len(h.catalog_table) <= 1
+
+    def test_only_a_request_beyond_the_listed_sizes_lists_again(self, monkeypatch):
+        g = random_gnp(12, 0.7, RngSpec(4))
+        asked = record_listings(monkeypatch)
+        omega = len(clique_counts(g))
+        assert omega > 3
+        for k in (2, 1, 2, 3, 2, omega, g.n, 3):
+            cliquekit.cliques._listed_catalog(g, k)
+        assert asked == [2, 3, omega]
 
 
 class TestListingBudget:

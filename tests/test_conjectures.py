@@ -1,14 +1,17 @@
 import pytest
 
+import cliquekit.cliques
 from cliquekit import (
     ALL_THEOREMS,
     CHECKS,
     CampaignConfig,
+    CliqueBudgetExceeded,
     RngSpec,
     check_conjecture1,
     check_conjecture2,
     check_conjecture3,
     check_triangle_deck_identity,
+    clique_counts,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -26,6 +29,8 @@ from cliquekit import (
     triangle_graph,
     triangles,
 )
+
+from _helpers import record_listings
 
 TWO_TRIANGLES = disjoint_union(complete_graph(3), complete_graph(3))
 
@@ -189,6 +194,43 @@ class TestCatalog:
             check(cycle_graph(5), (0, 1, 2))
         assert check(complete_graph(3), (1,)).holds is True
 
+    @pytest.mark.parametrize("g", [random_gnp(10, 0.8, RngSpec(3)), cycle_graph(5)])
+    def test_handshake_then_clique_deletion_list_cliques_once(self, monkeypatch, g):
+        """The second check reads the catalog the first listed, also when the
+        clique number is below the 4 that clique_deletion asks for."""
+        asked = record_listings(monkeypatch)
+        reports = CHECKS["handshake"].run(g, None) + CHECKS["clique_deletion"].run(g, None)
+        assert asked == [max(len(clique_counts(g)), 1)]
+        assert reports and all(r.holds for r in reports)
+
+    def test_one_k_lists_only_up_to_that_k(self, monkeypatch):
+        g = random_gnp(10, 0.8, RngSpec(3))
+        asked = record_listings(monkeypatch)
+        assert [r.params for r in CHECKS["handshake"].run(g, (2, 2))] == [{"k": 2}]
+        assert asked == [2]
+
+    def test_over_the_budget_nothing_is_listed(self, monkeypatch):
+        """The skip names the first k over the budget, found by counting alone."""
+        monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 20)
+
+        def listing(*args, **kwargs):
+            raise AssertionError("enumerate_cliques called")
+
+        monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", listing)
+        for name in ("handshake", "kth_derivative"):
+            with pytest.raises(CliqueBudgetExceeded, match="up to 2 vertices would list 21 "):
+                CHECKS[name].run(complete_graph(6), None)
+
+    def test_k_min_is_the_lowest_k_with_an_instance(self):
+        g = complete_graph(6)
+        for name, cd in CHECKS.items():
+            if cd.param != "k":
+                assert cd.k_min is None and not cd.takes_k((0, 99)), name
+                continue
+            assert min(cd.params(g, None)) == cd.k_min, name
+            assert cd.takes_k((cd.k_min, cd.k_min)) and cd.takes_k((0, 99)), name
+            assert not cd.takes_k((0, cd.k_min - 1)), name
+
     def test_every_runner_handles_the_empty_graph(self):
         g = empty_graph(0)
         for name, cd in CHECKS.items():
@@ -286,6 +328,23 @@ class TestCampaign:
         ):
             with pytest.raises(ValueError):
                 run_campaign(CampaignConfig(**{**good, **overrides}))
+
+    @pytest.mark.parametrize("checks, k_range", [
+        (("handshake",), (0, 0)),
+        (("edge_deck",), (-3, 1)),
+        (("triangle_deck", "first_derivative"), (1, 2)),
+        (("first_derivative",), (1, 5)),
+    ])
+    def test_a_k_range_no_selected_check_takes_is_rejected(self, checks, k_range):
+        cfg = CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1), checks, k_range=k_range)
+        with pytest.raises(ValueError, match=f"--k {k_range[0]}..{k_range[1]} is not taken"):
+            cfg.validate()
+
+    def test_a_k_range_above_every_clique_number_is_valid(self):
+        cfg = CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1), ("edge_deck",),
+                             k_range=(0, 40))
+        report = run_campaign(cfg)
+        assert report.tallies["edge_deck"].tested == 5
 
     def test_json_excludes_timing(self):
         cfg = CampaignConfig((3, 5), (0.0, 1.0), 5, RngSpec(1), ("conjecture3",))
