@@ -114,7 +114,7 @@ def cmd_matrix(args) -> int:
     g = _load_graph(args)
     matrix = _MATRIX_BUILDERS[args.kind](g, args.k)
     if args.format == "json":
-        print(json.dumps(matrix.to_json_dict(), sort_keys=True, indent=2))
+        print(matrix.to_json())
     else:
         sys.stdout.write(matrix.to_csv())
     return 0

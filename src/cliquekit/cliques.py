@@ -306,8 +306,15 @@ def _poly_of(adj: tuple[int, ...], cand: int,
     return row
 
 
-def _table_counts(g: Graph, adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """clique_counts_in(adj, mask), kept in g.counts_table; adj is g.adj or an edited copy."""
+def _table_counts(g: Graph, mask: int | None = None,
+                  adj: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """clique_counts_in(adj, mask), kept in g.counts_table: the counts of the
+    subgraph that mask (all vertices by default) induces over the rows adj
+    (g.adj by default, or an edited copy of it)."""
+    if mask is None:
+        mask = (1 << g.n) - 1
+    if adj is None:
+        adj = g.adj
     table = g.counts_table
     key = (adj, mask)
     counts = table.get(key)
@@ -318,7 +325,7 @@ def _table_counts(g: Graph, adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
 def clique_counts(g: Graph) -> tuple[int, ...]:
     """(c_1, ..., c_omega): the number of k-cliques for each size."""
-    return _table_counts(g, g.adj, (1 << g.n) - 1)
+    return _table_counts(g)
 
 
 def clique_count(g: Graph, k: int) -> int:
@@ -336,13 +343,20 @@ def clique_polynomial(g: Graph) -> Polynomial:
 
 
 def is_clique(g: Graph, vertices) -> bool:
+    """Whether the distinct vertices form a nonempty clique: the set's mask
+    lies in the closed neighbourhood of each of its vertices."""
     vs = tuple(vertices)
     if not vs or len(set(vs)) != len(vs):
         return False
+    mask = 0
+    common = -1  # the vertices in every closed neighbourhood N[v] seen so far
     for v in vs:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    return all(g.adj[u] >> v & 1 for u, v in itertools.combinations(vs, 2))
+        bit = 1 << v
+        mask |= bit
+        common &= g.adj[v] | bit
+    return common & mask == mask
 
 
 def clique_value(g: Graph, q) -> int:

@@ -35,9 +35,9 @@ from .graphs import (
     Graph,
     RngSpec,
     Splitmix64,
+    _clique_deleted_adj,
     delete_edge,
     delete_vertex,
-    edge_deleted_adj,
     parse_graph6,
     random_gnp,
     triangles,
@@ -45,6 +45,7 @@ from .graphs import (
 from .identities import (
     IdentityReport,
     NotApplicable,
+    _add,
     _count,
     _poly,
     _poly_report,
@@ -109,7 +110,7 @@ def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
     n = g.n
     lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
     rhs = poly_sum(
-        poly_reverse(_poly(g, adj=edge_deleted_adj(g, [e])), n, include_unit)
+        poly_reverse(_poly(g, adj=_clique_deleted_adj(g, e)), n, include_unit)
         for e in g.edges()
     )
     return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
@@ -126,7 +127,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
     tris = triangles(g)
     lhs = (len(tris) - comb(k, 3)) * clique_count(g, k)
     rhs = sum(
-        _count(g, k, adj=edge_deleted_adj(g, itertools.combinations(d, 2)))
+        _count(g, k, adj=_clique_deleted_adj(g, d))
         for d in tris
     )
     return IdentityReport(
@@ -171,10 +172,9 @@ def check_conjecture3(g: Graph) -> IdentityReport:
     containing a triangle.
     """
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
-    rhs = poly_sum(
-        _poly(g, adj=edge_deleted_adj(g, itertools.combinations(d, 2)))
-        for d in triangles(g)
-    )
+    rhs = [0] * (g.n + 1)
+    for d in triangles(g):
+        _add(rhs, g, adj=_clique_deleted_adj(g, d))
     return _poly_report("conjecture3", g, {}, lhs, rhs)
 
 

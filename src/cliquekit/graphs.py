@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .cliques import CliqueCatalog
@@ -300,6 +300,17 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph(g.n - 1, tuple(rows))
 
 
+def _edge_pairs(edge_set: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The distinct edges of edge_set as plain (u, v) pairs with u < v, as edge()
+    orders them; a self-loop is rejected before any pair is returned."""
+    pairs = set()
+    for u, v in edge_set:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        pairs.add((u, v) if u < v else (v, u))
+    return pairs
+
+
 def edge_deleted_adj(g: Graph, edge_set: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Adjacency rows of g with exactly the given edges deleted, every vertex kept.
 
@@ -307,11 +318,23 @@ def edge_deleted_adj(g: Graph, edge_set: Iterable[tuple[int, int]]) -> tuple[int
     without re-validating) a Graph: the counting kernel takes them as they are.
     """
     rows = list(g.adj)
-    for u, v in {edge(*e) for e in edge_set}:
+    for u, v in _edge_pairs(edge_set):
         if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
+    return tuple(rows)
+
+
+def _clique_deleted_adj(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows of g without the edges among the vertices of clique, which
+    the caller has checked to be a clique of g: each member's row drops them all."""
+    mask = 0
+    for v in clique:
+        mask |= 1 << v
+    rows = list(g.adj)
+    for v in clique:
+        rows[v] &= ~mask
     return tuple(rows)
 
 

@@ -7,11 +7,16 @@ identities) and conjecture exploration (which only records outcomes).  All
 comparisons are exact integer polynomial or count equality; divisions are
 avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
-Every polynomial of a neighbourhood or a vertex deletion is counted as a
-vertex bitmask over the graph's own adjacency rows, and every edge deletion
-as an edited copy of the rows, so no check builds a subgraph.  Each count is
-read through the graph's result table (Graph.counts_table), so a count that
-several checks ask of one graph is computed once.
+The left side is clique_polynomial(g).  The right side is summed in one row
+of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with |S| >= r): _add
+reads one count tuple from the graph's result table (Graph.counts_table) and
+adds coeff * x**shift * C(x) into the row in place, and _poly_report trims
+the row once.  Each count is of a neighbourhood or vertex deletion, as a
+vertex mask over g's rows, or of an edge deletion, as an edited copy of the
+rows, so no check builds a subgraph, and a count asked twice is made once.
+Instances are checked with bit masks: a vertex set is a clique when its mask
+lies in each member's closed neighbourhood, and a checked clique's edges are
+deleted by clearing its mask from its members' rows.
 """
 
 from __future__ import annotations
@@ -30,18 +35,14 @@ from .cliques import (
     clique_polynomial,
     clique_value,
     is_clique,
-    poly_add,
     poly_divided_derivative,
     poly_derivative,
-    poly_equal,
     poly_normalize,
-    poly_scale,
-    poly_shift,
-    poly_sub,
-    poly_sum,
 )
 from .graphs import (
     Graph,
+    _clique_deleted_adj,
+    _edge_pairs,
     common_neighborhood_bits,
     edge,
     edge_deleted_adj,
@@ -87,29 +88,25 @@ def _poly_report(identity: str, g: Graph, params: dict,
     return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
 
 
-def _count_report(identity: str, g: Graph, params: dict,
-                  lhs: int, rhs: int) -> IdentityReport:
-    return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
-
-
 def _poly(g: Graph, mask: int | None = None, adj: tuple[int, ...] | None = None) -> Polynomial:
-    """C(x) of the subgraph that mask (all vertices by default) induces over the
-    rows adj (g.adj by default, or an edited copy of it), read through g's table."""
-    if mask is None:
-        mask = (1 << g.n) - 1
-    return [1, *_table_counts(g, g.adj if adj is None else adj, mask)]
+    """C(x) of the subgraph that mask induces over the rows adj, as in _table_counts."""
+    return [1, *_table_counts(g, mask, adj)]
 
 
 def _count(g: Graph, k: int, mask: int | None = None,
            adj: tuple[int, ...] | None = None) -> int:
-    """c_k (k >= 1) of the subgraph that mask induces over the rows adj, as in _poly."""
-    poly = _poly(g, mask, adj)
-    return poly[k] if k < len(poly) else 0
+    """c_k (k >= 1) of the subgraph that mask induces over the rows adj, as in _table_counts."""
+    counts = _table_counts(g, mask, adj)
+    return counts[k - 1] if k <= len(counts) else 0
 
 
-def _nbhd_poly(g: Graph, vertices) -> Polynomial:
-    """C(G[N(S)], x) for the common neighbourhood N(S) of the vertex set S."""
-    return _poly(g, common_neighborhood_bits(g, vertices))
+def _add(row: list[int], g: Graph, mask: int | None = None,
+         adj: tuple[int, ...] | None = None, shift: int = 0, coeff: int = 1) -> None:
+    """row += coeff * x**shift * C(x), in place, for the subgraph that mask
+    induces over the rows adj, as in _table_counts."""
+    row[shift] += coeff
+    for j, c in enumerate(_table_counts(g, mask, adj), shift + 1):
+        row[j] += coeff * c
 
 
 def _without_vertex(g: Graph, v: int) -> int:
@@ -137,7 +134,7 @@ def check_handshake(g: Graph, k: int) -> IdentityReport:
         raise ValueError("k must be >= 1")
     lhs = sum(clique_value(g, q) for q in _listed_catalog(g, k).cliques(k))
     rhs = (k + 1) * clique_count(g, k + 1)
-    return _count_report("handshake", g, {"k": k}, lhs, rhs)
+    return IdentityReport("handshake", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
 
 
 # -- recurrences ----------------------------------------------------------------
@@ -147,18 +144,19 @@ def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     lhs = clique_polynomial(g)
-    rhs = poly_add(
-        _poly(g, _without_vertex(g, v)), poly_shift(_poly(g, g.adj[v]), 1)
-    )
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, _without_vertex(g, v))
+    _add(rhs, g, g.adj[v], shift=1)
     return _poly_report("vertex_recurrence", g, {"v": v}, lhs, rhs)
 
 
 def check_edge_recurrence(g: Graph, e) -> IdentityReport:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
     u, v = edge(*e)
-    without = edge_deleted_adj(g, [(u, v)])
     lhs = clique_polynomial(g)
-    rhs = poly_add(_poly(g, adj=without), poly_shift(_nbhd_poly(g, (u, v)), 2))
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, adj=edge_deleted_adj(g, [(u, v)]))
+    _add(rhs, g, g.adj[u] & g.adj[v], shift=2)
     return _poly_report("edge_recurrence", g, {"e": [u, v]}, lhs, rhs)
 
 
@@ -170,7 +168,7 @@ def check_vertex_deck_identity(g: Graph, k: int) -> IdentityReport:
         raise ValueError("k must be >= 1")
     lhs = (g.n - k) * clique_count(g, k)
     rhs = sum(_count(g, k, _without_vertex(g, v)) for v in range(g.n))
-    return _count_report("vertex_deck", g, {"k": k}, lhs, rhs)
+    return IdentityReport("vertex_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
 
 
 def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
@@ -178,8 +176,8 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
     if k < 2:
         raise ValueError("k must be >= 2")
     lhs = (g.m - comb(k, 2)) * clique_count(g, k)
-    rhs = sum(_count(g, k, adj=edge_deleted_adj(g, [e])) for e in g.edges())
-    return _count_report("edge_deck", g, {"k": k}, lhs, rhs)
+    rhs = sum(_count(g, k, adj=_clique_deleted_adj(g, e)) for e in g.edges())
+    return IdentityReport("edge_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
 
 
 # -- derivative identities --------------------------------------------------------
@@ -187,7 +185,9 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
 def check_first_derivative(g: Graph) -> IdentityReport:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
     lhs = poly_derivative(clique_polynomial(g), 1)
-    rhs = poly_sum(_poly(g, row) for row in g.adj)
+    rhs = [0] * (g.n + 1)
+    for row in g.adj:
+        _add(rhs, g, row)
     return _poly_report("first_derivative", g, {}, lhs, rhs)
 
 
@@ -198,7 +198,9 @@ def check_second_derivative(g: Graph) -> IdentityReport:
     comparison stays in exact integers.
     """
     lhs = poly_divided_derivative(clique_polynomial(g), 2)
-    rhs = poly_sum(_poly(g, g.adj[u] & g.adj[v]) for u, v in g.edges())
+    rhs = [0] * (g.n + 1)
+    for u, v in g.edges():
+        _add(rhs, g, g.adj[u] & g.adj[v])
     return _poly_report("second_derivative", g, {}, lhs, rhs)
 
 
@@ -213,7 +215,9 @@ def check_third_derivative_k5free(g: Graph) -> IdentityReport:
     if omega >= 5:
         raise NotApplicable("graph contains a 5-clique")
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
-    rhs = poly_sum(_nbhd_poly(g, d) for d in triangles(g))
+    rhs = [0] * (g.n + 1)
+    for d in triangles(g):
+        _add(rhs, g, common_neighborhood_bits(g, d))
     params = {"connected": is_connected(g), "omega": omega}
     return _poly_report("third_derivative_k5free", g, params, lhs, rhs)
 
@@ -236,7 +240,9 @@ def check_kth_derivative_general(g: Graph, k: int) -> IdentityReport:
     if k < 1:
         raise ValueError("k must be >= 1")
     lhs = poly_divided_derivative(clique_polynomial(g), k)
-    rhs = poly_sum(_nbhd_poly(g, q) for q in _listed_catalog(g, k).cliques(k))
+    rhs = [0] * (g.n + 1)
+    for q in _listed_catalog(g, k).cliques(k):
+        _add(rhs, g, common_neighborhood_bits(g, q))
     return _poly_report("kth_derivative", g, {"k": k}, lhs, rhs)
 
 
@@ -258,42 +264,38 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     sums over every edge subset S of M with |S| = C(r, 2), cliques or not.
     The readings coincide when M has at most three edges.
     """
-    normalized = {edge(*e) for e in edge_set}
+    normalized = _edge_pairs(edge_set)
     support = sorted({v for e in normalized for v in e})
     q = len(support)
     for v in support:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    expected = {edge(u, v) for u, v in itertools.combinations(support, 2)}
-    if normalized != expected:
+    # every pair of normalized lies in support, so it holds them all iff it has C(q, 2)
+    if len(normalized) != comb(q, 2):
         raise ValueError("edge set does not induce a complete subgraph")
-    for u, v in normalized:
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
+    if support and not is_clique(g, support):
+        u, v = next(e for e in normalized if not g.has_edge(*e))
+        raise ValueError(f"({u}, {v}) is not an edge of the graph")
     if interpretation not in (INTERPRETATION_CLIQUES, INTERPRETATION_EDGE_SUBSETS):
         raise ValueError(f"unknown interpretation {interpretation!r}")
 
-    rhs = _poly(g, adj=edge_deleted_adj(g, normalized))
-    if interpretation == INTERPRETATION_CLIQUES:
-        for r in range(2, q + 1):
-            inner = poly_sum(
-                _nbhd_poly(g, t) for t in itertools.combinations(support, r)
-            )
-            rhs = poly_add(rhs, poly_scale(poly_shift(inner, r), (-1) ** r * (r - 1)))
-    else:
-        edges_sorted = sorted(normalized)
-        r = 2
-        while comb(r, 2) <= len(edges_sorted):
-            inner = poly_sum(
-                _nbhd_poly(g, {v for e in s for v in e})
-                for s in itertools.combinations(edges_sorted, comb(r, 2))
-            )
-            rhs = poly_add(rhs, poly_scale(poly_shift(inner, r), (-1) ** r * (r - 1)))
-            r += 1
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, adj=_clique_deleted_adj(g, support))
+    edges_sorted = sorted(normalized)
+    for r in range(2, q + 1):
+        coeff = (-1) ** r * (r - 1)
+        if interpretation == INTERPRETATION_CLIQUES:
+            vertex_sets = itertools.combinations(support, r)
+        else:
+            # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
+            vertex_sets = ({v for e in s for v in e}
+                           for s in itertools.combinations(edges_sorted, comb(r, 2)))
+        for t in vertex_sets:
+            _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=coeff)
 
     lhs = clique_polynomial(g)
     params = {
-        "m": [[u, v] for u, v in sorted(normalized)],
+        "m": [[u, v] for u, v in edges_sorted],
         "interpretation": interpretation,
     }
     return _poly_report("clique_deletion", g, params, lhs, rhs)
@@ -316,10 +318,11 @@ class TriangleIdentityParts:
 
 
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
-    a, b, c = d
-    edge_sum = poly_sum(_nbhd_poly(g, pair) for pair in ((a, b), (a, c), (b, c)))
-    tri = _nbhd_poly(g, d)
-    return TriangleIdentityParts(d, edge_sum, tri)
+    edge_sum = [0] * (g.n + 1)
+    for pair in itertools.combinations(d, 2):
+        _add(edge_sum, g, common_neighborhood_bits(g, pair))
+    tri = _poly(g, common_neighborhood_bits(g, d))
+    return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 
 
 def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentityParts]:
@@ -330,15 +333,11 @@ def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentity
     """
     d = _require_triangle(g, delta)
     parts = _triangle_parts(g, d)
-    a, b, c = d
-    without = edge_deleted_adj(g, [(a, b), (a, c), (b, c)])
-    rhs = poly_add(
-        _poly(g, adj=without),
-        poly_sub(
-            poly_shift(parts.edge_neighborhood_sum, 2),
-            poly_scale(poly_shift(parts.triangle_neighborhood, 3), 2),
-        ),
-    )
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, adj=_clique_deleted_adj(g, d))
+    for pair in itertools.combinations(d, 2):
+        _add(rhs, g, common_neighborhood_bits(g, pair), shift=2)
+    _add(rhs, g, common_neighborhood_bits(g, d), shift=3, coeff=-2)
     lhs = clique_polynomial(g)
     report = _poly_report("triangle_identity", g, {"delta": list(d)}, lhs, rhs)
     return report, parts
@@ -354,16 +353,16 @@ def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
     """
     d = _require_triangle(g, delta)
     parts = _triangle_parts(g, d)
-    a, b, c = d
-    without = edge_deleted_adj(g, [(a, b), (a, c), (b, c)])
     lhs = clique_polynomial(g)
-    rhs = poly_add(_poly(g, adj=without), poly_shift(parts.triangle_neighborhood, 3))
-    shifted = poly_scale(poly_shift(parts.triangle_neighborhood, 1), 3)
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, adj=_clique_deleted_adj(g, d))
+    _add(rhs, g, common_neighborhood_bits(g, d), shift=3)
+    shifted = [0, *(3 * c for c in parts.triangle_neighborhood)]
     params = {
         "delta": list(d),
-        "edge_neighborhood_sum": poly_normalize(parts.edge_neighborhood_sum),
+        "edge_neighborhood_sum": parts.edge_neighborhood_sum,
         "triangle_neighborhood_times_3x": shifted,
-        "equivalent_condition_holds": poly_equal(parts.edge_neighborhood_sum, shifted),
+        "equivalent_condition_holds": parts.edge_neighborhood_sum == shifted,
     }
     return _poly_report("triangle_recurrence", g, params, lhs, rhs)
 
@@ -399,8 +398,7 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
     d = _require_triangle(g, delta)
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
-    a, b, c = d
-    pairs = ((a, b), (a, c), (b, c))
+    pairs = list(itertools.combinations(d, 2))
     val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]
     c2_edge_nbhd = [
         _count(g, 2, common_neighborhood_bits(g, pair)) for pair in pairs
@@ -412,6 +410,6 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
         clique_count(g, 3) - sum(val_edges) + 2,
         clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
     )
-    remaining = edge_deleted_adj(g, pairs)
+    remaining = _clique_deleted_adj(g, d)
     direct = tuple(_count(g, k, adj=remaining) for k in range(1, 5))
     return TriangleDeletionCounts(d, formula, direct)

@@ -31,6 +31,7 @@ the double-counting step that turns each matrix into a counting identity.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -54,6 +55,15 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 def _label_text(label: Label) -> str:
     return "-".join(map(str, label))
+
+
+def _json_list(items, indent: str) -> str:
+    """A JSON list, as json.dumps(..., indent=2) lays it out at the given
+    indent, of items already rendered as text.  items may be a string of
+    digits, whose characters are then the items."""
+    if not items:
+        return "[]"
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]"
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,25 @@ class IncidenceMatrix:
         ]
         lines.append(",".join(["col_sum", *map(str, csums), str(sum(csums))]))
         return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2), written
+        from the stored digits and sums instead of one encoder call per cell."""
+        def nested(lists) -> str:
+            return _json_list([_json_list(items, "    ") for items in lists], "  ")
+
+        rsums, csums = self.row_sums(), self._col_sums
+        fields = {  # in sorted key order
+            "col_labels": nested([list(map(str, label)) for label in self.col_labels]),
+            "col_sums": _json_list(list(map(str, csums)), "  "),
+            "double_count": _json_list([str(sum(rsums)), str(sum(csums))], "  "),
+            "k": json.dumps(self.k),
+            "kind": json.dumps(self.kind),
+            "matrix": nested(self._digits),
+            "row_labels": nested([list(map(str, label)) for label in self.row_labels]),
+            "row_sums": _json_list(list(map(str, rsums)), "  "),
+        }
+        return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields.items()) + "\n}"
 
     def to_json_dict(self) -> dict:
         rsums, csums = self.row_sums(), self.col_sums()

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import cliquekit.cliques
 from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
@@ -456,3 +457,39 @@ def test_campaign_stdout_is_pinned(argv, digest, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `verify` stdout, every catalog check on one graph, at the commit
+# before the right-hand sides were summed in one coefficient row.  Unlike the
+# campaign digests above, these print the rhs of every holding theorem, the
+# failing conjecture sides, graphs above the pivot cutoff, and rows of up to
+# 65 coefficients (n = 64).
+@pytest.mark.parametrize("gen, digest", [
+    (("16", "0.7", "4"), "ae97c868319811edec1b9e7580cdb0e3d30a9c6348f564c0a7809078a4095f7f"),
+    (("24", "0.5", "1"), "4d880d7e62c3f6bfa805fcb4612cf5371bd62ba356a9a1359a21155e2f10ab69"),
+    (("40", "0.2", "2"), "cbef44a1f929422958f92ef3a7c00438461dc326c668c3187e0c395e5de0a681"),
+    (("64", "0.08", "3"), "001f2dafe4760fd337915a88e5a25c174394011b73cbad589f4ecaf5b3fd9fd8"),
+])
+def test_verify_stdout_is_pinned(gen, digest, capsys):
+    assert len(CHECKS) == 19
+    assert main(["gen", *gen]) == 0
+    g6 = capsys.readouterr().out.strip()
+    assert main(["verify", "-g", g6, "--identity", ",".join(CHECKS), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
+    """The small-graph theorem campaign makes as many kernel calls as before
+    its right-hand sides were summed in one row: no count was dropped."""
+    kernel = cliquekit.cliques.clique_counts_in
+    calls = []
+
+    def spy(adj, mask):
+        calls.append(mask)
+        return kernel(adj, mask)
+
+    monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert len(calls) == 13247

@@ -9,6 +9,7 @@ import pytest
 from cliquekit import (
     RngSpec,
     clique_count,
+    clique_counts,
     clique_value,
     complete_graph,
     cycle_graph,
@@ -275,6 +276,19 @@ class TestExport:
         m = BUILDERS[kind][0](g, k)
         assert m.to_csv() == text
         assert double_count(m) == (0, 0)
+
+    def test_json_text_matches_the_encoder(self, corpus):
+        """to_json is the encoder's text for every kind and k, empty shapes included."""
+        for g in corpus:
+            omega = len(clique_counts(g))
+            for build, lo in BUILDERS.values():
+                for k in range(omega + 3):
+                    if k < lo:
+                        with pytest.raises(ValueError):
+                            build(g, k)
+                        continue
+                    m = build(g, k)
+                    assert m.to_json() == json.dumps(m.to_json_dict(), sort_keys=True, indent=2)
 
     def test_entries_are_binary_and_labeled(self, corpus):
         for g in corpus[:12]:
