@@ -3,8 +3,8 @@
 Counting has one kernel, clique_counts_in(adj, mask): the clique counts of the
 subgraph that a vertex bitmask induces over bit-row adjacency.  It lists
 nothing.  Neighbourhoods and vertex deletions are masks over the original
-rows; edge deletions are edited copies of the rows.  clique_counts,
-clique_count and clique_polynomial are thin wrappers over it.
+rows; deleting the edges of a clique edits a copy of the rows.
+clique_counts, clique_count and clique_polynomial are thin wrappers over it.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
 (Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
@@ -28,9 +28,11 @@ branches is counted once: K64 and complete multipartite graphs take one
 entry per level, and the complement of a 64-vertex path 52 entries.  The
 dict goes when the call returns, so no state is kept at module level.
 Across calls, each Graph keeps the top-level results asked of it in
-Graph.counts_table, keyed by (rows, mask): the identity checks count the
-neighbourhoods and deletions of one graph many times over, and the table
-lives exactly as long as the graph.
+Graph.counts_table, keyed by (deleted clique, mask), both vertex masks and
+the first 0 for the unedited rows: the identity checks count the
+neighbourhoods and deletions of one graph many times over, the edited rows
+are built only for a count not yet in the table, and the table lives
+exactly as long as the graph.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -50,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
+from .graphs import MAX_VERTICES, Graph, bits, common_neighborhood_bits
 
 Clique = tuple[int, ...]
 Polynomial = list[int]
@@ -306,19 +308,27 @@ def _poly_of(adj: tuple[int, ...], cand: int,
     return row
 
 
-def _table_counts(g: Graph, mask: int | None = None,
-                  adj: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """clique_counts_in(adj, mask), kept in g.counts_table: the counts of the
-    subgraph that mask (all vertices by default) induces over the rows adj
-    (g.adj by default, or an edited copy of it)."""
+def _table_counts(g: Graph, mask: int | None = None, without: int = 0) -> tuple[int, ...]:
+    """clique_counts_in kept in g.counts_table: the counts of the subgraph that
+    mask (all vertices by default) induces in g without the edges among the
+    vertices of the mask without, a clique of g (none by default).
+
+    The edited rows are built only for a count not yet in the table.
+    """
     if mask is None:
         mask = (1 << g.n) - 1
-    if adj is None:
-        adj = g.adj
+    if not without & (without - 1):
+        without = 0  # fewer than two vertices delete no edge
     table = g.counts_table
-    key = (adj, mask)
+    key = (without, mask)
     counts = table.get(key)
     if counts is None:
+        adj = g.adj
+        if without:
+            rows = list(adj)
+            for v in bits(without):
+                rows[v] &= ~without
+            adj = tuple(rows)
         counts = table[key] = clique_counts_in(adj, mask)
     return counts
 

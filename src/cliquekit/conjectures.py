@@ -35,7 +35,7 @@ from .graphs import (
     Graph,
     RngSpec,
     Splitmix64,
-    _clique_deleted_adj,
+    _vertex_mask,
     delete_edge,
     delete_vertex,
     parse_graph6,
@@ -47,8 +47,11 @@ from .identities import (
     NotApplicable,
     _add,
     _count,
+    _expansion_report,
     _poly,
     _poly_report,
+    _require_triangle,
+    _triangle_identity_report,
     _without_vertex,
     check_edge_deck_identity,
     check_edge_recurrence,
@@ -60,9 +63,7 @@ from .identities import (
     check_triangle_recurrence,
     check_vertex_deck_identity,
     check_vertex_recurrence,
-    clique_deletion_expansion,
     triangle_deletion_counts,
-    triangle_identity,
     INTERPRETATION_CLIQUES,
     INTERPRETATION_EDGE_SUBSETS,
 )
@@ -110,7 +111,7 @@ def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
     n = g.n
     lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
     rhs = poly_sum(
-        poly_reverse(_poly(g, adj=_clique_deleted_adj(g, e)), n, include_unit)
+        poly_reverse(_poly(g, without=_vertex_mask(e)), n, include_unit)
         for e in g.edges()
     )
     return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
@@ -127,7 +128,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
     tris = triangles(g)
     lhs = (len(tris) - comb(k, 3)) * clique_count(g, k)
     rhs = sum(
-        _count(g, k, adj=_clique_deleted_adj(g, d))
+        _count(g, k, without=_vertex_mask(d))
         for d in tris
     )
     return IdentityReport(
@@ -174,7 +175,7 @@ def check_conjecture3(g: Graph) -> IdentityReport:
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
     rhs = [0] * (g.n + 1)
     for d in triangles(g):
-        _add(rhs, g, adj=_clique_deleted_adj(g, d))
+        _add(rhs, g, without=_vertex_mask(d))
     return _poly_report("conjecture3", g, {}, lhs, rhs)
 
 
@@ -264,10 +265,9 @@ def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
 
 def _clique_deletion(interpretation: str) -> Callable[[Graph, tuple], IdentityReport]:
     def check(g: Graph, q: tuple) -> IdentityReport:
-        # A one-vertex q has no edges, so the expansion alone would never see it.
         if not is_clique(g, q):
             raise ValueError(f"{tuple(q)} is not a clique of the graph")
-        return clique_deletion_expansion(g, itertools.combinations(q, 2), interpretation)
+        return _expansion_report(g, tuple(sorted(q)), interpretation)
 
     return check
 
@@ -301,7 +301,7 @@ CHECKS: dict[str, CheckDef] = {
         CheckDef("second_derivative", THEOREM, None, _once,
                  lambda g, _: check_second_derivative(g)),
         CheckDef("triangle_identity", THEOREM, "delta", lambda g, _: triangles(g),
-                 lambda g, d: triangle_identity(g, d)[0]),
+                 lambda g, d: _triangle_identity_report(g, _require_triangle(g, d))),
         CheckDef("clique_deletion", THEOREM, "clique", _small_cliques,
                  _clique_deletion(INTERPRETATION_CLIQUES)),
         CheckDef("third_derivative_k5free", THEOREM, None,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .cliques import CliqueCatalog
@@ -95,12 +95,27 @@ class Graph:
         return to_graph6(self)
 
     @cached_property
-    def counts_table(self) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:
-        """Clique counts computed over this graph, keyed by (rows, vertex mask).
+    def counts_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Clique counts computed over this graph, keyed by (deleted clique,
+        vertex mask): the counts of the subgraph that the vertex mask induces
+        once the edges among the deleted clique's vertices are gone.
 
-        The rows are adj or an edited copy of it.  cliquekit.cliques fills the
-        table, so every count asked of one Graph object is computed once; it
-        lives exactly as long as the object.
+        The deleted clique is a vertex mask too, 0 for the unedited rows (and
+        for any set of fewer than two vertices, which deletes no edge).
+        cliquekit.cliques fills the table, building the edited rows only for a
+        count not yet in it, so every count asked of one Graph object is
+        computed once; it lives exactly as long as the object.
+        """
+        return {}
+
+    @cached_property
+    def deletion_table(self) -> dict[int, tuple[int, ...]]:
+        """Right sides of the clique-deletion expansion computed over this
+        graph, keyed by the deleted clique's vertex mask.
+
+        cliquekit.identities fills it, so the edge recurrence, the triangle
+        identity and the clique-deletion expansion assemble the right side of
+        one clique once between them; it lives exactly as long as the object.
         """
         return {}
 
@@ -124,11 +139,16 @@ class Graph:
         return list(bits(self.adj[v]))
 
     def edges(self) -> list[EdgeRef]:
+        """The edges in lexicographic order, as a new list on every call."""
+        return list(self._edge_refs)
+
+    @cached_property
+    def _edge_refs(self) -> tuple[EdgeRef, ...]:
         out = []
         for u in range(self.n):
             above = self.adj[u] >> (u + 1) << (u + 1)
             out.extend(EdgeRef(u, v) for v in bits(above))
-        return out
+        return tuple(out)
 
 
 # -- named small graphs -----------------------------------------------------
@@ -326,16 +346,12 @@ def edge_deleted_adj(g: Graph, edge_set: Iterable[tuple[int, int]]) -> tuple[int
     return tuple(rows)
 
 
-def _clique_deleted_adj(g: Graph, clique: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency rows of g without the edges among the vertices of clique, which
-    the caller has checked to be a clique of g: each member's row drops them all."""
+def _vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask of vertices that the caller has checked to lie in range."""
     mask = 0
-    for v in clique:
+    for v in vertices:
         mask |= 1 << v
-    rows = list(g.adj)
-    for v in clique:
-        rows[v] &= ~mask
-    return tuple(rows)
+    return mask
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:

@@ -11,12 +11,13 @@ The left side is clique_polynomial(g).  The right side is summed in one row
 of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with |S| >= r): _add
 reads one count tuple from the graph's result table (Graph.counts_table) and
 adds coeff * x**shift * C(x) into the row in place, and _poly_report trims
-the row once.  Each count is of a neighbourhood or vertex deletion, as a
-vertex mask over g's rows, or of an edge deletion, as an edited copy of the
-rows, so no check builds a subgraph, and a count asked twice is made once.
-Instances are checked with bit masks: a vertex set is a clique when its mask
-lies in each member's closed neighbourhood, and a checked clique's edges are
-deleted by clearing its mask from its members' rows.
+the row once.  Each count is of a vertex mask over g's rows, with or without
+the edges of a clique (a mask too), so no check builds a subgraph, and a
+count asked twice is made once.  The expansion's right side for a clique,
+which for edges and triangles is also the edge recurrence's and the triangle
+identity's, is assembled once per graph (Graph.deletion_table).  Instances
+are checked with bit masks: a vertex set is a clique when its mask lies in
+each member's closed neighbourhood.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from .cliques import (
 )
 from .graphs import (
     Graph,
-    _clique_deleted_adj,
     _edge_pairs,
+    _vertex_mask,
     common_neighborhood_bits,
     edge,
-    edge_deleted_adj,
     is_connected,
     triangles,
 )
@@ -88,24 +88,23 @@ def _poly_report(identity: str, g: Graph, params: dict,
     return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
 
 
-def _poly(g: Graph, mask: int | None = None, adj: tuple[int, ...] | None = None) -> Polynomial:
-    """C(x) of the subgraph that mask induces over the rows adj, as in _table_counts."""
-    return [1, *_table_counts(g, mask, adj)]
+def _poly(g: Graph, mask: int | None = None, without: int = 0) -> Polynomial:
+    """C(x) of the subgraph that mask induces without the clique without's edges."""
+    return [1, *_table_counts(g, mask, without)]
 
 
-def _count(g: Graph, k: int, mask: int | None = None,
-           adj: tuple[int, ...] | None = None) -> int:
-    """c_k (k >= 1) of the subgraph that mask induces over the rows adj, as in _table_counts."""
-    counts = _table_counts(g, mask, adj)
+def _count(g: Graph, k: int, mask: int | None = None, without: int = 0) -> int:
+    """c_k (k >= 1) of the subgraph that mask induces without the clique without's edges."""
+    counts = _table_counts(g, mask, without)
     return counts[k - 1] if k <= len(counts) else 0
 
 
-def _add(row: list[int], g: Graph, mask: int | None = None,
-         adj: tuple[int, ...] | None = None, shift: int = 0, coeff: int = 1) -> None:
+def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
+         shift: int = 0, coeff: int = 1) -> None:
     """row += coeff * x**shift * C(x), in place, for the subgraph that mask
-    induces over the rows adj, as in _table_counts."""
+    induces without the edges of the clique without, as in _table_counts."""
     row[shift] += coeff
-    for j, c in enumerate(_table_counts(g, mask, adj), shift + 1):
+    for j, c in enumerate(_table_counts(g, mask, without), shift + 1):
         row[j] += coeff * c
 
 
@@ -153,11 +152,10 @@ def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
 def check_edge_recurrence(g: Graph, e) -> IdentityReport:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
     u, v = edge(*e)
-    lhs = clique_polynomial(g)
-    rhs = [0] * (g.n + 1)
-    _add(rhs, g, adj=edge_deleted_adj(g, [(u, v)]))
-    _add(rhs, g, g.adj[u] & g.adj[v], shift=2)
-    return _poly_report("edge_recurrence", g, {"e": [u, v]}, lhs, rhs)
+    if not (0 <= u and v < g.n and g.has_edge(u, v)):
+        raise ValueError(f"({u}, {v}) is not an edge of the graph")
+    return _poly_report("edge_recurrence", g, {"e": [u, v]},
+                        clique_polynomial(g), _deletion_rhs(g, (u, v)))
 
 
 # -- deck identities -------------------------------------------------------------
@@ -176,7 +174,7 @@ def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
     if k < 2:
         raise ValueError("k must be >= 2")
     lhs = (g.m - comb(k, 2)) * clique_count(g, k)
-    rhs = sum(_count(g, k, adj=_clique_deleted_adj(g, e)) for e in g.edges())
+    rhs = sum(_count(g, k, without=_vertex_mask(e)) for e in g.edges())
     return IdentityReport("edge_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
 
 
@@ -278,27 +276,40 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     if interpretation not in (INTERPRETATION_CLIQUES, INTERPRETATION_EDGE_SUBSETS):
         raise ValueError(f"unknown interpretation {interpretation!r}")
+    return _expansion_report(g, tuple(support), interpretation)
 
-    rhs = [0] * (g.n + 1)
-    _add(rhs, g, adj=_clique_deleted_adj(g, support))
-    edges_sorted = sorted(normalized)
-    for r in range(2, q + 1):
-        coeff = (-1) ** r * (r - 1)
-        if interpretation == INTERPRETATION_CLIQUES:
-            vertex_sets = itertools.combinations(support, r)
-        else:
+
+def _expansion_report(g: Graph, q: tuple[int, ...], interpretation: str) -> IdentityReport:
+    """clique_deletion_expansion for the sorted clique q, which the caller has checked."""
+    edges = list(itertools.combinations(q, 2))
+    if interpretation == INTERPRETATION_CLIQUES:
+        rhs = _deletion_rhs(g, q)
+    else:
+        rhs = [0] * (g.n + 1)
+        _add(rhs, g, without=_vertex_mask(q))
+        for r in range(2, len(q) + 1):
             # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
-            vertex_sets = ({v for e in s for v in e}
-                           for s in itertools.combinations(edges_sorted, comb(r, 2)))
-        for t in vertex_sets:
-            _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=coeff)
+            for s in itertools.combinations(edges, comb(r, 2)):
+                t = {v for e in s for v in e}
+                _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=(-1) ** r * (r - 1))
+    params = {"m": [list(e) for e in edges], "interpretation": interpretation}
+    return _poly_report("clique_deletion", g, params, clique_polynomial(g), rhs)
 
-    lhs = clique_polynomial(g)
-    params = {
-        "m": [[u, v] for u, v in edges_sorted],
-        "interpretation": interpretation,
-    }
-    return _poly_report("clique_deletion", g, params, lhs, rhs)
+
+def _deletion_rhs(g: Graph, q: tuple[int, ...]) -> tuple[int, ...]:
+    """The trimmed right side of the expansion's 'cliques' reading for the
+    sorted clique q, kept in g.deletion_table under q's mask: for |q| = 2 and
+    3 it is the edge recurrence's and the triangle identity's as well."""
+    mask = _vertex_mask(q)
+    rhs = g.deletion_table.get(mask)
+    if rhs is None:
+        row = [0] * (g.n + 1)
+        _add(row, g, without=mask)
+        for r in range(2, len(q) + 1):
+            for s in itertools.combinations(q, r):
+                _add(row, g, common_neighborhood_bits(g, s), shift=r, coeff=(-1) ** r * (r - 1))
+        rhs = g.deletion_table[mask] = tuple(poly_normalize(row))
+    return rhs
 
 
 # -- triangle deletion -----------------------------------------------------------
@@ -332,15 +343,13 @@ def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentity
     graph and every triangle.
     """
     d = _require_triangle(g, delta)
-    parts = _triangle_parts(g, d)
-    rhs = [0] * (g.n + 1)
-    _add(rhs, g, adj=_clique_deleted_adj(g, d))
-    for pair in itertools.combinations(d, 2):
-        _add(rhs, g, common_neighborhood_bits(g, pair), shift=2)
-    _add(rhs, g, common_neighborhood_bits(g, d), shift=3, coeff=-2)
-    lhs = clique_polynomial(g)
-    report = _poly_report("triangle_identity", g, {"delta": list(d)}, lhs, rhs)
-    return report, parts
+    return _triangle_identity_report(g, d), _triangle_parts(g, d)
+
+
+def _triangle_identity_report(g: Graph, d: tuple[int, int, int]) -> IdentityReport:
+    """The report of triangle_identity for the sorted triangle d, already checked."""
+    return _poly_report("triangle_identity", g, {"delta": list(d)},
+                        clique_polynomial(g), _deletion_rhs(g, d))
 
 
 def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
@@ -355,7 +364,7 @@ def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
     parts = _triangle_parts(g, d)
     lhs = clique_polynomial(g)
     rhs = [0] * (g.n + 1)
-    _add(rhs, g, adj=_clique_deleted_adj(g, d))
+    _add(rhs, g, without=_vertex_mask(d))
     _add(rhs, g, common_neighborhood_bits(g, d), shift=3)
     shifted = [0, *(3 * c for c in parts.triangle_neighborhood)]
     params = {
@@ -410,6 +419,5 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
         clique_count(g, 3) - sum(val_edges) + 2,
         clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
     )
-    remaining = _clique_deleted_adj(g, d)
-    direct = tuple(_count(g, k, adj=remaining) for k in range(1, 5))
+    direct = tuple(_count(g, k, without=_vertex_mask(d)) for k in range(1, 5))
     return TriangleDeletionCounts(d, formula, direct)

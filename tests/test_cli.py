@@ -3,11 +3,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
 
 import cliquekit.cliques
+import cliquekit.conjectures
 from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
@@ -493,3 +495,23 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert len(calls) == 13247
+
+
+def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
+    """Over the small-graph theorem campaign, the edge recurrence, the triangle
+    identity and the clique-deletion expansion assemble one right side per
+    edge, triangle and 4-clique between them: 6 519, where one per check
+    instance would be 11 803.  Each assembly adds one entry to its graph's
+    deletion_table."""
+    gnp = cliquekit.conjectures.random_gnp
+    graphs = []
+
+    def spy(*args):
+        graphs.append(gnp(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    sizes = Counter(mask.bit_count() for g in graphs for mask in g.deletion_table)
+    assert sizes == {2: 2906, 3: 2378, 4: 1235}

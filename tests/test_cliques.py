@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from math import comb
 
 import cliquekit.cliques
+import cliquekit.identities
 from cliquekit.cliques import LISTING_BUDGET
 from cliquekit.graphs import MAX_VERTICES
 from cliquekit import (
@@ -18,6 +19,7 @@ from cliquekit import (
     RngSpec,
     bits,
     brute_force_counts,
+    check_edge_recurrence,
     clique_count,
     clique_counts,
     clique_counts_in,
@@ -199,14 +201,20 @@ class TestCountingKernel:
             == [1, *expected, 0]
 
     def test_results_live_exactly_as_long_as_their_graph(self):
-        """No module-level cache: counts go to the Graph's own table and die with it."""
-        state = {name: value for name, value in vars(cliquekit.cliques).items()
-                 if not name.startswith("__")}
-        assert not [name for name, value in state.items()
-                    if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info")]
+        """No module-level cache: counts and clique-deletion right sides go to
+        the Graph's own tables and die with it."""
+        for module in (cliquekit.cliques, cliquekit.identities):
+            state = {name: value for name, value in vars(module).items()
+                     if not name.startswith("__")}
+            assert not [name for name, value in state.items()
+                        if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info")]
         g = random_gnp(20, 0.7, RngSpec(2))
         counts = clique_counts(g)
-        assert g.counts_table == {(g.adj, (1 << g.n) - 1): counts}
+        assert g.counts_table == {(0, (1 << g.n) - 1): counts}
+        u, v = g.edges()[0]
+        report = check_edge_recurrence(g, (u, v))
+        assert report.holds
+        assert g.deletion_table == {1 << u | 1 << v: tuple(report.rhs)}
         ref = weakref.ref(g)
         del g
         assert ref() is None

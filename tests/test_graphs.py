@@ -54,6 +54,14 @@ class TestGraphInvariants:
         assert g.m == 5
         assert len(g.edges()) == 5
 
+    def test_edges_returns_a_fresh_list(self):
+        g = cycle_graph(5)
+        first = g.edges()
+        assert first == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        first.clear()
+        assert g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert g.edges() is not g.edges()
+
     def test_from_edges_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(3, [(1, 1)])

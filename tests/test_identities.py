@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from cliquekit import (
+    CHECKS,
     Graph,
+    brute_force_counts,
     check_edge_deck_identity,
     check_edge_recurrence,
     check_first_derivative,
@@ -22,10 +24,12 @@ from cliquekit import (
     complete_graph,
     cycle_graph,
     delete_edge,
+    delete_edge_set,
     delete_vertex,
     disjoint_union,
     empty_graph,
     enumerate_cliques,
+    induced_subgraph,
     parse_graph6,
     path_graph,
     poly_equal,
@@ -35,7 +39,7 @@ from cliquekit import (
     triangles,
 )
 
-from _helpers import graphs
+from _helpers import graphs, naive_cliques_of_size, naive_common_neighbors
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -277,6 +281,61 @@ class TestCliqueDeletionExpansion:
             for q in cat.cliques(size)[:3]:
                 m = list(itertools.combinations(q, 2))
                 assert clique_deletion_expansion(g, m, "cliques").holds
+
+
+def reference_deletion_rhs(g, q):
+    """C(G - Q, x) + sum over r >= 2 of (-1)**r (r-1) x**r * sum over the
+    r-subsets S of q of C(G[N(S)], x), from built subgraphs and exhaustive
+    counts: no counts table and no code shared with the identity checks."""
+    row = [0] * (g.n + 1)
+
+    def add(h, shift, coeff):
+        for j, c in enumerate([1, *brute_force_counts(h)], shift):
+            row[j] += coeff * c
+
+    add(delete_edge_set(g, itertools.combinations(q, 2)), 0, 1)
+    for r in range(2, len(q) + 1):
+        for s in itertools.combinations(q, r):
+            add(induced_subgraph(g, naive_common_neighbors(g, s)), r, (-1) ** r * (r - 1))
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+class TestSharedDeletionRhs:
+    """edge_recurrence, triangle_identity and clique_deletion read one right
+    side per clique, kept in Graph.deletion_table."""
+
+    def test_matches_an_independent_reference(self, corpus):
+        cases = [(2, "edge_recurrence"), (2, "clique_deletion"), (3, "triangle_identity"),
+                 (3, "clique_deletion"), (4, "clique_deletion")]
+        for g in corpus:
+            warm = Graph(g.n, g.adj)
+            for cd in CHECKS.values():
+                cd.run(warm, None)
+            for size, name in cases:
+                for q in naive_cliques_of_size(g, size):
+                    report = CHECKS[name].check(Graph(g.n, g.adj), q)
+                    assert report.rhs == reference_deletion_rhs(g, q) and report.holds
+                    assert CHECKS[name].check(warm, q) == report
+
+    def test_a_clique_of_fewer_than_two_vertices_deletes_nothing(self):
+        g = complete_graph(5)
+        assert clique_deletion_expansion(g, []).holds
+        assert CHECKS["clique_deletion"].check(g, (3,)).holds
+        assert list(g.counts_table) == [(0, (1 << g.n) - 1)]
+
+    def test_public_functions_report_as_the_catalog(self, corpus):
+        for g in corpus:
+            for q in naive_cliques_of_size(g, 3):
+                assert triangle_identity(g, q)[0] == CHECKS["triangle_identity"].check(g, q)
+            for size in (2, 3, 4):
+                for q in naive_cliques_of_size(g, size):
+                    edges = list(itertools.combinations(q, 2))
+                    for interpretation, name in (("cliques", "clique_deletion"),
+                                                 ("edge-subsets", "clique_deletion_edge_subsets")):
+                        assert clique_deletion_expansion(g, edges, interpretation) \
+                            == CHECKS[name].check(Graph(g.n, g.adj), q)
 
 
 class TestTriangleIdentity:
