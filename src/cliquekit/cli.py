@@ -57,16 +57,6 @@ def _coeff_line(poly) -> str:
     return " ".join(str(c) for c in poly) if poly else "0"
 
 
-def _parse_vertex_tuple(text: str, expected: int | None = None) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(tok) for tok in text.split("-"))
-    except ValueError:
-        raise ValueError(f"expected dash-separated vertex ids, got {text!r}") from None
-    if expected is not None and len(parts) != expected:
-        raise ValueError(f"expected {expected} vertex ids in {text!r}")
-    return parts
-
-
 def _parse_int_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     if not _:
@@ -120,17 +110,8 @@ def cmd_matrix(args) -> int:
     return 0
 
 
-_VERTEX_TUPLE_FLAGS = {"e": 2, "delta": 3, "clique": None}  # flag -> vertex count
 _INSTANCE_FLAGS = {"v": "--v", "e": "--e", "delta": "--delta", "clique": "--clique",
                    "unit": "--with-unit"}  # param -> the verify flag that supplies it
-
-
-def _flag_instance(args, param):
-    """The one instance a verify flag selects for a check's param, or None (--k filters)."""
-    value = None if param in (None, "k") else getattr(args, param)
-    if value is not None and param in _VERTEX_TUPLE_FLAGS:
-        return _parse_vertex_tuple(value, _VERTEX_TUPLE_FLAGS[param])
-    return value
 
 
 def cmd_verify(args) -> int:
@@ -148,13 +129,17 @@ def cmd_verify(args) -> int:
     k_range = (args.k, args.k) if args.k is not None else None
     if k_range is not None and not any(CHECKS[name].takes_k(k_range) for name in resolved):
         raise ValueError(f"--k {args.k} is not taken by any selected check")
+    instances = {}  # every instance flag is parsed before any check runs; --k filters
+    for name in resolved:
+        param = CHECKS[name].param
+        if param in _INSTANCE_FLAGS and getattr(args, param) is not None:
+            instances[name] = CHECKS[name].parse(g, getattr(args, param))
     reports = []
     theorem_failure = skipped = False
     for name in resolved:
         cd = CHECKS[name]
-        value = _flag_instance(args, cd.param)
         try:
-            done = cd.run(g, k_range) if value is None else cd.applicable(g, [value])
+            done = cd.applicable(g, [instances[name]]) if name in instances else cd.run(g, k_range)
         except CliqueBudgetExceeded as exc:
             print(f"skipped {name}: {exc}", file=sys.stderr)
             skipped = True

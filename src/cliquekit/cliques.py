@@ -440,15 +440,6 @@ def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
     return poly_normalize(out)
 
 
-def poly_scale(p: Polynomial, c: int) -> Polynomial:
-    return poly_normalize([c * x for x in p])
-
-
-def poly_shift(p: Polynomial, k: int) -> Polynomial:
-    """Multiply by x**k."""
-    return poly_normalize([0] * k + list(p))
-
-
 def poly_sum(ps) -> Polynomial:
     out: Polynomial = []
     for p in ps:

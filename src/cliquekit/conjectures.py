@@ -11,6 +11,7 @@ identical reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -25,7 +26,6 @@ from .cliques import (
     clique_count,
     clique_counts,
     clique_polynomial,
-    is_clique,
     poly_derivative,
     poly_divided_derivative,
     poly_reverse,
@@ -47,11 +47,16 @@ from .identities import (
     NotApplicable,
     _add,
     _count,
-    _expansion_report,
+    _expansion,
+    _k_parser,
+    _parse_clique,
+    _parse_edge,
+    _parse_triangle,
+    _parse_vertex,
+    _parsed,
     _poly,
     _poly_report,
-    _require_triangle,
-    _triangle_identity_report,
+    _triangle_identity,
     _without_vertex,
     check_edge_deck_identity,
     check_edge_recurrence,
@@ -117,14 +122,13 @@ def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
     return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
 
 
+@_parsed(_k_parser(3))
 def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
     """(t - C(k, 3)) * c_k(G) against the sum of c_k(G - d) over triangles d,
 
     where t is the triangle count and G - d deletes the triangle's edges.
     Reported, never asserted globally: it fails already on the 4-clique.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
     tris = triangles(g)
     lhs = (len(tris) - comb(k, 3)) * clique_count(g, k)
     rhs = sum(
@@ -157,7 +161,7 @@ def check_conjecture2(g: Graph) -> IdentityReport:
     ks = list(range(3, omega + 1))
     lhs, rhs = [], []
     for k in ks:
-        sub = check_triangle_deck_identity(g, k)
+        sub = CHECKS["triangle_deck"].check(g, k)
         lhs.append(sub.lhs)
         rhs.append(sub.rhs)
     return IdentityReport(
@@ -193,11 +197,14 @@ class CheckDef:
 
     param names the `verify` flag that supplies one instance ('k', 'v', 'e',
     'delta', 'clique' or 'unit'), or is None for checks without a parameter.
-    params(g, k_range) lists the instances on g, and check(g, p) evaluates
-    one of them; k_min is the smallest k a 'k' check takes on any graph.
-    run(g, k_range) checks every listed instance and keeps the reports that
-    apply (holds is not None); it is an init field so that a wrapped runner
-    can replace it.
+    params(g, k_range) lists the instances on g, already normal, and
+    check(g, p) evaluates one of them, trusting it.  parse(g, raw) validates
+    one instance from outside the program, such as a verify flag's text, with
+    the parser its kind shares with the public identity functions, and
+    returns it as params lists it (a unit switch is taken as given).  k_min
+    is the smallest k a 'k' check takes on any graph.  run(g, k_range) checks
+    every listed instance and keeps the reports that apply (holds is not
+    None); it is an init field so that a wrapped runner can replace it.
     """
 
     name: str
@@ -205,6 +212,7 @@ class CheckDef:
     param: Optional[str]
     params: Callable[[Graph, KRange], Iterable]
     check: Callable[[Graph, object], IdentityReport]
+    parse: Callable[[Graph, object], object] = lambda g, raw: raw
     k_min: Optional[int] = None
     run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = None
 
@@ -247,7 +255,7 @@ def _k_check(name: str, kind: str, lo: int, check: Callable[[Graph, int], Identi
             _listed_catalog(g, ks[-1])
         return ks
 
-    return CheckDef(name, kind, "k", params, check, k_min=lo)
+    return CheckDef(name, kind, "k", params, check, _k_parser(lo), k_min=lo)
 
 
 def _once(g: Graph, k_range: KRange) -> list:
@@ -263,65 +271,58 @@ def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
     return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
 
 
-def _clique_deletion(interpretation: str) -> Callable[[Graph, tuple], IdentityReport]:
-    def check(g: Graph, q: tuple) -> IdentityReport:
-        if not is_clique(g, q):
-            raise ValueError(f"{tuple(q)} is not a clique of the graph")
-        return _expansion_report(g, tuple(sorted(q)), interpretation)
-
-    return check
-
-
-def _triangle_deletion_report(g: Graph, d) -> IdentityReport:
+def _triangle_deletion_report(counts: Callable, g: Graph, d: tuple[int, int, int]) -> IdentityReport:
+    """The report of counts(g, d), triangle_deletion_counts' body."""
+    params = {"delta": list(d)}
     try:
-        result = triangle_deletion_counts(g, d)
+        result = counts(g, d)
     except NotApplicable:
-        return IdentityReport("triangle_deletion_counts", g.graph6, {"delta": list(d)})
-    return IdentityReport(
-        "triangle_deletion_counts", g.graph6, {"delta": list(result.delta)},
-        list(result.formula), list(result.direct), result.matches,
-    )
+        return IdentityReport("triangle_deletion_counts", g.graph6, params)
+    return IdentityReport("triangle_deletion_counts", g.graph6, params,
+                          list(result.formula), list(result.direct), result.matches)
 
 
-# Entries look every identity function up in the module globals at call time
-# (hence the lambdas), so a function swapped for a wrapper is seen here too.
+# Entries with a param call identity bodies, which trust their instance.  The
+# others look their function up in the module globals at call time (hence the
+# lambdas), so a function swapped for a wrapper is seen here too.
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in [
-        _k_check("handshake", THEOREM, 1, lambda g, k: check_handshake(g, k),
-                 listing=True),
+        _k_check("handshake", THEOREM, 1, check_handshake.body, listing=True),
         CheckDef("vertex_recurrence", THEOREM, "v", lambda g, _: range(g.n),
-                 lambda g, v: check_vertex_recurrence(g, v)),
+                 check_vertex_recurrence.body, _parse_vertex),
         CheckDef("edge_recurrence", THEOREM, "e", lambda g, _: g.edges(),
-                 lambda g, e: check_edge_recurrence(g, e)),
-        _k_check("vertex_deck", THEOREM, 1, lambda g, k: check_vertex_deck_identity(g, k)),
-        _k_check("edge_deck", THEOREM, 2, lambda g, k: check_edge_deck_identity(g, k)),
+                 check_edge_recurrence.body, _parse_edge),
+        _k_check("vertex_deck", THEOREM, 1, check_vertex_deck_identity.body),
+        _k_check("edge_deck", THEOREM, 2, check_edge_deck_identity.body),
         CheckDef("first_derivative", THEOREM, None, _once,
                  lambda g, _: check_first_derivative(g)),
         CheckDef("second_derivative", THEOREM, None, _once,
                  lambda g, _: check_second_derivative(g)),
         CheckDef("triangle_identity", THEOREM, "delta", lambda g, _: triangles(g),
-                 lambda g, d: _triangle_identity_report(g, _require_triangle(g, d))),
+                 _triangle_identity, _parse_triangle),
         CheckDef("clique_deletion", THEOREM, "clique", _small_cliques,
-                 _clique_deletion(INTERPRETATION_CLIQUES)),
+                 functools.partial(_expansion, interpretation=INTERPRETATION_CLIQUES),
+                 _parse_clique),
         CheckDef("third_derivative_k5free", THEOREM, None,
                  lambda g, _: [None] if _k5_free(g) else [],
                  lambda g, _: check_third_derivative_k5free(g)),
         CheckDef("triangle_deletion_counts", THEOREM, "delta",
                  lambda g, _: triangles(g) if _k5_free(g) else [],
-                 _triangle_deletion_report),
+                 functools.partial(_triangle_deletion_report, triangle_deletion_counts.body),
+                 _parse_triangle),
         CheckDef("clique_deletion_edge_subsets", CONJECTURE, "clique", _small_cliques,
-                 _clique_deletion(INTERPRETATION_EDGE_SUBSETS)),
-        _k_check("kth_derivative", CONJECTURE, 1,
-                 lambda g, k: check_kth_derivative_general(g, k), listing=True),
+                 functools.partial(_expansion, interpretation=INTERPRETATION_EDGE_SUBSETS),
+                 _parse_clique),
+        _k_check("kth_derivative", CONJECTURE, 1, check_kth_derivative_general.body,
+                 listing=True),
         CheckDef("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
-                 lambda g, d: check_triangle_recurrence(g, d)),
+                 check_triangle_recurrence.body, _parse_triangle),
         CheckDef("conjecture1_first", CONJECTURE, "unit", lambda g, _: [False],
                  _conjecture1_first),
         CheckDef("conjecture1_second", CONJECTURE, "unit", lambda g, _: [False],
                  _conjecture1_second),
-        _k_check("triangle_deck", CONJECTURE, 3,
-                 lambda g, k: check_triangle_deck_identity(g, k)),
+        _k_check("triangle_deck", CONJECTURE, 3, check_triangle_deck_identity.body),
         CheckDef("conjecture2", CONJECTURE, None, _once,
                  lambda g, _: check_conjecture2(g)),
         CheckDef("conjecture3", CONJECTURE, None, _once,

@@ -15,17 +15,24 @@ the row once.  Each count is of a vertex mask over g's rows, with or without
 the edges of a clique (a mask too), so no check builds a subgraph, and a
 count asked twice is made once.  The expansion's right side for a clique,
 which for edges and triangles is also the edge recurrence's and the triangle
-identity's, is assembled once per graph (Graph.deletion_table).  Instances
-are checked with bit masks: a vertex set is a clique when its mask lies in
-each member's closed neighbourhood.
+identity's, is assembled once per graph (Graph.deletion_table).
+
+An instance is validated once, where it enters from outside the program (a
+public function's argument or a verify flag's text), by the parser of its
+kind; a vertex set is a clique when its mask lies in each member's closed
+neighbourhood.  Each public function is its identity's one body behind that
+parser (_parsed), and the catalog, which lists its instances normal, calls
+the bodies unparsed.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .cliques import (
     Polynomial,
@@ -34,13 +41,13 @@ from .cliques import (
     clique_count,
     clique_counts,
     clique_polynomial,
-    clique_value,
     is_clique,
     poly_divided_derivative,
     poly_derivative,
     poly_normalize,
 )
 from .graphs import (
+    EdgeRef,
     Graph,
     _edge_pairs,
     _vertex_mask,
@@ -113,15 +120,82 @@ def _without_vertex(g: Graph, v: int) -> int:
     return ((1 << g.n) - 1) & ~(1 << v)
 
 
-def _require_triangle(g: Graph, delta) -> tuple[int, int, int]:
-    d = tuple(sorted(delta))
+# -- instances ----------------------------------------------------------------
+
+def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
+    """raw as a tuple of vertex ids; a verify flag gives them dash-separated."""
+    if not isinstance(raw, str):
+        return tuple(raw)
+    try:
+        ids = tuple(int(tok) for tok in raw.split("-"))
+    except ValueError:
+        raise ValueError(f"expected dash-separated vertex ids, got {raw!r}") from None
+    if count is not None and len(ids) != count:
+        raise ValueError(f"expected {count} vertex ids in {raw!r}")
+    return ids
+
+
+def _k_parser(lo: int) -> Callable[[Graph, int], int]:
+    """The parser of k for an identity stated for k >= lo."""
+    def parse(g: Graph, k: int) -> int:
+        if k < lo:
+            raise ValueError(f"k must be >= {lo}")
+        return k
+
+    return parse
+
+
+def _parse_vertex(g: Graph, v: int) -> int:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    return v
+
+
+def _parse_edge(g: Graph, raw) -> EdgeRef:
+    e = edge(*_vertex_ids(raw, 2))
+    if not (0 <= e.u and e.v < g.n and g.has_edge(*e)):
+        raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
+    return e
+
+
+def _parse_triangle(g: Graph, raw) -> tuple[int, int, int]:
+    ids = _vertex_ids(raw, 3)
+    d = tuple(sorted(ids))
     if len(d) != 3 or not is_clique(g, d):
-        raise ValueError(f"{tuple(delta)} is not a triangle of the graph")
+        raise ValueError(f"{ids} is not a triangle of the graph")
     return d
+
+
+def _parse_clique(g: Graph, raw) -> tuple[int, ...]:
+    ids = _vertex_ids(raw)
+    if not is_clique(g, ids):
+        raise ValueError(f"{ids} is not a clique of the graph")
+    return tuple(sorted(ids))
+
+
+def _parsed(parse: Callable[[Graph, object], object]) -> Callable:
+    """Make body(g, instance) its identity's public function, which parses the
+    instance first.  The body stays reachable as .body for instances that
+    are normal already: the catalog's own.  Read .body when the catalog is
+    built, not at call time: a wrapper swapped in for the public function,
+    as a tracer does, has none."""
+    def public(body: Callable) -> Callable:
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def parsed(*args, **kwargs):
+            g, raw = signature.bind(*args, **kwargs).args
+            return body(g, parse(g, raw))
+
+        parsed.body = body
+        return parsed
+
+    return public
 
 
 # -- handshake ----------------------------------------------------------------
 
+@_parsed(_k_parser(1))
 def check_handshake(g: Graph, k: int) -> IdentityReport:
     """Sum of clique-values over the k-cliques against (k+1) * c_{k+1}.
 
@@ -129,19 +203,16 @@ def check_handshake(g: Graph, k: int) -> IdentityReport:
     (k+1)-clique once per common neighbor, so both sides count the entries of
     the containment matrix of order k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lhs = sum(clique_value(g, q) for q in _listed_catalog(g, k).cliques(k))
+    lhs = sum(common_neighborhood_bits(g, q).bit_count() for q in _listed_catalog(g, k).cliques(k))
     rhs = (k + 1) * clique_count(g, k + 1)
     return IdentityReport("handshake", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
 
 
 # -- recurrences ----------------------------------------------------------------
 
+@_parsed(_parse_vertex)
 def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
     """C(G, x) == C(G - v, x) + x * C(G[N(v)], x)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
     lhs = clique_polynomial(g)
     rhs = [0] * (g.n + 1)
     _add(rhs, g, _without_vertex(g, v))
@@ -149,30 +220,26 @@ def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
     return _poly_report("vertex_recurrence", g, {"v": v}, lhs, rhs)
 
 
+@_parsed(_parse_edge)
 def check_edge_recurrence(g: Graph, e) -> IdentityReport:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
-    u, v = edge(*e)
-    if not (0 <= u and v < g.n and g.has_edge(u, v)):
-        raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    return _poly_report("edge_recurrence", g, {"e": [u, v]},
-                        clique_polynomial(g), _deletion_rhs(g, (u, v)))
+    return _poly_report("edge_recurrence", g, {"e": list(e)},
+                        clique_polynomial(g), _deletion_rhs(g, e))
 
 
 # -- deck identities -------------------------------------------------------------
 
+@_parsed(_k_parser(1))
 def check_vertex_deck_identity(g: Graph, k: int) -> IdentityReport:
     """(n - k) * c_k(G) == sum over v of c_k(G - v)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     lhs = (g.n - k) * clique_count(g, k)
     rhs = sum(_count(g, k, _without_vertex(g, v)) for v in range(g.n))
     return IdentityReport("vertex_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
 
 
+@_parsed(_k_parser(2))
 def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
     """(m - C(k, 2)) * c_k(G) == sum over e of c_k(G - e)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
     lhs = (g.m - comb(k, 2)) * clique_count(g, k)
     rhs = sum(_count(g, k, without=_vertex_mask(e)) for e in g.edges())
     return IdentityReport("edge_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
@@ -220,6 +287,7 @@ def check_third_derivative_k5free(g: Graph) -> IdentityReport:
     return _poly_report("third_derivative_k5free", g, params, lhs, rhs)
 
 
+@_parsed(_k_parser(1))
 def check_kth_derivative_general(g: Graph, k: int) -> IdentityReport:
     """(1/k!) d^k/dx^k C(G, x) against the sum of C(G[N(Q)], x) over k-cliques Q.
 
@@ -235,8 +303,6 @@ def check_kth_derivative_general(g: Graph, k: int) -> IdentityReport:
     derivative formulas and leaves higher derivatives open, and re-classing
     it would change the exit codes of verify and fuzz.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     lhs = poly_divided_derivative(clique_polynomial(g), k)
     rhs = [0] * (g.n + 1)
     for q in _listed_catalog(g, k).cliques(k):
@@ -261,6 +327,9 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     (equivalently, edge subsets forming an r-clique), while 'edge-subsets'
     sums over every edge subset S of M with |S| = C(r, 2), cliques or not.
     The readings coincide when M has at most three edges.
+
+    An edge set is this function's own kind of instance: it is parsed here
+    into the sorted clique it spans, the form the catalog lists.
     """
     normalized = _edge_pairs(edge_set)
     support = sorted({v for e in normalized for v in e})
@@ -274,17 +343,15 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     if support and not is_clique(g, support):
         u, v = next(e for e in normalized if not g.has_edge(*e))
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    if interpretation not in (INTERPRETATION_CLIQUES, INTERPRETATION_EDGE_SUBSETS):
-        raise ValueError(f"unknown interpretation {interpretation!r}")
-    return _expansion_report(g, tuple(support), interpretation)
+    return _expansion(g, tuple(support), interpretation)
 
 
-def _expansion_report(g: Graph, q: tuple[int, ...], interpretation: str) -> IdentityReport:
-    """clique_deletion_expansion for the sorted clique q, which the caller has checked."""
+def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> IdentityReport:
+    """The body of clique_deletion_expansion, for the sorted clique q."""
     edges = list(itertools.combinations(q, 2))
     if interpretation == INTERPRETATION_CLIQUES:
         rhs = _deletion_rhs(g, q)
-    else:
+    elif interpretation == INTERPRETATION_EDGE_SUBSETS:
         rhs = [0] * (g.n + 1)
         _add(rhs, g, without=_vertex_mask(q))
         for r in range(2, len(q) + 1):
@@ -292,6 +359,8 @@ def _expansion_report(g: Graph, q: tuple[int, ...], interpretation: str) -> Iden
             for s in itertools.combinations(edges, comb(r, 2)):
                 t = {v for e in s for v in e}
                 _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=(-1) ** r * (r - 1))
+    else:
+        raise ValueError(f"unknown interpretation {interpretation!r}")
     params = {"m": [list(e) for e in edges], "interpretation": interpretation}
     return _poly_report("clique_deletion", g, params, clique_polynomial(g), rhs)
 
@@ -336,22 +405,23 @@ def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 
 
+@_parsed(_parse_triangle)
 def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentityParts]:
     """C(G, x) == C(G - d, x) + x**2 * (edge sum) - 2 x**3 * (triangle neighborhood),
 
     where G - d deletes the three edges of the triangle d.  Holds for every
     graph and every triangle.
     """
-    d = _require_triangle(g, delta)
-    return _triangle_identity_report(g, d), _triangle_parts(g, d)
+    return _triangle_identity(g, delta), _triangle_parts(g, delta)
 
 
-def _triangle_identity_report(g: Graph, d: tuple[int, int, int]) -> IdentityReport:
-    """The report of triangle_identity for the sorted triangle d, already checked."""
+def _triangle_identity(g: Graph, d: tuple[int, int, int]) -> IdentityReport:
+    """The report of triangle_identity alone, which is all the catalog checks."""
     return _poly_report("triangle_identity", g, {"delta": list(d)},
                         clique_polynomial(g), _deletion_rhs(g, d))
 
 
+@_parsed(_parse_triangle)
 def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
     """Does C(G, x) == C(G - d, x) + x**3 * C(G[N(d)], x) for this triangle?
 
@@ -360,15 +430,14 @@ def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
     verbatim and recorded in the params (its constant terms can never match,
     which is reported rather than repaired).
     """
-    d = _require_triangle(g, delta)
-    parts = _triangle_parts(g, d)
+    parts = _triangle_parts(g, delta)
     lhs = clique_polynomial(g)
     rhs = [0] * (g.n + 1)
-    _add(rhs, g, without=_vertex_mask(d))
-    _add(rhs, g, common_neighborhood_bits(g, d), shift=3)
+    _add(rhs, g, without=_vertex_mask(delta))
+    _add(rhs, g, common_neighborhood_bits(g, delta), shift=3)
     shifted = [0, *(3 * c for c in parts.triangle_neighborhood)]
     params = {
-        "delta": list(d),
+        "delta": list(delta),
         "edge_neighborhood_sum": parts.edge_neighborhood_sum,
         "triangle_neighborhood_times_3x": shifted,
         "equivalent_condition_holds": parts.edge_neighborhood_sum == shifted,
@@ -394,6 +463,7 @@ class TriangleDeletionCounts:
         return self.formula == self.direct
 
 
+@_parsed(_parse_triangle)
 def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
     """Predict c_1..c_4 of G - d from counts of G, for graphs with no 5-clique:
 
@@ -404,20 +474,19 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
 
     where e_1..e_3 are the triangle's edges and val is the clique-value.
     """
-    d = _require_triangle(g, delta)
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
-    pairs = list(itertools.combinations(d, 2))
+    pairs = list(itertools.combinations(delta, 2))
     val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]
     c2_edge_nbhd = [
         _count(g, 2, common_neighborhood_bits(g, pair)) for pair in pairs
     ]
-    val_delta = common_neighborhood_bits(g, d).bit_count()
+    val_delta = common_neighborhood_bits(g, delta).bit_count()
     formula = (
         clique_count(g, 1),
         clique_count(g, 2) - 3,
         clique_count(g, 3) - sum(val_edges) + 2,
         clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
     )
-    direct = tuple(_count(g, k, without=_vertex_mask(d)) for k in range(1, 5))
-    return TriangleDeletionCounts(d, formula, direct)
+    direct = tuple(_count(g, k, without=_vertex_mask(delta)) for k in range(1, 5))
+    return TriangleDeletionCounts(delta, formula, direct)

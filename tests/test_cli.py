@@ -255,6 +255,19 @@ class TestVerify:
         assert r.stdout == default.stdout
 
 
+@pytest.mark.parametrize("name, flag, value, params", [
+    ("edge_recurrence", "--e", "2-0", {"e": [0, 2]}),
+    ("triangle_identity", "--delta", "2-1-0", {"delta": [0, 1, 2]}),
+    ("clique_deletion", "--clique", "2-1-0",
+     {"m": [[0, 1], [0, 2], [1, 2]], "interpretation": "cliques"}),
+])
+def test_unordered_instance_flag_is_normalised(name, flag, value, params, capsys):
+    assert main(["verify", "-g", K4_G6, "--identity", name, flag, value,
+                 "--format", "json"]) == 0
+    [report] = json.loads(capsys.readouterr().out)
+    assert report["params"] == params and report["holds"] is True
+
+
 def _flag_value(instance) -> str:
     return str(instance) if isinstance(instance, int) else "-".join(map(str, instance))
 
@@ -318,6 +331,12 @@ class TestBudgetSkips:
             "skipped clique_deletion: listing the cliques of up to 4 vertices would list "
             "56 cliques, over the budget of 20",
         ]
+
+    def test_an_invalid_instance_flag_stops_verify_before_any_check_runs(self, monkeypatch,
+                                                                          capsys):
+        monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
+        assert main(["verify", "-g", K6_G6, "--all-theorems", "--e", "0-9"]) == 2
+        assert capsys.readouterr() == ("", "error: (0, 9) is not an edge of the graph\n")
 
     def test_a_theorem_failure_outranks_a_skip(self, monkeypatch, capsys):
         monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
@@ -445,6 +464,9 @@ class TestGen:
 # report byte for byte.
 FUZZ_THEOREMS = ("fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200",
                  "--seed", "7", "--check", "all-theorems")
+CONJECTURE_CHECKS = ("clique_deletion_edge_subsets,kth_derivative,triangle_recurrence,"
+                     "conjecture1_first,conjecture1_second,triangle_deck,conjecture2,"
+                     "conjecture3")
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -454,6 +476,11 @@ FUZZ_THEOREMS = ("fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200",
     (("fuzz", "--check", "conjecture3,triangle_deck", "--n", "3..8", "--count", "200",
       "--seed", "7", "--shrink", "--json"),
      "c9952c4ee6bbe02357c3c0e4e79d2e97230ce04ffdd9c669277a393718908c59"),
+    # measured at commit 2de04aa, before the catalog's checks stopped
+    # validating their own instances
+    (("fuzz", "--n", "4..10", "--p", "0.3..0.8", "--count", "60", "--seed", "5",
+      "--check", CONJECTURE_CHECKS, "--shrink", "--json"),
+     "e76e360fc4625255a4bebae24c29397838384b95787ca3026310a76f46d56ce9"),
 ])
 def test_campaign_stdout_is_pinned(argv, digest, capsys):
     assert main(list(argv)) == 0

@@ -1,11 +1,17 @@
+import inspect
+import sys
+
 import pytest
 
 import cliquekit.cliques
+import cliquekit.conjectures
+import cliquekit.identities
 from cliquekit import (
     ALL_THEOREMS,
     CHECKS,
     CampaignConfig,
     CliqueBudgetExceeded,
+    Graph,
     RngSpec,
     check_conjecture1,
     check_conjecture2,
@@ -19,6 +25,7 @@ from cliquekit import (
     disjoint_union,
     empty_graph,
     enumerate_cliques,
+    is_clique,
     parse_graph6,
     random_gnp,
     replay_counterexample,
@@ -173,9 +180,13 @@ class TestCatalog:
     def test_run_checks_every_listed_instance(self, corpus):
         for g in corpus:
             for name, cd in CHECKS.items():
-                checked = [cd.check(g, p) for p in cd.params(g, None)]
+                instances = list(cd.params(g, None))
+                checked = [cd.check(g, p) for p in instances]
                 applicable = [r for r in checked if r.holds is not None]
                 assert cd.run(g, None) == applicable, (name, to_graph6(g))
+                if cd.param is not None:
+                    # the catalog lists its instances in the form parse returns
+                    assert [cd.parse(g, p) for p in instances] == instances, (name, to_graph6(g))
 
     def test_k_range_selects_the_single_k_instance(self, corpus):
         for g in corpus:
@@ -187,12 +198,13 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name", ["clique_deletion", "clique_deletion_edge_subsets"])
     def test_clique_deletion_rejects_an_instance_that_is_not_a_clique(self, name):
-        check = CHECKS[name].check
+        cd = CHECKS[name]
         with pytest.raises(ValueError, match="out of range"):
-            check(complete_graph(3), (9,))
+            cd.parse(complete_graph(3), (9,))
         with pytest.raises(ValueError, match="not a clique"):
-            check(cycle_graph(5), (0, 1, 2))
-        assert check(complete_graph(3), (1,)).holds is True
+            cd.parse(cycle_graph(5), (0, 1, 2))
+        g = complete_graph(3)
+        assert cd.check(g, cd.parse(g, (1,))).holds is True
 
     @pytest.mark.parametrize("g", [random_gnp(10, 0.8, RngSpec(3)), cycle_graph(5)])
     def test_handshake_then_clique_deletion_list_cliques_once(self, monkeypatch, g):
@@ -230,6 +242,18 @@ class TestCatalog:
             assert min(cd.params(g, None)) == cd.k_min, name
             assert cd.takes_k((cd.k_min, cd.k_min)) and cd.takes_k((0, 99)), name
             assert not cd.takes_k((0, cd.k_min - 1)), name
+
+    def test_wrapped_public_functions_leave_the_catalog_as_it_was(self, monkeypatch, corpus):
+        """A wrapper swapped in for every public function, as a tracer does,
+        changes no report of any catalog check."""
+        graphs = corpus[:30]
+        before = {name: [cd.run(g, None) for g in graphs] for name, cd in CHECKS.items()}
+        for module in (cliquekit.identities, cliquekit.conjectures):
+            for attr, fn in list(vars(module).items()):
+                if inspect.isfunction(fn) and not attr.startswith("_"):
+                    monkeypatch.setattr(module, attr, lambda *a, _fn=fn, **kw: _fn(*a, **kw))
+        for name, cd in CHECKS.items():
+            assert [cd.run(Graph(g.n, g.adj), None) for g in graphs] == before[name], name
 
     def test_every_runner_handles_the_empty_graph(self):
         g = empty_graph(0)
@@ -306,6 +330,23 @@ class TestCampaign:
         for tally in report.tallies.values():
             for ce in tally.counterexamples:
                 assert replay_counterexample(ce)
+
+    def test_catalog_instances_are_not_checked_again(self, monkeypatch):
+        """Every instance the catalog lists is a clique by construction, so a
+        campaign over all 19 checks never asks is_clique."""
+        calls = []
+
+        def spy(g, vertices):
+            calls.append(vertices)
+            return is_clique(g, vertices)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "cliquekit"]:
+            if getattr(module, "is_clique", None) is is_clique:
+                monkeypatch.setattr(module, "is_clique", spy)
+        cfg = CampaignConfig((4, 12), (0.2, 0.8), 200, RngSpec(7), tuple(CHECKS))
+        assert len(CHECKS) == 19
+        assert run_campaign(cfg).tallies["handshake"].tested == 200
+        assert calls == []
 
     def test_not_applicable_tally(self):
         cfg = CampaignConfig((3, 4), (0.0, 0.2), 30, RngSpec(2), ("conjecture2",))
