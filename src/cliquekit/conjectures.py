@@ -2,11 +2,15 @@
 counterexample shrinking.
 
 The check catalog gives every identity id one shape: the parameter instances
-a check takes on a graph, and a function that evaluates one instance.  Checks
-are classed as 'theorem' (proved; a campaign failure is a regression alarm) or
-'conjecture' (open; failures are findings, collected and optionally shrunk).
-Campaigns are deterministic: identical configs, including the seed, produce
-identical reports.
+a check takes on a graph, the identity's body, which evaluates one instance
+to a verdict (holds and the raw sides, see cliquekit.identities), and the
+renderer that turns a verdict into an IdentityReport.  A report is rendered
+only where one is read: verify renders every applicable instance, a campaign
+only the first failing instance of a check on a graph, and the shrinker
+none.  Checks are classed as 'theorem' (proved; a campaign failure is a
+regression alarm) or 'conjecture' (open; failures are findings, collected
+and optionally shrunk).  Campaigns are deterministic: identical configs,
+including the seed, produce identical reports.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cliques import (
     CliqueBudgetExceeded,
@@ -45,18 +49,25 @@ from .graphs import (
 from .identities import (
     IdentityReport,
     NotApplicable,
+    Render,
+    Verdict,
     _add,
     _count,
     _expansion,
     _k_parser,
+    _named,
     _parse_clique,
     _parse_edge,
     _parse_triangle,
     _parse_vertex,
-    _parsed,
     _poly,
-    _poly_report,
-    _triangle_identity,
+    _poly_verdict,
+    _public,
+    _render_expansion,
+    _render_triangle_deletion_counts,
+    _render_triangle_identity,
+    _renderer,
+    _unnamed,
     _without_vertex,
     check_edge_deck_identity,
     check_edge_recurrence,
@@ -69,6 +80,7 @@ from .identities import (
     check_vertex_deck_identity,
     check_vertex_recurrence,
     triangle_deletion_counts,
+    triangle_identity,
     INTERPRETATION_CLIQUES,
     INTERPRETATION_EDGE_SUBSETS,
 )
@@ -86,10 +98,11 @@ def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityRep
     reversed at base n.  include_unit switches to the variant of c that keeps
     an extra literal constant 1.
     """
-    return _conjecture1_first(g, include_unit), _conjecture1_second(g, include_unit)
+    return (_render_conjecture1_first(g, include_unit, _conjecture1_first(g, include_unit)),
+            _render_conjecture1_second(g, include_unit, _conjecture1_second(g, include_unit)))
 
 
-def _conjecture1_first(g: Graph, include_unit: bool) -> IdentityReport:
+def _conjecture1_first(g: Graph, include_unit: bool) -> Verdict:
     """The first claim of check_conjecture1.
 
     Without the unit it holds on every graph: it is the vertex-deck identity
@@ -109,21 +122,25 @@ def _conjecture1_first(g: Graph, include_unit: bool) -> IdentityReport:
         poly_reverse(_poly(g, _without_vertex(g, v)), n - 1, include_unit)
         for v in range(n)
     )
-    return _poly_report("conjecture1_first", g, {"include_unit": include_unit}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
-def _conjecture1_second(g: Graph, include_unit: bool) -> IdentityReport:
+def _conjecture1_second(g: Graph, include_unit: bool) -> Verdict:
     n = g.n
     lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
     rhs = poly_sum(
         poly_reverse(_poly(g, without=_vertex_mask(e)), n, include_unit)
         for e in g.edges()
     )
-    return _poly_report("conjecture1_second", g, {"include_unit": include_unit}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
-@_parsed(_k_parser(3))
-def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
+_render_conjecture1_first = _renderer("conjecture1_first", _named("include_unit"))
+_render_conjecture1_second = _renderer("conjecture1_second", _named("include_unit"))
+
+
+@_public(_renderer("triangle_deck", _named("k"), sides=None), _k_parser(3))
+def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
     """(t - C(k, 3)) * c_k(G) against the sum of c_k(G - d) over triangles d,
 
     where t is the triangle count and G - d deletes the triangle's edges.
@@ -135,9 +152,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> IdentityReport:
         _count(g, k, without=_vertex_mask(d))
         for d in tris
     )
-    return IdentityReport(
-        "triangle_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs
-    )
+    return lhs == rhs, lhs, rhs
 
 
 def _triangle_graph_is_edgeless(g: Graph) -> bool:
@@ -148,28 +163,34 @@ def _triangle_graph_is_edgeless(g: Graph) -> bool:
     )
 
 
-def check_conjecture2(g: Graph) -> IdentityReport:
+def _render_conjecture2(g: Graph, _, verdict: Verdict) -> IdentityReport:
+    holds, lhs, rhs = verdict
+    if holds is None:
+        return IdentityReport("conjecture2", g.graph6, {"applicable": False}, None, None, None)
+    ks = list(range(3, len(clique_counts(g)) + 1))
+    return IdentityReport("conjecture2", g.graph6, {"applicable": True, "ks": ks},
+                          lhs, rhs, lhs == rhs)
+
+
+@_public(_render_conjecture2)
+def check_conjecture2(g: Graph) -> Verdict:
     """If no two triangles of G share an edge, the triangle-deck identity
     should hold for every k up to the clique number.
 
     Applicable only on that class; otherwise the report carries holds=None.
     """
-    g6 = g.graph6
     if not _triangle_graph_is_edgeless(g):
-        return IdentityReport("conjecture2", g6, {"applicable": False}, None, None, None)
-    omega = len(clique_counts(g))
-    ks = list(range(3, omega + 1))
+        return None, None, None
     lhs, rhs = [], []
-    for k in ks:
-        sub = CHECKS["triangle_deck"].check(g, k)
-        lhs.append(sub.lhs)
-        rhs.append(sub.rhs)
-    return IdentityReport(
-        "conjecture2", g6, {"applicable": True, "ks": ks}, lhs, rhs, lhs == rhs
-    )
+    for k in range(3, len(clique_counts(g)) + 1):
+        _, sub_lhs, sub_rhs = CHECKS["triangle_deck"].check(g, k)
+        lhs.append(sub_lhs)
+        rhs.append(sub_rhs)
+    return lhs == rhs, lhs, rhs
 
 
-def check_conjecture3(g: Graph) -> IdentityReport:
+@_public(_renderer("conjecture3", _unnamed))
+def check_conjecture3(g: Graph) -> Verdict:
     """(1/3!) d^3/dx^3 C(G, x) against the sum of C(G - d, x) over triangles d.
 
     Differs from the proved third-derivative formula by summing whole
@@ -180,7 +201,7 @@ def check_conjecture3(g: Graph) -> IdentityReport:
     rhs = [0] * (g.n + 1)
     for d in triangles(g):
         _add(rhs, g, without=_vertex_mask(d))
-    return _poly_report("conjecture3", g, {}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
 # -- check catalog ---------------------------------------------------------------
@@ -198,20 +219,23 @@ class CheckDef:
     param names the `verify` flag that supplies one instance ('k', 'v', 'e',
     'delta', 'clique' or 'unit'), or is None for checks without a parameter.
     params(g, k_range) lists the instances on g, already normal, and
-    check(g, p) evaluates one of them, trusting it.  parse(g, raw) validates
-    one instance from outside the program, such as a verify flag's text, with
-    the parser its kind shares with the public identity functions, and
-    returns it as params lists it (a unit switch is taken as given).  k_min
-    is the smallest k a 'k' check takes on any graph.  run(g, k_range) checks
-    every listed instance and keeps the reports that apply (holds is not
-    None); it is an init field so that a wrapped runner can replace it.
+    check(g, p) evaluates one of them to a verdict, trusting it; an instance
+    whose verdict holds None, or whose check raises NotApplicable, does not
+    apply.  render(g, p, verdict) renders a verdict as its IdentityReport.
+    parse(g, raw) validates one instance from outside the program, such as a
+    verify flag's text, with the parser its kind shares with the public
+    identity functions, and returns it as params lists it (a unit switch is
+    taken as given).  k_min is the smallest k a 'k' check takes on any
+    graph.  run(g, k_range) renders every listed instance that applies; it is
+    an init field so that a wrapped runner can replace it.
     """
 
     name: str
     kind: str
     param: Optional[str]
     params: Callable[[Graph, KRange], Iterable]
-    check: Callable[[Graph, object], IdentityReport]
+    check: Callable[[Graph, object], Verdict]
+    render: Render
     parse: Callable[[Graph, object], object] = lambda g, raw: raw
     k_min: Optional[int] = None
     run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = None
@@ -221,10 +245,30 @@ class CheckDef:
             run = lambda g, k_range: self.applicable(g, self.params(g, k_range))
             object.__setattr__(self, "run", run)
 
+    def verdicts(self, g: Graph, instances: Iterable) -> Iterator[tuple[object, Verdict]]:
+        """(instance, verdict) of each given instance that applies on g, one at a time."""
+        for p in instances:
+            try:
+                verdict = self.check(g, p)
+            except NotApplicable:
+                continue
+            if verdict[0] is not None:
+                yield p, verdict
+
     def applicable(self, g: Graph, instances: Iterable) -> list[IdentityReport]:
         """Reports of the given instances on g, without those that do not apply."""
-        reports = (self.check(g, p) for p in instances)
-        return [r for r in reports if r.holds is not None]
+        return [self.render(g, p, verdict) for p, verdict in self.verdicts(g, instances)]
+
+    def first_failure(self, g: Graph, k_range: KRange) -> tuple[bool, Optional[tuple[object, Verdict]]]:
+        """Whether some listed instance applies on g, and the first that fails
+        with its verdict (None if every one holds).  Evaluates no instance
+        after the failing one and renders none."""
+        applies = False
+        for found in self.verdicts(g, self.params(g, k_range)):
+            if found[1][0] is False:
+                return True, found
+            applies = True
+        return applies, None
 
     def takes_k(self, k_range: tuple[int, int]) -> bool:
         """Whether some graph has an instance of this check with k in k_range.
@@ -234,8 +278,13 @@ class CheckDef:
         return self.k_min is not None and k_range[1] >= self.k_min
 
 
-def _k_check(name: str, kind: str, lo: int, check: Callable[[Graph, int], IdentityReport],
-             listing: bool = False) -> CheckDef:
+def _entry(name: str, kind: str, param: Optional[str], params: Callable[[Graph, KRange], Iterable],
+           public: Callable, parse: Callable[[Graph, object], object] = CheckDef.parse) -> CheckDef:
+    """The entry of a public identity function: its body and its renderer."""
+    return CheckDef(name, kind, param, params, public.body, public.render, parse)
+
+
+def _k_check(name: str, kind: str, lo: int, public: Callable, listing: bool = False) -> CheckDef:
     """A check over every k from lo up to the clique number (at least lo), within k_range.
 
     A listing check reads the k-cliques themselves: its params list the
@@ -255,7 +304,7 @@ def _k_check(name: str, kind: str, lo: int, check: Callable[[Graph, int], Identi
             _listed_catalog(g, ks[-1])
         return ks
 
-    return CheckDef(name, kind, "k", params, check, _k_parser(lo), k_min=lo)
+    return CheckDef(name, kind, "k", params, public.body, public.render, _k_parser(lo), k_min=lo)
 
 
 def _once(g: Graph, k_range: KRange) -> list:
@@ -271,62 +320,44 @@ def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
     return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
 
 
-def _triangle_deletion_report(counts: Callable, g: Graph, d: tuple[int, int, int]) -> IdentityReport:
-    """The report of counts(g, d), triangle_deletion_counts' body."""
-    params = {"delta": list(d)}
-    try:
-        result = counts(g, d)
-    except NotApplicable:
-        return IdentityReport("triangle_deletion_counts", g.graph6, params)
-    return IdentityReport("triangle_deletion_counts", g.graph6, params,
-                          list(result.formula), list(result.direct), result.matches)
-
-
-# Entries with a param call identity bodies, which trust their instance.  The
-# others look their function up in the module globals at call time (hence the
-# lambdas), so a function swapped for a wrapper is seen here too.
+# Every entry binds its identity's body and renderer when the catalog is
+# built, so a public function swapped for a wrapper changes no entry.
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in [
-        _k_check("handshake", THEOREM, 1, check_handshake.body, listing=True),
-        CheckDef("vertex_recurrence", THEOREM, "v", lambda g, _: range(g.n),
-                 check_vertex_recurrence.body, _parse_vertex),
-        CheckDef("edge_recurrence", THEOREM, "e", lambda g, _: g.edges(),
-                 check_edge_recurrence.body, _parse_edge),
-        _k_check("vertex_deck", THEOREM, 1, check_vertex_deck_identity.body),
-        _k_check("edge_deck", THEOREM, 2, check_edge_deck_identity.body),
-        CheckDef("first_derivative", THEOREM, None, _once,
-                 lambda g, _: check_first_derivative(g)),
-        CheckDef("second_derivative", THEOREM, None, _once,
-                 lambda g, _: check_second_derivative(g)),
+        _k_check("handshake", THEOREM, 1, check_handshake, listing=True),
+        _entry("vertex_recurrence", THEOREM, "v", lambda g, _: range(g.n),
+               check_vertex_recurrence, _parse_vertex),
+        _entry("edge_recurrence", THEOREM, "e", lambda g, _: g.edges(),
+               check_edge_recurrence, _parse_edge),
+        _k_check("vertex_deck", THEOREM, 1, check_vertex_deck_identity),
+        _k_check("edge_deck", THEOREM, 2, check_edge_deck_identity),
+        _entry("first_derivative", THEOREM, None, _once, check_first_derivative),
+        _entry("second_derivative", THEOREM, None, _once, check_second_derivative),
         CheckDef("triangle_identity", THEOREM, "delta", lambda g, _: triangles(g),
-                 _triangle_identity, _parse_triangle),
+                 triangle_identity.body, _render_triangle_identity, _parse_triangle),
         CheckDef("clique_deletion", THEOREM, "clique", _small_cliques,
                  functools.partial(_expansion, interpretation=INTERPRETATION_CLIQUES),
-                 _parse_clique),
-        CheckDef("third_derivative_k5free", THEOREM, None,
-                 lambda g, _: [None] if _k5_free(g) else [],
-                 lambda g, _: check_third_derivative_k5free(g)),
+                 _render_expansion(INTERPRETATION_CLIQUES), _parse_clique),
+        _entry("third_derivative_k5free", THEOREM, None,
+               lambda g, _: [None] if _k5_free(g) else [], check_third_derivative_k5free),
         CheckDef("triangle_deletion_counts", THEOREM, "delta",
                  lambda g, _: triangles(g) if _k5_free(g) else [],
-                 functools.partial(_triangle_deletion_report, triangle_deletion_counts.body),
+                 triangle_deletion_counts.body, _render_triangle_deletion_counts,
                  _parse_triangle),
         CheckDef("clique_deletion_edge_subsets", CONJECTURE, "clique", _small_cliques,
                  functools.partial(_expansion, interpretation=INTERPRETATION_EDGE_SUBSETS),
-                 _parse_clique),
-        _k_check("kth_derivative", CONJECTURE, 1, check_kth_derivative_general.body,
-                 listing=True),
-        CheckDef("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
-                 check_triangle_recurrence.body, _parse_triangle),
+                 _render_expansion(INTERPRETATION_EDGE_SUBSETS), _parse_clique),
+        _k_check("kth_derivative", CONJECTURE, 1, check_kth_derivative_general, listing=True),
+        _entry("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
+               check_triangle_recurrence, _parse_triangle),
         CheckDef("conjecture1_first", CONJECTURE, "unit", lambda g, _: [False],
-                 _conjecture1_first),
+                 _conjecture1_first, _render_conjecture1_first),
         CheckDef("conjecture1_second", CONJECTURE, "unit", lambda g, _: [False],
-                 _conjecture1_second),
-        _k_check("triangle_deck", CONJECTURE, 3, check_triangle_deck_identity.body),
-        CheckDef("conjecture2", CONJECTURE, None, _once,
-                 lambda g, _: check_conjecture2(g)),
-        CheckDef("conjecture3", CONJECTURE, None, _once,
-                 lambda g, _: check_conjecture3(g)),
+                 _conjecture1_second, _render_conjecture1_second),
+        _k_check("triangle_deck", CONJECTURE, 3, check_triangle_deck_identity),
+        _entry("conjecture2", CONJECTURE, None, _once, check_conjecture2),
+        _entry("conjecture3", CONJECTURE, None, _once, check_conjecture3),
     ]
 }
 
@@ -356,7 +387,7 @@ def _failure_predicate(check: str, params: Optional[dict]) -> Callable[[Graph], 
     k_range = (locked_k, locked_k) if locked_k is not None else None
 
     def fails(g: Graph) -> bool:
-        return any(r.holds is False for r in cd.run(g, k_range))
+        return cd.first_failure(g, k_range)[1] is not None
 
     return fails
 
@@ -557,7 +588,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     Graphs are evaluated one by one and tallies are accumulated in sample
     order, so the report content depends only on the config.  A check that
     would list more cliques than the budget on a graph is counted in
-    skipped_budget instead of tested, and the campaign goes on.
+    skipped_budget instead of tested, and the campaign goes on.  A check's
+    instances on a graph are evaluated up to the first that fails, and only
+    that one is rendered as a report.
     """
     cfg.validate()
     names = resolve_checks(cfg.checks)
@@ -572,27 +605,25 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         g = random_gnp(n, p, RngSpec(stream.next_u64()))
         for name in names:
             tally = tallies[name]
+            cd = CHECKS[name]
             try:
-                reports = CHECKS[name].run(g, cfg.k_range)
+                applies, failure = cd.first_failure(g, cfg.k_range)
             except CliqueBudgetExceeded:
                 tally.skipped_budget += 1
                 continue
             tally.tested += 1
-            if not reports:
+            if not applies:
                 tally.not_applicable += 1
                 continue
-            bad = next((r for r in reports if r.holds is False), None)
-            if bad is None:
+            if failure is None:
                 tally.holds += 1
                 continue
             tally.fails += 1
+            bad = cd.render(g, *failure)
             shrunk = None
             if cfg.shrink:
                 small = shrink_counterexample(g, name, bad.params)
-                small_bad = next(
-                    r for r in CHECKS[name].run(small, cfg.k_range)
-                    if r.holds is False
-                )
+                small_bad = cd.render(small, *cd.first_failure(small, cfg.k_range)[1])
                 shrunk = ShrunkForm(
                     small.graph6, small_bad.params, small_bad.lhs, small_bad.rhs
                 )

@@ -150,6 +150,16 @@ class Graph:
             out.extend(EdgeRef(u, v) for v in bits(above))
         return tuple(out)
 
+    @cached_property
+    def _triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """The triangles as triangles() lists them, listed once per Graph object."""
+        out = []
+        for u in range(self.n):
+            for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
+                common = self.adj[u] & self.adj[v]
+                out.extend((u, v, w) for w in bits(common >> (v + 1) << (v + 1)))
+        return tuple(out)
+
 
 # -- named small graphs -----------------------------------------------------
 
@@ -411,13 +421,9 @@ def is_connected(g: Graph) -> bool:
 # -- triangles ---------------------------------------------------------------
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All triangles as sorted vertex triples, in lexicographic order."""
-    out = []
-    for u in range(g.n):
-        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-            common = g.adj[u] & g.adj[v]
-            out.extend((u, v, w) for w in bits(common >> (v + 1) << (v + 1)))
-    return out
+    """All triangles as sorted vertex triples, in lexicographic order, as a
+    new list on every call (the graph lists them once)."""
+    return list(g._triangles)
 
 
 def triangle_graph(g: Graph) -> Graph:

@@ -1,17 +1,25 @@
 """Exact checks for the clique-counting recurrences, deck identities, and
 derivative formulas.
 
-Every check returns a structured IdentityReport instead of asserting, so the
-same machinery serves regression tests (which assert holds=True for proved
-identities) and conjecture exploration (which only records outcomes).  All
+Each identity has one body, which evaluates one instance to a verdict: the
+tuple (holds, lhs, rhs), whether the sides agree (None where the identity
+does not apply to the graph) and the sides as computed.  A verdict holds no
+params dict, no copy or trimmed form of a side and no Graph, so it costs
+little more than deciding holds.  A verdict becomes a structured
+IdentityReport only when it is rendered: every public function returns the
+rendered report instead of asserting, so the same machinery serves
+regression tests (which assert holds=True for proved identities) and
+conjecture exploration (which only records outcomes), while the catalog
+(cliquekit.conjectures) renders a verdict only where a report is read.  All
 comparisons are exact integer polynomial or count equality; divisions are
 avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
 The left side is clique_polynomial(g).  The right side is summed in one row
 of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with |S| >= r): _add
 reads one count tuple from the graph's result table (Graph.counts_table) and
-adds coeff * x**shift * C(x) into the row in place, and _poly_report trims
-the row once.  Each count is of a vertex mask over g's rows, with or without
+adds coeff * x**shift * C(x) into the row in place.  _poly_verdict compares
+the row, trailing zeros and all, with the left side, and a rendered report
+trims both.  Each count is of a vertex mask over g's rows, with or without
 the edges of a clique (a mask too), so no check builds a subgraph, and a
 count asked twice is made once.  The expansion's right side for a clique,
 which for edges and triangles is also the edge recurrence's and the triangle
@@ -20,9 +28,9 @@ identity's, is assembled once per graph (Graph.deletion_table).
 An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
 kind; a vertex set is a clique when its mask lies in each member's closed
-neighbourhood.  Each public function is its identity's one body behind that
-parser (_parsed), and the catalog, which lists its instances normal, calls
-the bodies unparsed.
+neighbourhood.  Each public function is its identity's one body between
+that parser and a renderer (_public), and the catalog, which lists its
+instances normal, calls the bodies unparsed and renders on demand.
 """
 
 from __future__ import annotations
@@ -57,7 +65,9 @@ from .graphs import (
     triangles,
 )
 
-Side = Union[int, list, None]
+Side = Union[int, list, tuple, None]
+Verdict = tuple[Optional[bool], Side, Side]  # (holds, lhs, rhs); holds None: does not apply
+Render = Callable[[Graph, object, Verdict], object]
 
 
 class NotApplicable(ValueError):
@@ -89,10 +99,36 @@ class IdentityReport:
         }
 
 
-def _poly_report(identity: str, g: Graph, params: dict,
-                 lhs: Polynomial, rhs: Polynomial) -> IdentityReport:
-    lhs, rhs = poly_normalize(lhs), poly_normalize(rhs)
-    return IdentityReport(identity, g.graph6, params, lhs, rhs, lhs == rhs)
+def _poly_verdict(lhs: Polynomial, rhs) -> Verdict:
+    """The verdict of lhs == rhs as polynomials, for a normal lhs and an rhs
+    (a list or tuple) that may end in zeros; both sides stay as they are."""
+    k = len(lhs)
+    return lhs == [*rhs[:k]] and not any(rhs[k:]), lhs, rhs
+
+
+def _renderer(identity: str, params: Callable[[Graph, object], dict],
+              sides: Optional[Callable] = poly_normalize) -> Render:
+    """Render a verdict of identity as its IdentityReport: params(g, instance),
+    each side passed through sides (by default trimmed as a polynomial) and
+    holds decided again from the rendered sides (None stays None)."""
+    def render(g: Graph, instance, verdict: Verdict) -> IdentityReport:
+        holds, lhs, rhs = verdict
+        if sides is not None:
+            lhs, rhs = sides(lhs), sides(rhs)
+        if holds is not None:
+            holds = lhs == rhs
+        return IdentityReport(identity, g.graph6, params(g, instance), lhs, rhs, holds)
+
+    return render
+
+
+def _named(key: str) -> Callable[[Graph, object], dict]:
+    """params {key: instance}, with a tuple of vertex ids as a list."""
+    return lambda g, instance: {key: list(instance) if isinstance(instance, tuple) else instance}
+
+
+def _unnamed(g: Graph, instance) -> dict:
+    return {}
 
 
 def _poly(g: Graph, mask: int | None = None, without: int = 0) -> Polynomial:
@@ -123,15 +159,18 @@ def _without_vertex(g: Graph, v: int) -> int:
 # -- instances ----------------------------------------------------------------
 
 def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
-    """raw as a tuple of vertex ids; a verify flag gives them dash-separated."""
-    if not isinstance(raw, str):
-        return tuple(raw)
-    try:
-        ids = tuple(int(tok) for tok in raw.split("-"))
-    except ValueError:
-        raise ValueError(f"expected dash-separated vertex ids, got {raw!r}") from None
+    """raw as a tuple of count vertex ids (any number if count is None); a
+    verify flag gives them dash-separated."""
+    if isinstance(raw, str):
+        try:
+            ids = tuple(int(tok) for tok in raw.split("-"))
+        except ValueError:
+            raise ValueError(f"expected dash-separated vertex ids, got {raw!r}") from None
+    else:
+        ids = tuple(raw)
     if count is not None and len(ids) != count:
-        raise ValueError(f"expected {count} vertex ids in {raw!r}")
+        shown = raw if isinstance(raw, str) else ids
+        raise ValueError(f"expected {count} vertex ids in {shown!r}")
     return ids
 
 
@@ -160,10 +199,9 @@ def _parse_edge(g: Graph, raw) -> EdgeRef:
 
 def _parse_triangle(g: Graph, raw) -> tuple[int, int, int]:
     ids = _vertex_ids(raw, 3)
-    d = tuple(sorted(ids))
-    if len(d) != 3 or not is_clique(g, d):
+    if not is_clique(g, ids):
         raise ValueError(f"{ids} is not a triangle of the graph")
-    return d
+    return tuple(sorted(ids))
 
 
 def _parse_clique(g: Graph, raw) -> tuple[int, ...]:
@@ -173,30 +211,44 @@ def _parse_clique(g: Graph, raw) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
-def _parsed(parse: Callable[[Graph, object], object]) -> Callable:
-    """Make body(g, instance) its identity's public function, which parses the
-    instance first.  The body stays reachable as .body for instances that
-    are normal already: the catalog's own.  Read .body when the catalog is
+def _public(render: Render, parse: Optional[Callable[[Graph, object], object]] = None) -> Callable:
+    """Make body, which evaluates one instance of an identity to a verdict,
+    the identity's public function: that parses the instance with parse,
+    evaluates it and returns render(g, instance, verdict).  Without parse the
+    identity is stated for the whole graph, and body takes g alone.
+
+    The catalog, whose instances are normal already, reads .body (called as
+    body(g, instance), instance None without parse) and .render when it is
     built, not at call time: a wrapper swapped in for the public function,
-    as a tracer does, has none."""
+    as a tracer does, has neither.
+    """
     def public(body: Callable) -> Callable:
-        signature = inspect.signature(body)
+        if parse is None:
+            @functools.wraps(body)
+            def checked(g: Graph):
+                return render(g, None, body(g))
 
-        @functools.wraps(body)
-        def parsed(*args, **kwargs):
-            g, raw = signature.bind(*args, **kwargs).args
-            return body(g, parse(g, raw))
+            checked.body = lambda g, _: body(g)
+        else:
+            signature = inspect.signature(body)
 
-        parsed.body = body
-        return parsed
+            @functools.wraps(body)
+            def checked(*args, **kwargs):
+                g, raw = signature.bind(*args, **kwargs).args
+                instance = parse(g, raw)
+                return render(g, instance, body(g, instance))
+
+            checked.body = body
+        checked.render = render
+        return checked
 
     return public
 
 
 # -- handshake ----------------------------------------------------------------
 
-@_parsed(_k_parser(1))
-def check_handshake(g: Graph, k: int) -> IdentityReport:
+@_public(_renderer("handshake", _named("k"), sides=None), _k_parser(1))
+def check_handshake(g: Graph, k: int) -> Verdict:
     """Sum of clique-values over the k-cliques against (k+1) * c_{k+1}.
 
     Each (k+1)-clique contains k+1 k-cliques, and a k-clique extends to a
@@ -205,58 +257,59 @@ def check_handshake(g: Graph, k: int) -> IdentityReport:
     """
     lhs = sum(common_neighborhood_bits(g, q).bit_count() for q in _listed_catalog(g, k).cliques(k))
     rhs = (k + 1) * clique_count(g, k + 1)
-    return IdentityReport("handshake", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
+    return lhs == rhs, lhs, rhs
 
 
 # -- recurrences ----------------------------------------------------------------
 
-@_parsed(_parse_vertex)
-def check_vertex_recurrence(g: Graph, v: int) -> IdentityReport:
+@_public(_renderer("vertex_recurrence", _named("v")), _parse_vertex)
+def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     """C(G, x) == C(G - v, x) + x * C(G[N(v)], x)."""
     lhs = clique_polynomial(g)
     rhs = [0] * (g.n + 1)
     _add(rhs, g, _without_vertex(g, v))
     _add(rhs, g, g.adj[v], shift=1)
-    return _poly_report("vertex_recurrence", g, {"v": v}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
-@_parsed(_parse_edge)
-def check_edge_recurrence(g: Graph, e) -> IdentityReport:
+@_public(_renderer("edge_recurrence", _named("e")), _parse_edge)
+def check_edge_recurrence(g: Graph, e) -> Verdict:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
-    return _poly_report("edge_recurrence", g, {"e": list(e)},
-                        clique_polynomial(g), _deletion_rhs(g, e))
+    return _poly_verdict(clique_polynomial(g), _deletion_rhs(g, e))
 
 
 # -- deck identities -------------------------------------------------------------
 
-@_parsed(_k_parser(1))
-def check_vertex_deck_identity(g: Graph, k: int) -> IdentityReport:
+@_public(_renderer("vertex_deck", _named("k"), sides=None), _k_parser(1))
+def check_vertex_deck_identity(g: Graph, k: int) -> Verdict:
     """(n - k) * c_k(G) == sum over v of c_k(G - v)."""
     lhs = (g.n - k) * clique_count(g, k)
     rhs = sum(_count(g, k, _without_vertex(g, v)) for v in range(g.n))
-    return IdentityReport("vertex_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
+    return lhs == rhs, lhs, rhs
 
 
-@_parsed(_k_parser(2))
-def check_edge_deck_identity(g: Graph, k: int) -> IdentityReport:
+@_public(_renderer("edge_deck", _named("k"), sides=None), _k_parser(2))
+def check_edge_deck_identity(g: Graph, k: int) -> Verdict:
     """(m - C(k, 2)) * c_k(G) == sum over e of c_k(G - e)."""
     lhs = (g.m - comb(k, 2)) * clique_count(g, k)
     rhs = sum(_count(g, k, without=_vertex_mask(e)) for e in g.edges())
-    return IdentityReport("edge_deck", g.graph6, {"k": k}, lhs, rhs, lhs == rhs)
+    return lhs == rhs, lhs, rhs
 
 
 # -- derivative identities --------------------------------------------------------
 
-def check_first_derivative(g: Graph) -> IdentityReport:
+@_public(_renderer("first_derivative", _unnamed))
+def check_first_derivative(g: Graph) -> Verdict:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
     lhs = poly_derivative(clique_polynomial(g), 1)
     rhs = [0] * (g.n + 1)
     for row in g.adj:
         _add(rhs, g, row)
-    return _poly_report("first_derivative", g, {}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
-def check_second_derivative(g: Graph) -> IdentityReport:
+@_public(_renderer("second_derivative", _unnamed))
+def check_second_derivative(g: Graph) -> Verdict:
     """(1/2!) d^2/dx^2 C(G, x) == sum over e of C(G[N(e)], x).
 
     The halved derivative is computed with binomial coefficients, so the
@@ -266,29 +319,32 @@ def check_second_derivative(g: Graph) -> IdentityReport:
     rhs = [0] * (g.n + 1)
     for u, v in g.edges():
         _add(rhs, g, g.adj[u] & g.adj[v])
-    return _poly_report("second_derivative", g, {}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
-def check_third_derivative_k5free(g: Graph) -> IdentityReport:
+def _third_derivative_params(g: Graph, _) -> dict:
+    return {"connected": is_connected(g), "omega": len(clique_counts(g))}
+
+
+@_public(_renderer("third_derivative_k5free", _third_derivative_params))
+def check_third_derivative_k5free(g: Graph) -> Verdict:
     """(1/3!) d^3/dx^3 C(G, x) == sum over triangles d of C(G[N(d)], x).
 
     Stated for connected graphs with no 5-clique; connectivity is recorded in
     the report rather than required, so campaigns can probe whether it
     matters.
     """
-    omega = len(clique_counts(g))
-    if omega >= 5:
+    if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
     rhs = [0] * (g.n + 1)
     for d in triangles(g):
         _add(rhs, g, common_neighborhood_bits(g, d))
-    params = {"connected": is_connected(g), "omega": omega}
-    return _poly_report("third_derivative_k5free", g, params, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
-@_parsed(_k_parser(1))
-def check_kth_derivative_general(g: Graph, k: int) -> IdentityReport:
+@_public(_renderer("kth_derivative", _named("k")), _k_parser(1))
+def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     """(1/k!) d^k/dx^k C(G, x) against the sum of C(G[N(Q)], x) over k-cliques Q.
 
     The natural generalization of the first/second/third derivative formulas;
@@ -307,7 +363,7 @@ def check_kth_derivative_general(g: Graph, k: int) -> IdentityReport:
     rhs = [0] * (g.n + 1)
     for q in _listed_catalog(g, k).cliques(k):
         _add(rhs, g, common_neighborhood_bits(g, q))
-    return _poly_report("kth_derivative", g, {"k": k}, lhs, rhs)
+    return _poly_verdict(lhs, rhs)
 
 
 # -- clique-deletion expansion ------------------------------------------------------
@@ -343,15 +399,16 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     if support and not is_clique(g, support):
         u, v = next(e for e in normalized if not g.has_edge(*e))
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    return _expansion(g, tuple(support), interpretation)
+    clique = tuple(support)
+    return _render_expansion(interpretation)(g, clique, _expansion(g, clique, interpretation))
 
 
-def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> IdentityReport:
+def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> Verdict:
     """The body of clique_deletion_expansion, for the sorted clique q."""
-    edges = list(itertools.combinations(q, 2))
     if interpretation == INTERPRETATION_CLIQUES:
         rhs = _deletion_rhs(g, q)
     elif interpretation == INTERPRETATION_EDGE_SUBSETS:
+        edges = list(itertools.combinations(q, 2))
         rhs = [0] * (g.n + 1)
         _add(rhs, g, without=_vertex_mask(q))
         for r in range(2, len(q) + 1):
@@ -361,8 +418,16 @@ def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> IdentityRep
                 _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=(-1) ** r * (r - 1))
     else:
         raise ValueError(f"unknown interpretation {interpretation!r}")
-    params = {"m": [list(e) for e in edges], "interpretation": interpretation}
-    return _poly_report("clique_deletion", g, params, clique_polynomial(g), rhs)
+    return _poly_verdict(clique_polynomial(g), rhs)
+
+
+def _render_expansion(interpretation: str) -> Render:
+    """The renderer of _expansion's verdicts under one reading."""
+    def params(g: Graph, q: tuple[int, ...]) -> dict:
+        return {"m": [list(e) for e in itertools.combinations(q, 2)],
+                "interpretation": interpretation}
+
+    return _renderer("clique_deletion", params)
 
 
 def _deletion_rhs(g: Graph, q: tuple[int, ...]) -> tuple[int, ...]:
@@ -405,44 +470,49 @@ def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 
 
-@_parsed(_parse_triangle)
-def triangle_identity(g: Graph, delta) -> tuple[IdentityReport, TriangleIdentityParts]:
+_render_triangle_identity = _renderer("triangle_identity", _named("delta"))
+
+
+def _triangle_identity_with_parts(g: Graph, d: tuple[int, int, int], verdict: Verdict):
+    return _render_triangle_identity(g, d, verdict), _triangle_parts(g, d)
+
+
+@_public(_triangle_identity_with_parts, _parse_triangle)
+def triangle_identity(g: Graph, delta) -> Verdict:
     """C(G, x) == C(G - d, x) + x**2 * (edge sum) - 2 x**3 * (triangle neighborhood),
 
     where G - d deletes the three edges of the triangle d.  Holds for every
-    graph and every triangle.
+    graph and every triangle.  The public function returns the report with
+    its TriangleIdentityParts; the catalog renders the report alone.
     """
-    return _triangle_identity(g, delta), _triangle_parts(g, delta)
+    return _poly_verdict(clique_polynomial(g), _deletion_rhs(g, delta))
 
 
-def _triangle_identity(g: Graph, d: tuple[int, int, int]) -> IdentityReport:
-    """The report of triangle_identity alone, which is all the catalog checks."""
-    return _poly_report("triangle_identity", g, {"delta": list(d)},
-                        clique_polynomial(g), _deletion_rhs(g, d))
-
-
-@_parsed(_parse_triangle)
-def check_triangle_recurrence(g: Graph, delta) -> IdentityReport:
-    """Does C(G, x) == C(G - d, x) + x**3 * C(G[N(d)], x) for this triangle?
-
-    No truth is asserted; the question is for which graphs this holds.  The
-    stated equivalent condition, edge sum == 3x * C(G[N(d)], x), is evaluated
-    verbatim and recorded in the params (its constant terms can never match,
-    which is reported rather than repaired).
-    """
-    parts = _triangle_parts(g, delta)
-    lhs = clique_polynomial(g)
-    rhs = [0] * (g.n + 1)
-    _add(rhs, g, without=_vertex_mask(delta))
-    _add(rhs, g, common_neighborhood_bits(g, delta), shift=3)
+def _triangle_recurrence_params(g: Graph, d: tuple[int, int, int]) -> dict:
+    parts = _triangle_parts(g, d)
     shifted = [0, *(3 * c for c in parts.triangle_neighborhood)]
-    params = {
-        "delta": list(delta),
+    return {
+        "delta": list(d),
         "edge_neighborhood_sum": parts.edge_neighborhood_sum,
         "triangle_neighborhood_times_3x": shifted,
         "equivalent_condition_holds": parts.edge_neighborhood_sum == shifted,
     }
-    return _poly_report("triangle_recurrence", g, params, lhs, rhs)
+
+
+@_public(_renderer("triangle_recurrence", _triangle_recurrence_params), _parse_triangle)
+def check_triangle_recurrence(g: Graph, delta) -> Verdict:
+    """Does C(G, x) == C(G - d, x) + x**3 * C(G[N(d)], x) for this triangle?
+
+    No truth is asserted; the question is for which graphs this holds.  The
+    stated equivalent condition, edge sum == 3x * C(G[N(d)], x), is evaluated
+    verbatim and recorded in the report's params (its constant terms can
+    never match, which is reported rather than repaired).
+    """
+    lhs = clique_polynomial(g)
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, without=_vertex_mask(delta))
+    _add(rhs, g, common_neighborhood_bits(g, delta), shift=3)
+    return _poly_verdict(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -463,8 +533,16 @@ class TriangleDeletionCounts:
         return self.formula == self.direct
 
 
-@_parsed(_parse_triangle)
-def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
+def _triangle_deletion_counts(g: Graph, d: tuple[int, int, int], verdict: Verdict) -> TriangleDeletionCounts:
+    return TriangleDeletionCounts(d, verdict[1], verdict[2])
+
+
+# the catalog's report: the two count tuples as its sides
+_render_triangle_deletion_counts = _renderer("triangle_deletion_counts", _named("delta"), sides=list)
+
+
+@_public(_triangle_deletion_counts, _parse_triangle)
+def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     """Predict c_1..c_4 of G - d from counts of G, for graphs with no 5-clique:
 
         c_1(G - d) = c_1(G)
@@ -472,7 +550,9 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
         c_3(G - d) = c_3(G) - sum val(e_i) + 2
         c_4(G - d) = c_4(G) - sum c_2(G[N(e_i)]) + 2 val(d)
 
-    where e_1..e_3 are the triangle's edges and val is the clique-value.
+    where e_1..e_3 are the triangle's edges and val is the clique-value.  The
+    public function returns the TriangleDeletionCounts; the catalog renders
+    the two count tuples as a report's sides.
     """
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
@@ -489,4 +569,4 @@ def triangle_deletion_counts(g: Graph, delta) -> TriangleDeletionCounts:
         clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
     )
     direct = tuple(_count(g, k, without=_vertex_mask(delta)) for k in range(1, 5))
-    return TriangleDeletionCounts(delta, formula, direct)
+    return formula == direct, formula, direct

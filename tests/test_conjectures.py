@@ -181,9 +181,17 @@ class TestCatalog:
         for g in corpus:
             for name, cd in CHECKS.items():
                 instances = list(cd.params(g, None))
-                checked = [cd.check(g, p) for p in instances]
+                verdicts = [cd.check(g, p) for p in instances]
+                checked = [cd.render(g, p, v) for p, v in zip(instances, verdicts)]
                 applicable = [r for r in checked if r.holds is not None]
-                assert cd.run(g, None) == applicable, (name, to_graph6(g))
+                reports = cd.run(g, None)
+                assert reports == applicable, (name, to_graph6(g))
+                # a verdict decides holds as its rendered report does, and the
+                # first failing verdict renders the first failing report
+                assert [v[0] for v in verdicts] == [r.holds for r in checked], (name, to_graph6(g))
+                failing = next(((p, v) for p, v in zip(instances, verdicts) if v[0] is False), None)
+                assert (cd.render(g, *failing) if failing else None) \
+                    == next((r for r in reports if r.holds is False), None), (name, to_graph6(g))
                 if cd.param is not None:
                     # the catalog lists its instances in the form parse returns
                     assert [cd.parse(g, p) for p in instances] == instances, (name, to_graph6(g))
@@ -194,7 +202,8 @@ class TestCatalog:
                 if cd.param != "k":
                     continue
                 for k in cd.params(g, None):
-                    assert cd.run(g, (k, k)) == [cd.check(g, k)], (name, k, to_graph6(g))
+                    assert cd.run(g, (k, k)) == [cd.render(g, k, cd.check(g, k))], \
+                        (name, k, to_graph6(g))
 
     @pytest.mark.parametrize("name", ["clique_deletion", "clique_deletion_edge_subsets"])
     def test_clique_deletion_rejects_an_instance_that_is_not_a_clique(self, name):
@@ -204,7 +213,7 @@ class TestCatalog:
         with pytest.raises(ValueError, match="not a clique"):
             cd.parse(cycle_graph(5), (0, 1, 2))
         g = complete_graph(3)
-        assert cd.check(g, cd.parse(g, (1,))).holds is True
+        assert cd.check(g, cd.parse(g, (1,)))[0] is True
 
     @pytest.mark.parametrize("g", [random_gnp(10, 0.8, RngSpec(3)), cycle_graph(5)])
     def test_handshake_then_clique_deletion_list_cliques_once(self, monkeypatch, g):

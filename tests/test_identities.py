@@ -104,6 +104,22 @@ class TestEdgeRecurrence:
             check_edge_recurrence(path_graph(3), (0, 2))
 
 
+@pytest.mark.parametrize("check, raw, shown", [
+    (check_edge_recurrence, (0, 1, 2), "(0, 1, 2)"),
+    (check_edge_recurrence, (0,), "(0,)"),
+    (triangle_identity, (0, 1), "(0, 1)"),
+    (triangle_identity, [0, 1, 2, 3], "(0, 1, 2, 3)"),
+    (check_triangle_recurrence, (0, 1), "(0, 1)"),
+    (triangle_deletion_counts, (0, 1), "(0, 1)"),
+])
+def test_wrong_number_of_vertex_ids_is_rejected(check, raw, shown):
+    """A tuple of the wrong size is rejected as a verify flag's text is."""
+    count = 2 if check is check_edge_recurrence else 3
+    with pytest.raises(ValueError) as info:
+        check(complete_graph(4), raw)
+    assert str(info.value) == f"expected {count} vertex ids in {shown}"
+
+
 class TestDeckIdentities:
     def test_vertex_deck_c5(self):
         r = check_vertex_deck_identity(cycle_graph(5), 2)
@@ -302,6 +318,12 @@ def reference_deletion_rhs(g, q):
     return row
 
 
+def catalog_report(name, g, q):
+    """The report the catalog renders for its instance q of check name on g."""
+    cd = CHECKS[name]
+    return cd.render(g, q, cd.check(g, q))
+
+
 class TestSharedDeletionRhs:
     """edge_recurrence, triangle_identity and clique_deletion read one right
     side per clique, kept in Graph.deletion_table."""
@@ -315,27 +337,27 @@ class TestSharedDeletionRhs:
                 cd.run(warm, None)
             for size, name in cases:
                 for q in naive_cliques_of_size(g, size):
-                    report = CHECKS[name].check(Graph(g.n, g.adj), q)
+                    report = catalog_report(name, Graph(g.n, g.adj), q)
                     assert report.rhs == reference_deletion_rhs(g, q) and report.holds
-                    assert CHECKS[name].check(warm, q) == report
+                    assert catalog_report(name, warm, q) == report
 
     def test_a_clique_of_fewer_than_two_vertices_deletes_nothing(self):
         g = complete_graph(5)
         assert clique_deletion_expansion(g, []).holds
-        assert CHECKS["clique_deletion"].check(g, (3,)).holds
+        assert catalog_report("clique_deletion", g, (3,)).holds
         assert list(g.counts_table) == [(0, (1 << g.n) - 1)]
 
     def test_public_functions_report_as_the_catalog(self, corpus):
         for g in corpus:
             for q in naive_cliques_of_size(g, 3):
-                assert triangle_identity(g, q)[0] == CHECKS["triangle_identity"].check(g, q)
+                assert triangle_identity(g, q)[0] == catalog_report("triangle_identity", g, q)
             for size in (2, 3, 4):
                 for q in naive_cliques_of_size(g, size):
                     edges = list(itertools.combinations(q, 2))
                     for interpretation, name in (("cliques", "clique_deletion"),
                                                  ("edge-subsets", "clique_deletion_edge_subsets")):
                         assert clique_deletion_expansion(g, edges, interpretation) \
-                            == CHECKS[name].check(Graph(g.n, g.adj), q)
+                            == catalog_report(name, Graph(g.n, g.adj), q)
 
 
 class TestTriangleIdentity:
