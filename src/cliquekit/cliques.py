@@ -2,8 +2,9 @@
 
 Counting has one kernel, clique_counts_in(adj, mask): the clique counts of the
 subgraph that a vertex bitmask induces over bit-row adjacency.  It lists
-nothing.  Neighbourhoods and vertex deletions are masks over the original
-rows; deleting the edges of a clique edits a copy of the rows.
+nothing.  Every count is of a mask over a graph's own rows: neighbourhoods
+and vertex deletions are masks, and a graph with the edges of a clique
+deleted is split into masks by the vertex recurrence (see _table_counts).
 clique_counts, clique_count and clique_polynomial are thin wrappers over it.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
@@ -29,10 +30,9 @@ entry per level, and the complement of a 64-vertex path 52 entries.  The
 dict goes when the call returns, so no state is kept at module level.
 Across calls, each Graph keeps the top-level results asked of it in
 Graph.counts_table, keyed by (deleted clique, mask), both vertex masks and
-the first 0 for the unedited rows: the identity checks count the
-neighbourhoods and deletions of one graph many times over, the edited rows
-are built only for a count not yet in the table, and the table lives
-exactly as long as the graph.
+the first 0 where no edge is deleted: the identity checks count the
+neighbourhoods and deletions of one graph many times over, each is counted
+once, and the table lives exactly as long as the graph.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -52,7 +52,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import MAX_VERTICES, Graph, bits, common_neighborhood_bits
+from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
 Clique = tuple[int, ...]
 Polynomial = list[int]
@@ -186,9 +186,9 @@ def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
 def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """(c_1, ..., c_omega) of the subgraph that the vertex bitmask mask induces.
 
-    adj holds symmetric bit rows (Graph.adj, or an edited copy of it).
-    Nothing is listed, counts stay exact Python ints, and nothing is kept
-    after the call: the recursion's memo is a dict made for this call alone.
+    adj holds symmetric bit rows, such as Graph.adj.  Nothing is listed,
+    counts stay exact Python ints, and nothing is kept after the call: the
+    recursion's memo is a dict made for this call alone.
 
     A mask of fewer than _PIVOT_MIN_SIZE vertices is counted depth-first: a
     clique is extended only by common neighbours above its largest vertex, so
@@ -313,23 +313,49 @@ def _table_counts(g: Graph, mask: int | None = None, without: int = 0) -> tuple[
     mask (all vertices by default) induces in g without the edges among the
     vertices of the mask without, a clique of g (none by default).
 
-    The edited rows are built only for a count not yet in the table.
+    Every count is taken over g's own rows.  For a deleted clique Q with at
+    least two vertices in the mask, keep its highest such vertex and
+    eliminate the others, Q': a clique of G[mask] - Q holds at most one
+    vertex of Q, so by the vertex recurrence at each vertex of Q'
+
+        C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
+
+    and G[mask - Q'] has no deleted edge.  The first term is read from the
+    table; a neighbourhood term under _PIVOT_MIN_SIZE vertices is grown
+    straight into the row, and a larger one is read from the table too.
     """
     if mask is None:
         mask = (1 << g.n) - 1
+    without &= mask
     if not without & (without - 1):
         without = 0  # fewer than two vertices delete no edge
     table = g.counts_table
     key = (without, mask)
     counts = table.get(key)
     if counts is None:
-        adj = g.adj
         if without:
-            rows = list(adj)
-            for v in bits(without):
-                rows[v] &= ~without
-            adj = tuple(rows)
-        counts = table[key] = clique_counts_in(adj, mask)
+            adj = g.adj
+            eliminated = without ^ 1 << (without.bit_length() - 1)
+            # a clique with a vertex of Q' is one of G[mask - Q'] with that
+            # vertex added, so the row needs one place more than the first term
+            row = [0, *_table_counts(g, mask & ~eliminated), 0]
+            rest = mask & ~without
+            while eliminated:
+                low = eliminated & -eliminated
+                eliminated ^= low
+                sub = rest & adj[low.bit_length() - 1]
+                row[1] += 1
+                if sub.bit_count() >= _PIVOT_MIN_SIZE:
+                    for j, c in enumerate(_table_counts(g, sub), 2):
+                        row[j] += c
+                elif sub:
+                    _grow(adj, row, 2, sub)
+            if not row[-1]:
+                row.pop()
+            counts = tuple(row[1:])
+        else:
+            counts = clique_counts_in(g.adj, mask)
+        table[key] = counts
     return counts
 
 

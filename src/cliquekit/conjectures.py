@@ -227,7 +227,9 @@ class CheckDef:
     identity functions, and returns it as params lists it (a unit switch is
     taken as given).  k_min is the smallest k a 'k' check takes on any
     graph.  run(g, k_range) renders every listed instance that applies; it is
-    an init field so that a wrapped runner can replace it.
+    an init field so that a wrapped runner can replace it.  Left as None, or
+    as another entry's default, it is this entry's own reports, so an entry
+    made by dataclasses.replace runs with its own params, check and render.
     """
 
     name: str
@@ -238,12 +240,15 @@ class CheckDef:
     render: Render
     parse: Callable[[Graph, object], object] = lambda g, raw: raw
     k_min: Optional[int] = None
-    run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = None
+    run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.run is None:
-            run = lambda g, k_range: self.applicable(g, self.params(g, k_range))
-            object.__setattr__(self, "run", run)
+        if self.run is None or getattr(self.run, "__func__", None) is CheckDef.reports:
+            object.__setattr__(self, "run", self.reports)
+
+    def reports(self, g: Graph, k_range: KRange) -> list[IdentityReport]:
+        """Reports of every listed instance on g that applies: the default run."""
+        return self.applicable(g, self.params(g, k_range))
 
     def verdicts(self, g: Graph, instances: Iterable) -> Iterator[tuple[object, Verdict]]:
         """(instance, verdict) of each given instance that applies on g, one at a time."""

@@ -100,22 +100,23 @@ class Graph:
         vertex mask): the counts of the subgraph that the vertex mask induces
         once the edges among the deleted clique's vertices are gone.
 
-        The deleted clique is a vertex mask too, 0 for the unedited rows (and
-        for any set of fewer than two vertices, which deletes no edge).
-        cliquekit.cliques fills the table, building the edited rows only for a
-        count not yet in it, so every count asked of one Graph object is
-        computed once; it lives exactly as long as the object.
+        The deleted clique is a vertex mask too, 0 where no edge is deleted
+        (also for a clique with fewer than two vertices in the mask).
+        cliquekit.cliques fills the table, counting every entry over this
+        graph's own rows (a deleted clique's entry is summed from entries
+        without one), so every count asked of one Graph object is computed
+        once; it lives exactly as long as the object.
         """
         return {}
 
     @cached_property
-    def deletion_table(self) -> dict[int, tuple[int, ...]]:
-        """Right sides of the clique-deletion expansion computed over this
-        graph, keyed by the deleted clique's vertex mask.
+    def deletion_table(self) -> dict[int, tuple]:
+        """Verdicts (holds, lhs, rhs) of the clique-deletion expansion decided
+        over this graph, keyed by the deleted clique's vertex mask.
 
         cliquekit.identities fills it, so the edge recurrence, the triangle
-        identity and the clique-deletion expansion assemble the right side of
-        one clique once between them; it lives exactly as long as the object.
+        identity and the clique-deletion expansion decide one clique once
+        between them; it lives exactly as long as the object.
         """
         return {}
 
@@ -345,7 +346,7 @@ def edge_deleted_adj(g: Graph, edge_set: Iterable[tuple[int, int]]) -> tuple[int
     """Adjacency rows of g with exactly the given edges deleted, every vertex kept.
 
     The rows of delete_edge_set(g, edge_set), without building (and so
-    without re-validating) a Graph: the counting kernel takes them as they are.
+    without re-validating) a Graph; clique_counts_in takes them as they are.
     """
     rows = list(g.adj)
     for u, v in _edge_pairs(edge_set):

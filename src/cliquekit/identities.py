@@ -20,10 +20,14 @@ reads one count tuple from the graph's result table (Graph.counts_table) and
 adds coeff * x**shift * C(x) into the row in place.  _poly_verdict compares
 the row, trailing zeros and all, with the left side, and a rendered report
 trims both.  Each count is of a vertex mask over g's rows, with or without
-the edges of a clique (a mask too), so no check builds a subgraph, and a
-count asked twice is made once.  The expansion's right side for a clique,
-which for edges and triangles is also the edge recurrence's and the triangle
-identity's, is assembled once per graph (Graph.deletion_table).
+the edges of a clique (a mask too, whose count cliquekit.cliques sums from
+masks over the same rows), so no check builds a subgraph or edits a row,
+and a count asked twice is made once.  The expansion's verdict for a
+clique, which for edges and triangles is also the edge recurrence's and the
+triangle identity's, is decided once per graph (Graph.deletion_table): its
+right side adds the counts of the clique's r-subsets' neighbourhoods, each
+the AND of its members' rows, with one coefficient per r, and is trimmed
+once there.
 
 An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
@@ -275,7 +279,7 @@ def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
 @_public(_renderer("edge_recurrence", _named("e")), _parse_edge)
 def check_edge_recurrence(g: Graph, e) -> Verdict:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
-    return _poly_verdict(clique_polynomial(g), _deletion_rhs(g, e))
+    return _deletion_verdict(g, e)
 
 
 # -- deck identities -------------------------------------------------------------
@@ -406,18 +410,17 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
 def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> Verdict:
     """The body of clique_deletion_expansion, for the sorted clique q."""
     if interpretation == INTERPRETATION_CLIQUES:
-        rhs = _deletion_rhs(g, q)
-    elif interpretation == INTERPRETATION_EDGE_SUBSETS:
-        edges = list(itertools.combinations(q, 2))
-        rhs = [0] * (g.n + 1)
-        _add(rhs, g, without=_vertex_mask(q))
-        for r in range(2, len(q) + 1):
-            # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
-            for s in itertools.combinations(edges, comb(r, 2)):
-                t = {v for e in s for v in e}
-                _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=(-1) ** r * (r - 1))
-    else:
+        return _deletion_verdict(g, q)
+    if interpretation != INTERPRETATION_EDGE_SUBSETS:
         raise ValueError(f"unknown interpretation {interpretation!r}")
+    edges = list(itertools.combinations(q, 2))
+    rhs = [0] * (g.n + 1)
+    _add(rhs, g, without=_vertex_mask(q))
+    for r in range(2, len(q) + 1):
+        # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
+        for s in itertools.combinations(edges, comb(r, 2)):
+            t = {v for e in s for v in e}
+            _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=(-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -430,20 +433,37 @@ def _render_expansion(interpretation: str) -> Render:
     return _renderer("clique_deletion", params)
 
 
-def _deletion_rhs(g: Graph, q: tuple[int, ...]) -> tuple[int, ...]:
-    """The trimmed right side of the expansion's 'cliques' reading for the
-    sorted clique q, kept in g.deletion_table under q's mask: for |q| = 2 and
-    3 it is the edge recurrence's and the triangle identity's as well."""
+def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
+    """The verdict of the expansion's 'cliques' reading for the sorted clique
+    q, decided once per graph and kept in g.deletion_table under q's mask:
+    for |q| = 2 and 3 it is the edge recurrence's and the triangle
+    identity's as well.
+
+    Each r-subset S of q (r >= 2) gets N(S) by ANDing the rows of its
+    vertices, and its count is added with the coefficient of its size.  No
+    term has a clique beyond the clique number of g (S with a clique of
+    G[N(S)] is a clique of g), so the row is as long as the left side.
+    """
     mask = _vertex_mask(q)
-    rhs = g.deletion_table.get(mask)
-    if rhs is None:
-        row = [0] * (g.n + 1)
-        _add(row, g, without=mask)
+    verdict = g.deletion_table.get(mask)
+    if verdict is None:
+        adj = g.adj
+        lhs = clique_polynomial(g)
+        rhs = [1, *_table_counts(g, without=mask)]
+        rhs += [0] * (len(lhs) - len(rhs))
         for r in range(2, len(q) + 1):
+            coeff = (-1) ** r * (r - 1)
             for s in itertools.combinations(q, r):
-                _add(row, g, common_neighborhood_bits(g, s), shift=r, coeff=(-1) ** r * (r - 1))
-        rhs = g.deletion_table[mask] = tuple(poly_normalize(row))
-    return rhs
+                common = -1
+                for v in s:
+                    common &= adj[v]
+                rhs[r] += coeff
+                for j, c in enumerate(_table_counts(g, common), r + 1):
+                    rhs[j] += coeff * c
+        while not rhs[-1]:
+            rhs.pop()
+        verdict = g.deletion_table[mask] = _poly_verdict(lhs, tuple(rhs))
+    return verdict
 
 
 # -- triangle deletion -----------------------------------------------------------
@@ -485,7 +505,7 @@ def triangle_identity(g: Graph, delta) -> Verdict:
     graph and every triangle.  The public function returns the report with
     its TriangleIdentityParts; the catalog renders the report alone.
     """
-    return _poly_verdict(clique_polynomial(g), _deletion_rhs(g, delta))
+    return _deletion_verdict(g, delta)
 
 
 def _triangle_recurrence_params(g: Graph, d: tuple[int, int, int]) -> dict:

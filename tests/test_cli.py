@@ -518,19 +518,31 @@ def test_verify_stdout_is_pinned(gen, digest, capsys):
 
 
 def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
-    """The small-graph theorem campaign makes as many kernel calls as before
-    its right-hand sides were summed in one row: no count was dropped."""
+    """The small-graph theorem campaign counts every subgraph, G - Q included,
+    as a vertex mask over its graph's own rows, each mask once per graph:
+    8 847 kernel calls.  Counting each G - Q on an edited copy of the rows
+    took 13 247; the split of G - Q reads C(G - Q') from the graph's table,
+    where the vertex checks have mostly put it already, and grows the small
+    neighbourhood terms in place without a kernel call."""
     kernel = cliquekit.cliques.clique_counts_in
+    gnp = cliquekit.conjectures.random_gnp
+    graphs = []  # kept alive, so the id of each graph's rows stays its own
     calls = []
 
+    def spy_gnp(*args):
+        graphs.append(gnp(*args))
+        return graphs[-1]
+
     def spy(adj, mask):
-        calls.append(mask)
+        calls.append((id(adj), mask))
         return kernel(adj, mask)
 
+    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy_gnp)
     monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert len(calls) == 13247
+    assert {adj for adj, _ in calls} <= {id(g.adj) for g in graphs}
+    assert len(calls) == len(set(calls)) == 8847
 
 
 def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
@@ -587,7 +599,7 @@ def test_shrinking_evaluates_instances_up_to_the_first_failure(monkeypatch, caps
             evaluated.append(check)
             return cd.check(g, p)
 
-        monkeypatch.setitem(CHECKS, check, dataclasses.replace(cd, check=counted, run=None))
+        monkeypatch.setitem(CHECKS, check, dataclasses.replace(cd, check=counted))
         fails = predicate(check, params)
         monkeypatch.setitem(CHECKS, check, cd)
 

@@ -201,7 +201,7 @@ class TestCountingKernel:
             == [1, *expected, 0]
 
     def test_results_live_exactly_as_long_as_their_graph(self):
-        """No module-level cache: counts and clique-deletion right sides go to
+        """No module-level cache: counts and clique-deletion verdicts go to
         the Graph's own tables and die with it."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
@@ -214,7 +214,7 @@ class TestCountingKernel:
         u, v = g.edges()[0]
         report = check_edge_recurrence(g, (u, v))
         assert report.holds
-        assert g.deletion_table == {1 << u | 1 << v: tuple(report.rhs)}
+        assert g.deletion_table == {1 << u | 1 << v: (True, report.lhs, tuple(report.rhs))}
         ref = weakref.ref(g)
         del g
         assert ref() is None
@@ -228,6 +228,46 @@ class TestCountingKernel:
             g = parse_graph6(g6)
             assert g.n == template["n"]
             assert clique_polynomial(g) == poly
+
+
+class TestDeletedCliqueSplit:
+    """C(G[mask] - Q) from G's own rows, by eliminating every vertex of Q but
+    its highest, checked against counts of the edge-deleted graph itself."""
+
+    @staticmethod
+    def cases(g, q):
+        """(mask, expected vertex set) for the full mask, the mask without
+        the kept vertex and the mask without the lowest eliminated one."""
+        full = (1 << g.n) - 1
+        return [(full, range(g.n)),
+                (full & ~(1 << q[-1]), [v for v in range(g.n) if v != q[-1]]),
+                (full & ~(1 << q[0]), [v for v in range(g.n) if v != q[0]])]
+
+    def test_every_small_clique_of_the_corpus_matches_the_oracle(self, corpus):
+        for g in corpus:
+            for size in (2, 3, 4):
+                for q in naive_cliques_of_size(g, size):
+                    deleted = delete_edge_set(g, itertools.combinations(q, 2))
+                    for mask, kept in self.cases(g, q):
+                        counts = cliquekit.cliques._table_counts(
+                            Graph(g.n, g.adj), mask, without=sum(1 << v for v in q))
+                        assert counts == brute_force_counts(induced_subgraph(deleted, kept)), \
+                            (g.adj, q, mask)
+
+    @pytest.mark.parametrize("n, p", [(21, 0.7), (30, 0.6), (40, 0.5)])
+    def test_larger_graphs_match_networkx(self, n, p):
+        g = random_gnp(n, p, RngSpec(n))
+        cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
+        large = 0
+        for size in (2, 3, 4):
+            for q in enumerate_cliques(g, size).cliques(size)[::97][:3]:
+                without = sum(1 << v for v in q)
+                large += sum((g.adj[v] & ~without).bit_count() >= cutoff for v in q[:-1])
+                deleted = delete_edge_set(g, itertools.combinations(q, 2))
+                for mask, kept in self.cases(g, q):
+                    counts = cliquekit.cliques._table_counts(Graph(g.n, g.adj), mask, without)
+                    assert counts == networkx_counts(induced_subgraph(deleted, kept)), (q, mask)
+        assert large  # some neighbourhood term is counted by the kernel, not grown
 
 
 class TestPivotPath:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import sys
 
@@ -176,6 +177,27 @@ class TestCatalog:
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError, match="no checks"):
             resolve_checks([])
+
+    def test_a_replaced_entry_runs_with_its_own_functions(self):
+        """dataclasses.replace gives an entry whose default run reads the new
+        entry's params, check and render; a run passed in stays as given."""
+        cd = CHECKS["vertex_recurrence"]
+        g = complete_graph(3)
+        failing = dataclasses.replace(cd, check=lambda g, v: (False, [1, v + 1], [1]))
+        assert [(r.params, r.lhs, r.holds) for r in failing.run(g, None)] \
+            == [({"v": v}, [1, v + 1], False) for v in (0, 1, 2)]
+        assert [r.params for r in dataclasses.replace(cd, params=lambda g, _: [1]).run(g, None)] \
+            == [{"v": 1}]
+        rendered = dataclasses.replace(cd, render=lambda g, v, verdict: (v, verdict[0]))
+        assert rendered.run(g, None) == [(0, True), (1, True), (2, True)]
+        assert [r.holds for r in cd.run(g, None)] == [True] * 3
+
+        def wrapped(g, k_range):
+            return ["wrapped"]
+
+        traced = dataclasses.replace(cd, run=wrapped)
+        assert traced.run is wrapped
+        assert dataclasses.replace(traced, check=failing.check).run is wrapped
 
     def test_run_checks_every_listed_instance(self, corpus):
         for g in corpus:
