@@ -1,6 +1,9 @@
 """Command-line frontend: compute polynomials, export incidence matrices,
 verify identities, and run fuzz campaigns.
 
+The catalog of checks (cliquekit.conjectures) is imported by verify and
+fuzz only, so poly, matrix and gen start without building it.
+
 Exit codes: 0 success (conjecture-class failures are findings, not errors),
 1 theorem-class regression, 2 usage or parse errors, or a verify check
 skipped because it would list more cliques than the budget.  All randomness
@@ -20,13 +23,6 @@ from .cliques import (
     clique_polynomial,
     poly_divided_derivative,
     poly_reverse,
-)
-from .conjectures import (
-    CHECKS,
-    CampaignConfig,
-    THEOREM,
-    resolve_checks,
-    run_campaign,
 )
 from .graphs import (
     Graph,
@@ -115,6 +111,8 @@ _INSTANCE_FLAGS = {"v": "--v", "e": "--e", "delta": "--delta", "clique": "--cliq
 
 
 def cmd_verify(args) -> int:
+    from .conjectures import CHECKS, THEOREM, resolve_checks
+
     g = _load_graph(args)
     names = []
     if args.all_theorems:
@@ -161,6 +159,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .conjectures import CampaignConfig, run_campaign
+
     checks = []
     for chunk in args.check:
         checks.extend(chunk.split(","))

@@ -7,6 +7,7 @@ are immutable; every operation is a pure function returning a new Graph.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
@@ -45,9 +46,65 @@ def edge(u: int, v: int) -> EdgeRef:
     return EdgeRef(u, v) if u < v else EdgeRef(v, u)
 
 
+def _transpose_rounds() -> tuple[tuple[int, int], ...]:
+    """(mask, shift) of each swap round of _transpose.
+
+    Round k exchanges bit k of the column index with bit k of the row index:
+    the mask selects the positions 64 * i + j whose column j has bit k set
+    and whose row i has it clear, and the shift, 63 * 2**k, carries each of
+    them to the position whose row and column differ from it in bit k.
+    """
+    rounds = []
+    for k in range(6):
+        span = 1 << k
+        cols = int(("1" * span + "0" * span) * (32 >> k), 2)
+        block = cols.to_bytes(8, "little") * span + bytes(8 * span)
+        rounds.append((int.from_bytes(block * (32 >> k), "little"), 63 * span))
+    return tuple(rounds)
+
+
+_TRANSPOSE_ROUNDS = _transpose_rounds()
+
+
+def _transpose(rows: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The transpose of a square bit matrix of at most 64 rows, each in 0..2**n-1.
+
+    Warren's block-swap transpose (Hacker's Delight, section 7-3): the rows
+    are packed into one int at a stride of 64 bits, so bit j of row i sits
+    at position 64 * i + j, and six masked delta swaps move it to 64 * j + i.
+    """
+    n = len(rows)
+    x = int.from_bytes(struct.pack(f"<{n}Q", *rows), "little")
+    for mask, shift in _TRANSPOSE_ROUNDS:
+        t = (x >> shift ^ x) & mask
+        x ^= t | t << shift
+    return struct.unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
+
+
+def _raise_first_fault(adj: tuple[int, ...]) -> None:
+    """Raise the error for the first fault of rows that are not a Graph's,
+    scanning them row by row and each row's neighbors in ascending order."""
+    n = len(adj)
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"row {v} has bits outside 0..{n - 1}")
+        if row >> v & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+        for w in bits(row):
+            if not adj[w] >> v & 1:
+                raise ValueError(f"asymmetric adjacency between {v} and {w}")
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph; adj[v] is the neighbor bitmask of vertex v."""
+    """Undirected simple graph; adj[v] is the neighbor bitmask of vertex v.
+
+    Construction validates the rows: each row is checked for bits outside
+    0..n-1 and for a self-loop, and symmetry is checked at once by comparing
+    the rows with their transpose.  Rows that fail are scanned again row by
+    row, edge by edge, so the error names the first fault in that order.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -58,24 +115,14 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if not isinstance(self.adj, tuple):
             object.__setattr__(self, "adj", tuple(self.adj))
-        if len(self.adj) != self.n:
+        adj = self.adj
+        if len(adj) != self.n:
             raise ValueError("adjacency row count differs from vertex count")
-        full = (1 << self.n) - 1
-        total = 0
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
-            if row >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            total += row.bit_count()
-            c = row
-            while c:
-                low = c & -c
-                w = low.bit_length() - 1
-                c ^= low
-                if not self.adj[w] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {w}")
-        object.__setattr__(self, "m", total // 2)
+        outside = ~((1 << self.n) - 1)
+        if (any(row & outside or row >> v & 1 for v, row in enumerate(adj))
+                or _transpose(adj) != adj):
+            _raise_first_fault(adj)
+        object.__setattr__(self, "m", sum(map(int.bit_count, adj)) // 2)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -201,7 +248,12 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # first (one character for n <= 62, '~' + three characters otherwise), then
 # the upper triangle of the adjacency matrix column by column:
 # x(0,1), x(0,2), x(1,2), x(0,3), ..., MSB first, zero-padded to a multiple
-# of six bits.
+# of six bits.  Column col is the low part of row col read from bit 0 up, so
+# both directions move whole columns as bit strings: the decoder reads the
+# low parts and takes the high parts from their transpose.
+
+_GRAPH6_BITS = {63 + c: format(c, "06b") for c in range(64)}  # char -> its six bits
+
 
 def parse_graph6(text: str) -> Graph:
     """Decode a single graph6 line; an optional '>>graph6<<' header is allowed."""
@@ -210,50 +262,31 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_GRAPH6_HEADER):].strip()
     if not s:
         raise GraphFormatError("empty graph6 input")
-    data = []
-    for ch in s:
-        c = ord(ch) - 63
-        if not 0 <= c <= 63:
-            raise GraphFormatError(f"invalid graph6 character {ch!r}")
-        data.append(c)
-    if data[0] < 63:
-        n, pos = data[0], 1
+    if min(s) < "?" or max(s) > "~":
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise GraphFormatError(f"invalid graph6 character {bad!r}")
+    if s[0] != "~":
+        n, pos = ord(s[0]) - 63, 1
     else:
-        if len(data) < 4:
+        if len(s) < 4:
             raise GraphFormatError("truncated graph6 vertex-count field")
-        if data[1] == 63:
+        if s[1] == "~":
             raise GraphFormatError(f"vertex count exceeds {MAX_VERTICES}")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        pos = 4
+        n, pos = int(s[1:4].translate(_GRAPH6_BITS), 2), 4
     if n > MAX_VERTICES:
         raise GraphFormatError(f"vertex count {n} exceeds {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(data) - pos != need:
+    if len(s) - pos != need:
         raise GraphFormatError(
-            f"expected {need} adjacency characters, got {len(data) - pos}"
+            f"expected {need} adjacency characters, got {len(s) - pos}"
         )
-    stream = 0
-    for c in data[pos:]:
-        stream = stream << 6 | c
-    total = 6 * need
-    if stream & ((1 << (total - nbits)) - 1):
+    # the stream reversed: x(r, col) is bit col * (col - 1) / 2 + r, padding above nbits
+    stream = int(s[pos:].translate(_GRAPH6_BITS)[::-1] or "0", 2)
+    if stream >> nbits:
         raise GraphFormatError("nonzero padding bits")
-    rows = [0] * n
-    start = 0
-    for col in range(1, n):
-        # bits for pairs (0, col)..(col-1, col) sit at stream offsets
-        # start..start+col-1, row 0 first
-        chunk = stream >> (total - start - col) & ((1 << col) - 1)
-        while chunk:
-            low = chunk & -chunk
-            b = low.bit_length() - 1
-            chunk ^= low
-            row = col - 1 - b
-            rows[row] |= 1 << col
-            rows[col] |= 1 << row
-        start += col
-    return Graph(n, tuple(rows))
+    low = [stream >> (col * (col - 1) // 2) & ((1 << col) - 1) for col in range(n)]
+    return Graph(n, tuple(a | b for a, b in zip(low, _transpose(low))))
 
 
 def to_graph6(g: Graph) -> str:
@@ -262,20 +295,12 @@ def to_graph6(g: Graph) -> str:
         out = [g.n]
     else:
         out = [63, g.n >> 12 & 63, g.n >> 6 & 63, g.n & 63]
-    stream = 0
-    for col in range(1, g.n):
-        # column col of the upper triangle, row 0 as the most significant
-        # bit, is the bit-reversal of the low part of the (symmetric) row
-        rev = 0
-        c = g.adj[col] & ((1 << col) - 1)
-        while c:
-            low = c & -c
-            rev |= 1 << (col - 1 - (low.bit_length() - 1))
-            c ^= low
-        stream = stream << col | rev
-    nbits = g.n * (g.n - 1) // 2
+    columns = "".join(
+        format(g.adj[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, g.n)
+    )
+    nbits = len(columns)
     need = (nbits + 5) // 6
-    stream <<= 6 * need - nbits
+    stream = int(columns or "0", 2) << (6 * need - nbits)
     out.extend(stream >> 6 * (need - 1 - i) & 63 for i in range(need))
     return "".join(chr(c + 63) for c in out)
 

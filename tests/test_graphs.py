@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -32,6 +33,45 @@ from cliquekit import (
 from _helpers import graphs, naive_common_neighbors, seeded_corpus
 
 
+def per_edge_transpose(rows):
+    """Reference transpose: one bit at a time."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if row >> j & 1:
+                out[j] |= 1 << i
+    return tuple(out)
+
+
+def per_edge_first_fault(n, adj):
+    """The message of the first fault that a row-by-row, edge-by-edge scan meets."""
+    for v, row in enumerate(adj):
+        if row & ~((1 << n) - 1):
+            return f"row {v} has bits outside 0..{n - 1}"
+        if row >> v & 1:
+            return f"self-loop at vertex {v}"
+        for w in range(n):
+            if row >> w & 1 and not adj[w] >> v & 1:
+                return f"asymmetric adjacency between {v} and {w}"
+    return None
+
+
+def raised_message(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("n", range(65))
+    def test_matches_the_per_edge_transpose(self, n):
+        rng = random.Random(n)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            rows = [sum(1 << j for j in range(n) if rng.random() < density)
+                    for _ in range(n)]
+            assert cliquekit.graphs._transpose(rows) == per_edge_transpose(rows)
+
+
 class TestGraphInvariants:
     def test_rejects_self_loop_rows(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -44,6 +84,40 @@ class TestGraphInvariants:
     def test_rejects_bits_outside_range(self):
         with pytest.raises(ValueError, match="outside"):
             Graph(2, (0b100, 0b000))
+
+    @pytest.mark.parametrize("adj, message", [
+        ((0b1000, 0b000, 0b000), "row 0 has bits outside 0..2"),
+        ((0b000, 0b010, 0b000), "self-loop at vertex 1"),
+        ((0b000, 0b000, 0b001), "asymmetric adjacency between 2 and 0"),
+        # several faults: the first in row order wins, and within a row the
+        # range check comes before the self-loop and both before symmetry
+        ((0b100, 0b000, 0b1100), "asymmetric adjacency between 0 and 2"),
+        ((0b000, 0b1010, 0b100), "row 1 has bits outside 0..2"),
+        ((0b110, 0b101, 0b111), "self-loop at vertex 2"),
+        ((-1, 0b000, 0b000), "row 0 has bits outside 0..2"),
+    ])
+    def test_rejects_with_the_first_fault_in_row_order(self, adj, message):
+        assert raised_message(lambda: Graph(3, adj)) == message
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 63, 64])
+    def test_faulty_rows_raise_the_per_edge_scan_message(self, n):
+        rng = random.Random(n)
+        for trial in range(60):
+            adj = list(random_gnp(n, rng.random(), RngSpec(trial)).adj)
+            for _ in range(1 + trial % 3):
+                v = rng.randrange(n)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    adj[v] |= 1 << rng.randrange(n, n + 4)
+                elif kind == 1:
+                    adj[v] |= 1 << v
+                else:
+                    adj[v] ^= 1 << rng.randrange(n)
+            expected = per_edge_first_fault(n, adj)
+            if expected is None:
+                assert Graph(n, tuple(adj)).adj == tuple(adj)
+            else:
+                assert raised_message(lambda: Graph(n, tuple(adj))) == expected
 
     def test_rejects_too_many_vertices(self):
         with pytest.raises(ValueError):
@@ -96,6 +170,34 @@ class TestGraph6:
         too_big = nx.to_graph6_bytes(nx.empty_graph(65), header=False).decode().strip()
         with pytest.raises(GraphFormatError, match="exceeds"):
             parse_graph6(too_big)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64])
+    @pytest.mark.parametrize("density", [0, 0.5, 1])
+    def test_matches_networkx_decoding_at_every_header_size(self, n, density):
+        nxg = nx.gnp_random_graph(n, density, seed=n)
+        text = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+        g = parse_graph6(text)
+        assert g.n == n
+        assert set(g.edges()) == {tuple(sorted(e)) for e in nxg.edges()}
+        assert to_graph6(g) == text
+
+    @pytest.mark.parametrize("text, message", [
+        ("Dh c", "invalid graph6 character ' '"),
+        ("Bw\x7f", "invalid graph6 character '\\x7f'"),
+        ("~?!", "invalid graph6 character '!'"),
+        ("~??", "truncated graph6 vertex-count field"),
+        ("~~??????", "vertex count exceeds 64"),
+        ("~?@@", "vertex count 65 exceeds 64"),
+        ("Bww", "expected 1 adjacency characters, got 2"),
+        ("~?@?" + "?" * 335, "expected 336 adjacency characters, got 335"),
+        ("B" + chr(63 + 0b111100), "nonzero padding bits"),
+        ("~??~" + "?" * 325 + "@", "nonzero padding bits"),
+    ], ids=["space", "delete", "in-long-header", "truncated-header", "double-tilde",
+            "n65", "too-long", "too-short", "padding", "padding-long-header"])
+    def test_malformed_input_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph6(text)
+        assert str(info.value) == message
 
     def test_nonzero_padding_rejected(self):
         # K3 uses 3 of 6 bits; force a padding bit on.
