@@ -15,19 +15,16 @@ including the seed, produce identical reports.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from math import comb
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .cliques import (
     CliqueBudgetExceeded,
     _listed_catalog,
     _require_listing_budget,
-    clique_count,
     clique_counts,
     clique_polynomial,
     poly_derivative,
@@ -51,9 +48,10 @@ from .identities import (
     NotApplicable,
     Render,
     Verdict,
-    _add,
-    _count,
-    _expansion,
+    _deck,
+    _deck_verdict,
+    _deletion_verdict,
+    _edge_subsets_verdict,
     _k_parser,
     _named,
     _parse_clique,
@@ -146,13 +144,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
     where t is the triangle count and G - d deletes the triangle's edges.
     Reported, never asserted globally: it fails already on the 4-clique.
     """
-    tris = triangles(g)
-    lhs = (len(tris) - comb(k, 3)) * clique_count(g, k)
-    rhs = sum(
-        _count(g, k, without=_vertex_mask(d))
-        for d in tris
-    )
-    return lhs == rhs, lhs, rhs
+    return _deck_verdict(g, "triangle", 3, k)
 
 
 def _triangle_graph_is_edgeless(g: Graph) -> bool:
@@ -197,11 +189,7 @@ def check_conjecture3(g: Graph) -> Verdict:
     edge-deleted graphs instead of neighborhood subgraphs; fails on any graph
     containing a triangle.
     """
-    lhs = poly_divided_derivative(clique_polynomial(g), 3)
-    rhs = [0] * (g.n + 1)
-    for d in triangles(g):
-        _add(rhs, g, without=_vertex_mask(d))
-    return _poly_verdict(lhs, rhs)
+    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), _deck(g, "triangle"))
 
 
 # -- check catalog ---------------------------------------------------------------
@@ -221,7 +209,7 @@ class CheckDef:
     params(g, k_range) lists the instances on g, already normal, and
     check(g, p) evaluates one of them to a verdict, trusting it; an instance
     whose verdict holds None, or whose check raises NotApplicable, does not
-    apply.  render(g, p, verdict) renders a verdict as its IdentityReport.
+    apply, and verdict(g, p) is the one place that says so.  render(g, p, verdict) renders a verdict as its IdentityReport.
     parse(g, raw) validates one instance from outside the program, such as a
     verify flag's text, with the parser its kind shares with the public
     identity functions, and returns it as params lists it (a unit switch is
@@ -250,28 +238,31 @@ class CheckDef:
         """Reports of every listed instance on g that applies: the default run."""
         return self.applicable(g, self.params(g, k_range))
 
-    def verdicts(self, g: Graph, instances: Iterable) -> Iterator[tuple[object, Verdict]]:
-        """(instance, verdict) of each given instance that applies on g, one at a time."""
-        for p in instances:
-            try:
-                verdict = self.check(g, p)
-            except NotApplicable:
-                continue
-            if verdict[0] is not None:
-                yield p, verdict
+    def verdict(self, g: Graph, p) -> Optional[Verdict]:
+        """The verdict of instance p on g, or None if p does not apply: its
+        check raised NotApplicable or decided holds None."""
+        try:
+            verdict = self.check(g, p)
+        except NotApplicable:
+            return None
+        return None if verdict[0] is None else verdict
 
     def applicable(self, g: Graph, instances: Iterable) -> list[IdentityReport]:
         """Reports of the given instances on g, without those that do not apply."""
-        return [self.render(g, p, verdict) for p, verdict in self.verdicts(g, instances)]
+        return [self.render(g, p, verdict) for p in instances
+                if (verdict := self.verdict(g, p)) is not None]
 
     def first_failure(self, g: Graph, k_range: KRange) -> tuple[bool, Optional[tuple[object, Verdict]]]:
         """Whether some listed instance applies on g, and the first that fails
         with its verdict (None if every one holds).  Evaluates no instance
         after the failing one and renders none."""
         applies = False
-        for found in self.verdicts(g, self.params(g, k_range)):
-            if found[1][0] is False:
-                return True, found
+        for p in self.params(g, k_range):
+            verdict = self.verdict(g, p)
+            if verdict is None:
+                continue
+            if verdict[0] is False:
+                return True, (p, verdict)
             applies = True
         return applies, None
 
@@ -341,8 +332,7 @@ CHECKS: dict[str, CheckDef] = {
         _entry("second_derivative", THEOREM, None, _once, check_second_derivative),
         CheckDef("triangle_identity", THEOREM, "delta", lambda g, _: triangles(g),
                  triangle_identity.body, _render_triangle_identity, _parse_triangle),
-        CheckDef("clique_deletion", THEOREM, "clique", _small_cliques,
-                 functools.partial(_expansion, interpretation=INTERPRETATION_CLIQUES),
+        CheckDef("clique_deletion", THEOREM, "clique", _small_cliques, _deletion_verdict,
                  _render_expansion(INTERPRETATION_CLIQUES), _parse_clique),
         _entry("third_derivative_k5free", THEOREM, None,
                lambda g, _: [None] if _k5_free(g) else [], check_third_derivative_k5free),
@@ -351,8 +341,8 @@ CHECKS: dict[str, CheckDef] = {
                  triangle_deletion_counts.body, _render_triangle_deletion_counts,
                  _parse_triangle),
         CheckDef("clique_deletion_edge_subsets", CONJECTURE, "clique", _small_cliques,
-                 functools.partial(_expansion, interpretation=INTERPRETATION_EDGE_SUBSETS),
-                 _render_expansion(INTERPRETATION_EDGE_SUBSETS), _parse_clique),
+                 _edge_subsets_verdict, _render_expansion(INTERPRETATION_EDGE_SUBSETS),
+                 _parse_clique),
         _k_check("kth_derivative", CONJECTURE, 1, check_kth_derivative_general, listing=True),
         _entry("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
                check_triangle_recurrence, _parse_triangle),

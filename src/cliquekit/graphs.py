@@ -168,6 +168,20 @@ class Graph:
         return {}
 
     @cached_property
+    def deck_table(self) -> dict[str, tuple[int, ...]]:
+        """Deck sums taken over this graph, keyed by deck: 'vertex' (the
+        members G - v), 'edge' (G - E(e), for each edge) and 'triangle'
+        (G - E(d), for each triangle).  A deck's row holds at x**k the sum
+        over its members of c_k, with the member count at x**0, without
+        trailing zeros.
+
+        cliquekit.identities fills it from the counts in counts_table, so
+        each deck identity reads one coefficient of a row summed once per
+        graph; it lives exactly as long as the object.
+        """
+        return {}
+
+    @cached_property
     def catalog_table(self) -> dict[int, CliqueCatalog]:
         """The largest clique catalog listed for this graph, keyed by its size limit.
 

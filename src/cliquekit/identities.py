@@ -27,14 +27,19 @@ clique, which for edges and triangles is also the edge recurrence's and the
 triangle identity's, is decided once per graph (Graph.deletion_table): its
 right side adds the counts of the clique's r-subsets' neighbourhoods, each
 the AND of its members' rows, with one coefficient per r, and is trimmed
-once there.
+once there.  Likewise each deck, the graphs G - v, G - E(e) or G - E(d)
+over every vertex, edge or triangle, is summed once per graph into one row
+of Graph.deck_table (its member count at x**0, the sum of the members' c_k
+at x**k), and the deck identities read coefficient k of it.
 
 An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
 kind; a vertex set is a clique when its mask lies in each member's closed
 neighbourhood.  Each public function is its identity's one body between
 that parser and a renderer (_public), and the catalog, which lists its
-instances normal, calls the bodies unparsed and renders on demand.
+instances normal, calls the bodies unparsed and renders on demand.  A body
+trusts its instance: the common neighbourhood of a clique or a pair of its
+vertices is the AND of their rows, with no range check.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from .graphs import (
     Graph,
     _edge_pairs,
     _vertex_mask,
-    common_neighborhood_bits,
     edge,
     is_connected,
     triangles,
@@ -158,6 +162,55 @@ def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
 def _without_vertex(g: Graph, v: int) -> int:
     """The vertex set of G - v, as a mask over the rows of g."""
     return ((1 << g.n) - 1) & ~(1 << v)
+
+
+def _common(adj: tuple[int, ...], vertices) -> int:
+    """N(S), the AND of the rows of S's members, for a nonempty vertex set S
+    already checked to lie in range (common_neighborhood_bits checks it)."""
+    common = -1
+    for v in vertices:
+        common &= adj[v]
+    return common
+
+
+def _deck(g: Graph, deck: str) -> tuple[int, ...]:
+    """The row of deck ('vertex', 'edge' or 'triangle') in g.deck_table,
+    summed on first use."""
+    row = g.deck_table.get(deck)
+    if row is None:
+        row = g.deck_table[deck] = _sum_deck(g, deck)
+    return row
+
+
+def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
+    """The sum of C(x) over the members of deck, G - v for each vertex v,
+    G - E(e) for each edge e or G - E(d) for each triangle d, with trailing
+    zeros trimmed: the member count at x**0 and the sum of their c_k at
+    x**k.  Each member's counts are the table entries _add reads."""
+    if deck == "vertex":
+        members = [(_without_vertex(g, v), 0) for v in range(g.n)]
+    else:
+        deleted = g.edges() if deck == "edge" else triangles(g)
+        members = [(None, _vertex_mask(q)) for q in deleted]
+    row = [0] * (g.n + 1)
+    for mask, without in members:
+        _add(row, g, mask, without)
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
+def _deck_verdict(g: Graph, deck: str, r: int, k: int) -> Verdict:
+    """(|deck| - C(k, r)) * c_k(G) against the sum of c_k over the deck,
+    whose members delete a vertex (r = 1), an edge (r = 2) or a triangle's
+    edges (r = 3).  For r <= 2 a k-clique is missing from exactly the C(k, r)
+    members that delete a vertex or an edge of it; a triangle's deletion
+    also cuts a clique that holds just two of its vertices."""
+    row = _deck(g, deck)
+    size = row[0] if row else 0
+    rhs = row[k] if k < len(row) else 0
+    lhs = (size - comb(k, r)) * clique_count(g, k)
+    return lhs == rhs, lhs, rhs
 
 
 # -- instances ----------------------------------------------------------------
@@ -259,7 +312,8 @@ def check_handshake(g: Graph, k: int) -> Verdict:
     (k+1)-clique once per common neighbor, so both sides count the entries of
     the containment matrix of order k.
     """
-    lhs = sum(common_neighborhood_bits(g, q).bit_count() for q in _listed_catalog(g, k).cliques(k))
+    adj = g.adj
+    lhs = sum(_common(adj, q).bit_count() for q in _listed_catalog(g, k).cliques(k))
     rhs = (k + 1) * clique_count(g, k + 1)
     return lhs == rhs, lhs, rhs
 
@@ -287,17 +341,13 @@ def check_edge_recurrence(g: Graph, e) -> Verdict:
 @_public(_renderer("vertex_deck", _named("k"), sides=None), _k_parser(1))
 def check_vertex_deck_identity(g: Graph, k: int) -> Verdict:
     """(n - k) * c_k(G) == sum over v of c_k(G - v)."""
-    lhs = (g.n - k) * clique_count(g, k)
-    rhs = sum(_count(g, k, _without_vertex(g, v)) for v in range(g.n))
-    return lhs == rhs, lhs, rhs
+    return _deck_verdict(g, "vertex", 1, k)
 
 
 @_public(_renderer("edge_deck", _named("k"), sides=None), _k_parser(2))
 def check_edge_deck_identity(g: Graph, k: int) -> Verdict:
     """(m - C(k, 2)) * c_k(G) == sum over e of c_k(G - e)."""
-    lhs = (g.m - comb(k, 2)) * clique_count(g, k)
-    rhs = sum(_count(g, k, without=_vertex_mask(e)) for e in g.edges())
-    return lhs == rhs, lhs, rhs
+    return _deck_verdict(g, "edge", 2, k)
 
 
 # -- derivative identities --------------------------------------------------------
@@ -342,8 +392,9 @@ def check_third_derivative_k5free(g: Graph) -> Verdict:
         raise NotApplicable("graph contains a 5-clique")
     lhs = poly_divided_derivative(clique_polynomial(g), 3)
     rhs = [0] * (g.n + 1)
+    adj = g.adj
     for d in triangles(g):
-        _add(rhs, g, common_neighborhood_bits(g, d))
+        _add(rhs, g, _common(adj, d))
     return _poly_verdict(lhs, rhs)
 
 
@@ -365,8 +416,9 @@ def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     """
     lhs = poly_divided_derivative(clique_polynomial(g), k)
     rhs = [0] * (g.n + 1)
+    adj = g.adj
     for q in _listed_catalog(g, k).cliques(k):
-        _add(rhs, g, common_neighborhood_bits(g, q))
+        _add(rhs, g, _common(adj, q))
     return _poly_verdict(lhs, rhs)
 
 
@@ -404,15 +456,18 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
         u, v = next(e for e in normalized if not g.has_edge(*e))
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     clique = tuple(support)
-    return _render_expansion(interpretation)(g, clique, _expansion(g, clique, interpretation))
-
-
-def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> Verdict:
-    """The body of clique_deletion_expansion, for the sorted clique q."""
     if interpretation == INTERPRETATION_CLIQUES:
-        return _deletion_verdict(g, q)
-    if interpretation != INTERPRETATION_EDGE_SUBSETS:
+        body = _deletion_verdict
+    elif interpretation == INTERPRETATION_EDGE_SUBSETS:
+        body = _edge_subsets_verdict
+    else:
         raise ValueError(f"unknown interpretation {interpretation!r}")
+    return _render_expansion(interpretation)(g, clique, body(g, clique))
+
+
+def _edge_subsets_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
+    """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q."""
+    adj = g.adj
     edges = list(itertools.combinations(q, 2))
     rhs = [0] * (g.n + 1)
     _add(rhs, g, without=_vertex_mask(q))
@@ -420,12 +475,12 @@ def _expansion(g: Graph, q: tuple[int, ...], interpretation: str) -> Verdict:
         # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
         for s in itertools.combinations(edges, comb(r, 2)):
             t = {v for e in s for v in e}
-            _add(rhs, g, common_neighborhood_bits(g, t), shift=r, coeff=(-1) ** r * (r - 1))
+            _add(rhs, g, _common(adj, t), shift=r, coeff=(-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
 def _render_expansion(interpretation: str) -> Render:
-    """The renderer of _expansion's verdicts under one reading."""
+    """The renderer of the expansion's verdicts under one reading."""
     def params(g: Graph, q: tuple[int, ...]) -> dict:
         return {"m": [list(e) for e in itertools.combinations(q, 2)],
                 "interpretation": interpretation}
@@ -466,6 +521,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     return verdict
 
 
+
 # -- triangle deletion -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -483,10 +539,11 @@ class TriangleIdentityParts:
 
 
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
+    adj = g.adj
     edge_sum = [0] * (g.n + 1)
-    for pair in itertools.combinations(d, 2):
-        _add(edge_sum, g, common_neighborhood_bits(g, pair))
-    tri = _poly(g, common_neighborhood_bits(g, d))
+    for a, b in itertools.combinations(d, 2):
+        _add(edge_sum, g, adj[a] & adj[b])
+    tri = _poly(g, _common(adj, d))
     return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 
 
@@ -531,7 +588,7 @@ def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     lhs = clique_polynomial(g)
     rhs = [0] * (g.n + 1)
     _add(rhs, g, without=_vertex_mask(delta))
-    _add(rhs, g, common_neighborhood_bits(g, delta), shift=3)
+    _add(rhs, g, _common(g.adj, delta), shift=3)
     return _poly_verdict(lhs, rhs)
 
 
@@ -570,23 +627,24 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
         c_3(G - d) = c_3(G) - sum val(e_i) + 2
         c_4(G - d) = c_4(G) - sum c_2(G[N(e_i)]) + 2 val(d)
 
-    where e_1..e_3 are the triangle's edges and val is the clique-value.  The
-    public function returns the TriangleDeletionCounts; the catalog renders
-    the two count tuples as a report's sides.
+    where e_1..e_3 are the triangle's edges and val is the clique-value.
+    C(G) and C(G - d) are read once each, and each N(e_i) is the AND of two
+    rows.  The public function returns the TriangleDeletionCounts; the
+    catalog renders the two count tuples as a report's sides.
     """
-    if len(clique_counts(g)) >= 5:
+    counts = clique_counts(g)
+    if len(counts) >= 5:
         raise NotApplicable("graph contains a 5-clique")
-    pairs = list(itertools.combinations(delta, 2))
-    val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]
-    c2_edge_nbhd = [
-        _count(g, 2, common_neighborhood_bits(g, pair)) for pair in pairs
-    ]
-    val_delta = common_neighborhood_bits(g, delta).bit_count()
+    c1, c2, c3, c4 = (*counts, 0, 0, 0)[:4]
+    adj = g.adj
+    u, v, w = delta
+    edge_nbhds = (adj[u] & adj[v], adj[u] & adj[w], adj[v] & adj[w])
     formula = (
-        clique_count(g, 1),
-        clique_count(g, 2) - 3,
-        clique_count(g, 3) - sum(val_edges) + 2,
-        clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
+        c1,
+        c2 - 3,
+        c3 - sum(nbhd.bit_count() for nbhd in edge_nbhds) + 2,
+        c4 - sum(_count(g, 2, nbhd) for nbhd in edge_nbhds)
+        + 2 * (edge_nbhds[0] & adj[w]).bit_count(),
     )
-    direct = tuple(_count(g, k, without=_vertex_mask(delta)) for k in range(1, 5))
+    direct = (*_table_counts(g, without=_vertex_mask(delta)), 0, 0, 0)[:4]
     return formula == direct, formula, direct

@@ -11,8 +11,10 @@ import csv
 import io
 import itertools
 import os
+from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 import cliquekit.cliques
@@ -142,6 +144,16 @@ def naive_cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
         for q in itertools.combinations(range(g.n), k)
         if naive_is_clique(g, q)
     ]
+
+
+def networkx_counts(g: Graph) -> tuple[int, ...]:
+    """(c_1, ..., c_omega) from networkx's clique listing, an independent oracle."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
+    return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
 
 
 def naive_common_neighbors(g: Graph, vertices) -> set[int]:

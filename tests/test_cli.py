@@ -10,6 +10,7 @@ import pytest
 
 import cliquekit.cliques
 import cliquekit.conjectures
+import cliquekit.identities
 from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
@@ -543,6 +544,59 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     capsys.readouterr()
     assert {adj for adj, _ in calls} <= {id(g.adj) for g in graphs}
     assert len(calls) == len(set(calls)) == 8847
+
+
+def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
+    """The small-graph theorem campaign reads a count tuple from its graphs'
+    tables 68 401 times, the split of G - Q's own reads included.  Reading
+    the vertex and edge decks at every k took 85 247: each deck is now
+    summed once per graph, and the triangle-deletion counts read C(G) and
+    C(G - d) once each."""
+    table_counts = cliquekit.cliques._table_counts
+    reads = []
+
+    def spy(*args, **kwargs):
+        reads.append(args)
+        return table_counts(*args, **kwargs)
+
+    monkeypatch.setattr(cliquekit.cliques, "_table_counts", spy)
+    monkeypatch.setattr(cliquekit.identities, "_table_counts", spy)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert len(reads) == 68401
+
+
+@pytest.mark.parametrize("checks, decks", [
+    ("all-theorems", {"vertex": 200, "edge": 200}),
+    ("triangle_deck,conjecture2,conjecture3", {"triangle": 200}),
+])
+def test_campaign_sums_each_deck_once_per_graph(checks, decks, monkeypatch, capsys):
+    """Over 200 campaign graphs, the deck checks sum each deck they read
+    once per graph: vertex_deck and edge_deck at every k, triangle_deck,
+    conjecture2 and conjecture3 share the triangle deck's row."""
+    sum_deck = cliquekit.identities._sum_deck
+    gnp = cliquekit.conjectures.random_gnp
+    graphs = []  # kept alive, so the id of each graph stays its own
+    sums = []
+
+    def spy_gnp(*args):
+        graphs.append(gnp(*args))
+        return graphs[-1]
+
+    def spy(g, deck):
+        sums.append((id(g), deck))
+        return sum_deck(g, deck)
+
+    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy_gnp)
+    monkeypatch.setattr(cliquekit.identities, "_sum_deck", spy)
+    argv = ["fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200", "--seed", "7",
+            "--check", checks]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(graphs) == 200
+    assert len(set(sums)) == len(sums)
+    assert {g for g, _ in sums} == {id(g) for g in graphs}
+    assert Counter(deck for _, deck in sums) == decks
 
 
 def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):

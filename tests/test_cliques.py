@@ -2,7 +2,6 @@ import itertools
 import json
 import time
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,19 +47,15 @@ from cliquekit import (
     triangles,
 )
 
-from _helpers import all_labelled_graphs, graphs, naive_cliques_of_size, record_listings
+from _helpers import (
+    all_labelled_graphs,
+    graphs,
+    naive_cliques_of_size,
+    networkx_counts,
+    record_listings,
+)
 
 DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense_poly.json"
-
-
-def networkx_counts(g):
-    """(c_1, ..., c_omega) from networkx's clique listing, an independent oracle."""
-    nx = pytest.importorskip("networkx")
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
-    return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
 
 
 def complement(g):

@@ -3,9 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+import cliquekit.identities
 from cliquekit import (
     CHECKS,
     Graph,
+    RngSpec,
+    bits,
     brute_force_counts,
     check_edge_deck_identity,
     check_edge_recurrence,
@@ -21,6 +24,7 @@ from cliquekit import (
     clique_counts,
     clique_deletion_expansion,
     clique_polynomial,
+    common_neighborhood_bits,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -33,13 +37,14 @@ from cliquekit import (
     parse_graph6,
     path_graph,
     poly_equal,
+    random_gnp,
     star_graph,
     triangle_deletion_counts,
     triangle_identity,
     triangles,
 )
 
-from _helpers import graphs, naive_cliques_of_size, naive_common_neighbors
+from _helpers import graphs, naive_cliques_of_size, naive_common_neighbors, networkx_counts
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -151,6 +156,82 @@ class TestDeckIdentities:
                 assert check_vertex_deck_identity(g, k).holds
                 if k >= 2:
                     assert check_edge_deck_identity(g, k).holds
+
+
+# deck: r, where a member deletes a vertex (r = 1), an edge (2) or a triangle's edges (3)
+DECKS = {"vertex": 1, "edge": 2, "triangle": 3}
+
+
+def oracle_counts(h):
+    """The clique counts of h by brute force, or by networkx above 20 vertices."""
+    return brute_force_counts(h) if h.n <= 20 else networkx_counts(h)
+
+
+def reference_deck(g, deck):
+    """The deck's row summed over its members rebuilt as graphs, each counted
+    by an oracle: the member count at x**0, the sum of their c_k at x**k."""
+    if deck == "vertex":
+        members = [delete_vertex(g, v) for v in range(g.n)]
+    elif deck == "edge":
+        members = [delete_edge(g, e) for e in g.edges()]
+    else:
+        members = [delete_edge_set(g, itertools.combinations(d, 2)) for d in triangles(g)]
+    row = [len(members)] + [0] * g.n
+    for h in members:
+        for k, c in enumerate(oracle_counts(h), 1):
+            row[k] += c
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
+def deck_check(deck, g, k):
+    """The deck identity's verdict for k, as the catalog evaluates it."""
+    return CHECKS[f"{deck}_deck"].check(g, k)
+
+
+class TestDeckSums:
+    """Each deck's row, summed once per graph from its table, against the
+    members rebuilt by deletion and counted independently."""
+
+    def assert_decks_match(self, g):
+        fresh = Graph(g.n, g.adj)
+        for deck, r in DECKS.items():
+            expected = reference_deck(g, deck)
+            assert cliquekit.identities._deck(fresh, deck) == expected, (g.adj, deck)
+            assert fresh.deck_table[deck] == expected
+            for k in range(r, len(expected) + 2):
+                _, _, rhs = deck_check(deck, fresh, k)
+                assert rhs == (expected[k] if k < len(expected) else 0), (g.adj, deck, k)
+
+    def test_corpus_matches_rebuilt_members(self, corpus):
+        for g in corpus:
+            self.assert_decks_match(g)
+
+    @pytest.mark.parametrize("n, p", [(11, 0.8), (12, 0.6), (13, 0.45), (15, 0.3)])
+    def test_seeded_gnp_matches_rebuilt_members(self, n, p):
+        self.assert_decks_match(random_gnp(n, p, RngSpec(n)))
+
+    @pytest.mark.parametrize("n, p", [(24, 0.5), (40, 0.25)])
+    def test_larger_graphs_match_networkx(self, n, p):
+        self.assert_decks_match(random_gnp(n, p, RngSpec(n)))
+
+    def test_each_deck_is_summed_once_per_graph(self, monkeypatch):
+        sum_deck = cliquekit.identities._sum_deck
+        sums = []
+
+        def spy(g, deck):
+            sums.append(deck)
+            return sum_deck(g, deck)
+
+        monkeypatch.setattr(cliquekit.identities, "_sum_deck", spy)
+        g = random_gnp(12, 0.6, RngSpec(3))
+        for deck, r in DECKS.items():
+            for k in range(r, 6):
+                deck_check(deck, g, k)
+        CHECKS["conjecture2"].check(g, None)
+        CHECKS["conjecture3"].check(g, None)
+        assert sums == list(DECKS)
 
 
 class TestDerivativeTheorems:
@@ -432,6 +513,44 @@ class TestTriangleDeletionCounts:
     def test_rejects_non_triangle(self):
         with pytest.raises(ValueError, match="triangle"):
             triangle_deletion_counts(star_graph(4), (0, 1, 2))
+
+    @staticmethod
+    def reference(g, d):
+        """(formula, direct), the formula evaluated term by term: every count
+        of G by clique_count, every neighbourhood by common_neighborhood_bits,
+        c_2 of G[N(e)] by listing its edges, and the direct side by an oracle
+        on the rebuilt graph."""
+        pairs = list(itertools.combinations(d, 2))
+        val_edges = [common_neighborhood_bits(g, pair).bit_count() for pair in pairs]
+        c2_edge_nbhd = [
+            len(naive_cliques_of_size(
+                induced_subgraph(g, bits(common_neighborhood_bits(g, pair))), 2))
+            for pair in pairs
+        ]
+        val_delta = common_neighborhood_bits(g, d).bit_count()
+        formula = (
+            clique_count(g, 1),
+            clique_count(g, 2) - 3,
+            clique_count(g, 3) - sum(val_edges) + 2,
+            clique_count(g, 4) - sum(c2_edge_nbhd) + 2 * val_delta,
+        )
+        direct = (*oracle_counts(delete_edge_set(g, pairs)), 0, 0, 0, 0)[:4]
+        return formula, direct
+
+    def assert_matches_reference(self, g):
+        if len(clique_counts(g)) >= 5:
+            return 0
+        for d in triangles(g):
+            r = triangle_deletion_counts(Graph(g.n, g.adj), d)
+            assert (r.formula, r.direct) == self.reference(g, d), (g.adj, d)
+        return len(triangles(g))
+
+    def test_corpus_matches_the_reference_formula(self, corpus):
+        assert sum(self.assert_matches_reference(g) for g in corpus) > 0
+
+    @pytest.mark.parametrize("n, p", [(12, 0.5), (14, 0.4), (17, 0.2)])
+    def test_seeded_gnp_matches_the_reference_formula(self, n, p):
+        assert self.assert_matches_reference(random_gnp(n, p, RngSpec(n)))
 
     def test_matches_direct_enumeration_on_corpus(self, corpus):
         for g in corpus:
