@@ -23,7 +23,9 @@ a triangle one of three more, so the extension makes no call for it.  Sets
 of 2 and 3 candidates are most of the nodes of the extension, so this
 takes out about two thirds of its calls.
 
-Results are memoised at two lifetimes.  Within one call, a dict keyed by
+A mask under the cutoff, most of the masks the identity checks ask for, is
+grown straight into its row, with no memo.  Results are memoised at two
+lifetimes.  Within one call on a mask of at least the cutoff, a dict keyed by
 candidate set holds every pivot node, so a set reached along several
 branches is counted once: K64 and complete multipartite graphs take one
 entry per level, and the complement of a 64-vertex path 52 entries.  The
@@ -187,14 +189,15 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """(c_1, ..., c_omega) of the subgraph that the vertex bitmask mask induces.
 
     adj holds symmetric bit rows, such as Graph.adj.  Nothing is listed,
-    counts stay exact Python ints, and nothing is kept after the call: the
-    recursion's memo is a dict made for this call alone.
+    counts stay exact Python ints, and nothing is kept after the call.
 
-    A mask of fewer than _PIVOT_MIN_SIZE vertices is counted depth-first: a
-    clique is extended only by common neighbours above its largest vertex, so
-    each is counted once, and a node adds the size of its candidate set to
-    the next clique size.  Candidate sets of at most three vertices are
-    counted in closed form, without a node of their own (see _grow).
+    A mask of fewer than _PIVOT_MIN_SIZE vertices, most of the masks that
+    the identity checks ask for, is grown straight into its row by the
+    depth-first count, with no memo and no pivot frame: a clique is extended
+    only by common neighbours above its largest vertex, so each is counted
+    once, and a node adds the size of its candidate set to the next clique
+    size.  Candidate sets of at most three vertices are counted in closed
+    form, without a node of their own (see _grow).
 
     A larger candidate set S is split on a pivot u, the candidate with the
     most neighbours in S.  A clique of S either avoids every non-neighbour of
@@ -205,16 +208,24 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
         C(S) = (1 + x) C(S & N(u)) + sum over w of x C(S_w & N(w)),
 
-    each term counted by the same rule, and memoised on its candidate set.
-    A universal vertex is a pivot with no non-neighbours, and on a complete
-    multipartite graph every S_w & N(w) equals S & N(u), so both take one
-    memo entry per level.  Terms below the cutoff are grown straight into
-    the node's coefficient row by the depth-first count.
+    each term counted by the same rule, and memoised on its candidate set in
+    a dict made for this call alone.  A universal vertex is a pivot with no
+    non-neighbours, and on a complete multipartite graph every S_w & N(w)
+    equals S & N(u), so both take one memo entry per level.  Terms below the
+    cutoff are grown straight into the node's coefficient row by the
+    depth-first count.
     """
     limit = min(len(adj), MAX_VERTICES)
     if mask < 0 or mask >> limit:
         raise ValueError(f"mask has bits outside 0..{limit - 1}")
-    return tuple(_poly_of(adj, mask, {})[1:])
+    size = mask.bit_count()
+    if size >= _PIVOT_MIN_SIZE:
+        return tuple(_poly_of(adj, mask, {})[1:])
+    # c_1, ..., c_omega are positive and the rest of the row is 0
+    row = [0] * (size + 2)
+    if mask:
+        _grow(adj, row, 1, mask)
+    return tuple(row[1:row.index(0, 1)])
 
 
 def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional
 
 from .cliques import (
     CliqueBudgetExceeded,
+    Polynomial,
     _listed_catalog,
     _require_listing_budget,
     clique_counts,
@@ -30,13 +31,11 @@ from .cliques import (
     poly_derivative,
     poly_divided_derivative,
     poly_reverse,
-    poly_sum,
 )
 from .graphs import (
     Graph,
     RngSpec,
     Splitmix64,
-    _vertex_mask,
     delete_edge,
     delete_vertex,
     parse_graph6,
@@ -58,7 +57,6 @@ from .identities import (
     _parse_edge,
     _parse_triangle,
     _parse_vertex,
-    _poly,
     _poly_verdict,
     _public,
     _render_expansion,
@@ -66,7 +64,6 @@ from .identities import (
     _render_triangle_identity,
     _renderer,
     _unnamed,
-    _without_vertex,
     check_edge_deck_identity,
     check_edge_recurrence,
     check_first_derivative,
@@ -116,21 +113,24 @@ def _conjecture1_first(g: Graph, include_unit: bool) -> Verdict:
     """
     n = g.n
     lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
-    rhs = poly_sum(
-        poly_reverse(_poly(g, _without_vertex(g, v)), n - 1, include_unit)
-        for v in range(n)
-    )
-    return _poly_verdict(lhs, rhs)
+    return _poly_verdict(lhs, _reversed_deck(g, "vertex", n - 1, include_unit))
 
 
 def _conjecture1_second(g: Graph, include_unit: bool) -> Verdict:
     n = g.n
     lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
-    rhs = poly_sum(
-        poly_reverse(_poly(g, without=_vertex_mask(e)), n, include_unit)
-        for e in g.edges()
-    )
-    return _poly_verdict(lhs, rhs)
+    return _poly_verdict(lhs, _reversed_deck(g, "edge", n, include_unit))
+
+
+def _reversed_deck(g: Graph, deck: str, base: int, include_unit: bool) -> Polynomial:
+    """The sum over the members of deck of C(x) reversed at base, each with
+    its own unit if include_unit: the deck's row reversed at base, plus the
+    member count (the row's x**0) at x**0."""
+    row = _deck(g, deck)
+    rhs = poly_reverse(row, base)
+    if include_unit and row:
+        rhs[0] += row[0]
+    return rhs
 
 
 _render_conjecture1_first = _renderer("conjecture1_first", _named("include_unit"))

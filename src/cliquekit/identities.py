@@ -16,21 +16,23 @@ avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
 The left side is clique_polynomial(g).  The right side is summed in one row
 of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with |S| >= r): _add
-reads one count tuple from the graph's result table (Graph.counts_table) and
-adds coeff * x**shift * C(x) into the row in place.  _poly_verdict compares
-the row, trailing zeros and all, with the left side, and a rendered report
-trims both.  Each count is of a vertex mask over g's rows, with or without
-the edges of a clique (a mask too, whose count cliquekit.cliques sums from
-masks over the same rows), so no check builds a subgraph or edits a row,
-and a count asked twice is made once.  The expansion's verdict for a
+reads one count tuple from the graph's result table (Graph.counts_table),
+looking a plain mask up there itself and asking cliquekit.cliques only on a
+miss, and adds coeff * x**shift * C(x) into the row in place.  _poly_verdict
+compares the row, trailing zeros and all, with the left side, and a rendered
+report trims both.  Each count is of a vertex mask over g's rows, with or
+without the edges of a clique (a mask too, whose count cliquekit.cliques
+sums from masks over the same rows), so no check builds a subgraph or edits
+a row, and a count asked twice is made once.  The expansion's verdict for a
 clique, which for edges and triangles is also the edge recurrence's and the
-triangle identity's, is decided once per graph (Graph.deletion_table): its
-right side adds the counts of the clique's r-subsets' neighbourhoods, each
-the AND of its members' rows, with one coefficient per r, and is trimmed
-once there.  Likewise each deck, the graphs G - v, G - E(e) or G - E(d)
-over every vertex, edge or triangle, is summed once per graph into one row
-of Graph.deck_table (its member count at x**0, the sum of the members' c_k
-at x**k), and the deck identities read coefficient k of it.
+triangle identity's, is decided once per graph (Graph.deletion_table), in
+one loop that reads the table the same way: its right side adds the counts
+of the clique's r-subsets' neighbourhoods, each the AND of its members'
+rows, with one coefficient per r, and is trimmed once there.  Likewise each
+deck, the graphs G - v, G - E(e) or G - E(d) over every vertex, edge or
+triangle, is summed once per graph into one row of Graph.deck_table (its
+member count at x**0, the sum of the members' c_k at x**k), and the deck
+identities read coefficient k of it.
 
 An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
@@ -153,9 +155,13 @@ def _count(g: Graph, k: int, mask: int | None = None, without: int = 0) -> int:
 def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
          shift: int = 0, coeff: int = 1) -> None:
     """row += coeff * x**shift * C(x), in place, for the subgraph that mask
-    induces without the edges of the clique without, as in _table_counts."""
+    induces without the edges of the clique without, as in _table_counts.
+    A plain mask is looked up in the table first."""
+    counts = None if without or mask is None else g.counts_table.get((0, mask))
+    if counts is None:
+        counts = _table_counts(g, mask, without)
     row[shift] += coeff
-    for j, c in enumerate(_table_counts(g, mask, without), shift + 1):
+    for j, c in enumerate(counts, shift + 1):
         row[j] += coeff * c
 
 
@@ -494,16 +500,22 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     for |q| = 2 and 3 it is the edge recurrence's and the triangle
     identity's as well.
 
-    Each r-subset S of q (r >= 2) gets N(S) by ANDing the rows of its
-    vertices, and its count is added with the coefficient of its size.  No
-    term has a clique beyond the clique number of g (S with a clique of
-    G[N(S)] is a clique of g), so the row is as long as the left side.
+    One loop decides it: C(G) is read once, then C(G - Q), and each r-subset
+    S of q (r >= 2) gets N(S) by ANDing the rows of its vertices and adds
+    its count, with the coefficient of its size, into the one right side.
+    A count is looked up in g.counts_table directly, and _table_counts
+    makes it only on a miss.  No term has a clique beyond the clique number
+    of g (S with a clique of G[N(S)] is a clique of g), so the row is as
+    long as the left side; it is trimmed once and compared as it is.
     """
     mask = _vertex_mask(q)
     verdict = g.deletion_table.get(mask)
     if verdict is None:
         adj = g.adj
-        lhs = clique_polynomial(g)
+        get = g.counts_table.get
+        full = (1 << g.n) - 1
+        counts = get((0, full))
+        lhs = [1, *(_table_counts(g) if counts is None else counts)]
         rhs = [1, *_table_counts(g, without=mask)]
         rhs += [0] * (len(lhs) - len(rhs))
         for r in range(2, len(q) + 1):
@@ -512,12 +524,15 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
                 common = -1
                 for v in s:
                     common &= adj[v]
+                counts = get((0, common))
+                if counts is None:
+                    counts = _table_counts(g, common)
                 rhs[r] += coeff
-                for j, c in enumerate(_table_counts(g, common), r + 1):
+                for j, c in enumerate(counts, r + 1):
                     rhs[j] += coeff * c
         while not rhs[-1]:
             rhs.pop()
-        verdict = g.deletion_table[mask] = _poly_verdict(lhs, tuple(rhs))
+        verdict = g.deletion_table[mask] = (lhs == rhs, lhs, tuple(rhs))
     return verdict
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import strategies as st
 
 import cliquekit.cliques
+import cliquekit.conjectures
 from cliquekit import (
     Graph,
     RngSpec,
@@ -52,6 +53,20 @@ def record_listings(monkeypatch) -> list:
 
     monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", spy)
     return asked
+
+
+def record_campaign_graphs(monkeypatch) -> list[Graph]:
+    """Keep every graph that run_campaign draws, in order.  They stay alive,
+    so the id of each graph and of its rows stays its own."""
+    draw = cliquekit.conjectures.random_gnp
+    graphs = []
+
+    def spy(*args):
+        graphs.append(draw(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy)
+    return graphs
 
 
 @st.composite

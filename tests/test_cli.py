@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from math import comb
 
 import pytest
@@ -11,11 +12,11 @@ import pytest
 import cliquekit.cliques
 import cliquekit.conjectures
 import cliquekit.identities
-from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
+from cliquekit import ALL_THEOREMS, CHECKS, Graph, IdentityReport, complete_graph, to_graph6
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
 
-from _helpers import subprocess_env
+from _helpers import record_campaign_graphs, subprocess_env
 
 K4_G6 = to_graph6(complete_graph(4))
 K5_G6 = to_graph6(complete_graph(5))
@@ -524,46 +525,56 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     8 847 kernel calls.  Counting each G - Q on an edited copy of the rows
     took 13 247; the split of G - Q reads C(G - Q') from the graph's table,
     where the vertex checks have mostly put it already, and grows the small
-    neighbourhood terms in place without a kernel call."""
-    kernel = cliquekit.cliques.clique_counts_in
-    gnp = cliquekit.conjectures.random_gnp
-    graphs = []  # kept alive, so the id of each graph's rows stays its own
-    calls = []
+    neighbourhood terms in place without a kernel call.
 
-    def spy_gnp(*args):
-        graphs.append(gnp(*args))
-        return graphs[-1]
+    Only its 18 masks of _PIVOT_MIN_SIZE vertices (the full masks of
+    12-vertex graphs) enter the pivot recursion, 36 _poly_of frames with
+    their pivots' neighbourhoods; every other mask is grown straight into
+    its row.  Entering _poly_of for every mask took 8 865 frames."""
+    kernel = cliquekit.cliques.clique_counts_in
+    poly_of = cliquekit.cliques._poly_of
+    graphs = record_campaign_graphs(monkeypatch)
+    calls = []
+    nodes = []
 
     def spy(adj, mask):
         calls.append((id(adj), mask))
         return kernel(adj, mask)
 
-    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy_gnp)
+    def spy_poly_of(adj, cand, memo):
+        nodes.append(cand.bit_count())
+        return poly_of(adj, cand, memo)
+
     monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
+    monkeypatch.setattr(cliquekit.cliques, "_poly_of", spy_poly_of)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert {adj for adj, _ in calls} <= {id(g.adj) for g in graphs}
     assert len(calls) == len(set(calls)) == 8847
+    assert (len(nodes), nodes.count(12)) == (36, 18)
 
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
-    """The small-graph theorem campaign reads a count tuple from its graphs'
-    tables 68 401 times, the split of G - Q's own reads included.  Reading
-    the vertex and edge decks at every k took 85 247: each deck is now
-    summed once per graph, and the triangle-deletion counts read C(G) and
-    C(G - d) once each."""
-    table_counts = cliquekit.cliques._table_counts
+    """The small-graph theorem campaign reads its graphs' count tables
+    74 929 times, wherever the read is made: 53 035 find a count and 21 894
+    miss.  _add and the clique-deletion verdicts look a plain mask up
+    themselves and call _table_counts only on a miss, which reads again, so
+    6 528 of the misses are such second reads; the hits are the 53 035 of
+    the 68 401 reads when every read went through _table_counts."""
     reads = []
 
-    def spy(*args, **kwargs):
-        reads.append(args)
-        return table_counts(*args, **kwargs)
+    class Table(dict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            reads.append(found is not None)
+            return found
 
-    monkeypatch.setattr(cliquekit.cliques, "_table_counts", spy)
-    monkeypatch.setattr(cliquekit.identities, "_table_counts", spy)
+    table = cached_property(lambda g: Table())
+    table.__set_name__(Graph, "counts_table")
+    monkeypatch.setattr(Graph, "counts_table", table)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert len(reads) == 68401
+    assert Counter(reads) == {True: 53035, False: 21894}
 
 
 @pytest.mark.parametrize("checks, decks", [
@@ -575,19 +586,13 @@ def test_campaign_sums_each_deck_once_per_graph(checks, decks, monkeypatch, caps
     once per graph: vertex_deck and edge_deck at every k, triangle_deck,
     conjecture2 and conjecture3 share the triangle deck's row."""
     sum_deck = cliquekit.identities._sum_deck
-    gnp = cliquekit.conjectures.random_gnp
-    graphs = []  # kept alive, so the id of each graph stays its own
+    graphs = record_campaign_graphs(monkeypatch)
     sums = []
-
-    def spy_gnp(*args):
-        graphs.append(gnp(*args))
-        return graphs[-1]
 
     def spy(g, deck):
         sums.append((id(g), deck))
         return sum_deck(g, deck)
 
-    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy_gnp)
     monkeypatch.setattr(cliquekit.identities, "_sum_deck", spy)
     argv = ["fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200", "--seed", "7",
             "--check", checks]
@@ -605,14 +610,7 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     edge, triangle and 4-clique between them: 6 519, where one per check
     instance would be 11 803.  Each assembly adds one entry to its graph's
     deletion_table."""
-    gnp = cliquekit.conjectures.random_gnp
-    graphs = []
-
-    def spy(*args):
-        graphs.append(gnp(*args))
-        return graphs[-1]
-
-    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy)
+    graphs = record_campaign_graphs(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     sizes = Counter(mask.bit_count() for g in graphs for mask in g.deletion_table)

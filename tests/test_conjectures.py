@@ -19,6 +19,7 @@ from cliquekit import (
     check_conjecture3,
     check_triangle_deck_identity,
     clique_counts,
+    clique_polynomial,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -28,6 +29,8 @@ from cliquekit import (
     enumerate_cliques,
     is_clique,
     parse_graph6,
+    poly_reverse,
+    poly_sum,
     random_gnp,
     replay_counterexample,
     resolve_checks,
@@ -80,6 +83,21 @@ class TestConjecture1:
         first, second = check_conjecture1(complete_graph(3), include_unit=True)
         assert first.params == {"include_unit": True}
         assert second.params == {"include_unit": True}
+
+    @pytest.mark.parametrize("include_unit", [False, True])
+    def test_right_sides_match_the_per_member_sums(self, corpus, include_unit):
+        """Both right sides are read from the deck rows; here each member is
+        built as its own graph, reversed and added one at a time."""
+        seeded = [random_gnp(n, p, RngSpec(100 * n + i))
+                  for n in range(0, 17, 2) for i, p in enumerate((0.2, 0.5, 0.8))]
+        for g in [*corpus, *seeded]:
+            n = g.n
+            first_rhs = poly_sum(poly_reverse(clique_polynomial(delete_vertex(g, v)), n - 1,
+                                              include_unit) for v in range(n))
+            second_rhs = poly_sum(poly_reverse(clique_polynomial(delete_edge(g, e)), n,
+                                               include_unit) for e in g.edges())
+            first, second = check_conjecture1(Graph(n, g.adj), include_unit)
+            assert (first.rhs, second.rhs) == (first_rhs, second_rhs)
 
 
 class TestTriangleDeckIdentity:

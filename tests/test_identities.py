@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 
 import cliquekit.identities
 from cliquekit import (
+    ALL_THEOREMS,
     CHECKS,
     Graph,
     RngSpec,
@@ -380,14 +382,15 @@ class TestCliqueDeletionExpansion:
                 assert clique_deletion_expansion(g, m, "cliques").holds
 
 
-def reference_deletion_rhs(g, q):
+def reference_deletion_rhs(g, q, counts=brute_force_counts):
     """C(G - Q, x) + sum over r >= 2 of (-1)**r (r-1) x**r * sum over the
-    r-subsets S of q of C(G[N(S)], x), from built subgraphs and exhaustive
-    counts: no counts table and no code shared with the identity checks."""
+    r-subsets S of q of C(G[N(S)], x), from built subgraphs and the counts
+    of an independent oracle (exhaustive by default): no counts table and no
+    code shared with the identity checks."""
     row = [0] * (g.n + 1)
 
     def add(h, shift, coeff):
-        for j, c in enumerate([1, *brute_force_counts(h)], shift):
+        for j, c in enumerate([1, *counts(h)], shift):
             row[j] += coeff * c
 
     add(delete_edge_set(g, itertools.combinations(q, 2)), 0, 1)
@@ -421,6 +424,26 @@ class TestSharedDeletionRhs:
                     report = catalog_report(name, Graph(g.n, g.adj), q)
                     assert report.rhs == reference_deletion_rhs(g, q) and report.holds
                     assert catalog_report(name, warm, q) == report
+
+    @pytest.mark.parametrize("n, p, seed", [(21, 0.6, 1), (24, 0.5, 2), (27, 0.4, 3),
+                                            (30, 0.35, 4)])
+    def test_matches_networkx_above_the_exhaustive_cap(self, n, p, seed):
+        """Sampled cliques of 2 to 4 vertices of G(21..30, p), each decided on
+        a fresh Graph and on one where every theorem check has run first, in
+        campaign order, so the verdict reads counts that other checks made."""
+        g = random_gnp(n, p, RngSpec(seed))
+        warm = Graph(g.n, g.adj)
+        for name in ALL_THEOREMS:
+            CHECKS[name].first_failure(warm, None)
+        sample = random.Random(seed)
+        for size in (2, 3, 4):
+            cliques = naive_cliques_of_size(g, size)
+            assert cliques
+            for q in sample.sample(cliques, min(3, len(cliques))):
+                report = catalog_report("clique_deletion", Graph(g.n, g.adj), q)
+                assert report.rhs == reference_deletion_rhs(g, q, networkx_counts)
+                assert report.holds
+                assert catalog_report("clique_deletion", warm, q) == report
 
     def test_a_clique_of_fewer_than_two_vertices_deletes_nothing(self):
         g = complete_graph(5)
