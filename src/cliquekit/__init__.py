@@ -75,6 +75,9 @@ _LAZY = {
         "NotApplicable",
         "TriangleDeletionCounts",
         "TriangleIdentityParts",
+        "check_conjecture1",
+        "check_conjecture2",
+        "check_conjecture3",
         "check_edge_deck_identity",
         "check_edge_recurrence",
         "check_first_derivative",
@@ -82,6 +85,7 @@ _LAZY = {
         "check_kth_derivative_general",
         "check_second_derivative",
         "check_third_derivative_k5free",
+        "check_triangle_deck_identity",
         "check_triangle_recurrence",
         "check_vertex_deck_identity",
         "check_vertex_recurrence",
@@ -97,10 +101,6 @@ _LAZY = {
         "CheckTally",
         "Counterexample",
         "ShrunkForm",
-        "check_conjecture1",
-        "check_conjecture2",
-        "check_conjecture3",
-        "check_triangle_deck_identity",
         "replay_counterexample",
         "resolve_checks",
         "run_campaign",

@@ -149,11 +149,10 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=2))
     else:
-        for r in reports:
-            holds = "n/a" if r.holds is None else json.dumps(r.holds)
+        for r in reports:  # every printed report holds True or False
             print(
                 f"{r.identity} params={json.dumps(r.params, sort_keys=True)} "
-                f"lhs={json.dumps(r.lhs)} rhs={json.dumps(r.rhs)} holds={holds}"
+                f"lhs={json.dumps(r.lhs)} rhs={json.dumps(r.rhs)} holds={json.dumps(r.holds)}"
             )
     return 1 if theorem_failure else 2 if skipped else 0
 

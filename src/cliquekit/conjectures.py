@@ -1,37 +1,24 @@
-"""Conjecture checks, seeded fuzz campaigns over G(n, p) corpora, and
-counterexample shrinking.
+"""Seeded fuzz campaigns over G(n, p) corpora, counterexample shrinking and
+replay, over the check catalog of cliquekit.identities.
 
-The check catalog gives every identity id one shape: the parameter instances
-a check takes on a graph, the identity's body, which evaluates one instance
-to a verdict (holds and the raw sides, see cliquekit.identities), and the
-renderer that turns a verdict into an IdentityReport.  A report is rendered
-only where one is read: verify renders every applicable instance, a campaign
-only the first failing instance of a check on a graph, and the shrinker
-none.  Checks are classed as 'theorem' (proved; a campaign failure is a
-regression alarm) or 'conjecture' (open; failures are findings, collected
-and optionally shrunk).  Campaigns are deterministic: identical configs,
-including the seed, produce identical reports.
+CHECKS maps each id to its CheckDef, in CATALOG's order; it is a dict so
+that an entry can be swapped for a wrapped one.  A check's body evaluates
+one instance to a verdict (holds and the raw sides), and a report is
+rendered only where one is read: verify renders every applicable instance,
+a campaign only the first failing instance of a check on a graph, and the
+shrinker none.  Checks are classed as 'theorem' (proved; a campaign failure
+is a regression alarm) or 'conjecture' (open; failures are findings,
+collected and optionally shrunk).  Campaigns are deterministic: identical
+configs, including the seed, produce identical reports.
 """
-
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .cliques import (
-    CliqueBudgetExceeded,
-    Polynomial,
-    _listed_catalog,
-    _require_listing_budget,
-    clique_counts,
-    clique_polynomial,
-    poly_derivative,
-    poly_divided_derivative,
-    poly_reverse,
-)
+from .cliques import CliqueBudgetExceeded
 from .graphs import (
     Graph,
     RngSpec,
@@ -40,321 +27,12 @@ from .graphs import (
     delete_vertex,
     parse_graph6,
     random_gnp,
-    triangles,
 )
-from .identities import (
-    IdentityReport,
-    NotApplicable,
-    Render,
-    Verdict,
-    _deck,
-    _deck_verdict,
-    _deletion_verdict,
-    _edge_subsets_verdict,
-    _k_parser,
-    _named,
-    _parse_clique,
-    _parse_edge,
-    _parse_triangle,
-    _parse_vertex,
-    _poly_verdict,
-    _public,
-    _render_expansion,
-    _render_triangle_deletion_counts,
-    _render_triangle_identity,
-    _renderer,
-    _unnamed,
-    check_edge_deck_identity,
-    check_edge_recurrence,
-    check_first_derivative,
-    check_handshake,
-    check_kth_derivative_general,
-    check_second_derivative,
-    check_third_derivative_k5free,
-    check_triangle_recurrence,
-    check_vertex_deck_identity,
-    check_vertex_recurrence,
-    triangle_deletion_counts,
-    triangle_identity,
-    INTERPRETATION_CLIQUES,
-    INTERPRETATION_EDGE_SUBSETS,
-)
-
-
-# -- reversed-polynomial conjectures -------------------------------------------
-
-def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityReport, IdentityReport]:
-    """Derivative formulas for the reversed clique-counting polynomial c(G, x).
-
-    c(G, x) reverses the clique polynomial at exponent base n.  First claim:
-    d/dx c(G, x) == sum over v of c(G - v, x), each deck member reversed at
-    base n-1 (a vertex-deleted subgraph keeps n-1 vertices).  Second claim:
-    (1/2!) d^2/dx^2 c(G, x) == sum over e of c(G - e, x), deck members
-    reversed at base n.  include_unit switches to the variant of c that keeps
-    an extra literal constant 1.
-    """
-    return (_render_conjecture1_first(g, include_unit, _conjecture1_first(g, include_unit)),
-            _render_conjecture1_second(g, include_unit, _conjecture1_second(g, include_unit)))
-
-
-def _conjecture1_first(g: Graph, include_unit: bool) -> Verdict:
-    """The first claim of check_conjecture1.
-
-    Without the unit it holds on every graph: it is the vertex-deck identity
-    read coefficient by coefficient.  c(G, x) = sum over k of c_k x^(n-k),
-    with c_0 = 1, so its derivative has (n - k) c_k at x^(n-1-k).  The deck
-    member c(G - v, x), reversed at base n - 1, has c_k(G - v) there, and
-    summed over v this counts each k-clique once per vertex outside it:
-    (n - k) c_k again.  With the unit, the derivative drops the literal 1 but
-    each of the n deck members keeps its own, so the right side has n more
-    at x^0 and the claim fails whenever n >= 1.  The catalog still classes
-    it as a conjecture, as the paper poses it; re-classing it would change
-    the exit codes of verify and fuzz.
-    """
-    n = g.n
-    lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
-    return _poly_verdict(lhs, _reversed_deck(g, "vertex", n - 1, include_unit))
-
-
-def _conjecture1_second(g: Graph, include_unit: bool) -> Verdict:
-    n = g.n
-    lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
-    return _poly_verdict(lhs, _reversed_deck(g, "edge", n, include_unit))
-
-
-def _reversed_deck(g: Graph, deck: str, base: int, include_unit: bool) -> Polynomial:
-    """The sum over the members of deck of C(x) reversed at base, each with
-    its own unit if include_unit: the deck's row reversed at base, plus the
-    member count (the row's x**0) at x**0."""
-    row = _deck(g, deck)
-    rhs = poly_reverse(row, base)
-    if include_unit and row:
-        rhs[0] += row[0]
-    return rhs
-
-
-_render_conjecture1_first = _renderer("conjecture1_first", _named("include_unit"))
-_render_conjecture1_second = _renderer("conjecture1_second", _named("include_unit"))
-
-
-@_public(_renderer("triangle_deck", _named("k"), sides=None), _k_parser(3))
-def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
-    """(t - C(k, 3)) * c_k(G) against the sum of c_k(G - d) over triangles d,
-
-    where t is the triangle count and G - d deletes the triangle's edges.
-    Reported, never asserted globally: it fails already on the 4-clique.
-    """
-    return _deck_verdict(g, "triangle", 3, k)
-
-
-def _triangle_graph_is_edgeless(g: Graph) -> bool:
-    # Pairwise test, deliberately not via triangle_graph(): no 64-triangle cap.
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles(g)]
-    return all(
-        (ma & mb).bit_count() < 2 for ma, mb in itertools.combinations(masks, 2)
-    )
-
-
-def _render_conjecture2(g: Graph, _, verdict: Verdict) -> IdentityReport:
-    holds, lhs, rhs = verdict
-    if holds is None:
-        return IdentityReport("conjecture2", g.graph6, {"applicable": False}, None, None, None)
-    ks = list(range(3, len(clique_counts(g)) + 1))
-    return IdentityReport("conjecture2", g.graph6, {"applicable": True, "ks": ks},
-                          lhs, rhs, lhs == rhs)
-
-
-@_public(_render_conjecture2)
-def check_conjecture2(g: Graph) -> Verdict:
-    """If no two triangles of G share an edge, the triangle-deck identity
-    should hold for every k up to the clique number.
-
-    Applicable only on that class; otherwise the report carries holds=None.
-    """
-    if not _triangle_graph_is_edgeless(g):
-        return None, None, None
-    lhs, rhs = [], []
-    for k in range(3, len(clique_counts(g)) + 1):
-        _, sub_lhs, sub_rhs = CHECKS["triangle_deck"].check(g, k)
-        lhs.append(sub_lhs)
-        rhs.append(sub_rhs)
-    return lhs == rhs, lhs, rhs
-
-
-@_public(_renderer("conjecture3", _unnamed))
-def check_conjecture3(g: Graph) -> Verdict:
-    """(1/3!) d^3/dx^3 C(G, x) against the sum of C(G - d, x) over triangles d.
-
-    Differs from the proved third-derivative formula by summing whole
-    edge-deleted graphs instead of neighborhood subgraphs; fails on any graph
-    containing a triangle.
-    """
-    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), _deck(g, "triangle"))
-
+from .identities import CATALOG, THEOREM, CheckDef, KRange
 
 # -- check catalog ---------------------------------------------------------------
 
-THEOREM = "theorem"
-CONJECTURE = "conjecture"
-
-KRange = Optional[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class CheckDef:
-    """A catalog entry: id, theorem/conjecture class, and its parameter instances.
-
-    param names the `verify` flag that supplies one instance ('k', 'v', 'e',
-    'delta', 'clique' or 'unit'), or is None for checks without a parameter.
-    params(g, k_range) lists the instances on g, already normal, and
-    check(g, p) evaluates one of them to a verdict, trusting it; an instance
-    whose verdict holds None, or whose check raises NotApplicable, does not
-    apply, and verdict(g, p) is the one place that says so.  render(g, p, verdict) renders a verdict as its IdentityReport.
-    parse(g, raw) validates one instance from outside the program, such as a
-    verify flag's text, with the parser its kind shares with the public
-    identity functions, and returns it as params lists it (a unit switch is
-    taken as given).  k_min is the smallest k a 'k' check takes on any
-    graph.  run(g, k_range) renders every listed instance that applies; it is
-    an init field so that a wrapped runner can replace it.  Left as None, or
-    as another entry's default, it is this entry's own reports, so an entry
-    made by dataclasses.replace runs with its own params, check and render.
-    """
-
-    name: str
-    kind: str
-    param: Optional[str]
-    params: Callable[[Graph, KRange], Iterable]
-    check: Callable[[Graph, object], Verdict]
-    render: Render
-    parse: Callable[[Graph, object], object] = lambda g, raw: raw
-    k_min: Optional[int] = None
-    run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.run is None or getattr(self.run, "__func__", None) is CheckDef.reports:
-            object.__setattr__(self, "run", self.reports)
-
-    def reports(self, g: Graph, k_range: KRange) -> list[IdentityReport]:
-        """Reports of every listed instance on g that applies: the default run."""
-        return self.applicable(g, self.params(g, k_range))
-
-    def verdict(self, g: Graph, p) -> Optional[Verdict]:
-        """The verdict of instance p on g, or None if p does not apply: its
-        check raised NotApplicable or decided holds None."""
-        try:
-            verdict = self.check(g, p)
-        except NotApplicable:
-            return None
-        return None if verdict[0] is None else verdict
-
-    def applicable(self, g: Graph, instances: Iterable) -> list[IdentityReport]:
-        """Reports of the given instances on g, without those that do not apply."""
-        return [self.render(g, p, verdict) for p in instances
-                if (verdict := self.verdict(g, p)) is not None]
-
-    def first_failure(self, g: Graph, k_range: KRange) -> tuple[bool, Optional[tuple[object, Verdict]]]:
-        """Whether some listed instance applies on g, and the first that fails
-        with its verdict (None if every one holds).  Evaluates no instance
-        after the failing one and renders none."""
-        applies = False
-        for p in self.params(g, k_range):
-            verdict = self.verdict(g, p)
-            if verdict is None:
-                continue
-            if verdict[0] is False:
-                return True, (p, verdict)
-            applies = True
-        return applies, None
-
-    def takes_k(self, k_range: tuple[int, int]) -> bool:
-        """Whether some graph has an instance of this check with k in k_range.
-
-        Only the lower end is fixed: how high k goes depends on the graph.
-        """
-        return self.k_min is not None and k_range[1] >= self.k_min
-
-
-def _entry(name: str, kind: str, param: Optional[str], params: Callable[[Graph, KRange], Iterable],
-           public: Callable, parse: Callable[[Graph, object], object] = CheckDef.parse) -> CheckDef:
-    """The entry of a public identity function: its body and its renderer."""
-    return CheckDef(name, kind, param, params, public.body, public.render, parse)
-
-
-def _k_check(name: str, kind: str, lo: int, public: Callable, listing: bool = False) -> CheckDef:
-    """A check over every k from lo up to the clique number (at least lo), within k_range.
-
-    A listing check reads the k-cliques themselves: its params list the
-    cliques of up to the largest such k first, once per graph, so every
-    instance reads a prefix of that catalog.  Over the listing budget they
-    list nothing and raise CliqueBudgetExceeded for the first k over it.
-    """
-    def params(g: Graph, k_range: KRange) -> range:
-        hi = max(len(clique_counts(g)), lo)
-        if k_range is not None:
-            ks = range(max(lo, k_range[0]), min(hi, k_range[1]) + 1)
-        else:
-            ks = range(lo, hi + 1)
-        if listing and ks:
-            for k in ks:
-                _require_listing_budget(g, k)
-            _listed_catalog(g, ks[-1])
-        return ks
-
-    return CheckDef(name, kind, "k", params, public.body, public.render, _k_parser(lo), k_min=lo)
-
-
-def _once(g: Graph, k_range: KRange) -> list:
-    return [None]
-
-
-def _k5_free(g: Graph) -> bool:
-    return len(clique_counts(g)) < 5
-
-
-def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
-    catalog = _listed_catalog(g, 4)
-    return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
-
-
-# Every entry binds its identity's body and renderer when the catalog is
-# built, so a public function swapped for a wrapper changes no entry.
-CHECKS: dict[str, CheckDef] = {
-    cd.name: cd
-    for cd in [
-        _k_check("handshake", THEOREM, 1, check_handshake, listing=True),
-        _entry("vertex_recurrence", THEOREM, "v", lambda g, _: range(g.n),
-               check_vertex_recurrence, _parse_vertex),
-        _entry("edge_recurrence", THEOREM, "e", lambda g, _: g.edges(),
-               check_edge_recurrence, _parse_edge),
-        _k_check("vertex_deck", THEOREM, 1, check_vertex_deck_identity),
-        _k_check("edge_deck", THEOREM, 2, check_edge_deck_identity),
-        _entry("first_derivative", THEOREM, None, _once, check_first_derivative),
-        _entry("second_derivative", THEOREM, None, _once, check_second_derivative),
-        CheckDef("triangle_identity", THEOREM, "delta", lambda g, _: triangles(g),
-                 triangle_identity.body, _render_triangle_identity, _parse_triangle),
-        CheckDef("clique_deletion", THEOREM, "clique", _small_cliques, _deletion_verdict,
-                 _render_expansion(INTERPRETATION_CLIQUES), _parse_clique),
-        _entry("third_derivative_k5free", THEOREM, None,
-               lambda g, _: [None] if _k5_free(g) else [], check_third_derivative_k5free),
-        CheckDef("triangle_deletion_counts", THEOREM, "delta",
-                 lambda g, _: triangles(g) if _k5_free(g) else [],
-                 triangle_deletion_counts.body, _render_triangle_deletion_counts,
-                 _parse_triangle),
-        CheckDef("clique_deletion_edge_subsets", CONJECTURE, "clique", _small_cliques,
-                 _edge_subsets_verdict, _render_expansion(INTERPRETATION_EDGE_SUBSETS),
-                 _parse_clique),
-        _k_check("kth_derivative", CONJECTURE, 1, check_kth_derivative_general, listing=True),
-        _entry("triangle_recurrence", CONJECTURE, "delta", lambda g, _: triangles(g),
-               check_triangle_recurrence, _parse_triangle),
-        CheckDef("conjecture1_first", CONJECTURE, "unit", lambda g, _: [False],
-                 _conjecture1_first, _render_conjecture1_first),
-        CheckDef("conjecture1_second", CONJECTURE, "unit", lambda g, _: [False],
-                 _conjecture1_second, _render_conjecture1_second),
-        _k_check("triangle_deck", CONJECTURE, 3, check_triangle_deck_identity),
-        _entry("conjecture2", CONJECTURE, None, _once, check_conjecture2),
-        _entry("conjecture3", CONJECTURE, None, _once, check_conjecture3),
-    ]
-}
+CHECKS: dict[str, CheckDef] = {cd.name: cd for cd in CATALOG}
 
 ALL_THEOREMS = tuple(name for name, cd in CHECKS.items() if cd.kind == THEOREM)
 

@@ -1,16 +1,17 @@
-"""Exact checks for the clique-counting recurrences, deck identities, and
-derivative formulas.
+"""Exact checks for the clique-counting recurrences, deck identities,
+derivative formulas and open conjectures, and the check catalog they make.
 
-Each identity has one body, which evaluates one instance to a verdict: the
-tuple (holds, lhs, rhs), whether the sides agree (None where the identity
-does not apply to the graph) and the sides as computed.  A verdict holds no
-params dict, no copy or trimmed form of a side and no Graph, so it costs
-little more than deciding holds.  A verdict becomes a structured
-IdentityReport only when it is rendered: every public function returns the
-rendered report instead of asserting, so the same machinery serves
-regression tests (which assert holds=True for proved identities) and
-conjecture exploration (which only records outcomes), while the catalog
-(cliquekit.conjectures) renders a verdict only where a report is read.  All
+Each identity is declared once, beside its body, by _identity: its id, its
+class ('theorem' or 'conjecture'), its instance kind and, only where the
+kind's default does not fit, its renderer.  The body evaluates one instance
+to a verdict: the tuple (holds, lhs, rhs), whether the sides agree (None
+where the identity does not apply to the graph) and the sides as computed.
+A verdict holds no params dict, no copy or trimmed form of a side and no
+Graph, so it costs little more than deciding holds.  It becomes an
+IdentityReport only when rendered: the identity's public function returns
+the rendered report instead of asserting, so the same machinery serves
+regression tests and conjecture exploration, and its CheckDef (CATALOG
+holds them in catalog order) renders only where a report is read.  All
 comparisons are exact integer polynomial or count equality; divisions are
 avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
@@ -34,28 +35,29 @@ triangle, is summed once per graph into one row of Graph.deck_table (its
 member count at x**0, the sum of the members' c_k at x**k), and the deck
 identities read coefficient k of it.
 
-An instance is validated once, where it enters from outside the program (a
-public function's argument or a verify flag's text), by the parser of its
-kind; a vertex set is a clique when its mask lies in each member's closed
-neighbourhood.  Each public function is its identity's one body between
-that parser and a renderer (_public), and the catalog, which lists its
-instances normal, calls the bodies unparsed and renders on demand.  A body
-trusts its instance: the common neighbourhood of a clique or a pair of its
-vertices is the AND of their rows, with no range check.
+An instance kind (whole graph, k >= lo, vertex, edge, triangle, clique or
+unit) fixes the lister of a graph's instances, the parser, the verify flag
+and the report's params key.  An instance is validated once, where it
+enters from outside the program (a public function's argument or a verify
+flag's text), by the parser of its kind: ids and k are ints, and a vertex
+set is a clique when its mask lies in each member's closed neighbourhood.
+A body trusts its instance, as the catalog lists it: the common
+neighbourhood of a clique or a pair of its vertices is the AND of their
+rows, with no range check.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .cliques import (
     Polynomial,
     _listed_catalog,
+    _require_listing_budget,
     _table_counts,
     clique_count,
     clique_counts,
@@ -64,6 +66,7 @@ from .cliques import (
     poly_divided_derivative,
     poly_derivative,
     poly_normalize,
+    poly_reverse,
 )
 from .graphs import (
     EdgeRef,
@@ -78,6 +81,10 @@ from .graphs import (
 Side = Union[int, list, tuple, None]
 Verdict = tuple[Optional[bool], Side, Side]  # (holds, lhs, rhs); holds None: does not apply
 Render = Callable[[Graph, object, Verdict], object]
+KRange = Optional[tuple[int, int]]
+
+THEOREM = "theorem"
+CONJECTURE = "conjecture"
 
 
 class NotApplicable(ValueError):
@@ -109,6 +116,81 @@ class IdentityReport:
         }
 
 
+@dataclass(frozen=True)
+class CheckDef:
+    """A catalog entry: id, theorem/conjecture class, and its parameter instances.
+
+    param names the `verify` flag that supplies one instance ('k', 'v', 'e',
+    'delta', 'clique' or 'unit'), or is None for checks without a parameter.
+    params(g, k_range) lists the instances on g, already normal, and
+    check(g, p) evaluates one of them to a verdict, trusting it; an instance
+    whose verdict holds None, or whose check raises NotApplicable, does not
+    apply, and verdict(g, p) is the one place that says so.  render(g, p,
+    verdict) renders a verdict as its IdentityReport.  parse(g, raw)
+    validates one instance from outside the program, such as a verify
+    flag's text, with the parser its kind shares with the public identity
+    function, and returns it as params lists it (a unit switch is taken as
+    given).  k_min is the smallest k a 'k' check takes on any graph.
+    run(g, k_range) renders every listed instance that applies; it is an
+    init field so that a wrapped runner can replace it.  Left as None, or as
+    another entry's default, it is this entry's own reports, so an entry
+    made by dataclasses.replace runs with its own params, check and render.
+    """
+
+    name: str
+    kind: str
+    param: Optional[str]
+    params: Callable[[Graph, KRange], Iterable]
+    check: Callable[[Graph, object], Verdict]
+    render: Render
+    parse: Callable[[Graph, object], object] = lambda g, raw: raw
+    k_min: Optional[int] = None
+    run: Optional[Callable[[Graph, KRange], list[IdentityReport]]] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.run is None or getattr(self.run, "__func__", None) is CheckDef.reports:
+            object.__setattr__(self, "run", self.reports)
+
+    def reports(self, g: Graph, k_range: KRange) -> list[IdentityReport]:
+        """Reports of every listed instance on g that applies: the default run."""
+        return self.applicable(g, self.params(g, k_range))
+
+    def verdict(self, g: Graph, p) -> Optional[Verdict]:
+        """The verdict of instance p on g, or None if p does not apply: its
+        check raised NotApplicable or decided holds None."""
+        try:
+            verdict = self.check(g, p)
+        except NotApplicable:
+            return None
+        return None if verdict[0] is None else verdict
+
+    def applicable(self, g: Graph, instances: Iterable) -> list[IdentityReport]:
+        """Reports of the given instances on g, without those that do not apply."""
+        return [self.render(g, p, verdict) for p in instances
+                if (verdict := self.verdict(g, p)) is not None]
+
+    def first_failure(self, g: Graph, k_range: KRange) -> tuple[bool, Optional[tuple[object, Verdict]]]:
+        """Whether some listed instance applies on g, and the first that fails
+        with its verdict (None if every one holds).  Evaluates no instance
+        after the failing one and renders none."""
+        applies = False
+        for p in self.params(g, k_range):
+            verdict = self.verdict(g, p)
+            if verdict is None:
+                continue
+            if verdict[0] is False:
+                return True, (p, verdict)
+            applies = True
+        return applies, None
+
+    def takes_k(self, k_range: tuple[int, int]) -> bool:
+        """Whether some graph has an instance of this check with k in k_range.
+
+        Only the lower end is fixed: how high k goes depends on the graph.
+        """
+        return self.k_min is not None and k_range[1] >= self.k_min
+
+
 def _poly_verdict(lhs: Polynomial, rhs) -> Verdict:
     """The verdict of lhs == rhs as polynomials, for a normal lhs and an rhs
     (a list or tuple) that may end in zeros; both sides stay as they are."""
@@ -116,34 +198,24 @@ def _poly_verdict(lhs: Polynomial, rhs) -> Verdict:
     return lhs == [*rhs[:k]] and not any(rhs[k:]), lhs, rhs
 
 
+def _side(side: Side) -> Side:
+    """A side as a report shows it: a count as it is, a polynomial trimmed."""
+    return side if isinstance(side, int) else poly_normalize(side)
+
+
 def _renderer(identity: str, params: Callable[[Graph, object], dict],
-              sides: Optional[Callable] = poly_normalize) -> Render:
+              sides: Callable[[Side], Side] = _side) -> Render:
     """Render a verdict of identity as its IdentityReport: params(g, instance),
-    each side passed through sides (by default trimmed as a polynomial) and
-    holds decided again from the rendered sides (None stays None)."""
+    each side passed through sides and holds decided again from the
+    rendered sides (None stays None)."""
     def render(g: Graph, instance, verdict: Verdict) -> IdentityReport:
         holds, lhs, rhs = verdict
-        if sides is not None:
-            lhs, rhs = sides(lhs), sides(rhs)
+        lhs, rhs = sides(lhs), sides(rhs)
         if holds is not None:
             holds = lhs == rhs
         return IdentityReport(identity, g.graph6, params(g, instance), lhs, rhs, holds)
 
     return render
-
-
-def _named(key: str) -> Callable[[Graph, object], dict]:
-    """params {key: instance}, with a tuple of vertex ids as a list."""
-    return lambda g, instance: {key: list(instance) if isinstance(instance, tuple) else instance}
-
-
-def _unnamed(g: Graph, instance) -> dict:
-    return {}
-
-
-def _poly(g: Graph, mask: int | None = None, without: int = 0) -> Polynomial:
-    """C(x) of the subgraph that mask induces without the clique without's edges."""
-    return [1, *_table_counts(g, mask, without)]
 
 
 def _count(g: Graph, k: int, mask: int | None = None, without: int = 0) -> int:
@@ -221,6 +293,13 @@ def _deck_verdict(g: Graph, deck: str, r: int, k: int) -> Verdict:
 
 # -- instances ----------------------------------------------------------------
 
+def _integer(value, what: str) -> int:
+    """value, if it is an int and not a bool; otherwise a ValueError naming what."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
     """raw as a tuple of count vertex ids (any number if count is None); a
     verify flag gives them dash-separated."""
@@ -230,25 +309,15 @@ def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
         except ValueError:
             raise ValueError(f"expected dash-separated vertex ids, got {raw!r}") from None
     else:
-        ids = tuple(raw)
+        ids = tuple(_integer(v, "vertex id") for v in raw)
     if count is not None and len(ids) != count:
         shown = raw if isinstance(raw, str) else ids
         raise ValueError(f"expected {count} vertex ids in {shown!r}")
     return ids
 
 
-def _k_parser(lo: int) -> Callable[[Graph, int], int]:
-    """The parser of k for an identity stated for k >= lo."""
-    def parse(g: Graph, k: int) -> int:
-        if k < lo:
-            raise ValueError(f"k must be >= {lo}")
-        return k
-
-    return parse
-
-
 def _parse_vertex(g: Graph, v: int) -> int:
-    if not 0 <= v < g.n:
+    if not 0 <= _integer(v, "vertex id") < g.n:
         raise ValueError(f"vertex {v} out of range")
     return v
 
@@ -274,43 +343,109 @@ def _parse_clique(g: Graph, raw) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
-def _public(render: Render, parse: Optional[Callable[[Graph, object], object]] = None) -> Callable:
-    """Make body, which evaluates one instance of an identity to a verdict,
-    the identity's public function: that parses the instance with parse,
-    evaluates it and returns render(g, instance, verdict).  Without parse the
-    identity is stated for the whole graph, and body takes g alone.
+def _k5_free(g: Graph) -> bool:
+    return len(clique_counts(g)) < 5
 
-    The catalog, whose instances are normal already, reads .body (called as
-    body(g, instance), instance None without parse) and .render when it is
-    built, not at call time: a wrapper swapped in for the public function,
-    as a tracer does, has neither.
+
+def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
+    catalog = _listed_catalog(g, 4)
+    return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
+
+
+class _Kind(NamedTuple):
+    """An instance kind: its verify flag's param (None for the whole graph),
+    the report's params key, the lister and parser of its instances as
+    CheckDef takes them, and the smallest k of a k kind."""
+
+    param: Optional[str]
+    key: Optional[str]
+    params: Callable[[Graph, KRange], Iterable]
+    parse: Callable[[Graph, object], object] = CheckDef.parse
+    k_min: Optional[int] = None
+
+    def named(self, g: Graph, instance) -> dict:
+        """The report's params {key: instance}, a tuple of vertex ids as a list."""
+        if self.key is None:
+            return {}
+        return {self.key: list(instance) if isinstance(instance, tuple) else instance}
+
+
+_GRAPH = _Kind(None, None, lambda g, _: [None])
+_GRAPH_K5_FREE = _Kind(None, None, lambda g, _: [None] if _k5_free(g) else [])
+_VERTEX = _Kind("v", "v", lambda g, _: range(g.n), _parse_vertex)
+_EDGE = _Kind("e", "e", lambda g, _: g.edges(), _parse_edge)
+_TRIANGLE = _Kind("delta", "delta", lambda g, _: triangles(g), _parse_triangle)
+_TRIANGLE_K5_FREE = _Kind("delta", "delta", lambda g, _: triangles(g) if _k5_free(g) else [],
+                          _parse_triangle)
+_CLIQUE = _Kind("clique", "clique", _small_cliques, _parse_clique)
+_UNIT = _Kind("unit", "include_unit", lambda g, _: [False])
+
+
+def _k(lo: int, listing: bool = False) -> _Kind:
+    """Every k from lo up to the clique number (at least lo), within k_range.
+
+    A listing kind's identities read the k-cliques themselves: its lister
+    lists the cliques of up to the largest such k first, once per graph, so
+    every instance reads a prefix of that catalog.  Over the listing budget
+    it lists nothing and raises CliqueBudgetExceeded for the first k over it.
     """
-    def public(body: Callable) -> Callable:
-        if parse is None:
-            @functools.wraps(body)
-            def checked(g: Graph):
-                return render(g, None, body(g))
-
-            checked.body = lambda g, _: body(g)
+    def params(g: Graph, k_range: KRange) -> range:
+        hi = max(len(clique_counts(g)), lo)
+        if k_range is not None:
+            ks = range(max(lo, k_range[0]), min(hi, k_range[1]) + 1)
         else:
-            signature = inspect.signature(body)
+            ks = range(lo, hi + 1)
+        if listing and ks:
+            for k in ks:
+                _require_listing_budget(g, k)
+            _listed_catalog(g, ks[-1])
+        return ks
 
-            @functools.wraps(body)
-            def checked(*args, **kwargs):
-                g, raw = signature.bind(*args, **kwargs).args
-                instance = parse(g, raw)
-                return render(g, instance, body(g, instance))
+    def parse(g: Graph, k: int) -> int:
+        if _integer(k, "k") < lo:
+            raise ValueError(f"k must be >= {lo}")
+        return k
 
-            checked.body = body
-        checked.render = render
-        return checked
+    return _Kind("k", "k", params, parse, lo)
 
-    return public
+
+def _identity(name: str, kind_class: str, kind: _Kind, render: Optional[Render] = None,
+              public: Optional[Callable] = None) -> Callable[[Callable], Callable]:
+    """Declare body, the verdict of one instance of identity name, in class
+    kind_class over kind's instances, rendered by render (by default: the
+    kind's params key, a count side as it is, a polynomial side trimmed).
+
+    Returns the public function, which parses its instance (positional; none
+    for the whole graph, whose body takes g alone), evaluates it and returns
+    render(g, instance, verdict), or public(render, g, instance, verdict).
+    Its .entry is the CheckDef, which binds body and render here, so a
+    wrapper swapped in for the public function, as a tracer does, changes
+    no entry.
+    """
+    render = render or _renderer(name, kind.named)
+    finish = render if public is None else functools.partial(public, render)
+
+    def declare(body: Callable) -> Callable:
+        if kind.param is None:
+            def identity(g: Graph):
+                return finish(g, None, body(g))
+            check = lambda g, _: body(g)
+        else:
+            def identity(g: Graph, raw, /):
+                instance = kind.parse(g, raw)
+                return finish(g, instance, body(g, instance))
+            check = body
+        identity = functools.wraps(body)(identity)
+        identity.entry = CheckDef(name, kind_class, kind.param, kind.params, check, render,
+                                  kind.parse, kind.k_min)
+        return identity
+
+    return declare
 
 
 # -- handshake ----------------------------------------------------------------
 
-@_public(_renderer("handshake", _named("k"), sides=None), _k_parser(1))
+@_identity("handshake", THEOREM, _k(1, listing=True))
 def check_handshake(g: Graph, k: int) -> Verdict:
     """Sum of clique-values over the k-cliques against (k+1) * c_{k+1}.
 
@@ -326,7 +461,7 @@ def check_handshake(g: Graph, k: int) -> Verdict:
 
 # -- recurrences ----------------------------------------------------------------
 
-@_public(_renderer("vertex_recurrence", _named("v")), _parse_vertex)
+@_identity("vertex_recurrence", THEOREM, _VERTEX)
 def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     """C(G, x) == C(G - v, x) + x * C(G[N(v)], x)."""
     lhs = clique_polynomial(g)
@@ -336,7 +471,7 @@ def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     return _poly_verdict(lhs, rhs)
 
 
-@_public(_renderer("edge_recurrence", _named("e")), _parse_edge)
+@_identity("edge_recurrence", THEOREM, _EDGE)
 def check_edge_recurrence(g: Graph, e) -> Verdict:
     """C(G, x) == C(G - e, x) + x**2 * C(G[N(e)], x)."""
     return _deletion_verdict(g, e)
@@ -344,21 +479,118 @@ def check_edge_recurrence(g: Graph, e) -> Verdict:
 
 # -- deck identities -------------------------------------------------------------
 
-@_public(_renderer("vertex_deck", _named("k"), sides=None), _k_parser(1))
+@_identity("vertex_deck", THEOREM, _k(1))
 def check_vertex_deck_identity(g: Graph, k: int) -> Verdict:
     """(n - k) * c_k(G) == sum over v of c_k(G - v)."""
     return _deck_verdict(g, "vertex", 1, k)
 
 
-@_public(_renderer("edge_deck", _named("k"), sides=None), _k_parser(2))
+@_identity("edge_deck", THEOREM, _k(2))
 def check_edge_deck_identity(g: Graph, k: int) -> Verdict:
     """(m - C(k, 2)) * c_k(G) == sum over e of c_k(G - e)."""
     return _deck_verdict(g, "edge", 2, k)
 
 
+@_identity("triangle_deck", CONJECTURE, _k(3))
+def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
+    """(t - C(k, 3)) * c_k(G) against the sum of c_k(G - d) over triangles d,
+
+    where t is the triangle count and G - d deletes the triangle's edges.
+    Reported, never asserted globally: it fails already on the 4-clique.
+    """
+    return _deck_verdict(g, "triangle", 3, k)
+
+
+def _triangle_graph_is_edgeless(g: Graph) -> bool:
+    # Pairwise test, deliberately not via triangle_graph(): no 64-triangle cap.
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles(g)]
+    return all(
+        (ma & mb).bit_count() < 2 for ma, mb in itertools.combinations(masks, 2)
+    )
+
+
+def _render_conjecture2(g: Graph, _, verdict: Verdict) -> IdentityReport:
+    holds, lhs, rhs = verdict
+    if holds is None:
+        return IdentityReport("conjecture2", g.graph6, {"applicable": False}, None, None, None)
+    ks = list(range(3, len(clique_counts(g)) + 1))
+    return IdentityReport("conjecture2", g.graph6, {"applicable": True, "ks": ks},
+                          lhs, rhs, lhs == rhs)
+
+
+@_identity("conjecture2", CONJECTURE, _GRAPH, render=_render_conjecture2)
+def check_conjecture2(g: Graph) -> Verdict:
+    """If no two triangles of G share an edge, the triangle-deck identity
+    should hold for every k up to the clique number.
+
+    Applicable only on that class; otherwise the report carries holds=None.
+    """
+    if not _triangle_graph_is_edgeless(g):
+        return None, None, None
+    lhs, rhs = [], []
+    for k in range(3, len(clique_counts(g)) + 1):
+        _, sub_lhs, sub_rhs = _deck_verdict(g, "triangle", 3, k)
+        lhs.append(sub_lhs)
+        rhs.append(sub_rhs)
+    return lhs == rhs, lhs, rhs
+
+
+# -- reversed-polynomial conjectures -------------------------------------------
+
+def _reversed_deck(g: Graph, deck: str, base: int, include_unit: bool) -> Polynomial:
+    """The sum over the members of deck of C(x) reversed at base, each with
+    its own unit if include_unit: the deck's row reversed at base, plus the
+    member count (the row's x**0) at x**0."""
+    row = _deck(g, deck)
+    rhs = poly_reverse(row, base)
+    if include_unit and row:
+        rhs[0] += row[0]
+    return rhs
+
+
+@_identity("conjecture1_first", CONJECTURE, _UNIT)
+def _conjecture1_first(g: Graph, include_unit: bool) -> Verdict:
+    """The first claim of check_conjecture1.
+
+    Without the unit it holds on every graph: it is the vertex-deck identity
+    read coefficient by coefficient.  c(G, x) = sum over k of c_k x^(n-k),
+    with c_0 = 1, so its derivative has (n - k) c_k at x^(n-1-k).  The deck
+    member c(G - v, x), reversed at base n - 1, has c_k(G - v) there, and
+    summed over v this counts each k-clique once per vertex outside it:
+    (n - k) c_k again.  With the unit, the derivative drops the literal 1 but
+    each of the n deck members keeps its own, so the right side has n more
+    at x^0 and the claim fails whenever n >= 1.  The catalog still classes
+    it as a conjecture, as the paper poses it; re-classing it would change
+    the exit codes of verify and fuzz.
+    """
+    n = g.n
+    lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
+    return _poly_verdict(lhs, _reversed_deck(g, "vertex", n - 1, include_unit))
+
+
+@_identity("conjecture1_second", CONJECTURE, _UNIT)
+def _conjecture1_second(g: Graph, include_unit: bool) -> Verdict:
+    n = g.n
+    lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
+    return _poly_verdict(lhs, _reversed_deck(g, "edge", n, include_unit))
+
+
+def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityReport, IdentityReport]:
+    """Derivative formulas for the reversed clique-counting polynomial c(G, x).
+
+    c(G, x) reverses the clique polynomial at exponent base n.  First claim:
+    d/dx c(G, x) == sum over v of c(G - v, x), each deck member reversed at
+    base n-1 (a vertex-deleted subgraph keeps n-1 vertices).  Second claim:
+    (1/2!) d^2/dx^2 c(G, x) == sum over e of c(G - e, x), deck members
+    reversed at base n.  include_unit switches to the variant of c that keeps
+    an extra literal constant 1.
+    """
+    return _conjecture1_first(g, include_unit), _conjecture1_second(g, include_unit)
+
+
 # -- derivative identities --------------------------------------------------------
 
-@_public(_renderer("first_derivative", _unnamed))
+@_identity("first_derivative", THEOREM, _GRAPH)
 def check_first_derivative(g: Graph) -> Verdict:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
     lhs = poly_derivative(clique_polynomial(g), 1)
@@ -368,7 +600,7 @@ def check_first_derivative(g: Graph) -> Verdict:
     return _poly_verdict(lhs, rhs)
 
 
-@_public(_renderer("second_derivative", _unnamed))
+@_identity("second_derivative", THEOREM, _GRAPH)
 def check_second_derivative(g: Graph) -> Verdict:
     """(1/2!) d^2/dx^2 C(G, x) == sum over e of C(G[N(e)], x).
 
@@ -386,7 +618,8 @@ def _third_derivative_params(g: Graph, _) -> dict:
     return {"connected": is_connected(g), "omega": len(clique_counts(g))}
 
 
-@_public(_renderer("third_derivative_k5free", _third_derivative_params))
+@_identity("third_derivative_k5free", THEOREM, _GRAPH_K5_FREE,
+           render=_renderer("third_derivative_k5free", _third_derivative_params))
 def check_third_derivative_k5free(g: Graph) -> Verdict:
     """(1/3!) d^3/dx^3 C(G, x) == sum over triangles d of C(G[N(d)], x).
 
@@ -404,7 +637,18 @@ def check_third_derivative_k5free(g: Graph) -> Verdict:
     return _poly_verdict(lhs, rhs)
 
 
-@_public(_renderer("kth_derivative", _named("k")), _k_parser(1))
+@_identity("conjecture3", CONJECTURE, _GRAPH)
+def check_conjecture3(g: Graph) -> Verdict:
+    """(1/3!) d^3/dx^3 C(G, x) against the sum of C(G - d, x) over triangles d.
+
+    Differs from the proved third-derivative formula by summing whole
+    edge-deleted graphs instead of neighborhood subgraphs; fails on any graph
+    containing a triangle.
+    """
+    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), _deck(g, "triangle"))
+
+
+@_identity("kth_derivative", CONJECTURE, _k(1, listing=True))
 def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     """(1/k!) d^k/dx^k C(G, x) against the sum of C(G[N(Q)], x) over k-cliques Q.
 
@@ -449,7 +693,7 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     An edge set is this function's own kind of instance: it is parsed here
     into the sorted clique it spans, the form the catalog lists.
     """
-    normalized = _edge_pairs(edge_set)
+    normalized = _edge_pairs((_integer(u, "vertex id"), _integer(v, "vertex id")) for u, v in edge_set)
     support = sorted({v for e in normalized for v in e})
     q = len(support)
     for v in support:
@@ -463,15 +707,26 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
     clique = tuple(support)
     if interpretation == INTERPRETATION_CLIQUES:
-        body = _deletion_verdict
+        entry = _clique_deletion.entry
     elif interpretation == INTERPRETATION_EDGE_SUBSETS:
-        body = _edge_subsets_verdict
+        entry = _clique_deletion_edge_subsets.entry
     else:
         raise ValueError(f"unknown interpretation {interpretation!r}")
-    return _render_expansion(interpretation)(g, clique, body(g, clique))
+    return entry.render(g, clique, entry.check(g, clique))
 
 
-def _edge_subsets_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
+def _render_expansion(interpretation: str) -> Render:
+    """The renderer of the expansion's verdicts under one reading."""
+    def params(g: Graph, q: tuple[int, ...]) -> dict:
+        return {"m": [list(e) for e in itertools.combinations(q, 2)],
+                "interpretation": interpretation}
+
+    return _renderer("clique_deletion", params)
+
+
+@_identity("clique_deletion_edge_subsets", CONJECTURE, _CLIQUE,
+           render=_render_expansion(INTERPRETATION_EDGE_SUBSETS))
+def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q."""
     adj = g.adj
     edges = list(itertools.combinations(q, 2))
@@ -483,15 +738,6 @@ def _edge_subsets_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
             t = {v for e in s for v in e}
             _add(rhs, g, _common(adj, t), shift=r, coeff=(-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
-
-
-def _render_expansion(interpretation: str) -> Render:
-    """The renderer of the expansion's verdicts under one reading."""
-    def params(g: Graph, q: tuple[int, ...]) -> dict:
-        return {"m": [list(e) for e in itertools.combinations(q, 2)],
-                "interpretation": interpretation}
-
-    return _renderer("clique_deletion", params)
 
 
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
@@ -536,6 +782,9 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     return verdict
 
 
+_clique_deletion = _identity("clique_deletion", THEOREM, _CLIQUE,
+                             render=_render_expansion(INTERPRETATION_CLIQUES))(_deletion_verdict)
+
 
 # -- triangle deletion -----------------------------------------------------------
 
@@ -558,18 +807,12 @@ def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     edge_sum = [0] * (g.n + 1)
     for a, b in itertools.combinations(d, 2):
         _add(edge_sum, g, adj[a] & adj[b])
-    tri = _poly(g, _common(adj, d))
+    tri = [1, *_table_counts(g, _common(adj, d))]
     return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 
 
-_render_triangle_identity = _renderer("triangle_identity", _named("delta"))
-
-
-def _triangle_identity_with_parts(g: Graph, d: tuple[int, int, int], verdict: Verdict):
-    return _render_triangle_identity(g, d, verdict), _triangle_parts(g, d)
-
-
-@_public(_triangle_identity_with_parts, _parse_triangle)
+@_identity("triangle_identity", THEOREM, _TRIANGLE,
+           public=lambda render, g, d, verdict: (render(g, d, verdict), _triangle_parts(g, d)))
 def triangle_identity(g: Graph, delta) -> Verdict:
     """C(G, x) == C(G - d, x) + x**2 * (edge sum) - 2 x**3 * (triangle neighborhood),
 
@@ -591,7 +834,8 @@ def _triangle_recurrence_params(g: Graph, d: tuple[int, int, int]) -> dict:
     }
 
 
-@_public(_renderer("triangle_recurrence", _triangle_recurrence_params), _parse_triangle)
+@_identity("triangle_recurrence", CONJECTURE, _TRIANGLE,
+           render=_renderer("triangle_recurrence", _triangle_recurrence_params))
 def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     """Does C(G, x) == C(G - d, x) + x**3 * C(G[N(d)], x) for this triangle?
 
@@ -625,15 +869,10 @@ class TriangleDeletionCounts:
         return self.formula == self.direct
 
 
-def _triangle_deletion_counts(g: Graph, d: tuple[int, int, int], verdict: Verdict) -> TriangleDeletionCounts:
-    return TriangleDeletionCounts(d, verdict[1], verdict[2])
-
-
-# the catalog's report: the two count tuples as its sides
-_render_triangle_deletion_counts = _renderer("triangle_deletion_counts", _named("delta"), sides=list)
-
-
-@_public(_triangle_deletion_counts, _parse_triangle)
+# the catalog's report has the two count tuples as its sides, untrimmed
+@_identity("triangle_deletion_counts", THEOREM, _TRIANGLE_K5_FREE,
+           render=_renderer("triangle_deletion_counts", _TRIANGLE_K5_FREE.named, sides=list),
+           public=lambda render, g, d, verdict: TriangleDeletionCounts(d, verdict[1], verdict[2]))
 def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     """Predict c_1..c_4 of G - d from counts of G, for graphs with no 5-clique:
 
@@ -663,3 +902,15 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     )
     direct = (*_table_counts(g, without=_vertex_mask(delta)), 0, 0, 0)[:4]
     return formula == direct, formula, direct
+
+
+# -- catalog ----------------------------------------------------------------------
+
+CATALOG: tuple[CheckDef, ...] = tuple(identity.entry for identity in (
+    check_handshake, check_vertex_recurrence, check_edge_recurrence,
+    check_vertex_deck_identity, check_edge_deck_identity, check_first_derivative,
+    check_second_derivative, triangle_identity, _clique_deletion,
+    check_third_derivative_k5free, triangle_deletion_counts, _clique_deletion_edge_subsets,
+    check_kth_derivative_general, check_triangle_recurrence, _conjecture1_first,
+    _conjecture1_second, check_triangle_deck_identity, check_conjecture2, check_conjecture3,
+))

@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from functools import cached_property
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ import cliquekit.cliques
 import cliquekit.conjectures
 import cliquekit.identities
 from cliquekit import ALL_THEOREMS, CHECKS, Graph, IdentityReport, complete_graph, to_graph6
+from cliquekit import cli
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
 
@@ -499,22 +501,41 @@ def test_campaign_stdout_is_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `verify` stdout, every catalog check on one graph, at the commit
-# before the right-hand sides were summed in one coefficient row.  Unlike the
-# campaign digests above, these print the rhs of every holding theorem, the
-# failing conjecture sides, graphs above the pivot cutoff, and rows of up to
-# 65 coefficients (n = 64).
-@pytest.mark.parametrize("gen, digest", [
-    (("16", "0.7", "4"), "ae97c868319811edec1b9e7580cdb0e3d30a9c6348f564c0a7809078a4095f7f"),
-    (("24", "0.5", "1"), "4d880d7e62c3f6bfa805fcb4612cf5371bd62ba356a9a1359a21155e2f10ab69"),
-    (("40", "0.2", "2"), "cbef44a1f929422958f92ef3a7c00438461dc326c668c3187e0c395e5de0a681"),
-    (("64", "0.08", "3"), "001f2dafe4760fd337915a88e5a25c174394011b73cbad589f4ecaf5b3fd9fd8"),
-])
-def test_verify_stdout_is_pinned(gen, digest, capsys):
+JSON = ("--format", "json")
+# one instance of every kind, each taken by some check of the catalog
+ONE_OF_EACH = ("--k", "3", "--v", "2", "--e", "0-5", "--delta", "1-2-5", "--clique", "2-4-7-8",
+               "--with-unit")
+
+
+# sha256 of `verify` stdout, every catalog check on one graph.  The JSON
+# digests of whole-catalog runs were measured at the commit before the
+# right-hand sides were summed in one coefficient row.  Unlike the campaign
+# digests above, these print the rhs of every holding theorem, the failing
+# conjecture sides, graphs above the pivot cutoff, and rows of up to 65
+# coefficients (n = 64).  The three runs on `gen 9 0.55 2` (HH^|bSl), measured
+# at 941c348, pin the text renderer and, with one flag of every kind, each
+# kind's parser and the single-instance path.
+VERIFY_PINS = [
+    (("16", "0.7", "4"), JSON, "ae97c868319811edec1b9e7580cdb0e3d30a9c6348f564c0a7809078a4095f7f"),
+    (("24", "0.5", "1"), JSON, "4d880d7e62c3f6bfa805fcb4612cf5371bd62ba356a9a1359a21155e2f10ab69"),
+    (("40", "0.2", "2"), JSON, "cbef44a1f929422958f92ef3a7c00438461dc326c668c3187e0c395e5de0a681"),
+    (("64", "0.08", "3"), JSON, "001f2dafe4760fd337915a88e5a25c174394011b73cbad589f4ecaf5b3fd9fd8"),
+    (("9", "0.55", "2"), (), "4c1adf96959a86b6410e0579ead71500e8f4ce4621d7b1ef0b36641fad65b619"),
+    (("9", "0.55", "2"), ONE_OF_EACH,
+     "7f9f690aec76f8ace4f0dc18ad07b543c9eedec6129aac511e48835eeaed0683"),
+    (("9", "0.55", "2"), (*ONE_OF_EACH, *JSON),
+     "953e765adfa59a52905cad23def8a896bfdcfbd0484c044e36bf66dc4445d23c"),
+]
+
+
+# ids keep the form gen<i>-<digest> that the first four pins had
+@pytest.mark.parametrize("gen, extra, digest", VERIFY_PINS,
+                         ids=[f"gen{i}-{digest}" for i, (_, _, digest) in enumerate(VERIFY_PINS)])
+def test_verify_stdout_is_pinned(gen, extra, digest, capsys):
     assert len(CHECKS) == 19
     assert main(["gen", *gen]) == 0
     g6 = capsys.readouterr().out.strip()
-    assert main(["verify", "-g", g6, "--identity", ",".join(CHECKS), "--format", "json"]) == 0
+    assert main(["verify", "-g", g6, "--identity", ",".join(CHECKS), *extra]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -669,3 +690,19 @@ def test_shrinking_evaluates_instances_up_to_the_first_failure(monkeypatch, caps
     assert hashlib.sha256(out.encode()).hexdigest() \
         == "e76e360fc4625255a4bebae24c29397838384b95787ca3026310a76f46d56ce9"
     assert (len(candidates), len(evaluated)) == (2983, 6869)
+
+
+def test_readme_catalog_table_matches_the_catalog():
+    """README's identity catalog lists every check in catalog order, with its
+    class and the verify flag that supplies one instance."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Identity catalog", 1)[1].split("\n#", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+
+    def flag(param):
+        if param is None:
+            return "none"
+        return "`--k`" if param == "k" else f"`{cli._INSTANCE_FLAGS[param]}`"
+
+    assert rows == [[f"`{name}`", cd.kind, flag(cd.param)] for name, cd in CHECKS.items()]

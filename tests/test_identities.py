@@ -597,3 +597,35 @@ class TestReportShape:
             for d in triangles(g):
                 r = check_triangle_recurrence(g, d)
                 assert r.holds == poly_equal(r.lhs, r.rhs)
+
+
+# the public function of each instance kind; the clique kind's is the
+# expansion, given the clique's edge set
+KIND_PUBLIC = {
+    "k": check_handshake,
+    "v": check_vertex_recurrence,
+    "e": check_edge_recurrence,
+    "delta": triangle_identity,
+    "clique": lambda g, q: clique_deletion_expansion(g, itertools.combinations(q, 2)),
+}
+
+
+@pytest.mark.parametrize("param, raw", [
+    ("k", 2.0), ("k", True),
+    ("v", 1.0), ("v", True),
+    ("e", (0, 1.0)), ("e", (True, 2)),
+    ("delta", (0, 1, 2.0)), ("delta", (True, 2, 3)),
+    ("clique", (0, 1.0)), ("clique", (True, 2)),
+])
+def test_every_kind_rejects_ids_that_are_not_ints(param, raw):
+    """A float or a bool id (or k) is refused where it enters, by the kind's
+    parser, with a ValueError: by the public function and by the parser of
+    every catalog check of the kind, which verify uses."""
+    g = complete_graph(5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        KIND_PUBLIC[param](g, raw)
+    entries = [cd for cd in CHECKS.values() if cd.param == param]
+    assert entries
+    for cd in entries:
+        with pytest.raises(ValueError, match="must be an integer"):
+            cd.parse(g, raw)

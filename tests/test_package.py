@@ -1,9 +1,11 @@
 """What `import cliquekit` and a catalog-free CLI command load, and what the
 package exports."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from _helpers import subprocess_env
 
@@ -96,3 +98,35 @@ def test_star_import_and_unknown_names():
     r = run_python("-c", script)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["module 'cliquekit' has no attribute 'no_such_name'", "True"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cliquekit"
+
+
+def imported_names(tree):
+    """(module, name) for each name a module imports, relative modules by
+    their last part ('.identities' as 'identities')."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.rsplit(".", 1)[-1], None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if module in ("", "cliquekit"):  # from . import identities
+                    yield alias.name, None
+                else:
+                    yield module, alias.name
+
+
+def test_no_private_name_crosses_between_identities_and_conjectures():
+    """Each identity is declared in identities, which knows nothing of
+    campaigns; conjectures reads the catalog through public names only, and
+    no module binds calls through inspect."""
+    imports = {path.stem: list(imported_names(ast.parse(path.read_text())))
+               for path in SRC.glob("*.py")}
+    assert {"identities", "conjectures", "cli"} <= set(imports)
+    assert [name for module, name in imports["conjectures"]
+            if module == "identities" and name and name.startswith("_")] == []
+    assert [name for module, name in imports["identities"] if module == "conjectures"] == []
+    assert [stem for stem, names in imports.items()
+            if any(module == "inspect" for module, _ in names)] == []
