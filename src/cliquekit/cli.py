@@ -5,10 +5,11 @@ The catalog of checks (cliquekit.conjectures) is imported by verify and
 fuzz only, so poly, matrix and gen start without building it.
 
 Exit codes: 0 success (conjecture-class failures are findings, not errors),
-1 theorem-class regression, 2 usage or parse errors, or a verify check
-skipped because it would list more cliques than the budget.  All randomness
-flows through explicit --seed flags; stdout is byte-stable for fixed inputs
-and seeds (timing goes to stderr).
+1 theorem-class regression, 2 usage or parse errors, a matrix of more than
+MATRIX_CELL_LIMIT cells, or a verify check skipped because it would list
+more cliques than the budget.  All randomness flows through explicit --seed
+flags; stdout is byte-stable for fixed inputs and seeds (timing goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 from pathlib import Path
 
 from .cliques import (
     CliqueBudgetExceeded,
+    _require_listing_budget,
+    clique_count,
     clique_polynomial,
     poly_divided_derivative,
     poly_reverse,
@@ -96,8 +100,33 @@ _MATRIX_BUILDERS = {
 }
 
 
+# the most cells `matrix` builds: 44 times the largest matrix the benchmark exports
+MATRIX_CELL_LIMIT = 10_000_000
+
+
+def _require_cell_budget(g: Graph, kind: str, k: int) -> None:
+    """Raise ValueError if the kind matrix of order k on g would have more
+    than MATRIX_CELL_LIMIT cells; lists nothing.  Its rows are the k-cliques
+    and its columns the (k+1)-cliques, vertices, edges or triangles.  The
+    listing budget is checked first, and the cliques are counted only when
+    C(n, k) rows by the columns' C(n, .) bound could exceed the limit."""
+    col_size = {"super": k + 1, "vdeck": 1, "edeck": 2, "tdeck": 3}[kind]
+    if k < (1 if kind == "super" else col_size):
+        return  # the builder refuses it: a deck of j-cliques takes k >= j
+    _require_listing_budget(g, max(k, col_size))  # what the builder lists
+    if comb(g.n, k) * comb(g.n, col_size) <= MATRIX_CELL_LIMIT:
+        return
+    rows, cols = clique_count(g, k), clique_count(g, col_size)
+    if rows * cols > MATRIX_CELL_LIMIT:
+        raise ValueError(
+            f"the {kind} matrix of order {k} would have {rows} x {cols} = {rows * cols} "
+            f"cells, over the limit of {MATRIX_CELL_LIMIT}"
+        )
+
+
 def cmd_matrix(args) -> int:
     g = _load_graph(args)
+    _require_cell_budget(g, args.kind, args.k)
     matrix = _MATRIX_BUILDERS[args.kind](g, args.k)
     if args.format == "json":
         print(matrix.to_json())

@@ -10,12 +10,15 @@ shrinker none.  Checks are classed as 'theorem' (proved; a campaign failure
 is a regression alarm) or 'conjecture' (open; failures are findings,
 collected and optionally shrunk).  Campaigns are deterministic: identical
 configs, including the seed, produce identical reports.
+
+Tallies, counterexamples and shrunk forms serialize as their dataclass
+fields (dataclasses.asdict; a tally omits skipped_budget when it is 0).
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .cliques import CliqueBudgetExceeded
@@ -146,10 +149,6 @@ class ShrunkForm:
     lhs: object
     rhs: object
 
-    def to_json_dict(self) -> dict:
-        return {"graph6": self.graph6, "params": self.params,
-                "lhs": self.lhs, "rhs": self.rhs}
-
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -159,16 +158,6 @@ class Counterexample:
     lhs: object
     rhs: object
     shrunk: Optional[ShrunkForm] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "graph6": self.graph6,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "shrunk": self.shrunk.to_json_dict() if self.shrunk else None,
-        }
 
 
 @dataclass
@@ -184,16 +173,9 @@ class CheckTally:
     skipped_budget: int = 0
 
     def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "tested": self.tested,
-            "holds": self.holds,
-            "fails": self.fails,
-            "not_applicable": self.not_applicable,
-            "counterexamples": [ce.to_json_dict() for ce in self.counterexamples],
-        }
-        if self.skipped_budget:
-            out["skipped_budget"] = self.skipped_budget
+        out = asdict(self)
+        if not self.skipped_budget:
+            del out["skipped_budget"]
         return out
 
 

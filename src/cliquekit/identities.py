@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -95,7 +95,7 @@ class NotApplicable(ValueError):
 class IdentityReport:
     """One verdict: identity id, graph, parameters, both sides, and whether they agree.
 
-    holds is None only for checks that do not apply to the graph at all.
+    holds is None only where the check does not apply; its JSON is its fields.
     """
 
     identity: str
@@ -106,14 +106,7 @@ class IdentityReport:
     holds: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "graph6": self.graph6,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -415,19 +408,19 @@ def _identity(name: str, kind_class: str, kind: _Kind, render: Optional[Render] 
     kind_class over kind's instances, rendered by render (by default: the
     kind's params key, a count side as it is, a polynomial side trimmed).
 
-    Returns the public function, which parses its instance (positional; none
-    for the whole graph, whose body takes g alone), evaluates it and returns
-    render(g, instance, verdict), or public(render, g, instance, verdict).
-    Its .entry is the CheckDef, which binds body and render here, so a
-    wrapper swapped in for the public function, as a tracer does, changes
-    no entry.
+    Returns the public function, which parses its instance (positional-only;
+    none for the whole graph, whose body takes g alone), evaluates it and
+    returns render(g, instance, verdict), or public(render, g, instance,
+    verdict); it has body's name and docstring, not its signature.  Its
+    .entry is the CheckDef, which binds body and render here, so a wrapper
+    swapped in for the public function, as a tracer does, changes no entry.
     """
     render = render or _renderer(name, kind.named)
     finish = render if public is None else functools.partial(public, render)
 
     def declare(body: Callable) -> Callable:
         if kind.param is None:
-            def identity(g: Graph):
+            def identity(g: Graph, /):
                 return finish(g, None, body(g))
             check = lambda g, _: body(g)
         else:
@@ -435,7 +428,8 @@ def _identity(name: str, kind_class: str, kind: _Kind, render: Optional[Render] 
                 instance = kind.parse(g, raw)
                 return finish(g, instance, body(g, instance))
             check = body
-        identity = functools.wraps(body)(identity)
+        for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(identity, attr, getattr(body, attr))
         identity.entry = CheckDef(name, kind_class, kind.param, kind.params, check, render,
                                   kind.parse, kind.k_min)
         return identity

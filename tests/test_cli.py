@@ -117,6 +117,39 @@ class TestMatrix:
         r = run_cli("matrix", "-g", "Bw", "--kind", "edeck", "--k", "1")
         assert r.returncode == 2
 
+    # gen 40 0.85 3 has 36 685 4-cliques, 142 276 5-cliques and 6 276 triangles
+    @pytest.mark.parametrize("kind, cols", [("super", 142276), ("tdeck", 6276)])
+    def test_oversized_matrix_is_a_usage_error(self, kind, cols):
+        g6 = run_cli("gen", "40", "0.85", "3").stdout.strip()
+        r = run_cli("matrix", "-g", g6, "--kind", kind, "--k", "4")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.splitlines() == [
+            f"error: the {kind} matrix of order 4 would have 36685 x {cols} = {36685 * cols} "
+            f"cells, over the limit of {cli.MATRIX_CELL_LIMIT}"
+        ]
+
+    def test_cell_limit_is_inclusive(self, monkeypatch, capsys):
+        # the vertex-edge incidence matrix of a triangle has 3 x 3 cells
+        argv = ["matrix", "-g", "Bw", "--kind", "super", "--k", "1"]
+        monkeypatch.setattr(cli, "MATRIX_CELL_LIMIT", 9)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(",0-1,0-2,1-2,row_sum\n")
+        monkeypatch.setattr(cli, "MATRIX_CELL_LIMIT", 8)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: the super matrix of order 1 would have "
+                                           "3 x 3 = 9 cells, over the limit of 8\n")
+
+    @pytest.mark.parametrize("kind, k, message", [
+        ("super", -1, "order k must be >= 1"), ("vdeck", 0, "order k must be >= 1"),
+        ("edeck", 1, "order k must be >= 2"), ("tdeck", 2, "order k must be >= 3"),
+    ])
+    def test_an_invalid_order_is_refused_by_the_builder(self, kind, k, message, monkeypatch,
+                                                         capsys):
+        monkeypatch.setattr(cli, "MATRIX_CELL_LIMIT", 0)
+        assert main(["matrix", "-g", K4_G6, "--kind", kind, "--k", str(k)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestVerify:
     def test_all_theorems_on_triangle(self):
@@ -387,6 +420,22 @@ class TestBudgetSkips:
                 "skipped (budget) 1",
                 "check first_derivative [theorem]: tested 1, holds 1, fails 0, n/a 0",
             ]
+
+
+    # handshake lists more than 20 cliques on 17 of the 30 graphs, and each of
+    # conjecture3's 26 counterexamples carries its shrunk form
+    def test_json_with_skips_and_shrunk_counterexamples_is_pinned(self, monkeypatch, capsys):
+        monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
+        assert main(["fuzz", "--n", "4..8", "--p", "0.3..0.9", "--count", "30", "--seed", "3",
+                     "--check", "handshake,conjecture3", "--shrink", "--json"]) == 0
+        out = capsys.readouterr().out
+        checks = json.loads(out)["checks"]
+        assert checks["handshake"]["skipped_budget"] == 17
+        assert "skipped_budget" not in checks["conjecture3"]
+        ces = checks["conjecture3"]["counterexamples"]
+        assert len(ces) == 26 and all(ce["shrunk"] is not None for ce in ces)
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == "496a62b36548b1128e19756bc461296f4add9bc45818d95185ee16d8b86b5162"
 
 
 class TestFuzz:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -629,3 +630,29 @@ def test_every_kind_rejects_ids_that_are_not_ints(param, raw):
     for cd in entries:
         with pytest.raises(ValueError, match="must be an integer"):
             cd.parse(g, raw)
+
+
+# every public function the catalog declares: the ones with a CheckDef as .entry
+PUBLIC_IDENTITIES = [fn for name, fn in vars(cliquekit.identities).items()
+                     if not name.startswith("_") and hasattr(fn, "entry")]
+
+
+@pytest.mark.parametrize("fn", PUBLIC_IDENTITIES, ids=lambda fn: fn.__name__)
+def test_public_identities_report_their_own_signature(fn):
+    """inspect.signature describes the function as it is called: the graph
+    and the instance, if any, positional-only, and no Verdict returned."""
+    sig = inspect.signature(fn)
+    assert [p.name for p in sig.parameters.values()][:1] == ["g"]
+    assert len(sig.parameters) == (1 if fn.entry.param is None else 2)
+    assert all(p.kind is p.POSITIONAL_ONLY for p in sig.parameters.values())
+    assert sig.return_annotation is sig.empty
+    assert not hasattr(fn, "__wrapped__")
+    assert fn.__doc__ and fn.__module__ == "cliquekit.identities"
+    instance = {} if fn.entry.param is None else {"k": 1}
+    with pytest.raises(TypeError):
+        fn(g=complete_graph(3), **instance)
+
+
+def test_every_catalog_entry_with_a_public_name_is_tested():
+    assert len(PUBLIC_IDENTITIES) == 15
+    assert {fn.entry.name for fn in PUBLIC_IDENTITIES} <= set(CHECKS)
