@@ -1,11 +1,15 @@
 """Clique counting and listing, clique polynomials, and polynomial calculus.
 
-Counting has one kernel, clique_counts_in(adj, mask): the clique counts of the
-subgraph that a vertex bitmask induces over bit-row adjacency.  It lists
-nothing.  Every count is of a mask over a graph's own rows: neighbourhoods
-and vertex deletions are masks, and a graph with the edges of a clique
-deleted is split into masks by the vertex recurrence (see _table_counts).
-clique_counts, clique_count and clique_polynomial are thin wrappers over it.
+Every count is of a mask over a graph's own rows: neighbourhoods and vertex
+deletions are masks, and a graph with the edges of a clique deleted is split
+into masks by the vertex recurrence (see _fill_counts).  A graph of more than
+_SUBSET_TABLE_MAX_N vertices counts each mask with one kernel,
+clique_counts_in(adj, mask): the clique counts of the subgraph that a vertex
+bitmask induces over bit-row adjacency.  It lists nothing.  A smaller graph
+does not call the kernel: it fills one table of the clique polynomials of
+its induced subgraphs by the vertex recurrence C(S + v) = C(S) + x C(S & N(v)),
+and reads every count from it (see _subset_table).  clique_counts,
+clique_count and clique_polynomial are thin wrappers over both.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
 (Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
@@ -34,14 +38,16 @@ Across calls, each Graph keeps the top-level results asked of it in
 Graph.counts_table, keyed by (deleted clique, mask), both vertex masks and
 the first 0 where no edge is deleted: the identity checks count the
 neighbourhoods and deletions of one graph many times over, each is counted
-once, and the table lives exactly as long as the graph.
+once, and the table lives exactly as long as the graph.  So does the subset
+table of a small graph, Graph.subset_table.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
-list more than LISTING_BUDGET.  It and brute_force_counts are the kernel's
-independent references.  The identity checks read their cliques through
-_listed_catalog, which keeps the largest catalog listed for a graph in
-Graph.catalog_table and answers smaller sizes from it.
+list more than LISTING_BUDGET.  It and brute_force_counts are the
+independent references of the kernel and the subset table.  The identity
+checks read their cliques through _listed_catalog, which keeps the largest
+catalog listed for a graph in Graph.catalog_table and answers smaller sizes
+from it.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -83,6 +89,31 @@ Polynomial = list[int]
 # graphs G(36..64, 0.5..0.85), cutoffs of 10 and 11 are within 6 % of 12,
 # while 13 takes 11 % longer and 14 29 % longer, so 12 stays.
 _PIVOT_MIN_SIZE = 12
+
+# Graphs of at most this many vertices fill Graph.subset_table on their first
+# count and answer every count from it, never calling the kernel (see
+# _subset_table).  A table of 2**(n - 1) entries takes about 0.2 ms at n = 12,
+# the time of 2 to 30 full kernel counts of the graph, so it pays on a graph
+# asked many counts and costs time on one asked few.  In-process time of
+# `cliquekit fuzz` runs, in seconds, medians of 6 to 30 interleaved runs per
+# cell, Python 3.11, 2-core x86-64 host (kernel: every count by the kernel):
+#
+#   run                                           kernel  gate 12  14     16
+#   --n 4..12 --p 0.2..0.8 --count 200 theorems   0.156   0.111  0.113  0.116
+#   --n 10..12 --p 0.7..0.95 --count 40 theorems  0.386   0.164  0.157  0.158
+#   --n 13..16 --p 0.2..0.9 --count 20 theorems   0.255   0.261  0.214  0.125
+#   --n 12..16 conjecture checks --shrink (CI)    0.064   0.062  0.068  0.076
+#
+# Every graph of the first two runs is on the table's side from 12 on.  Above
+# 12, shrinking slows: most of its candidate graphs are asked a few counts
+# each.  So the gate is 12.
+_SUBSET_TABLE_MAX_N = 12
+
+# Bits per coefficient in a subset table entry.  A graph on n vertices has at
+# most C(n, n // 2) < 2**n cliques of one size, so 16 bits hold every
+# coefficient of a graph of up to 16 vertices.
+_SUBSET_TABLE_BITS = 16
+_SUBSET_TABLE_COEFF = (1 << _SUBSET_TABLE_BITS) - 1
 
 # Most cliques enumerate_cliques lists before it refuses (CliqueBudgetExceeded).
 LISTING_BUDGET = 1_000_000
@@ -320,54 +351,117 @@ def _poly_of(adj: tuple[int, ...], cand: int,
 
 
 def _table_counts(g: Graph, mask: int | None = None, without: int = 0) -> tuple[int, ...]:
-    """clique_counts_in kept in g.counts_table: the counts of the subgraph that
-    mask (all vertices by default) induces in g without the edges among the
-    vertices of the mask without, a clique of g (none by default).
-
-    Every count is taken over g's own rows.  For a deleted clique Q with at
-    least two vertices in the mask, keep its highest such vertex and
-    eliminate the others, Q': a clique of G[mask] - Q holds at most one
-    vertex of Q, so by the vertex recurrence at each vertex of Q'
-
-        C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
-
-    and G[mask - Q'] has no deleted edge.  The first term is read from the
-    table; a neighbourhood term under _PIVOT_MIN_SIZE vertices is grown
-    straight into the row, and a larger one is read from the table too.
-    """
+    """The counts of the subgraph that mask (all vertices by default) induces
+    in g without the edges among the vertices of the mask without, a clique
+    of g (none by default): read from g.counts_table, or counted into it by
+    _fill_counts."""
     if mask is None:
         mask = (1 << g.n) - 1
     without &= mask
     if not without & (without - 1):
         without = 0  # fewer than two vertices delete no edge
-    table = g.counts_table
-    key = (without, mask)
-    counts = table.get(key)
-    if counts is None:
+    counts = g.counts_table.get((without, mask))
+    return _fill_counts(g, mask, without) if counts is None else counts
+
+
+def _fill_counts(g: Graph, mask: int, without: int = 0) -> tuple[int, ...]:
+    """Count what _table_counts asks for and keep it in g.counts_table, for a
+    key the table does not hold: without is 0 or has at least two vertices,
+    all in mask.
+
+    Every count is taken over g's own rows.  For a deleted clique Q, keep its
+    highest vertex and eliminate the others, Q': a clique of G[mask] - Q
+    holds at most one vertex of Q, so by the vertex recurrence at each
+    vertex of Q'
+
+        C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
+
+    and no term has a deleted edge.  A graph of at most _SUBSET_TABLE_MAX_N
+    vertices reads the mask, or every term of the split, from its subset
+    table, sums the terms packed and unpacks the result once.  A larger
+    graph counts a mask with clique_counts_in; of the split, it reads the
+    first term through _table_counts, grows a neighbourhood term under
+    _PIVOT_MIN_SIZE vertices straight into the row, and reads a larger one
+    through _table_counts too.
+    """
+    adj = g.adj
+    if without:
+        eliminated = without ^ 1 << (without.bit_length() - 1)
+        first = mask & ~eliminated
+        rest = mask & ~without
+        terms = []
+        while eliminated:
+            low = eliminated & -eliminated
+            eliminated ^= low
+            terms.append(rest & adj[low.bit_length() - 1])
+    if g.n <= _SUBSET_TABLE_MAX_N:
+        table = _subset_table(g)
         if without:
-            adj = g.adj
-            eliminated = without ^ 1 << (without.bit_length() - 1)
-            # a clique with a vertex of Q' is one of G[mask - Q'] with that
-            # vertex added, so the row needs one place more than the first term
-            row = [0, *_table_counts(g, mask & ~eliminated), 0]
-            rest = mask & ~without
-            while eliminated:
-                low = eliminated & -eliminated
-                eliminated ^= low
-                sub = rest & adj[low.bit_length() - 1]
-                row[1] += 1
-                if sub.bit_count() >= _PIVOT_MIN_SIZE:
-                    for j, c in enumerate(_table_counts(g, sub), 2):
-                        row[j] += c
-                elif sub:
-                    _grow(adj, row, 2, sub)
-            if not row[-1]:
-                row.pop()
-            counts = tuple(row[1:])
+            packed = 0
+            for sub in terms:
+                packed += _packed(g, table, sub)
+            counts = _unpack(_packed(g, table, first) + (packed << _SUBSET_TABLE_BITS))
         else:
-            counts = clique_counts_in(g.adj, mask)
-        table[key] = counts
+            counts = _unpack(_packed(g, table, mask))
+    elif without:
+        # a clique with a vertex of Q' is one of G[mask - Q'] with that
+        # vertex added, so the row needs one place more than the first term
+        row = [0, *_table_counts(g, first), 0]
+        for sub in terms:
+            row[1] += 1
+            if sub.bit_count() >= _PIVOT_MIN_SIZE:
+                for j, c in enumerate(_table_counts(g, sub), 2):
+                    row[j] += c
+            elif sub:
+                _grow(adj, row, 2, sub)
+        if not row[-1]:
+            row.pop()
+        counts = tuple(row[1:])
+    else:
+        counts = clique_counts_in(adj, mask)
+    g.counts_table[without, mask] = counts
     return counts
+
+
+def _subset_table(g: Graph) -> list[int]:
+    """g.subset_table, filled on first use: C(G[S], x) for every mask S of
+    the vertices below the top one, packed with _SUBSET_TABLE_BITS bits per
+    coefficient; _packed reads the masks that hold the top vertex.
+
+    Vertex v's step extends the table of the vertices below v to the masks
+    that hold v by the vertex recurrence, C(G[S + v]) = C(G[S]) + x C(G[S & N(v)]),
+    where S & N(v) lies below v and is already in the table; shifting a
+    packed polynomial by one coefficient multiplies it by x.  The top
+    vertex's step is left to each read: it would double the table, and a
+    graph is asked far fewer counts than that.
+    """
+    table = g.subset_table
+    if not table:
+        table.append(1)
+        for row in g.adj[:-1]:
+            table += [p + (table[s & row] << _SUBSET_TABLE_BITS) for s, p in enumerate(table)]
+    return table
+
+
+def _packed(g: Graph, table: list[int], mask: int) -> int:
+    """C(G[mask], x) packed, from g's subset table: a mask that holds the top
+    vertex t, which the table leaves out, is C(G[S]) + x C(G[S & N(t)]) for
+    S = mask - t, two entries of the table."""
+    top = len(table)  # the bit of the top vertex
+    if mask < top:
+        return table[mask]
+    mask ^= top
+    return table[mask] + (table[mask & g.adj[-1]] << _SUBSET_TABLE_BITS)
+
+
+def _unpack(packed: int) -> tuple[int, ...]:
+    """(c_1, ..., c_omega) of a packed subset table entry, whose constant term is 1."""
+    counts = []
+    packed >>= _SUBSET_TABLE_BITS
+    while packed:
+        counts.append(packed & _SUBSET_TABLE_COEFF)
+        packed >>= _SUBSET_TABLE_BITS
+    return tuple(counts)
 
 
 def clique_counts(g: Graph) -> tuple[int, ...]:

@@ -150,11 +150,26 @@ class Graph:
         The deleted clique is a vertex mask too, 0 where no edge is deleted
         (also for a clique with fewer than two vertices in the mask).
         cliquekit.cliques fills the table, counting every entry over this
-        graph's own rows (a deleted clique's entry is summed from entries
+        graph's own rows (a deleted clique's entry is summed from counts
         without one), so every count asked of one Graph object is computed
-        once; it lives exactly as long as the object.
+        once; it lives exactly as long as the object.  On a graph small
+        enough for subset_table, each entry is unpacked from that table.
         """
         return {}
+
+    @cached_property
+    def subset_table(self) -> list[int]:
+        """C(G[S], x) for every vertex mask S without the top vertex n - 1,
+        at index S, each packed into one int: the coefficient of x**k at
+        bits 16k to 16k + 15.
+
+        cliquekit.cliques fills it, only for a graph of at most
+        cliques._SUBSET_TABLE_MAX_N vertices, on the first count asked of
+        the graph, and reads every entry of counts_table from it (a mask
+        with the top vertex from two of its entries); it lives exactly as
+        long as the object.  2**(n - 1) entries: 2 048 at n = 12.
+        """
+        return []
 
     @cached_property
     def deletion_table(self) -> dict[int, tuple]:

@@ -56,6 +56,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .cliques import (
     Polynomial,
+    _fill_counts,
     _listed_catalog,
     _require_listing_budget,
     _table_counts,
@@ -221,10 +222,13 @@ def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
          shift: int = 0, coeff: int = 1) -> None:
     """row += coeff * x**shift * C(x), in place, for the subgraph that mask
     induces without the edges of the clique without, as in _table_counts.
-    A plain mask is looked up in the table first."""
-    counts = None if without or mask is None else g.counts_table.get((0, mask))
-    if counts is None:
+    A plain mask is looked up in the table here, and counted on a miss."""
+    if without or mask is None:
         counts = _table_counts(g, mask, without)
+    else:
+        counts = g.counts_table.get((0, mask))
+        if counts is None:
+            counts = _fill_counts(g, mask)
     row[shift] += coeff
     for j, c in enumerate(counts, shift + 1):
         row[j] += coeff * c
@@ -743,7 +747,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     One loop decides it: C(G) is read once, then C(G - Q), and each r-subset
     S of q (r >= 2) gets N(S) by ANDing the rows of its vertices and adds
     its count, with the coefficient of its size, into the one right side.
-    A count is looked up in g.counts_table directly, and _table_counts
+    A count is looked up in g.counts_table directly, and _fill_counts
     makes it only on a miss.  No term has a clique beyond the clique number
     of g (S with a clique of G[N(S)] is a clique of g), so the row is as
     long as the left side; it is trimmed once and compared as it is.
@@ -755,7 +759,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
         get = g.counts_table.get
         full = (1 << g.n) - 1
         counts = get((0, full))
-        lhs = [1, *(_table_counts(g) if counts is None else counts)]
+        lhs = [1, *(_fill_counts(g, full) if counts is None else counts)]
         rhs = [1, *_table_counts(g, without=mask)]
         rhs += [0] * (len(lhs) - len(rhs))
         for r in range(2, len(q) + 1):
@@ -766,7 +770,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
                     common &= adj[v]
                 counts = get((0, common))
                 if counts is None:
-                    counts = _table_counts(g, common)
+                    counts = _fill_counts(g, common)
                 rhs[r] += coeff
                 for j, c in enumerate(counts, r + 1):
                     rhs[j] += coeff * c

@@ -526,6 +526,8 @@ class TestGen:
 # report byte for byte.
 FUZZ_THEOREMS = ("fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200",
                  "--seed", "7", "--check", "all-theorems")
+FUZZ_MID_SIZE = ("fuzz", "--n", "20..30", "--p", "0.3..0.7", "--count", "3", "--seed", "1",
+                 "--check", "all-theorems")
 CONJECTURE_CHECKS = ("clique_deletion_edge_subsets,kth_derivative,triangle_recurrence,"
                      "conjecture1_first,conjecture1_second,triangle_deck,conjecture2,"
                      "conjecture3")
@@ -543,6 +545,11 @@ CONJECTURE_CHECKS = ("clique_deletion_edge_subsets,kth_derivative,triangle_recur
     (("fuzz", "--n", "4..10", "--p", "0.3..0.8", "--count", "60", "--seed", "5",
       "--check", CONJECTURE_CHECKS, "--shrink", "--json"),
      "e76e360fc4625255a4bebae24c29397838384b95787ca3026310a76f46d56ce9"),
+    # measured at 097b73b, before graphs of at most 12 vertices were counted
+    # from a subset table: dense graphs on the table's side of its gate
+    (("fuzz", "--n", "10..12", "--p", "0.7..0.95", "--count", "40", "--seed", "2",
+      "--check", "all-theorems"),
+     "b388b75abb9723a14674c67ebcda58f4c2a73f3c34ea34a089929f7e8ef7dd60"),
 ])
 def test_campaign_stdout_is_pinned(argv, digest, capsys):
     assert main(list(argv)) == 0
@@ -589,21 +596,53 @@ def test_verify_stdout_is_pinned(gen, extra, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
-    """The small-graph theorem campaign counts every subgraph, G - Q included,
-    as a vertex mask over its graph's own rows, each mask once per graph:
-    8 847 kernel calls.  Counting each G - Q on an edited copy of the rows
-    took 13 247; the split of G - Q reads C(G - Q') from the graph's table,
-    where the vertex checks have mostly put it already, and grows the small
-    neighbourhood terms in place without a kernel call.
+def spy_subset_tables(monkeypatch) -> list[int]:
+    """Record the vertex count of every graph whose subset table is made."""
+    made = []
 
-    Only its 18 masks of _PIVOT_MIN_SIZE vertices (the full masks of
-    12-vertex graphs) enter the pivot recursion, 36 _poly_of frames with
-    their pivots' neighbourhoods; every other mask is grown straight into
-    its row.  Entering _poly_of for every mask took 8 865 frames."""
+    def make(g):
+        made.append(g.n)
+        return []
+
+    table = cached_property(make)
+    table.__set_name__(Graph, "subset_table")
+    monkeypatch.setattr(Graph, "subset_table", table)
+    return made
+
+
+def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
+    """Every graph of the small-graph theorem campaign has at most
+    _SUBSET_TABLE_MAX_N vertices, so it fills one subset table and answers
+    every count from it: 200 tables and no kernel call.  Counting each mask
+    with the kernel, once per graph, took 8 847 calls."""
+    kernel = cliquekit.cliques.clique_counts_in
+    graphs = record_campaign_graphs(monkeypatch)
+    made = spy_subset_tables(monkeypatch)
+    calls = []
+
+    def spy(adj, mask):
+        calls.append(mask)
+        return kernel(adj, mask)
+
+    monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert max(g.n for g in graphs) <= cliquekit.cliques._SUBSET_TABLE_MAX_N
+    assert (len(made), len(calls)) == (200, 0)
+    assert [len(g.subset_table) for g in graphs] == [1 << (g.n - 1) for g in graphs]
+
+
+def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
+    """The mid-size theorem campaign (CI's, n = 20..30, above the subset
+    table's gate) counts every subgraph, G - Q included, as a vertex mask
+    over its graph's own rows, each mask once per graph: 8 404 kernel calls
+    and no subset table.  Its masks of at least _PIVOT_MIN_SIZE vertices
+    enter the pivot recursion: 24 130 _poly_of frames, 14 664 of them on a
+    candidate set at or above the cutoff."""
     kernel = cliquekit.cliques.clique_counts_in
     poly_of = cliquekit.cliques._poly_of
     graphs = record_campaign_graphs(monkeypatch)
+    made = spy_subset_tables(monkeypatch)
     calls = []
     nodes = []
 
@@ -617,20 +656,23 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
 
     monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
     monkeypatch.setattr(cliquekit.cliques, "_poly_of", spy_poly_of)
-    assert main(list(FUZZ_THEOREMS)) == 0
+    assert main(list(FUZZ_MID_SIZE)) == 0
     capsys.readouterr()
     assert {adj for adj, _ in calls} <= {id(g.adj) for g in graphs}
-    assert len(calls) == len(set(calls)) == 8847
-    assert (len(nodes), nodes.count(12)) == (36, 18)
+    assert len(calls) == len(set(calls)) == 8404
+    assert made == []
+    cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
+    assert (len(nodes), sum(size >= cutoff for size in nodes)) == (24130, 14664)
 
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     """The small-graph theorem campaign reads its graphs' count tables
-    74 929 times, wherever the read is made: 53 035 find a count and 21 894
-    miss.  _add and the clique-deletion verdicts look a plain mask up
-    themselves and call _table_counts only on a miss, which reads again, so
-    6 528 of the misses are such second reads; the hits are the 53 035 of
-    the 68 401 reads when every read went through _table_counts."""
+    61 882 times, wherever the read is made: 48 635 find a count and 13 247
+    miss, one miss per count made.  _add and the clique-deletion verdicts
+    look a plain mask up themselves and, on a miss, count it without looking
+    again (6 528 second reads before, 74 929 reads in all); the G - Q split
+    reads its terms from the subset table, not through the count table
+    (53 035 hits before)."""
     reads = []
 
     class Table(dict):
@@ -644,7 +686,7 @@ def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(Graph, "counts_table", table)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert Counter(reads) == {True: 53035, False: 21894}
+    assert Counter(reads) == {True: 48635, False: 13247}
 
 
 @pytest.mark.parametrize("checks, decks", [

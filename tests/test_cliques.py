@@ -196,23 +196,30 @@ class TestCountingKernel:
             == [1, *expected, 0]
 
     def test_results_live_exactly_as_long_as_their_graph(self):
-        """No module-level cache: counts and clique-deletion verdicts go to
-        the Graph's own tables and die with it."""
+        """No module-level cache: counts, subset tables and clique-deletion
+        verdicts go to the Graph's own tables and die with it.  A graph of
+        at most _SUBSET_TABLE_MAX_N vertices fills its subset table on its
+        first count; a larger one never does."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
                      if not name.startswith("__")}
             assert not [name for name, value in state.items()
                         if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info")]
-        g = random_gnp(20, 0.7, RngSpec(2))
-        counts = clique_counts(g)
-        assert g.counts_table == {(0, (1 << g.n) - 1): counts}
-        u, v = g.edges()[0]
-        report = check_edge_recurrence(g, (u, v))
-        assert report.holds
-        assert g.deletion_table == {1 << u | 1 << v: (True, report.lhs, tuple(report.rhs))}
-        ref = weakref.ref(g)
-        del g
-        assert ref() is None
+        for n in (20, 9):
+            g = random_gnp(n, 0.7, RngSpec(2))
+            counts = clique_counts(g)
+            assert g.counts_table == {(0, (1 << g.n) - 1): counts}
+            table_size = 1 << (n - 1) if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N else 0
+            assert len(g.subset_table) == table_size
+            u, v = g.edges()[0]
+            report = check_edge_recurrence(g, (u, v))
+            assert report.holds
+            assert g.deletion_table == {1 << u | 1 << v: (True, report.lhs, tuple(report.rhs))}
+            assert len(g.subset_table) == table_size
+            assert {"counts_table", "subset_table", "deletion_table"} <= set(vars(g))
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
 
     def test_dense_reference_polynomials(self):
         """One stored instance per template, each checked against networkx when stored."""
@@ -223,6 +230,52 @@ class TestCountingKernel:
             g = parse_graph6(g6)
             assert g.n == template["n"]
             assert clique_polynomial(g) == poly
+
+
+class TestSubsetTable:
+    """Graph.subset_table, from which a graph of at most _SUBSET_TABLE_MAX_N
+    vertices answers every count, against references that share no code
+    with it: one wrong entry would feed both sides of every identity."""
+
+    @staticmethod
+    def entries(g):
+        """The counts that g's subset table holds for every mask, in mask
+        order: a mask with the top vertex is read from two entries."""
+        table = cliquekit.cliques._subset_table(g)
+        assert len(table) == 1 << max(g.n - 1, 0)
+        return [cliquekit.cliques._unpack(cliquekit.cliques._packed(g, table, mask))
+                for mask in range(1 << g.n)]
+
+    def test_every_mask_matches_the_oracle(self, corpus):
+        seeded = [random_gnp(n, p, RngSpec(100 * n + round(10 * p)))
+                  for n in (9, 10) for p in (0.3, 0.6, 0.9)]
+        for g in corpus + seeded:
+            assert g.n <= 10
+            for mask, counts in enumerate(self.entries(g)):
+                assert counts == brute_force_counts(induced_subgraph(g, bits(mask))), \
+                    (g.adj, mask)
+
+    @pytest.mark.parametrize("p", [1.0, 0.3, 0.6, 0.9])
+    def test_every_mask_at_the_gate_matches_the_kernel(self, p):
+        """p = 1 is the complete graph, whose middle coefficient, C(n, n // 2),
+        is the widest any graph on n vertices has."""
+        n = cliquekit.cliques._SUBSET_TABLE_MAX_N
+        g = random_gnp(n, p, RngSpec(n))
+        entries = self.entries(g)
+        for mask, counts in enumerate(entries):
+            assert counts == clique_counts_in(g.adj, mask), mask
+            assert cliquekit.cliques._table_counts(g, mask) == counts
+        if p == 1.0:
+            assert entries[-1] == tuple(comb(n, k) for k in range(1, n + 1))
+
+    def test_a_graph_above_the_gate_fills_no_table(self):
+        n = cliquekit.cliques._SUBSET_TABLE_MAX_N + 1
+        g = random_gnp(n, 0.8, RngSpec(n))
+        q = enumerate_cliques(g, 3).cliques(3)[0]
+        clique_counts(g)
+        cliquekit.cliques._table_counts(g, without=sum(1 << v for v in q))
+        assert g.subset_table == []
+        assert len(g.counts_table) > 1
 
 
 class TestDeletedCliqueSplit:
@@ -248,6 +301,21 @@ class TestDeletedCliqueSplit:
                             Graph(g.n, g.adj), mask, without=sum(1 << v for v in q))
                         assert counts == brute_force_counts(induced_subgraph(deleted, kept)), \
                             (g.adj, q, mask)
+
+    @pytest.mark.parametrize("p", [0.5, 0.8])
+    def test_every_small_clique_of_seeded_graphs_matches_the_oracle(self, p):
+        """On the subset table's side of its gate, every clique of at most
+        four vertices of G(10, p), with the full mask."""
+        g = random_gnp(10, p, RngSpec(10))
+        full = (1 << g.n) - 1
+        for size in (2, 3, 4):
+            cliques = naive_cliques_of_size(g, size)
+            assert cliques
+            for q in cliques:
+                deleted = delete_edge_set(g, itertools.combinations(q, 2))
+                counts = cliquekit.cliques._table_counts(g, full, sum(1 << v for v in q))
+                assert counts == brute_force_counts(deleted), q
+        assert len(g.subset_table) == 1 << (g.n - 1)
 
     @pytest.mark.parametrize("n, p", [(21, 0.7), (30, 0.6), (40, 0.5)])
     def test_larger_graphs_match_networkx(self, n, p):
