@@ -35,18 +35,18 @@ branches is counted once: K64 and complete multipartite graphs take one
 entry per level, and the complement of a 64-vertex path 52 entries.  The
 dict goes when the call returns, so no state is kept at module level.
 Across calls, each Graph keeps the top-level results asked of it in
-Graph.counts_table, keyed by (deleted clique, mask), both vertex masks and
+Graph.memo.counts, keyed by (deleted clique, mask), both vertex masks and
 the first 0 where no edge is deleted: the identity checks count the
 neighbourhoods and deletions of one graph many times over, each is counted
-once, and the table lives exactly as long as the graph.  So does the subset
-table of a small graph, Graph.subset_table.
+once, and the memo lives exactly as long as the graph.  So does the subset
+table of a small graph, Graph.memo.subset.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
 list more than LISTING_BUDGET.  It and brute_force_counts are the
 independent references of the kernel and the subset table.  The identity
 checks read their cliques through _listed_catalog, which keeps the largest
-catalog listed for a graph in Graph.catalog_table and answers smaller sizes
+catalog listed for a graph in Graph.memo.catalog and answers smaller sizes
 from it.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
@@ -90,7 +90,7 @@ Polynomial = list[int]
 # while 13 takes 11 % longer and 14 29 % longer, so 12 stays.
 _PIVOT_MIN_SIZE = 12
 
-# Graphs of at most this many vertices fill Graph.subset_table on their first
+# Graphs of at most this many vertices fill Graph.memo.subset on their first
 # count and answer every count from it, never calling the kernel (see
 # _subset_table).  A table of 2**(n - 1) entries takes about 0.2 ms at n = 12,
 # the time of 2 to 30 full kernel counts of the graph, so it pays on a graph
@@ -198,21 +198,22 @@ def _require_listing_budget(g: Graph, k_max: int) -> None:
 def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     """The cliques of enumerate_cliques(g, k_max), listed once per Graph.
 
-    g.catalog_table keeps the largest catalog listed for g.  It answers any
-    k_max up to its own size limit with a prefix, and any k_max at all once
-    that limit reaches the clique number; a larger k_max lists again, under
-    the same LISTING_BUDGET, and replaces it.
+    g.memo.catalog keeps the largest catalog listed for g; its size limit
+    is len(catalog.by_size) - 1.  It answers any k_max up to that limit with
+    a prefix, and any k_max at all once that limit reaches the clique
+    number; a larger k_max lists again, under the same LISTING_BUDGET, and
+    replaces it.
     """
-    table = g.catalog_table
+    memo = g.memo
+    catalog = memo.catalog
     limit = max(0, min(k_max, g.n))
-    for have, catalog in table.items():
+    if catalog is not None:
+        have = len(catalog.by_size) - 1
         if limit <= have:
             return CliqueCatalog(g.n, catalog.by_size[:limit + 1])
         if have >= len(clique_counts(g)):
             return catalog
-    catalog = enumerate_cliques(g, k_max)
-    table.clear()
-    table[limit] = catalog
+    catalog = memo.catalog = enumerate_cliques(g, k_max)
     return catalog
 
 
@@ -353,19 +354,19 @@ def _poly_of(adj: tuple[int, ...], cand: int,
 def _table_counts(g: Graph, mask: int | None = None, without: int = 0) -> tuple[int, ...]:
     """The counts of the subgraph that mask (all vertices by default) induces
     in g without the edges among the vertices of the mask without, a clique
-    of g (none by default): read from g.counts_table, or counted into it by
+    of g (none by default): read from g.memo.counts, or counted into it by
     _fill_counts."""
     if mask is None:
         mask = (1 << g.n) - 1
     without &= mask
     if not without & (without - 1):
         without = 0  # fewer than two vertices delete no edge
-    counts = g.counts_table.get((without, mask))
+    counts = g.memo.counts.get((without, mask))
     return _fill_counts(g, mask, without) if counts is None else counts
 
 
 def _fill_counts(g: Graph, mask: int, without: int = 0) -> tuple[int, ...]:
-    """Count what _table_counts asks for and keep it in g.counts_table, for a
+    """Count what _table_counts asks for and keep it in g.memo.counts, for a
     key the table does not hold: without is 0 or has at least two vertices,
     all in mask.
 
@@ -419,12 +420,12 @@ def _fill_counts(g: Graph, mask: int, without: int = 0) -> tuple[int, ...]:
         counts = tuple(row[1:])
     else:
         counts = clique_counts_in(adj, mask)
-    g.counts_table[without, mask] = counts
+    g.memo.counts[without, mask] = counts
     return counts
 
 
 def _subset_table(g: Graph) -> list[int]:
-    """g.subset_table, filled on first use: C(G[S], x) for every mask S of
+    """g.memo.subset, built on first use: C(G[S], x) for every mask S of
     the vertices below the top one, packed with _SUBSET_TABLE_BITS bits per
     coefficient; _packed reads the masks that hold the top vertex.
 
@@ -435,9 +436,10 @@ def _subset_table(g: Graph) -> list[int]:
     vertex's step is left to each read: it would double the table, and a
     graph is asked far fewer counts than that.
     """
-    table = g.subset_table
-    if not table:
-        table.append(1)
+    memo = g.memo
+    table = memo.subset
+    if table is None:
+        table = memo.subset = [1]
         for row in g.adj[:-1]:
             table += [p + (table[s & row] << _SUBSET_TABLE_BITS) for s, p in enumerate(table)]
     return table

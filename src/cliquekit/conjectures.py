@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .cliques import CliqueBudgetExceeded
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     RngSpec,
     Splitmix64,
@@ -116,7 +117,7 @@ class CampaignConfig:
     k_range: Optional[tuple[int, int]] = None
 
     def validate(self) -> None:
-        if self.n_range[0] > self.n_range[1] or self.n_range[0] < 0 or self.n_range[1] > 64:
+        if not 0 <= self.n_range[0] <= self.n_range[1] <= MAX_VERTICES:
             raise ValueError(f"invalid vertex range {self.n_range}")
         if not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
             raise ValueError(f"invalid probability range {self.p_range}")

@@ -96,6 +96,44 @@ def _raise_first_fault(adj: tuple[int, ...]) -> None:
                 raise ValueError(f"asymmetric adjacency between {v} and {w}")
 
 
+class _Memo:
+    """What cliquekit counted and listed over one Graph (Graph.memo).
+
+    counts: clique counts keyed by (deleted clique, vertex mask), both
+        masks: the subgraph the mask induces, without the edges among the
+        deleted clique's vertices (0 when it has fewer than two in the
+        mask).  cliquekit.cliques fills it, over the graph's own rows, so
+        each count asked of the graph is made once.
+    subset: None until cliquekit.cliques builds it, on the first count of a
+        graph of at most cliques._SUBSET_TABLE_MAX_N vertices: C(G[S], x)
+        at index S for every mask S without the top vertex n - 1, packed
+        with the coefficient of x**k at bits 16k to 16k + 15.  Every count
+        of such a graph is read from it.
+    deletions: clique-deletion verdicts (holds, lhs, rhs) keyed by the
+        clique's mask, filled by cliquekit.identities, so the edge
+        recurrence, the triangle identity and the expansion decide one
+        clique once between them.
+    decks: deck rows keyed by 'vertex' (members G - v), 'edge' (G - E(e))
+        and 'triangle' (G - E(d)), each the members' sum of c_k at x**k and
+        their number at x**0, without trailing zeros; cliquekit.identities
+        sums them from counts.
+    catalog: None, or the largest CliqueCatalog listed for the identity
+        checks by cliquekit.cliques; smaller sizes are read as its prefix.
+
+    Everything lives exactly as long as the Graph; cliquekit keeps nothing
+    at module level.
+    """
+
+    __slots__ = ("counts", "subset", "deletions", "decks", "catalog")
+
+    def __init__(self) -> None:
+        self.counts: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.subset: list[int] | None = None
+        self.deletions: dict[int, tuple] = {}
+        self.decks: dict[str, tuple[int, ...]] = {}
+        self.catalog: CliqueCatalog | None = None
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; adj[v] is the neighbor bitmask of vertex v.
@@ -142,69 +180,9 @@ class Graph:
         return to_graph6(self)
 
     @cached_property
-    def counts_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Clique counts computed over this graph, keyed by (deleted clique,
-        vertex mask): the counts of the subgraph that the vertex mask induces
-        once the edges among the deleted clique's vertices are gone.
-
-        The deleted clique is a vertex mask too, 0 where no edge is deleted
-        (also for a clique with fewer than two vertices in the mask).
-        cliquekit.cliques fills the table, counting every entry over this
-        graph's own rows (a deleted clique's entry is summed from counts
-        without one), so every count asked of one Graph object is computed
-        once; it lives exactly as long as the object.  On a graph small
-        enough for subset_table, each entry is unpacked from that table.
-        """
-        return {}
-
-    @cached_property
-    def subset_table(self) -> list[int]:
-        """C(G[S], x) for every vertex mask S without the top vertex n - 1,
-        at index S, each packed into one int: the coefficient of x**k at
-        bits 16k to 16k + 15.
-
-        cliquekit.cliques fills it, only for a graph of at most
-        cliques._SUBSET_TABLE_MAX_N vertices, on the first count asked of
-        the graph, and reads every entry of counts_table from it (a mask
-        with the top vertex from two of its entries); it lives exactly as
-        long as the object.  2**(n - 1) entries: 2 048 at n = 12.
-        """
-        return []
-
-    @cached_property
-    def deletion_table(self) -> dict[int, tuple]:
-        """Verdicts (holds, lhs, rhs) of the clique-deletion expansion decided
-        over this graph, keyed by the deleted clique's vertex mask.
-
-        cliquekit.identities fills it, so the edge recurrence, the triangle
-        identity and the clique-deletion expansion decide one clique once
-        between them; it lives exactly as long as the object.
-        """
-        return {}
-
-    @cached_property
-    def deck_table(self) -> dict[str, tuple[int, ...]]:
-        """Deck sums taken over this graph, keyed by deck: 'vertex' (the
-        members G - v), 'edge' (G - E(e), for each edge) and 'triangle'
-        (G - E(d), for each triangle).  A deck's row holds at x**k the sum
-        over its members of c_k, with the member count at x**0, without
-        trailing zeros.
-
-        cliquekit.identities fills it from the counts in counts_table, so
-        each deck identity reads one coefficient of a row summed once per
-        graph; it lives exactly as long as the object.
-        """
-        return {}
-
-    @cached_property
-    def catalog_table(self) -> dict[int, CliqueCatalog]:
-        """The largest clique catalog listed for this graph, keyed by its size limit.
-
-        cliquekit.cliques fills it for the identity checks, which read smaller
-        sizes as a prefix of it; it holds at most one catalog and lives
-        exactly as long as the object.
-        """
-        return {}
+    def memo(self) -> _Memo:
+        """What was counted and listed over this graph (see _Memo)."""
+        return _Memo()
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)

@@ -17,7 +17,7 @@ avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
 The left side is clique_polynomial(g).  The right side is summed in one row
 of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with |S| >= r): _add
-reads one count tuple from the graph's result table (Graph.counts_table),
+reads one count tuple from the graph's count table (Graph.memo.counts),
 looking a plain mask up there itself and asking cliquekit.cliques only on a
 miss, and adds coeff * x**shift * C(x) into the row in place.  _poly_verdict
 compares the row, trailing zeros and all, with the left side, and a rendered
@@ -26,12 +26,12 @@ without the edges of a clique (a mask too, whose count cliquekit.cliques
 sums from masks over the same rows), so no check builds a subgraph or edits
 a row, and a count asked twice is made once.  The expansion's verdict for a
 clique, which for edges and triangles is also the edge recurrence's and the
-triangle identity's, is decided once per graph (Graph.deletion_table), in
+triangle identity's, is decided once per graph (Graph.memo.deletions), in
 one loop that reads the table the same way: its right side adds the counts
 of the clique's r-subsets' neighbourhoods, each the AND of its members'
 rows, with one coefficient per r, and is trimmed once there.  Likewise each
 deck, the graphs G - v, G - E(e) or G - E(d) over every vertex, edge or
-triangle, is summed once per graph into one row of Graph.deck_table (its
+triangle, is summed once per graph into one row of Graph.memo.decks (its
 member count at x**0, the sum of the members' c_k at x**k), and the deck
 identities read coefficient k of it.
 
@@ -226,7 +226,7 @@ def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
     if without or mask is None:
         counts = _table_counts(g, mask, without)
     else:
-        counts = g.counts_table.get((0, mask))
+        counts = g.memo.counts.get((0, mask))
         if counts is None:
             counts = _fill_counts(g, mask)
     row[shift] += coeff
@@ -249,11 +249,12 @@ def _common(adj: tuple[int, ...], vertices) -> int:
 
 
 def _deck(g: Graph, deck: str) -> tuple[int, ...]:
-    """The row of deck ('vertex', 'edge' or 'triangle') in g.deck_table,
+    """The row of deck ('vertex', 'edge' or 'triangle') in g.memo.decks,
     summed on first use."""
-    row = g.deck_table.get(deck)
+    decks = g.memo.decks
+    row = decks.get(deck)
     if row is None:
-        row = g.deck_table[deck] = _sum_deck(g, deck)
+        row = decks[deck] = _sum_deck(g, deck)
     return row
 
 
@@ -500,11 +501,11 @@ def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
 
 
 def _triangle_graph_is_edgeless(g: Graph) -> bool:
-    # Pairwise test, deliberately not via triangle_graph(): no 64-triangle cap.
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in triangles(g)]
-    return all(
-        (ma & mb).bit_count() < 2 for ma, mb in itertools.combinations(masks, 2)
-    )
+    """Whether no two triangles of g share an edge: every edge uv lies in at
+    most one triangle, one per common neighbour of u and v.  Not through
+    triangle_graph(), which caps the triangle count at 64."""
+    adj = g.adj
+    return all((adj[u] & adj[v]).bit_count() <= 1 for u, v in g.edges())
 
 
 def _render_conjecture2(g: Graph, _, verdict: Verdict) -> IdentityReport:
@@ -740,23 +741,24 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
 
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
-    q, decided once per graph and kept in g.deletion_table under q's mask:
+    q, decided once per graph and kept in g.memo.deletions under q's mask:
     for |q| = 2 and 3 it is the edge recurrence's and the triangle
     identity's as well.
 
     One loop decides it: C(G) is read once, then C(G - Q), and each r-subset
     S of q (r >= 2) gets N(S) by ANDing the rows of its vertices and adds
     its count, with the coefficient of its size, into the one right side.
-    A count is looked up in g.counts_table directly, and _fill_counts
+    A count is looked up in g.memo.counts directly, and _fill_counts
     makes it only on a miss.  No term has a clique beyond the clique number
     of g (S with a clique of G[N(S)] is a clique of g), so the row is as
     long as the left side; it is trimmed once and compared as it is.
     """
     mask = _vertex_mask(q)
-    verdict = g.deletion_table.get(mask)
+    memo = g.memo
+    verdict = memo.deletions.get(mask)
     if verdict is None:
         adj = g.adj
-        get = g.counts_table.get
+        get = memo.counts.get
         full = (1 << g.n) - 1
         counts = get((0, full))
         lhs = [1, *(_fill_counts(g, full) if counts is None else counts)]
@@ -776,7 +778,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
                     rhs[j] += coeff * c
         while not rhs[-1]:
             rhs.pop()
-        verdict = g.deletion_table[mask] = (lhs == rhs, lhs, tuple(rhs))
+        verdict = memo.deletions[mask] = (lhs == rhs, lhs, tuple(rhs))
     return verdict
 
 

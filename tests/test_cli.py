@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 from collections import Counter
-from functools import cached_property
 from math import comb
 from pathlib import Path
 
@@ -12,8 +11,9 @@ import pytest
 
 import cliquekit.cliques
 import cliquekit.conjectures
+import cliquekit.graphs
 import cliquekit.identities
-from cliquekit import ALL_THEOREMS, CHECKS, Graph, IdentityReport, complete_graph, to_graph6
+from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
 from cliquekit import cli
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
@@ -597,16 +597,16 @@ def test_verify_stdout_is_pinned(gen, extra, digest, capsys):
 
 
 def spy_subset_tables(monkeypatch) -> list[int]:
-    """Record the vertex count of every graph whose subset table is made."""
+    """Record the vertex count of every graph whose subset table is built."""
+    build = cliquekit.cliques._subset_table
     made = []
 
-    def make(g):
-        made.append(g.n)
-        return []
+    def spy(g):
+        if g.memo.subset is None:
+            made.append(g.n)
+        return build(g)
 
-    table = cached_property(make)
-    table.__set_name__(Graph, "subset_table")
-    monkeypatch.setattr(Graph, "subset_table", table)
+    monkeypatch.setattr(cliquekit.cliques, "_subset_table", spy)
     return made
 
 
@@ -629,7 +629,7 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     capsys.readouterr()
     assert max(g.n for g in graphs) <= cliquekit.cliques._SUBSET_TABLE_MAX_N
     assert (len(made), len(calls)) == (200, 0)
-    assert [len(g.subset_table) for g in graphs] == [1 << (g.n - 1) for g in graphs]
+    assert [len(g.memo.subset) for g in graphs] == [1 << (g.n - 1) for g in graphs]
 
 
 def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
@@ -681,9 +681,13 @@ def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
             reads.append(found is not None)
             return found
 
-    table = cached_property(lambda g: Table())
-    table.__set_name__(Graph, "counts_table")
-    monkeypatch.setattr(Graph, "counts_table", table)
+    init = cliquekit.graphs._Memo.__init__
+
+    def counting_init(memo):
+        init(memo)
+        memo.counts = Table()
+
+    monkeypatch.setattr(cliquekit.graphs._Memo, "__init__", counting_init)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert Counter(reads) == {True: 48635, False: 13247}
@@ -721,11 +725,11 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     identity and the clique-deletion expansion assemble one right side per
     edge, triangle and 4-clique between them: 6 519, where one per check
     instance would be 11 803.  Each assembly adds one entry to its graph's
-    deletion_table."""
+    memo.deletions."""
     graphs = record_campaign_graphs(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    sizes = Counter(mask.bit_count() for g in graphs for mask in g.deletion_table)
+    sizes = Counter(mask.bit_count() for g in graphs for mask in g.memo.deletions)
     assert sizes == {2: 2906, 3: 2378, 4: 1235}
 
 
@@ -783,7 +787,7 @@ def test_shrinking_evaluates_instances_up_to_the_first_failure(monkeypatch, caps
     assert (len(candidates), len(evaluated)) == (2983, 6869)
 
 
-def test_readme_catalog_table_matches_the_catalog():
+def test_readme_identity_catalog_matches_the_checks():
     """README's identity catalog lists every check in catalog order, with its
     class and the verify flag that supplies one instance."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -196,10 +196,10 @@ class TestCountingKernel:
             == [1, *expected, 0]
 
     def test_results_live_exactly_as_long_as_their_graph(self):
-        """No module-level cache: counts, subset tables and clique-deletion
-        verdicts go to the Graph's own tables and die with it.  A graph of
-        at most _SUBSET_TABLE_MAX_N vertices fills its subset table on its
-        first count; a larger one never does."""
+        """No module-level cache: counts, the subset table, clique-deletion
+        verdicts, deck sums and the clique catalog go to the Graph's memo
+        and die with it.  A graph of at most _SUBSET_TABLE_MAX_N vertices
+        builds its subset table on its first count; a larger one never does."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
                      if not name.startswith("__")}
@@ -207,19 +207,23 @@ class TestCountingKernel:
                         if isinstance(value, (dict, list, set)) or hasattr(value, "cache_info")]
         for n in (20, 9):
             g = random_gnp(n, 0.7, RngSpec(2))
+            memo = g.memo
             counts = clique_counts(g)
-            assert g.counts_table == {(0, (1 << g.n) - 1): counts}
-            table_size = 1 << (n - 1) if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N else 0
-            assert len(g.subset_table) == table_size
+            assert memo.counts == {(0, (1 << g.n) - 1): counts}
+            if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N:
+                assert len(memo.subset) == 1 << (n - 1)
+            else:
+                assert memo.subset is None
             u, v = g.edges()[0]
             report = check_edge_recurrence(g, (u, v))
             assert report.holds
-            assert g.deletion_table == {1 << u | 1 << v: (True, report.lhs, tuple(report.rhs))}
-            assert len(g.subset_table) == table_size
-            assert {"counts_table", "subset_table", "deletion_table"} <= set(vars(g))
-            ref = weakref.ref(g)
-            del g
-            assert ref() is None
+            assert memo.deletions == {1 << u | 1 << v: (True, report.lhs, tuple(report.rhs))}
+            assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
+            assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
+            assert vars(g)["memo"] is memo
+            refs = [weakref.ref(g), weakref.ref(memo.catalog)]
+            del g, memo
+            assert [ref() for ref in refs] == [None, None]
 
     def test_dense_reference_polynomials(self):
         """One stored instance per template, each checked against networkx when stored."""
@@ -233,7 +237,7 @@ class TestCountingKernel:
 
 
 class TestSubsetTable:
-    """Graph.subset_table, from which a graph of at most _SUBSET_TABLE_MAX_N
+    """Graph.memo.subset, from which a graph of at most _SUBSET_TABLE_MAX_N
     vertices answers every count, against references that share no code
     with it: one wrong entry would feed both sides of every identity."""
 
@@ -274,8 +278,8 @@ class TestSubsetTable:
         q = enumerate_cliques(g, 3).cliques(3)[0]
         clique_counts(g)
         cliquekit.cliques._table_counts(g, without=sum(1 << v for v in q))
-        assert g.subset_table == []
-        assert len(g.counts_table) > 1
+        assert g.memo.subset is None
+        assert len(g.memo.counts) > 1
 
 
 class TestDeletedCliqueSplit:
@@ -315,7 +319,7 @@ class TestDeletedCliqueSplit:
                 deleted = delete_edge_set(g, itertools.combinations(q, 2))
                 counts = cliquekit.cliques._table_counts(g, full, sum(1 << v for v in q))
                 assert counts == brute_force_counts(deleted), q
-        assert len(g.subset_table) == 1 << (g.n - 1)
+        assert len(g.memo.subset) == 1 << (g.n - 1)
 
     @pytest.mark.parametrize("n, p", [(21, 0.7), (30, 0.6), (40, 0.5)])
     def test_larger_graphs_match_networkx(self, n, p):
@@ -451,7 +455,7 @@ class TestListingOncePerGraph:
                     fresh = enumerate_cliques(g, k_max=k)
                     assert [listed.cliques(j) for j in range(top + 1)] \
                         == [fresh.cliques(j) for j in range(top + 1)], (k, g.adj)
-                assert len(h.catalog_table) <= 1
+                assert h.memo.catalog.counts == clique_counts(g)
 
     def test_only_a_request_beyond_the_listed_sizes_lists_again(self, monkeypatch):
         g = random_gnp(12, 0.7, RngSpec(4))

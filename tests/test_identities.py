@@ -202,7 +202,7 @@ class TestDeckSums:
         for deck, r in DECKS.items():
             expected = reference_deck(g, deck)
             assert cliquekit.identities._deck(fresh, deck) == expected, (g.adj, deck)
-            assert fresh.deck_table[deck] == expected
+            assert fresh.memo.decks[deck] == expected
             for k in range(r, len(expected) + 2):
                 _, _, rhs = deck_check(deck, fresh, k)
                 assert rhs == (expected[k] if k < len(expected) else 0), (g.adj, deck, k)
@@ -411,7 +411,7 @@ def catalog_report(name, g, q):
 
 class TestSharedDeletionRhs:
     """edge_recurrence, triangle_identity and clique_deletion read one right
-    side per clique, kept in Graph.deletion_table."""
+    side per clique, kept in Graph.memo.deletions."""
 
     def test_matches_an_independent_reference(self, corpus):
         cases = [(2, "edge_recurrence"), (2, "clique_deletion"), (3, "triangle_identity"),
@@ -450,7 +450,7 @@ class TestSharedDeletionRhs:
         g = complete_graph(5)
         assert clique_deletion_expansion(g, []).holds
         assert catalog_report("clique_deletion", g, (3,)).holds
-        assert list(g.counts_table) == [(0, (1 << g.n) - 1)]
+        assert list(g.memo.counts) == [(0, (1 << g.n) - 1)]
 
     def test_public_functions_report_as_the_catalog(self, corpus):
         for g in corpus:
