@@ -8,8 +8,12 @@ clique_counts_in(adj, mask): the clique counts of the subgraph that a vertex
 bitmask induces over bit-row adjacency.  It lists nothing.  A smaller graph
 does not call the kernel: it fills one table of the clique polynomials of
 its induced subgraphs by the vertex recurrence C(S + v) = C(S) + x C(S & N(v)),
-and reads every count from it (see _subset_table).  clique_counts,
-clique_count and clique_polynomial are thin wrappers over both.
+and reads every count from it (see _subset_table).  Its entries are packed,
+16 bits a coefficient, so packed counts add as polynomials while no
+coefficient carries (see _SUBSET_TABLE_BITS): _packed_count reads one,
+_add_packed sums many, and the identity checks compare such sums.
+clique_counts, clique_count and clique_polynomial are thin wrappers over
+both.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
 (Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
@@ -59,6 +63,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Iterable
 
 from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
@@ -111,9 +116,17 @@ _SUBSET_TABLE_MAX_N = 12
 
 # Bits per coefficient in a subset table entry.  A graph on n vertices has at
 # most C(n, n // 2) < 2**n cliques of one size, so 16 bits hold every
-# coefficient of a graph of up to 16 vertices.
+# coefficient of a graph of up to 16 vertices.  A packed entry is C(x) at
+# x = 2**16 (Kronecker substitution), so packed entries add as polynomials
+# as long as no coefficient of the sum reaches 2**16 and carries into the
+# next.  Inside the gate every coefficient is at most C(12, 6) = 924, so a
+# sum of at most _PACKED_UNITS = 70 packed counts, each taken as often as
+# its |coefficient| says, cannot carry: two such sums are equal exactly when
+# their polynomials are.  A longer sum is unpacked every _PACKED_UNITS
+# counts (see _add_packed).
 _SUBSET_TABLE_BITS = 16
 _SUBSET_TABLE_COEFF = (1 << _SUBSET_TABLE_BITS) - 1
+_PACKED_UNITS = _SUBSET_TABLE_COEFF // comb(_SUBSET_TABLE_MAX_N, _SUBSET_TABLE_MAX_N // 2)
 
 # Most cliques enumerate_cliques lists before it refuses (CliqueBudgetExceeded).
 LISTING_BUDGET = 1_000_000
@@ -378,37 +391,26 @@ def _fill_counts(g: Graph, mask: int, without: int = 0) -> tuple[int, ...]:
         C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
 
     and no term has a deleted edge.  A graph of at most _SUBSET_TABLE_MAX_N
-    vertices reads the mask, or every term of the split, from its subset
-    table, sums the terms packed and unpacks the result once.  A larger
-    graph counts a mask with clique_counts_in; of the split, it reads the
-    first term through _table_counts, grows a neighbourhood term under
-    _PIVOT_MIN_SIZE vertices straight into the row, and reads a larger one
-    through _table_counts too.
+    vertices reads the count packed from its subset table (_packed_count)
+    and unpacks it once.  A larger graph counts a mask with
+    clique_counts_in; of the split, it reads the first term through
+    _table_counts, grows a neighbourhood term under _PIVOT_MIN_SIZE vertices
+    straight into the row, and reads a larger one through _table_counts too.
     """
-    adj = g.adj
-    if without:
+    table = _gated_table(g)
+    if table is not None:
+        counts = _unpack(_packed_count(g, table, mask, without))
+    elif without:
+        adj = g.adj
         eliminated = without ^ 1 << (without.bit_length() - 1)
-        first = mask & ~eliminated
         rest = mask & ~without
-        terms = []
+        # a clique with a vertex of Q' is one of G[mask - Q'] with that
+        # vertex added, so the row needs one place more than the first term
+        row = [0, *_table_counts(g, mask & ~eliminated), 0]
         while eliminated:
             low = eliminated & -eliminated
             eliminated ^= low
-            terms.append(rest & adj[low.bit_length() - 1])
-    if g.n <= _SUBSET_TABLE_MAX_N:
-        table = _subset_table(g)
-        if without:
-            packed = 0
-            for sub in terms:
-                packed += _packed(g, table, sub)
-            counts = _unpack(_packed(g, table, first) + (packed << _SUBSET_TABLE_BITS))
-        else:
-            counts = _unpack(_packed(g, table, mask))
-    elif without:
-        # a clique with a vertex of Q' is one of G[mask - Q'] with that
-        # vertex added, so the row needs one place more than the first term
-        row = [0, *_table_counts(g, first), 0]
-        for sub in terms:
+            sub = rest & adj[low.bit_length() - 1]
             row[1] += 1
             if sub.bit_count() >= _PIVOT_MIN_SIZE:
                 for j, c in enumerate(_table_counts(g, sub), 2):
@@ -419,9 +421,16 @@ def _fill_counts(g: Graph, mask: int, without: int = 0) -> tuple[int, ...]:
             row.pop()
         counts = tuple(row[1:])
     else:
-        counts = clique_counts_in(adj, mask)
+        counts = clique_counts_in(g.adj, mask)
     g.memo.counts[without, mask] = counts
     return counts
+
+
+def _gated_table(g: Graph) -> list[int] | None:
+    """g's subset table (see _subset_table) if g has at most
+    _SUBSET_TABLE_MAX_N vertices; None for a larger graph, whose counts
+    come from the kernel."""
+    return _subset_table(g) if g.n <= _SUBSET_TABLE_MAX_N else None
 
 
 def _subset_table(g: Graph) -> list[int]:
@@ -454,6 +463,39 @@ def _packed(g: Graph, table: list[int], mask: int) -> int:
         return table[mask]
     mask ^= top
     return table[mask] + (table[mask & g.adj[-1]] << _SUBSET_TABLE_BITS)
+
+
+def _packed_count(g: Graph, table: list[int], mask: int, without: int = 0) -> int:
+    """C(G[mask] - Q, x) packed, for the clique Q = without in mask (0 for
+    none), from g's subset table: the split of _fill_counts, its terms read
+    with _packed and summed packed.  Its coefficients are counts of a graph
+    inside the gate, so the sum cannot carry."""
+    if not without:
+        return _packed(g, table, mask)
+    adj = g.adj
+    eliminated = without ^ 1 << (without.bit_length() - 1)
+    rest = mask & ~without
+    first = _packed(g, table, mask & ~eliminated)
+    packed = 0
+    while eliminated:
+        low = eliminated & -eliminated
+        eliminated ^= low
+        packed += _packed(g, table, rest & adj[low.bit_length() - 1])
+    return first + (packed << _SUBSET_TABLE_BITS)
+
+
+def _add_packed(row: list[int], counts: Iterable[int], shift: int = 0) -> None:
+    """row += x**shift times the sum of the packed counts, in place.  They
+    are summed packed, _PACKED_UNITS at a time so that no sum carries, and
+    each sum is unpacked into the row once."""
+    counts = iter(counts)
+    # every packed count has the constant term 1, so only an empty batch sums to 0
+    while packed := sum(itertools.islice(counts, _PACKED_UNITS)):
+        j = shift
+        while packed:
+            row[j] += packed & _SUBSET_TABLE_COEFF
+            packed >>= _SUBSET_TABLE_BITS
+            j += 1
 
 
 def _unpack(packed: int) -> tuple[int, ...]:

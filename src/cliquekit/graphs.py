@@ -103,12 +103,16 @@ class _Memo:
         masks: the subgraph the mask induces, without the edges among the
         deleted clique's vertices (0 when it has fewer than two in the
         mask).  cliquekit.cliques fills it, over the graph's own rows, so
-        each count asked of the graph is made once.
+        each count asked of the graph is made once.  The identity checks
+        of a graph inside the subset table's gate read their sums packed
+        from subset and do not fill it; it holds what they unpack on its
+        own, such as C(G).
     subset: None until cliquekit.cliques builds it, on the first count of a
         graph of at most cliques._SUBSET_TABLE_MAX_N vertices: C(G[S], x)
         at index S for every mask S without the top vertex n - 1, packed
         with the coefficient of x**k at bits 16k to 16k + 15.  Every count
-        of such a graph is read from it.
+        of such a graph is read from it, and the identity checks decide
+        its verdicts by comparing packed sums, unpacking only for reports.
     deletions: clique-deletion verdicts (holds, lhs, rhs) keyed by the
         clique's mask, filled by cliquekit.identities, so the edge
         recurrence, the triangle identity and the expansion decide one
@@ -116,7 +120,8 @@ class _Memo:
     decks: deck rows keyed by 'vertex' (members G - v), 'edge' (G - E(e))
         and 'triangle' (G - E(d)), each the members' sum of c_k at x**k and
         their number at x**0, without trailing zeros; cliquekit.identities
-        sums them from counts.
+        sums them from subset, packed, on a graph inside its gate, and from
+        counts on a larger one.
     catalog: None, or the largest CliqueCatalog listed for the identity
         checks by cliquekit.cliques; smaller sizes are read as its prefix.
 

@@ -15,25 +15,34 @@ holds them in catalog order) renders only where a report is read.  All
 comparisons are exact integer polynomial or count equality; divisions are
 avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
-The left side is clique_polynomial(g).  The right side is summed in one row
-of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with |S| >= r): _add
-reads one count tuple from the graph's count table (Graph.memo.counts),
-looking a plain mask up there itself and asking cliquekit.cliques only on a
-miss, and adds coeff * x**shift * C(x) into the row in place.  _poly_verdict
-compares the row, trailing zeros and all, with the left side, and a rendered
-report trims both.  Each count is of a vertex mask over g's rows, with or
-without the edges of a clique (a mask too, whose count cliquekit.cliques
-sums from masks over the same rows), so no check builds a subgraph or edits
-a row, and a count asked twice is made once.  The expansion's verdict for a
-clique, which for edges and triangles is also the edge recurrence's and the
-triangle identity's, is decided once per graph (Graph.memo.deletions), in
-one loop that reads the table the same way: its right side adds the counts
-of the clique's r-subsets' neighbourhoods, each the AND of its members'
-rows, with one coefficient per r, and is trimmed once there.  Likewise each
-deck, the graphs G - v, G - E(e) or G - E(d) over every vertex, edge or
-triangle, is summed once per graph into one row of Graph.memo.decks (its
-member count at x**0, the sum of the members' c_k at x**k), and the deck
-identities read coefficient k of it.
+The left side is clique_polynomial(g).  A polynomial right side is summed
+in one row of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with
+|S| >= r).  Each count is of a vertex mask over g's rows, with or without
+the edges of a clique (a mask too, whose count cliquekit.cliques sums from
+masks over the same rows), so no check builds a subgraph or edits a row.
+A graph of at most 12 vertices reads every count packed from its subset
+table, C(x) at x = 2**16 with 16 bits a coefficient: _count_sum and the
+deck sums add the packed counts as integers and unpack each side into the
+row once, and Graph.memo.counts keeps only the counts that are unpacked on
+their own, such as C(G).  A larger graph's counts are made once each and
+kept in Graph.memo.counts: _add reads one count tuple there, looking a
+plain mask up itself and asking cliquekit.cliques only on a miss, and adds
+coeff * x**shift * C(x) into the row in place.  _poly_verdict compares the
+row, trailing zeros and all, with the left side, and a rendered report
+trims both.  The expansion's verdict for a clique, which for edges and
+triangles is also the edge recurrence's and the triangle identity's, is
+decided once per graph (Graph.memo.deletions).  On a small graph it is
+decided packed: each side is one integer, the sum of its packed terms, and
+equal integers decide that it holds with nothing unpacked; only a failing
+verdict, or a clique too large for the sum to stay exact, builds the right
+side that a report shows.  That side, and every side of a larger graph, is
+built in one loop that reads the counts the same way as _add: it adds the
+counts of the clique's r-subsets' neighbourhoods, each the AND of its
+members' rows, with one coefficient per r, and is trimmed once there.
+Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
+vertex, edge or triangle, is summed once per graph into one row of
+Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
+x**k), and the deck identities read coefficient k of it.
 
 An instance kind (whole graph, k >= lo, vertex, edge, triangle, clique or
 unit) fixes the lister of a graph's instances, the parser, the verify flag
@@ -55,9 +64,14 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .cliques import (
+    _SUBSET_TABLE_BITS,
     Polynomial,
+    _add_packed,
     _fill_counts,
+    _gated_table,
     _listed_catalog,
+    _packed,
+    _packed_count,
     _require_listing_budget,
     _table_counts,
     clique_count,
@@ -234,6 +248,23 @@ def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
         row[j] += coeff * c
 
 
+def _count_sum(g: Graph, masks: Iterable[int], shift: int = 0,
+               row: Optional[list[int]] = None) -> list[int]:
+    """row (by default g.n + 1 zeros) plus x**shift times the sum of C(x)
+    over the subgraphs that masks induce, in place.  A graph inside the
+    subset table's gate sums the counts packed from its table and unpacks
+    each batch once (_add_packed); a larger graph adds each count with _add."""
+    if row is None:
+        row = [0] * (g.n + 1)
+    table = _gated_table(g)
+    if table is None:
+        for mask in masks:
+            _add(row, g, mask, shift=shift)
+    else:
+        _add_packed(row, (_packed(g, table, mask) for mask in masks), shift)
+    return row
+
+
 def _without_vertex(g: Graph, v: int) -> int:
     """The vertex set of G - v, as a mask over the rows of g."""
     return ((1 << g.n) - 1) & ~(1 << v)
@@ -262,15 +293,22 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     """The sum of C(x) over the members of deck, G - v for each vertex v,
     G - E(e) for each edge e or G - E(d) for each triangle d, with trailing
     zeros trimmed: the member count at x**0 and the sum of their c_k at
-    x**k.  Each member's counts are the table entries _add reads."""
+    x**k.  A graph inside the subset table's gate sums the members packed,
+    each read from its table by _packed_count; a larger graph adds each
+    member's counts with _add."""
+    full = (1 << g.n) - 1
     if deck == "vertex":
         members = [(_without_vertex(g, v), 0) for v in range(g.n)]
     else:
         deleted = g.edges() if deck == "edge" else triangles(g)
-        members = [(None, _vertex_mask(q)) for q in deleted]
+        members = [(full, _vertex_mask(q)) for q in deleted]
     row = [0] * (g.n + 1)
-    for mask, without in members:
-        _add(row, g, mask, without)
+    table = _gated_table(g)
+    if table is None:
+        for mask, without in members:
+            _add(row, g, mask, without)
+    else:
+        _add_packed(row, (_packed_count(g, table, mask, without) for mask, without in members))
     while row and not row[-1]:
         row.pop()
     return tuple(row)
@@ -463,11 +501,8 @@ def check_handshake(g: Graph, k: int) -> Verdict:
 @_identity("vertex_recurrence", THEOREM, _VERTEX)
 def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     """C(G, x) == C(G - v, x) + x * C(G[N(v)], x)."""
-    lhs = clique_polynomial(g)
-    rhs = [0] * (g.n + 1)
-    _add(rhs, g, _without_vertex(g, v))
-    _add(rhs, g, g.adj[v], shift=1)
-    return _poly_verdict(lhs, rhs)
+    rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [_without_vertex(g, v)]))
+    return _poly_verdict(clique_polynomial(g), rhs)
 
 
 @_identity("edge_recurrence", THEOREM, _EDGE)
@@ -592,11 +627,7 @@ def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityRep
 @_identity("first_derivative", THEOREM, _GRAPH)
 def check_first_derivative(g: Graph) -> Verdict:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
-    lhs = poly_derivative(clique_polynomial(g), 1)
-    rhs = [0] * (g.n + 1)
-    for row in g.adj:
-        _add(rhs, g, row)
-    return _poly_verdict(lhs, rhs)
+    return _poly_verdict(poly_derivative(clique_polynomial(g), 1), _count_sum(g, g.adj))
 
 
 @_identity("second_derivative", THEOREM, _GRAPH)
@@ -606,11 +637,9 @@ def check_second_derivative(g: Graph) -> Verdict:
     The halved derivative is computed with binomial coefficients, so the
     comparison stays in exact integers.
     """
-    lhs = poly_divided_derivative(clique_polynomial(g), 2)
-    rhs = [0] * (g.n + 1)
-    for u, v in g.edges():
-        _add(rhs, g, g.adj[u] & g.adj[v])
-    return _poly_verdict(lhs, rhs)
+    adj = g.adj
+    rhs = _count_sum(g, (adj[u] & adj[v] for u, v in g.edges()))
+    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 2), rhs)
 
 
 def _third_derivative_params(g: Graph, _) -> dict:
@@ -628,12 +657,9 @@ def check_third_derivative_k5free(g: Graph) -> Verdict:
     """
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
-    lhs = poly_divided_derivative(clique_polynomial(g), 3)
-    rhs = [0] * (g.n + 1)
     adj = g.adj
-    for d in triangles(g):
-        _add(rhs, g, _common(adj, d))
-    return _poly_verdict(lhs, rhs)
+    rhs = _count_sum(g, (_common(adj, d) for d in triangles(g)))
+    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), rhs)
 
 
 @_identity("conjecture3", CONJECTURE, _GRAPH)
@@ -663,12 +689,9 @@ def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     derivative formulas and leaves higher derivatives open, and re-classing
     it would change the exit codes of verify and fuzz.
     """
-    lhs = poly_divided_derivative(clique_polynomial(g), k)
-    rhs = [0] * (g.n + 1)
     adj = g.adj
-    for q in _listed_catalog(g, k).cliques(k):
-        _add(rhs, g, _common(adj, q))
-    return _poly_verdict(lhs, rhs)
+    rhs = _count_sum(g, (_common(adj, q) for q in _listed_catalog(g, k).cliques(k)))
+    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), k), rhs)
 
 
 # -- clique-deletion expansion ------------------------------------------------------
@@ -739,46 +762,79 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
+# The largest clique whose expansion sums at most cliques._PACKED_UNITS
+# packed counts a side, each taken |coefficient| times: a clique of s
+# vertices sums 1 + sum over odd r of (r - 1) C(s, r) on the left and
+# 1 + sum over even r >= 2 of (r - 1) C(s, r) on the right: 65 and 66 at
+# s = 6, against 161 and 162 at s = 7.
+_PACKED_CLIQUE_MAX = 6
+
+
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
     q, decided once per graph and kept in g.memo.deletions under q's mask:
     for |q| = 2 and 3 it is the edge recurrence's and the triangle
     identity's as well.
 
-    One loop decides it: C(G) is read once, then C(G - Q), and each r-subset
-    S of q (r >= 2) gets N(S) by ANDing the rows of its vertices and adds
-    its count, with the coefficient of its size, into the one right side.
-    A count is looked up in g.memo.counts directly, and _fill_counts
-    makes it only on a miss.  No term has a clique beyond the clique number
-    of g (S with a clique of G[N(S)] is a clique of g), so the row is as
-    long as the left side; it is trimmed once and compared as it is.
+    On a graph inside the subset table's gate, it is first decided packed:
+    with every term's sign moved to the side where it adds, the left side
+    C(G) plus the odd-r terms (r - 1) x**r C(G[N(S)]) and the right side
+    C(G - Q) plus the even-r terms are each one sum of packed counts read
+    from the table, N(S) the AND of the rows of the r-subset S of q.  For a
+    clique of at most _PACKED_CLIQUE_MAX vertices neither sum carries, so
+    equal sums decide that it holds, and nothing is unpacked: the right
+    side is the left.
+
+    Otherwise, where the sums differ (a failing verdict, which a report
+    shows) or on a larger graph or clique, one loop builds the right side:
+    C(G - Q), then each r-subset S (r >= 2) adds its count, with the
+    coefficient of its size, into one row.  A count is looked up in
+    g.memo.counts directly, and _fill_counts makes it only on a miss.  No
+    term has a clique beyond the clique number of g (S with a clique of
+    G[N(S)] is a clique of g), so the row is as long as the left side; it
+    is trimmed once and compared as it is.
     """
     mask = _vertex_mask(q)
     memo = g.memo
     verdict = memo.deletions.get(mask)
-    if verdict is None:
-        adj = g.adj
-        get = memo.counts.get
-        full = (1 << g.n) - 1
-        counts = get((0, full))
-        lhs = [1, *(_fill_counts(g, full) if counts is None else counts)]
-        rhs = [1, *_table_counts(g, without=mask)]
-        rhs += [0] * (len(lhs) - len(rhs))
+    if verdict is not None:
+        return verdict
+    adj = g.adj
+    get = memo.counts.get
+    full = (1 << g.n) - 1
+    counts = get((0, full))
+    lhs = [1, *(_fill_counts(g, full) if counts is None else counts)]
+    table = _gated_table(g) if len(q) <= _PACKED_CLIQUE_MAX else None
+    if table is not None:
+        sides = [_packed_count(g, table, full, mask), _packed(g, table, full)]
         for r in range(2, len(q) + 1):
-            coeff = (-1) ** r * (r - 1)
+            packed = 0
             for s in itertools.combinations(q, r):
                 common = -1
                 for v in s:
                     common &= adj[v]
-                counts = get((0, common))
-                if counts is None:
-                    counts = _fill_counts(g, common)
-                rhs[r] += coeff
-                for j, c in enumerate(counts, r + 1):
-                    rhs[j] += coeff * c
-        while not rhs[-1]:
-            rhs.pop()
-        verdict = memo.deletions[mask] = (lhs == rhs, lhs, tuple(rhs))
+                packed += _packed(g, table, common)
+            sides[r & 1] += (r - 1) * packed << _SUBSET_TABLE_BITS * r
+        if sides[0] == sides[1]:
+            verdict = memo.deletions[mask] = (True, lhs, tuple(lhs))
+            return verdict
+    rhs = [1, *_table_counts(g, without=mask)]
+    rhs += [0] * (len(lhs) - len(rhs))
+    for r in range(2, len(q) + 1):
+        coeff = (-1) ** r * (r - 1)
+        for s in itertools.combinations(q, r):
+            common = -1
+            for v in s:
+                common &= adj[v]
+            counts = get((0, common))
+            if counts is None:
+                counts = _fill_counts(g, common)
+            rhs[r] += coeff
+            for j, c in enumerate(counts, r + 1):
+                rhs[j] += coeff * c
+    while not rhs[-1]:
+        rhs.pop()
+    verdict = memo.deletions[mask] = (lhs == rhs, lhs, tuple(rhs))
     return verdict
 
 
@@ -804,9 +860,7 @@ class TriangleIdentityParts:
 
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     adj = g.adj
-    edge_sum = [0] * (g.n + 1)
-    for a, b in itertools.combinations(d, 2):
-        _add(edge_sum, g, adj[a] & adj[b])
+    edge_sum = _count_sum(g, (adj[a] & adj[b] for a, b in itertools.combinations(d, 2)))
     tri = [1, *_table_counts(g, _common(adj, d))]
     return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 

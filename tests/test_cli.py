@@ -550,6 +550,13 @@ CONJECTURE_CHECKS = ("clique_deletion_edge_subsets,kth_derivative,triangle_recur
     (("fuzz", "--n", "10..12", "--p", "0.7..0.95", "--count", "40", "--seed", "2",
       "--check", "all-theorems"),
      "b388b75abb9723a14674c67ebcda58f4c2a73f3c34ea34a089929f7e8ef7dd60"),
+    # measured at 8360d09, before verdicts on graphs of at most 12 vertices
+    # were decided from packed counts: every check on dense graphs at the
+    # gate, whose conjecture sides reach coefficients above 2**16 (the
+    # conjecture3 rhs of K~z~~~~~z~~~ has 70 112)
+    (("fuzz", "--n", "10..12", "--p", "0.8..1", "--count", "40", "--seed", "3",
+      "--check", f"all-theorems,{CONJECTURE_CHECKS}"),
+     "26d10fca341b1566f841fd2ad670d74ada554762d7422a89073b54407fc058de"),
 ])
 def test_campaign_stdout_is_pinned(argv, digest, capsys):
     assert main(list(argv)) == 0
@@ -570,7 +577,10 @@ ONE_OF_EACH = ("--k", "3", "--v", "2", "--e", "0-5", "--delta", "1-2-5", "--cliq
 # conjecture sides, graphs above the pivot cutoff, and rows of up to 65
 # coefficients (n = 64).  The three runs on `gen 9 0.55 2` (HH^|bSl), measured
 # at 941c348, pin the text renderer and, with one flag of every kind, each
-# kind's parser and the single-instance path.
+# kind's parser and the single-instance path.  The two runs on 12-vertex
+# graphs, `gen 12 0.9 3` (K}~~~~~~~~~~) and `gen 12 1 1` (K12), measured at
+# 8360d09, pin graphs at the subset table's gate, whose verdicts are decided
+# from packed counts.
 VERIFY_PINS = [
     (("16", "0.7", "4"), JSON, "ae97c868319811edec1b9e7580cdb0e3d30a9c6348f564c0a7809078a4095f7f"),
     (("24", "0.5", "1"), JSON, "4d880d7e62c3f6bfa805fcb4612cf5371bd62ba356a9a1359a21155e2f10ab69"),
@@ -581,6 +591,8 @@ VERIFY_PINS = [
      "7f9f690aec76f8ace4f0dc18ad07b543c9eedec6129aac511e48835eeaed0683"),
     (("9", "0.55", "2"), (*ONE_OF_EACH, *JSON),
      "953e765adfa59a52905cad23def8a896bfdcfbd0484c044e36bf66dc4445d23c"),
+    (("12", "0.9", "3"), JSON, "1dae74b59f5a0a6471b95ad941fbc5a9f5ac2e2769208a77f702c91cd8a55fa8"),
+    (("12", "1", "1"), JSON, "af62a5e6fd40234650f373ac258ff1432ea0b0c9ab55bb262f6635d39978d368"),
 ]
 
 
@@ -667,12 +679,12 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     """The small-graph theorem campaign reads its graphs' count tables
-    61 882 times, wherever the read is made: 48 635 find a count and 13 247
-    miss, one miss per count made.  _add and the clique-deletion verdicts
-    look a plain mask up themselves and, on a miss, count it without looking
-    again (6 528 second reads before, 74 929 reads in all); the G - Q split
-    reads its terms from the subset table, not through the count table
-    (53 035 hits before)."""
+    16 420 times, wherever the read is made: 14 239 find a count and 2 181
+    miss, one miss per count made.  Every graph has at most 12 vertices, so
+    the sums of the checks are read packed from the subset table, not
+    through the count table (48 635 hits and 13 247 misses before).  What is
+    left is C(G), read by every check and counted once per graph, and the
+    neighbourhood and G - d counts of triangle_deletion_counts."""
     reads = []
 
     class Table(dict):
@@ -690,7 +702,7 @@ def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(cliquekit.graphs._Memo, "__init__", counting_init)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert Counter(reads) == {True: 48635, False: 13247}
+    assert Counter(reads) == {True: 14239, False: 2181}
 
 
 @pytest.mark.parametrize("checks, decks", [

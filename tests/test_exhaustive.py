@@ -1,7 +1,8 @@
 """Every labeled graph on a few vertices, checked exhaustively.
 
-Random campaigns cannot say that a theorem holds on every small graph; a
-sweep over all of them can.  Graphs this small never reach the counting
+Random campaigns cannot say that a theorem holds on every small graph, or
+which graph is the smallest on which a conjecture fails; a sweep over all
+of them can.  Graphs this small never reach the counting
 kernel in a campaign (they are counted from their subset table), so this
 is also where the subset table, the kernel and the brute-force oracle meet
 on every vertex mask.
@@ -53,6 +54,27 @@ def sweep_theorems(n_max: int) -> int:
 
 def test_every_theorem_holds_on_every_graph_of_at_most_5_vertices():
     assert sweep_theorems(n_max=5) == 1 + 2 + 8 + 64 + 1024
+
+
+def test_smallest_counterexample_of_each_conjecture_is_pinned():
+    """The first labeled graph of at most 5 vertices, in sweep order, on which
+    each conjecture fails; the others hold on all 1 099 graphs.  A packed
+    comparison that wrongly says "holds" moves a counterexample or hides it."""
+    conjectures = [name for name, cd in CHECKS.items() if cd.kind == "conjecture"]
+    first = {}
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            for name in conjectures:
+                if name not in first and CHECKS[name].first_failure(g, None)[1] is not None:
+                    first[name] = to_graph6(g)
+    assert first == {
+        "conjecture1_second": "A?",
+        "triangle_recurrence": "Bw",
+        "conjecture3": "Bw",
+        "triangle_deck": "C}",
+        "clique_deletion_edge_subsets": "C~",
+    }
+    assert set(conjectures) - set(first) == {"kth_derivative", "conjecture1_first", "conjecture2"}
 
 
 def test_both_counting_paths_match_the_oracle_on_every_mask():

@@ -1,10 +1,12 @@
 import inspect
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 
+import cliquekit.cliques
 import cliquekit.identities
 from cliquekit import (
     ALL_THEOREMS,
@@ -463,6 +465,88 @@ class TestSharedDeletionRhs:
                                                  ("edge-subsets", "clique_deletion_edge_subsets")):
                         assert clique_deletion_expansion(g, edges, interpretation) \
                             == catalog_report(name, Graph(g.n, g.adj), q)
+
+
+def every_verdict(g):
+    """{(check, instance): verdict} over every catalog check and every
+    instance it lists on g."""
+    return {(name, p): cd.verdict(g, p) for name, cd in CHECKS.items() for p in cd.params(g, None)}
+
+
+def dense_twelve_vertex_graphs():
+    n = cliquekit.cliques._SUBSET_TABLE_MAX_N
+    matching = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                    if not (u % 2 == 0 and v == u + 1)])
+    seeded = [random_gnp(n, p, RngSpec(seed)) for seed, p in enumerate((0.8, 0.85, 0.9, 0.95))]
+    return [complete_graph(n), matching, *seeded]
+
+
+class TestPackedVerdicts:
+    """A graph inside the subset table's gate decides its verdicts from packed
+    counts; with the gate at 0 every count comes from the kernel and every
+    side is summed in a list row, an independent path to the same verdicts."""
+
+    def test_every_verdict_matches_the_kernel_path(self, corpus, monkeypatch):
+        graphs = [g for g in corpus if g.n <= cliquekit.cliques._SUBSET_TABLE_MAX_N]
+        graphs += dense_twelve_vertex_graphs()
+        packed = [every_verdict(Graph(g.n, g.adj)) for g in graphs]
+        monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", 0)
+        for g, verdicts in zip(graphs, packed):
+            fresh = Graph(g.n, g.adj)
+            assert every_verdict(fresh) == verdicts, g.adj
+            assert fresh.n == 0 or fresh.memo.subset is None
+
+    def test_cliques_past_the_weight_bound_match_the_kernel_path(self, monkeypatch):
+        """Cliques of 5 to 12 vertices of K12; those of more than
+        _PACKED_CLIQUE_MAX vertices are decided by the list loop."""
+        n = cliquekit.cliques._SUBSET_TABLE_MAX_N
+        cliques = [tuple(range(size)) for size in range(5, n + 1)]
+
+        def reports():
+            g = complete_graph(n)
+            return [clique_deletion_expansion(g, list(itertools.combinations(q, 2)))
+                    for q in cliques]
+
+        packed = reports()
+        assert all(report.holds for report in packed)
+        assert packed[-1].lhs == [comb(n, k) for k in range(n + 1)]
+        monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", 0)
+        assert reports() == packed
+
+    def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
+        """With the subset table of G - e in place of G's, the expansion
+        fails on some cliques, and each verdict equals the one the list loop
+        builds from the same table: a packed sum that says "holds" where the
+        sides differ shows here."""
+        g = random_gnp(9, 0.7, RngSpec(9))
+        h = delete_edge(g, g.edges()[0])
+        cd = CHECKS["clique_deletion"]
+
+        def verdicts():
+            wrong = Graph(g.n, g.adj)
+            wrong.memo.subset = cliquekit.cliques._subset_table(Graph(h.n, h.adj))
+            return [cd.check(wrong, q) for q in cd.params(wrong, None)]
+
+        packed = verdicts()
+        assert not all(holds for holds, _, _ in packed)
+        monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
+        assert verdicts() == packed
+
+    def test_the_weight_bounds_cannot_carry(self):
+        """A sum of _PACKED_UNITS packed counts of a graph inside the gate
+        stays under 2**16 in every coefficient, and the expansion of a clique
+        of _PACKED_CLIQUE_MAX vertices, but not one more, sums at most that
+        many a side."""
+        gate = cliquekit.cliques._SUBSET_TABLE_MAX_N
+        units = cliquekit.cliques._PACKED_UNITS
+        assert units * comb(gate, gate // 2) < 1 << cliquekit.cliques._SUBSET_TABLE_BITS
+
+        def side_units(s):
+            return [1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
+                    for parity in (0, 1)]
+
+        largest = cliquekit.identities._PACKED_CLIQUE_MAX
+        assert max(side_units(largest)) <= units < max(side_units(largest + 1))
 
 
 class TestTriangleIdentity:
