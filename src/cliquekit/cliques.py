@@ -2,16 +2,19 @@
 
 Every count is of a mask over a graph's own rows: neighbourhoods and vertex
 deletions are masks, and a graph with the edges of a clique deleted is split
-into masks by the vertex recurrence (see _fill_counts).  A graph of more than
-_SUBSET_TABLE_MAX_N vertices counts each mask with one kernel,
+into masks by the vertex recurrence (see _packed_count).  Each graph has one
+packed reader, read = _reader(g): read(mask) is C(G[mask], x) at x = 2**lane,
+with _lane(n) bits a coefficient, wide enough that packed counts add as
+polynomials without a carry (see _SUBSET_TABLE_BITS).  _packed_count reads
+one count, with or without a clique's edges, _add_packed sums many, and the
+identity checks compare such sums.  A graph of more than
+_SUBSET_TABLE_MAX_N vertices counts each mask once with one kernel,
 clique_counts_in(adj, mask): the clique counts of the subgraph that a vertex
-bitmask induces over bit-row adjacency.  It lists nothing.  A smaller graph
-does not call the kernel: it fills one table of the clique polynomials of
-its induced subgraphs by the vertex recurrence C(S + v) = C(S) + x C(S & N(v)),
-and reads every count from it (see _subset_table).  Its entries are packed,
-16 bits a coefficient, so packed counts add as polynomials while no
-coefficient carries (see _SUBSET_TABLE_BITS): _packed_count reads one,
-_add_packed sums many, and the identity checks compare such sums.
+bitmask induces over bit-row adjacency.  It lists nothing, and the reader
+keeps each mask's counts packed.  A smaller graph does not call the kernel:
+it fills one table of the clique polynomials of its induced subgraphs by
+the vertex recurrence C(S + v) = C(S) + x C(S & N(v)), packed 16 bits a
+coefficient, and the reader reads every count from it (see _subset_table).
 clique_counts, clique_count and clique_polynomial are thin wrappers over
 both.
 
@@ -38,12 +41,14 @@ candidate set holds every pivot node, so a set reached along several
 branches is counted once: K64 and complete multipartite graphs take one
 entry per level, and the complement of a 64-vertex path 52 entries.  The
 dict goes when the call returns, so no state is kept at module level.
-Across calls, each Graph keeps the top-level results asked of it in
+Across calls, each Graph keeps its reader in Graph.memo.read: the identity
+checks read the neighbourhoods and deletions of one graph many times over,
+and the reader of a larger graph counts each mask once and keeps its
+packed counts.  The counts asked as tuples (_table_counts) are kept in
 Graph.memo.counts, keyed by (deleted clique, mask), both vertex masks and
-the first 0 where no edge is deleted: the identity checks count the
-neighbourhoods and deletions of one graph many times over, each is counted
-once, and the memo lives exactly as long as the graph.  So does the subset
-table of a small graph, Graph.memo.subset.
+the first 0 where no edge is deleted.  The memo lives exactly as long as
+the graph, and so does the subset table of a small graph,
+Graph.memo.subset.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -63,7 +68,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
@@ -114,19 +119,21 @@ _PIVOT_MIN_SIZE = 12
 # each.  So the gate is 12.
 _SUBSET_TABLE_MAX_N = 12
 
-# Bits per coefficient in a subset table entry.  A graph on n vertices has at
-# most C(n, n // 2) < 2**n cliques of one size, so 16 bits hold every
-# coefficient of a graph of up to 16 vertices.  A packed entry is C(x) at
-# x = 2**16 (Kronecker substitution), so packed entries add as polynomials
-# as long as no coefficient of the sum reaches 2**16 and carries into the
-# next.  Inside the gate every coefficient is at most C(12, 6) = 924, so a
-# sum of at most _PACKED_UNITS = 70 packed counts, each taken as often as
-# its |coefficient| says, cannot carry: two such sums are equal exactly when
-# their polynomials are.  A longer sum is unpacked every _PACKED_UNITS
-# counts (see _add_packed).
+# A packed count is C(x) at x = 2**lane (Kronecker substitution), lane bits
+# a coefficient, so packed counts add as polynomials as long as no
+# coefficient of the sum reaches 2**lane and carries into the next.  A graph
+# on n vertices has at most C(n, n // 2) cliques of one size, so a sum of at
+# most _PACKED_UNITS = 70 packed counts of it, each taken as often as its
+# |coefficient| says, cannot carry at the lane _lane(n) (a tuple lookup):
+# two such sums are equal exactly when their polynomials are.  The lane is
+# _SUBSET_TABLE_BITS = 16 up to n = 12, where 70 * C(12, 6) = 64 680 < 2**16,
+# so the subset table packs every entry at 16 bits, and 67 at n = 64.  A
+# longer sum is unpacked every _PACKED_UNITS counts (see _add_packed).
 _SUBSET_TABLE_BITS = 16
-_SUBSET_TABLE_COEFF = (1 << _SUBSET_TABLE_BITS) - 1
-_PACKED_UNITS = _SUBSET_TABLE_COEFF // comb(_SUBSET_TABLE_MAX_N, _SUBSET_TABLE_MAX_N // 2)
+_PACKED_UNITS = (((1 << _SUBSET_TABLE_BITS) - 1)
+                 // comb(_SUBSET_TABLE_MAX_N, _SUBSET_TABLE_MAX_N // 2))
+_lane = tuple(max(_SUBSET_TABLE_BITS, (_PACKED_UNITS * comb(n, n // 2)).bit_length())
+              for n in range(MAX_VERTICES + 1)).__getitem__
 
 # Most cliques enumerate_cliques lists before it refuses (CliqueBudgetExceeded).
 LISTING_BUDGET = 1_000_000
@@ -367,76 +374,26 @@ def _poly_of(adj: tuple[int, ...], cand: int,
 def _table_counts(g: Graph, mask: int | None = None, without: int = 0) -> tuple[int, ...]:
     """The counts of the subgraph that mask (all vertices by default) induces
     in g without the edges among the vertices of the mask without, a clique
-    of g (none by default): read from g.memo.counts, or counted into it by
-    _fill_counts."""
+    of g (none by default): read from g.memo.counts, or read packed by
+    _packed_count, unpacked once and kept there."""
     if mask is None:
         mask = (1 << g.n) - 1
     without &= mask
     if not without & (without - 1):
         without = 0  # fewer than two vertices delete no edge
-    counts = g.memo.counts.get((without, mask))
-    return _fill_counts(g, mask, without) if counts is None else counts
-
-
-def _fill_counts(g: Graph, mask: int, without: int = 0) -> tuple[int, ...]:
-    """Count what _table_counts asks for and keep it in g.memo.counts, for a
-    key the table does not hold: without is 0 or has at least two vertices,
-    all in mask.
-
-    Every count is taken over g's own rows.  For a deleted clique Q, keep its
-    highest vertex and eliminate the others, Q': a clique of G[mask] - Q
-    holds at most one vertex of Q, so by the vertex recurrence at each
-    vertex of Q'
-
-        C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
-
-    and no term has a deleted edge.  A graph of at most _SUBSET_TABLE_MAX_N
-    vertices reads the count packed from its subset table (_packed_count)
-    and unpacks it once.  A larger graph counts a mask with
-    clique_counts_in; of the split, it reads the first term through
-    _table_counts, grows a neighbourhood term under _PIVOT_MIN_SIZE vertices
-    straight into the row, and reads a larger one through _table_counts too.
-    """
-    table = _gated_table(g)
-    if table is not None:
-        counts = _unpack(_packed_count(g, table, mask, without))
-    elif without:
-        adj = g.adj
-        eliminated = without ^ 1 << (without.bit_length() - 1)
-        rest = mask & ~without
-        # a clique with a vertex of Q' is one of G[mask - Q'] with that
-        # vertex added, so the row needs one place more than the first term
-        row = [0, *_table_counts(g, mask & ~eliminated), 0]
-        while eliminated:
-            low = eliminated & -eliminated
-            eliminated ^= low
-            sub = rest & adj[low.bit_length() - 1]
-            row[1] += 1
-            if sub.bit_count() >= _PIVOT_MIN_SIZE:
-                for j, c in enumerate(_table_counts(g, sub), 2):
-                    row[j] += c
-            elif sub:
-                _grow(adj, row, 2, sub)
-        if not row[-1]:
-            row.pop()
-        counts = tuple(row[1:])
-    else:
-        counts = clique_counts_in(g.adj, mask)
-    g.memo.counts[without, mask] = counts
+    memo = g.memo
+    counts = memo.counts.get((without, mask))
+    if counts is None:
+        lane = _lane(g.n)
+        counts = _unpack(_packed_count(g, _reader(g), lane, mask, without), lane)
+        memo.counts[without, mask] = counts
     return counts
-
-
-def _gated_table(g: Graph) -> list[int] | None:
-    """g's subset table (see _subset_table) if g has at most
-    _SUBSET_TABLE_MAX_N vertices; None for a larger graph, whose counts
-    come from the kernel."""
-    return _subset_table(g) if g.n <= _SUBSET_TABLE_MAX_N else None
 
 
 def _subset_table(g: Graph) -> list[int]:
     """g.memo.subset, built on first use: C(G[S], x) for every mask S of
     the vertices below the top one, packed with _SUBSET_TABLE_BITS bits per
-    coefficient; _packed reads the masks that hold the top vertex.
+    coefficient; _reader reads the masks that hold the top vertex.
 
     Vertex v's step extends the table of the vertices below v to the masks
     that hold v by the vertex recurrence, C(G[S + v]) = C(G[S]) + x C(G[S & N(v)]),
@@ -454,57 +411,107 @@ def _subset_table(g: Graph) -> list[int]:
     return table
 
 
-def _packed(g: Graph, table: list[int], mask: int) -> int:
-    """C(G[mask], x) packed, from g's subset table: a mask that holds the top
-    vertex t, which the table leaves out, is C(G[S]) + x C(G[S & N(t)]) for
-    S = mask - t, two entries of the table."""
-    top = len(table)  # the bit of the top vertex
-    if mask < top:
-        return table[mask]
-    mask ^= top
-    return table[mask] + (table[mask & g.adj[-1]] << _SUBSET_TABLE_BITS)
+def _reader(g: Graph) -> Callable[[int], int]:
+    """g's packed reader, made once per graph and kept in g.memo.read:
+    read(mask) is C(G[mask], x) packed at _lane(g.n) bits a coefficient, in
+    one Python call.
+
+    A graph of at most _SUBSET_TABLE_MAX_N vertices reads its subset table: a
+    mask that holds the top vertex t, which the table leaves out, is
+    C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the table.  A
+    larger graph counts a mask with the kernel, clique_counts_in, the first
+    time it is read, and keeps the packed count in a dict of its reader, so
+    each mask is counted once per graph.  The reader closes over the table
+    or that dict and the rows, never over g, so it keeps nothing alive that
+    the memo does not.
+    """
+    memo = g.memo
+    read = memo.read
+    if read is not None:
+        return read
+    if g.n <= _SUBSET_TABLE_MAX_N:
+        table = _subset_table(g)
+        top = len(table)  # the bit of the top vertex
+        last = g.adj[-1] if g.n else 0
+
+        def read(mask: int) -> int:
+            if mask < top:
+                return table[mask]
+            mask ^= top
+            return table[mask] + (table[mask & last] << _SUBSET_TABLE_BITS)
+    else:
+        adj = g.adj
+        lane = _lane(g.n)
+        known: dict[int, int] = {}
+        get = known.get
+
+        def read(mask: int) -> int:
+            packed = get(mask)
+            if packed is None:
+                packed = 0
+                for c in reversed(clique_counts_in(adj, mask)):
+                    packed = (packed | c) << lane
+                packed = known[mask] = packed | 1
+            return packed
+    memo.read = read
+    return read
 
 
-def _packed_count(g: Graph, table: list[int], mask: int, without: int = 0) -> int:
-    """C(G[mask] - Q, x) packed, for the clique Q = without in mask (0 for
-    none), from g's subset table: the split of _fill_counts, its terms read
-    with _packed and summed packed.  Its coefficients are counts of a graph
-    inside the gate, so the sum cannot carry."""
+def _packed_count(g: Graph, read: Callable[[int], int], lane: int, mask: int,
+                  without: int = 0) -> int:
+    """C(G[mask] - Q, x) packed at lane bits a coefficient, for the clique
+    Q = without in mask (0 for none), from g's reader (see _reader).
+
+    Keep Q's highest vertex and eliminate the others, Q': a clique of
+    G[mask] - Q holds at most one vertex of Q, so by the vertex recurrence
+    at each vertex of Q'
+
+        C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
+
+    and no term has a deleted edge.  Each term is read as a plain mask over
+    g's own rows, and the terms are summed packed: every coefficient of the
+    sum is a count of a subgraph of g, so it cannot carry.
+    """
     if not without:
-        return _packed(g, table, mask)
+        return read(mask)
     adj = g.adj
     eliminated = without ^ 1 << (without.bit_length() - 1)
     rest = mask & ~without
-    first = _packed(g, table, mask & ~eliminated)
+    first = read(mask & ~eliminated)
     packed = 0
     while eliminated:
         low = eliminated & -eliminated
         eliminated ^= low
-        packed += _packed(g, table, rest & adj[low.bit_length() - 1])
-    return first + (packed << _SUBSET_TABLE_BITS)
+        packed += read(rest & adj[low.bit_length() - 1])
+    return first + (packed << lane)
 
 
-def _add_packed(row: list[int], counts: Iterable[int], shift: int = 0) -> None:
-    """row += x**shift times the sum of the packed counts, in place.  They
-    are summed packed, _PACKED_UNITS at a time so that no sum carries, and
-    each sum is unpacked into the row once."""
+def _add_packed(row: list[int], counts: Iterable[int], lane: int, shift: int = 0,
+                coeff: int = 1) -> None:
+    """row += coeff * x**shift times the sum of the counts packed at lane
+    bits a coefficient, in place.  They are summed packed, _PACKED_UNITS at
+    a time so that no sum carries, and each sum is unpacked into the row
+    once."""
     counts = iter(counts)
+    field = (1 << lane) - 1
     # every packed count has the constant term 1, so only an empty batch sums to 0
     while packed := sum(itertools.islice(counts, _PACKED_UNITS)):
         j = shift
         while packed:
-            row[j] += packed & _SUBSET_TABLE_COEFF
-            packed >>= _SUBSET_TABLE_BITS
+            row[j] += coeff * (packed & field)
+            packed >>= lane
             j += 1
 
 
-def _unpack(packed: int) -> tuple[int, ...]:
-    """(c_1, ..., c_omega) of a packed subset table entry, whose constant term is 1."""
+def _unpack(packed: int, lane: int) -> tuple[int, ...]:
+    """(c_1, ..., c_omega) of a count packed at lane bits a coefficient,
+    whose constant term is 1."""
+    field = (1 << lane) - 1
     counts = []
-    packed >>= _SUBSET_TABLE_BITS
+    packed >>= lane
     while packed:
-        counts.append(packed & _SUBSET_TABLE_COEFF)
-        packed >>= _SUBSET_TABLE_BITS
+        counts.append(packed & field)
+        packed >>= lane
     return tuple(counts)
 
 

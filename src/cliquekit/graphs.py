@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .cliques import CliqueCatalog
@@ -102,17 +102,19 @@ class _Memo:
     counts: clique counts keyed by (deleted clique, vertex mask), both
         masks: the subgraph the mask induces, without the edges among the
         deleted clique's vertices (0 when it has fewer than two in the
-        mask).  cliquekit.cliques fills it, over the graph's own rows, so
-        each count asked of the graph is made once.  The identity checks
-        of a graph inside the subset table's gate read their sums packed
-        from subset and do not fill it; it holds what they unpack on its
-        own, such as C(G).
+        mask).  cliquekit.cliques fills it with the counts asked as tuples,
+        such as C(G), each unpacked once from what read reads.
     subset: None until cliquekit.cliques builds it, on the first count of a
         graph of at most cliques._SUBSET_TABLE_MAX_N vertices: C(G[S], x)
         at index S for every mask S without the top vertex n - 1, packed
-        with the coefficient of x**k at bits 16k to 16k + 15.  Every count
-        of such a graph is read from it, and the identity checks decide
-        its verdicts by comparing packed sums, unpacking only for reports.
+        with the coefficient of x**k at bits 16k to 16k + 15.  read reads
+        every count of such a graph from it.
+    read: None until cliquekit.cliques makes it: the graph's packed reader
+        (cliques._reader), C(G[mask], x) packed at cliques._lane(n) bits a
+        coefficient, read from subset or, above the gate, counted once per
+        mask by the kernel and kept packed in the reader.  Every count the
+        identity checks sum or compare is read through it, and they decide
+        verdicts by comparing packed sums, unpacking only for reports.
     deletions: clique-deletion verdicts (holds, lhs, rhs) keyed by the
         clique's mask, filled by cliquekit.identities, so the edge
         recurrence, the triangle identity and the expansion decide one
@@ -120,8 +122,7 @@ class _Memo:
     decks: deck rows keyed by 'vertex' (members G - v), 'edge' (G - E(e))
         and 'triangle' (G - E(d)), each the members' sum of c_k at x**k and
         their number at x**0, without trailing zeros; cliquekit.identities
-        sums them from subset, packed, on a graph inside its gate, and from
-        counts on a larger one.
+        sums them packed, through read.
     catalog: None, or the largest CliqueCatalog listed for the identity
         checks by cliquekit.cliques; smaller sizes are read as its prefix.
 
@@ -129,11 +130,12 @@ class _Memo:
     at module level.
     """
 
-    __slots__ = ("counts", "subset", "deletions", "decks", "catalog")
+    __slots__ = ("counts", "subset", "read", "deletions", "decks", "catalog")
 
     def __init__(self) -> None:
         self.counts: dict[tuple[int, int], tuple[int, ...]] = {}
         self.subset: list[int] | None = None
+        self.read: Callable[[int], int] | None = None
         self.deletions: dict[int, tuple] = {}
         self.decks: dict[str, tuple[int, ...]] = {}
         self.catalog: CliqueCatalog | None = None

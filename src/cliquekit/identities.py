@@ -20,25 +20,20 @@ in one row of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with
 |S| >= r).  Each count is of a vertex mask over g's rows, with or without
 the edges of a clique (a mask too, whose count cliquekit.cliques sums from
 masks over the same rows), so no check builds a subgraph or edits a row.
-A graph of at most 12 vertices reads every count packed from its subset
-table, C(x) at x = 2**16 with 16 bits a coefficient: _count_sum and the
-deck sums add the packed counts as integers and unpack each side into the
-row once, and Graph.memo.counts keeps only the counts that are unpacked on
-their own, such as C(G).  A larger graph's counts are made once each and
-kept in Graph.memo.counts: _add reads one count tuple there, looking a
-plain mask up itself and asking cliquekit.cliques only on a miss, and adds
-coeff * x**shift * C(x) into the row in place.  _poly_verdict compares the
-row, trailing zeros and all, with the left side, and a rendered report
-trims both.  The expansion's verdict for a clique, which for edges and
-triangles is also the edge recurrence's and the triangle identity's, is
-decided once per graph (Graph.memo.deletions).  On a small graph it is
-decided packed: each side is one integer, the sum of its packed terms, and
-equal integers decide that it holds with nothing unpacked; only a failing
-verdict, or a clique too large for the sum to stay exact, builds the right
-side that a report shows.  That side, and every side of a larger graph, is
-built in one loop that reads the counts the same way as _add: it adds the
+Every count is read packed through g's one reader
+(cliquekit.cliques._reader), C(x) at x = 2**lane with _lane(g.n) bits a
+coefficient, whatever the size of g: _count_sum, the deck sums and the expansions add the packed
+counts as integers and unpack each batch into the row once, times one
+coefficient (_add_packed).  _poly_verdict compares the row, trailing zeros
+and all, with the left side, and a rendered report trims both.  The
+expansion's verdict for a clique, which for edges and triangles is also the
+edge recurrence's and the triangle identity's, is decided once per graph
+(Graph.memo.deletions), packed: each side is one integer, the sum of its
+packed terms, and equal integers decide that it holds with nothing
+unpacked.  Only a failing verdict, or a clique too large for the sum to
+stay exact, builds the right side that a report shows: C(G - Q), then the
 counts of the clique's r-subsets' neighbourhoods, each the AND of its
-members' rows, with one coefficient per r, and is trimmed once there.
+members' rows, one _add_packed call per r, trimmed once.
 Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
 vertex, edge or triangle, is summed once per graph into one row of
 Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
@@ -64,16 +59,15 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .cliques import (
-    _SUBSET_TABLE_BITS,
     Polynomial,
     _add_packed,
-    _fill_counts,
-    _gated_table,
+    _lane,
     _listed_catalog,
-    _packed,
     _packed_count,
+    _reader,
     _require_listing_budget,
     _table_counts,
+    _unpack,
     clique_count,
     clique_counts,
     clique_polynomial,
@@ -226,42 +220,14 @@ def _renderer(identity: str, params: Callable[[Graph, object], dict],
     return render
 
 
-def _count(g: Graph, k: int, mask: int | None = None, without: int = 0) -> int:
-    """c_k (k >= 1) of the subgraph that mask induces without the clique without's edges."""
-    counts = _table_counts(g, mask, without)
-    return counts[k - 1] if k <= len(counts) else 0
-
-
-def _add(row: list[int], g: Graph, mask: int | None = None, without: int = 0,
-         shift: int = 0, coeff: int = 1) -> None:
-    """row += coeff * x**shift * C(x), in place, for the subgraph that mask
-    induces without the edges of the clique without, as in _table_counts.
-    A plain mask is looked up in the table here, and counted on a miss."""
-    if without or mask is None:
-        counts = _table_counts(g, mask, without)
-    else:
-        counts = g.memo.counts.get((0, mask))
-        if counts is None:
-            counts = _fill_counts(g, mask)
-    row[shift] += coeff
-    for j, c in enumerate(counts, shift + 1):
-        row[j] += coeff * c
-
-
 def _count_sum(g: Graph, masks: Iterable[int], shift: int = 0,
                row: Optional[list[int]] = None) -> list[int]:
     """row (by default g.n + 1 zeros) plus x**shift times the sum of C(x)
-    over the subgraphs that masks induce, in place.  A graph inside the
-    subset table's gate sums the counts packed from its table and unpacks
-    each batch once (_add_packed); a larger graph adds each count with _add."""
+    over the subgraphs that masks induce, in place: the counts are read
+    packed and each batch is unpacked once (_add_packed)."""
     if row is None:
         row = [0] * (g.n + 1)
-    table = _gated_table(g)
-    if table is None:
-        for mask in masks:
-            _add(row, g, mask, shift=shift)
-    else:
-        _add_packed(row, (_packed(g, table, mask) for mask in masks), shift)
+    _add_packed(row, map(_reader(g), masks), _lane(g.n), shift)
     return row
 
 
@@ -293,9 +259,8 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     """The sum of C(x) over the members of deck, G - v for each vertex v,
     G - E(e) for each edge e or G - E(d) for each triangle d, with trailing
     zeros trimmed: the member count at x**0 and the sum of their c_k at
-    x**k.  A graph inside the subset table's gate sums the members packed,
-    each read from its table by _packed_count; a larger graph adds each
-    member's counts with _add."""
+    x**k.  Each member is read packed by _packed_count, and the members are
+    summed packed."""
     full = (1 << g.n) - 1
     if deck == "vertex":
         members = [(_without_vertex(g, v), 0) for v in range(g.n)]
@@ -303,12 +268,9 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
         deleted = g.edges() if deck == "edge" else triangles(g)
         members = [(full, _vertex_mask(q)) for q in deleted]
     row = [0] * (g.n + 1)
-    table = _gated_table(g)
-    if table is None:
-        for mask, without in members:
-            _add(row, g, mask, without)
-    else:
-        _add_packed(row, (_packed_count(g, table, mask, without) for mask, without in members))
+    read, lane = _reader(g), _lane(g.n)
+    _add_packed(row, (_packed_count(g, read, lane, mask, without) for mask, without in members),
+                lane)
     while row and not row[-1]:
         row.pop()
     return tuple(row)
@@ -751,14 +713,15 @@ def _render_expansion(interpretation: str) -> Render:
 def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q."""
     adj = g.adj
+    read, lane = _reader(g), _lane(g.n)
     edges = list(itertools.combinations(q, 2))
     rhs = [0] * (g.n + 1)
-    _add(rhs, g, without=_vertex_mask(q))
+    _add_packed(rhs, [_packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(q))], lane)
     for r in range(2, len(q) + 1):
         # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
-        for s in itertools.combinations(edges, comb(r, 2)):
-            t = {v for e in s for v in e}
-            _add(rhs, g, _common(adj, t), shift=r, coeff=(-1) ** r * (r - 1))
+        subsets = itertools.combinations(edges, comb(r, 2))
+        _add_packed(rhs, (read(_common(adj, {v for e in s for v in e})) for s in subsets),
+                    lane, r, (-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -776,23 +739,22 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     for |q| = 2 and 3 it is the edge recurrence's and the triangle
     identity's as well.
 
-    On a graph inside the subset table's gate, it is first decided packed:
-    with every term's sign moved to the side where it adds, the left side
-    C(G) plus the odd-r terms (r - 1) x**r C(G[N(S)]) and the right side
-    C(G - Q) plus the even-r terms are each one sum of packed counts read
-    from the table, N(S) the AND of the rows of the r-subset S of q.  For a
-    clique of at most _PACKED_CLIQUE_MAX vertices neither sum carries, so
-    equal sums decide that it holds, and nothing is unpacked: the right
-    side is the left.
+    Every term is read packed: C(G - Q) by _packed_count, and C(G[N(S)]) for
+    each r-subset S of q (r >= 2), N(S) the AND of the rows of S.  For a
+    clique of at most _PACKED_CLIQUE_MAX vertices the verdict is first
+    decided by comparing two sums, with every term's sign moved to the side
+    where it adds: the left side C(G) plus the odd-r terms
+    (r - 1) x**r C(G[N(S)]), and the right side C(G - Q) plus the even-r
+    terms.  Neither sum carries, so equal sums decide that it holds, and
+    nothing is unpacked: the right side is the left.
 
     Otherwise, where the sums differ (a failing verdict, which a report
-    shows) or on a larger graph or clique, one loop builds the right side:
-    C(G - Q), then each r-subset S (r >= 2) adds its count, with the
-    coefficient of its size, into one row.  A count is looked up in
-    g.memo.counts directly, and _fill_counts makes it only on a miss.  No
-    term has a clique beyond the clique number of g (S with a clique of
-    G[N(S)] is a clique of g), so the row is as long as the left side; it
-    is trimmed once and compared as it is.
+    shows) or the clique is larger, the right side is built in one row:
+    C(G - Q), then one _add_packed call per r adds the counts of the
+    r-subsets with the coefficient of their size.  No term has a clique
+    beyond the clique number of g (S with a clique of G[N(S)] is a clique of
+    g), so the row is as long as the left side; it is trimmed once and
+    compared as it is.
     """
     mask = _vertex_mask(q)
     memo = g.memo
@@ -800,38 +762,28 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     if verdict is not None:
         return verdict
     adj = g.adj
-    get = memo.counts.get
+    read, lane = _reader(g), _lane(g.n)
     full = (1 << g.n) - 1
-    counts = get((0, full))
-    lhs = [1, *(_fill_counts(g, full) if counts is None else counts)]
-    table = _gated_table(g) if len(q) <= _PACKED_CLIQUE_MAX else None
-    if table is not None:
-        sides = [_packed_count(g, table, full, mask), _packed(g, table, full)]
+    lhs = [1, *_table_counts(g, full)]
+    deleted = _packed_count(g, read, lane, full, mask)
+    if len(q) <= _PACKED_CLIQUE_MAX:
+        sides = [deleted, read(full)]
         for r in range(2, len(q) + 1):
             packed = 0
             for s in itertools.combinations(q, r):
                 common = -1
                 for v in s:
                     common &= adj[v]
-                packed += _packed(g, table, common)
-            sides[r & 1] += (r - 1) * packed << _SUBSET_TABLE_BITS * r
+                packed += read(common)
+            sides[r & 1] += (r - 1) * packed << lane * r
         if sides[0] == sides[1]:
             verdict = memo.deletions[mask] = (True, lhs, tuple(lhs))
             return verdict
-    rhs = [1, *_table_counts(g, without=mask)]
-    rhs += [0] * (len(lhs) - len(rhs))
+    rhs = [0] * len(lhs)
+    _add_packed(rhs, [deleted], lane)
     for r in range(2, len(q) + 1):
-        coeff = (-1) ** r * (r - 1)
-        for s in itertools.combinations(q, r):
-            common = -1
-            for v in s:
-                common &= adj[v]
-            counts = get((0, common))
-            if counts is None:
-                counts = _fill_counts(g, common)
-            rhs[r] += coeff
-            for j, c in enumerate(counts, r + 1):
-                rhs[j] += coeff * c
+        subsets = itertools.combinations(q, r)
+        _add_packed(rhs, (read(_common(adj, s)) for s in subsets), lane, r, (-1) ** r * (r - 1))
     while not rhs[-1]:
         rhs.pop()
     verdict = memo.deletions[mask] = (lhs == rhs, lhs, tuple(rhs))
@@ -898,11 +850,11 @@ def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     verbatim and recorded in the report's params (its constant terms can
     never match, which is reported rather than repaired).
     """
-    lhs = clique_polynomial(g)
+    read, lane = _reader(g), _lane(g.n)
     rhs = [0] * (g.n + 1)
-    _add(rhs, g, without=_vertex_mask(delta))
-    _add(rhs, g, _common(g.adj, delta), shift=3)
-    return _poly_verdict(lhs, rhs)
+    _add_packed(rhs, [_packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(delta))], lane)
+    _add_packed(rhs, [read(_common(g.adj, delta))], lane, 3)
+    return _poly_verdict(clique_polynomial(g), rhs)
 
 
 @dataclass(frozen=True)
@@ -936,25 +888,28 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
         c_4(G - d) = c_4(G) - sum c_2(G[N(e_i)]) + 2 val(d)
 
     where e_1..e_3 are the triangle's edges and val is the clique-value.
-    C(G) and C(G - d) are read once each, and each N(e_i) is the AND of two
-    rows.  The public function returns the TriangleDeletionCounts; the
-    catalog renders the two count tuples as a report's sides.
+    C(G) is read once, C(G - d) once packed, and each N(e_i) is the AND of
+    two rows, whose c_2 are summed packed and read off as coefficient 2.  The
+    public function returns the TriangleDeletionCounts; the catalog renders
+    the two count tuples as a report's sides.
     """
     counts = clique_counts(g)
     if len(counts) >= 5:
         raise NotApplicable("graph contains a 5-clique")
     c1, c2, c3, c4 = (*counts, 0, 0, 0)[:4]
     adj = g.adj
+    read, lane = _reader(g), _lane(g.n)
     u, v, w = delta
     edge_nbhds = (adj[u] & adj[v], adj[u] & adj[w], adj[v] & adj[w])
     formula = (
         c1,
         c2 - 3,
         c3 - sum(nbhd.bit_count() for nbhd in edge_nbhds) + 2,
-        c4 - sum(_count(g, 2, nbhd) for nbhd in edge_nbhds)
+        c4 - (sum(map(read, edge_nbhds)) >> 2 * lane & (1 << lane) - 1)
         + 2 * (edge_nbhds[0] & adj[w]).bit_count(),
     )
-    direct = (*_table_counts(g, without=_vertex_mask(delta)), 0, 0, 0)[:4]
+    deleted = _packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(delta))
+    direct = (*_unpack(deleted, lane), 0, 0, 0)[:4]
     return formula == direct, formula, direct
 
 

@@ -557,6 +557,12 @@ CONJECTURE_CHECKS = ("clique_deletion_edge_subsets,kth_derivative,triangle_recur
     (("fuzz", "--n", "10..12", "--p", "0.8..1", "--count", "40", "--seed", "3",
       "--check", f"all-theorems,{CONJECTURE_CHECKS}"),
      "26d10fca341b1566f841fd2ad670d74ada554762d7422a89073b54407fc058de"),
+    # measured at c96c059, before every count was read packed through one
+    # reader: the band just above the subset table's gate, where the packed
+    # counts first take more than 16 bits a coefficient
+    (("fuzz", "--n", "13..16", "--p", "0.2..0.9", "--count", "20", "--seed", "7",
+      "--check", "all-theorems"),
+     "3d7526cd188b904cb44ac5adccf5a35cff28a143a37cbf71cd52b5c441e83885"),
 ])
 def test_campaign_stdout_is_pinned(argv, digest, capsys):
     assert main(list(argv)) == 0
@@ -647,9 +653,12 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
 def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     """The mid-size theorem campaign (CI's, n = 20..30, above the subset
     table's gate) counts every subgraph, G - Q included, as a vertex mask
-    over its graph's own rows, each mask once per graph: 8 404 kernel calls
-    and no subset table.  Its masks of at least _PIVOT_MIN_SIZE vertices
-    enter the pivot recursion: 24 130 _poly_of frames, 14 664 of them on a
+    over its graph's own rows, each mask once per graph: 10 297 kernel
+    calls and no subset table.  Every mask is read through its graph's
+    packed reader, which counts it once, the small neighbourhood terms of a
+    G - Q split too (8 404 calls when those were grown into the split's row
+    and not kept).  Its masks of at least _PIVOT_MIN_SIZE vertices enter
+    the pivot recursion: 24 130 _poly_of frames, 14 664 of them on a
     candidate set at or above the cutoff."""
     kernel = cliquekit.cliques.clique_counts_in
     poly_of = cliquekit.cliques._poly_of
@@ -671,7 +680,7 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     assert main(list(FUZZ_MID_SIZE)) == 0
     capsys.readouterr()
     assert {adj for adj, _ in calls} <= {id(g.adj) for g in graphs}
-    assert len(calls) == len(set(calls)) == 8404
+    assert len(calls) == len(set(calls)) == 10297
     assert made == []
     cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
     assert (len(nodes), sum(size >= cutoff for size in nodes)) == (24130, 14664)
@@ -679,12 +688,13 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     """The small-graph theorem campaign reads its graphs' count tables
-    16 420 times, wherever the read is made: 14 239 find a count and 2 181
+    12 692 times, wherever the read is made: 12 492 find a count and 200
     miss, one miss per count made.  Every graph has at most 12 vertices, so
-    the sums of the checks are read packed from the subset table, not
-    through the count table (48 635 hits and 13 247 misses before).  What is
-    left is C(G), read by every check and counted once per graph, and the
-    neighbourhood and G - d counts of triangle_deletion_counts."""
+    every count a check sums or reads off, triangle_deletion_counts' too, is
+    read packed from the subset table, not through the count table (14 239
+    hits and 2 181 misses while triangle_deletion_counts read its
+    neighbourhoods and G - d there).  What is left is C(G), read by every
+    check and counted once per graph."""
     reads = []
 
     class Table(dict):
@@ -702,7 +712,7 @@ def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(cliquekit.graphs._Memo, "__init__", counting_init)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert Counter(reads) == {True: 14239, False: 2181}
+    assert Counter(reads) == {True: 12492, False: 200}
 
 
 @pytest.mark.parametrize("checks, decks", [

@@ -247,7 +247,8 @@ class TestSubsetTable:
         order: a mask with the top vertex is read from two entries."""
         table = cliquekit.cliques._subset_table(g)
         assert len(table) == 1 << max(g.n - 1, 0)
-        return [cliquekit.cliques._unpack(cliquekit.cliques._packed(g, table, mask))
+        read = cliquekit.cliques._reader(g)
+        return [cliquekit.cliques._unpack(read(mask), cliquekit.cliques._lane(g.n))
                 for mask in range(1 << g.n)]
 
     def test_every_mask_matches_the_oracle(self, corpus):

@@ -14,6 +14,7 @@ the default test run; CI runs it as
 """
 
 import itertools
+import json
 
 import cliquekit.cliques
 from cliquekit import (
@@ -24,8 +25,20 @@ from cliquekit import (
     brute_force_counts,
     clique_counts_in,
     induced_subgraph,
+    parse_graph6,
     to_graph6,
 )
+from cliquekit.cli import main
+
+# The first labeled graph of at most 5 vertices, in sweep order, on which
+# each conjecture that fails there fails.
+SMALLEST_COUNTEREXAMPLES = {
+    "conjecture1_second": "A?",
+    "triangle_recurrence": "Bw",
+    "conjecture3": "Bw",
+    "triangle_deck": "C}",
+    "clique_deletion_edge_subsets": "C~",
+}
 
 
 def labeled_graphs(n: int):
@@ -67,14 +80,29 @@ def test_smallest_counterexample_of_each_conjecture_is_pinned():
             for name in conjectures:
                 if name not in first and CHECKS[name].first_failure(g, None)[1] is not None:
                     first[name] = to_graph6(g)
-    assert first == {
-        "conjecture1_second": "A?",
-        "triangle_recurrence": "Bw",
-        "conjecture3": "Bw",
-        "triangle_deck": "C}",
-        "clique_deletion_edge_subsets": "C~",
-    }
+    assert first == SMALLEST_COUNTEREXAMPLES
     assert set(conjectures) - set(first) == {"kth_derivative", "conjecture1_first", "conjecture2"}
+
+
+def test_no_shrunk_counterexample_is_smaller_than_the_smallest(capsys):
+    """CI's conjecture campaign with --shrink (n = 12..16, every conjecture)
+    shrinks each counterexample to a graph with at least as many vertices
+    as the smallest counterexample of its conjecture: a smaller one would be
+    a graph on which the conjecture holds but was reported failing.  Today
+    each shrinks to exactly that many."""
+    conjectures = [name for name, cd in CHECKS.items() if cd.kind == "conjecture"]
+    argv = ["fuzz", "--n", "12..16", "--p", "0.3..0.7", "--count", "5", "--seed", "1",
+            "--check", ",".join(conjectures), "--shrink", "--json"]
+    assert main(argv) == 0
+    tallies = json.loads(capsys.readouterr().out)["checks"]
+    smallest = {name: parse_graph6(g6).n for name, g6 in SMALLEST_COUNTEREXAMPLES.items()}
+    shrunk = {}
+    for name, tally in tallies.items():
+        for ce in tally["counterexamples"]:
+            n = parse_graph6(ce["shrunk"]["graph6"]).n
+            assert n >= smallest[name], (name, ce["graph6"], ce["shrunk"]["graph6"])
+            shrunk.setdefault(name, set()).add(n)
+    assert shrunk == {name: {n} for name, n in smallest.items()}
 
 
 def test_both_counting_paths_match_the_oracle_on_every_mask():
@@ -84,9 +112,9 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
     masks = 0
     for n in range(1, 6):
         for g in labeled_graphs(n):
-            table = cliquekit.cliques._subset_table(g)
+            read = cliquekit.cliques._reader(g)
             for mask in range(1 << n):
-                counts = cliquekit.cliques._unpack(cliquekit.cliques._packed(g, table, mask))
+                counts = cliquekit.cliques._unpack(read(mask), cliquekit.cliques._lane(g.n))
                 assert counts == clique_counts_in(g.adj, mask) \
                     == brute_force_counts(induced_subgraph(g, bits(mask))), (g.adj, mask)
                 masks += 1

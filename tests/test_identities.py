@@ -41,6 +41,7 @@ from cliquekit import (
     induced_subgraph,
     parse_graph6,
     path_graph,
+    poly_add,
     poly_equal,
     random_gnp,
     star_graph,
@@ -48,6 +49,7 @@ from cliquekit import (
     triangle_identity,
     triangles,
 )
+from cliquekit.graphs import MAX_VERTICES
 
 from _helpers import graphs, naive_cliques_of_size, naive_common_neighbors, networkx_counts
 
@@ -482,9 +484,10 @@ def dense_twelve_vertex_graphs():
 
 
 class TestPackedVerdicts:
-    """A graph inside the subset table's gate decides its verdicts from packed
-    counts; with the gate at 0 every count comes from the kernel and every
-    side is summed in a list row, an independent path to the same verdicts."""
+    """Every graph decides its verdicts from packed counts.  Inside the
+    subset table's gate they are read from the table; with the gate at 0
+    every count comes from the kernel through the graph's reader, an
+    independent path to the same verdicts."""
 
     def test_every_verdict_matches_the_kernel_path(self, corpus, monkeypatch):
         graphs = [g for g in corpus if g.n <= cliquekit.cliques._SUBSET_TABLE_MAX_N]
@@ -498,7 +501,7 @@ class TestPackedVerdicts:
 
     def test_cliques_past_the_weight_bound_match_the_kernel_path(self, monkeypatch):
         """Cliques of 5 to 12 vertices of K12; those of more than
-        _PACKED_CLIQUE_MAX vertices are decided by the list loop."""
+        _PACKED_CLIQUE_MAX vertices build their right side in a row."""
         n = cliquekit.cliques._SUBSET_TABLE_MAX_N
         cliques = [tuple(range(size)) for size in range(5, n + 1)]
 
@@ -515,9 +518,9 @@ class TestPackedVerdicts:
 
     def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
         """With the subset table of G - e in place of G's, the expansion
-        fails on some cliques, and each verdict equals the one the list loop
-        builds from the same table: a packed sum that says "holds" where the
-        sides differ shows here."""
+        fails on some cliques, and each verdict equals the one whose right
+        side is built in a row from the same table: a packed sum that says
+        "holds" where the sides differ shows here."""
         g = random_gnp(9, 0.7, RngSpec(9))
         h = delete_edge(g, g.edges()[0])
         cd = CHECKS["clique_deletion"]
@@ -533,13 +536,18 @@ class TestPackedVerdicts:
         assert verdicts() == packed
 
     def test_the_weight_bounds_cannot_carry(self):
-        """A sum of _PACKED_UNITS packed counts of a graph inside the gate
-        stays under 2**16 in every coefficient, and the expansion of a clique
-        of _PACKED_CLIQUE_MAX vertices, but not one more, sums at most that
-        many a side."""
+        """A sum of _PACKED_UNITS packed counts of a graph on n vertices
+        stays under 2**_lane(n) in every coefficient, for every n up to 64;
+        inside the gate the lane is the subset table's 16 bits.  The
+        expansion of a clique of _PACKED_CLIQUE_MAX vertices, but not one
+        more, sums at most that many a side."""
         gate = cliquekit.cliques._SUBSET_TABLE_MAX_N
         units = cliquekit.cliques._PACKED_UNITS
-        assert units * comb(gate, gate // 2) < 1 << cliquekit.cliques._SUBSET_TABLE_BITS
+        lane = cliquekit.cliques._lane
+        for n in range(MAX_VERTICES + 1):
+            assert units * comb(n, n // 2) < 1 << lane(n), n
+        assert {lane(n) for n in range(gate + 1)} == {cliquekit.cliques._SUBSET_TABLE_BITS}
+        assert lane(MAX_VERTICES) == 67
 
         def side_units(s):
             return [1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
@@ -547,6 +555,44 @@ class TestPackedVerdicts:
 
         largest = cliquekit.identities._PACKED_CLIQUE_MAX
         assert max(side_units(largest)) <= units < max(side_units(largest + 1))
+
+    @pytest.mark.parametrize("n", [13, 20, MAX_VERTICES])
+    def test_complete_graphs_above_the_gate_match_closed_forms(self, n, monkeypatch):
+        """On K_n, with q = |Q| and s = |S|, C(K_n) = (1 + x)**n,
+        C(K_n - E(Q)) = (1 + x)**(n - q) (1 + qx) and
+        C(K_n[N(S)]) = (1 + x)**(n - s).  The packed reads of every term of
+        the expansion of a clique of 2 to 6 vertices, and its verdict with
+        the right side decided packed and built in a row, match these.  K64's
+        coefficients reach C(64, 32) > 2**60, so a lane too narrow for them
+        garbles every unpacked side."""
+        unpack = cliquekit.cliques._unpack
+        lane = cliquekit.cliques._lane(n)
+        cd = CHECKS["clique_deletion"]
+
+        def binomial(m):
+            return [comb(m, k) for k in range(m + 1)]
+
+        g = complete_graph(n)
+        read = cliquekit.cliques._reader(g)
+        full = (1 << n) - 1
+        for q in range(2, 7):
+            clique = tuple(range(n - q, n))
+            without = sum(1 << v for v in clique)
+            deleted = cliquekit.cliques._packed_count(g, read, lane, full, without)
+            expected = [1, *(comb(n - q, k) + q * comb(n - q, k - 1) for k in range(1, n - q + 2))]
+            assert [1, *unpack(deleted, lane)] == expected
+            rhs = list(expected)
+            for r in range(2, q + 1):
+                for subset in itertools.combinations(clique, r):
+                    common = sum(1 << v for v in range(n) if v not in subset)
+                    assert [1, *unpack(read(common), lane)] == binomial(n - r)
+                rhs = poly_add(rhs, [0] * r + [(-1) ** r * (r - 1) * comb(q, r) * c
+                                               for c in binomial(n - r)])
+            assert rhs == binomial(n)
+            assert cd.check(Graph(n, g.adj), clique) == (True, rhs, tuple(rhs))
+            with monkeypatch.context() as patched:
+                patched.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
+                assert cd.check(Graph(n, g.adj), clique) == (True, rhs, tuple(rhs))
 
 
 class TestTriangleIdentity:
