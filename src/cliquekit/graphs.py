@@ -118,7 +118,8 @@ class _Memo:
     deletions: clique-deletion verdicts (holds, lhs, rhs) keyed by the
         clique's mask, filled by cliquekit.identities, so the edge
         recurrence, the triangle identity and the expansion decide one
-        clique once between them.
+        clique once between them; on a graph with a subset table, the
+        first verdict fills those of every clique of 2 to 4 vertices.
     decks: deck rows keyed by 'vertex' (members G - v), 'edge' (G - E(e))
         and 'triangle' (G - E(d)), each the members' sum of c_k at x**k and
         their number at x**0, without trailing zeros; cliquekit.identities

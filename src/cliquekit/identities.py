@@ -30,7 +30,13 @@ expansion's verdict for a clique, which for edges and triangles is also the
 edge recurrence's and the triangle identity's, is decided once per graph
 (Graph.memo.deletions), packed: each side is one integer, the sum of its
 packed terms, and equal integers decide that it holds with nothing
-unpacked.  Only a failing verdict, or a clique too large for the sum to
+unpacked.  On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every
+read is a table lookup, the first verdict asked decides every clique of 2
+to 4 vertices in one pass over the listed cliques (_fill_deletions): C(G)
+and the held verdict are read once, each clique's neighbourhood is its
+parent's AND one row, and each subset's term is read once for every clique
+that contains it.  A larger graph decides only the cliques it is asked
+for.  Only a failing verdict, or a clique too large for the sum to
 stay exact, builds the right side that a report shows: C(G - Q), then the
 counts of the clique's r-subsets' neighbourhoods, each the AND of its
 members' rows, one _add_packed call per r, trimmed once.
@@ -59,6 +65,8 @@ from math import comb
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .cliques import (
+    _SUBSET_TABLE_MAX_N,
+    CliqueBudgetExceeded,
     Polynomial,
     _add_packed,
     _lane,
@@ -708,20 +716,45 @@ def _render_expansion(interpretation: str) -> Render:
     return _renderer("clique_deletion", params)
 
 
+# The largest clique whose 'edge-subsets' reading sums at most
+# cliques._PACKED_UNITS packed counts a side: a clique of s vertices has
+# C(C(s, 2), C(r, 2)) terms at r, each taken r - 1 times, so at s = 4 the
+# right side sums 1 + 6 + 3 = 10 (C(G - Q), r = 2 and r = 4) and the left
+# 2 C(6, 3) = 40, against 2 C(10, 3) = 240 at r = 3 alone for s = 5.
+_PACKED_SUBSETS_MAX = 4
+
+
 @_identity("clique_deletion_edge_subsets", CONJECTURE, _CLIQUE,
            render=_render_expansion(INTERPRETATION_EDGE_SUBSETS))
 def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q."""
+    """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q.
+
+    For a clique of at most _PACKED_SUBSETS_MAX vertices, C(G - Q) and the
+    even-r terms are summed into one packed integer and the odd-r terms
+    into another, and each is unpacked into the row once; a larger clique
+    adds its terms with one _add_packed call per r.
+    """
     adj = g.adj
     read, lane = _reader(g), _lane(g.n)
     edges = list(itertools.combinations(q, 2))
     rhs = [0] * (g.n + 1)
-    _add_packed(rhs, [_packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(q))], lane)
-    for r in range(2, len(q) + 1):
-        # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
-        subsets = itertools.combinations(edges, comb(r, 2))
-        _add_packed(rhs, (read(_common(adj, {v for e in s for v in e})) for s in subsets),
-                    lane, r, (-1) ** r * (r - 1))
+    deleted = _packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(q))
+    if len(q) <= _PACKED_SUBSETS_MAX:
+        sides = [deleted, 0]
+        for r in range(2, len(q) + 1):
+            packed = 0
+            # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
+            for s in itertools.combinations(edges, comb(r, 2)):
+                packed += read(_common(adj, {v for e in s for v in e}))
+            sides[r & 1] += (r - 1) * packed << lane * r
+        _add_packed(rhs, sides[:1], lane)
+        _add_packed(rhs, sides[1:], lane, 0, -1)
+    else:
+        _add_packed(rhs, [deleted], lane)
+        for r in range(2, len(q) + 1):
+            subsets = itertools.combinations(edges, comb(r, 2))
+            _add_packed(rhs, (read(_common(adj, {v for e in s for v in e})) for s in subsets),
+                        lane, r, (-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -755,12 +788,25 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     beyond the clique number of g (S with a clique of G[N(S)] is a clique of
     g), so the row is as long as the left side; it is trimmed once and
     compared as it is.
+
+    On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
+    a lookup in the subset table, the first verdict asked (g.memo.deletions
+    still empty) decides every clique of 2 to 4 vertices that holds in one
+    pass over them (_fill_deletions), and q is then read from the memo.  A
+    larger graph reads each mask with the kernel, so it decides only the
+    cliques it is asked for.
     """
     mask = _vertex_mask(q)
     memo = g.memo
-    verdict = memo.deletions.get(mask)
+    deletions = memo.deletions
+    verdict = deletions.get(mask)
     if verdict is not None:
         return verdict
+    if not deletions and g.n <= _SUBSET_TABLE_MAX_N:
+        _fill_deletions(g)
+        verdict = deletions.get(mask)
+        if verdict is not None:
+            return verdict
     adj = g.adj
     read, lane = _reader(g), _lane(g.n)
     full = (1 << g.n) - 1
@@ -788,6 +834,62 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
         rhs.pop()
     verdict = memo.deletions[mask] = (lhs == rhs, lhs, tuple(rhs))
     return verdict
+
+
+def _fill_deletions(g: Graph) -> None:
+    """Keep in g.memo.deletions the verdict of every clique of 2 to 4
+    vertices of g on which the expansion holds, decided packed as
+    _deletion_verdict decides one, in one pass over _listed_catalog(g, 4).
+
+    C(G), its packed read and the held verdict (True, lhs, tuple(lhs)),
+    shared by every clique, are read once.  The cliques are taken by size,
+    so each clique S's common neighbourhood and mask are its parent's (S
+    without its last vertex) AND one row and OR one bit, and its term
+    (|S| - 1) x**|S| C(G[N(S)]) is read once and added to the sides of S
+    and of every larger clique that contains S: its subsets are cliques of
+    the catalog, already taken.  The even side is C(G - Q), read by
+    _packed_count, plus the terms of Q's edges and 4-clique; the odd side
+    is C(G) plus those of its triangles.  A clique whose sums differ is
+    left out, so _deletion_verdict builds the row that its report shows.
+    Where listing the cliques would go over LISTING_BUDGET, nothing is
+    decided and each clique is left to _deletion_verdict.
+    """
+    try:
+        catalog = _listed_catalog(g, 4)
+    except CliqueBudgetExceeded:
+        return
+    adj = g.adj
+    read, lane = _reader(g), _lane(g.n)
+    full = (1 << g.n) - 1
+    lhs = [1, *_table_counts(g, full)]
+    held = (True, lhs, tuple(lhs))
+    whole = read(full)
+    deletions = g.memo.deletions
+    common = {(v,): (row, 1 << v) for v, row in enumerate(adj)}
+    term: dict[tuple[int, ...], int] = {}
+    terms = term.__getitem__
+    for size in (2, 3, 4):
+        shift = lane * size
+        for q in catalog.cliques(size):
+            nbhd, mask = common[q[:-1]]
+            last = q[-1]
+            nbhd &= adj[last]
+            mask |= 1 << last
+            own = (size - 1) * read(nbhd) << shift
+            common[q] = nbhd, mask
+            term[q] = own
+            even = _packed_count(g, read, lane, full, mask)
+            odd = whole
+            if size == 2:
+                even += own
+            elif size == 3:
+                even += sum(map(terms, itertools.combinations(q, 2)))
+                odd += own
+            else:
+                even += sum(map(terms, itertools.combinations(q, 2))) + own
+                odd += sum(map(terms, itertools.combinations(q, 3)))
+            if even == odd:
+                deletions[mask] = held
 
 
 _clique_deletion = _identity("clique_deletion", THEOREM, _CLIQUE,

@@ -22,10 +22,13 @@ import cliquekit.conjectures
 from cliquekit import (
     Graph,
     RngSpec,
+    brute_force_counts,
     complete_graph,
     cycle_graph,
+    delete_edge_set,
     disjoint_union,
     empty_graph,
+    induced_subgraph,
     path_graph,
     random_gnp,
     star_graph,
@@ -159,6 +162,26 @@ def naive_cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
         for q in itertools.combinations(range(g.n), k)
         if naive_is_clique(g, q)
     ]
+
+
+def reference_deletion_rhs(g, q, counts=brute_force_counts):
+    """C(G - Q, x) + sum over r >= 2 of (-1)**r (r-1) x**r * sum over the
+    r-subsets S of q of C(G[N(S)], x), from built subgraphs and the counts
+    of an independent oracle (exhaustive by default): no counts table and no
+    code shared with the identity checks."""
+    row = [0] * (g.n + 1)
+
+    def add(h, shift, coeff):
+        for j, c in enumerate([1, *counts(h)], shift):
+            row[j] += coeff * c
+
+    add(delete_edge_set(g, itertools.combinations(q, 2)), 0, 1)
+    for r in range(2, len(q) + 1):
+        for s in itertools.combinations(q, r):
+            add(induced_subgraph(g, naive_common_neighbors(g, s)), r, (-1) ** r * (r - 1))
+    while row and not row[-1]:
+        row.pop()
+    return row
 
 
 def networkx_counts(g: Graph) -> tuple[int, ...]:

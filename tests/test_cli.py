@@ -614,6 +614,18 @@ def test_verify_stdout_is_pinned(gen, extra, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_all_theorems_on_a_dense_12_vertex_graph_is_pinned(capsys):
+    """sha256 of `verify -g 'K~z~~~~~z~~~' --all-theorems` stdout, measured
+    at 742c176, before a graph of at most 12 vertices decided all its
+    clique-deletion verdicts in one pass: 977 report lines, each holding
+    verdict rendered with both sides."""
+    assert main(["verify", "-g", "K~z~~~~~z~~~", "--all-theorems"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 977
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "e06c7e82082bf5a2d8d87d3bdaae78e26f2a454dc28eb66cd00be3e1f0508ed0"
+
+
 def spy_subset_tables(monkeypatch) -> list[int]:
     """Record the vertex count of every graph whose subset table is built."""
     build = cliquekit.cliques._subset_table
@@ -688,13 +700,15 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     """The small-graph theorem campaign reads its graphs' count tables
-    12 692 times, wherever the read is made: 12 492 find a count and 200
+    6 494 times, wherever the read is made: 6 294 find a count and 200
     miss, one miss per count made.  Every graph has at most 12 vertices, so
     every count a check sums or reads off, triangle_deletion_counts' too, is
     read packed from the subset table, not through the count table (14 239
     hits and 2 181 misses while triangle_deletion_counts read its
     neighbourhoods and G - d there).  What is left is C(G), read by every
-    check and counted once per graph."""
+    check and counted once per graph, and once per graph, not once per
+    clique, by the clique-deletion verdicts (12 492 hits while each verdict
+    read it)."""
     reads = []
 
     class Table(dict):
@@ -712,7 +726,7 @@ def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(cliquekit.graphs._Memo, "__init__", counting_init)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert Counter(reads) == {True: 12492, False: 200}
+    assert Counter(reads) == {True: 6294, False: 200}
 
 
 @pytest.mark.parametrize("checks, decks", [
@@ -744,10 +758,11 @@ def test_campaign_sums_each_deck_once_per_graph(checks, decks, monkeypatch, caps
 
 def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     """Over the small-graph theorem campaign, the edge recurrence, the triangle
-    identity and the clique-deletion expansion assemble one right side per
-    edge, triangle and 4-clique between them: 6 519, where one per check
-    instance would be 11 803.  Each assembly adds one entry to its graph's
-    memo.deletions."""
+    identity and the clique-deletion expansion decide one verdict per edge,
+    triangle and 4-clique between them: 6 519, where one per check
+    instance would be 11 803.  Each graph's first verdict decides all of
+    its cliques of 2 to 4 vertices in one pass, and each adds one entry to
+    its graph's memo.deletions."""
     graphs = record_campaign_graphs(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()

@@ -11,7 +11,7 @@ from math import comb
 import cliquekit.cliques
 import cliquekit.identities
 from cliquekit.cliques import LISTING_BUDGET
-from cliquekit.graphs import MAX_VERTICES
+from cliquekit.graphs import MAX_VERTICES, _vertex_mask
 from cliquekit import (
     CliqueBudgetExceeded,
     Graph,
@@ -199,7 +199,10 @@ class TestCountingKernel:
         """No module-level cache: counts, the subset table, clique-deletion
         verdicts, deck sums and the clique catalog go to the Graph's memo
         and die with it.  A graph of at most _SUBSET_TABLE_MAX_N vertices
-        builds its subset table on its first count; a larger one never does."""
+        builds its subset table on its first count; a larger one never does.
+        On the smaller graph, one edge's verdict lists the cliques of up to 4
+        vertices and decides every one of them, each held verdict the same
+        object; the larger one decides that edge alone and lists nothing."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
                      if not name.startswith("__")}
@@ -217,9 +220,17 @@ class TestCountingKernel:
             u, v = g.edges()[0]
             report = check_edge_recurrence(g, (u, v))
             assert report.holds
-            assert memo.deletions == {1 << u | 1 << v: (True, report.lhs, tuple(report.rhs))}
+            held = (True, report.lhs, tuple(report.rhs))
+            if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N:
+                small = [q for k in (2, 3, 4) for q in memo.catalog.cliques(k)]
+                assert len(memo.catalog.by_size) == 5 and len(small) == sum(counts[1:4]) == 72
+                assert memo.deletions == {_vertex_mask(q): held for q in small}
+                assert len({id(verdict) for verdict in memo.deletions.values()}) == 1
+            else:
+                assert memo.catalog is None
+                assert memo.deletions == {1 << u | 1 << v: held}
+                assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
             assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
-            assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
             assert vars(g)["memo"] is memo
             refs = [weakref.ref(g), weakref.ref(memo.catalog)]
             del g, memo

@@ -7,28 +7,37 @@ kernel in a campaign (they are counted from their subset table), so this
 is also where the subset table, the kernel and the brute-force oracle meet
 on every vertex mask.
 
-The theorem sweep over at most 6 vertices (33 867 graphs) is too slow for
-the default test run; CI runs it as
+The theorem sweep and the clique-deletion verdict sweep over at most 6
+vertices (33 867 graphs) are too slow for the default test run; CI runs
+them as
 
     PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_theorems(n_max=6)"
+    PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_deletion_verdicts(n_max=6)"
 """
 
 import itertools
 import json
+from math import comb
+
+import pytest
 
 import cliquekit.cliques
 from cliquekit import (
     ALL_THEOREMS,
     CHECKS,
     Graph,
+    RngSpec,
     bits,
     brute_force_counts,
     clique_counts_in,
     induced_subgraph,
     parse_graph6,
+    random_gnp,
     to_graph6,
 )
 from cliquekit.cli import main
+
+from _helpers import naive_cliques_of_size, naive_common_neighbors, reference_deletion_rhs
 
 # The first labeled graph of at most 5 vertices, in sweep order, on which
 # each conjecture that fails there fails.
@@ -65,6 +74,39 @@ def sweep_theorems(n_max: int) -> int:
     return checked
 
 
+def small_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """The cliques of 2 to 4 vertices of g, found by testing vertex sets."""
+    return [q for size in (2, 3, 4) for q in naive_cliques_of_size(g, size)]
+
+
+def mask_of(q) -> int:
+    return sum(1 << v for v in q)
+
+
+def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
+    """Ask g for one clique-deletion verdict, then check that g.memo.deletions
+    holds one for every clique of 2 to 4 vertices and that each equals the
+    expansion evaluated from brute_force_counts of delete_edge_set(g, E(Q))
+    and of each induced G[N(S)].  Returns how many cliques were checked."""
+    cliques = small_cliques(g)
+    if cliques:
+        CHECKS["clique_deletion"].verdict(g, cliques[-1])
+    deletions = g.memo.deletions
+    assert sorted(deletions) == sorted(map(mask_of, cliques)), to_graph6(g)
+    lhs = [1, *brute_force_counts(g)]
+    for q in cliques:
+        rhs = reference_deletion_rhs(g, q)
+        assert deletions[mask_of(q)] == (lhs == rhs, lhs, tuple(rhs)), (to_graph6(g), q)
+    return len(cliques)
+
+
+def sweep_deletion_verdicts(n_max: int) -> int:
+    """Check the clique-deletion verdicts of every labeled graph of 1..n_max
+    vertices against the oracle and return how many cliques were checked."""
+    return sum(assert_deletion_verdicts_match_the_oracle(g)
+               for n in range(1, n_max + 1) for g in labeled_graphs(n))
+
+
 def test_every_theorem_holds_on_every_graph_of_at_most_5_vertices():
     assert sweep_theorems(n_max=5) == 1 + 2 + 8 + 64 + 1024
 
@@ -84,25 +126,34 @@ def test_smallest_counterexample_of_each_conjecture_is_pinned():
     assert set(conjectures) - set(first) == {"kth_derivative", "conjecture1_first", "conjecture2"}
 
 
+CONJECTURES = ",".join(name for name, cd in CHECKS.items() if cd.kind == "conjecture")
+
+# the conjecture campaigns with --shrink whose stdout is pinned: CI's, then
+# the two of test_cli.py
+PINNED_SHRINK_RUNS = [
+    ("--n", "12..16", "--p", "0.3..0.7", "--count", "5", "--seed", "1", "--check", CONJECTURES),
+    ("--check", "conjecture3,triangle_deck", "--n", "3..8", "--count", "200", "--seed", "7"),
+    ("--n", "4..10", "--p", "0.3..0.8", "--count", "60", "--seed", "5", "--check", CONJECTURES),
+]
+
+
 def test_no_shrunk_counterexample_is_smaller_than_the_smallest(capsys):
-    """CI's conjecture campaign with --shrink (n = 12..16, every conjecture)
-    shrinks each counterexample to a graph with at least as many vertices
-    as the smallest counterexample of its conjecture: a smaller one would be
-    a graph on which the conjecture holds but was reported failing.  Today
+    """Each pinned conjecture campaign with --shrink shrinks each
+    counterexample to a graph with at least as many vertices as the
+    smallest counterexample of its conjecture: a smaller one would be a
+    graph on which the conjecture holds but was reported failing.  Today
     each shrinks to exactly that many."""
-    conjectures = [name for name, cd in CHECKS.items() if cd.kind == "conjecture"]
-    argv = ["fuzz", "--n", "12..16", "--p", "0.3..0.7", "--count", "5", "--seed", "1",
-            "--check", ",".join(conjectures), "--shrink", "--json"]
-    assert main(argv) == 0
-    tallies = json.loads(capsys.readouterr().out)["checks"]
     smallest = {name: parse_graph6(g6).n for name, g6 in SMALLEST_COUNTEREXAMPLES.items()}
-    shrunk = {}
-    for name, tally in tallies.items():
-        for ce in tally["counterexamples"]:
-            n = parse_graph6(ce["shrunk"]["graph6"]).n
-            assert n >= smallest[name], (name, ce["graph6"], ce["shrunk"]["graph6"])
-            shrunk.setdefault(name, set()).add(n)
-    assert shrunk == {name: {n} for name, n in smallest.items()}
+    for argv in PINNED_SHRINK_RUNS:
+        assert main(["fuzz", *argv, "--shrink", "--json"]) == 0
+        tallies = json.loads(capsys.readouterr().out)["checks"]
+        shrunk = {}
+        for name, tally in tallies.items():
+            for ce in tally["counterexamples"]:
+                n = parse_graph6(ce["shrunk"]["graph6"]).n
+                assert n >= smallest[name], (argv, name, ce["graph6"], ce["shrunk"]["graph6"])
+                shrunk.setdefault(name, set()).add(n)
+        assert shrunk == {name: {n} for name, n in smallest.items() if name in tallies}, argv
 
 
 def test_both_counting_paths_match_the_oracle_on_every_mask():
@@ -119,3 +170,71 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
                     == brute_force_counts(induced_subgraph(g, bits(mask))), (g.adj, mask)
                 masks += 1
     assert masks == 2 * 1 + 4 * 2 + 8 * 8 + 16 * 64 + 32 * 1024
+
+
+def test_one_pass_deletion_verdicts_match_the_oracle_on_every_graph_of_at_most_5_vertices():
+    """The first clique-deletion verdict of a graph of at most 12 vertices
+    decides every clique of 2 to 4 vertices in one pass; on each of the
+    1 099 labeled graphs of at most 5 vertices every one of them equals
+    the expansion of brute-force counts of built subgraphs.  A k-set of
+    vertices is a clique of 2 ** (C(n, 2) - C(k, 2)) of the graphs on n."""
+    assert sweep_deletion_verdicts(n_max=5) == sum(
+        comb(n, k) << comb(n, 2) - comb(k, 2) for n in range(1, 6) for k in (2, 3, 4) if k <= n)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+@pytest.mark.parametrize("p, seed", [(0.3, 1), (0.55, 2), (0.75, 3)])
+def test_one_pass_deletion_verdicts_match_the_oracle_on_seeded_gnp(n, p, seed):
+    assert assert_deletion_verdicts_match_the_oracle(random_gnp(n, p, RngSpec(seed))) > 0
+
+
+@pytest.mark.parametrize("n, p, seed", [(8, 0.6, 1), (10, 0.75, 2), (12, 0.8, 3)])
+def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed):
+    """Add 1 << 16, one clique of one vertex, to the subset-table entry of
+    the common neighbourhood of g's first edge before any verdict.  Every
+    clique whose expansion, evaluated term by term from the corrupted reads
+    each unpacked on its own, no longer holds is affected.  The one-pass
+    verdicts decide no affected clique as held, and the per-clique path
+    reports each of them failing, with that evaluation as its right side;
+    every other clique holds."""
+    g = random_gnp(n, p, RngSpec(seed))
+    lane = cliquekit.cliques._lane(g.n)
+    read = cliquekit.cliques._reader(g)
+    table = g.memo.subset
+    top = len(table)
+    u, v = g.edges()[0]
+    entry = g.adj[u] & g.adj[v] & (top - 1)
+    # C(G) reads neither entry, so the left side stays right
+    assert entry not in (top - 1, g.adj[-1] & (top - 1))
+    table[entry] += 1 << 16
+    full = (1 << g.n) - 1
+
+    def unpacked(packed):
+        return [1, *cliquekit.cliques._unpack(packed, lane)]
+
+    lhs = unpacked(read(full))
+    assert lhs == [1, *brute_force_counts(g)]
+    expected = {}
+    for q in small_cliques(g):
+        rhs = unpacked(cliquekit.cliques._packed_count(g, read, lane, full, mask_of(q)))
+        rhs += [0] * (g.n + 1 - len(rhs))
+        for r in range(2, len(q) + 1):
+            for s in itertools.combinations(q, r):
+                for j, c in enumerate(unpacked(read(mask_of(naive_common_neighbors(g, s)))), r):
+                    rhs[j] += (-1) ** r * (r - 1) * c
+        while not rhs[-1]:
+            rhs.pop()
+        expected[q] = rhs
+    affected = {q for q, rhs in expected.items() if rhs != lhs}
+    assert (u, v) in affected
+
+    deletion = CHECKS["clique_deletion"]
+    deletion.verdict(g, (u, v))
+    for q, rhs in expected.items():
+        verdict = g.memo.deletions.get(mask_of(q))
+        if q in affected:
+            assert verdict is None or verdict[0] is False, q
+            report = deletion.render(g, q, deletion.verdict(g, q))
+            assert (report.holds, report.lhs, report.rhs) == (False, lhs, rhs), q
+        else:
+            assert verdict == (True, lhs, tuple(lhs)), q

@@ -51,7 +51,13 @@ from cliquekit import (
 )
 from cliquekit.graphs import MAX_VERTICES
 
-from _helpers import graphs, naive_cliques_of_size, naive_common_neighbors, networkx_counts
+from _helpers import (
+    graphs,
+    naive_cliques_of_size,
+    naive_common_neighbors,
+    networkx_counts,
+    reference_deletion_rhs,
+)
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
@@ -387,26 +393,6 @@ class TestCliqueDeletionExpansion:
                 assert clique_deletion_expansion(g, m, "cliques").holds
 
 
-def reference_deletion_rhs(g, q, counts=brute_force_counts):
-    """C(G - Q, x) + sum over r >= 2 of (-1)**r (r-1) x**r * sum over the
-    r-subsets S of q of C(G[N(S)], x), from built subgraphs and the counts
-    of an independent oracle (exhaustive by default): no counts table and no
-    code shared with the identity checks."""
-    row = [0] * (g.n + 1)
-
-    def add(h, shift, coeff):
-        for j, c in enumerate([1, *counts(h)], shift):
-            row[j] += coeff * c
-
-    add(delete_edge_set(g, itertools.combinations(q, 2)), 0, 1)
-    for r in range(2, len(q) + 1):
-        for s in itertools.combinations(q, r):
-            add(induced_subgraph(g, naive_common_neighbors(g, s)), r, (-1) ** r * (r - 1))
-    while row and not row[-1]:
-        row.pop()
-    return row
-
-
 def catalog_report(name, g, q):
     """The report the catalog renders for its instance q of check name on g."""
     cd = CHECKS[name]
@@ -518,9 +504,10 @@ class TestPackedVerdicts:
 
     def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
         """With the subset table of G - e in place of G's, the expansion
-        fails on some cliques, and each verdict equals the one whose right
-        side is built in a row from the same table: a packed sum that says
-        "holds" where the sides differ shows here."""
+        fails on some cliques, and each verdict, decided in the one pass
+        over the graph's small cliques, equals the one whose right side is
+        built in a row from the same table: a packed sum that says "holds"
+        where the sides differ shows here."""
         g = random_gnp(9, 0.7, RngSpec(9))
         h = delete_edge(g, g.edges()[0])
         cd = CHECKS["clique_deletion"]
@@ -533,6 +520,23 @@ class TestPackedVerdicts:
         packed = verdicts()
         assert not all(holds for holds, _, _ in packed)
         monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
+        monkeypatch.setattr(cliquekit.identities, "_fill_deletions", lambda g: None)
+        assert verdicts() == packed
+
+    def test_edge_subset_sides_summed_packed_match_the_per_r_sums(self, monkeypatch):
+        """The edge-subsets reading of every clique of 2 to 4 vertices, with
+        its two sides summed packed, equals the reading summed one r at a
+        time, on K12 (40 counts of up to C(12, 6) = 924 cliques on a side)
+        and other dense graphs of 12 vertices, where it fails on 4-cliques."""
+        graphs = dense_twelve_vertex_graphs()
+        cd = CHECKS["clique_deletion_edge_subsets"]
+
+        def verdicts():
+            return [[cd.check(g, q) for q in cd.params(g, None)] for g in graphs]
+
+        packed = verdicts()
+        assert not all(holds for per_graph in packed for holds, _, _ in per_graph)
+        monkeypatch.setattr(cliquekit.identities, "_PACKED_SUBSETS_MAX", 0)
         assert verdicts() == packed
 
     def test_the_weight_bounds_cannot_carry(self):
@@ -540,7 +544,8 @@ class TestPackedVerdicts:
         stays under 2**_lane(n) in every coefficient, for every n up to 64;
         inside the gate the lane is the subset table's 16 bits.  The
         expansion of a clique of _PACKED_CLIQUE_MAX vertices, but not one
-        more, sums at most that many a side."""
+        more, sums at most that many a side, and so does its 'edge-subsets'
+        reading of a clique of _PACKED_SUBSETS_MAX vertices."""
         gate = cliquekit.cliques._SUBSET_TABLE_MAX_N
         units = cliquekit.cliques._PACKED_UNITS
         lane = cliquekit.cliques._lane
@@ -555,6 +560,18 @@ class TestPackedVerdicts:
 
         largest = cliquekit.identities._PACKED_CLIQUE_MAX
         assert max(side_units(largest)) <= units < max(side_units(largest + 1))
+
+        def edge_subset_units(s):
+            """The units on each side of the 'edge-subsets' reading,
+            C(G - Q) on the side of even r."""
+            edges = comb(s, 2)
+            return [int(parity == 0) + sum((r - 1) * comb(edges, comb(r, 2))
+                                           for r in range(2, s + 1) if r % 2 == parity)
+                    for parity in (0, 1)]
+
+        largest = cliquekit.identities._PACKED_SUBSETS_MAX
+        assert edge_subset_units(largest) == [10, 40]
+        assert max(edge_subset_units(largest)) <= units < max(edge_subset_units(largest + 1))
 
     @pytest.mark.parametrize("n", [13, 20, MAX_VERTICES])
     def test_complete_graphs_above_the_gate_match_closed_forms(self, n, monkeypatch):
