@@ -716,45 +716,20 @@ def _render_expansion(interpretation: str) -> Render:
     return _renderer("clique_deletion", params)
 
 
-# The largest clique whose 'edge-subsets' reading sums at most
-# cliques._PACKED_UNITS packed counts a side: a clique of s vertices has
-# C(C(s, 2), C(r, 2)) terms at r, each taken r - 1 times, so at s = 4 the
-# right side sums 1 + 6 + 3 = 10 (C(G - Q), r = 2 and r = 4) and the left
-# 2 C(6, 3) = 40, against 2 C(10, 3) = 240 at r = 3 alone for s = 5.
-_PACKED_SUBSETS_MAX = 4
-
-
 @_identity("clique_deletion_edge_subsets", CONJECTURE, _CLIQUE,
            render=_render_expansion(INTERPRETATION_EDGE_SUBSETS))
 def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q.
-
-    For a clique of at most _PACKED_SUBSETS_MAX vertices, C(G - Q) and the
-    even-r terms are summed into one packed integer and the odd-r terms
-    into another, and each is unpacked into the row once; a larger clique
-    adds its terms with one _add_packed call per r.
-    """
+    """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q."""
     adj = g.adj
     read, lane = _reader(g), _lane(g.n)
     edges = list(itertools.combinations(q, 2))
     rhs = [0] * (g.n + 1)
-    deleted = _packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(q))
-    if len(q) <= _PACKED_SUBSETS_MAX:
-        sides = [deleted, 0]
-        for r in range(2, len(q) + 1):
-            packed = 0
-            # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
-            for s in itertools.combinations(edges, comb(r, 2)):
-                packed += read(_common(adj, {v for e in s for v in e}))
-            sides[r & 1] += (r - 1) * packed << lane * r
-        _add_packed(rhs, sides[:1], lane)
-        _add_packed(rhs, sides[1:], lane, 0, -1)
-    else:
-        _add_packed(rhs, [deleted], lane)
-        for r in range(2, len(q) + 1):
-            subsets = itertools.combinations(edges, comb(r, 2))
-            _add_packed(rhs, (read(_common(adj, {v for e in s for v in e})) for s in subsets),
-                        lane, r, (-1) ** r * (r - 1))
+    _add_packed(rhs, [_packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(q))], lane)
+    for r in range(2, len(q) + 1):
+        # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
+        subsets = itertools.combinations(edges, comb(r, 2))
+        _add_packed(rhs, (read(_common(adj, {v for e in s for v in e})) for s in subsets),
+                    lane, r, (-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -766,65 +741,36 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
 _PACKED_CLIQUE_MAX = 6
 
 
-def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'cliques' reading for the sorted clique
-    q, decided once per graph and kept in g.memo.deletions under q's mask:
-    for |q| = 2 and 3 it is the edge recurrence's and the triangle
-    identity's as well.
+def _held_verdict(g: Graph) -> Verdict:
+    """(True, lhs, tuple(lhs)), lhs the row of C(G): the verdict of every
+    clique of g on which the expansion holds, its right side the left."""
+    lhs = [1, *_table_counts(g, (1 << g.n) - 1)]
+    return True, lhs, tuple(lhs)
 
-    Every term is read packed: C(G - Q) by _packed_count, and C(G[N(S)]) for
-    each r-subset S of q (r >= 2), N(S) the AND of the rows of S.  For a
-    clique of at most _PACKED_CLIQUE_MAX vertices the verdict is first
-    decided by comparing two sums, with every term's sign moved to the side
-    where it adds: the left side C(G) plus the odd-r terms
-    (r - 1) x**r C(G[N(S)]), and the right side C(G - Q) plus the even-r
-    terms.  Neither sum carries, so equal sums decide that it holds, and
-    nothing is unpacked: the right side is the left.
 
-    Otherwise, where the sums differ (a failing verdict, which a report
-    shows) or the clique is larger, the right side is built in one row:
-    C(G - Q), then one _add_packed call per r adds the counts of the
-    r-subsets with the coefficient of their size.  No term has a clique
-    beyond the clique number of g (S with a clique of G[N(S)] is a clique of
-    g), so the row is as long as the left side; it is trimmed once and
-    compared as it is.
+def _sides_meet(q: tuple[int, ...], deleted: int, whole: int,
+                term: Callable[[tuple[int, ...]], int]) -> bool:
+    """Whether the expansion holds on the clique q of at most
+    _PACKED_CLIQUE_MAX vertices, from packed counts: with every term's sign
+    moved to the side where it adds, the left side is C(G) (whole) plus the
+    odd-r terms and the right side C(G - Q) (deleted) plus the even-r
+    terms, term(S) being (|S| - 1) x**|S| C(G[N(S)]) for an r-subset S of q
+    (r >= 2).  Neither sum carries, so equal sums decide that it holds."""
+    sides = [deleted, whole]
+    for r in range(2, len(q) + 1):
+        sides[r & 1] += sum(map(term, itertools.combinations(q, r)))
+    return sides[0] == sides[1]
 
-    On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
-    a lookup in the subset table, the first verdict asked (g.memo.deletions
-    still empty) decides every clique of 2 to 4 vertices that holds in one
-    pass over them (_fill_deletions), and q is then read from the memo.  A
-    larger graph reads each mask with the kernel, so it decides only the
-    cliques it is asked for.
-    """
-    mask = _vertex_mask(q)
-    memo = g.memo
-    deletions = memo.deletions
-    verdict = deletions.get(mask)
-    if verdict is not None:
-        return verdict
-    if not deletions and g.n <= _SUBSET_TABLE_MAX_N:
-        _fill_deletions(g)
-        verdict = deletions.get(mask)
-        if verdict is not None:
-            return verdict
+
+def _built_verdict(g: Graph, q: tuple[int, ...], read: Callable[[int], int], lane: int,
+                   deleted: int, lhs: list[int]) -> Verdict:
+    """The verdict of the clique q with the right side that a report shows
+    built in one row: C(G - Q) (deleted), then one _add_packed call per r
+    adds the counts of the r-subsets' neighbourhoods with the coefficient
+    of their size.  No term has a clique beyond the clique number of g (S
+    with a clique of G[N(S)] is a clique of g), so the row is as long as the
+    left side; it is trimmed once and compared as it is."""
     adj = g.adj
-    read, lane = _reader(g), _lane(g.n)
-    full = (1 << g.n) - 1
-    lhs = [1, *_table_counts(g, full)]
-    deleted = _packed_count(g, read, lane, full, mask)
-    if len(q) <= _PACKED_CLIQUE_MAX:
-        sides = [deleted, read(full)]
-        for r in range(2, len(q) + 1):
-            packed = 0
-            for s in itertools.combinations(q, r):
-                common = -1
-                for v in s:
-                    common &= adj[v]
-                packed += read(common)
-            sides[r & 1] += (r - 1) * packed << lane * r
-        if sides[0] == sides[1]:
-            verdict = memo.deletions[mask] = (True, lhs, tuple(lhs))
-            return verdict
     rhs = [0] * len(lhs)
     _add_packed(rhs, [deleted], lane)
     for r in range(2, len(q) + 1):
@@ -832,27 +778,70 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
         _add_packed(rhs, (read(_common(adj, s)) for s in subsets), lane, r, (-1) ** r * (r - 1))
     while not rhs[-1]:
         rhs.pop()
-    verdict = memo.deletions[mask] = (lhs == rhs, lhs, tuple(rhs))
+    return lhs == rhs, lhs, tuple(rhs)
+
+
+def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
+    """The verdict of the expansion's 'cliques' reading for the sorted clique
+    q, decided once per graph and kept in g.memo.deletions under q's mask:
+    for |q| = 2 and 3 it is the edge recurrence's and the triangle
+    identity's as well.
+
+    Every term is read packed: C(G - Q) by _packed_count, and C(G[N(S)]) for
+    each r-subset S of q (r >= 2), N(S) the AND of the rows of S.  A clique
+    of at most _PACKED_CLIQUE_MAX vertices is first decided by comparing two
+    sums (_sides_meet), and equal sums give the held verdict
+    (_held_verdict) with nothing unpacked.  Where the sums differ (a
+    failing verdict, which a report shows) or the clique is larger, the
+    right side is built in one row (_built_verdict).
+
+    On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
+    a lookup in the subset table, the first verdict asked (g.memo.deletions
+    still empty) decides every clique of 2 to 4 vertices in one pass over
+    them (_fill_deletions), and q is then read from the memo.  A larger
+    graph reads each mask with the kernel, so it decides only the cliques
+    it is asked for.
+    """
+    mask = _vertex_mask(q)
+    deletions = g.memo.deletions
+    verdict = deletions.get(mask)
+    if verdict is None and not deletions and g.n <= _SUBSET_TABLE_MAX_N:
+        _fill_deletions(g)
+        verdict = deletions.get(mask)
+    if verdict is not None:
+        return verdict
+    adj = g.adj
+    read, lane = _reader(g), _lane(g.n)
+    full = (1 << g.n) - 1
+    held = _held_verdict(g)
+    deleted = _packed_count(g, read, lane, full, mask)
+
+    def term(s: tuple[int, ...]) -> int:
+        return (len(s) - 1) * read(_common(adj, s)) << lane * len(s)
+
+    if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, read(full), term):
+        verdict = held
+    else:
+        verdict = _built_verdict(g, q, read, lane, deleted, held[1])
+    deletions[mask] = verdict
     return verdict
 
 
 def _fill_deletions(g: Graph) -> None:
-    """Keep in g.memo.deletions the verdict of every clique of 2 to 4
-    vertices of g on which the expansion holds, decided packed as
-    _deletion_verdict decides one, in one pass over _listed_catalog(g, 4).
+    """Decide the verdict of every clique of 2 to 4 vertices of g, as
+    _deletion_verdict decides one, in one pass over _listed_catalog(g, 4),
+    and keep each in g.memo.deletions.
 
-    C(G), its packed read and the held verdict (True, lhs, tuple(lhs)),
-    shared by every clique, are read once.  The cliques are taken by size,
-    so each clique S's common neighbourhood and mask are its parent's (S
-    without its last vertex) AND one row and OR one bit, and its term
-    (|S| - 1) x**|S| C(G[N(S)]) is read once and added to the sides of S
-    and of every larger clique that contains S: its subsets are cliques of
-    the catalog, already taken.  The even side is C(G - Q), read by
-    _packed_count, plus the terms of Q's edges and 4-clique; the odd side
-    is C(G) plus those of its triangles.  A clique whose sums differ is
-    left out, so _deletion_verdict builds the row that its report shows.
-    Where listing the cliques would go over LISTING_BUDGET, nothing is
-    decided and each clique is left to _deletion_verdict.
+    C(G), its packed read and the held verdict, shared by every clique,
+    are read once.  The cliques are taken by size, so each clique S's
+    common neighbourhood and mask are its parent's (S without its last
+    vertex) AND one row and OR one bit, and its term
+    (|S| - 1) x**|S| C(G[N(S)]) is read once and kept for the sides of S and
+    of every larger clique that contains S: its subsets are cliques of the
+    catalog, already taken.  C(G - Q) is read by _packed_count.  A clique
+    whose sums differ has its row built from the same C(G - Q).  Where
+    listing the cliques would go over LISTING_BUDGET, nothing is decided
+    and each clique is left to _deletion_verdict.
     """
     try:
         catalog = _listed_catalog(g, 4)
@@ -861,8 +850,7 @@ def _fill_deletions(g: Graph) -> None:
     adj = g.adj
     read, lane = _reader(g), _lane(g.n)
     full = (1 << g.n) - 1
-    lhs = [1, *_table_counts(g, full)]
-    held = (True, lhs, tuple(lhs))
+    held = _held_verdict(g)
     whole = read(full)
     deletions = g.memo.deletions
     common = {(v,): (row, 1 << v) for v, row in enumerate(adj)}
@@ -875,21 +863,13 @@ def _fill_deletions(g: Graph) -> None:
             last = q[-1]
             nbhd &= adj[last]
             mask |= 1 << last
-            own = (size - 1) * read(nbhd) << shift
             common[q] = nbhd, mask
-            term[q] = own
-            even = _packed_count(g, read, lane, full, mask)
-            odd = whole
-            if size == 2:
-                even += own
-            elif size == 3:
-                even += sum(map(terms, itertools.combinations(q, 2)))
-                odd += own
-            else:
-                even += sum(map(terms, itertools.combinations(q, 2))) + own
-                odd += sum(map(terms, itertools.combinations(q, 3)))
-            if even == odd:
+            term[q] = (size - 1) * read(nbhd) << shift
+            deleted = _packed_count(g, read, lane, full, mask)
+            if _sides_meet(q, deleted, whole, terms):
                 deletions[mask] = held
+            else:
+                deletions[mask] = _built_verdict(g, q, read, lane, deleted, held[1])
 
 
 _clique_deletion = _identity("clique_deletion", THEOREM, _CLIQUE,

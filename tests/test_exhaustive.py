@@ -193,10 +193,9 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     """Add 1 << 16, one clique of one vertex, to the subset-table entry of
     the common neighbourhood of g's first edge before any verdict.  Every
     clique whose expansion, evaluated term by term from the corrupted reads
-    each unpacked on its own, no longer holds is affected.  The one-pass
-    verdicts decide no affected clique as held, and the per-clique path
-    reports each of them failing, with that evaluation as its right side;
-    every other clique holds."""
+    each unpacked on its own, no longer holds is affected.  The one pass
+    decides every affected clique failing, and its report has that
+    evaluation as its right side; every other clique holds."""
     g = random_gnp(n, p, RngSpec(seed))
     lane = cliquekit.cliques._lane(g.n)
     read = cliquekit.cliques._reader(g)
@@ -233,7 +232,7 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     for q, rhs in expected.items():
         verdict = g.memo.deletions.get(mask_of(q))
         if q in affected:
-            assert verdict is None or verdict[0] is False, q
+            assert verdict is not None and verdict[0] is False, q
             report = deletion.render(g, q, deletion.verdict(g, q))
             assert (report.holds, report.lhs, report.rhs) == (False, lhs, rhs), q
         else:

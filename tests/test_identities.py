@@ -523,29 +523,12 @@ class TestPackedVerdicts:
         monkeypatch.setattr(cliquekit.identities, "_fill_deletions", lambda g: None)
         assert verdicts() == packed
 
-    def test_edge_subset_sides_summed_packed_match_the_per_r_sums(self, monkeypatch):
-        """The edge-subsets reading of every clique of 2 to 4 vertices, with
-        its two sides summed packed, equals the reading summed one r at a
-        time, on K12 (40 counts of up to C(12, 6) = 924 cliques on a side)
-        and other dense graphs of 12 vertices, where it fails on 4-cliques."""
-        graphs = dense_twelve_vertex_graphs()
-        cd = CHECKS["clique_deletion_edge_subsets"]
-
-        def verdicts():
-            return [[cd.check(g, q) for q in cd.params(g, None)] for g in graphs]
-
-        packed = verdicts()
-        assert not all(holds for per_graph in packed for holds, _, _ in per_graph)
-        monkeypatch.setattr(cliquekit.identities, "_PACKED_SUBSETS_MAX", 0)
-        assert verdicts() == packed
-
     def test_the_weight_bounds_cannot_carry(self):
         """A sum of _PACKED_UNITS packed counts of a graph on n vertices
         stays under 2**_lane(n) in every coefficient, for every n up to 64;
         inside the gate the lane is the subset table's 16 bits.  The
         expansion of a clique of _PACKED_CLIQUE_MAX vertices, but not one
-        more, sums at most that many a side, and so does its 'edge-subsets'
-        reading of a clique of _PACKED_SUBSETS_MAX vertices."""
+        more, sums at most that many a side."""
         gate = cliquekit.cliques._SUBSET_TABLE_MAX_N
         units = cliquekit.cliques._PACKED_UNITS
         lane = cliquekit.cliques._lane
@@ -560,18 +543,6 @@ class TestPackedVerdicts:
 
         largest = cliquekit.identities._PACKED_CLIQUE_MAX
         assert max(side_units(largest)) <= units < max(side_units(largest + 1))
-
-        def edge_subset_units(s):
-            """The units on each side of the 'edge-subsets' reading,
-            C(G - Q) on the side of even r."""
-            edges = comb(s, 2)
-            return [int(parity == 0) + sum((r - 1) * comb(edges, comb(r, 2))
-                                           for r in range(2, s + 1) if r % 2 == parity)
-                    for parity in (0, 1)]
-
-        largest = cliquekit.identities._PACKED_SUBSETS_MAX
-        assert edge_subset_units(largest) == [10, 40]
-        assert max(edge_subset_units(largest)) <= units < max(edge_subset_units(largest + 1))
 
     @pytest.mark.parametrize("n", [13, 20, MAX_VERTICES])
     def test_complete_graphs_above_the_gate_match_closed_forms(self, n, monkeypatch):
