@@ -120,6 +120,14 @@ class _Memo:
         recurrence, the triangle identity and the expansion decide one
         clique once between them; on a graph with a subset table, the
         first verdict fills those of every clique of 2 to 4 vertices.
+    held: None until cliquekit.identities makes it: the one held verdict
+        (True, lhs, tuple(lhs)), lhs the row of C(G), that every
+        clique-deletion and vertex-recurrence verdict that holds on the
+        graph shares.
+    splits: C(G - E(Q), x) packed as read reads, keyed by the clique Q's
+        mask, each split once per graph by cliquekit.identities: the
+        clique-deletion verdicts, the edge and triangle decks and the
+        triangle-deletion counts read the same entry.
     decks: deck rows keyed by 'vertex' (members G - v), 'edge' (G - E(e))
         and 'triangle' (G - E(d)), each the members' sum of c_k at x**k and
         their number at x**0, without trailing zeros; cliquekit.identities
@@ -131,13 +139,15 @@ class _Memo:
     at module level.
     """
 
-    __slots__ = ("counts", "subset", "read", "deletions", "decks", "catalog")
+    __slots__ = ("counts", "subset", "read", "deletions", "held", "splits", "decks", "catalog")
 
     def __init__(self) -> None:
         self.counts: dict[tuple[int, int], tuple[int, ...]] = {}
         self.subset: list[int] | None = None
         self.read: Callable[[int], int] | None = None
         self.deletions: dict[int, tuple] = {}
+        self.held: tuple | None = None
+        self.splits: dict[int, int] = {}
         self.decks: dict[str, tuple[int, ...]] = {}
         self.catalog: CliqueCatalog | None = None
 

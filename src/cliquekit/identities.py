@@ -15,32 +15,50 @@ holds them in catalog order) renders only where a report is read.  All
 comparisons are exact integer polynomial or count equality; divisions are
 avoided by using binomial-scaled derivatives and cross-multiplied forms.
 
-The left side is clique_polynomial(g).  A polynomial right side is summed
-in one row of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with
-|S| >= r).  Each count is of a vertex mask over g's rows, with or without
-the edges of a clique (a mask too, whose count cliquekit.cliques sums from
-masks over the same rows), so no check builds a subgraph or edits a row.
-Every count is read packed through g's one reader
+The left side is clique_polynomial(g).  Each count is of a vertex mask over
+g's rows, with or without the edges of a clique (a mask too, whose count
+cliquekit.cliques sums from masks over the same rows), so no check builds a
+subgraph or edits a row.  Every count is read packed through g's one reader
 (cliquekit.cliques._reader), C(x) at x = 2**lane with _lane(g.n) bits a
-coefficient, whatever the size of g: _count_sum, the deck sums and the expansions add the packed
-counts as integers and unpack each batch into the row once, times one
-coefficient (_add_packed).  _poly_verdict compares the row, trailing zeros
-and all, with the left side, and a rendered report trims both.  The
-expansion's verdict for a clique, which for edges and triangles is also the
-edge recurrence's and the triangle identity's, is decided once per graph
-(Graph.memo.deletions), packed: each side is one integer, the sum of its
-packed terms, and equal integers decide that it holds with nothing
-unpacked.  On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every
-read is a table lookup, the first verdict asked decides every clique of 2
+coefficient, whatever the size of g, on both sides of the subset table's
+gate.  C(G - E(Q)) of a clique Q is split into masks once per graph and
+kept (_split, Graph.memo.splits): the expansion's verdicts, the edge and
+triangle decks and triangle_deletion_counts read the same entry.
+
+Every theorem verdict that compares polynomials is decided by comparing
+packed integers, with nothing unpacked where it holds:
+- the vertex recurrence: C(G - v) plus C(G[N(v)]) shifted one lane, against
+  C(G);
+- the derivative formulas (first, second and third, and kth_derivative):
+  the divided r-th derivative of C(G), packed, against the sum of
+  C(G[N(Q)]) over the r-cliques Q (_derivative_verdict);
+- the expansion, whose verdict for a clique is also the edge recurrence's
+  and the triangle identity's for edges and triangles: C(G) plus its odd-r
+  terms against C(G - Q) plus its even-r terms (_sides_meet), once per
+  clique and graph (Graph.memo.deletions).
+A packed sum is exact only while no coefficient reaches 2**lane, which a
+sum of at most cliquekit.cliques._PACKED_UNITS counts never does.  The
+vertex recurrence adds two counts, and the expansion is compared packed
+only for cliques of at most _PACKED_CLIQUE_MAX vertices.  A derivative is
+compared packed only where its right side sums at most _PACKED_UNITS counts
+and every coefficient of its left side is below 2**lane (the carry guard):
+the second derivative of K13 sums 78 counts, and near 64 vertices a left
+side can pass the lane.  Equal integers give the held verdict (True, lhs,
+tuple(lhs)); the vertex recurrence and the expansion share one per graph
+(Graph.memo.held).  Only a failing verdict, or one past a bound, builds the
+right side that a report shows, in one row of g.n + 1 coefficients (enough
+for x**r C(G[N(S)], x) with |S| >= r): _count_sum and the expansion add the
+packed counts as integers and unpack each batch into the row once, times
+one coefficient (_add_packed), and _poly_verdict compares the row, kept
+trimmed as a tuple, with the left side.
+
+On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is a
+table lookup, the first expansion verdict asked decides every clique of 2
 to 4 vertices in one pass over the listed cliques (_fill_deletions): C(G)
 and the held verdict are read once, each clique's neighbourhood is its
 parent's AND one row, and each subset's term is read once for every clique
 that contains it.  A larger graph decides only the cliques it is asked
-for.  Only a failing verdict, or a clique too large for the sum to
-stay exact, builds the right side that a report shows: C(G - Q), then the
-counts of the clique's r-subsets' neighbourhoods, each the AND of its
-members' rows, one _add_packed call per r, trimmed once.
-Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
+for.  Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
 vertex, edge or triangle, is summed once per graph into one row of
 Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
 x**k), and the deck identities read coefficient k of it.
@@ -62,9 +80,10 @@ import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .cliques import (
+    _PACKED_UNITS,
     _SUBSET_TABLE_MAX_N,
     CliqueBudgetExceeded,
     Polynomial,
@@ -202,10 +221,23 @@ class CheckDef:
 
 
 def _poly_verdict(lhs: Polynomial, rhs) -> Verdict:
-    """The verdict of lhs == rhs as polynomials, for a normal lhs and an rhs
-    (a list or tuple) that may end in zeros; both sides stay as they are."""
-    k = len(lhs)
-    return lhs == [*rhs[:k]] and not any(rhs[k:]), lhs, rhs
+    """The verdict of lhs == rhs as polynomials, for a normal lhs and a row
+    rhs (a list or tuple) that may end in zeros: rhs is kept trimmed, as a
+    tuple, the shape of a held verdict (True, lhs, tuple(lhs))."""
+    rhs = poly_normalize(rhs)
+    return lhs == rhs, lhs, tuple(rhs)
+
+
+def _pack_row(row: Polynomial, lane: int) -> Optional[int]:
+    """row packed at lane bits a coefficient, its value at x = 2**lane, or
+    None if a coefficient does not fit in lane bits and would carry into
+    the next."""
+    packed = 0
+    for c in reversed(row):
+        if c >> lane:
+            return None
+        packed = (packed << lane) + c
+    return packed
 
 
 def _side(side: Side) -> Side:
@@ -244,6 +276,17 @@ def _without_vertex(g: Graph, v: int) -> int:
     return ((1 << g.n) - 1) & ~(1 << v)
 
 
+def _split(g: Graph, read: Callable[[int], int], lane: int, without: int) -> int:
+    """C(G - E(Q), x) packed at lane bits a coefficient, for the clique Q
+    whose mask is without, from g's reader: split into masks by
+    _packed_count once per graph and kept in g.memo.splits, which every
+    reader of it shares (a packed count is never 0)."""
+    splits = g.memo.splits
+    packed = splits[without] = (splits.get(without)
+                                or _packed_count(g, read, lane, (1 << g.n) - 1, without))
+    return packed
+
+
 def _common(adj: tuple[int, ...], vertices) -> int:
     """N(S), the AND of the rows of S's members, for a nonempty vertex set S
     already checked to lie in range (common_neighborhood_bits checks it)."""
@@ -267,18 +310,17 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     """The sum of C(x) over the members of deck, G - v for each vertex v,
     G - E(e) for each edge e or G - E(d) for each triangle d, with trailing
     zeros trimmed: the member count at x**0 and the sum of their c_k at
-    x**k.  Each member is read packed by _packed_count, and the members are
+    x**k.  Each member is read packed, G - E(e) and G - E(d) as the splits
+    that the clique-deletion verdicts share (_split), and the members are
     summed packed."""
-    full = (1 << g.n) - 1
+    read, lane = _reader(g), _lane(g.n)
     if deck == "vertex":
-        members = [(_without_vertex(g, v), 0) for v in range(g.n)]
+        members = (read(_without_vertex(g, v)) for v in range(g.n))
     else:
         deleted = g.edges() if deck == "edge" else triangles(g)
-        members = [(full, _vertex_mask(q)) for q in deleted]
+        members = (_split(g, read, lane, _vertex_mask(q)) for q in deleted)
     row = [0] * (g.n + 1)
-    read, lane = _reader(g), _lane(g.n)
-    _add_packed(row, (_packed_count(g, read, lane, mask, without) for mask, without in members),
-                lane)
+    _add_packed(row, members, lane)
     while row and not row[-1]:
         row.pop()
     return tuple(row)
@@ -470,8 +512,18 @@ def check_handshake(g: Graph, k: int) -> Verdict:
 
 @_identity("vertex_recurrence", THEOREM, _VERTEX)
 def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
-    """C(G, x) == C(G - v, x) + x * C(G[N(v)], x)."""
-    rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [_without_vertex(g, v)]))
+    """C(G, x) == C(G - v, x) + x * C(G[N(v)], x).
+
+    Decided packed: C(G - v) plus C(G[N(v)]) shifted one lane against C(G).
+    Each side is one or two packed counts, which cannot carry, so equal
+    integers give the graph's one held verdict (_held_verdict); only a
+    vertex where they differ has its right side built in a row.
+    """
+    read, lane = _reader(g), _lane(g.n)
+    without = _without_vertex(g, v)
+    if read(without) + (read(g.adj[v]) << lane) == read(without | 1 << v):
+        return _held_verdict(g)
+    rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [without]))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -594,10 +646,28 @@ def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityRep
 
 # -- derivative identities --------------------------------------------------------
 
+def _derivative_verdict(g: Graph, r: int, masks: Sequence[int]) -> Verdict:
+    """(1/r!) d^r/dx^r C(G, x) against the sum of C(G[mask], x) over masks,
+    the common neighbourhoods of g's r-cliques: the derivative formulas.
+
+    Decided packed where neither side can carry: the right side sums at
+    most _PACKED_UNITS packed counts and every coefficient of the left side
+    is below 2**lane (_pack_row).  Then equal integers decide that it holds,
+    and the verdict's right side is its left.  Past either bound, and where
+    the integers differ, the right side is built in a row (_count_sum).
+    """
+    lhs = poly_divided_derivative(clique_polynomial(g), r)
+    if len(masks) <= _PACKED_UNITS:
+        packed = _pack_row(lhs, _lane(g.n))
+        if packed is not None and packed == sum(map(_reader(g), masks)):
+            return True, lhs, tuple(lhs)
+    return _poly_verdict(lhs, _count_sum(g, masks))
+
+
 @_identity("first_derivative", THEOREM, _GRAPH)
 def check_first_derivative(g: Graph) -> Verdict:
     """d/dx C(G, x) == sum over v of C(G[N(v)], x)."""
-    return _poly_verdict(poly_derivative(clique_polynomial(g), 1), _count_sum(g, g.adj))
+    return _derivative_verdict(g, 1, g.adj)
 
 
 @_identity("second_derivative", THEOREM, _GRAPH)
@@ -608,8 +678,7 @@ def check_second_derivative(g: Graph) -> Verdict:
     comparison stays in exact integers.
     """
     adj = g.adj
-    rhs = _count_sum(g, (adj[u] & adj[v] for u, v in g.edges()))
-    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 2), rhs)
+    return _derivative_verdict(g, 2, [adj[u] & adj[v] for u, v in g.edges()])
 
 
 def _third_derivative_params(g: Graph, _) -> dict:
@@ -628,8 +697,7 @@ def check_third_derivative_k5free(g: Graph) -> Verdict:
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
     adj = g.adj
-    rhs = _count_sum(g, (_common(adj, d) for d in triangles(g)))
-    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), rhs)
+    return _derivative_verdict(g, 3, [_common(adj, d) for d in triangles(g)])
 
 
 @_identity("conjecture3", CONJECTURE, _GRAPH)
@@ -660,8 +728,7 @@ def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     it would change the exit codes of verify and fuzz.
     """
     adj = g.adj
-    rhs = _count_sum(g, (_common(adj, q) for q in _listed_catalog(g, k).cliques(k)))
-    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), k), rhs)
+    return _derivative_verdict(g, k, [_common(adj, q) for q in _listed_catalog(g, k).cliques(k)])
 
 
 # -- clique-deletion expansion ------------------------------------------------------
@@ -724,7 +791,7 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     read, lane = _reader(g), _lane(g.n)
     edges = list(itertools.combinations(q, 2))
     rhs = [0] * (g.n + 1)
-    _add_packed(rhs, [_packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(q))], lane)
+    _add_packed(rhs, [_split(g, read, lane, _vertex_mask(q))], lane)
     for r in range(2, len(q) + 1):
         # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
         subsets = itertools.combinations(edges, comb(r, 2))
@@ -743,9 +810,15 @@ _PACKED_CLIQUE_MAX = 6
 
 def _held_verdict(g: Graph) -> Verdict:
     """(True, lhs, tuple(lhs)), lhs the row of C(G): the verdict of every
-    clique of g on which the expansion holds, its right side the left."""
-    lhs = [1, *_table_counts(g, (1 << g.n) - 1)]
-    return True, lhs, tuple(lhs)
+    clique of g on which the expansion holds and of every vertex at which
+    the vertex recurrence holds, its right side the left.  Made once per
+    graph and kept in g.memo.held."""
+    memo = g.memo
+    held = memo.held
+    if held is None:
+        lhs = [1, *_table_counts(g, (1 << g.n) - 1)]
+        held = memo.held = True, lhs, tuple(lhs)
+    return held
 
 
 def _sides_meet(q: tuple[int, ...], deleted: int, whole: int,
@@ -769,16 +842,14 @@ def _built_verdict(g: Graph, q: tuple[int, ...], read: Callable[[int], int], lan
     adds the counts of the r-subsets' neighbourhoods with the coefficient
     of their size.  No term has a clique beyond the clique number of g (S
     with a clique of G[N(S)] is a clique of g), so the row is as long as the
-    left side; it is trimmed once and compared as it is."""
+    left side (_poly_verdict)."""
     adj = g.adj
     rhs = [0] * len(lhs)
     _add_packed(rhs, [deleted], lane)
     for r in range(2, len(q) + 1):
         subsets = itertools.combinations(q, r)
         _add_packed(rhs, (read(_common(adj, s)) for s in subsets), lane, r, (-1) ** r * (r - 1))
-    while not rhs[-1]:
-        rhs.pop()
-    return lhs == rhs, lhs, tuple(rhs)
+    return _poly_verdict(lhs, rhs)
 
 
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
@@ -787,7 +858,8 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     for |q| = 2 and 3 it is the edge recurrence's and the triangle
     identity's as well.
 
-    Every term is read packed: C(G - Q) by _packed_count, and C(G[N(S)]) for
+    Every term is read packed: C(G - Q) as the graph's split of Q (_split),
+    shared with the decks and the triangle-deletion counts, and C(G[N(S)]) for
     each r-subset S of q (r >= 2), N(S) the AND of the rows of S.  A clique
     of at most _PACKED_CLIQUE_MAX vertices is first decided by comparing two
     sums (_sides_meet), and equal sums give the held verdict
@@ -814,7 +886,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     read, lane = _reader(g), _lane(g.n)
     full = (1 << g.n) - 1
     held = _held_verdict(g)
-    deleted = _packed_count(g, read, lane, full, mask)
+    deleted = _split(g, read, lane, mask)
 
     def term(s: tuple[int, ...]) -> int:
         return (len(s) - 1) * read(_common(adj, s)) << lane * len(s)
@@ -838,8 +910,9 @@ def _fill_deletions(g: Graph) -> None:
     vertex) AND one row and OR one bit, and its term
     (|S| - 1) x**|S| C(G[N(S)]) is read once and kept for the sides of S and
     of every larger clique that contains S: its subsets are cliques of the
-    catalog, already taken.  C(G - Q) is read by _packed_count.  A clique
-    whose sums differ has its row built from the same C(G - Q).  Where
+    catalog, already taken.  C(G - Q) is the graph's split of Q, read and
+    kept as _split does, written out here to spare a call per clique.  A
+    clique whose sums differ has its row built from the same C(G - Q).  Where
     listing the cliques would go over LISTING_BUDGET, nothing is decided
     and each clique is left to _deletion_verdict.
     """
@@ -852,7 +925,9 @@ def _fill_deletions(g: Graph) -> None:
     full = (1 << g.n) - 1
     held = _held_verdict(g)
     whole = read(full)
-    deletions = g.memo.deletions
+    memo = g.memo
+    deletions, splits = memo.deletions, memo.splits
+    split = splits.get
     common = {(v,): (row, 1 << v) for v, row in enumerate(adj)}
     term: dict[tuple[int, ...], int] = {}
     terms = term.__getitem__
@@ -865,7 +940,7 @@ def _fill_deletions(g: Graph) -> None:
             mask |= 1 << last
             common[q] = nbhd, mask
             term[q] = (size - 1) * read(nbhd) << shift
-            deleted = _packed_count(g, read, lane, full, mask)
+            deleted = splits[mask] = split(mask) or _packed_count(g, read, lane, full, mask)
             if _sides_meet(q, deleted, whole, terms):
                 deletions[mask] = held
             else:
@@ -934,7 +1009,7 @@ def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     """
     read, lane = _reader(g), _lane(g.n)
     rhs = [0] * (g.n + 1)
-    _add_packed(rhs, [_packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(delta))], lane)
+    _add_packed(rhs, [_split(g, read, lane, _vertex_mask(delta))], lane)
     _add_packed(rhs, [read(_common(g.adj, delta))], lane, 3)
     return _poly_verdict(clique_polynomial(g), rhs)
 
@@ -970,7 +1045,8 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
         c_4(G - d) = c_4(G) - sum c_2(G[N(e_i)]) + 2 val(d)
 
     where e_1..e_3 are the triangle's edges and val is the clique-value.
-    C(G) is read once, C(G - d) once packed, and each N(e_i) is the AND of
+    C(G) is read once, C(G - d) packed as the split the clique-deletion
+    verdicts share (_split), and each N(e_i) is the AND of
     two rows, whose c_2 are summed packed and read off as coefficient 2.  The
     public function returns the TriangleDeletionCounts; the catalog renders
     the two count tuples as a report's sides.
@@ -990,8 +1066,7 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
         c4 - (sum(map(read, edge_nbhds)) >> 2 * lane & (1 << lane) - 1)
         + 2 * (edge_nbhds[0] & adj[w]).bit_count(),
     )
-    deleted = _packed_count(g, read, lane, (1 << g.n) - 1, _vertex_mask(delta))
-    direct = (*_unpack(deleted, lane), 0, 0, 0)[:4]
+    direct = (*_unpack(_split(g, read, lane, _vertex_mask(delta)), lane), 0, 0, 0)[:4]
     return formula == direct, formula, direct
 
 

@@ -626,6 +626,18 @@ def test_verify_all_theorems_on_a_dense_12_vertex_graph_is_pinned(capsys):
         == "e06c7e82082bf5a2d8d87d3bdaae78e26f2a454dc28eb66cd00be3e1f0508ed0"
 
 
+def test_verify_all_theorems_above_the_gate_is_pinned(capsys):
+    """sha256 of `verify -g 'Oy~|Z~~|NM|}~~}vz~~Zj' --all-theorems` stdout
+    (`gen 16 0.85 1`), measured at 9a7e769, before the vertex recurrence and
+    the derivative formulas were decided by packed comparison: 1 488 report
+    lines, every count read at the 20-bit lane of a 16-vertex graph."""
+    assert main(["verify", "-g", "Oy~|Z~~|NM|}~~}vz~~Zj", "--all-theorems"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1488
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "015411cc56326e2aa47440062b43574a59e736fbbfdf36dd22bcc9d54bcd78c9"
+
+
 def spy_subset_tables(monkeypatch) -> list[int]:
     """Record the vertex count of every graph whose subset table is built."""
     build = cliquekit.cliques._subset_table
@@ -700,15 +712,16 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     """The small-graph theorem campaign reads its graphs' count tables
-    6 494 times, wherever the read is made: 6 294 find a count and 200
+    4 946 times, wherever the read is made: 4 746 find a count and 200
     miss, one miss per count made.  Every graph has at most 12 vertices, so
     every count a check sums or reads off, triangle_deletion_counts' too, is
     read packed from the subset table, not through the count table (14 239
     hits and 2 181 misses while triangle_deletion_counts read its
     neighbourhoods and G - d there).  What is left is C(G), read by every
     check and counted once per graph, and once per graph, not once per
-    clique, by the clique-deletion verdicts (12 492 hits while each verdict
-    read it)."""
+    clique or vertex, by the clique-deletion verdicts and the vertex
+    recurrence, which share one held verdict (12 492 hits while each
+    clique-deletion verdict read it, 6 294 while each vertex's did)."""
     reads = []
 
     class Table(dict):
@@ -726,7 +739,7 @@ def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
     monkeypatch.setattr(cliquekit.graphs._Memo, "__init__", counting_init)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert Counter(reads) == {True: 6294, False: 200}
+    assert Counter(reads) == {True: 4746, False: 200}
 
 
 @pytest.mark.parametrize("checks, decks", [
@@ -768,6 +781,51 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     capsys.readouterr()
     sizes = Counter(mask.bit_count() for g in graphs for mask in g.memo.deletions)
     assert sizes == {2: 2906, 3: 2378, 4: 1235}
+
+
+def test_campaign_builds_no_theorem_row(monkeypatch, capsys):
+    """Every theorem holds on the small-graph theorem campaign, and every
+    verdict is decided by comparing packed integers, so none builds its
+    right side in a row: no _poly_verdict call, the comparison every
+    row-built verdict ends in.  Deciding the vertex recurrence and the
+    derivative formulas in rows made 2 116 calls."""
+    poly_verdict = cliquekit.identities._poly_verdict
+    built = []
+
+    def spy(lhs, rhs):
+        built.append(len(lhs))
+        return poly_verdict(lhs, rhs)
+
+    monkeypatch.setattr(cliquekit.identities, "_poly_verdict", spy)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert built == []
+    # the carry guard sends K13's 78 edge neighbourhoods to the row
+    assert cliquekit.check_second_derivative(complete_graph(13)).holds
+    assert built == [12]
+
+
+def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
+    """The small-graph theorem campaign splits G - E(Q) into masks
+    (_packed_count with a clique) 6 519 times, once per edge, triangle and
+    4-clique of its graphs, each kept in its graph's memo.splits: the
+    clique-deletion verdicts, the edge deck and triangle_deletion_counts
+    read the same entry.  Splitting again for the deck and the counts made
+    10 357 calls."""
+    packed_count = cliquekit.identities._packed_count
+    graphs = record_campaign_graphs(monkeypatch)
+    splits = []
+
+    def spy(g, read, lane, mask, without=0):
+        if without:
+            splits.append((id(g), without))
+        return packed_count(g, read, lane, mask, without)
+
+    monkeypatch.setattr(cliquekit.identities, "_packed_count", spy)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert len(splits) == len(set(splits)) == 6519
+    assert sum(len(g.memo.splits) for g in graphs) == 6519
 
 
 def test_theorem_campaign_renders_no_report(monkeypatch, capsys):

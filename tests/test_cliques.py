@@ -197,12 +197,14 @@ class TestCountingKernel:
 
     def test_results_live_exactly_as_long_as_their_graph(self):
         """No module-level cache: counts, the subset table, clique-deletion
-        verdicts, deck sums and the clique catalog go to the Graph's memo
-        and die with it.  A graph of at most _SUBSET_TABLE_MAX_N vertices
-        builds its subset table on its first count; a larger one never does.
-        On the smaller graph, one edge's verdict lists the cliques of up to 4
-        vertices and decides every one of them, each held verdict the same
-        object; the larger one decides that edge alone and lists nothing."""
+        verdicts, their held verdict and splits, deck sums and the clique
+        catalog go to the Graph's memo and die with it.  A graph of at most
+        _SUBSET_TABLE_MAX_N vertices builds its subset table on its first
+        count; a larger one never does.  On the smaller graph, one edge's
+        verdict lists the cliques of up to 4 vertices and decides every one
+        of them, each held verdict the memo's one held verdict; the larger
+        one decides that edge alone and lists nothing.  Either splits each
+        clique it decides once."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
                      if not name.startswith("__")}
@@ -225,11 +227,13 @@ class TestCountingKernel:
                 small = [q for k in (2, 3, 4) for q in memo.catalog.cliques(k)]
                 assert len(memo.catalog.by_size) == 5 and len(small) == sum(counts[1:4]) == 72
                 assert memo.deletions == {_vertex_mask(q): held for q in small}
-                assert len({id(verdict) for verdict in memo.deletions.values()}) == 1
+                assert {id(verdict) for verdict in memo.deletions.values()} == {id(memo.held)}
             else:
                 assert memo.catalog is None
                 assert memo.deletions == {1 << u | 1 << v: held}
                 assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
+            assert memo.held == held
+            assert set(memo.splits) == set(memo.deletions)
             assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
             assert vars(g)["memo"] is memo
             refs = [weakref.ref(g), weakref.ref(memo.catalog)]

@@ -42,7 +42,9 @@ from cliquekit import (
     parse_graph6,
     path_graph,
     poly_add,
+    poly_divided_derivative,
     poly_equal,
+    poly_normalize,
     random_gnp,
     star_graph,
     triangle_deletion_counts,
@@ -522,6 +524,92 @@ class TestPackedVerdicts:
         monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
         monkeypatch.setattr(cliquekit.identities, "_fill_deletions", lambda g: None)
         assert verdicts() == packed
+
+    @staticmethod
+    def row_built(g, name, p):
+        """The verdict of instance p of the vertex recurrence or a derivative
+        formula on g with its right side built in a row, as the report
+        shows it: the counts summed by _count_sum over masks listed here (a
+        derivative's r-cliques by naive listing), the row trimmed and kept
+        as a tuple."""
+        count_sum = cliquekit.identities._count_sum
+        lhs = clique_polynomial(g)
+        if name == "vertex_recurrence":
+            rhs = count_sum(g, [g.adj[p]], 1, count_sum(g, [((1 << g.n) - 1) ^ 1 << p]))
+        else:
+            r = {"first_derivative": 1, "second_derivative": 2,
+                 "third_derivative_k5free": 3}.get(name, p)
+            lhs = poly_divided_derivative(lhs, r)
+            rhs = count_sum(g, [common_neighborhood_bits(g, q) for q in naive_cliques_of_size(g, r)])
+        rhs = poly_normalize(rhs)
+        return lhs == rhs, lhs, tuple(rhs)
+
+    def test_a_wrong_table_fails_the_vertex_recurrence_and_the_derivatives(self):
+        """With the subset table of G - e in place of G's, C(G) reads as
+        C(G - e) while N(u) and N(v) keep e's other endpoint, so the vertex
+        recurrence fails at e's two endpoints and nowhere else, and every
+        derivative formula fails.  Each verdict, decided by comparing packed
+        integers, equals the one whose right side is built in a row from the
+        same table, and every vertex that holds returns the graph's one held
+        verdict."""
+        g = random_gnp(10, 0.5, RngSpec(5))
+        e = g.edges()[0]
+        wrong = Graph(g.n, g.adj)
+        wrong.memo.subset = cliquekit.cliques._subset_table(delete_edge(g, e))
+        failing = {}
+        held = set()
+        for name in ("vertex_recurrence", "first_derivative", "second_derivative",
+                     "third_derivative_k5free", "kth_derivative"):
+            cd = CHECKS[name]
+            for p in cd.params(wrong, None):
+                verdict = cd.check(wrong, p)
+                assert verdict == self.row_built(wrong, name, p), (name, p)
+                if not verdict[0]:
+                    failing.setdefault(name, []).append(p)
+                elif name == "vertex_recurrence":
+                    held.add(id(verdict))
+        assert failing == {"vertex_recurrence": list(e), "first_derivative": [None],
+                           "second_derivative": [None], "third_derivative_k5free": [None],
+                           "kth_derivative": [1, 2, 3, 4]}
+        assert held == {id(wrong.memo.held)}
+
+    def test_the_carry_guard_builds_the_row(self, monkeypatch):
+        """K13's second derivative sums the neighbourhoods of its 78 edges,
+        more than _PACKED_UNITS (70) counts, so its right side is built in a
+        row; the report equals the one decided packed with the bound raised
+        to 78 (K13's sum stays under its 17-bit lane).  A left side with a
+        coefficient past the lane would carry when packed: C(G) planted with
+        c_1 raised by 2 << lane and c_2 lowered by 1 packs its first
+        derivative to the right side's integer, so only the guard keeps the
+        verdict from holding, and it equals the row-built one."""
+        count_sum = cliquekit.identities._count_sum
+        rows = []
+
+        def spy(g, masks, *args):
+            rows.append(g.n)
+            return count_sum(g, masks, *args)
+
+        monkeypatch.setattr(cliquekit.identities, "_count_sum", spy)
+        report = check_second_derivative(complete_graph(13))
+        assert rows == [13] and report.holds
+        assert report.lhs == report.rhs == [comb(13, 2) * comb(11, j) for j in range(12)]
+        with monkeypatch.context() as raised:
+            raised.setattr(cliquekit.identities, "_PACKED_UNITS", comb(13, 2))
+            assert check_second_derivative(complete_graph(13)) == report
+        assert rows == [13]
+
+        g = random_gnp(10, 0.5, RngSpec(5))
+        lane = cliquekit.cliques._lane(g.n)
+        c1, c2, *rest = clique_counts(g)
+        planted = Graph(g.n, g.adj)
+        planted.memo.counts[0, (1 << g.n) - 1] = (c1 + (2 << lane), c2 - 1, *rest)
+        lhs = poly_divided_derivative(clique_polynomial(planted), 1)
+        read = cliquekit.cliques._reader(planted)
+        assert sum(c << lane * j for j, c in enumerate(lhs)) == sum(map(read, g.adj))
+        verdict = CHECKS["first_derivative"].check(planted, None)
+        assert rows[1:] == [10]
+        assert verdict[0] is False and verdict[1] == lhs
+        assert verdict == self.row_built(planted, "first_derivative", None)
 
     def test_the_weight_bounds_cannot_carry(self):
         """A sum of _PACKED_UNITS packed counts of a graph on n vertices
