@@ -21,18 +21,20 @@ both.
 The kernel is one recurrence on the candidate set S, split on a pivot u
 (Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
 2020) chosen by the rule of Tomita, Tanaka & Takahashi (TCS 2006), the
-candidate with the most neighbours in S:
+candidate with the most neighbours in S, ties going to the highest vertex:
 
     C(S) = (1 + x) C(S & N(u)) + sum over non-neighbours w of u of x C(S_w & N(w)),
 
-where S_w drops u and the non-neighbours before w.  Candidate sets smaller
-than _PIVOT_MIN_SIZE, a cutoff taken from a measured per-size crossover, are
-counted by the plain depth-first extension, which is faster on them.  Its
-leaves are counted in closed form: a candidate set of t <= 3 vertices adds
-t cliques of one more vertex, one per edge among them of two more, and for
-a triangle one of three more, so the extension makes no call for it.  Sets
-of 2 and 3 candidates are most of the nodes of the extension, so this
-takes out about two thirds of its calls.
+where S_w drops u and the non-neighbours above w.  Every loop of the kernel
+takes the highest candidate first, v = c.bit_length() - 1, and clears it by
+one lookup in _BIT.  Candidate sets smaller than _PIVOT_MIN_SIZE, a cutoff
+taken from a measured per-size crossover, are counted by the plain
+depth-first extension, which is faster on them.  Its leaves are counted in
+closed form: a candidate set of t <= 3 vertices adds t cliques of one more
+vertex, one per edge among them of two more, and for a triangle one of
+three more, so the extension makes no call for it.  Sets of 2 and 3
+candidates are most of the nodes of the extension, so this takes out about
+two thirds of its calls.
 
 A mask under the cutoff, most of the masks the identity checks ask for, is
 grown straight into its row, with no memo.  Results are memoised at two
@@ -53,7 +55,9 @@ Graph.memo.subset.
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
 list more than LISTING_BUDGET.  It and brute_force_counts are the
-independent references of the kernel and the subset table.  The identity
+independent references of the kernel and the subset table: it extends each
+clique upward from its lowest vertex, where the kernel works down from the
+highest, and its per-size lists keep that lexicographic order.  The identity
 checks read their cliques through _listed_catalog, which keeps the largest
 catalog listed for a graph in Graph.memo.catalog and answers smaller sizes
 from it.
@@ -134,6 +138,10 @@ _PACKED_UNITS = (((1 << _SUBSET_TABLE_BITS) - 1)
                  // comb(_SUBSET_TABLE_MAX_N, _SUBSET_TABLE_MAX_N // 2))
 _lane = tuple(max(_SUBSET_TABLE_BITS, (_PACKED_UNITS * comb(n, n // 2)).bit_length())
               for n in range(MAX_VERTICES + 1)).__getitem__
+
+# _BIT[v] is the bit of vertex v: the kernel clears the candidate it takes
+# by one tuple lookup.
+_BIT = tuple(1 << v for v in range(MAX_VERTICES))
 
 # Most cliques enumerate_cliques lists before it refuses (CliqueBudgetExceeded).
 LISTING_BUDGET = 1_000_000
@@ -246,17 +254,17 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     A mask of fewer than _PIVOT_MIN_SIZE vertices, most of the masks that
     the identity checks ask for, is grown straight into its row by the
     depth-first count, with no memo and no pivot frame: a clique is extended
-    only by common neighbours above its largest vertex, so each is counted
+    only by common neighbours below its smallest vertex, so each is counted
     once, and a node adds the size of its candidate set to the next clique
     size.  Candidate sets of at most three vertices are counted in closed
     form, without a node of their own (see _grow).
 
     A larger candidate set S is split on a pivot u, the candidate with the
-    most neighbours in S.  A clique of S either avoids every non-neighbour of
-    u, and then it is a clique of S & N(u) with or without u; or its first
-    non-neighbour w of u in bit order is in it, and then the rest is a clique
-    of S_w & N(w), where S_w is S without u and without the non-neighbours
-    before w.  So
+    most neighbours in S, and of those the highest vertex.  A clique of S
+    either avoids every non-neighbour of u, and then it is a clique of
+    S & N(u) with or without u; or its highest non-neighbour w of u is in
+    it, and then the rest is a clique of S_w & N(w), where S_w is S without
+    u and without the non-neighbours above w.  So
 
         C(S) = (1 + x) C(S & N(u)) + sum over w of x C(S_w & N(w)),
 
@@ -283,8 +291,8 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
 def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
     """Add the cliques that extend a (size - 1)-clique by candidates to row.
 
-    Each candidate w (in bit order) starts the cliques whose next vertex is
-    w, and the candidates above w adjacent to it extend those.  Up to three
+    Each candidate w, highest first, starts the cliques whose next vertex
+    is w, and the candidates below w adjacent to it extend those.  Up to three
     such candidates are counted in place: t of them give t cliques of one
     vertex more, e edges among them e cliques of two more, and three edges
     one clique of three more.  Only four or more candidates recurse.
@@ -293,9 +301,9 @@ def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
     size += 1
     c = cand
     while c:
-        low = c & -c
-        c ^= low
-        nxt = c & adj[low.bit_length() - 1]
+        w = c.bit_length() - 1
+        c ^= _BIT[w]
+        nxt = c & adj[w]
         if not nxt:
             continue
         t = nxt.bit_count()
@@ -303,15 +311,14 @@ def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
             row[size] += 1
         elif t == 2:
             row[size] += 2
-            if adj[(nxt & -nxt).bit_length() - 1] & nxt:
+            if adj[nxt.bit_length() - 1] & nxt:
                 row[size + 1] += 1
         elif t == 3:
             row[size] += 3
-            a = nxt & -nxt
-            rest = nxt ^ a
-            b = rest & -rest
-            e = (adj[a.bit_length() - 1] & rest).bit_count()
-            if adj[b.bit_length() - 1] & rest:
+            a = nxt.bit_length() - 1
+            rest = nxt ^ _BIT[a]
+            e = (adj[a] & rest).bit_count()
+            if adj[rest.bit_length() - 1] & rest:
                 e += 1
             if e:
                 row[size + 1] += e
@@ -338,23 +345,24 @@ def _poly_of(adj: tuple[int, ...], cand: int,
         best = -1
         c = cand
         while c:
-            low = c & -c
-            c ^= low
-            d = (cand & adj[low.bit_length() - 1]).bit_count()
+            w = c.bit_length() - 1
+            c ^= _BIT[w]
+            d = (cand & adj[w]).bit_count()
             if d > best:
-                best, u = d, low
+                best, u = d, w
                 if d == size - 1:
                     break
-        nb = adj[u.bit_length() - 1]
+        nb = adj[u]
         for j, a in enumerate(_poly_of(adj, cand & nb, memo)):
             row[j] += a
             row[j + 1] += a
-        rest = (cand & ~nb) ^ u
-        left = cand ^ u
+        left = cand ^ _BIT[u]
+        rest = left & ~nb
         while rest:
-            low = rest & -rest
-            rest ^= low
-            sub = left & adj[low.bit_length() - 1]
+            w = rest.bit_length() - 1
+            bit = _BIT[w]
+            rest ^= bit
+            sub = left & adj[w]
             if sub.bit_count() >= _PIVOT_MIN_SIZE:
                 for j, a in enumerate(_poly_of(adj, sub, memo), 1):
                     row[j] += a
@@ -362,7 +370,7 @@ def _poly_of(adj: tuple[int, ...], cand: int,
                 row[1] += 1
                 if sub:
                     _grow(adj, row, 2, sub)
-            left ^= low
+            left ^= bit
     while not row[-1]:
         row.pop()
     if size >= _PIVOT_MIN_SIZE:

@@ -148,6 +148,12 @@ def naive_edge_set(g: Graph) -> set[tuple[int, int]]:
     }
 
 
+def relabelled(g: Graph, perm) -> Graph:
+    """g with each vertex v renamed perm[v], built from the naive edge set:
+    the same graph up to isomorphism, so every count must agree."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in naive_edge_set(g)])
+
+
 def naive_is_clique(g: Graph, vertices) -> bool:
     es = naive_edge_set(g)
     return all(

@@ -682,7 +682,7 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     packed reader, which counts it once, the small neighbourhood terms of a
     G - Q split too (8 404 calls when those were grown into the split's row
     and not kept).  Its masks of at least _PIVOT_MIN_SIZE vertices enter
-    the pivot recursion: 24 130 _poly_of frames, 14 664 of them on a
+    the pivot recursion: 23 656 _poly_of frames, 14 471 of them on a
     candidate set at or above the cutoff."""
     kernel = cliquekit.cliques.clique_counts_in
     poly_of = cliquekit.cliques._poly_of
@@ -707,7 +707,7 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     assert len(calls) == len(set(calls)) == 10297
     assert made == []
     cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
-    assert (len(nodes), sum(size >= cutoff for size in nodes)) == (24130, 14664)
+    assert (len(nodes), sum(size >= cutoff for size in nodes)) == (23656, 14471)
 
 
 def test_campaign_table_reads_are_pinned(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import time
 import weakref
 from pathlib import Path
@@ -44,6 +45,7 @@ from cliquekit import (
     poly_reverse,
     poly_sub,
     random_gnp,
+    to_graph6,
     triangles,
 )
 
@@ -53,6 +55,7 @@ from _helpers import (
     naive_cliques_of_size,
     networkx_counts,
     record_listings,
+    relabelled,
 )
 
 DENSE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "dense_poly.json"
@@ -425,13 +428,64 @@ class TestPivotPath:
         assert poly[:3] == [1, 48, g.m]
 
 
+def sweep_relabelled_dense_band(count: int, n_range=(40, 64)) -> None:
+    """Check C(G) == C(reversed G) on count seeded G(n, p), n drawn from
+    n_range and p from 0.85..0.95: the dense band, where no oracle reaches
+    and the pivot recursion is deepest.  Twenty such graphs take about 9 s
+    on a 2-core x86-64 host, too slow for the default test run; CI runs
+    them as
+
+        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_relabelled_dense_band(20)"
+    """
+    for seed in range(1, count + 1):
+        draw = random.Random(seed)
+        n = draw.randint(*n_range)
+        g = random_gnp(n, round(draw.uniform(0.85, 0.95), 3), RngSpec(seed))
+        reversed_g = relabelled(g, range(n - 1, -1, -1))
+        assert clique_polynomial(g) == clique_polynomial(reversed_g), to_graph6(g)
+
+
+class TestRelabelling:
+    """The kernel takes candidates from the top vertex down, and its pivot
+    rule breaks ties by vertex number, so a relabelled copy of a graph runs
+    a different recursion.  Its polynomial must not move: checked on G, on
+    its reversal v -> n - 1 - v and on one seeded permutation, against the
+    exhaustive oracle up to 14 vertices and against the stored polynomials
+    of the dense_poly reference above that."""
+
+    @staticmethod
+    def labellings(n: int, seed: int) -> list[list[int]]:
+        return [list(range(n)), list(range(n - 1, -1, -1)),
+                random.Random(seed).sample(range(n), n)]
+
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9, 0.95])
+    def test_small_graphs_against_the_oracle(self, p):
+        for n in range(1, 15):
+            seed = 100 * n + round(100 * p)
+            g = random_gnp(n, p, RngSpec(seed))
+            expected = [1, *brute_force_counts(g)]
+            for perm in self.labellings(n, seed):
+                assert clique_polynomial(relabelled(g, perm)) == expected, (n, perm)
+
+    def test_dense_reference_graphs(self):
+        for i, template in enumerate(json.loads(DENSE_REFERENCE.read_text())["templates"]):
+            g6, poly = template["items"][0]
+            g = parse_graph6(g6)
+            for perm in self.labellings(g.n, i):
+                assert clique_polynomial(relabelled(g, perm)) == poly, (g6, perm)
+
+    def test_the_dense_band_sweep_runs(self):
+        """CI's dense-band sweep, on graphs small enough for the default run."""
+        sweep_relabelled_dense_band(4, n_range=(16, 24))
+
+
 class TestDepthFirstCount:
     """The DFS below the pivot cutoff: candidate sets of at most three are
     counted in closed form, so every call it makes has at least four."""
 
     # _grow calls on the first instance of each dense_poly template, in order
     # G(64, 0.5), G(60, 0.55), ..., G(36, 0.85)
-    GROW_CALLS = [1055, 1360, 1800, 2034, 2708, 2653, 2666, 2177, 1722]
+    GROW_CALLS = [999, 1339, 1690, 2019, 2643, 2954, 2705, 2434, 2002]
 
     def test_grow_calls_on_the_dense_reference(self, monkeypatch):
         grow = cliquekit.cliques._grow
