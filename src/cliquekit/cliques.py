@@ -46,11 +46,9 @@ dict goes when the call returns, so no state is kept at module level.
 Across calls, each Graph keeps its reader in Graph.memo.read: the identity
 checks read the neighbourhoods and deletions of one graph many times over,
 and the reader of a larger graph counts each mask once and keeps its
-packed counts.  The counts asked as tuples (_table_counts) are kept in
-Graph.memo.counts, keyed by (deleted clique, mask), both vertex masks and
-the first 0 where no edge is deleted.  The memo lives exactly as long as
-the graph, and so does the subset table of a small graph,
-Graph.memo.subset.
+packed counts.  The one count kept as a tuple is C(G)'s, unpacked once
+per graph into Graph.memo.counts.  The memo lives exactly as long as the
+graph, and so does the subset table of a small graph, Graph.memo.subset.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -379,25 +377,6 @@ def _poly_of(adj: tuple[int, ...], cand: int,
     return row
 
 
-def _table_counts(g: Graph, mask: int | None = None, without: int = 0) -> tuple[int, ...]:
-    """The counts of the subgraph that mask (all vertices by default) induces
-    in g without the edges among the vertices of the mask without, a clique
-    of g (none by default): read from g.memo.counts, or read packed by
-    _packed_count, unpacked once and kept there."""
-    if mask is None:
-        mask = (1 << g.n) - 1
-    without &= mask
-    if not without & (without - 1):
-        without = 0  # fewer than two vertices delete no edge
-    memo = g.memo
-    counts = memo.counts.get((without, mask))
-    if counts is None:
-        lane = _lane(g.n)
-        counts = _unpack(_packed_count(g, _reader(g), lane, mask, without), lane)
-        memo.counts[without, mask] = counts
-    return counts
-
-
 def _subset_table(g: Graph) -> list[int]:
     """g.memo.subset, built on first use: C(G[S], x) for every mask S of
     the vertices below the top one, packed with _SUBSET_TABLE_BITS bits per
@@ -524,8 +503,13 @@ def _unpack(packed: int, lane: int) -> tuple[int, ...]:
 
 
 def clique_counts(g: Graph) -> tuple[int, ...]:
-    """(c_1, ..., c_omega): the number of k-cliques for each size."""
-    return _table_counts(g)
+    """(c_1, ..., c_omega): the number of k-cliques for each size, read
+    packed once per graph and kept in g.memo.counts."""
+    memo = g.memo
+    counts = memo.counts
+    if counts is None:
+        counts = memo.counts = _unpack(_reader(g)((1 << g.n) - 1), _lane(g.n))
+    return counts
 
 
 def clique_count(g: Graph, k: int) -> int:

@@ -99,11 +99,9 @@ def _raise_first_fault(adj: tuple[int, ...]) -> None:
 class _Memo:
     """What cliquekit counted and listed over one Graph (Graph.memo).
 
-    counts: clique counts keyed by (deleted clique, vertex mask), both
-        masks: the subgraph the mask induces, without the edges among the
-        deleted clique's vertices (0 when it has fewer than two in the
-        mask).  cliquekit.cliques fills it with the counts asked as tuples,
-        such as C(G), each unpacked once from what read reads.
+    counts: None until cliquekit.cliques.clique_counts fills it: C(G)'s
+        clique counts (c_1, ..., c_omega), unpacked once from read's count
+        of the full mask.
     subset: None until cliquekit.cliques builds it, on the first count of a
         graph of at most cliques._SUBSET_TABLE_MAX_N vertices: C(G[S], x)
         at index S for every mask S without the top vertex n - 1, packed
@@ -142,7 +140,7 @@ class _Memo:
     __slots__ = ("counts", "subset", "read", "deletions", "held", "splits", "decks", "catalog")
 
     def __init__(self) -> None:
-        self.counts: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.counts: tuple[int, ...] | None = None
         self.subset: list[int] | None = None
         self.read: Callable[[int], int] | None = None
         self.deletions: dict[int, tuple] = {}

@@ -52,13 +52,14 @@ packed counts as integers and unpack each batch into the row once, times
 one coefficient (_add_packed), and _poly_verdict compares the row, kept
 trimmed as a tuple, with the left side.
 
-On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is a
-table lookup, the first expansion verdict asked decides every clique of 2
-to 4 vertices in one pass over the listed cliques (_fill_deletions): C(G)
-and the held verdict are read once, each clique's neighbourhood is its
-parent's AND one row, and each subset's term is read once for every clique
-that contains it.  A larger graph decides only the cliques it is asked
-for.  Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
+One routine decides the expansion, _decide, for the sorted cliques it is
+given in size order: C(G) and the held verdict are read once, a clique
+whose parent was walked takes its neighbourhood as the parent's AND one
+row, and each subset's term is read once for every clique that contains
+it.  On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read
+is a table lookup, the first expansion verdict asked gives it every clique
+of 2 to 4 vertices; a larger graph gives it the asked clique alone.
+Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
 vertex, edge or triangle, is summed once per graph into one row of
 Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
 x**k), and the deck identities read coefficient k of it.
@@ -93,7 +94,6 @@ from .cliques import (
     _packed_count,
     _reader,
     _require_listing_budget,
-    _table_counts,
     _unpack,
     clique_count,
     clique_counts,
@@ -816,7 +816,7 @@ def _held_verdict(g: Graph) -> Verdict:
     memo = g.memo
     held = memo.held
     if held is None:
-        lhs = [1, *_table_counts(g, (1 << g.n) - 1)]
+        lhs = clique_polynomial(g)
         held = memo.held = True, lhs, tuple(lhs)
     return held
 
@@ -852,74 +852,40 @@ def _built_verdict(g: Graph, q: tuple[int, ...], read: Callable[[int], int], lan
     return _poly_verdict(lhs, rhs)
 
 
-def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'cliques' reading for the sorted clique
-    q, decided once per graph and kept in g.memo.deletions under q's mask:
-    for |q| = 2 and 3 it is the edge recurrence's and the triangle
-    identity's as well.
+class _Terms(dict):
+    """The packed terms (|S| - 1) x**|S| C(G[N(S)]) of one _decide call,
+    keyed by the sorted subset S: a term that the walk did not set is read
+    on first use, and a hit stays one dict lookup."""
 
-    Every term is read packed: C(G - Q) as the graph's split of Q (_split),
-    shared with the decks and the triangle-deletion counts, and C(G[N(S)]) for
-    each r-subset S of q (r >= 2), N(S) the AND of the rows of S.  A clique
-    of at most _PACKED_CLIQUE_MAX vertices is first decided by comparing two
-    sums (_sides_meet), and equal sums give the held verdict
-    (_held_verdict) with nothing unpacked.  Where the sums differ (a
-    failing verdict, which a report shows) or the clique is larger, the
-    right side is built in one row (_built_verdict).
+    __slots__ = ("adj", "read", "lane")
 
-    On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
-    a lookup in the subset table, the first verdict asked (g.memo.deletions
-    still empty) decides every clique of 2 to 4 vertices in one pass over
-    them (_fill_deletions), and q is then read from the memo.  A larger
-    graph reads each mask with the kernel, so it decides only the cliques
-    it is asked for.
+    def __init__(self, adj: tuple[int, ...], read: Callable[[int], int], lane: int) -> None:
+        self.adj, self.read, self.lane = adj, read, lane
+
+    def __missing__(self, s: tuple[int, ...]) -> int:
+        term = self[s] = (len(s) - 1) * self.read(_common(self.adj, s)) << self.lane * len(s)
+        return term
+
+
+def _decide(g: Graph, cliques: Iterable[tuple[int, ...]]) -> None:
+    """Decide the expansion's 'cliques' reading for each of the sorted
+    cliques, taken in size order, and keep each verdict in g.memo.deletions
+    under the clique's mask.
+
+    C(G), its packed read and the held verdict, shared by every clique, are
+    read once.  A clique whose parent (the clique without its last vertex)
+    was walked before it takes its common neighbourhood and mask from the
+    parent's, AND one row and OR one bit, and sets its own term
+    (|S| - 1) x**|S| C(G[N(S)]); every other subset's term is read on first
+    use (_Terms) and kept for the sides of every later clique that contains
+    it.  C(G - Q) is the graph's split of Q, read and kept as _split does,
+    written out here to spare a call per clique.  A clique of at most
+    _PACKED_CLIQUE_MAX vertices is first decided by comparing two sums
+    (_sides_meet), and equal sums give the held verdict with nothing
+    unpacked.  Where the sums differ (a failing verdict, which a report
+    shows) or the clique is larger, the right side is built in one row from
+    the same C(G - Q) (_built_verdict).
     """
-    mask = _vertex_mask(q)
-    deletions = g.memo.deletions
-    verdict = deletions.get(mask)
-    if verdict is None and not deletions and g.n <= _SUBSET_TABLE_MAX_N:
-        _fill_deletions(g)
-        verdict = deletions.get(mask)
-    if verdict is not None:
-        return verdict
-    adj = g.adj
-    read, lane = _reader(g), _lane(g.n)
-    full = (1 << g.n) - 1
-    held = _held_verdict(g)
-    deleted = _split(g, read, lane, mask)
-
-    def term(s: tuple[int, ...]) -> int:
-        return (len(s) - 1) * read(_common(adj, s)) << lane * len(s)
-
-    if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, read(full), term):
-        verdict = held
-    else:
-        verdict = _built_verdict(g, q, read, lane, deleted, held[1])
-    deletions[mask] = verdict
-    return verdict
-
-
-def _fill_deletions(g: Graph) -> None:
-    """Decide the verdict of every clique of 2 to 4 vertices of g, as
-    _deletion_verdict decides one, in one pass over _listed_catalog(g, 4),
-    and keep each in g.memo.deletions.
-
-    C(G), its packed read and the held verdict, shared by every clique,
-    are read once.  The cliques are taken by size, so each clique S's
-    common neighbourhood and mask are its parent's (S without its last
-    vertex) AND one row and OR one bit, and its term
-    (|S| - 1) x**|S| C(G[N(S)]) is read once and kept for the sides of S and
-    of every larger clique that contains S: its subsets are cliques of the
-    catalog, already taken.  C(G - Q) is the graph's split of Q, read and
-    kept as _split does, written out here to spare a call per clique.  A
-    clique whose sums differ has its row built from the same C(G - Q).  Where
-    listing the cliques would go over LISTING_BUDGET, nothing is decided
-    and each clique is left to _deletion_verdict.
-    """
-    try:
-        catalog = _listed_catalog(g, 4)
-    except CliqueBudgetExceeded:
-        return
     adj = g.adj
     read, lane = _reader(g), _lane(g.n)
     full = (1 << g.n) - 1
@@ -928,23 +894,56 @@ def _fill_deletions(g: Graph) -> None:
     memo = g.memo
     deletions, splits = memo.deletions, memo.splits
     split = splits.get
-    common = {(v,): (row, 1 << v) for v, row in enumerate(adj)}
-    term: dict[tuple[int, ...], int] = {}
+    walked: dict[tuple[int, ...], tuple[int, int]] = {}
+    term = _Terms(adj, read, lane)
     terms = term.__getitem__
-    for size in (2, 3, 4):
-        shift = lane * size
-        for q in catalog.cliques(size):
-            nbhd, mask = common[q[:-1]]
+    for q in cliques:
+        head = q[:-1]
+        parent = walked.get(head)
+        if parent is None and len(head) == 1:  # a vertex is walked as its row and bit
+            parent = walked[head] = adj[head[0]], 1 << head[0]
+        if parent is None:
+            mask = _vertex_mask(q)
+        else:
+            nbhd, mask = parent
             last = q[-1]
             nbhd &= adj[last]
             mask |= 1 << last
-            common[q] = nbhd, mask
-            term[q] = (size - 1) * read(nbhd) << shift
-            deleted = splits[mask] = split(mask) or _packed_count(g, read, lane, full, mask)
-            if _sides_meet(q, deleted, whole, terms):
-                deletions[mask] = held
-            else:
-                deletions[mask] = _built_verdict(g, q, read, lane, deleted, held[1])
+            walked[q] = nbhd, mask
+            term[q] = (len(q) - 1) * read(nbhd) << lane * len(q)
+        deleted = splits[mask] = split(mask) or _packed_count(g, read, lane, full, mask)
+        if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, whole, terms):
+            deletions[mask] = held
+        else:
+            deletions[mask] = _built_verdict(g, q, read, lane, deleted, held[1])
+
+
+def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
+    """The verdict of the expansion's 'cliques' reading for the sorted clique
+    q, decided once per graph by _decide and kept in g.memo.deletions under
+    q's mask: for |q| = 2 and 3 it is the edge recurrence's and the triangle
+    identity's as well.
+
+    On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
+    a lookup in the subset table, the first verdict asked (g.memo.deletions
+    still empty) decides every clique of 2 to 4 vertices at once, unless
+    listing them would go over LISTING_BUDGET.  A larger graph reads each
+    mask with the kernel, so it decides only the clique it is asked for,
+    and splits none of its subcliques.
+    """
+    mask = _vertex_mask(q)
+    deletions = g.memo.deletions
+    verdict = deletions.get(mask)
+    if verdict is None and not deletions and g.n <= _SUBSET_TABLE_MAX_N:
+        try:
+            _decide(g, _small_cliques(g, None))
+        except CliqueBudgetExceeded:
+            pass  # left to one clique at a time
+        verdict = deletions.get(mask)
+    if verdict is None:
+        _decide(g, (q,))
+        verdict = deletions[mask]
+    return verdict
 
 
 _clique_deletion = _identity("clique_deletion", THEOREM, _CLIQUE,
@@ -970,7 +969,7 @@ class TriangleIdentityParts:
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     adj = g.adj
     edge_sum = _count_sum(g, (adj[a] & adj[b] for a, b in itertools.combinations(d, 2)))
-    tri = [1, *_table_counts(g, _common(adj, d))]
+    tri = [1, *_unpack(_reader(g)(_common(adj, d)), _lane(g.n))]
     return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
 
 

@@ -11,7 +11,6 @@ import pytest
 
 import cliquekit.cliques
 import cliquekit.conjectures
-import cliquekit.graphs
 import cliquekit.identities
 from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
 from cliquekit import cli
@@ -710,36 +709,26 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     assert (len(nodes), sum(size >= cutoff for size in nodes)) == (23656, 14471)
 
 
-def test_campaign_table_reads_are_pinned(monkeypatch, capsys):
-    """The small-graph theorem campaign reads its graphs' count tables
-    4 946 times, wherever the read is made: 4 746 find a count and 200
-    miss, one miss per count made.  Every graph has at most 12 vertices, so
-    every count a check sums or reads off, triangle_deletion_counts' too, is
-    read packed from the subset table, not through the count table (14 239
-    hits and 2 181 misses while triangle_deletion_counts read its
-    neighbourhoods and G - d there).  What is left is C(G), read by every
-    check and counted once per graph, and once per graph, not once per
-    clique or vertex, by the clique-deletion verdicts and the vertex
-    recurrence, which share one held verdict (12 492 hits while each
-    clique-deletion verdict read it, 6 294 while each vertex's did)."""
-    reads = []
+def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
+    """The small-graph theorem campaign unpacks C(G) once for each of its
+    200 graphs, into the graph's one counts slot, and no other count
+    through cliquekit.cliques: every count a check sums or compares is read
+    packed, and C(G) is asked by every check, by the clique-deletion
+    verdicts and the vertex recurrence once per graph for the held verdict
+    they share."""
+    unpack = cliquekit.cliques._unpack
+    graphs = record_campaign_graphs(monkeypatch)
+    unpacked = []
 
-    class Table(dict):
-        def get(self, key, default=None):
-            found = super().get(key, default)
-            reads.append(found is not None)
-            return found
+    def spy(packed, lane):
+        unpacked.append(packed)
+        return unpack(packed, lane)
 
-    init = cliquekit.graphs._Memo.__init__
-
-    def counting_init(memo):
-        init(memo)
-        memo.counts = Table()
-
-    monkeypatch.setattr(cliquekit.graphs._Memo, "__init__", counting_init)
+    monkeypatch.setattr(cliquekit.cliques, "_unpack", spy)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert Counter(reads) == {True: 4746, False: 200}
+    assert len(graphs) == len(unpacked) == 200
+    assert unpacked == [cliquekit.cliques._reader(g)((1 << g.n) - 1) for g in graphs]
 
 
 @pytest.mark.parametrize("checks, decks", [

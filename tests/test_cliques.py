@@ -76,6 +76,15 @@ def complete_multipartite(parts):
     )
 
 
+def split_counts(g, mask, without):
+    """The counts of G[mask] without the edges of the clique whose mask is
+    without, read through g's reader by _packed_count and unpacked.  Only
+    the clique's vertices in mask delete edges, so without is cut to mask."""
+    read, lane = cliquekit.cliques._reader(g), cliquekit.cliques._lane(g.n)
+    packed = cliquekit.cliques._packed_count(g, read, lane, mask, without & mask)
+    return cliquekit.cliques._unpack(packed, lane)
+
+
 class TestEnumeration:
     def test_triangle_catalog(self):
         cat = enumerate_cliques(complete_graph(3))
@@ -206,8 +215,9 @@ class TestCountingKernel:
         count; a larger one never does.  On the smaller graph, one edge's
         verdict lists the cliques of up to 4 vertices and decides every one
         of them, each held verdict the memo's one held verdict; the larger
-        one decides that edge alone and lists nothing.  Either splits each
-        clique it decides once."""
+        one decides that edge alone and lists nothing, and a 4-clique or a
+        7-clique asked of it decides and splits that clique alone.  Either
+        splits each clique it decides once."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
                      if not name.startswith("__")}
@@ -217,7 +227,7 @@ class TestCountingKernel:
             g = random_gnp(n, 0.7, RngSpec(2))
             memo = g.memo
             counts = clique_counts(g)
-            assert memo.counts == {(0, (1 << g.n) - 1): counts}
+            assert memo.counts is counts
             if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N:
                 assert len(memo.subset) == 1 << (n - 1)
             else:
@@ -235,6 +245,13 @@ class TestCountingKernel:
                 assert memo.catalog is None
                 assert memo.deletions == {1 << u | 1 << v: held}
                 assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
+                for size in (4, 7):
+                    q = enumerate_cliques(g, size).cliques(size)[0]
+                    asked = Graph(g.n, g.adj)
+                    edges = itertools.combinations(q, 2)
+                    assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
+                    assert list(asked.memo.deletions) == list(asked.memo.splits) \
+                        == [_vertex_mask(q)]
             assert memo.held == held
             assert set(memo.splits) == set(memo.deletions)
             assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
@@ -287,7 +304,6 @@ class TestSubsetTable:
         entries = self.entries(g)
         for mask, counts in enumerate(entries):
             assert counts == clique_counts_in(g.adj, mask), mask
-            assert cliquekit.cliques._table_counts(g, mask) == counts
         if p == 1.0:
             assert entries[-1] == tuple(comb(n, k) for k in range(1, n + 1))
 
@@ -296,9 +312,10 @@ class TestSubsetTable:
         g = random_gnp(n, 0.8, RngSpec(n))
         q = enumerate_cliques(g, 3).cliques(3)[0]
         clique_counts(g)
-        cliquekit.cliques._table_counts(g, without=sum(1 << v for v in q))
+        full = (1 << g.n) - 1
+        assert split_counts(g, full, sum(1 << v for v in q)) \
+            == networkx_counts(delete_edge_set(g, itertools.combinations(q, 2)))
         assert g.memo.subset is None
-        assert len(g.memo.counts) > 1
 
 
 class TestDeletedCliqueSplit:
@@ -320,8 +337,7 @@ class TestDeletedCliqueSplit:
                 for q in naive_cliques_of_size(g, size):
                     deleted = delete_edge_set(g, itertools.combinations(q, 2))
                     for mask, kept in self.cases(g, q):
-                        counts = cliquekit.cliques._table_counts(
-                            Graph(g.n, g.adj), mask, without=sum(1 << v for v in q))
+                        counts = split_counts(Graph(g.n, g.adj), mask, sum(1 << v for v in q))
                         assert counts == brute_force_counts(induced_subgraph(deleted, kept)), \
                             (g.adj, q, mask)
 
@@ -336,7 +352,7 @@ class TestDeletedCliqueSplit:
             assert cliques
             for q in cliques:
                 deleted = delete_edge_set(g, itertools.combinations(q, 2))
-                counts = cliquekit.cliques._table_counts(g, full, sum(1 << v for v in q))
+                counts = split_counts(g, full, sum(1 << v for v in q))
                 assert counts == brute_force_counts(deleted), q
         assert len(g.memo.subset) == 1 << (g.n - 1)
 
@@ -351,7 +367,7 @@ class TestDeletedCliqueSplit:
                 large += sum((g.adj[v] & ~without).bit_count() >= cutoff for v in q[:-1])
                 deleted = delete_edge_set(g, itertools.combinations(q, 2))
                 for mask, kept in self.cases(g, q):
-                    counts = cliquekit.cliques._table_counts(Graph(g.n, g.adj), mask, without)
+                    counts = split_counts(Graph(g.n, g.adj), mask, without)
                     assert counts == networkx_counts(induced_subgraph(deleted, kept)), (q, mask)
         assert large  # some neighbourhood term is counted by the kernel, not grown
 

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -49,6 +50,7 @@ from cliquekit import (
     star_graph,
     triangle_deletion_counts,
     triangle_identity,
+    to_graph6,
     triangles,
 )
 from cliquekit.graphs import MAX_VERTICES
@@ -59,6 +61,7 @@ from _helpers import (
     naive_common_neighbors,
     networkx_counts,
     reference_deletion_rhs,
+    relabelled,
 )
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -401,6 +404,55 @@ def catalog_report(name, g, q):
     return cd.render(g, q, cd.check(g, q))
 
 
+def greedy_clique(g, size):
+    """A clique of size vertices grown one vertex at a time, each the
+    candidate with the most neighbours among the candidates (ties to the
+    highest), sorted; None where the growth runs out of candidates first."""
+    q, cand = [], (1 << g.n) - 1
+    while len(q) < size:
+        if not cand:
+            return None
+        v = max(bits(cand), key=lambda w: ((g.adj[w] & cand).bit_count(), w))
+        q.append(v)
+        cand &= g.adj[v]
+    return tuple(sorted(q))
+
+
+def verdict_multisets(g):
+    """For each catalog check, the multiset of the verdicts of the instances
+    it lists on g (None where one does not apply), each side as a tuple."""
+    def frozen(verdict):
+        return verdict and tuple(tuple(side) if isinstance(side, list) else side
+                                 for side in verdict)
+
+    return {name: Counter(frozen(cd.verdict(g, p)) for p in cd.params(g, None))
+            for name, cd in CHECKS.items()}
+
+
+def sweep_relabelled_verdicts(count: int) -> None:
+    """Check that every catalog check gives the same multiset of verdicts
+    on count seeded G(n, p), n drawn from 4..16 and p from 0.2..0.9, as on
+    one seeded relabelling of each.  The subset table leaves out the top
+    vertex, a split keeps the highest vertex of its clique and the one
+    pass over a graph's small cliques builds each from its prefix, so a
+    relabelled copy reads other masks.  Relabelling is no independent
+    reference: it catches faults that depend on vertex order.  Sixty graphs
+    take about 1 s and run with the tests; CI runs 300 as
+
+        PYTHONPATH=src:tests python -c "import test_identities as t; t.sweep_relabelled_verdicts(300)"
+    """
+    for seed in range(1, count + 1):
+        draw = random.Random(seed)
+        n = draw.randint(4, 16)
+        g = random_gnp(n, round(draw.uniform(0.2, 0.9), 3), RngSpec(seed))
+        h = relabelled(g, draw.sample(range(n), n))
+        assert verdict_multisets(g) == verdict_multisets(h), to_graph6(g)
+
+
+def test_relabelled_graphs_give_the_same_verdicts():
+    sweep_relabelled_verdicts(60)
+
+
 class TestSharedDeletionRhs:
     """edge_recurrence, triangle_identity and clique_deletion read one right
     side per clique, kept in Graph.memo.deletions."""
@@ -419,30 +471,39 @@ class TestSharedDeletionRhs:
                     assert catalog_report(name, warm, q) == report
 
     @pytest.mark.parametrize("n, p, seed", [(21, 0.6, 1), (24, 0.5, 2), (27, 0.4, 3),
-                                            (30, 0.35, 4)])
+                                            (30, 0.35, 4), (24, 0.8, 5)])
     def test_matches_networkx_above_the_exhaustive_cap(self, n, p, seed):
-        """Sampled cliques of 2 to 4 vertices of G(21..30, p), each decided on
-        a fresh Graph and on one where every theorem check has run first, in
-        campaign order, so the verdict reads counts that other checks made."""
+        """Sampled cliques of 2 to 4 vertices of G(21..30, p), and the greedy
+        cliques of 5 to 8 vertices where greedy growth reaches them (all
+        four on G(24, 0.8), whose clique number is 9), each decided on a
+        fresh Graph and on one where every theorem check has run first, in
+        campaign order, so the verdict reads counts that other checks made.
+        A clique of 7 or 8 vertices is past _PACKED_CLIQUE_MAX, so its right
+        side is built in a row."""
         g = random_gnp(n, p, RngSpec(seed))
         warm = Graph(g.n, g.adj)
         for name in ALL_THEOREMS:
             CHECKS[name].first_failure(warm, None)
         sample = random.Random(seed)
+        asked = []
         for size in (2, 3, 4):
             cliques = naive_cliques_of_size(g, size)
             assert cliques
-            for q in sample.sample(cliques, min(3, len(cliques))):
-                report = catalog_report("clique_deletion", Graph(g.n, g.adj), q)
-                assert report.rhs == reference_deletion_rhs(g, q, networkx_counts)
-                assert report.holds
-                assert catalog_report("clique_deletion", warm, q) == report
+            asked += sample.sample(cliques, min(3, len(cliques)))
+        large = [q for size in range(5, 9) if (q := greedy_clique(g, size))]
+        assert len(large) == 4 or p < 0.8
+        for q in asked + large:
+            report = catalog_report("clique_deletion", Graph(g.n, g.adj), q)
+            assert report.rhs == reference_deletion_rhs(g, q, networkx_counts)
+            assert report.holds
+            assert catalog_report("clique_deletion", warm, q) == report
 
     def test_a_clique_of_fewer_than_two_vertices_deletes_nothing(self):
         g = complete_graph(5)
         assert clique_deletion_expansion(g, []).holds
         assert catalog_report("clique_deletion", g, (3,)).holds
-        assert list(g.memo.counts) == [(0, (1 << g.n) - 1)]
+        full = cliquekit.cliques._reader(g)((1 << g.n) - 1)
+        assert g.memo.splits[0] == g.memo.splits[1 << 3] == full
 
     def test_public_functions_report_as_the_catalog(self, corpus):
         for g in corpus:
@@ -507,9 +568,10 @@ class TestPackedVerdicts:
     def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
         """With the subset table of G - e in place of G's, the expansion
         fails on some cliques, and each verdict, decided in the one pass
-        over the graph's small cliques, equals the one whose right side is
-        built in a row from the same table: a packed sum that says "holds"
-        where the sides differ shows here."""
+        over the graph's small cliques, equals the one whose right side the
+        same pass builds in a row from the same table once
+        _PACKED_CLIQUE_MAX is 0: a packed sum that says "holds" where the
+        sides differ shows here."""
         g = random_gnp(9, 0.7, RngSpec(9))
         h = delete_edge(g, g.edges()[0])
         cd = CHECKS["clique_deletion"]
@@ -522,7 +584,6 @@ class TestPackedVerdicts:
         packed = verdicts()
         assert not all(holds for holds, _, _ in packed)
         monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
-        monkeypatch.setattr(cliquekit.identities, "_fill_deletions", lambda g: None)
         assert verdicts() == packed
 
     @staticmethod
@@ -602,7 +663,7 @@ class TestPackedVerdicts:
         lane = cliquekit.cliques._lane(g.n)
         c1, c2, *rest = clique_counts(g)
         planted = Graph(g.n, g.adj)
-        planted.memo.counts[0, (1 << g.n) - 1] = (c1 + (2 << lane), c2 - 1, *rest)
+        planted.memo.counts = (c1 + (2 << lane), c2 - 1, *rest)
         lhs = poly_divided_derivative(clique_polynomial(planted), 1)
         read = cliquekit.cliques._reader(planted)
         assert sum(c << lane * j for j, c in enumerate(lhs)) == sum(map(read, g.adj))
