@@ -56,9 +56,11 @@ list more than LISTING_BUDGET.  It and brute_force_counts are the
 independent references of the kernel and the subset table: it extends each
 clique upward from its lowest vertex, where the kernel works down from the
 highest, and its per-size lists keep that lexicographic order.  The identity
-checks read their cliques through _listed_catalog, which keeps the largest
-catalog listed for a graph in Graph.memo.catalog and answers smaller sizes
-from it.
+checks read their cliques, edges and triangles included, through
+_listed_catalog, which keeps the largest catalog listed for a graph in
+Graph.memo.catalog and answers smaller sizes from it.  Both list with one
+lister, _list_cliques; _listed_catalog asks the budget only for cliques of
+more than three vertices, so edges and triangles stay outside it.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -179,33 +181,45 @@ class CliqueCatalog:
 def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     """Materialize every clique of every size up to k_max (default: all sizes).
 
-    Depth-first extension over bit rows: a clique is only ever extended by
-    common neighbors above its largest vertex, so each clique appears exactly
-    once and each per-size list comes out in lexicographic order.  More than
-    LISTING_BUDGET cliques raise CliqueBudgetExceeded before any is listed.
-    They are counted first, unless no graph on g.n vertices has that many:
-    at most C(n, j) j-cliques.
+    Depth-first extension over bit rows (_list_cliques): a clique is only
+    ever extended by common neighbors above its largest vertex, so each
+    clique appears exactly once and each per-size list comes out in
+    lexicographic order.  More than LISTING_BUDGET cliques raise
+    CliqueBudgetExceeded before any is listed.  They are counted first,
+    unless no graph on g.n vertices has that many: at most C(n, j) j-cliques.
     """
     limit = g.n if k_max is None else max(0, min(k_max, g.n))
     _require_listing_budget(g, limit)
+    return _list_cliques(g, limit)
+
+
+def _list_cliques(g: Graph, limit: int) -> CliqueCatalog:
+    """The catalog of g's cliques of up to limit vertices, 0 <= limit <= g.n,
+    listed without asking the budget: the one lister of enumerate_cliques
+    and _listed_catalog.
+
+    grow(q, cand) appends q extended by each candidate w, lowest first, and
+    extends each such clique by the candidates above w adjacent to it; a
+    clique of limit vertices, or one with no candidate left, makes no call.
+    """
     per: list[list[Clique]] = [[] for _ in range(limit + 1)]
+    adj = g.adj
+
+    def grow(q: Clique, cand: int) -> None:
+        size = len(q) + 1
+        out = per[size]
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            cand ^= low
+            clique = (*q, w)
+            out.append(clique)
+            if size < limit and cand & adj[w]:
+                grow(clique, cand & adj[w])
+
     if limit >= 1:
-        adj = g.adj
-
-        def grow(vs: list[int], cand: int) -> None:
-            per[len(vs)].append(tuple(vs))
-            if len(vs) == limit:
-                return
-            c = cand
-            while c:
-                low = c & -c
-                w = low.bit_length() - 1
-                c ^= low
-                grow(vs + [w], (cand & adj[w]) >> (w + 1) << (w + 1))
-
-        for v in range(g.n):
-            grow([v], adj[v] >> (v + 1) << (v + 1))
-    return CliqueCatalog(g.n, tuple(tuple(lst) for lst in per))
+        grow((), (1 << g.n) - 1)
+    return CliqueCatalog(g.n, tuple(map(tuple, per)))
 
 
 def _require_listing_budget(g: Graph, k_max: int) -> None:
@@ -221,25 +235,36 @@ def _require_listing_budget(g: Graph, k_max: int) -> None:
             )
 
 
+# The largest clique size that _listed_catalog lists without asking the
+# budget: a graph on 64 vertices has at most 64 + C(64, 2) + C(64, 3) = 43 744
+# cliques of up to 3 vertices, its vertices, edges and triangles.
+_UNBUDGETED_SIZE = 3
+
+
 def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     """The cliques of enumerate_cliques(g, k_max), listed once per Graph.
 
     g.memo.catalog keeps the largest catalog listed for g; its size limit
     is len(catalog.by_size) - 1.  It answers any k_max up to that limit with
     a prefix, and any k_max at all once that limit reaches the clique
-    number; a larger k_max lists again, under the same LISTING_BUDGET, and
-    replaces it.
+    number; a larger k_max lists again and replaces it.  Only a listing of
+    cliques of more than _UNBUDGETED_SIZE vertices asks LISTING_BUDGET, so
+    a graph's edges and triangles are always listed.
     """
     memo = g.memo
     catalog = memo.catalog
     limit = max(0, min(k_max, g.n))
     if catalog is not None:
         have = len(catalog.by_size) - 1
-        if limit <= have:
+        if limit == have:
+            return catalog
+        if limit < have:
             return CliqueCatalog(g.n, catalog.by_size[:limit + 1])
         if have >= len(clique_counts(g)):
             return catalog
-    catalog = memo.catalog = enumerate_cliques(g, k_max)
+    if limit > _UNBUDGETED_SIZE:
+        _require_listing_budget(g, limit)
+    catalog = memo.catalog = _list_cliques(g, limit)
     return catalog
 
 

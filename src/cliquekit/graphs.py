@@ -114,10 +114,12 @@ class _Memo:
         identity checks sum or compare is read through it, and they decide
         verdicts by comparing packed sums, unpacking only for reports.
     deletions: clique-deletion verdicts (holds, lhs, rhs) keyed by the
-        clique's mask, filled by cliquekit.identities, so the edge
-        recurrence, the triangle identity and the expansion decide one
-        clique once between them; on a graph with a subset table, the
-        first verdict fills those of every clique of 2 to 4 vertices.
+        clique's sorted tuple of vertices, as the catalog lists it or a
+        parser returns it (an EdgeRef hashes and compares equal to its
+        tuple), filled by cliquekit.identities, so the edge recurrence, the
+        triangle identity and the expansion decide one clique once between
+        them; on a graph with a subset table, the first verdict fills those
+        of every clique of 2 to 4 vertices.
     held: None until cliquekit.identities makes it: the one held verdict
         (True, lhs, tuple(lhs)), lhs the row of C(G), that every
         clique-deletion and vertex-recurrence verdict that holds on the
@@ -143,7 +145,7 @@ class _Memo:
         self.counts: tuple[int, ...] | None = None
         self.subset: list[int] | None = None
         self.read: Callable[[int], int] | None = None
-        self.deletions: dict[int, tuple] = {}
+        self.deletions: dict[tuple[int, ...], tuple] = {}
         self.held: tuple | None = None
         self.splits: dict[int, int] = {}
         self.decks: dict[str, tuple[int, ...]] = {}
@@ -210,26 +212,12 @@ class Graph:
         return list(bits(self.adj[v]))
 
     def edges(self) -> list[EdgeRef]:
-        """The edges in lexicographic order, as a new list on every call."""
-        return list(self._edge_refs)
-
-    @cached_property
-    def _edge_refs(self) -> tuple[EdgeRef, ...]:
+        """The edges in lexicographic order, listed anew on every call."""
         out = []
         for u in range(self.n):
             above = self.adj[u] >> (u + 1) << (u + 1)
             out.extend(EdgeRef(u, v) for v in bits(above))
-        return tuple(out)
-
-    @cached_property
-    def _triangles(self) -> tuple[tuple[int, int, int], ...]:
-        """The triangles as triangles() lists them, listed once per Graph object."""
-        out = []
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
-                common = self.adj[u] & self.adj[v]
-                out.extend((u, v, w) for w in bits(common >> (v + 1) << (v + 1)))
-        return tuple(out)
+        return out
 
 
 # -- named small graphs -----------------------------------------------------
@@ -470,9 +458,14 @@ def is_connected(g: Graph) -> bool:
 # -- triangles ---------------------------------------------------------------
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All triangles as sorted vertex triples, in lexicographic order, as a
-    new list on every call (the graph lists them once)."""
-    return list(g._triangles)
+    """All triangles as sorted vertex triples, in lexicographic order, listed
+    anew on every call."""
+    out = []
+    for u in range(g.n):
+        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
+            common = g.adj[u] & g.adj[v]
+            out.extend((u, v, w) for w in bits(common >> (v + 1) << (v + 1)))
+    return out
 
 
 def triangle_graph(g: Graph) -> Graph:

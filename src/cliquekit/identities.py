@@ -35,7 +35,8 @@ packed integers, with nothing unpacked where it holds:
 - the expansion, whose verdict for a clique is also the edge recurrence's
   and the triangle identity's for edges and triangles: C(G) plus its odd-r
   terms against C(G - Q) plus its even-r terms (_sides_meet), once per
-  clique and graph (Graph.memo.deletions).
+  clique and graph (Graph.memo.deletions, keyed by the clique's tuple as
+  it is listed or parsed).
 A packed sum is exact only while no coefficient reaches 2**lane, which a
 sum of at most cliquekit.cliques._PACKED_UNITS counts never does.  The
 vertex recurrence adds two counts, and the expansion is compared packed
@@ -66,7 +67,11 @@ x**k), and the deck identities read coefficient k of it.
 
 An instance kind (whole graph, k >= lo, vertex, edge, triangle, clique or
 unit) fixes the lister of a graph's instances, the parser, the verify flag
-and the report's params key.  An instance is validated once, where it
+and the report's params key.  Every clique instance, edges and triangles
+included, comes from the graph's one catalog (cliques._listed_catalog), in
+lexicographic order; so do the edge and triangle deck members and the
+derivative formulas' edges and triangles.  Edges and triangles are listed
+outside the listing budget.  An instance is validated once, where it
 enters from outside the program (a public function's argument or a verify
 flag's text), by the parser of its kind: ids and k are ints, and a vertex
 set is a clique when its mask lies in each member's closed neighbourhood.
@@ -111,7 +116,6 @@ from .graphs import (
     _vertex_mask,
     edge,
     is_connected,
-    triangles,
 )
 
 Side = Union[int, list, tuple, None]
@@ -317,7 +321,7 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     if deck == "vertex":
         members = (read(_without_vertex(g, v)) for v in range(g.n))
     else:
-        deleted = g.edges() if deck == "edge" else triangles(g)
+        deleted = _edges(g) if deck == "edge" else _triangles(g)
         members = (_split(g, read, lane, _vertex_mask(q)) for q in deleted)
     row = [0] * (g.n + 1)
     _add_packed(row, members, lane)
@@ -395,6 +399,19 @@ def _k5_free(g: Graph) -> bool:
     return len(clique_counts(g)) < 5
 
 
+def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
+    """g's edges as its catalog lists them, in lexicographic order as
+    Graph.edges lists them.  The catalog lists them with the triangles, both
+    outside the listing budget."""
+    return _listed_catalog(g, 3).cliques(2)
+
+
+def _triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """g's triangles as its catalog lists them, in lexicographic order as
+    graphs.triangles lists them."""
+    return _listed_catalog(g, 3).cliques(3)
+
+
 def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
     catalog = _listed_catalog(g, 4)
     return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
@@ -421,9 +438,9 @@ class _Kind(NamedTuple):
 _GRAPH = _Kind(None, None, lambda g, _: [None])
 _GRAPH_K5_FREE = _Kind(None, None, lambda g, _: [None] if _k5_free(g) else [])
 _VERTEX = _Kind("v", "v", lambda g, _: range(g.n), _parse_vertex)
-_EDGE = _Kind("e", "e", lambda g, _: g.edges(), _parse_edge)
-_TRIANGLE = _Kind("delta", "delta", lambda g, _: triangles(g), _parse_triangle)
-_TRIANGLE_K5_FREE = _Kind("delta", "delta", lambda g, _: triangles(g) if _k5_free(g) else [],
+_EDGE = _Kind("e", "e", lambda g, _: _edges(g), _parse_edge)
+_TRIANGLE = _Kind("delta", "delta", lambda g, _: _triangles(g), _parse_triangle)
+_TRIANGLE_K5_FREE = _Kind("delta", "delta", lambda g, _: _triangles(g) if _k5_free(g) else [],
                           _parse_triangle)
 _CLIQUE = _Kind("clique", "clique", _small_cliques, _parse_clique)
 _UNIT = _Kind("unit", "include_unit", lambda g, _: [False])
@@ -562,7 +579,7 @@ def _triangle_graph_is_edgeless(g: Graph) -> bool:
     most one triangle, one per common neighbour of u and v.  Not through
     triangle_graph(), which caps the triangle count at 64."""
     adj = g.adj
-    return all((adj[u] & adj[v]).bit_count() <= 1 for u, v in g.edges())
+    return all((adj[u] & adj[v]).bit_count() <= 1 for u, v in _edges(g))
 
 
 def _render_conjecture2(g: Graph, _, verdict: Verdict) -> IdentityReport:
@@ -678,7 +695,7 @@ def check_second_derivative(g: Graph) -> Verdict:
     comparison stays in exact integers.
     """
     adj = g.adj
-    return _derivative_verdict(g, 2, [adj[u] & adj[v] for u, v in g.edges()])
+    return _derivative_verdict(g, 2, [adj[u] & adj[v] for u, v in _edges(g)])
 
 
 def _third_derivative_params(g: Graph, _) -> dict:
@@ -697,7 +714,7 @@ def check_third_derivative_k5free(g: Graph) -> Verdict:
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
     adj = g.adj
-    return _derivative_verdict(g, 3, [_common(adj, d) for d in triangles(g)])
+    return _derivative_verdict(g, 3, [adj[u] & adj[v] & adj[w] for u, v, w in _triangles(g)])
 
 
 @_identity("conjecture3", CONJECTURE, _GRAPH)
@@ -870,7 +887,7 @@ class _Terms(dict):
 def _decide(g: Graph, cliques: Iterable[tuple[int, ...]]) -> None:
     """Decide the expansion's 'cliques' reading for each of the sorted
     cliques, taken in size order, and keep each verdict in g.memo.deletions
-    under the clique's mask.
+    under the clique as given.
 
     C(G), its packed read and the held verdict, shared by every clique, are
     read once.  A clique whose parent (the clique without its last vertex)
@@ -913,16 +930,17 @@ def _decide(g: Graph, cliques: Iterable[tuple[int, ...]]) -> None:
             term[q] = (len(q) - 1) * read(nbhd) << lane * len(q)
         deleted = splits[mask] = split(mask) or _packed_count(g, read, lane, full, mask)
         if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, whole, terms):
-            deletions[mask] = held
+            deletions[q] = held
         else:
-            deletions[mask] = _built_verdict(g, q, read, lane, deleted, held[1])
+            deletions[q] = _built_verdict(g, q, read, lane, deleted, held[1])
 
 
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
     q, decided once per graph by _decide and kept in g.memo.deletions under
-    q's mask: for |q| = 2 and 3 it is the edge recurrence's and the triangle
-    identity's as well.
+    q itself, as the catalog lists it or a parser returns it (an EdgeRef is
+    equal to its tuple): for |q| = 2 and 3 it is the edge recurrence's and
+    the triangle identity's as well.
 
     On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
     a lookup in the subset table, the first verdict asked (g.memo.deletions
@@ -931,18 +949,17 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     mask with the kernel, so it decides only the clique it is asked for,
     and splits none of its subcliques.
     """
-    mask = _vertex_mask(q)
     deletions = g.memo.deletions
-    verdict = deletions.get(mask)
+    verdict = deletions.get(q)
     if verdict is None and not deletions and g.n <= _SUBSET_TABLE_MAX_N:
         try:
             _decide(g, _small_cliques(g, None))
         except CliqueBudgetExceeded:
             pass  # left to one clique at a time
-        verdict = deletions.get(mask)
+        verdict = deletions.get(q)
     if verdict is None:
         _decide(g, (q,))
-        verdict = deletions[mask]
+        verdict = deletions[q]
     return verdict
 
 

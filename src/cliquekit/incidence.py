@@ -240,8 +240,8 @@ def edge_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     """Survival matrix of the k-cliques across the m edge-deleted subgraphs."""
     if k < 2:
         raise ValueError("order k must be >= 2")
-    rows = enumerate_cliques(g, k_max=k).cliques(k)
-    return _incidence(KIND_EDGE_DECK, k, rows, [(u, v) for u, v in g.edges()],
+    catalog = enumerate_cliques(g, k_max=k)
+    return _incidence(KIND_EDGE_DECK, k, catalog.cliques(k), catalog.cliques(2),
                       g.n, _AT_MOST_ONE)
 
 

@@ -46,15 +46,17 @@ def subprocess_env() -> dict[str, str]:
 
 
 def record_listings(monkeypatch) -> list:
-    """Record the k_max of every enumerate_cliques call made through cliquekit.cliques."""
-    listing = cliquekit.cliques.enumerate_cliques
+    """Record the size limit of every listing by cliquekit.cliques' one
+    lister, _list_cliques, which enumerate_cliques and the identity checks'
+    catalog both call, budgeted or not."""
+    listing = cliquekit.cliques._list_cliques
     asked = []
 
-    def spy(g, k_max=None):
-        asked.append(k_max)
-        return listing(g, k_max)
+    def spy(g, limit):
+        asked.append(limit)
+        return listing(g, limit)
 
-    monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", spy)
+    monkeypatch.setattr(cliquekit.cliques, "_list_cliques", spy)
     return asked
 
 

@@ -11,13 +11,14 @@ import pytest
 
 import cliquekit.cliques
 import cliquekit.conjectures
+import cliquekit.graphs
 import cliquekit.identities
 from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
 from cliquekit import cli
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
 
-from _helpers import record_campaign_graphs, subprocess_env
+from _helpers import record_campaign_graphs, record_listings, subprocess_env
 
 K4_G6 = to_graph6(complete_graph(4))
 K5_G6 = to_graph6(complete_graph(5))
@@ -768,8 +769,36 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     graphs = record_campaign_graphs(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    sizes = Counter(mask.bit_count() for g in graphs for mask in g.memo.deletions)
+    sizes = Counter(len(q) for g in graphs for q in g.memo.deletions)
     assert sizes == {2: 2906, 3: 2378, 4: 1235}
+
+
+def test_campaign_lists_each_graphs_cliques_once(monkeypatch, capsys):
+    """The small-graph theorem campaign lists each of its 200 graphs'
+    cliques once, up to the clique number for the handshake check, and
+    every check reads its edges and triangles from that one catalog:
+    neither Graph.edges nor graphs.triangles is called."""
+    graphs = record_campaign_graphs(monkeypatch)
+    asked = record_listings(monkeypatch)
+    listed_apart = []
+    edges, triangles = cliquekit.graphs.Graph.edges, cliquekit.graphs.triangles
+
+    def spy_edges(g):
+        listed_apart.append("edges")
+        return edges(g)
+
+    def spy_triangles(g):
+        listed_apart.append("triangles")
+        return triangles(g)
+
+    monkeypatch.setattr(cliquekit.graphs.Graph, "edges", spy_edges)
+    for module in (cliquekit, cliquekit.graphs):
+        monkeypatch.setattr(module, "triangles", spy_triangles)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert len(graphs) == len(asked) == 200
+    assert asked == [max(len(cliquekit.clique_counts(g)), 1) for g in graphs]
+    assert listed_apart == []
 
 
 def test_campaign_builds_no_theorem_row(monkeypatch, capsys):

@@ -199,9 +199,10 @@ class TestCountingKernel:
         expected = enumerate_cliques(g).counts
 
         def listing(*args, **kwargs):
-            raise AssertionError("enumerate_cliques called")
+            raise AssertionError("cliques listed")
 
         monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", listing)
+        monkeypatch.setattr(cliquekit.cliques, "_list_cliques", listing)
         assert clique_counts(g) == expected
         assert clique_polynomial(g) == [1, *expected]
         assert [clique_count(g, k) for k in range(len(expected) + 2)] \
@@ -239,21 +240,21 @@ class TestCountingKernel:
             if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N:
                 small = [q for k in (2, 3, 4) for q in memo.catalog.cliques(k)]
                 assert len(memo.catalog.by_size) == 5 and len(small) == sum(counts[1:4]) == 72
-                assert memo.deletions == {_vertex_mask(q): held for q in small}
+                assert memo.deletions == {q: held for q in small}
                 assert {id(verdict) for verdict in memo.deletions.values()} == {id(memo.held)}
             else:
                 assert memo.catalog is None
-                assert memo.deletions == {1 << u | 1 << v: held}
+                assert memo.deletions == {(u, v): held}
                 assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
                 for size in (4, 7):
                     q = enumerate_cliques(g, size).cliques(size)[0]
                     asked = Graph(g.n, g.adj)
                     edges = itertools.combinations(q, 2)
                     assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
-                    assert list(asked.memo.deletions) == list(asked.memo.splits) \
-                        == [_vertex_mask(q)]
+                    assert list(asked.memo.deletions) == [q]
+                    assert list(asked.memo.splits) == [_vertex_mask(q)]
             assert memo.held == held
-            assert set(memo.splits) == set(memo.deletions)
+            assert set(memo.splits) == set(map(_vertex_mask, memo.deletions))
             assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
             assert vars(g)["memo"] is memo
             refs = [weakref.ref(g), weakref.ref(memo.catalog)]

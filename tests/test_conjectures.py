@@ -280,9 +280,9 @@ class TestCatalog:
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 20)
 
         def listing(*args, **kwargs):
-            raise AssertionError("enumerate_cliques called")
+            raise AssertionError("_list_cliques called")
 
-        monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", listing)
+        monkeypatch.setattr(cliquekit.cliques, "_list_cliques", listing)
         for name in ("handshake", "kth_derivative"):
             with pytest.raises(CliqueBudgetExceeded, match="up to 2 vertices would list 21 "):
                 CHECKS[name].run(complete_graph(6), None)

@@ -92,11 +92,11 @@ def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
     if cliques:
         CHECKS["clique_deletion"].verdict(g, cliques[-1])
     deletions = g.memo.deletions
-    assert sorted(deletions) == sorted(map(mask_of, cliques)), to_graph6(g)
+    assert sorted(deletions) == sorted(cliques), to_graph6(g)
     lhs = [1, *brute_force_counts(g)]
     for q in cliques:
         rhs = reference_deletion_rhs(g, q)
-        assert deletions[mask_of(q)] == (lhs == rhs, lhs, tuple(rhs)), (to_graph6(g), q)
+        assert deletions[q] == (lhs == rhs, lhs, tuple(rhs)), (to_graph6(g), q)
     return len(cliques)
 
 
@@ -230,7 +230,7 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     deletion = CHECKS["clique_deletion"]
     deletion.verdict(g, (u, v))
     for q, rhs in expected.items():
-        verdict = g.memo.deletions.get(mask_of(q))
+        verdict = g.memo.deletions.get(q)
         if q in affected:
             assert verdict is not None and verdict[0] is False, q
             report = deletion.render(g, q, deletion.verdict(g, q))

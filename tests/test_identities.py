@@ -12,6 +12,7 @@ import cliquekit.identities
 from cliquekit import (
     ALL_THEOREMS,
     CHECKS,
+    CliqueBudgetExceeded,
     Graph,
     RngSpec,
     bits,
@@ -57,6 +58,7 @@ from cliquekit.graphs import MAX_VERTICES
 
 from _helpers import (
     graphs,
+    mixed_corpus,
     naive_cliques_of_size,
     naive_common_neighbors,
     networkx_counts,
@@ -65,6 +67,37 @@ from _helpers import (
 )
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+class TestCatalogInstances:
+    """The identity checks take their edges and triangles from the graph's
+    catalog; Graph.edges and triangles, which list them on their own, are
+    its independent references."""
+
+    def test_edges_and_triangles_are_the_catalogs_references(self, monkeypatch):
+        seeded = [random_gnp(n, p, RngSpec(seed)) for seed, (n, p)
+                  in enumerate(itertools.product((4, 9, 16, 33, 64), (0.2, 0.5, 0.8)))]
+        for g in mixed_corpus() + seeded:
+            catalog = cliquekit.cliques._listed_catalog(g, 3)
+            assert list(catalog.cliques(2)) == g.edges(), g.adj
+            assert list(catalog.cliques(3)) == triangles(g), g.adj
+        # edges and triangles are listed outside the budget; cliques of
+        # every size for handshake and of up to 4 vertices for the
+        # expansion are not
+        monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 0)
+        g = complete_graph(6)
+        skipped, reports = set(), {}
+        for name in ALL_THEOREMS:
+            try:
+                reports[name] = CHECKS[name].run(g, None)
+            except CliqueBudgetExceeded:
+                skipped.add(name)
+        assert skipped == {"handshake", "clique_deletion"}
+        assert [r.params["e"] for r in reports["edge_recurrence"]] == list(map(list, g.edges()))
+        assert [r.params["delta"] for r in reports["triangle_identity"]] \
+            == list(map(list, triangles(g)))
+        assert len(reports["edge_deck"]) == 5
+        assert all(r.holds for rs in reports.values() for r in rs)
 
 
 class TestHandshake:
