@@ -57,18 +57,16 @@ def _coeff_line(poly) -> str:
     return " ".join(str(c) for c in poly) if poly else "0"
 
 
-def _parse_int_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    if not _:
-        raise ValueError(f"expected a range like 4..10, got {text!r}")
-    return int(lo), int(hi)
-
-
-def _parse_float_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition("..")
-    if not _:
-        raise ValueError(f"expected a range like 0.2..0.8, got {text!r}")
-    return float(lo), float(hi)
+def _parse_range(text: str, end: type, example: str) -> tuple:
+    """text as lo..hi, each end parsed by end (int or float); any other text
+    is a ValueError that shows example."""
+    lo, sep, hi = text.partition("..")
+    try:
+        if sep:
+            return end(lo), end(hi)
+    except ValueError:
+        pass
+    raise ValueError(f"expected a range like {example}, got {text!r}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -193,13 +191,13 @@ def cmd_fuzz(args) -> int:
     for chunk in args.check:
         checks.extend(chunk.split(","))
     cfg = CampaignConfig(
-        n_range=_parse_int_range(args.n),
-        p_range=_parse_float_range(args.p),
+        n_range=_parse_range(args.n, int, "4..10"),
+        p_range=_parse_range(args.p, float, "0.2..0.8"),
         samples=args.count,
         rng=RngSpec(args.seed),
         checks=tuple(checks),
         shrink=args.shrink,
-        k_range=_parse_int_range(args.k) if args.k else None,
+        k_range=_parse_range(args.k, int, "4..10") if args.k else None,
     )
     report = run_campaign(cfg)
     if args.json:

@@ -118,10 +118,12 @@ class _Memo:
         parser returns it (an EdgeRef hashes and compares equal to its
         tuple), filled by cliquekit.identities, so the edge recurrence, the
         triangle identity and the expansion decide one clique once between
-        them; on a graph with a subset table, the first verdict fills those
-        of every clique of 2 to 4 vertices.
-    held: None until cliquekit.identities makes it: the one held verdict
-        (True, lhs, tuple(lhs)), lhs the row of C(G), that every
+        them; each verdict asked decides that clique alone.
+    terms: None until cliquekit.identities makes it: the graph's expansion
+        context (identities._Terms), a dict of the packed terms
+        (|S| - 1) x**|S| C(G[N(S)]) keyed by the subset S, read once for
+        every clique that contains S, with C(G) packed and the one held
+        verdict (True, lhs, tuple(lhs)), lhs the row of C(G), that every
         clique-deletion and vertex-recurrence verdict that holds on the
         graph shares.
     splits: C(G - E(Q), x) packed as read reads, keyed by the clique Q's
@@ -139,14 +141,14 @@ class _Memo:
     at module level.
     """
 
-    __slots__ = ("counts", "subset", "read", "deletions", "held", "splits", "decks", "catalog")
+    __slots__ = ("counts", "subset", "read", "deletions", "terms", "splits", "decks", "catalog")
 
     def __init__(self) -> None:
         self.counts: tuple[int, ...] | None = None
         self.subset: list[int] | None = None
         self.read: Callable[[int], int] | None = None
         self.deletions: dict[tuple[int, ...], tuple] = {}
-        self.held: tuple | None = None
+        self.terms: dict | None = None
         self.splits: dict[int, int] = {}
         self.decks: dict[str, tuple[int, ...]] = {}
         self.catalog: CliqueCatalog | None = None

@@ -46,20 +46,19 @@ and every coefficient of its left side is below 2**lane (the carry guard):
 the second derivative of K13 sums 78 counts, and near 64 vertices a left
 side can pass the lane.  Equal integers give the held verdict (True, lhs,
 tuple(lhs)); the vertex recurrence and the expansion share one per graph
-(Graph.memo.held).  Only a failing verdict, or one past a bound, builds the
+(_Terms.held).  Only a failing verdict, or one past a bound, builds the
 right side that a report shows, in one row of g.n + 1 coefficients (enough
 for x**r C(G[N(S)], x) with |S| >= r): _count_sum and the expansion add the
 packed counts as integers and unpack each batch into the row once, times
 one coefficient (_add_packed), and _poly_verdict compares the row, kept
 trimmed as a tuple, with the left side.
 
-One routine decides the expansion, _decide, for the sorted cliques it is
-given in size order: C(G) and the held verdict are read once, a clique
-whose parent was walked takes its neighbourhood as the parent's AND one
-row, and each subset's term is read once for every clique that contains
-it.  On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read
-is a table lookup, the first expansion verdict asked gives it every clique
-of 2 to 4 vertices; a larger graph gives it the asked clique alone.
+The expansion decides each clique alone, on either side of the subset
+table's gate, from the graph's one expansion context (_Terms, kept in
+Graph.memo.terms): C(G) packed, the held verdict and each subset's term,
+read once for every clique that contains it.  Both readings of the
+expansion build a right side in a row with one routine, which takes the
+reading's family of vertex sets (_expansion_verdict).
 Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
 vertex, edge or triangle, is summed once per graph into one row of
 Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
@@ -90,8 +89,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .cliques import (
     _PACKED_UNITS,
-    _SUBSET_TABLE_MAX_N,
-    CliqueBudgetExceeded,
     Polynomial,
     _add_packed,
     _lane,
@@ -533,13 +530,13 @@ def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
 
     Decided packed: C(G - v) plus C(G[N(v)]) shifted one lane against C(G).
     Each side is one or two packed counts, which cannot carry, so equal
-    integers give the graph's one held verdict (_held_verdict); only a
+    integers give the graph's one held verdict (its _Terms.held); only a
     vertex where they differ has its right side built in a row.
     """
     read, lane = _reader(g), _lane(g.n)
     without = _without_vertex(g, v)
     if read(without) + (read(g.adj[v]) << lane) == read(without | 1 << v):
-        return _held_verdict(g)
+        return _terms(g).held
     rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [without]))
     return _poly_verdict(clique_polynomial(g), rhs)
 
@@ -800,21 +797,32 @@ def _render_expansion(interpretation: str) -> Render:
     return _renderer("clique_deletion", params)
 
 
-@_identity("clique_deletion_edge_subsets", CONJECTURE, _CLIQUE,
-           render=_render_expansion(INTERPRETATION_EDGE_SUBSETS))
-def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'edge-subsets' reading for the sorted clique q."""
+def _expansion_verdict(g: Graph, q: tuple[int, ...],
+                       family: Callable[[int], Iterable[Iterable[int]]]) -> Verdict:
+    """The verdict of the expansion on the sorted clique q with its right
+    side built in one row, under the reading whose vertex sets S of size
+    r are family(r): C(G - E(Q)) (the graph's split of q, _split), then one
+    _add_packed call per r from 2 to |q| adds (-1)**r (r - 1) x**r C(G[N(S)])
+    over them."""
     adj = g.adj
     read, lane = _reader(g), _lane(g.n)
-    edges = list(itertools.combinations(q, 2))
     rhs = [0] * (g.n + 1)
     _add_packed(rhs, [_split(g, read, lane, _vertex_mask(q))], lane)
     for r in range(2, len(q) + 1):
-        # C(r, 2) <= C(q, 2) edges, whose vertices number at least r
-        subsets = itertools.combinations(edges, comb(r, 2))
-        _add_packed(rhs, (read(_common(adj, {v for e in s for v in e})) for s in subsets),
-                    lane, r, (-1) ** r * (r - 1))
+        _add_packed(rhs, (read(_common(adj, s)) for s in family(r)), lane, r, (-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
+
+
+@_identity("clique_deletion_edge_subsets", CONJECTURE, _CLIQUE,
+           render=_render_expansion(INTERPRETATION_EDGE_SUBSETS))
+def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
+    """The verdict of the expansion's 'edge-subsets' reading for the sorted
+    clique q: its vertex sets of size r are the vertex unions of the
+    C(r, 2)-edge subsets of Q, cliques or not (C(r, 2) <= C(|q|, 2) edges,
+    whose vertices number at least r)."""
+    edges = list(itertools.combinations(q, 2))
+    return _expansion_verdict(g, q, lambda r: ({v for e in s for v in e}
+                                               for s in itertools.combinations(edges, comb(r, 2))))
 
 
 # The largest clique whose expansion sums at most cliques._PACKED_UNITS
@@ -825,141 +833,76 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
 _PACKED_CLIQUE_MAX = 6
 
 
-def _held_verdict(g: Graph) -> Verdict:
-    """(True, lhs, tuple(lhs)), lhs the row of C(G): the verdict of every
-    clique of g on which the expansion holds and of every vertex at which
-    the vertex recurrence holds, its right side the left.  Made once per
-    graph and kept in g.memo.held."""
-    memo = g.memo
-    held = memo.held
-    if held is None:
-        lhs = clique_polynomial(g)
-        held = memo.held = True, lhs, tuple(lhs)
-    return held
-
-
-def _sides_meet(q: tuple[int, ...], deleted: int, whole: int,
-                term: Callable[[tuple[int, ...]], int]) -> bool:
-    """Whether the expansion holds on the clique q of at most
-    _PACKED_CLIQUE_MAX vertices, from packed counts: with every term's sign
-    moved to the side where it adds, the left side is C(G) (whole) plus the
-    odd-r terms and the right side C(G - Q) (deleted) plus the even-r
-    terms, term(S) being (|S| - 1) x**|S| C(G[N(S)]) for an r-subset S of q
-    (r >= 2).  Neither sum carries, so equal sums decide that it holds."""
-    sides = [deleted, whole]
-    for r in range(2, len(q) + 1):
-        sides[r & 1] += sum(map(term, itertools.combinations(q, r)))
-    return sides[0] == sides[1]
-
-
-def _built_verdict(g: Graph, q: tuple[int, ...], read: Callable[[int], int], lane: int,
-                   deleted: int, lhs: list[int]) -> Verdict:
-    """The verdict of the clique q with the right side that a report shows
-    built in one row: C(G - Q) (deleted), then one _add_packed call per r
-    adds the counts of the r-subsets' neighbourhoods with the coefficient
-    of their size.  No term has a clique beyond the clique number of g (S
-    with a clique of G[N(S)] is a clique of g), so the row is as long as the
-    left side (_poly_verdict)."""
-    adj = g.adj
-    rhs = [0] * len(lhs)
-    _add_packed(rhs, [deleted], lane)
-    for r in range(2, len(q) + 1):
-        subsets = itertools.combinations(q, r)
-        _add_packed(rhs, (read(_common(adj, s)) for s in subsets), lane, r, (-1) ** r * (r - 1))
-    return _poly_verdict(lhs, rhs)
-
-
 class _Terms(dict):
-    """The packed terms (|S| - 1) x**|S| C(G[N(S)]) of one _decide call,
-    keyed by the sorted subset S: a term that the walk did not set is read
-    on first use, and a hit stays one dict lookup."""
+    """One graph's expansion context, kept in g.memo.terms: the packed
+    terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the sorted subset S, each
+    read on first use and kept for every later clique that contains S;
+    whole, C(G) packed; and held, (True, lhs, tuple(lhs)) with lhs the row
+    of C(G), the verdict of every clique on which the expansion holds and
+    of every vertex at which the vertex recurrence holds."""
 
-    __slots__ = ("adj", "read", "lane")
+    __slots__ = ("adj", "read", "lane", "whole", "held")
 
-    def __init__(self, adj: tuple[int, ...], read: Callable[[int], int], lane: int) -> None:
-        self.adj, self.read, self.lane = adj, read, lane
+    def __init__(self, g: Graph) -> None:
+        self.adj, self.read, self.lane = g.adj, _reader(g), _lane(g.n)
+        lhs = clique_polynomial(g)
+        self.whole = self.read((1 << g.n) - 1)
+        self.held = True, lhs, tuple(lhs)
 
     def __missing__(self, s: tuple[int, ...]) -> int:
         term = self[s] = (len(s) - 1) * self.read(_common(self.adj, s)) << self.lane * len(s)
         return term
 
 
-def _decide(g: Graph, cliques: Iterable[tuple[int, ...]]) -> None:
-    """Decide the expansion's 'cliques' reading for each of the sorted
-    cliques, taken in size order, and keep each verdict in g.memo.deletions
-    under the clique as given.
-
-    C(G), its packed read and the held verdict, shared by every clique, are
-    read once.  A clique whose parent (the clique without its last vertex)
-    was walked before it takes its common neighbourhood and mask from the
-    parent's, AND one row and OR one bit, and sets its own term
-    (|S| - 1) x**|S| C(G[N(S)]); every other subset's term is read on first
-    use (_Terms) and kept for the sides of every later clique that contains
-    it.  C(G - Q) is the graph's split of Q, read and kept as _split does,
-    written out here to spare a call per clique.  A clique of at most
-    _PACKED_CLIQUE_MAX vertices is first decided by comparing two sums
-    (_sides_meet), and equal sums give the held verdict with nothing
-    unpacked.  Where the sums differ (a failing verdict, which a report
-    shows) or the clique is larger, the right side is built in one row from
-    the same C(G - Q) (_built_verdict).
-    """
-    adj = g.adj
-    read, lane = _reader(g), _lane(g.n)
-    full = (1 << g.n) - 1
-    held = _held_verdict(g)
-    whole = read(full)
+def _terms(g: Graph) -> _Terms:
+    """g's expansion context (_Terms), made on first use."""
     memo = g.memo
-    deletions, splits = memo.deletions, memo.splits
-    split = splits.get
-    walked: dict[tuple[int, ...], tuple[int, int]] = {}
-    term = _Terms(adj, read, lane)
-    terms = term.__getitem__
-    for q in cliques:
-        head = q[:-1]
-        parent = walked.get(head)
-        if parent is None and len(head) == 1:  # a vertex is walked as its row and bit
-            parent = walked[head] = adj[head[0]], 1 << head[0]
-        if parent is None:
-            mask = _vertex_mask(q)
-        else:
-            nbhd, mask = parent
-            last = q[-1]
-            nbhd &= adj[last]
-            mask |= 1 << last
-            walked[q] = nbhd, mask
-            term[q] = (len(q) - 1) * read(nbhd) << lane * len(q)
-        deleted = splits[mask] = split(mask) or _packed_count(g, read, lane, full, mask)
-        if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, whole, terms):
-            deletions[q] = held
-        else:
-            deletions[q] = _built_verdict(g, q, read, lane, deleted, held[1])
+    terms = memo.terms
+    if terms is None:
+        terms = memo.terms = _Terms(g)
+    return terms
+
+
+def _sides_meet(q: tuple[int, ...], deleted: int, terms: _Terms) -> bool:
+    """Whether the expansion holds on the clique q of at most
+    _PACKED_CLIQUE_MAX vertices, from packed counts: with every term's sign
+    moved to the side where it adds, the left side is C(G) (terms.whole)
+    plus the odd-r terms and the right side C(G - Q) (deleted) plus the
+    even-r terms, taken from terms for each r-subset of q (r >= 2).
+    Neither sum carries, so equal sums decide that it holds."""
+    sides = [deleted, terms.whole]
+    term = terms.__getitem__
+    for r in range(2, len(q) + 1):
+        sides[r & 1] += sum(map(term, itertools.combinations(q, r)))
+    return sides[0] == sides[1]
 
 
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
-    q, decided once per graph by _decide and kept in g.memo.deletions under
+    q, decided once per clique and graph and kept in g.memo.deletions under
     q itself, as the catalog lists it or a parser returns it (an EdgeRef is
     equal to its tuple): for |q| = 2 and 3 it is the edge recurrence's and
     the triangle identity's as well.
 
-    On a graph of at most _SUBSET_TABLE_MAX_N vertices, where every read is
-    a lookup in the subset table, the first verdict asked (g.memo.deletions
-    still empty) decides every clique of 2 to 4 vertices at once, unless
-    listing them would go over LISTING_BUDGET.  A larger graph reads each
-    mask with the kernel, so it decides only the clique it is asked for,
-    and splits none of its subcliques.
+    Only q is decided, on either side of the subset table's gate.  C(G - Q)
+    is the graph's split of q (_split), and each subset's term comes from
+    the graph's one expansion context (_terms), shared by every clique that
+    contains the subset.  A clique of at most _PACKED_CLIQUE_MAX vertices
+    is first decided by comparing two sums (_sides_meet), and equal sums
+    give the held verdict with nothing unpacked.  Where the sums differ (a
+    failing verdict, which a report shows) or the clique is larger, the
+    right side is built in one row (_expansion_verdict).
     """
     deletions = g.memo.deletions
     verdict = deletions.get(q)
-    if verdict is None and not deletions and g.n <= _SUBSET_TABLE_MAX_N:
-        try:
-            _decide(g, _small_cliques(g, None))
-        except CliqueBudgetExceeded:
-            pass  # left to one clique at a time
-        verdict = deletions.get(q)
     if verdict is None:
-        _decide(g, (q,))
-        verdict = deletions[q]
+        terms = _terms(g)
+        deleted = _split(g, terms.read, terms.lane, _vertex_mask(q))
+        if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, terms):
+            verdict = terms.held
+        else:
+            verdict = _expansion_verdict(g, q, functools.partial(itertools.combinations, q))
+        deletions[q] = verdict
     return verdict
 
 

@@ -481,13 +481,19 @@ class TestFuzz:
                      "--check", "handshake,first_derivative", "--k", "0..1"]) == 0
         assert "check handshake [theorem]: tested 3, holds 3" in capsys.readouterr().out
 
-    def test_bad_range_rejected(self):
+    def test_bad_range_rejected(self, capsys):
         r = run_cli("fuzz", "--n", "8..3", "--count", "5", "--seed", "1",
                     "--check", "conjecture3")
         assert r.returncode == 2
         r = run_cli("fuzz", "--n", "3;8", "--count", "5", "--seed", "1",
                     "--check", "conjecture3")
         assert r.returncode == 2
+        argv = ["fuzz", "--n", "4..8", "--count", "5", "--seed", "1", "--check", "conjecture3"]
+        for flag, text, example in [("--n", "4..", "4..10"), ("--n", "3;8", "4..10"),
+                                    ("--p", "a..0.5", "0.2..0.8"), ("--k", "3..x", "4..10")]:
+            assert main([*argv, flag, text]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: expected a range like {example}, got {text!r}\n"), flag
 
 
 class TestGen:
@@ -763,14 +769,18 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     """Over the small-graph theorem campaign, the edge recurrence, the triangle
     identity and the clique-deletion expansion decide one verdict per edge,
     triangle and 4-clique between them: 6 519, where one per check
-    instance would be 11 803.  Each graph's first verdict decides all of
-    its cliques of 2 to 4 vertices in one pass, and each adds one entry to
-    its graph's memo.deletions."""
+    instance would be 11 803.  Each adds one entry to its graph's
+    memo.deletions, and each graph's term memo (memo.terms) holds one
+    packed term per clique of 2 to 4 vertices, shared by every clique that
+    contains it: 6 519 terms as well."""
     graphs = record_campaign_graphs(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     sizes = Counter(len(q) for g in graphs for q in g.memo.deletions)
     assert sizes == {2: 2906, 3: 2378, 4: 1235}
+    terms = [g.memo.terms or {} for g in graphs]
+    assert [set(t) for t in terms] == [set(g.memo.deletions) for g in graphs]
+    assert sum(map(len, terms)) == 6519
 
 
 def test_campaign_lists_each_graphs_cliques_once(monkeypatch, capsys):

@@ -210,15 +210,14 @@ class TestCountingKernel:
 
     def test_results_live_exactly_as_long_as_their_graph(self):
         """No module-level cache: counts, the subset table, clique-deletion
-        verdicts, their held verdict and splits, deck sums and the clique
-        catalog go to the Graph's memo and die with it.  A graph of at most
-        _SUBSET_TABLE_MAX_N vertices builds its subset table on its first
-        count; a larger one never does.  On the smaller graph, one edge's
-        verdict lists the cliques of up to 4 vertices and decides every one
-        of them, each held verdict the memo's one held verdict; the larger
-        one decides that edge alone and lists nothing, and a 4-clique or a
-        7-clique asked of it decides and splits that clique alone.  Either
-        splits each clique it decides once."""
+        verdicts, their expansion context and splits, deck sums and the
+        clique catalog go to the Graph's memo and die with it.  A graph of
+        at most _SUBSET_TABLE_MAX_N vertices builds its subset table on its
+        first count; a larger one never does.  On both sides of the gate,
+        one edge's verdict decides and splits that edge alone, lists
+        nothing and holds as the context's one held verdict, and a 4-clique
+        or a largest clique asked of a fresh graph decides and splits that
+        clique alone."""
         for module in (cliquekit.cliques, cliquekit.identities):
             state = {name: value for name, value in vars(module).items()
                      if not name.startswith("__")}
@@ -237,24 +236,18 @@ class TestCountingKernel:
             report = check_edge_recurrence(g, (u, v))
             assert report.holds
             held = (True, report.lhs, tuple(report.rhs))
-            if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N:
-                small = [q for k in (2, 3, 4) for q in memo.catalog.cliques(k)]
-                assert len(memo.catalog.by_size) == 5 and len(small) == sum(counts[1:4]) == 72
-                assert memo.deletions == {q: held for q in small}
-                assert {id(verdict) for verdict in memo.deletions.values()} == {id(memo.held)}
-            else:
-                assert memo.catalog is None
-                assert memo.deletions == {(u, v): held}
-                assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
-                for size in (4, 7):
-                    q = enumerate_cliques(g, size).cliques(size)[0]
-                    asked = Graph(g.n, g.adj)
-                    edges = itertools.combinations(q, 2)
-                    assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
-                    assert list(asked.memo.deletions) == [q]
-                    assert list(asked.memo.splits) == [_vertex_mask(q)]
-            assert memo.held == held
-            assert set(memo.splits) == set(map(_vertex_mask, memo.deletions))
+            assert memo.catalog is None
+            assert memo.deletions == {(u, v): held}
+            assert memo.deletions[(u, v)] is memo.terms.held
+            assert list(memo.splits) == [_vertex_mask((u, v))]
+            assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
+            for size in (4, len(counts)):
+                q = enumerate_cliques(g, size).cliques(size)[0]
+                asked = Graph(g.n, g.adj)
+                edges = itertools.combinations(q, 2)
+                assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
+                assert list(asked.memo.deletions) == [q]
+                assert list(asked.memo.splits) == [_vertex_mask(q)]
             assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
             assert vars(g)["memo"] is memo
             refs = [weakref.ref(g), weakref.ref(memo.catalog)]

@@ -84,19 +84,18 @@ def mask_of(q) -> int:
 
 
 def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
-    """Ask g for one clique-deletion verdict, then check that g.memo.deletions
-    holds one for every clique of 2 to 4 vertices and that each equals the
-    expansion evaluated from brute_force_counts of delete_edge_set(g, E(Q))
-    and of each induced G[N(S)].  Returns how many cliques were checked."""
+    """Ask g for the clique-deletion verdict of every clique of 2 to 4
+    vertices, largest first, and check that each equals the expansion
+    evaluated from brute_force_counts of delete_edge_set(g, E(Q)) and of
+    each induced G[N(S)], and that g.memo.deletions keeps exactly the
+    verdicts asked.  Returns how many cliques were checked."""
     cliques = small_cliques(g)
-    if cliques:
-        CHECKS["clique_deletion"].verdict(g, cliques[-1])
-    deletions = g.memo.deletions
-    assert sorted(deletions) == sorted(cliques), to_graph6(g)
     lhs = [1, *brute_force_counts(g)]
-    for q in cliques:
+    for q in reversed(cliques):
         rhs = reference_deletion_rhs(g, q)
-        assert deletions[q] == (lhs == rhs, lhs, tuple(rhs)), (to_graph6(g), q)
+        assert CHECKS["clique_deletion"].check(g, q) == (lhs == rhs, lhs, tuple(rhs)), \
+            (to_graph6(g), q)
+    assert sorted(g.memo.deletions) == sorted(cliques), to_graph6(g)
     return len(cliques)
 
 
@@ -173,11 +172,11 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
 
 
 def test_one_pass_deletion_verdicts_match_the_oracle_on_every_graph_of_at_most_5_vertices():
-    """The first clique-deletion verdict of a graph of at most 12 vertices
-    decides every clique of 2 to 4 vertices in one pass; on each of the
-    1 099 labeled graphs of at most 5 vertices every one of them equals
-    the expansion of brute-force counts of built subgraphs.  A k-set of
-    vertices is a clique of 2 ** (C(n, 2) - C(k, 2)) of the graphs on n."""
+    """On each of the 1 099 labeled graphs of at most 5 vertices, one pass
+    asks the clique-deletion verdict of every clique of 2 to 4 vertices,
+    and each equals the expansion of brute-force counts of built
+    subgraphs.  A k-set of vertices is a clique of 2 ** (C(n, 2) - C(k, 2))
+    of the graphs on n."""
     assert sweep_deletion_verdicts(n_max=5) == sum(
         comb(n, k) << comb(n, 2) - comb(k, 2) for n in range(1, 6) for k in (2, 3, 4) if k <= n)
 
@@ -193,9 +192,10 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     """Add 1 << 16, one clique of one vertex, to the subset-table entry of
     the common neighbourhood of g's first edge before any verdict.  Every
     clique whose expansion, evaluated term by term from the corrupted reads
-    each unpacked on its own, no longer holds is affected.  The one pass
-    decides every affected clique failing, and its report has that
-    evaluation as its right side; every other clique holds."""
+    each unpacked on its own, no longer holds is affected.  Each clique is
+    asked on its own, the first edge first: every affected clique is
+    decided failing, and its report has that evaluation as its right side;
+    every other clique holds."""
     g = random_gnp(n, p, RngSpec(seed))
     lane = cliquekit.cliques._lane(g.n)
     read = cliquekit.cliques._reader(g)
@@ -228,11 +228,11 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     assert (u, v) in affected
 
     deletion = CHECKS["clique_deletion"]
-    deletion.verdict(g, (u, v))
+    assert deletion.check(g, (u, v))[0] is False
     for q, rhs in expected.items():
-        verdict = g.memo.deletions.get(q)
+        verdict = deletion.check(g, q)
         if q in affected:
-            assert verdict is not None and verdict[0] is False, q
+            assert verdict[0] is False, q
             report = deletion.render(g, q, deletion.verdict(g, q))
             assert (report.holds, report.lhs, report.rhs) == (False, lhs, rhs), q
         else:

@@ -600,11 +600,10 @@ class TestPackedVerdicts:
 
     def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
         """With the subset table of G - e in place of G's, the expansion
-        fails on some cliques, and each verdict, decided in the one pass
-        over the graph's small cliques, equals the one whose right side the
-        same pass builds in a row from the same table once
-        _PACKED_CLIQUE_MAX is 0: a packed sum that says "holds" where the
-        sides differ shows here."""
+        fails on some cliques, and each verdict, decided from packed sums,
+        equals the one whose right side is built in a row from the same
+        table once _PACKED_CLIQUE_MAX is 0: a packed sum that says "holds"
+        where the sides differ shows here."""
         g = random_gnp(9, 0.7, RngSpec(9))
         h = delete_edge(g, g.edges()[0])
         cd = CHECKS["clique_deletion"]
@@ -665,7 +664,7 @@ class TestPackedVerdicts:
         assert failing == {"vertex_recurrence": list(e), "first_derivative": [None],
                            "second_derivative": [None], "third_derivative_k5free": [None],
                            "kth_derivative": [1, 2, 3, 4]}
-        assert held == {id(wrong.memo.held)}
+        assert held == {id(wrong.memo.terms.held)}
 
     def test_the_carry_guard_builds_the_row(self, monkeypatch):
         """K13's second derivative sums the neighbourhoods of its 78 edges,
