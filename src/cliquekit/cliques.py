@@ -56,11 +56,11 @@ list more than LISTING_BUDGET.  It and brute_force_counts are the
 independent references of the kernel and the subset table: it extends each
 clique upward from its lowest vertex, where the kernel works down from the
 highest, and its per-size lists keep that lexicographic order.  The identity
-checks read their cliques, edges and triangles included, through
-_listed_catalog, which keeps the largest catalog listed for a graph in
-Graph.memo.catalog and answers smaller sizes from it.  Both list with one
-lister, _list_cliques; _listed_catalog asks the budget only for cliques of
-more than three vertices, so edges and triangles stay outside it.
+checks read each size of cliques, edges and triangles included, as one
+tuple of the largest catalog listed for a graph (_stored_catalog, kept in
+Graph.memo.catalog), with no prefix catalog made per size read.  Both list
+with one lister, _list_cliques; the stored catalog asks the budget only for
+cliques of more than three vertices, so edges and triangles stay outside it.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -196,7 +196,7 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
 def _list_cliques(g: Graph, limit: int) -> CliqueCatalog:
     """The catalog of g's cliques of up to limit vertices, 0 <= limit <= g.n,
     listed without asking the budget: the one lister of enumerate_cliques
-    and _listed_catalog.
+    and _stored_catalog.
 
     grow(q, cand) appends q extended by each candidate w, lowest first, and
     extends each such clique by the candidates above w adjacent to it; a
@@ -235,18 +235,19 @@ def _require_listing_budget(g: Graph, k_max: int) -> None:
             )
 
 
-# The largest clique size that _listed_catalog lists without asking the
+# The largest clique size that _stored_catalog lists without asking the
 # budget: a graph on 64 vertices has at most 64 + C(64, 2) + C(64, 3) = 43 744
 # cliques of up to 3 vertices, its vertices, edges and triangles.
 _UNBUDGETED_SIZE = 3
 
 
-def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
-    """The cliques of enumerate_cliques(g, k_max), listed once per Graph.
+def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
+    """g.memo.catalog, the largest catalog listed for g, holding every
+    clique of up to k_max vertices and maybe larger ones: the identity
+    checks read the k-cliques, k <= k_max, as its cliques(k).
 
-    g.memo.catalog keeps the largest catalog listed for g; its size limit
-    is len(catalog.by_size) - 1.  It answers any k_max up to that limit with
-    a prefix, and any k_max at all once that limit reaches the clique
+    Its size limit is len(catalog.by_size) - 1.  It answers any k_max up to
+    that limit, and any k_max at all once that limit reaches the clique
     number; a larger k_max lists again and replaces it.  Only a listing of
     cliques of more than _UNBUDGETED_SIZE vertices asks LISTING_BUDGET, so
     a graph's edges and triangles are always listed.
@@ -256,15 +257,21 @@ def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     limit = max(0, min(k_max, g.n))
     if catalog is not None:
         have = len(catalog.by_size) - 1
-        if limit == have:
-            return catalog
-        if limit < have:
-            return CliqueCatalog(g.n, catalog.by_size[:limit + 1])
-        if have >= len(clique_counts(g)):
+        if limit <= have or have >= len(clique_counts(g)):
             return catalog
     if limit > _UNBUDGETED_SIZE:
         _require_listing_budget(g, limit)
     catalog = memo.catalog = _list_cliques(g, limit)
+    return catalog
+
+
+def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
+    """The cliques of enumerate_cliques(g, k_max), listed once per Graph:
+    the stored catalog, cut to exactly k_max sizes where it holds more."""
+    catalog = _stored_catalog(g, k_max)
+    limit = max(0, min(k_max, g.n))
+    if limit < len(catalog.by_size) - 1:
+        return CliqueCatalog(g.n, catalog.by_size[:limit + 1])
     return catalog
 
 

@@ -116,7 +116,9 @@ class CampaignConfig:
     shrink: bool = False
     k_range: Optional[tuple[int, int]] = None
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[str, ...]:
+        """Raise ValueError if the config is invalid; return its checks,
+        resolved once (resolve_checks)."""
         if not 0 <= self.n_range[0] <= self.n_range[1] <= MAX_VERTICES:
             raise ValueError(f"invalid vertex range {self.n_range}")
         if not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
@@ -129,6 +131,7 @@ class CampaignConfig:
         if self.k_range is not None and not any(CHECKS[n].takes_k(self.k_range) for n in names):
             lo, hi = self.k_range
             raise ValueError(f"--k {lo}..{hi} is not taken by any selected check")
+        return names
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,8 +251,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     instances on a graph are evaluated up to the first that fails, and only
     that one is rendered as a report.
     """
-    cfg.validate()
-    names = resolve_checks(cfg.checks)
+    names = cfg.validate()
     start = time.perf_counter()
     tallies = {name: CheckTally(CHECKS[name].kind) for name in names}
     stream = Splitmix64(cfg.rng.seed)

@@ -121,8 +121,9 @@ class _Memo:
         them; each verdict asked decides that clique alone.
     terms: None until cliquekit.identities makes it: the graph's expansion
         context (identities._Terms), a dict of the packed terms
-        (|S| - 1) x**|S| C(G[N(S)]) keyed by the subset S, read once for
-        every clique that contains S, with C(G) packed and the one held
+        (|S| - 1) x**|S| C(G[N(S)]) keyed by the subset S, each stored by
+        the verdict of the clique S itself or read on first use, and shared
+        by every clique that contains S, with C(G) packed and the one held
         verdict (True, lhs, tuple(lhs)), lhs the row of C(G), that every
         clique-deletion and vertex-recurrence verdict that holds on the
         graph shares.
@@ -135,7 +136,9 @@ class _Memo:
         their number at x**0, without trailing zeros; cliquekit.identities
         sums them packed, through read.
     catalog: None, or the largest CliqueCatalog listed for the identity
-        checks by cliquekit.cliques; smaller sizes are read as its prefix.
+        checks by cliquekit.cliques (cliques._stored_catalog); the checks
+        read one size of cliques from it as a tuple, and a prefix catalog
+        is made only where _listed_catalog is asked for fewer sizes.
 
     Everything lives exactly as long as the Graph; cliquekit keeps nothing
     at module level.

@@ -34,9 +34,9 @@ packed integers, with nothing unpacked where it holds:
   C(G[N(Q)]) over the r-cliques Q (_derivative_verdict);
 - the expansion, whose verdict for a clique is also the edge recurrence's
   and the triangle identity's for edges and triangles: C(G) plus its odd-r
-  terms against C(G - Q) plus its even-r terms (_sides_meet), once per
-  clique and graph (Graph.memo.deletions, keyed by the clique's tuple as
-  it is listed or parsed).
+  terms against C(G - Q) plus its even-r terms, compared inline in
+  _deletion_verdict once per clique and graph (Graph.memo.deletions, keyed
+  by the clique's tuple as it is listed or parsed).
 A packed sum is exact only while no coefficient reaches 2**lane, which a
 sum of at most cliquekit.cliques._PACKED_UNITS counts never does.  The
 vertex recurrence adds two counts, and the expansion is compared packed
@@ -56,9 +56,12 @@ trimmed as a tuple, with the left side.
 The expansion decides each clique alone, on either side of the subset
 table's gate, from the graph's one expansion context (_Terms, kept in
 Graph.memo.terms): C(G) packed, the held verdict and each subset's term,
-read once for every clique that contains it.  Both readings of the
-expansion build a right side in a row with one routine, which takes the
-reading's family of vertex sets (_expansion_verdict).
+read once for every clique that contains it.  Each verdict stores its
+clique's own term, so a campaign, which asks the edges, then the
+triangles, then the 4-cliques, finds every proper subset's term stored.
+Both readings of the expansion build a right side in a row with one
+routine, which takes the reading's family of vertex sets
+(_expansion_verdict).
 Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
 vertex, edge or triangle, is summed once per graph into one row of
 Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
@@ -67,13 +70,14 @@ x**k), and the deck identities read coefficient k of it.
 An instance kind (whole graph, k >= lo, vertex, edge, triangle, clique or
 unit) fixes the lister of a graph's instances, the parser, the verify flag
 and the report's params key.  Every clique instance, edges and triangles
-included, comes from the graph's one catalog (cliques._listed_catalog), in
-lexicographic order; so do the edge and triangle deck members and the
-derivative formulas' edges and triangles.  Edges and triangles are listed
-outside the listing budget.  An instance is validated once, where it
-enters from outside the program (a public function's argument or a verify
-flag's text), by the parser of its kind: ids and k are ints, and a vertex
-set is a clique when its mask lies in each member's closed neighbourhood.
+included, is read as one size of the graph's one stored catalog
+(cliques._stored_catalog), in lexicographic order; so are the edge and
+triangle deck members and the derivative formulas' edges and triangles.
+Edges and triangles are listed outside the listing budget.  An instance
+is validated once, where it enters from outside the program (a public
+function's argument or a verify flag's text), by the parser of its kind:
+ids and k are ints, and a vertex set is a clique when its mask lies in
+each member's closed neighbourhood.
 A body trusts its instance, as the catalog lists it: the common
 neighbourhood of a clique or a pair of its vertices is the AND of their
 rows, with no range check.
@@ -92,10 +96,10 @@ from .cliques import (
     Polynomial,
     _add_packed,
     _lane,
-    _listed_catalog,
     _packed_count,
     _reader,
     _require_listing_budget,
+    _stored_catalog,
     _unpack,
     clique_count,
     clique_counts,
@@ -155,12 +159,14 @@ class CheckDef:
     params(g, k_range) lists the instances on g, already normal, and
     check(g, p) evaluates one of them to a verdict, trusting it; an instance
     whose verdict holds None, or whose check raises NotApplicable, does not
-    apply, and verdict(g, p) is the one place that says so.  render(g, p,
-    verdict) renders a verdict as its IdentityReport.  parse(g, raw)
-    validates one instance from outside the program, such as a verify
-    flag's text, with the parser its kind shares with the public identity
-    function, and returns it as params lists it (a unit switch is taken as
-    given).  k_min is the smallest k a 'k' check takes on any graph.
+    apply.  verdict(g, p) states that rule, and first_failure writes it out
+    again in its own loop, so that a campaign makes no verdict frame per
+    instance; tests/test_identities.py checks that the two agree.
+    render(g, p, verdict) renders a verdict as its IdentityReport.
+    parse(g, raw) validates one instance from outside the program, such as
+    a verify flag's text, with the parser its kind shares with the public
+    identity function, and returns it as params lists it (a unit switch is
+    taken as given).  k_min is the smallest k a 'k' check takes on any graph.
     run(g, k_range) renders every listed instance that applies; it is an
     init field so that a wrapped runner can replace it.  Left as None, or as
     another entry's default, it is this entry's own reports, so an entry
@@ -204,11 +210,16 @@ class CheckDef:
         with its verdict (None if every one holds).  Evaluates no instance
         after the failing one and renders none."""
         applies = False
+        check = self.check
         for p in self.params(g, k_range):
-            verdict = self.verdict(g, p)
-            if verdict is None:
+            try:
+                verdict = check(g, p)
+            except NotApplicable:
                 continue
-            if verdict[0] is False:
+            holds = verdict[0]
+            if holds is None:
+                continue
+            if holds is False:
                 return True, (p, verdict)
             applies = True
         return applies, None
@@ -281,10 +292,11 @@ def _split(g: Graph, read: Callable[[int], int], lane: int, without: int) -> int
     """C(G - E(Q), x) packed at lane bits a coefficient, for the clique Q
     whose mask is without, from g's reader: split into masks by
     _packed_count once per graph and kept in g.memo.splits, which every
-    reader of it shares (a packed count is never 0)."""
+    reader of it shares."""
     splits = g.memo.splits
-    packed = splits[without] = (splits.get(without)
-                                or _packed_count(g, read, lane, (1 << g.n) - 1, without))
+    packed = splits.get(without)
+    if packed is None:
+        packed = splits[without] = _packed_count(g, read, lane, (1 << g.n) - 1, without)
     return packed
 
 
@@ -400,17 +412,17 @@ def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """g's edges as its catalog lists them, in lexicographic order as
     Graph.edges lists them.  The catalog lists them with the triangles, both
     outside the listing budget."""
-    return _listed_catalog(g, 3).cliques(2)
+    return _stored_catalog(g, 3).cliques(2)
 
 
 def _triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
     """g's triangles as its catalog lists them, in lexicographic order as
     graphs.triangles lists them."""
-    return _listed_catalog(g, 3).cliques(3)
+    return _stored_catalog(g, 3).cliques(3)
 
 
 def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
-    catalog = _listed_catalog(g, 4)
+    catalog = _stored_catalog(g, 4)
     return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
 
 
@@ -460,7 +472,7 @@ def _k(lo: int, listing: bool = False) -> _Kind:
         if listing and ks:
             for k in ks:
                 _require_listing_budget(g, k)
-            _listed_catalog(g, ks[-1])
+            _stored_catalog(g, ks[-1])
         return ks
 
     def parse(g: Graph, k: int) -> int:
@@ -517,7 +529,7 @@ def check_handshake(g: Graph, k: int) -> Verdict:
     the containment matrix of order k.
     """
     adj = g.adj
-    lhs = sum(_common(adj, q).bit_count() for q in _listed_catalog(g, k).cliques(k))
+    lhs = sum(_common(adj, q).bit_count() for q in _stored_catalog(g, k).cliques(k))
     rhs = (k + 1) * clique_count(g, k + 1)
     return lhs == rhs, lhs, rhs
 
@@ -742,7 +754,7 @@ def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     it would change the exit codes of verify and fuzz.
     """
     adj = g.adj
-    return _derivative_verdict(g, k, [_common(adj, q) for q in _listed_catalog(g, k).cliques(k)])
+    return _derivative_verdict(g, k, [_common(adj, q) for q in _stored_catalog(g, k).cliques(k)])
 
 
 # -- clique-deletion expansion ------------------------------------------------------
@@ -835,11 +847,13 @@ _PACKED_CLIQUE_MAX = 6
 
 class _Terms(dict):
     """One graph's expansion context, kept in g.memo.terms: the packed
-    terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the sorted subset S, each
-    read on first use and kept for every later clique that contains S;
-    whole, C(G) packed; and held, (True, lhs, tuple(lhs)) with lhs the row
-    of C(G), the verdict of every clique on which the expansion holds and
-    of every vertex at which the vertex recurrence holds."""
+    terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the sorted subset S; whole,
+    C(G) packed; and held, (True, lhs, tuple(lhs)) with lhs the row of
+    C(G), the verdict of every clique on which the expansion holds and of
+    every vertex at which the vertex recurrence holds.  Each clique's
+    verdict stores the clique's own term (_deletion_verdict), so a later
+    clique reads it as a subset's; a subset that no earlier clique supplied,
+    as under a single asked clique, is read on first use (__missing__)."""
 
     __slots__ = ("adj", "read", "lane", "whole", "held")
 
@@ -863,20 +877,6 @@ def _terms(g: Graph) -> _Terms:
     return terms
 
 
-def _sides_meet(q: tuple[int, ...], deleted: int, terms: _Terms) -> bool:
-    """Whether the expansion holds on the clique q of at most
-    _PACKED_CLIQUE_MAX vertices, from packed counts: with every term's sign
-    moved to the side where it adds, the left side is C(G) (terms.whole)
-    plus the odd-r terms and the right side C(G - Q) (deleted) plus the
-    even-r terms, taken from terms for each r-subset of q (r >= 2).
-    Neither sum carries, so equal sums decide that it holds."""
-    sides = [deleted, terms.whole]
-    term = terms.__getitem__
-    for r in range(2, len(q) + 1):
-        sides[r & 1] += sum(map(term, itertools.combinations(q, r)))
-    return sides[0] == sides[1]
-
-
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
     q, decided once per clique and graph and kept in g.memo.deletions under
@@ -884,23 +884,39 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     equal to its tuple): for |q| = 2 and 3 it is the edge recurrence's and
     the triangle identity's as well.
 
-    Only q is decided, on either side of the subset table's gate.  C(G - Q)
-    is the graph's split of q (_split), and each subset's term comes from
-    the graph's one expansion context (_terms), shared by every clique that
-    contains the subset.  A clique of at most _PACKED_CLIQUE_MAX vertices
-    is first decided by comparing two sums (_sides_meet), and equal sums
-    give the held verdict with nothing unpacked.  Where the sums differ (a
-    failing verdict, which a report shows) or the clique is larger, the
-    right side is built in one row (_expansion_verdict).
+    Only q is decided, on either side of the subset table's gate, from one
+    loop over q for its mask and N(Q) and the graph's split of q (_split).
+    A clique of at most _PACKED_CLIQUE_MAX vertices is decided by comparing
+    two packed sums, each term moved to the side where it adds: C(G) plus
+    the odd-r terms against C(G - Q) plus the even-r terms.  Its proper
+    subsets' terms come from the graph's one expansion context (_Terms),
+    and q's own term is read from N(Q) and stored there for every larger
+    clique.  Neither sum carries, so equal sums give the held verdict with
+    nothing unpacked.  Where the sums differ (a failing verdict, which a
+    report shows) or the clique is larger, the right side is built in one
+    row (_expansion_verdict).
     """
     deletions = g.memo.deletions
     verdict = deletions.get(q)
     if verdict is None:
         terms = _terms(g)
-        deleted = _split(g, terms.read, terms.lane, _vertex_mask(q))
-        if len(q) <= _PACKED_CLIQUE_MAX and _sides_meet(q, deleted, terms):
-            verdict = terms.held
-        else:
+        read, lane, adj = terms.read, terms.lane, terms.adj
+        mask, common = 0, -1
+        for v in q:
+            mask |= 1 << v
+            common &= adj[v]
+        size = len(q)
+        if size <= _PACKED_CLIQUE_MAX:
+            sides = [_split(g, read, lane, mask), terms.whole]
+            if size > 1:
+                term = terms.__getitem__
+                for r in range(2, size):
+                    sides[r & 1] += sum(map(term, itertools.combinations(q, r)))
+                own = terms[q] = (size - 1) * read(common) << lane * size
+                sides[size & 1] += own
+            if sides[0] == sides[1]:
+                verdict = terms.held
+        if verdict is None:
             verdict = _expansion_verdict(g, q, functools.partial(itertools.combinations, q))
         deletions[q] = verdict
     return verdict

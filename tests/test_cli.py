@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -854,6 +855,69 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(splits) == len(set(splits)) == 6519
     assert sum(len(g.memo.splits) for g in graphs) == 6519
+
+
+def test_campaign_reads_each_term_and_clique_size_from_the_memo(monkeypatch, capsys):
+    """Over the small-graph theorem campaign, each clique-deletion verdict
+    stores its clique's own term, and the campaign asks the edges, then the
+    triangles, then the 4-cliques, so every proper subset's term is stored
+    before it is read: _Terms.__missing__ is never called (6 519 calls when
+    each clique's own term was read there).  Every check reads one size of
+    cliques from its graph's one stored catalog, so the 200 listings are the
+    only CliqueCatalog objects made (1 107 when each size read made a
+    prefix catalog)."""
+    terms_type = cliquekit.identities._Terms
+    missing, init = terms_type.__missing__, cliquekit.cliques.CliqueCatalog.__init__
+    asked, made = [], []
+
+    def spy_missing(terms, s):
+        asked.append(s)
+        return missing(terms, s)
+
+    def spy_init(catalog, *args):
+        made.append(args[0])
+        init(catalog, *args)
+
+    monkeypatch.setattr(terms_type, "__missing__", spy_missing)
+    monkeypatch.setattr(cliquekit.cliques.CliqueCatalog, "__init__", spy_init)
+    listed = record_listings(monkeypatch)
+    assert main(list(FUZZ_THEOREMS)) == 0
+    capsys.readouterr()
+    assert asked == []
+    assert len(made) == len(listed) == 200
+
+
+@pytest.mark.parametrize("gen", [("12", "0.9", "3"), ("16", "0.85", "1")])
+def test_one_asked_clique_reads_its_subsets_terms_on_demand(gen, monkeypatch, capsys):
+    """A single `verify --clique` on a fresh graph, on either side of the
+    subset table's gate, has no earlier verdict to supply its subsets'
+    terms: each of the 10 proper subsets of 2 or 3 vertices of the asked
+    4-clique is read on demand (_Terms.__missing__), its own term is
+    stored by its verdict, and it alone is decided."""
+    assert main(["gen", *gen]) == 0
+    g6 = capsys.readouterr().out.strip()
+    load, missing = cli._load_graph, cliquekit.identities._Terms.__missing__
+    loaded, asked = [], []
+
+    def spy_load(args):
+        loaded.append(load(args))
+        return loaded[-1]
+
+    def spy_missing(terms, s):
+        asked.append(s)
+        return missing(terms, s)
+
+    monkeypatch.setattr(cli, "_load_graph", spy_load)
+    monkeypatch.setattr(cliquekit.identities._Terms, "__missing__", spy_missing)
+    assert main(["verify", "-g", g6, "--identity", "clique_deletion", "--clique", "0-1-2-4"]) == 0
+    assert capsys.readouterr().out.rstrip("\n").endswith("holds=true")
+    (g,) = loaded
+    q = (0, 1, 2, 4)
+    subsets = [s for r in (2, 3) for s in itertools.combinations(q, r)]
+    assert sorted(asked) == sorted(subsets)
+    assert list(g.memo.deletions) == [q]
+    assert g.memo.deletions[q] is g.memo.terms.held
+    assert set(g.memo.terms) == {*subsets, q}
 
 
 def test_theorem_campaign_renders_no_report(monkeypatch, capsys):

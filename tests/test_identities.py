@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import random
@@ -55,6 +56,7 @@ from cliquekit import (
     triangles,
 )
 from cliquekit.graphs import MAX_VERTICES
+from cliquekit.identities import NotApplicable
 
 from _helpers import (
     graphs,
@@ -98,6 +100,48 @@ class TestCatalogInstances:
             == list(map(list, triangles(g)))
         assert len(reports["edge_deck"]) == 5
         assert all(r.holds for rs in reports.values() for r in rs)
+
+
+class TestFirstFailure:
+    """CheckDef.first_failure writes verdict's rule for what applies (the
+    check raises NotApplicable, or its verdict holds None) out again in its
+    own loop; both must say the same of every instance."""
+
+    def test_agrees_with_a_loop_over_verdict(self):
+        seeded = [random_gnp(n, p, RngSpec(seed)) for seed, (n, p)
+                  in enumerate(itertools.product(range(4, 17), (0.3, 0.6, 0.9)))]
+        outcomes = Counter()
+        for g in mixed_corpus() + seeded:
+            for cd in CHECKS.values():
+                for k_range in (None, (3, 3)):
+                    asked = Graph(g.n, g.adj)
+                    verdicts = [(p, verdict) for p in cd.params(asked, k_range)
+                                if (verdict := cd.verdict(asked, p)) is not None]
+                    first = next(((p, v) for p, v in verdicts if v[0] is False), None)
+                    expected = bool(verdicts), first
+                    assert cd.first_failure(Graph(g.n, g.adj), k_range) == expected, \
+                        (cd.name, k_range, g.adj)
+                    outcomes[expected[0], first is None] += 1
+        # some check on some graph applies nowhere, fails, and holds throughout
+        assert set(outcomes) == {(False, True), (True, False), (True, True)}
+
+    def test_a_check_that_does_not_apply_is_skipped_alike(self):
+        """An instance whose check raises NotApplicable, or whose verdict
+        holds None, is passed over by both, before and after a failure."""
+        def check(g, p):
+            if p == 0:
+                raise NotApplicable("no")
+            return (None, None, None) if p == 1 else (p != 2, p, 2)
+
+        cd = dataclasses.replace(CHECKS["vertex_recurrence"], check=check,
+                                 params=lambda g, k_range: range(g.n))
+        failure = True, (2, (False, 2, 2))
+        for n, expected in [(0, (False, None)), (2, (False, None)), (3, failure), (5, failure)]:
+            g = empty_graph(n)
+            assert [cd.verdict(g, p) for p in range(n)][:2] == [None] * min(n, 2)
+            assert cd.first_failure(g, None) == expected
+        cd = dataclasses.replace(cd, check=lambda g, p: check(g, p + 3 if p > 1 else p))
+        assert cd.first_failure(empty_graph(4), None) == (True, None)
 
 
 class TestHandshake:
