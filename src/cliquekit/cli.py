@@ -37,12 +37,7 @@ from .graphs import (
     random_gnp,
     to_graph6,
 )
-from .incidence import (
-    edge_deck_matrix,
-    subclique_superclique_matrix,
-    triangle_deck_matrix,
-    vertex_deck_matrix,
-)
+from .incidence import _KINDS, _column_size, _matrix
 
 
 def _load_graph(args) -> Graph:
@@ -90,27 +85,18 @@ def cmd_poly(args) -> int:
     return 0
 
 
-_MATRIX_BUILDERS = {
-    "super": subclique_superclique_matrix,
-    "vdeck": vertex_deck_matrix,
-    "edeck": edge_deck_matrix,
-    "tdeck": triangle_deck_matrix,
-}
-
-
 # the most cells `matrix` builds: 44 times the largest matrix the benchmark exports
 MATRIX_CELL_LIMIT = 10_000_000
 
 
 def _require_cell_budget(g: Graph, kind: str, k: int) -> None:
     """Raise ValueError if the kind matrix of order k on g would have more
-    than MATRIX_CELL_LIMIT cells; lists nothing.  Its rows are the k-cliques
-    and its columns the (k+1)-cliques, vertices, edges or triangles.  The
-    listing budget is checked first, and the cliques are counted only when
-    C(n, k) rows by the columns' C(n, .) bound could exceed the limit."""
-    col_size = {"super": k + 1, "vdeck": 1, "edeck": 2, "tdeck": 3}[kind]
-    if k < (1 if kind == "super" else col_size):
-        return  # the builder refuses it: a deck of j-cliques takes k >= j
+    than MATRIX_CELL_LIMIT cells, or if k is below the kind's smallest order;
+    lists nothing.  Its rows are the k-cliques and its columns the
+    (k+1)-cliques, vertices, edges or triangles.  The listing budget is
+    checked first, and the cliques are counted only when C(n, k) rows by the
+    columns' C(n, .) bound could exceed the limit."""
+    col_size = _column_size(kind, k)
     _require_listing_budget(g, max(k, col_size))  # what the builder lists
     if comb(g.n, k) * comb(g.n, col_size) <= MATRIX_CELL_LIMIT:
         return
@@ -125,7 +111,7 @@ def _require_cell_budget(g: Graph, kind: str, k: int) -> None:
 def cmd_matrix(args) -> int:
     g = _load_graph(args)
     _require_cell_budget(g, args.kind, args.k)
-    matrix = _MATRIX_BUILDERS[args.kind](g, args.k)
+    matrix = _matrix(g, args.kind, args.k)
     if args.format == "json":
         print(matrix.to_json())
     else:
@@ -141,12 +127,8 @@ def cmd_verify(args) -> int:
     from .conjectures import CHECKS, THEOREM, resolve_checks
 
     g = _load_graph(args)
-    names = []
-    if args.all_theorems:
-        names.append("all-theorems")
-    for chunk in args.identity or []:
-        names.extend(chunk.split(","))
-    resolved = resolve_checks(names)
+    names = ["all-theorems"] if args.all_theorems else []
+    resolved = resolve_checks(names + (args.identity or []))
     taken = {CHECKS[name].param for name in resolved}
     for param, flag in _INSTANCE_FLAGS.items():
         if getattr(args, param) is not None and param not in taken:
@@ -164,7 +146,8 @@ def cmd_verify(args) -> int:
     for name in resolved:
         cd = CHECKS[name]
         try:
-            done = cd.applicable(g, [instances[name]]) if name in instances else cd.run(g, k_range)
+            done = (cd.reports(g, k_range, [instances[name]]) if name in instances
+                    else cd.run(g, k_range))
         except CliqueBudgetExceeded as exc:
             print(f"skipped {name}: {exc}", file=sys.stderr)
             skipped = True
@@ -187,15 +170,12 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     from .conjectures import CampaignConfig, run_campaign
 
-    checks = []
-    for chunk in args.check:
-        checks.extend(chunk.split(","))
     cfg = CampaignConfig(
         n_range=_parse_range(args.n, int, "4..10"),
         p_range=_parse_range(args.p, float, "0.2..0.8"),
         samples=args.count,
         rng=RngSpec(args.seed),
-        checks=tuple(checks),
+        checks=tuple(args.check),
         shrink=args.shrink,
         k_range=_parse_range(args.k, int, "4..10") if args.k else None,
     )
@@ -223,6 +203,11 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _split_ids(text: str) -> list[str]:
+    """One --identity or --check value, ID[,ID...], as its list of ids."""
+    return text.split(",")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cliquekit",
@@ -244,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix = sub.add_parser("matrix", help="clique incidence matrices")
     _add_input_options(p_matrix)
     p_matrix.add_argument("--kind", required=True,
-                          choices=sorted(_MATRIX_BUILDERS),
+                          choices=sorted(_KINDS),
                           help="super: k-cliques vs (k+1)-cliques; vdeck/edeck/tdeck: "
                                "k-cliques vs deleted vertices / edges / triangle edge sets")
     p_matrix.add_argument("--k", type=int, required=True, help="clique size for the rows")
@@ -253,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity checks on one graph")
     _add_input_options(p_verify)
-    p_verify.add_argument("--identity", action="append", metavar="ID[,ID...]",
+    p_verify.add_argument("--identity", action="extend", type=_split_ids, metavar="ID[,ID...]",
                           help="identity ids (see README for the catalog)")
     p_verify.add_argument("--all-theorems", action="store_true",
                           help="run every theorem-class identity")
@@ -277,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="edge-probability range (default 0..1)")
     p_fuzz.add_argument("--count", type=int, required=True, help="number of graphs")
     p_fuzz.add_argument("--seed", type=int, required=True, help="campaign seed")
-    p_fuzz.add_argument("--check", action="append", required=True,
+    p_fuzz.add_argument("--check", action="extend", type=_split_ids, required=True,
                         metavar="ID[,ID...]", help="check ids or all-theorems")
     p_fuzz.add_argument("--k", metavar="A..B", help="restrict k-parameterized checks")
     p_fuzz.add_argument("--shrink", action="store_true",

@@ -265,16 +265,6 @@ def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     return catalog
 
 
-def _listed_catalog(g: Graph, k_max: int) -> CliqueCatalog:
-    """The cliques of enumerate_cliques(g, k_max), listed once per Graph:
-    the stored catalog, cut to exactly k_max sizes where it holds more."""
-    catalog = _stored_catalog(g, k_max)
-    limit = max(0, min(k_max, g.n))
-    if limit < len(catalog.by_size) - 1:
-        return CliqueCatalog(g.n, catalog.by_size[:limit + 1])
-    return catalog
-
-
 def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """(c_1, ..., c_omega) of the subgraph that the vertex bitmask mask induces.
 

@@ -137,8 +137,8 @@ class _Memo:
         sums them packed, through read.
     catalog: None, or the largest CliqueCatalog listed for the identity
         checks by cliquekit.cliques (cliques._stored_catalog); the checks
-        read one size of cliques from it as a tuple, and a prefix catalog
-        is made only where _listed_catalog is asked for fewer sizes.
+        read one size of cliques from it as a tuple, and no prefix catalog
+        is made.
 
     Everything lives exactly as long as the Graph; cliquekit keeps nothing
     at module level.

@@ -89,7 +89,7 @@ import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .cliques import (
     _PACKED_UNITS,
@@ -159,9 +159,8 @@ class CheckDef:
     params(g, k_range) lists the instances on g, already normal, and
     check(g, p) evaluates one of them to a verdict, trusting it; an instance
     whose verdict holds None, or whose check raises NotApplicable, does not
-    apply.  verdict(g, p) states that rule, and first_failure writes it out
-    again in its own loop, so that a campaign makes no verdict frame per
-    instance; tests/test_identities.py checks that the two agree.
+    apply.  verdicts(g, instances) states that rule, the only one: reports
+    renders what it yields and first_failure reads it up to a failure.
     render(g, p, verdict) renders a verdict as its IdentityReport.
     parse(g, raw) validates one instance from outside the program, such as
     a verify flag's text, with the parser its kind shares with the public
@@ -187,39 +186,33 @@ class CheckDef:
         if self.run is None or getattr(self.run, "__func__", None) is CheckDef.reports:
             object.__setattr__(self, "run", self.reports)
 
-    def reports(self, g: Graph, k_range: KRange) -> list[IdentityReport]:
-        """Reports of every listed instance on g that applies: the default run."""
-        return self.applicable(g, self.params(g, k_range))
+    def reports(self, g: Graph, k_range: KRange,
+                instances: Optional[Iterable] = None) -> list[IdentityReport]:
+        """Reports of the given instances on g that apply, by default of
+        every listed instance: the default run."""
+        if instances is None:
+            instances = self.params(g, k_range)
+        return [self.render(g, p, verdict) for p, verdict in self.verdicts(g, instances)]
 
-    def verdict(self, g: Graph, p) -> Optional[Verdict]:
-        """The verdict of instance p on g, or None if p does not apply: its
-        check raised NotApplicable or decided holds None."""
-        try:
-            verdict = self.check(g, p)
-        except NotApplicable:
-            return None
-        return None if verdict[0] is None else verdict
-
-    def applicable(self, g: Graph, instances: Iterable) -> list[IdentityReport]:
-        """Reports of the given instances on g, without those that do not apply."""
-        return [self.render(g, p, verdict) for p in instances
-                if (verdict := self.verdict(g, p)) is not None]
+    def verdicts(self, g: Graph, instances: Iterable) -> Iterator[tuple[object, Verdict]]:
+        """(p, verdict) for each of the instances on g that applies: its check
+        raised no NotApplicable and decided holds True or False."""
+        check = self.check
+        for p in instances:
+            try:
+                verdict = check(g, p)
+            except NotApplicable:
+                continue
+            if verdict[0] is not None:
+                yield p, verdict
 
     def first_failure(self, g: Graph, k_range: KRange) -> tuple[bool, Optional[tuple[object, Verdict]]]:
         """Whether some listed instance applies on g, and the first that fails
         with its verdict (None if every one holds).  Evaluates no instance
         after the failing one and renders none."""
         applies = False
-        check = self.check
-        for p in self.params(g, k_range):
-            try:
-                verdict = check(g, p)
-            except NotApplicable:
-                continue
-            holds = verdict[0]
-            if holds is None:
-                continue
-            if holds is False:
+        for p, verdict in self.verdicts(g, self.params(g, k_range)):
+            if verdict[0] is False:
                 return True, (p, verdict)
             applies = True
         return applies, None

@@ -1,6 +1,7 @@
 """Labeled 0/1 clique incidence matrices and their row/column-sum accounting.
 
-Four kinds are built here:
+Four kinds are built here, each named as `cliquekit matrix --kind` names
+it (super, vdeck, edeck, tdeck):
 
 * subclique-superclique: k-cliques against (k+1)-cliques, entry 1 iff the row
   clique is contained in the column clique.  Row sums equal the clique-value
@@ -16,6 +17,12 @@ Four kinds are built here:
   entry 1 iff no edge of the deleted triangle lies inside the clique.  Column
   sums count surviving k-cliques; row sums are reported but deliberately not
   asserted constant (their constancy is an open question probed elsewhere).
+
+A kind's columns are cliques too, the (k+1)-cliques or the deck members'
+vertices, edges or triangles, so one table (_KINDS) holds each kind's
+column-clique size and row rule.  One routine (_matrix), which the public
+builders and the CLI call, lists a kind's rows and columns in one catalog
+and builds it.
 
 Every matrix is stored as one bit row per matrix row (bit j of a row is its
 entry in column j).  Each kind is a rule on how many vertices a row clique q
@@ -218,31 +225,46 @@ def _incidence(kind: str, k: int, row_labels, col_labels, n: int, rule: str) -> 
     return IncidenceMatrix(kind, k, tuple(row_labels), tuple(col_labels), tuple(rows))
 
 
+# each kind, keyed by its `cliquekit matrix --kind` name: the matrix's kind,
+# the size of its column cliques (None: k + 1) and the rule its rows keep
+_KINDS = {
+    "super": (KIND_SUBCLIQUE_SUPERCLIQUE, None, _CONTAINS),
+    "vdeck": (KIND_VERTEX_DECK, 1, _DISJOINT),
+    "edeck": (KIND_EDGE_DECK, 2, _AT_MOST_ONE),
+    "tdeck": (KIND_TRIANGLE_DECK, 3, _AT_MOST_ONE),
+}
+
+
+def _column_size(kind: str, k: int) -> int:
+    """The size of the column cliques of the kind matrix of order k.  Raises
+    ValueError below the kind's smallest order: 1, or j for a deck of j-cliques."""
+    size = _KINDS[kind][1]
+    if k < (size or 1):
+        raise ValueError(f"order k must be >= {size or 1}")
+    return size or k + 1
+
+
+def _matrix(g: Graph, kind: str, k: int) -> IncidenceMatrix:
+    """The kind matrix of order k on g, its rows and columns listed at once."""
+    name, _, rule = _KINDS[kind]
+    size = _column_size(kind, k)
+    catalog = enumerate_cliques(g, max(k, size))
+    return _incidence(name, k, catalog.cliques(k), catalog.cliques(size), g.n, rule)
+
+
 def subclique_superclique_matrix(g: Graph, k: int) -> IncidenceMatrix:
     """Containment matrix between the k-cliques and the (k+1)-cliques of g."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    catalog = enumerate_cliques(g, k_max=k + 1)
-    return _incidence(KIND_SUBCLIQUE_SUPERCLIQUE, k, catalog.cliques(k), catalog.cliques(k + 1),
-                      g.n, _CONTAINS)
+    return _matrix(g, "super", k)
 
 
 def vertex_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     """Survival matrix of the k-cliques across the n vertex-deleted subgraphs."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    rows = enumerate_cliques(g, k_max=k).cliques(k)
-    return _incidence(KIND_VERTEX_DECK, k, rows, [(v,) for v in range(g.n)],
-                      g.n, _DISJOINT)
+    return _matrix(g, "vdeck", k)
 
 
 def edge_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     """Survival matrix of the k-cliques across the m edge-deleted subgraphs."""
-    if k < 2:
-        raise ValueError("order k must be >= 2")
-    catalog = enumerate_cliques(g, k_max=k)
-    return _incidence(KIND_EDGE_DECK, k, catalog.cliques(k), catalog.cliques(2),
-                      g.n, _AT_MOST_ONE)
+    return _matrix(g, "edeck", k)
 
 
 def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
@@ -251,11 +273,7 @@ def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     A k-clique survives deleting triangle d's edges iff it shares at most one
     vertex with d.  Row sums are exposed but not asserted constant.
     """
-    if k < 3:
-        raise ValueError("order k must be >= 3")
-    catalog = enumerate_cliques(g, k_max=k)
-    return _incidence(KIND_TRIANGLE_DECK, k, catalog.cliques(k), catalog.cliques(3),
-                      g.n, _AT_MOST_ONE)
+    return _matrix(g, "tdeck", k)
 
 
 def double_count(matrix: IncidenceMatrix) -> tuple[int, int]:

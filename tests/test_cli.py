@@ -14,7 +14,17 @@ import cliquekit.cliques
 import cliquekit.conjectures
 import cliquekit.graphs
 import cliquekit.identities
-from cliquekit import ALL_THEOREMS, CHECKS, IdentityReport, complete_graph, to_graph6
+from cliquekit import (
+    ALL_THEOREMS,
+    CHECKS,
+    IdentityReport,
+    complete_graph,
+    edge_deck_matrix,
+    subclique_superclique_matrix,
+    to_graph6,
+    triangle_deck_matrix,
+    vertex_deck_matrix,
+)
 from cliquekit import cli
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
@@ -150,6 +160,34 @@ class TestMatrix:
         monkeypatch.setattr(cli, "MATRIX_CELL_LIMIT", 0)
         assert main(["matrix", "-g", K4_G6, "--kind", kind, "--k", str(k)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, build, low", [
+        ("super", subclique_superclique_matrix, 1), ("vdeck", vertex_deck_matrix, 1),
+        ("edeck", edge_deck_matrix, 2), ("tdeck", triangle_deck_matrix, 3),
+    ])
+    def test_every_order_below_the_smallest_fails_alike(self, kind, build, low, capsys):
+        """The public builder and `matrix` refuse each order below the
+        kind's smallest with one text; the CLI exits 2."""
+        for k in range(-1, low):
+            with pytest.raises(ValueError) as info:
+                build(complete_graph(4), k)
+            assert str(info.value) == f"order k must be >= {low}"
+            assert main(["matrix", "-g", K4_G6, "--kind", kind, "--k", str(k)]) == 2
+            assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+    # K5 has 10 edges, 10 triangles and 5 vertices
+    @pytest.mark.parametrize("kind, k, cols", [("super", 2, 10), ("vdeck", 2, 5),
+                                               ("edeck", 2, 10), ("tdeck", 3, 10)])
+    def test_each_kind_states_its_cells_over_the_limit(self, kind, k, cols, monkeypatch, capsys):
+        argv = ["matrix", "-g", K5_G6, "--kind", kind, "--k", str(k)]
+        monkeypatch.setattr(cli, "MATRIX_CELL_LIMIT", 10 * cols)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MATRIX_CELL_LIMIT", 10 * cols - 1)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: the {kind} matrix of order {k} would have "
+                                           f"10 x {cols} = {10 * cols} cells, over the limit "
+                                           f"of {10 * cols - 1}\n")
 
 
 class TestVerify:

@@ -240,7 +240,7 @@ class TestCountingKernel:
             assert memo.deletions == {(u, v): held}
             assert memo.deletions[(u, v)] is memo.terms.held
             assert list(memo.splits) == [_vertex_mask((u, v))]
-            assert cliquekit.cliques._listed_catalog(g, 2) is memo.catalog
+            assert cliquekit.cliques._stored_catalog(g, 2) is memo.catalog
             for size in (4, len(counts)):
                 q = enumerate_cliques(g, size).cliques(size)[0]
                 asked = Graph(g.n, g.adj)
@@ -525,16 +525,20 @@ class TestDepthFirstCount:
 
 class TestListingOncePerGraph:
     def test_every_request_order_reads_the_same_cliques(self, corpus):
-        """However the sizes are asked for, each answer equals a fresh listing."""
+        """However the sizes are asked for, the stored catalog holds each
+        size up to k as a fresh listing does, and enumerate_cliques lists
+        exactly k sizes."""
         for g in corpus:
             top = g.n + 1
             for order in (range(top), range(top - 1, -1, -1), [2, 0, 4, 1, top, 3]):
                 h = Graph(g.n, g.adj)
                 for k in order:
-                    listed = cliquekit.cliques._listed_catalog(h, k)
+                    stored = cliquekit.cliques._stored_catalog(h, k)
                     fresh = enumerate_cliques(g, k_max=k)
-                    assert [listed.cliques(j) for j in range(top + 1)] \
-                        == [fresh.cliques(j) for j in range(top + 1)], (k, g.adj)
+                    limit = min(k, g.n)
+                    assert len(fresh.by_size) == limit + 1, (k, g.adj)
+                    assert [stored.cliques(j) for j in range(limit + 1)] \
+                        == list(fresh.by_size), (k, g.adj)
                 assert h.memo.catalog.counts == clique_counts(g)
 
     def test_only_a_request_beyond_the_listed_sizes_lists_again(self, monkeypatch):
@@ -543,7 +547,7 @@ class TestListingOncePerGraph:
         omega = len(clique_counts(g))
         assert omega > 3
         for k in (2, 1, 2, 3, 2, omega, g.n, 3):
-            cliquekit.cliques._listed_catalog(g, k)
+            assert cliquekit.cliques._stored_catalog(g, k) is g.memo.catalog
         assert asked == [2, 3, omega]
 
 

@@ -233,7 +233,7 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
         verdict = deletion.check(g, q)
         if q in affected:
             assert verdict[0] is False, q
-            report = deletion.render(g, q, deletion.verdict(g, q))
+            [report] = deletion.reports(g, None, [q])
             assert (report.holds, report.lhs, report.rhs) == (False, lhs, rhs), q
         else:
             assert verdict == (True, lhs, tuple(lhs)), q

@@ -80,7 +80,7 @@ class TestCatalogInstances:
         seeded = [random_gnp(n, p, RngSpec(seed)) for seed, (n, p)
                   in enumerate(itertools.product((4, 9, 16, 33, 64), (0.2, 0.5, 0.8)))]
         for g in mixed_corpus() + seeded:
-            catalog = cliquekit.cliques._listed_catalog(g, 3)
+            catalog = cliquekit.cliques._stored_catalog(g, 3)
             assert list(catalog.cliques(2)) == g.edges(), g.adj
             assert list(catalog.cliques(3)) == triangles(g), g.adj
         # edges and triangles are listed outside the budget; cliques of
@@ -103,9 +103,10 @@ class TestCatalogInstances:
 
 
 class TestFirstFailure:
-    """CheckDef.first_failure writes verdict's rule for what applies (the
-    check raises NotApplicable, or its verdict holds None) out again in its
-    own loop; both must say the same of every instance."""
+    """CheckDef.verdicts states the rule for what applies (the check raises
+    NotApplicable, or its verdict holds None) once, and first_failure and
+    reports read it; both must say of every instance what a plain loop over
+    check, written out here, says."""
 
     def test_agrees_with_a_loop_over_verdict(self):
         seeded = [random_gnp(n, p, RngSpec(seed)) for seed, (n, p)
@@ -115,12 +116,20 @@ class TestFirstFailure:
             for cd in CHECKS.values():
                 for k_range in (None, (3, 3)):
                     asked = Graph(g.n, g.adj)
-                    verdicts = [(p, verdict) for p in cd.params(asked, k_range)
-                                if (verdict := cd.verdict(asked, p)) is not None]
+                    verdicts = []
+                    for p in cd.params(asked, k_range):
+                        try:
+                            verdict = cd.check(asked, p)
+                        except NotApplicable:
+                            continue
+                        if verdict[0] is not None:
+                            verdicts.append((p, verdict))
                     first = next(((p, v) for p, v in verdicts if v[0] is False), None)
                     expected = bool(verdicts), first
                     assert cd.first_failure(Graph(g.n, g.adj), k_range) == expected, \
                         (cd.name, k_range, g.adj)
+                    assert cd.reports(Graph(g.n, g.adj), k_range) \
+                        == [cd.render(asked, p, v) for p, v in verdicts], (cd.name, k_range, g.adj)
                     outcomes[expected[0], first is None] += 1
         # some check on some graph applies nowhere, fails, and holds throughout
         assert set(outcomes) == {(False, True), (True, False), (True, True)}
@@ -138,7 +147,7 @@ class TestFirstFailure:
         failure = True, (2, (False, 2, 2))
         for n, expected in [(0, (False, None)), (2, (False, None)), (3, failure), (5, failure)]:
             g = empty_graph(n)
-            assert [cd.verdict(g, p) for p in range(n)][:2] == [None] * min(n, 2)
+            assert list(cd.verdicts(g, range(n))) == [(p, (p != 2, p, 2)) for p in range(2, n)]
             assert cd.first_failure(g, None) == expected
         cd = dataclasses.replace(cd, check=lambda g, p: check(g, p + 3 if p > 1 else p))
         assert cd.first_failure(empty_graph(4), None) == (True, None)
@@ -498,12 +507,13 @@ def greedy_clique(g, size):
 def verdict_multisets(g):
     """For each catalog check, the multiset of the verdicts of the instances
     it lists on g (None where one does not apply), each side as a tuple."""
-    def frozen(verdict):
-        return verdict and tuple(tuple(side) if isinstance(side, list) else side
-                                 for side in verdict)
+    def multiset(cd):
+        instances = list(cd.params(g, None))
+        verdicts = [tuple(tuple(side) if isinstance(side, list) else side for side in verdict)
+                    for _, verdict in cd.verdicts(g, instances)]
+        return Counter(verdicts + [None] * (len(instances) - len(verdicts)))
 
-    return {name: Counter(frozen(cd.verdict(g, p)) for p in cd.params(g, None))
-            for name, cd in CHECKS.items()}
+    return {name: multiset(cd) for name, cd in CHECKS.items()}
 
 
 def sweep_relabelled_verdicts(count: int) -> None:
@@ -597,8 +607,9 @@ class TestSharedDeletionRhs:
 
 def every_verdict(g):
     """{(check, instance): verdict} over every catalog check and every
-    instance it lists on g."""
-    return {(name, p): cd.verdict(g, p) for name, cd in CHECKS.items() for p in cd.params(g, None)}
+    instance it lists on g that applies."""
+    return {(name, p): verdict for name, cd in CHECKS.items()
+            for p, verdict in cd.verdicts(g, cd.params(g, None))}
 
 
 def dense_twelve_vertex_graphs():
