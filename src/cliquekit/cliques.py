@@ -2,21 +2,21 @@
 
 Every count is of a mask over a graph's own rows: neighbourhoods and vertex
 deletions are masks, and a graph with the edges of a clique deleted is split
-into masks by the vertex recurrence (see _packed_count).  Each graph has one
-packed reader, read = _reader(g): read(mask) is C(G[mask], x) at x = 2**lane,
-with _lane(n) bits a coefficient, wide enough that packed counts add as
-polynomials without a carry (see _SUBSET_TABLE_BITS).  _packed_count reads
-one count, with or without a clique's edges, _add_packed sums many, and the
-identity checks compare such sums.  A graph of more than
-_SUBSET_TABLE_MAX_N vertices counts each mask once with one kernel,
-clique_counts_in(adj, mask): the clique counts of the subgraph that a vertex
-bitmask induces over bit-row adjacency.  It lists nothing, and the reader
-keeps each mask's counts packed.  A smaller graph does not call the kernel:
-it fills one table of the clique polynomials of its induced subgraphs by
-the vertex recurrence C(S + v) = C(S) + x C(S & N(v)), packed 16 bits a
-coefficient, and the reader reads every count from it (see _subset_table).
-clique_counts, clique_count and clique_polynomial are thin wrappers over
-both.
+into masks by the vertex recurrence (see _Counting.split).  Each graph has
+one counting state, _counting(g), kept in g.memo.cliques: its packed reader,
+read(mask), is C(G[mask], x) at x = 2**lane, with lane = _lane(n) bits a
+coefficient, wide enough that packed counts add as polynomials without a
+carry (see _SUBSET_TABLE_BITS).  split reads one count with a clique's
+edges deleted, add sums many, and the identity checks compare such sums.  A
+graph of more than _SUBSET_TABLE_MAX_N vertices counts each mask once with
+one kernel, clique_counts_in(adj, mask): the clique counts of the subgraph
+that a vertex bitmask induces over bit-row adjacency.  It lists nothing, and
+the reader keeps each mask's counts packed.  A smaller graph does not call
+the kernel: it fills one table of the clique polynomials of its induced
+subgraphs by the vertex recurrence C(S + v) = C(S) + x C(S & N(v)), packed
+16 bits a coefficient, and the reader reads every count from it (see
+_subset_table).  clique_counts, clique_count and clique_polynomial are thin
+wrappers over both.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
 (Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
@@ -27,14 +27,13 @@ candidate with the most neighbours in S, ties going to the highest vertex:
 
 where S_w drops u and the non-neighbours above w.  Every loop of the kernel
 takes the highest candidate first, v = c.bit_length() - 1, and clears it by
-one lookup in _BIT.  Candidate sets smaller than _PIVOT_MIN_SIZE, a cutoff
-taken from a measured per-size crossover, are counted by the plain
-depth-first extension, which is faster on them.  Its leaves are counted in
-closed form: a candidate set of t <= 3 vertices adds t cliques of one more
-vertex, one per edge among them of two more, and for a triangle one of
-three more, so the extension makes no call for it.  Sets of 2 and 3
-candidates are most of the nodes of the extension, so this takes out about
-two thirds of its calls.
+one lookup in _BIT.  Candidate sets smaller than _PIVOT_MIN_SIZE are counted
+by the plain depth-first extension, which is faster on them.  Its leaves
+are counted in closed form: a candidate set of t <= 3 vertices adds t
+cliques of one more vertex, one per edge among them of two more, and for a
+triangle one of three more, so the extension makes no call for it.  Sets of
+2 and 3 candidates are most of the nodes of the extension, so this takes
+out about two thirds of its calls.
 
 A mask under the cutoff, most of the masks the identity checks ask for, is
 grown straight into its row, with no memo.  Results are memoised at two
@@ -43,12 +42,10 @@ candidate set holds every pivot node, so a set reached along several
 branches is counted once: K64 and complete multipartite graphs take one
 entry per level, and the complement of a 64-vertex path 52 entries.  The
 dict goes when the call returns, so no state is kept at module level.
-Across calls, each Graph keeps its reader in Graph.memo.read: the identity
-checks read the neighbourhoods and deletions of one graph many times over,
-and the reader of a larger graph counts each mask once and keeps its
-packed counts.  The one count kept as a tuple is C(G)'s, unpacked once
-per graph into Graph.memo.counts.  The memo lives exactly as long as the
-graph, and so does the subset table of a small graph, Graph.memo.subset.
+Across calls, each graph's counting state keeps what was counted and listed
+over it: the reader of a larger graph counts each mask once and keeps its
+packed count, C(G)'s counts are unpacked once, and the splits and the
+catalog are kept too.  The state lives exactly as long as the graph.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -58,7 +55,7 @@ clique upward from its lowest vertex, where the kernel works down from the
 highest, and its per-size lists keep that lexicographic order.  The identity
 checks read each size of cliques, edges and triangles included, as one
 tuple of the largest catalog listed for a graph (_stored_catalog, kept in
-Graph.memo.catalog), with no prefix catalog made per size read.  Both list
+the counting state), with no prefix catalog made per size read.  Both list
 with one lister, _list_cliques; the stored catalog asks the budget only for
 cliques of more than three vertices, so edges and triangles stay outside it.
 
@@ -72,7 +69,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
@@ -102,15 +99,23 @@ Polynomial = list[int]
 # fast, within noise, with the cutoff anywhere from 9 to 14.  On the dense
 # graphs G(36..64, 0.5..0.85), cutoffs of 10 and 11 are within 6 % of 12,
 # while 13 takes 11 % longer and 14 29 % longer, so 12 stays.
+#
+# This table is old: it was measured before every loop of the kernel took
+# the highest candidate first.  On the kernel as it is, cutoff 8 counted
+# single dense graphs faster, G(64, 0.9) in 1.5-1.6 s against 2.3-2.9 s at
+# 12 and G(64, 0.95) in 0.26-0.40 s against 0.40-0.75 s (two runs each),
+# while it had made the large sparse campaign 1.2-1.5x slower.  The value
+# stays 12 until it is re-measured together with a per-graph node memo.
 _PIVOT_MIN_SIZE = 12
 
-# Graphs of at most this many vertices fill Graph.memo.subset on their first
-# count and answer every count from it, never calling the kernel (see
-# _subset_table).  A table of 2**(n - 1) entries takes about 0.2 ms at n = 12,
-# the time of 2 to 30 full kernel counts of the graph, so it pays on a graph
-# asked many counts and costs time on one asked few.  In-process time of
-# `cliquekit fuzz` runs, in seconds, medians of 6 to 30 interleaved runs per
-# cell, Python 3.11, 2-core x86-64 host (kernel: every count by the kernel):
+# Graphs of at most this many vertices fill a subset table when their
+# counting state is made and answer every count from it, never calling the
+# kernel (see _subset_table).  A table of 2**(n - 1) entries takes about
+# 0.2 ms at n = 12, the time of 2 to 30 full kernel counts of the graph, so
+# it pays on a graph asked many counts and costs time on one asked few.
+# In-process time of `cliquekit fuzz` runs, in seconds, medians of 6 to 30
+# interleaved runs per cell, Python 3.11, 2-core x86-64 host (kernel: every
+# count by the kernel):
 #
 #   run                                           kernel  gate 12  14     16
 #   --n 4..12 --p 0.2..0.8 --count 200 theorems   0.156   0.111  0.113  0.116
@@ -132,7 +137,7 @@ _SUBSET_TABLE_MAX_N = 12
 # two such sums are equal exactly when their polynomials are.  The lane is
 # _SUBSET_TABLE_BITS = 16 up to n = 12, where 70 * C(12, 6) = 64 680 < 2**16,
 # so the subset table packs every entry at 16 bits, and 67 at n = 64.  A
-# longer sum is unpacked every _PACKED_UNITS counts (see _add_packed).
+# longer sum is unpacked every _PACKED_UNITS counts (see _Counting.add).
 _SUBSET_TABLE_BITS = 16
 _PACKED_UNITS = (((1 << _SUBSET_TABLE_BITS) - 1)
                  // comb(_SUBSET_TABLE_MAX_N, _SUBSET_TABLE_MAX_N // 2))
@@ -242,8 +247,8 @@ _UNBUDGETED_SIZE = 3
 
 
 def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
-    """g.memo.catalog, the largest catalog listed for g, holding every
-    clique of up to k_max vertices and maybe larger ones: the identity
+    """The largest catalog listed for g, kept in its counting state, holding
+    every clique of up to k_max vertices and maybe larger ones: the identity
     checks read the k-cliques, k <= k_max, as its cliques(k).
 
     Its size limit is len(catalog.by_size) - 1.  It answers any k_max up to
@@ -252,8 +257,8 @@ def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     cliques of more than _UNBUDGETED_SIZE vertices asks LISTING_BUDGET, so
     a graph's edges and triangles are always listed.
     """
-    memo = g.memo
-    catalog = memo.catalog
+    counting = _counting(g)
+    catalog = counting.catalog
     limit = max(0, min(k_max, g.n))
     if catalog is not None:
         have = len(catalog.by_size) - 1
@@ -261,7 +266,7 @@ def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
             return catalog
     if limit > _UNBUDGETED_SIZE:
         _require_listing_budget(g, limit)
-    catalog = memo.catalog = _list_cliques(g, limit)
+    catalog = counting.catalog = _list_cliques(g, limit)
     return catalog
 
 
@@ -273,7 +278,7 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
     A mask of fewer than _PIVOT_MIN_SIZE vertices, most of the masks that
     the identity checks ask for, is grown straight into its row by the
-    depth-first count, with no memo and no pivot frame: a clique is extended
+    depth-first count, with no memo entry and no pivot: a clique is extended
     only by common neighbours below its smallest vertex, so each is counted
     once, and a node adds the size of its candidate set to the next clique
     size.  Candidate sets of at most three vertices are counted in closed
@@ -298,14 +303,7 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     limit = min(len(adj), MAX_VERTICES)
     if mask < 0 or mask >> limit:
         raise ValueError(f"mask has bits outside 0..{limit - 1}")
-    size = mask.bit_count()
-    if size >= _PIVOT_MIN_SIZE:
-        return tuple(_poly_of(adj, mask, {})[1:])
-    # c_1, ..., c_omega are positive and the rest of the row is 0
-    row = [0] * (size + 2)
-    if mask:
-        _grow(adj, row, 1, mask)
-    return tuple(row[1:row.index(0, 1)])
+    return tuple(_poly_of(adj, mask, {})[1:])
 
 
 def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
@@ -399,138 +397,164 @@ def _poly_of(adj: tuple[int, ...], cand: int,
     return row
 
 
-def _subset_table(g: Graph) -> list[int]:
-    """g.memo.subset, built on first use: C(G[S], x) for every mask S of
-    the vertices below the top one, packed with _SUBSET_TABLE_BITS bits per
-    coefficient; _reader reads the masks that hold the top vertex.
+def _subset_table(adj: tuple[int, ...]) -> list[int]:
+    """C(G[S], x) for every mask S of the vertices below the top one of the
+    rows adj, packed with _SUBSET_TABLE_BITS bits per coefficient.
 
     Vertex v's step extends the table of the vertices below v to the masks
     that hold v by the vertex recurrence, C(G[S + v]) = C(G[S]) + x C(G[S & N(v)]),
     where S & N(v) lies below v and is already in the table; shifting a
     packed polynomial by one coefficient multiplies it by x.  The top
-    vertex's step is left to each read: it would double the table, and a
-    graph is asked far fewer counts than that.
+    vertex's step is left to each read (see _Counting): it would double the
+    table, and a graph is asked far fewer counts than that.
     """
-    memo = g.memo
-    table = memo.subset
-    if table is None:
-        table = memo.subset = [1]
-        for row in g.adj[:-1]:
-            table += [p + (table[s & row] << _SUBSET_TABLE_BITS) for s, p in enumerate(table)]
+    table = [1]
+    for row in adj[:-1]:
+        table += [p + (table[s & row] << _SUBSET_TABLE_BITS) for s, p in enumerate(table)]
     return table
 
 
-def _reader(g: Graph) -> Callable[[int], int]:
-    """g's packed reader, made once per graph and kept in g.memo.read:
-    read(mask) is C(G[mask], x) packed at _lane(g.n) bits a coefficient, in
-    one Python call.
+class _Counting:
+    """One graph's counting state, kept in g.memo.cliques (see _counting):
+    adj, the graph's rows; lane, _lane(n); read, its packed reader; subset,
+    its subset table or None; counts, C(G)'s counts (c_1, ..., c_omega),
+    None until clique_counts unpacks them once; catalog, the largest
+    catalog listed for the identity checks (_stored_catalog) or None; and
+    splits, C(G - E(Q)) packed, keyed by the clique Q's mask (split).
 
-    A graph of at most _SUBSET_TABLE_MAX_N vertices reads its subset table: a
-    mask that holds the top vertex t, which the table leaves out, is
-    C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the table.  A
-    larger graph counts a mask with the kernel, clique_counts_in, the first
-    time it is read, and keeps the packed count in a dict of its reader, so
-    each mask is counted once per graph.  The reader closes over the table
-    or that dict and the rows, never over g, so it keeps nothing alive that
-    the memo does not.
+    read(mask) is C(G[mask], x) packed at lane bits a coefficient, in one
+    Python call.  A graph of at most _SUBSET_TABLE_MAX_N vertices, the gate
+    as it is when the state is made, reads its subset table: a mask that
+    holds the top vertex t, which the table leaves out, is
+    C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the table.
+    A larger graph has no table; it counts a mask with the kernel,
+    clique_counts_in, the first time it is read, and keeps the packed count
+    in a dict of its reader, so each mask is counted once per graph.  The
+    reader closes over the table or that dict and the rows, and the state
+    holds no Graph, so it keeps nothing alive that the memo does not.
     """
-    memo = g.memo
-    read = memo.read
-    if read is not None:
-        return read
-    if g.n <= _SUBSET_TABLE_MAX_N:
-        table = _subset_table(g)
-        top = len(table)  # the bit of the top vertex
-        last = g.adj[-1] if g.n else 0
 
-        def read(mask: int) -> int:
-            if mask < top:
-                return table[mask]
-            mask ^= top
-            return table[mask] + (table[mask & last] << _SUBSET_TABLE_BITS)
-    else:
-        adj = g.adj
-        lane = _lane(g.n)
-        known: dict[int, int] = {}
-        get = known.get
+    __slots__ = ("adj", "lane", "read", "subset", "counts", "catalog", "splits")
 
-        def read(mask: int) -> int:
-            packed = get(mask)
+    def __init__(self, g: Graph) -> None:
+        adj = self.adj = g.adj
+        lane = self.lane = _lane(g.n)
+        self.counts = self.catalog = None
+        self.splits: dict[int, int] = {}
+        if g.n <= _SUBSET_TABLE_MAX_N:
+            table = self.subset = _subset_table(adj)
+            top = len(table)  # the bit of the top vertex
+            last = adj[-1] if adj else 0
+
+            def read(mask: int) -> int:
+                if mask < top:
+                    return table[mask]
+                mask ^= top
+                return table[mask] + (table[mask & last] << _SUBSET_TABLE_BITS)
+        else:
+            self.subset = None
+            known: dict[int, int] = {}
+            get = known.get
+
+            def read(mask: int) -> int:
+                packed = get(mask)
+                if packed is None:
+                    packed = 0
+                    for c in reversed(clique_counts_in(adj, mask)):
+                        packed = (packed | c) << lane
+                    packed = known[mask] = packed | 1
+                return packed
+        self.read = read
+
+    def split(self, without: int, mask: int | None = None) -> int:
+        """C(G[mask] - Q, x) packed, for the clique Q = without in mask (0
+        for none).  Without a mask it is C(G - E(Q)), split once per graph
+        and kept in splits, which every reader of it shares.
+
+        Keep Q's highest vertex and eliminate the others, Q': a clique of
+        G[mask] - Q holds at most one vertex of Q, so by the vertex
+        recurrence at each vertex of Q'
+
+            C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
+
+        and no term has a deleted edge.  Each term is read as a plain mask
+        over the graph's own rows, and the terms are summed packed: every
+        coefficient of the sum is a count of a subgraph, so it cannot carry.
+        """
+        if mask is None:
+            packed = self.splits.get(without)
             if packed is None:
-                packed = 0
-                for c in reversed(clique_counts_in(adj, mask)):
-                    packed = (packed | c) << lane
-                packed = known[mask] = packed | 1
+                packed = self.splits[without] = self.split(without, (1 << len(self.adj)) - 1)
             return packed
-    memo.read = read
-    return read
+        read = self.read
+        if not without:
+            return read(mask)
+        adj = self.adj
+        eliminated = without ^ 1 << (without.bit_length() - 1)
+        rest = mask & ~without
+        first = read(mask & ~eliminated)
+        packed = 0
+        while eliminated:
+            low = eliminated & -eliminated
+            eliminated ^= low
+            packed += read(rest & adj[low.bit_length() - 1])
+        return first + (packed << self.lane)
 
+    def add(self, row: list[int], counts: Iterable[int], shift: int = 0,
+            coeff: int = 1) -> None:
+        """row += coeff * x**shift times the sum of the packed counts, in
+        place.  They are summed packed, _PACKED_UNITS at a time so that no
+        sum carries, and each sum is unpacked into the row once."""
+        counts = iter(counts)
+        lane = self.lane
+        field = (1 << lane) - 1
+        # every packed count has the constant term 1, so only an empty batch sums to 0
+        while packed := sum(itertools.islice(counts, _PACKED_UNITS)):
+            j = shift
+            while packed:
+                row[j] += coeff * (packed & field)
+                packed >>= lane
+                j += 1
 
-def _packed_count(g: Graph, read: Callable[[int], int], lane: int, mask: int,
-                  without: int = 0) -> int:
-    """C(G[mask] - Q, x) packed at lane bits a coefficient, for the clique
-    Q = without in mask (0 for none), from g's reader (see _reader).
+    def pack(self, row: Polynomial) -> int | None:
+        """row packed, its value at x = 2**lane, or None if a coefficient
+        does not fit in lane bits and would carry into the next."""
+        lane = self.lane
+        packed = 0
+        for c in reversed(row):
+            if c >> lane:
+                return None
+            packed = (packed << lane) + c
+        return packed
 
-    Keep Q's highest vertex and eliminate the others, Q': a clique of
-    G[mask] - Q holds at most one vertex of Q, so by the vertex recurrence
-    at each vertex of Q'
-
-        C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
-
-    and no term has a deleted edge.  Each term is read as a plain mask over
-    g's own rows, and the terms are summed packed: every coefficient of the
-    sum is a count of a subgraph of g, so it cannot carry.
-    """
-    if not without:
-        return read(mask)
-    adj = g.adj
-    eliminated = without ^ 1 << (without.bit_length() - 1)
-    rest = mask & ~without
-    first = read(mask & ~eliminated)
-    packed = 0
-    while eliminated:
-        low = eliminated & -eliminated
-        eliminated ^= low
-        packed += read(rest & adj[low.bit_length() - 1])
-    return first + (packed << lane)
-
-
-def _add_packed(row: list[int], counts: Iterable[int], lane: int, shift: int = 0,
-                coeff: int = 1) -> None:
-    """row += coeff * x**shift times the sum of the counts packed at lane
-    bits a coefficient, in place.  They are summed packed, _PACKED_UNITS at
-    a time so that no sum carries, and each sum is unpacked into the row
-    once."""
-    counts = iter(counts)
-    field = (1 << lane) - 1
-    # every packed count has the constant term 1, so only an empty batch sums to 0
-    while packed := sum(itertools.islice(counts, _PACKED_UNITS)):
-        j = shift
-        while packed:
-            row[j] += coeff * (packed & field)
-            packed >>= lane
-            j += 1
-
-
-def _unpack(packed: int, lane: int) -> tuple[int, ...]:
-    """(c_1, ..., c_omega) of a count packed at lane bits a coefficient,
-    whose constant term is 1."""
-    field = (1 << lane) - 1
-    counts = []
-    packed >>= lane
-    while packed:
-        counts.append(packed & field)
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        """(c_1, ..., c_omega) of a packed count, whose constant term is 1."""
+        lane = self.lane
+        field = (1 << lane) - 1
+        counts = []
         packed >>= lane
-    return tuple(counts)
+        while packed:
+            counts.append(packed & field)
+            packed >>= lane
+        return tuple(counts)
+
+
+def _counting(g: Graph) -> _Counting:
+    """g's counting state, made on first use and kept in g.memo.cliques."""
+    memo = g.memo
+    counting = memo.cliques
+    if counting is None:
+        counting = memo.cliques = _Counting(g)
+    return counting
 
 
 def clique_counts(g: Graph) -> tuple[int, ...]:
     """(c_1, ..., c_omega): the number of k-cliques for each size, read
-    packed once per graph and kept in g.memo.counts."""
-    memo = g.memo
-    counts = memo.counts
+    packed once per graph and kept in its counting state."""
+    counting = _counting(g)
+    counts = counting.counts
     if counts is None:
-        counts = memo.counts = _unpack(_reader(g)((1 << g.n) - 1), _lane(g.n))
+        counts = counting.counts = counting.unpack(counting.read((1 << g.n) - 1))
     return counts
 
 

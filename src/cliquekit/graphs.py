@@ -10,10 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
-
-if TYPE_CHECKING:
-    from .cliques import CliqueCatalog
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -97,64 +94,21 @@ def _raise_first_fault(adj: tuple[int, ...]) -> None:
 
 
 class _Memo:
-    """What cliquekit counted and listed over one Graph (Graph.memo).
+    """What cliquekit counted and listed over one Graph (Graph.memo), one
+    slot per layer, each None until that layer fills it with its own
+    per-graph object:
 
-    counts: None until cliquekit.cliques.clique_counts fills it: C(G)'s
-        clique counts (c_1, ..., c_omega), unpacked once from read's count
-        of the full mask.
-    subset: None until cliquekit.cliques builds it, on the first count of a
-        graph of at most cliques._SUBSET_TABLE_MAX_N vertices: C(G[S], x)
-        at index S for every mask S without the top vertex n - 1, packed
-        with the coefficient of x**k at bits 16k to 16k + 15.  read reads
-        every count of such a graph from it.
-    read: None until cliquekit.cliques makes it: the graph's packed reader
-        (cliques._reader), C(G[mask], x) packed at cliques._lane(n) bits a
-        coefficient, read from subset or, above the gate, counted once per
-        mask by the kernel and kept packed in the reader.  Every count the
-        identity checks sum or compare is read through it, and they decide
-        verdicts by comparing packed sums, unpacking only for reports.
-    deletions: clique-deletion verdicts (holds, lhs, rhs) keyed by the
-        clique's sorted tuple of vertices, as the catalog lists it or a
-        parser returns it (an EdgeRef hashes and compares equal to its
-        tuple), filled by cliquekit.identities, so the edge recurrence, the
-        triangle identity and the expansion decide one clique once between
-        them; each verdict asked decides that clique alone.
-    terms: None until cliquekit.identities makes it: the graph's expansion
-        context (identities._Terms), a dict of the packed terms
-        (|S| - 1) x**|S| C(G[N(S)]) keyed by the subset S, each stored by
-        the verdict of the clique S itself or read on first use, and shared
-        by every clique that contains S, with C(G) packed and the one held
-        verdict (True, lhs, tuple(lhs)), lhs the row of C(G), that every
-        clique-deletion and vertex-recurrence verdict that holds on the
-        graph shares.
-    splits: C(G - E(Q), x) packed as read reads, keyed by the clique Q's
-        mask, each split once per graph by cliquekit.identities: the
-        clique-deletion verdicts, the edge and triangle decks and the
-        triangle-deletion counts read the same entry.
-    decks: deck rows keyed by 'vertex' (members G - v), 'edge' (G - E(e))
-        and 'triangle' (G - E(d)), each the members' sum of c_k at x**k and
-        their number at x**0, without trailing zeros; cliquekit.identities
-        sums them packed, through read.
-    catalog: None, or the largest CliqueCatalog listed for the identity
-        checks by cliquekit.cliques (cliques._stored_catalog); the checks
-        read one size of cliques from it as a tuple, and no prefix catalog
-        is made.
+    cliques: cliquekit.cliques' counting state (cliques._Counting).
+    identities: cliquekit.identities' expansion context (identities._Terms).
 
     Everything lives exactly as long as the Graph; cliquekit keeps nothing
     at module level.
     """
 
-    __slots__ = ("counts", "subset", "read", "deletions", "terms", "splits", "decks", "catalog")
+    __slots__ = ("cliques", "identities")
 
     def __init__(self) -> None:
-        self.counts: tuple[int, ...] | None = None
-        self.subset: list[int] | None = None
-        self.read: Callable[[int], int] | None = None
-        self.deletions: dict[tuple[int, ...], tuple] = {}
-        self.terms: dict | None = None
-        self.splits: dict[int, int] = {}
-        self.decks: dict[str, tuple[int, ...]] = {}
-        self.catalog: CliqueCatalog | None = None
+        self.cliques = self.identities = None
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,14 @@ avoided by using binomial-scaled derivatives and cross-multiplied forms.
 The left side is clique_polynomial(g).  Each count is of a vertex mask over
 g's rows, with or without the edges of a clique (a mask too, whose count
 cliquekit.cliques sums from masks over the same rows), so no check builds a
-subgraph or edits a row.  Every count is read packed through g's one reader
-(cliquekit.cliques._reader), C(x) at x = 2**lane with _lane(g.n) bits a
-coefficient, whatever the size of g, on both sides of the subset table's
-gate.  C(G - E(Q)) of a clique Q is split into masks once per graph and
-kept (_split, Graph.memo.splits): the expansion's verdicts, the edge and
-triangle decks and triangle_deletion_counts read the same entry.
+subgraph or edits a row.  Every count is read packed through g's one
+counting state (cliquekit.cliques._counting), C(x) at x = 2**lane with
+lane bits a coefficient, whatever the size of g, on both sides of the
+subset table's gate.  That state splits C(G - E(Q)) of a clique Q into
+masks once per graph and keeps it: the expansion's verdicts, the edge and
+triangle decks and triangle_deletion_counts read the same entry.  What
+this module keeps of a graph it keeps in one expansion context (_Terms,
+Graph.memo.identities).
 
 Every theorem verdict that compares polynomials is decided by comparing
 packed integers, with nothing unpacked where it holds:
@@ -35,8 +37,8 @@ packed integers, with nothing unpacked where it holds:
 - the expansion, whose verdict for a clique is also the edge recurrence's
   and the triangle identity's for edges and triangles: C(G) plus its odd-r
   terms against C(G - Q) plus its even-r terms, compared inline in
-  _deletion_verdict once per clique and graph (Graph.memo.deletions, keyed
-  by the clique's tuple as it is listed or parsed).
+  _deletion_verdict once per clique and graph (_Terms.deletions, keyed by
+  the clique's tuple as it is listed or parsed).
 A packed sum is exact only while no coefficient reaches 2**lane, which a
 sum of at most cliquekit.cliques._PACKED_UNITS counts never does.  The
 vertex recurrence adds two counts, and the expansion is compared packed
@@ -50,21 +52,21 @@ tuple(lhs)); the vertex recurrence and the expansion share one per graph
 right side that a report shows, in one row of g.n + 1 coefficients (enough
 for x**r C(G[N(S)], x) with |S| >= r): _count_sum and the expansion add the
 packed counts as integers and unpack each batch into the row once, times
-one coefficient (_add_packed), and _poly_verdict compares the row, kept
-trimmed as a tuple, with the left side.
+one coefficient (cliques._Counting.add), and _poly_verdict compares the
+row, kept trimmed as a tuple, with the left side.
 
 The expansion decides each clique alone, on either side of the subset
-table's gate, from the graph's one expansion context (_Terms, kept in
-Graph.memo.terms): C(G) packed, the held verdict and each subset's term,
-read once for every clique that contains it.  Each verdict stores its
-clique's own term, so a campaign, which asks the edges, then the
-triangles, then the 4-cliques, finds every proper subset's term stored.
+table's gate, from the graph's one expansion context (_Terms): C(G)
+packed, the held verdict and each subset's term, read once for every
+clique that contains it.  Each verdict stores its clique's own term, so a
+campaign, which asks the edges, then the triangles, then the 4-cliques,
+finds every proper subset's term stored.
 Both readings of the expansion build a right side in a row with one
 routine, which takes the reading's family of vertex sets
 (_expansion_verdict).
 Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
 vertex, edge or triangle, is summed once per graph into one row of
-Graph.memo.decks (its member count at x**0, the sum of the members' c_k at
+_Terms.decks (its member count at x**0, the sum of the members' c_k at
 x**k), and the deck identities read coefficient k of it.
 
 An instance kind (whole graph, k >= lo, vertex, edge, triangle, clique or
@@ -94,13 +96,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 from .cliques import (
     _PACKED_UNITS,
     Polynomial,
-    _add_packed,
-    _lane,
-    _packed_count,
-    _reader,
+    _counting,
     _require_listing_budget,
     _stored_catalog,
-    _unpack,
     clique_count,
     clique_counts,
     clique_polynomial,
@@ -233,18 +231,6 @@ def _poly_verdict(lhs: Polynomial, rhs) -> Verdict:
     return lhs == rhs, lhs, tuple(rhs)
 
 
-def _pack_row(row: Polynomial, lane: int) -> Optional[int]:
-    """row packed at lane bits a coefficient, its value at x = 2**lane, or
-    None if a coefficient does not fit in lane bits and would carry into
-    the next."""
-    packed = 0
-    for c in reversed(row):
-        if c >> lane:
-            return None
-        packed = (packed << lane) + c
-    return packed
-
-
 def _side(side: Side) -> Side:
     """A side as a report shows it: a count as it is, a polynomial trimmed."""
     return side if isinstance(side, int) else poly_normalize(side)
@@ -269,28 +255,17 @@ def _count_sum(g: Graph, masks: Iterable[int], shift: int = 0,
                row: Optional[list[int]] = None) -> list[int]:
     """row (by default g.n + 1 zeros) plus x**shift times the sum of C(x)
     over the subgraphs that masks induce, in place: the counts are read
-    packed and each batch is unpacked once (_add_packed)."""
+    packed and each batch is unpacked once (cliques._Counting.add)."""
     if row is None:
         row = [0] * (g.n + 1)
-    _add_packed(row, map(_reader(g), masks), _lane(g.n), shift)
+    counting = _counting(g)
+    counting.add(row, map(counting.read, masks), shift)
     return row
 
 
 def _without_vertex(g: Graph, v: int) -> int:
     """The vertex set of G - v, as a mask over the rows of g."""
     return ((1 << g.n) - 1) & ~(1 << v)
-
-
-def _split(g: Graph, read: Callable[[int], int], lane: int, without: int) -> int:
-    """C(G - E(Q), x) packed at lane bits a coefficient, for the clique Q
-    whose mask is without, from g's reader: split into masks by
-    _packed_count once per graph and kept in g.memo.splits, which every
-    reader of it shares."""
-    splits = g.memo.splits
-    packed = splits.get(without)
-    if packed is None:
-        packed = splits[without] = _packed_count(g, read, lane, (1 << g.n) - 1, without)
-    return packed
 
 
 def _common(adj: tuple[int, ...], vertices) -> int:
@@ -303,9 +278,9 @@ def _common(adj: tuple[int, ...], vertices) -> int:
 
 
 def _deck(g: Graph, deck: str) -> tuple[int, ...]:
-    """The row of deck ('vertex', 'edge' or 'triangle') in g.memo.decks,
-    summed on first use."""
-    decks = g.memo.decks
+    """The row of deck ('vertex', 'edge' or 'triangle'), summed on first use
+    and kept in g's expansion context (_Terms.decks)."""
+    decks = _terms(g).decks
     row = decks.get(deck)
     if row is None:
         row = decks[deck] = _sum_deck(g, deck)
@@ -317,16 +292,16 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     G - E(e) for each edge e or G - E(d) for each triangle d, with trailing
     zeros trimmed: the member count at x**0 and the sum of their c_k at
     x**k.  Each member is read packed, G - E(e) and G - E(d) as the splits
-    that the clique-deletion verdicts share (_split), and the members are
-    summed packed."""
-    read, lane = _reader(g), _lane(g.n)
+    that the clique-deletion verdicts share (cliques._Counting.split), and
+    the members are summed packed."""
+    counting = _counting(g)
     if deck == "vertex":
-        members = (read(_without_vertex(g, v)) for v in range(g.n))
+        members = (counting.read(_without_vertex(g, v)) for v in range(g.n))
     else:
         deleted = _edges(g) if deck == "edge" else _triangles(g)
-        members = (_split(g, read, lane, _vertex_mask(q)) for q in deleted)
+        members = (counting.split(_vertex_mask(q)) for q in deleted)
     row = [0] * (g.n + 1)
-    _add_packed(row, members, lane)
+    counting.add(row, members)
     while row and not row[-1]:
         row.pop()
     return tuple(row)
@@ -538,9 +513,10 @@ def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     integers give the graph's one held verdict (its _Terms.held); only a
     vertex where they differ has its right side built in a row.
     """
-    read, lane = _reader(g), _lane(g.n)
+    counting = _counting(g)
+    read = counting.read
     without = _without_vertex(g, v)
-    if read(without) + (read(g.adj[v]) << lane) == read(without | 1 << v):
+    if read(without) + (read(g.adj[v]) << counting.lane) == read(without | 1 << v):
         return _terms(g).held
     rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [without]))
     return _poly_verdict(clique_polynomial(g), rhs)
@@ -671,14 +647,16 @@ def _derivative_verdict(g: Graph, r: int, masks: Sequence[int]) -> Verdict:
 
     Decided packed where neither side can carry: the right side sums at
     most _PACKED_UNITS packed counts and every coefficient of the left side
-    is below 2**lane (_pack_row).  Then equal integers decide that it holds,
-    and the verdict's right side is its left.  Past either bound, and where
-    the integers differ, the right side is built in a row (_count_sum).
+    is below 2**lane (cliques._Counting.pack).  Then equal integers decide
+    that it holds, and the verdict's right side is its left.  Past either
+    bound, and where the integers differ, the right side is built in a row
+    (_count_sum).
     """
     lhs = poly_divided_derivative(clique_polynomial(g), r)
     if len(masks) <= _PACKED_UNITS:
-        packed = _pack_row(lhs, _lane(g.n))
-        if packed is not None and packed == sum(map(_reader(g), masks)):
+        counting = _counting(g)
+        packed = counting.pack(lhs)
+        if packed is not None and packed == sum(map(counting.read, masks)):
             return True, lhs, tuple(lhs)
     return _poly_verdict(lhs, _count_sum(g, masks))
 
@@ -806,15 +784,16 @@ def _expansion_verdict(g: Graph, q: tuple[int, ...],
                        family: Callable[[int], Iterable[Iterable[int]]]) -> Verdict:
     """The verdict of the expansion on the sorted clique q with its right
     side built in one row, under the reading whose vertex sets S of size
-    r are family(r): C(G - E(Q)) (the graph's split of q, _split), then one
-    _add_packed call per r from 2 to |q| adds (-1)**r (r - 1) x**r C(G[N(S)])
-    over them."""
+    r are family(r): C(G - E(Q)) (the graph's split of q), then one packed
+    sum per r from 2 to |q| adds (-1)**r (r - 1) x**r C(G[N(S)]) over
+    them."""
     adj = g.adj
-    read, lane = _reader(g), _lane(g.n)
+    counting = _counting(g)
+    read, add = counting.read, counting.add
     rhs = [0] * (g.n + 1)
-    _add_packed(rhs, [_split(g, read, lane, _vertex_mask(q))], lane)
+    add(rhs, [counting.split(_vertex_mask(q))])
     for r in range(2, len(q) + 1):
-        _add_packed(rhs, (read(_common(adj, s)) for s in family(r)), lane, r, (-1) ** r * (r - 1))
+        add(rhs, (read(_common(adj, s)) for s in family(r)), r, (-1) ** r * (r - 1))
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -839,46 +818,58 @@ _PACKED_CLIQUE_MAX = 6
 
 
 class _Terms(dict):
-    """One graph's expansion context, kept in g.memo.terms: the packed
-    terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the sorted subset S; whole,
-    C(G) packed; and held, (True, lhs, tuple(lhs)) with lhs the row of
-    C(G), the verdict of every clique on which the expansion holds and of
-    every vertex at which the vertex recurrence holds.  Each clique's
-    verdict stores the clique's own term (_deletion_verdict), so a later
-    clique reads it as a subset's; a subset that no earlier clique supplied,
-    as under a single asked clique, is read on first use (__missing__)."""
+    """One graph's expansion context, kept in g.memo.identities (see
+    _terms): the packed terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the
+    sorted subset S; counting, the graph's counting state, through which
+    every count is read; whole, C(G) packed; held, (True, lhs, tuple(lhs))
+    with lhs the row of C(G), the verdict of every clique on which the
+    expansion holds and of every vertex at which the vertex recurrence
+    holds; deletions, the clique-deletion verdicts keyed by the clique's
+    sorted tuple as the catalog lists it or a parser returns it (an EdgeRef
+    hashes and compares equal to its tuple); and decks, each deck's row
+    keyed by its name (_deck).
 
-    __slots__ = ("adj", "read", "lane", "whole", "held")
+    Each clique's verdict stores the clique's own term (_deletion_verdict),
+    so a later clique reads it as a subset's; a subset that no earlier
+    clique supplied, as under a single asked clique, is read on first use
+    (__missing__)."""
+
+    __slots__ = ("counting", "whole", "held", "deletions", "decks")
 
     def __init__(self, g: Graph) -> None:
-        self.adj, self.read, self.lane = g.adj, _reader(g), _lane(g.n)
+        counting = self.counting = _counting(g)
         lhs = clique_polynomial(g)
-        self.whole = self.read((1 << g.n) - 1)
+        self.whole = counting.read((1 << g.n) - 1)
         self.held = True, lhs, tuple(lhs)
+        self.deletions: dict[tuple[int, ...], Verdict] = {}
+        self.decks: dict[str, tuple[int, ...]] = {}
 
     def __missing__(self, s: tuple[int, ...]) -> int:
-        term = self[s] = (len(s) - 1) * self.read(_common(self.adj, s)) << self.lane * len(s)
+        counting = self.counting
+        term = self[s] = ((len(s) - 1) * counting.read(_common(counting.adj, s))
+                          << counting.lane * len(s))
         return term
 
 
 def _terms(g: Graph) -> _Terms:
-    """g's expansion context (_Terms), made on first use."""
+    """g's expansion context (_Terms), made on first use and kept in
+    g.memo.identities."""
     memo = g.memo
-    terms = memo.terms
+    terms = memo.identities
     if terms is None:
-        terms = memo.terms = _Terms(g)
+        terms = memo.identities = _Terms(g)
     return terms
 
 
 def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
-    q, decided once per clique and graph and kept in g.memo.deletions under
-    q itself, as the catalog lists it or a parser returns it (an EdgeRef is
-    equal to its tuple): for |q| = 2 and 3 it is the edge recurrence's and
-    the triangle identity's as well.
+    q, decided once per clique and graph and kept in the graph's expansion
+    context (_Terms.deletions) under q itself, as the catalog lists it or a
+    parser returns it (an EdgeRef is equal to its tuple): for |q| = 2 and 3
+    it is the edge recurrence's and the triangle identity's as well.
 
     Only q is decided, on either side of the subset table's gate, from one
-    loop over q for its mask and N(Q) and the graph's split of q (_split).
+    loop over q for its mask and N(Q) and the graph's split of q.
     A clique of at most _PACKED_CLIQUE_MAX vertices is decided by comparing
     two packed sums, each term moved to the side where it adds: C(G) plus
     the odd-r terms against C(G - Q) plus the even-r terms.  Its proper
@@ -889,18 +880,19 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     report shows) or the clique is larger, the right side is built in one
     row (_expansion_verdict).
     """
-    deletions = g.memo.deletions
+    terms = _terms(g)
+    deletions = terms.deletions
     verdict = deletions.get(q)
     if verdict is None:
-        terms = _terms(g)
-        read, lane, adj = terms.read, terms.lane, terms.adj
+        counting = terms.counting
+        read, lane, adj = counting.read, counting.lane, counting.adj
         mask, common = 0, -1
         for v in q:
             mask |= 1 << v
             common &= adj[v]
         size = len(q)
         if size <= _PACKED_CLIQUE_MAX:
-            sides = [_split(g, read, lane, mask), terms.whole]
+            sides = [counting.split(mask), terms.whole]
             if size > 1:
                 term = terms.__getitem__
                 for r in range(2, size):
@@ -938,8 +930,8 @@ class TriangleIdentityParts:
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
     adj = g.adj
     edge_sum = _count_sum(g, (adj[a] & adj[b] for a, b in itertools.combinations(d, 2)))
-    tri = [1, *_unpack(_reader(g)(_common(adj, d)), _lane(g.n))]
-    return TriangleIdentityParts(d, poly_normalize(edge_sum), tri)
+    tri = _count_sum(g, [_common(adj, d)])
+    return TriangleIdentityParts(d, poly_normalize(edge_sum), poly_normalize(tri))
 
 
 @_identity("triangle_identity", THEOREM, _TRIANGLE,
@@ -975,11 +967,10 @@ def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     verbatim and recorded in the report's params (its constant terms can
     never match, which is reported rather than repaired).
     """
-    read, lane = _reader(g), _lane(g.n)
+    counting = _counting(g)
     rhs = [0] * (g.n + 1)
-    _add_packed(rhs, [_split(g, read, lane, _vertex_mask(delta))], lane)
-    _add_packed(rhs, [read(_common(g.adj, delta))], lane, 3)
-    return _poly_verdict(clique_polynomial(g), rhs)
+    counting.add(rhs, [counting.split(_vertex_mask(delta))])
+    return _poly_verdict(clique_polynomial(g), _count_sum(g, [_common(g.adj, delta)], 3, rhs))
 
 
 @dataclass(frozen=True)
@@ -1014,7 +1005,7 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
 
     where e_1..e_3 are the triangle's edges and val is the clique-value.
     C(G) is read once, C(G - d) packed as the split the clique-deletion
-    verdicts share (_split), and each N(e_i) is the AND of
+    verdicts share, and each N(e_i) is the AND of
     two rows, whose c_2 are summed packed and read off as coefficient 2.  The
     public function returns the TriangleDeletionCounts; the catalog renders
     the two count tuples as a report's sides.
@@ -1024,17 +1015,18 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
         raise NotApplicable("graph contains a 5-clique")
     c1, c2, c3, c4 = (*counts, 0, 0, 0)[:4]
     adj = g.adj
-    read, lane = _reader(g), _lane(g.n)
+    counting = _counting(g)
+    lane = counting.lane
     u, v, w = delta
     edge_nbhds = (adj[u] & adj[v], adj[u] & adj[w], adj[v] & adj[w])
     formula = (
         c1,
         c2 - 3,
         c3 - sum(nbhd.bit_count() for nbhd in edge_nbhds) + 2,
-        c4 - (sum(map(read, edge_nbhds)) >> 2 * lane & (1 << lane) - 1)
+        c4 - (sum(map(counting.read, edge_nbhds)) >> 2 * lane & (1 << lane) - 1)
         + 2 * (edge_nbhds[0] & adj[w]).bit_count(),
     )
-    direct = (*_unpack(_split(g, read, lane, _vertex_mask(delta)), lane), 0, 0, 0)[:4]
+    direct = (*counting.unpack(counting.split(_vertex_mask(delta))), 0, 0, 0)[:4]
     return formula == direct, formula, direct
 
 

@@ -15,8 +15,13 @@ it (super, vdeck, edeck, tdeck):
   column for G-e sums to the k-clique count of G-e.
 * triangle-deck: k-cliques against the t triangle-edge-deleted subgraphs,
   entry 1 iff no edge of the deleted triangle lies inside the clique.  Column
-  sums count surviving k-cliques; row sums are reported but deliberately not
-  asserted constant (their constancy is an open question probed elsewhere).
+  sums count surviving k-cliques.  Row sums are not constant in general:
+  row K sums to t - C(k, 3) - sum over the edges e of K of (|N(e)| - (k - 2)),
+  N(e) the common neighbours of e's ends, by double counting (C(k, 3)
+  triangles lie inside K, and each edge e of K lies in |N(e)| triangles,
+  k - 2 of them inside K and the rest sharing just e with K).  This answers
+  an open question that the paper's decks raise; it extends the paper and
+  is not its statement.
 
 A kind's columns are cliques too, the (k+1)-cliques or the deck members'
 vertices, edges or triangles, so one table (_KINDS) holds each kind's
@@ -271,7 +276,13 @@ def triangle_deck_matrix(g: Graph, k: int) -> IncidenceMatrix:
     """Survival matrix of the k-cliques across the triangle-edge-deleted subgraphs.
 
     A k-clique survives deleting triangle d's edges iff it shares at most one
-    vertex with d.  Row sums are exposed but not asserted constant.
+    vertex with d.  Row K sums to t - C(k, 3) - sum over the edges e of K of
+    (|N(e)| - (k - 2)), t the triangle count and N(e) the common neighbours
+    of e's ends: the triangles that share two or three vertices with K are
+    the C(k, 3) inside it and, for each edge e of K, the |N(e)| - (k - 2)
+    that hold e and a vertex outside K.  So the row sums are constant only
+    where every such count is.  This formula extends the paper's open
+    questions; it is not the paper's statement.
     """
     return _matrix(g, "tdeck", k)
 

@@ -688,10 +688,9 @@ def spy_subset_tables(monkeypatch) -> list[int]:
     build = cliquekit.cliques._subset_table
     made = []
 
-    def spy(g):
-        if g.memo.subset is None:
-            made.append(g.n)
-        return build(g)
+    def spy(adj):
+        made.append(len(adj))
+        return build(adj)
 
     monkeypatch.setattr(cliquekit.cliques, "_subset_table", spy)
     return made
@@ -716,7 +715,7 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     capsys.readouterr()
     assert max(g.n for g in graphs) <= cliquekit.cliques._SUBSET_TABLE_MAX_N
     assert (len(made), len(calls)) == (200, 0)
-    assert [len(g.memo.subset) for g in graphs] == [1 << (g.n - 1) for g in graphs]
+    assert [len(g.memo.cliques.subset) for g in graphs] == [1 << (g.n - 1) for g in graphs]
 
 
 def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
@@ -726,9 +725,11 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     calls and no subset table.  Every mask is read through its graph's
     packed reader, which counts it once, the small neighbourhood terms of a
     G - Q split too (8 404 calls when those were grown into the split's row
-    and not kept).  Its masks of at least _PIVOT_MIN_SIZE vertices enter
-    the pivot recursion: 23 656 _poly_of frames, 14 471 of them on a
-    candidate set at or above the cutoff."""
+    and not kept).  Every mask enters through one _poly_of frame, and those
+    of at least _PIVOT_MIN_SIZE vertices enter the pivot recursion: 27 676
+    frames, 14 471 of them on a candidate set at or above the cutoff and
+    4 020 the one frame of a mask below it, which is grown straight into
+    its row (23 656 frames when those masks were grown without one)."""
     kernel = cliquekit.cliques.clique_counts_in
     poly_of = cliquekit.cliques._poly_of
     graphs = record_campaign_graphs(monkeypatch)
@@ -752,29 +753,34 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     assert len(calls) == len(set(calls)) == 10297
     assert made == []
     cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
-    assert (len(nodes), sum(size >= cutoff for size in nodes)) == (23656, 14471)
+    assert (len(nodes), sum(size >= cutoff for size in nodes)) == (27676, 14471)
+    assert sum(mask.bit_count() < cutoff for _, mask in calls) == 4020
 
 
 def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
     """The small-graph theorem campaign unpacks C(G) once for each of its
-    200 graphs, into the graph's one counts slot, and no other count
-    through cliquekit.cliques: every count a check sums or compares is read
-    packed, and C(G) is asked by every check, by the clique-deletion
-    verdicts and the vertex recurrence once per graph for the held verdict
-    they share."""
-    unpack = cliquekit.cliques._unpack
+    200 graphs, into the graph's one counts slot: every count a check sums
+    or compares is read packed, and C(G) is asked by every check, by the
+    clique-deletion verdicts and the vertex recurrence once per graph for
+    the held verdict they share.  The only other unpacked counts are the
+    sides that triangle_deletion_counts compares tuple by tuple, C(G - E(d))
+    once per triangle of a graph with no 5-clique: 932."""
+    unpack = cliquekit.cliques._Counting.unpack
     graphs = record_campaign_graphs(monkeypatch)
     unpacked = []
 
-    def spy(packed, lane):
-        unpacked.append(packed)
-        return unpack(packed, lane)
+    def spy(counting, packed):
+        unpacked.append((sys._getframe(1).f_code.co_name, packed))
+        return unpack(counting, packed)
 
-    monkeypatch.setattr(cliquekit.cliques, "_unpack", spy)
+    monkeypatch.setattr(cliquekit.cliques._Counting, "unpack", spy)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert len(graphs) == len(unpacked) == 200
-    assert unpacked == [cliquekit.cliques._reader(g)((1 << g.n) - 1) for g in graphs]
+    assert len(graphs) == 200
+    assert Counter(caller for caller, _ in unpacked) \
+        == {"clique_counts": 200, "triangle_deletion_counts": 932}
+    assert [packed for caller, packed in unpacked if caller == "clique_counts"] \
+        == [g.memo.cliques.read((1 << g.n) - 1) for g in graphs]
 
 
 @pytest.mark.parametrize("checks, decks", [
@@ -808,17 +814,17 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     """Over the small-graph theorem campaign, the edge recurrence, the triangle
     identity and the clique-deletion expansion decide one verdict per edge,
     triangle and 4-clique between them: 6 519, where one per check
-    instance would be 11 803.  Each adds one entry to its graph's
-    memo.deletions, and each graph's term memo (memo.terms) holds one
+    instance would be 11 803.  Each adds one entry to the deletion
+    verdicts of its graph's expansion context (_Terms), which holds one
     packed term per clique of 2 to 4 vertices, shared by every clique that
     contains it: 6 519 terms as well."""
     graphs = record_campaign_graphs(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    sizes = Counter(len(q) for g in graphs for q in g.memo.deletions)
+    terms = [g.memo.identities for g in graphs]
+    sizes = Counter(len(q) for t in terms for q in t.deletions)
     assert sizes == {2: 2906, 3: 2378, 4: 1235}
-    terms = [g.memo.terms or {} for g in graphs]
-    assert [set(t) for t in terms] == [set(g.memo.deletions) for g in graphs]
+    assert [set(t) for t in terms] == [set(t.deletions) for t in terms]
     assert sum(map(len, terms)) == 6519
 
 
@@ -874,25 +880,25 @@ def test_campaign_builds_no_theorem_row(monkeypatch, capsys):
 
 def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     """The small-graph theorem campaign splits G - E(Q) into masks
-    (_packed_count with a clique) 6 519 times, once per edge, triangle and
-    4-clique of its graphs, each kept in its graph's memo.splits: the
-    clique-deletion verdicts, the edge deck and triangle_deletion_counts
-    read the same entry.  Splitting again for the deck and the counts made
-    10 357 calls."""
-    packed_count = cliquekit.identities._packed_count
+    (_Counting.split with a clique and a mask) 6 519 times, once per edge,
+    triangle and 4-clique of its graphs, each kept in its graph's splits:
+    the clique-deletion verdicts, the edge deck and
+    triangle_deletion_counts read the same entry.  Splitting again for the
+    deck and the counts made 10 357 calls."""
+    split = cliquekit.cliques._Counting.split
     graphs = record_campaign_graphs(monkeypatch)
     splits = []
 
-    def spy(g, read, lane, mask, without=0):
-        if without:
-            splits.append((id(g), without))
-        return packed_count(g, read, lane, mask, without)
+    def spy(counting, without, mask=None):
+        if without and mask is not None:
+            splits.append((id(counting), without))
+        return split(counting, without, mask)
 
-    monkeypatch.setattr(cliquekit.identities, "_packed_count", spy)
+    monkeypatch.setattr(cliquekit.cliques._Counting, "split", spy)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert len(splits) == len(set(splits)) == 6519
-    assert sum(len(g.memo.splits) for g in graphs) == 6519
+    assert sum(len(g.memo.cliques.splits) for g in graphs) == 6519
 
 
 def test_campaign_reads_each_term_and_clique_size_from_the_memo(monkeypatch, capsys):
@@ -953,9 +959,10 @@ def test_one_asked_clique_reads_its_subsets_terms_on_demand(gen, monkeypatch, ca
     q = (0, 1, 2, 4)
     subsets = [s for r in (2, 3) for s in itertools.combinations(q, r)]
     assert sorted(asked) == sorted(subsets)
-    assert list(g.memo.deletions) == [q]
-    assert g.memo.deletions[q] is g.memo.terms.held
-    assert set(g.memo.terms) == {*subsets, q}
+    terms = g.memo.identities
+    assert list(terms.deletions) == [q]
+    assert terms.deletions[q] is terms.held
+    assert set(terms) == {*subsets, q}
 
 
 def test_theorem_campaign_renders_no_report(monkeypatch, capsys):

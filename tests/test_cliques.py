@@ -78,11 +78,10 @@ def complete_multipartite(parts):
 
 def split_counts(g, mask, without):
     """The counts of G[mask] without the edges of the clique whose mask is
-    without, read through g's reader by _packed_count and unpacked.  Only
-    the clique's vertices in mask delete edges, so without is cut to mask."""
-    read, lane = cliquekit.cliques._reader(g), cliquekit.cliques._lane(g.n)
-    packed = cliquekit.cliques._packed_count(g, read, lane, mask, without & mask)
-    return cliquekit.cliques._unpack(packed, lane)
+    without, split through g's counting state and unpacked.  Only the
+    clique's vertices in mask delete edges, so without is cut to mask."""
+    counting = cliquekit.cliques._counting(g)
+    return counting.unpack(counting.split(without & mask, mask))
 
 
 class TestEnumeration:
@@ -211,7 +210,8 @@ class TestCountingKernel:
     def test_results_live_exactly_as_long_as_their_graph(self):
         """No module-level cache: counts, the subset table, clique-deletion
         verdicts, their expansion context and splits, deck sums and the
-        clique catalog go to the Graph's memo and die with it.  A graph of
+        clique catalog go to the Graph's memo, one object per layer, and
+        die with it.  A graph of
         at most _SUBSET_TABLE_MAX_N vertices builds its subset table on its
         first count; a larger one never does.  On both sides of the gate,
         one edge's verdict decides and splits that edge alone, lists
@@ -227,31 +227,33 @@ class TestCountingKernel:
             g = random_gnp(n, 0.7, RngSpec(2))
             memo = g.memo
             counts = clique_counts(g)
-            assert memo.counts is counts
+            counting = memo.cliques
+            assert counting.counts is counts
             if n <= cliquekit.cliques._SUBSET_TABLE_MAX_N:
-                assert len(memo.subset) == 1 << (n - 1)
+                assert len(counting.subset) == 1 << (n - 1)
             else:
-                assert memo.subset is None
+                assert counting.subset is None
             u, v = g.edges()[0]
             report = check_edge_recurrence(g, (u, v))
             assert report.holds
             held = (True, report.lhs, tuple(report.rhs))
-            assert memo.catalog is None
-            assert memo.deletions == {(u, v): held}
-            assert memo.deletions[(u, v)] is memo.terms.held
-            assert list(memo.splits) == [_vertex_mask((u, v))]
-            assert cliquekit.cliques._stored_catalog(g, 2) is memo.catalog
+            terms = memo.identities
+            assert counting.catalog is None
+            assert terms.deletions == {(u, v): held}
+            assert terms.deletions[(u, v)] is terms.held
+            assert list(counting.splits) == [_vertex_mask((u, v))]
+            assert cliquekit.cliques._stored_catalog(g, 2) is counting.catalog
             for size in (4, len(counts)):
                 q = enumerate_cliques(g, size).cliques(size)[0]
                 asked = Graph(g.n, g.adj)
                 edges = itertools.combinations(q, 2)
                 assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
-                assert list(asked.memo.deletions) == [q]
-                assert list(asked.memo.splits) == [_vertex_mask(q)]
-            assert cliquekit.identities._deck(g, "vertex") == memo.decks["vertex"]
+                assert list(asked.memo.identities.deletions) == [q]
+                assert list(asked.memo.cliques.splits) == [_vertex_mask(q)]
+            assert cliquekit.identities._deck(g, "vertex") == terms.decks["vertex"]
             assert vars(g)["memo"] is memo
-            refs = [weakref.ref(g), weakref.ref(memo.catalog)]
-            del g, memo
+            refs = [weakref.ref(g), weakref.ref(counting.catalog)]
+            del g, memo, counting, terms
             assert [ref() for ref in refs] == [None, None]
 
     def test_dense_reference_polynomials(self):
@@ -266,7 +268,7 @@ class TestCountingKernel:
 
 
 class TestSubsetTable:
-    """Graph.memo.subset, from which a graph of at most _SUBSET_TABLE_MAX_N
+    """The subset table, from which a graph of at most _SUBSET_TABLE_MAX_N
     vertices answers every count, against references that share no code
     with it: one wrong entry would feed both sides of every identity."""
 
@@ -274,11 +276,9 @@ class TestSubsetTable:
     def entries(g):
         """The counts that g's subset table holds for every mask, in mask
         order: a mask with the top vertex is read from two entries."""
-        table = cliquekit.cliques._subset_table(g)
-        assert len(table) == 1 << max(g.n - 1, 0)
-        read = cliquekit.cliques._reader(g)
-        return [cliquekit.cliques._unpack(read(mask), cliquekit.cliques._lane(g.n))
-                for mask in range(1 << g.n)]
+        counting = cliquekit.cliques._counting(g)
+        assert len(counting.subset) == 1 << max(g.n - 1, 0)
+        return [counting.unpack(counting.read(mask)) for mask in range(1 << g.n)]
 
     def test_every_mask_matches_the_oracle(self, corpus):
         seeded = [random_gnp(n, p, RngSpec(100 * n + round(10 * p)))
@@ -309,7 +309,7 @@ class TestSubsetTable:
         full = (1 << g.n) - 1
         assert split_counts(g, full, sum(1 << v for v in q)) \
             == networkx_counts(delete_edge_set(g, itertools.combinations(q, 2)))
-        assert g.memo.subset is None
+        assert g.memo.cliques.subset is None
 
 
 class TestDeletedCliqueSplit:
@@ -348,7 +348,7 @@ class TestDeletedCliqueSplit:
                 deleted = delete_edge_set(g, itertools.combinations(q, 2))
                 counts = split_counts(g, full, sum(1 << v for v in q))
                 assert counts == brute_force_counts(deleted), q
-        assert len(g.memo.subset) == 1 << (g.n - 1)
+        assert len(g.memo.cliques.subset) == 1 << (g.n - 1)
 
     @pytest.mark.parametrize("n, p", [(21, 0.7), (30, 0.6), (40, 0.5)])
     def test_larger_graphs_match_networkx(self, n, p):
@@ -539,7 +539,7 @@ class TestListingOncePerGraph:
                     assert len(fresh.by_size) == limit + 1, (k, g.adj)
                     assert [stored.cliques(j) for j in range(limit + 1)] \
                         == list(fresh.by_size), (k, g.adj)
-                assert h.memo.catalog.counts == clique_counts(g)
+                assert h.memo.cliques.catalog.counts == clique_counts(g)
 
     def test_only_a_request_beyond_the_listed_sizes_lists_again(self, monkeypatch):
         g = random_gnp(12, 0.7, RngSpec(4))
@@ -547,7 +547,7 @@ class TestListingOncePerGraph:
         omega = len(clique_counts(g))
         assert omega > 3
         for k in (2, 1, 2, 3, 2, omega, g.n, 3):
-            assert cliquekit.cliques._stored_catalog(g, k) is g.memo.catalog
+            assert cliquekit.cliques._stored_catalog(g, k) is g.memo.cliques.catalog
         assert asked == [2, 3, omega]
 
 

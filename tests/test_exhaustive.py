@@ -87,7 +87,7 @@ def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
     """Ask g for the clique-deletion verdict of every clique of 2 to 4
     vertices, largest first, and check that each equals the expansion
     evaluated from brute_force_counts of delete_edge_set(g, E(Q)) and of
-    each induced G[N(S)], and that g.memo.deletions keeps exactly the
+    each induced G[N(S)], and that g's expansion context keeps exactly the
     verdicts asked.  Returns how many cliques were checked."""
     cliques = small_cliques(g)
     lhs = [1, *brute_force_counts(g)]
@@ -95,7 +95,8 @@ def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
         rhs = reference_deletion_rhs(g, q)
         assert CHECKS["clique_deletion"].check(g, q) == (lhs == rhs, lhs, tuple(rhs)), \
             (to_graph6(g), q)
-    assert sorted(g.memo.deletions) == sorted(cliques), to_graph6(g)
+    kept = g.memo.identities.deletions if cliques else {}
+    assert sorted(kept) == sorted(cliques), to_graph6(g)
     return len(cliques)
 
 
@@ -162,9 +163,9 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
     masks = 0
     for n in range(1, 6):
         for g in labeled_graphs(n):
-            read = cliquekit.cliques._reader(g)
+            counting = cliquekit.cliques._counting(g)
             for mask in range(1 << n):
-                counts = cliquekit.cliques._unpack(read(mask), cliquekit.cliques._lane(g.n))
+                counts = counting.unpack(counting.read(mask))
                 assert counts == clique_counts_in(g.adj, mask) \
                     == brute_force_counts(induced_subgraph(g, bits(mask))), (g.adj, mask)
                 masks += 1
@@ -197,9 +198,9 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     decided failing, and its report has that evaluation as its right side;
     every other clique holds."""
     g = random_gnp(n, p, RngSpec(seed))
-    lane = cliquekit.cliques._lane(g.n)
-    read = cliquekit.cliques._reader(g)
-    table = g.memo.subset
+    counting = cliquekit.cliques._counting(g)
+    read = counting.read
+    table = counting.subset
     top = len(table)
     u, v = g.edges()[0]
     entry = g.adj[u] & g.adj[v] & (top - 1)
@@ -209,13 +210,13 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     full = (1 << g.n) - 1
 
     def unpacked(packed):
-        return [1, *cliquekit.cliques._unpack(packed, lane)]
+        return [1, *counting.unpack(packed)]
 
     lhs = unpacked(read(full))
     assert lhs == [1, *brute_force_counts(g)]
     expected = {}
     for q in small_cliques(g):
-        rhs = unpacked(cliquekit.cliques._packed_count(g, read, lane, full, mask_of(q)))
+        rhs = unpacked(counting.split(mask_of(q), full))
         rhs += [0] * (g.n + 1 - len(rhs))
         for r in range(2, len(q) + 1):
             for s in itertools.combinations(q, r):

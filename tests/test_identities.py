@@ -303,7 +303,7 @@ class TestDeckSums:
         for deck, r in DECKS.items():
             expected = reference_deck(g, deck)
             assert cliquekit.identities._deck(fresh, deck) == expected, (g.adj, deck)
-            assert fresh.memo.decks[deck] == expected
+            assert fresh.memo.identities.decks[deck] == expected
             for k in range(r, len(expected) + 2):
                 _, _, rhs = deck_check(deck, fresh, k)
                 assert rhs == (expected[k] if k < len(expected) else 0), (g.adj, deck, k)
@@ -542,7 +542,7 @@ def test_relabelled_graphs_give_the_same_verdicts():
 
 class TestSharedDeletionRhs:
     """edge_recurrence, triangle_identity and clique_deletion read one right
-    side per clique, kept in Graph.memo.deletions."""
+    side per clique, kept in the graph's expansion context."""
 
     def test_matches_an_independent_reference(self, corpus):
         cases = [(2, "edge_recurrence"), (2, "clique_deletion"), (3, "triangle_identity"),
@@ -589,8 +589,9 @@ class TestSharedDeletionRhs:
         g = complete_graph(5)
         assert clique_deletion_expansion(g, []).holds
         assert catalog_report("clique_deletion", g, (3,)).holds
-        full = cliquekit.cliques._reader(g)((1 << g.n) - 1)
-        assert g.memo.splits[0] == g.memo.splits[1 << 3] == full
+        counting = g.memo.cliques
+        full = counting.read((1 << g.n) - 1)
+        assert counting.splits[0] == counting.splits[1 << 3] == full
 
     def test_public_functions_report_as_the_catalog(self, corpus):
         for g in corpus:
@@ -610,6 +611,17 @@ def every_verdict(g):
     instance it lists on g that applies."""
     return {(name, p): verdict for name, cd in CHECKS.items()
             for p, verdict in cd.verdicts(g, cd.params(g, None))}
+
+
+def with_table_of(g, h):
+    """A fresh copy of g whose counting state reads h's subset table: g's
+    rows with the counts of h on n vertices."""
+    wrong = Graph(g.n, g.adj)
+    table = cliquekit.cliques._subset_table(h.adj)
+    with pytest.MonkeyPatch.context() as planted:
+        planted.setattr(cliquekit.cliques, "_subset_table", lambda adj: table)
+        cliquekit.cliques._counting(wrong)
+    return wrong
 
 
 def dense_twelve_vertex_graphs():
@@ -634,7 +646,7 @@ class TestPackedVerdicts:
         for g, verdicts in zip(graphs, packed):
             fresh = Graph(g.n, g.adj)
             assert every_verdict(fresh) == verdicts, g.adj
-            assert fresh.n == 0 or fresh.memo.subset is None
+            assert fresh.n == 0 or fresh.memo.cliques.subset is None
 
     def test_cliques_past_the_weight_bound_match_the_kernel_path(self, monkeypatch):
         """Cliques of 5 to 12 vertices of K12; those of more than
@@ -664,8 +676,7 @@ class TestPackedVerdicts:
         cd = CHECKS["clique_deletion"]
 
         def verdicts():
-            wrong = Graph(g.n, g.adj)
-            wrong.memo.subset = cliquekit.cliques._subset_table(Graph(h.n, h.adj))
+            wrong = with_table_of(g, h)
             return [cd.check(wrong, q) for q in cd.params(wrong, None)]
 
         packed = verdicts()
@@ -702,8 +713,7 @@ class TestPackedVerdicts:
         verdict."""
         g = random_gnp(10, 0.5, RngSpec(5))
         e = g.edges()[0]
-        wrong = Graph(g.n, g.adj)
-        wrong.memo.subset = cliquekit.cliques._subset_table(delete_edge(g, e))
+        wrong = with_table_of(g, delete_edge(g, e))
         failing = {}
         held = set()
         for name in ("vertex_recurrence", "first_derivative", "second_derivative",
@@ -719,7 +729,7 @@ class TestPackedVerdicts:
         assert failing == {"vertex_recurrence": list(e), "first_derivative": [None],
                            "second_derivative": [None], "third_derivative_k5free": [None],
                            "kth_derivative": [1, 2, 3, 4]}
-        assert held == {id(wrong.memo.terms.held)}
+        assert held == {id(wrong.memo.identities.held)}
 
     def test_the_carry_guard_builds_the_row(self, monkeypatch):
         """K13's second derivative sums the neighbourhoods of its 78 edges,
@@ -747,13 +757,13 @@ class TestPackedVerdicts:
         assert rows == [13]
 
         g = random_gnp(10, 0.5, RngSpec(5))
-        lane = cliquekit.cliques._lane(g.n)
         c1, c2, *rest = clique_counts(g)
         planted = Graph(g.n, g.adj)
-        planted.memo.counts = (c1 + (2 << lane), c2 - 1, *rest)
+        counting = cliquekit.cliques._counting(planted)
+        lane = counting.lane
+        counting.counts = (c1 + (2 << lane), c2 - 1, *rest)
         lhs = poly_divided_derivative(clique_polynomial(planted), 1)
-        read = cliquekit.cliques._reader(planted)
-        assert sum(c << lane * j for j, c in enumerate(lhs)) == sum(map(read, g.adj))
+        assert sum(c << lane * j for j, c in enumerate(lhs)) == sum(map(counting.read, g.adj))
         verdict = CHECKS["first_derivative"].check(planted, None)
         assert rows[1:] == [10]
         assert verdict[0] is False and verdict[1] == lhs
@@ -789,27 +799,26 @@ class TestPackedVerdicts:
         the right side decided packed and built in a row, match these.  K64's
         coefficients reach C(64, 32) > 2**60, so a lane too narrow for them
         garbles every unpacked side."""
-        unpack = cliquekit.cliques._unpack
-        lane = cliquekit.cliques._lane(n)
         cd = CHECKS["clique_deletion"]
 
         def binomial(m):
             return [comb(m, k) for k in range(m + 1)]
 
         g = complete_graph(n)
-        read = cliquekit.cliques._reader(g)
+        counting = cliquekit.cliques._counting(g)
+        read, unpack = counting.read, counting.unpack
         full = (1 << n) - 1
         for q in range(2, 7):
             clique = tuple(range(n - q, n))
             without = sum(1 << v for v in clique)
-            deleted = cliquekit.cliques._packed_count(g, read, lane, full, without)
+            deleted = counting.split(without, full)
             expected = [1, *(comb(n - q, k) + q * comb(n - q, k - 1) for k in range(1, n - q + 2))]
-            assert [1, *unpack(deleted, lane)] == expected
+            assert [1, *unpack(deleted)] == expected
             rhs = list(expected)
             for r in range(2, q + 1):
                 for subset in itertools.combinations(clique, r):
                     common = sum(1 << v for v in range(n) if v not in subset)
-                    assert [1, *unpack(read(common), lane)] == binomial(n - r)
+                    assert [1, *unpack(read(common))] == binomial(n - r)
                 rhs = poly_add(rhs, [0] * r + [(-1) ** r * (r - 1) * comb(q, r) * c
                                                for c in binomial(n - r)])
             assert rhs == binomial(n)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from math import comb
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from cliquekit import (
     parse_graph6,
     random_gnp,
     subclique_superclique_matrix,
+    to_graph6,
     triangle_deck_matrix,
     triangle_graph,
     vertex_deck_matrix,
@@ -33,6 +35,7 @@ from _helpers import (
     all_labelled_graphs,
     csv_oracle,
     naive_cliques_of_size,
+    naive_common_neighbors,
     naive_edge_set,
     naive_is_clique,
 )
@@ -210,6 +213,41 @@ class TestTriangleDeck:
             for k in range(3, cat.omega + 1):
                 m = triangle_deck_matrix(g, k)
                 assert all(s == t - comb(k, 3) for s in m.row_sums())
+
+
+def sweep_triangle_deck_row_sums(count: int) -> tuple[int, int]:
+    """Check every row sum of the triangle-deck matrix of count seeded
+    G(n, p), n drawn from 3..16 and p from 0.2..0.9, at every k from 3 to
+    the clique number, against the exact formula: row K sums to
+    t - C(k, 3) - sum over the edges e of K of (|N(e)| - (k - 2)), with t
+    the triangles and N(e) the common neighbours of e's ends, each found by
+    testing vertex sets.  Returns the number of rows checked and of
+    matrices whose row sums are not constant.  Forty graphs run with the
+    tests; CI runs 300 as
+
+        PYTHONPATH=src:tests python -c "import test_incidence as t; t.sweep_triangle_deck_row_sums(300)"
+    """
+    rows = uneven = 0
+    for seed in range(1, count + 1):
+        draw = random.Random(seed)
+        n = draw.randint(3, 16)
+        g = random_gnp(n, round(draw.uniform(0.2, 0.9), 3), RngSpec(seed))
+        t = len(naive_cliques_of_size(g, 3))
+        shared = {e: len(naive_common_neighbors(g, e)) for e in naive_edge_set(g)}
+        for k in range(3, len(clique_counts(g)) + 1):
+            m = triangle_deck_matrix(g, k)
+            sums = m.row_sums()
+            expected = [t - comb(k, 3) - sum(shared[e] - (k - 2) for e in itertools.combinations(q, 2))
+                        for q in m.row_labels]
+            assert sums == expected, (to_graph6(g), k)
+            rows += len(sums)
+            uneven += len(set(sums)) > 1
+    return rows, uneven
+
+
+def test_triangle_deck_row_sums_follow_the_exact_formula():
+    rows, uneven = sweep_triangle_deck_row_sums(40)
+    assert rows and uneven
 
 
 class TestDoubleCount:

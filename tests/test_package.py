@@ -130,3 +130,16 @@ def test_no_private_name_crosses_between_identities_and_conjectures():
     assert [name for module, name in imports["identities"] if module == "conjectures"] == []
     assert [stem for stem, names in imports.items()
             if any(module == "inspect" for module, _ in names)] == []
+
+
+def test_identities_reads_cliques_through_its_counting_state():
+    """identities reaches into cliques through four private names, one of
+    them the graph's counting state, and Graph.memo has one slot per layer
+    that keeps state on a graph."""
+    tree = ast.parse((SRC / "identities.py").read_text())
+    private = {name for module, name in imported_names(tree)
+               if module == "cliques" and name and name.startswith("_")}
+    assert private == {"_PACKED_UNITS", "_counting", "_require_listing_budget", "_stored_catalog"}
+    from cliquekit.graphs import _Memo
+
+    assert _Memo.__slots__ == ("cliques", "identities")
