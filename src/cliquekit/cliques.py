@@ -7,7 +7,11 @@ one counting state, _counting(g), kept in g.memo.cliques: its packed reader,
 read(mask), is C(G[mask], x) at x = 2**lane, with lane = _lane(n) bits a
 coefficient, wide enough that packed counts add as polynomials without a
 carry (see _SUBSET_TABLE_BITS).  split reads one count with a clique's
-edges deleted, add sums many, and the identity checks compare such sums.  A
+edges deleted, add sums many, and the identity checks compare such sums.
+The format has one encoder, _pack, which the kernel's reader and
+_Counting.pack call, and one decoder, the lane loop of _Counting.add, which
+unpack decodes through; term scales a count by coeff x**r and coefficient
+reads one coefficient of a sum, so no other module shifts by a lane.  A
 graph of more than _SUBSET_TABLE_MAX_N vertices counts each mask once with
 one kernel, clique_counts_in(adj, mask): the clique counts of the subgraph
 that a vertex bitmask induces over bit-row adjacency.  It lists nothing, and
@@ -69,7 +73,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
@@ -78,34 +82,27 @@ Polynomial = list[int]
 
 # Candidate sets of at least this many vertices are split on a pivot; smaller
 # ones are counted by the plain DFS (with sets of up to three candidates in
-# closed form).  Kernel time per call, in microseconds, DFS / split (at the
-# root only, DFS below it) on the full mask of G(s, p), 80 graphs per cell,
-# median of 5 interleaved runs, Python 3.11, 2-core x86-64 host:
+# closed form).  Kernel time per graph, in milliseconds, on the full mask of
+# the first 10 graphs of each dense_poly reference template, with the cutoff
+# at 8, 10, 12 and 14: medians of 30 alternating in-process rounds, Python
+# 3.11, 2-core x86-64 host:
 #
-#    s     p=0.3     p=0.5     p=0.6     p=0.7    p=0.85    p=0.95
-#    8   4.4/7.6   5.8/8.0   7.0/8.3   9.2/8.8 14.2/10.5 23.2/14.5
-#   10  6.5/10.3  9.8/11.8 13.0/12.9 18.8/15.8 40.8/25.0 75.0/41.3
-#   11  7.4/11.6 12.5/13.9 17.3/15.9 26.1/20.2 58.5/34.3  164/83.5
-#   12  8.5/12.9 14.3/15.5 22.8/19.8 33.6/25.5 89.4/50.2   290/144
-#   13 10.0/15.0 18.6/19.6 28.6/25.1 45.6/32.9  163/85.3   485/242
-#   14 10.9/15.9 22.3/21.5 34.6/28.2 62.7/43.4   245/128   820/420
-#   16 14.1/18.9 31.2/28.9 55.2/41.6 96.3/65.5   489/260 2683/1377
+#   template          8     10     12     14
+#   G(64, 0.5)     2.54   2.13   1.92   1.85
+#   G(60, 0.55)    3.02   2.55   2.43   2.35
+#   G(56, 0.6)     3.70   3.19   3.00   3.01
+#   G(52, 0.65)    4.54   3.85   3.75   3.78
+#   G(48, 0.7)     5.18   4.60   4.47   4.70
+#   G(44, 0.75)    5.21   4.68   4.81   5.05
+#   G(40, 0.8)     4.55   4.20   4.40   5.07
+#   G(38, 0.825)   3.85   3.78   4.01   4.79
+#   G(36, 0.85)    2.62   2.67   2.94   3.59
 #
-# Splitting pays from about 8 vertices at p >= 0.7, as inside a dense
-# graph's pivot recursion, from about 10 at p = 0.6 and 14 at p = 0.5, and
-# not by 16 at p = 0.3.  The neighbourhoods and deletions of small fuzzed
-# graphs (median density about 0.6) sit on the sparse side, where the kernel
-# is a small share of the time: a campaign over G(4..12, 0.2..0.8) runs as
-# fast, within noise, with the cutoff anywhere from 9 to 14.  On the dense
-# graphs G(36..64, 0.5..0.85), cutoffs of 10 and 11 are within 6 % of 12,
-# while 13 takes 11 % longer and 14 29 % longer, so 12 stays.
-#
-# This table is old: it was measured before every loop of the kernel took
-# the highest candidate first.  On the kernel as it is, cutoff 8 counted
-# single dense graphs faster, G(64, 0.9) in 1.5-1.6 s against 2.3-2.9 s at
-# 12 and G(64, 0.95) in 0.26-0.40 s against 0.40-0.75 s (two runs each),
-# while it had made the large sparse campaign 1.2-1.5x slower.  The value
-# stays 12 until it is re-measured together with a per-graph node memo.
+# Paired by round, the 90 graphs took 1.11x as long at 8 (quartiles
+# 1.07-1.14), 1.00x at 10 (0.98-1.02) and 1.09x at 14 (1.06-1.12) as at 12.
+# A lower cutoff pays only at the dense end, 0.89x at 8 on G(36, 0.85), and
+# so do single counts of G(64, 0.9) and G(64, 0.95), but it costs the sparse
+# end up to 1.32x; so 12 stays until a per-graph node memo wins that back.
 _PIVOT_MIN_SIZE = 12
 
 # Graphs of at most this many vertices fill a subset table when their
@@ -459,10 +456,7 @@ class _Counting:
             def read(mask: int) -> int:
                 packed = get(mask)
                 if packed is None:
-                    packed = 0
-                    for c in reversed(clique_counts_in(adj, mask)):
-                        packed = (packed | c) << lane
-                    packed = known[mask] = packed | 1
+                    packed = known[mask] = _pack((1, *clique_counts_in(adj, mask)), lane)
                 return packed
         self.read = read
 
@@ -516,27 +510,37 @@ class _Counting:
                 packed >>= lane
                 j += 1
 
+    def term(self, mask: int, r: int, coeff: int = 1) -> int:
+        """coeff * x**r * C(G[mask], x) packed."""
+        return coeff * self.read(mask) << self.lane * r
+
+    def coefficient(self, packed: int, k: int) -> int:
+        """Coefficient k of a packed sum that does not carry."""
+        return packed >> k * self.lane & (1 << self.lane) - 1
+
     def pack(self, row: Polynomial) -> int | None:
-        """row packed, its value at x = 2**lane, or None if a coefficient
-        does not fit in lane bits and would carry into the next."""
-        lane = self.lane
-        packed = 0
-        for c in reversed(row):
-            if c >> lane:
-                return None
-            packed = (packed << lane) + c
-        return packed
+        """row packed at this graph's lane (_pack)."""
+        return _pack(row, self.lane)
 
     def unpack(self, packed: int) -> tuple[int, ...]:
-        """(c_1, ..., c_omega) of a packed count, whose constant term is 1."""
-        lane = self.lane
-        field = (1 << lane) - 1
-        counts = []
-        packed >>= lane
-        while packed:
-            counts.append(packed & field)
-            packed >>= lane
-        return tuple(counts)
+        """(c_1, ..., c_omega) of a packed count, whose constant term is 1,
+        decoded by add into a row as long as the count has coefficients."""
+        row = [0] * -(-packed.bit_length() // self.lane)
+        self.add(row, [packed])
+        return tuple(row[1:])
+
+
+def _pack(row: Sequence[int], lane: int) -> int | None:
+    """row, coefficient of x**k at index k, packed at lane bits a
+    coefficient: its value at x = 2**lane, or None if a coefficient is
+    negative or does not fit in lane bits and would carry into the next.
+    The one encoder of packed counts."""
+    packed = 0
+    for c in reversed(row):
+        if c >> lane:
+            return None
+        packed = packed << lane | c
+    return packed
 
 
 def _counting(g: Graph) -> _Counting:

@@ -21,16 +21,18 @@ cliquekit.cliques sums from masks over the same rows), so no check builds a
 subgraph or edits a row.  Every count is read packed through g's one
 counting state (cliquekit.cliques._counting), C(x) at x = 2**lane with
 lane bits a coefficient, whatever the size of g, on both sides of the
-subset table's gate.  That state splits C(G - E(Q)) of a clique Q into
-masks once per graph and keeps it: the expansion's verdicts, the edge and
-triangle decks and triangle_deletion_counts read the same entry.  What
-this module keeps of a graph it keeps in one expansion context (_Terms,
-Graph.memo.identities).
+subset table's gate.  That state owns the format: a term
+coeff x**r C(G[mask]) is read through _Counting.term, a coefficient of a
+packed sum through _Counting.coefficient, and a row is packed by
+_Counting.pack, so this module does no lane arithmetic.  The state also
+splits C(G - E(Q)) of a clique Q into masks once per graph and keeps it:
+the expansion's verdicts, the edge and triangle decks and
+triangle_deletion_counts read the same entry.  What this module keeps of a
+graph it keeps in one expansion context (_Terms, Graph.memo.identities).
 
 Every theorem verdict that compares polynomials is decided by comparing
 packed integers, with nothing unpacked where it holds:
-- the vertex recurrence: C(G - v) plus C(G[N(v)]) shifted one lane, against
-  C(G);
+- the vertex recurrence: C(G - v) plus the term x C(G[N(v)]), against C(G);
 - the derivative formulas (first, second and third, and kth_derivative):
   the divided r-th derivative of C(G), packed, against the sum of
   C(G[N(Q)]) over the r-cliques Q (_derivative_verdict);
@@ -38,7 +40,11 @@ packed integers, with nothing unpacked where it holds:
   and the triangle identity's for edges and triangles: C(G) plus its odd-r
   terms against C(G - Q) plus its even-r terms, compared inline in
   _deletion_verdict once per clique and graph (_Terms.deletions, keyed by
-  the clique's tuple as it is listed or parsed).
+  the clique's tuple as it is listed or parsed);
+- triangle_deletion_counts: its formula for c_1..c_4 of G - d, packed,
+  against the split C(G - E(d)); a formula coefficient that is negative or
+  past the lane packs to None, and only then, or where the integers differ,
+  is the split unpacked.
 A packed sum is exact only while no coefficient reaches 2**lane, which a
 sum of at most cliquekit.cliques._PACKED_UNITS counts never does.  The
 vertex recurrence adds two counts, and the expansion is compared packed
@@ -508,7 +514,7 @@ def check_handshake(g: Graph, k: int) -> Verdict:
 def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     """C(G, x) == C(G - v, x) + x * C(G[N(v)], x).
 
-    Decided packed: C(G - v) plus C(G[N(v)]) shifted one lane against C(G).
+    Decided packed: C(G - v) plus the term x C(G[N(v)]) against C(G).
     Each side is one or two packed counts, which cannot carry, so equal
     integers give the graph's one held verdict (its _Terms.held); only a
     vertex where they differ has its right side built in a row.
@@ -516,7 +522,7 @@ def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     counting = _counting(g)
     read = counting.read
     without = _without_vertex(g, v)
-    if read(without) + (read(g.adj[v]) << counting.lane) == read(without | 1 << v):
+    if read(without) + counting.term(g.adj[v], 1) == read(without | 1 << v):
         return _terms(g).held
     rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [without]))
     return _poly_verdict(clique_polynomial(g), rhs)
@@ -655,8 +661,7 @@ def _derivative_verdict(g: Graph, r: int, masks: Sequence[int]) -> Verdict:
     lhs = poly_divided_derivative(clique_polynomial(g), r)
     if len(masks) <= _PACKED_UNITS:
         counting = _counting(g)
-        packed = counting.pack(lhs)
-        if packed is not None and packed == sum(map(counting.read, masks)):
+        if counting.pack(lhs) == sum(map(counting.read, masks)):
             return True, lhs, tuple(lhs)
     return _poly_verdict(lhs, _count_sum(g, masks))
 
@@ -821,7 +826,7 @@ class _Terms(dict):
     """One graph's expansion context, kept in g.memo.identities (see
     _terms): the packed terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the
     sorted subset S; counting, the graph's counting state, through which
-    every count is read; whole, C(G) packed; held, (True, lhs, tuple(lhs))
+    every count and term is read (_Counting.term); whole, C(G) packed; held, (True, lhs, tuple(lhs))
     with lhs the row of C(G), the verdict of every clique on which the
     expansion holds and of every vertex at which the vertex recurrence
     holds; deletions, the clique-deletion verdicts keyed by the clique's
@@ -846,8 +851,7 @@ class _Terms(dict):
 
     def __missing__(self, s: tuple[int, ...]) -> int:
         counting = self.counting
-        term = self[s] = ((len(s) - 1) * counting.read(_common(counting.adj, s))
-                          << counting.lane * len(s))
+        term = self[s] = counting.term(_common(counting.adj, s), len(s), len(s) - 1)
         return term
 
 
@@ -885,7 +889,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     verdict = deletions.get(q)
     if verdict is None:
         counting = terms.counting
-        read, lane, adj = counting.read, counting.lane, counting.adj
+        term, adj = counting.term, counting.adj
         mask, common = 0, -1
         for v in q:
             mask |= 1 << v
@@ -894,10 +898,10 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
         if size <= _PACKED_CLIQUE_MAX:
             sides = [counting.split(mask), terms.whole]
             if size > 1:
-                term = terms.__getitem__
+                stored = terms.__getitem__
                 for r in range(2, size):
-                    sides[r & 1] += sum(map(term, itertools.combinations(q, r)))
-                own = terms[q] = (size - 1) * read(common) << lane * size
+                    sides[r & 1] += sum(map(stored, itertools.combinations(q, r)))
+                own = terms[q] = term(common, size, size - 1)
                 sides[size & 1] += own
             if sides[0] == sides[1]:
                 verdict = terms.held
@@ -1005,10 +1009,12 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
 
     where e_1..e_3 are the triangle's edges and val is the clique-value.
     C(G) is read once, C(G - d) packed as the split the clique-deletion
-    verdicts share, and each N(e_i) is the AND of
-    two rows, whose c_2 are summed packed and read off as coefficient 2.  The
-    public function returns the TriangleDeletionCounts; the catalog renders
-    the two count tuples as a report's sides.
+    verdicts share, and each N(e_i) is the AND of two rows, whose c_2 are
+    summed packed and read off as coefficient 2.  The formula is packed and
+    compared with the split, which is unpacked only where they differ or a
+    formula coefficient cannot be packed.  The public function returns the
+    TriangleDeletionCounts; the catalog renders the two count tuples as a
+    report's sides.
     """
     counts = clique_counts(g)
     if len(counts) >= 5:
@@ -1016,17 +1022,19 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     c1, c2, c3, c4 = (*counts, 0, 0, 0)[:4]
     adj = g.adj
     counting = _counting(g)
-    lane = counting.lane
     u, v, w = delta
     edge_nbhds = (adj[u] & adj[v], adj[u] & adj[w], adj[v] & adj[w])
     formula = (
         c1,
         c2 - 3,
         c3 - sum(nbhd.bit_count() for nbhd in edge_nbhds) + 2,
-        c4 - (sum(map(counting.read, edge_nbhds)) >> 2 * lane & (1 << lane) - 1)
+        c4 - counting.coefficient(sum(map(counting.read, edge_nbhds)), 2)
         + 2 * (edge_nbhds[0] & adj[w]).bit_count(),
     )
-    direct = (*counting.unpack(counting.split(_vertex_mask(delta))), 0, 0, 0)[:4]
+    split = counting.split(_vertex_mask(delta))
+    if counting.pack((1, *formula)) == split:
+        return True, formula, formula
+    direct = (*counting.unpack(split), 0, 0, 0)[:4]
     return formula == direct, formula, direct
 
 

@@ -762,9 +762,9 @@ def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
     200 graphs, into the graph's one counts slot: every count a check sums
     or compares is read packed, and C(G) is asked by every check, by the
     clique-deletion verdicts and the vertex recurrence once per graph for
-    the held verdict they share.  The only other unpacked counts are the
-    sides that triangle_deletion_counts compares tuple by tuple, C(G - E(d))
-    once per triangle of a graph with no 5-clique: 932."""
+    the held verdict they share.  triangle_deletion_counts compares its
+    formula with C(G - E(d)) packed, so a holding verdict unpacks nothing,
+    and every verdict of the campaign holds."""
     unpack = cliquekit.cliques._Counting.unpack
     graphs = record_campaign_graphs(monkeypatch)
     unpacked = []
@@ -778,7 +778,7 @@ def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(graphs) == 200
     assert Counter(caller for caller, _ in unpacked) \
-        == {"clique_counts": 200, "triangle_deletion_counts": 932}
+        == {"clique_counts": 200}
     assert [packed for caller, packed in unpacked if caller == "clique_counts"] \
         == [g.memo.cliques.read((1 << g.n) - 1) for g in graphs]
 

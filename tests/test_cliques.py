@@ -51,6 +51,7 @@ from cliquekit import (
 
 from _helpers import (
     all_labelled_graphs,
+    co_component_counts,
     graphs,
     naive_cliques_of_size,
     networkx_counts,
@@ -267,6 +268,28 @@ class TestCountingKernel:
             assert clique_polynomial(g) == poly
 
 
+@pytest.mark.parametrize("n", [10, 20])
+def test_terms_and_coefficients_match_row_arithmetic(n):
+    """On both sides of the subset table's gate, term(mask, r, coeff) is
+    coeff x**r C(G[mask]) packed, and coefficient reads each coefficient of
+    a sum of terms back out, against rows of the kernel's counts."""
+    g = random_gnp(n, 0.6, RngSpec(n))
+    counting = cliquekit.cliques._counting(g)
+    draw = random.Random(n)
+    row = [0] * (n + 3)
+    packed = 0
+    for i in range(8):
+        mask, r, coeff = draw.getrandbits(n), i % 3, 1 + i % 4
+        shifted = [0] * r + [coeff * c for c in (1, *clique_counts_in(g.adj, mask))]
+        term = counting.term(mask, r, coeff)
+        assert term == cliquekit.cliques._pack(shifted, counting.lane)
+        assert term == -counting.term(mask, r, -coeff)
+        for j, c in enumerate(shifted):
+            row[j] += c
+        packed += term
+    assert [counting.coefficient(packed, k) for k in range(len(row))] == row
+
+
 class TestSubsetTable:
     """The subset table, from which a graph of at most _SUBSET_TABLE_MAX_N
     vertices answers every count, against references that share no code
@@ -438,21 +461,63 @@ class TestPivotPath:
         assert poly[:3] == [1, 48, g.m]
 
 
-def sweep_relabelled_dense_band(count: int, n_range=(40, 64)) -> None:
-    """Check C(G) == C(reversed G) on count seeded G(n, p), n drawn from
-    n_range and p from 0.85..0.95: the dense band, where no oracle reaches
-    and the pivot recursion is deepest.  Twenty such graphs take about 9 s
-    on a 2-core x86-64 host, too slow for the default test run; CI runs
-    them as
-
-        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_relabelled_dense_band(20)"
-    """
+def dense_band(count: int, n_range=(40, 64)):
+    """count seeded G(n, p), n drawn from n_range and p from 0.85..0.95: the
+    dense band, where no listing reaches and the pivot recursion is deepest."""
     for seed in range(1, count + 1):
         draw = random.Random(seed)
         n = draw.randint(*n_range)
-        g = random_gnp(n, round(draw.uniform(0.85, 0.95), 3), RngSpec(seed))
-        reversed_g = relabelled(g, range(n - 1, -1, -1))
+        yield random_gnp(n, round(draw.uniform(0.85, 0.95), 3), RngSpec(seed))
+
+
+def sweep_relabelled_dense_band(count: int, n_range=(40, 64)) -> None:
+    """Check C(G) == C(reversed G) on the count graphs of dense_band.
+    Twenty such graphs take about 5 s on a 2-core x86-64 host, too slow for
+    the default test run; CI runs them as
+
+        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_relabelled_dense_band(20)"
+    """
+    for g in dense_band(count, n_range):
+        reversed_g = relabelled(g, range(g.n - 1, -1, -1))
         assert clique_polynomial(g) == clique_polynomial(reversed_g), to_graph6(g)
+
+
+def sweep_dense_band_against_the_oracle(count: int, n_range=(40, 64)) -> None:
+    """Check C(G) against the co-component oracle on the count graphs of
+    dense_band, the ones that sweep_relabelled_dense_band relabels.  CI runs
+    twenty of them as
+
+        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_dense_band_against_the_oracle(20)"
+    """
+    for g in dense_band(count, n_range):
+        assert clique_counts(g) == co_component_counts(g), to_graph6(g)
+
+
+class TestCoComponentOracle:
+    """The co-component oracle, which shares no code with cliquekit.cliques,
+    against the exhaustive oracle on every labelled graph of at most 5
+    vertices, and against the kernel where only it reaches: dense graphs of
+    40 to 64 vertices."""
+
+    def test_small_graphs_against_the_exhaustive_oracle(self):
+        for n in range(6):
+            for g in all_labelled_graphs(n):
+                assert co_component_counts(g) == brute_force_counts(g), g.adj
+
+    @pytest.mark.parametrize("g", [
+        random_gnp(64, 0.92, RngSpec(1)),
+        random_gnp(48, 0.95, RngSpec(1)),
+        complement(path_graph(64)),
+        complement(cycle_graph(64)),
+        random_gnp(40, 0.85, RngSpec(1)),
+    ], ids=["G(64,0.92)", "G(48,0.95)", "co-P64", "co-C64", "G(40,0.85)"])
+    def test_dense_graphs_against_the_kernel(self, g):
+        assert clique_counts(g) == co_component_counts(g)
+
+    def test_the_oracle_sweep_runs(self):
+        """CI's oracle sweep of the dense band, on graphs small enough for
+        the default run."""
+        sweep_dense_band_against_the_oracle(4, n_range=(16, 24))
 
 
 class TestRelabelling:

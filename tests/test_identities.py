@@ -772,14 +772,23 @@ class TestPackedVerdicts:
     def test_the_weight_bounds_cannot_carry(self):
         """A sum of _PACKED_UNITS packed counts of a graph on n vertices
         stays under 2**_lane(n) in every coefficient, for every n up to 64;
-        inside the gate the lane is the subset table's 16 bits.  The
-        expansion of a clique of _PACKED_CLIQUE_MAX vertices, but not one
-        more, sums at most that many a side."""
+        inside the gate the lane is the subset table's 16 bits.  The one
+        encoder, _pack, and the one decoder, _Counting.unpack, carry such a
+        sum, _PACKED_UNITS (1 + x)**n at its widest, there and back, and a
+        coefficient of 2**lane packs to None.  The expansion of a clique of
+        _PACKED_CLIQUE_MAX vertices, but not one more, sums at most that many
+        a side."""
         gate = cliquekit.cliques._SUBSET_TABLE_MAX_N
         units = cliquekit.cliques._PACKED_UNITS
         lane = cliquekit.cliques._lane
+        pack = cliquekit.cliques._pack
         for n in range(MAX_VERTICES + 1):
             assert units * comb(n, n // 2) < 1 << lane(n), n
+            row = [units * comb(n, k) for k in range(n + 1)]
+            counting = cliquekit.cliques._counting(empty_graph(n))
+            assert counting.unpack(pack(row, lane(n))) == tuple(row[1:]), n
+            assert pack([1 << lane(n), *row[1:]], lane(n)) is None
+            assert pack([*row, 1 << lane(n)], lane(n)) is None
         assert {lane(n) for n in range(gate + 1)} == {cliquekit.cliques._SUBSET_TABLE_BITS}
         assert lane(MAX_VERTICES) == 67
 
@@ -938,6 +947,37 @@ class TestTriangleDeletionCounts:
     @pytest.mark.parametrize("n, p", [(12, 0.5), (14, 0.4), (17, 0.2)])
     def test_seeded_gnp_matches_the_reference_formula(self, n, p):
         assert self.assert_matches_reference(random_gnp(n, p, RngSpec(n)))
+
+    @pytest.mark.parametrize("n, p", [(12, 0.5), (17, 0.2)])
+    def test_a_wrong_formula_unpacks_the_split(self, n, p, monkeypatch):
+        """The formula is compared with C(G - E(d)) packed, and the split is
+        unpacked only where they differ.  Counts of G planted wrong make each
+        formula wrong: c_3 raised by 1, c_2 lowered to 2 (a negative
+        coefficient, which packs to None), and c_1 raised by 2**lane with c_2
+        lowered by 1, which without the guard of _pack would pack to the
+        split's own integer.  Each verdict fails with the true direct side."""
+        g = random_gnp(n, p, RngSpec(n))
+        d = triangles(g)[0]
+        counts = (*clique_counts(g), 0, 0)[:4]
+        right = triangle_deletion_counts(g, d)
+        assert right.matches
+        lane = cliquekit.cliques._counting(g).lane
+        unpack = cliquekit.cliques._Counting.unpack
+        unpacked = []
+
+        def spy(counting, packed):
+            unpacked.append(packed)
+            return unpack(counting, packed)
+
+        monkeypatch.setattr(cliquekit.cliques._Counting, "unpack", spy)
+        c1, c2, c3, c4 = counts
+        for planted in [(c1, c2, c3 + 1, c4), (c1, 2, c3, c4), (c1 + (1 << lane), c2 - 1, c3, c4)]:
+            wrong = Graph(g.n, g.adj)
+            cliquekit.cliques._counting(wrong).counts = planted
+            r = triangle_deletion_counts(wrong, d)
+            assert not r.matches and r.direct == right.direct
+            assert r.formula == tuple(f + a - b for f, a, b in zip(right.formula, planted, counts))
+        assert len(unpacked) == 3
 
     def test_matches_direct_enumeration_on_corpus(self, corpus):
         for g in corpus:
