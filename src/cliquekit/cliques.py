@@ -8,18 +8,19 @@ read(mask), is C(G[mask], x) at x = 2**lane, with lane = _lane(n) bits a
 coefficient, wide enough that packed counts add as polynomials without a
 carry (see _SUBSET_TABLE_BITS).  split reads one count with a clique's
 edges deleted, add sums many, and the identity checks compare such sums.
-The format has one encoder, _pack, which the kernel's reader and
-_Counting.pack call, and one decoder, the lane loop of _Counting.add, which
-unpack decodes through; term scales a count by coeff x**r and coefficient
-reads one coefficient of a sum, so no other module shifts by a lane.  A
-graph of more than _SUBSET_TABLE_MAX_N vertices counts each mask once with
-one kernel, clique_counts_in(adj, mask): the clique counts of the subgraph
-that a vertex bitmask induces over bit-row adjacency.  It lists nothing, and
-the reader keeps each mask's counts packed.  A smaller graph does not call
-the kernel: it fills one table of the clique polynomials of its induced
-subgraphs by the vertex recurrence C(S + v) = C(S) + x C(S & N(v)), packed
-16 bits a coefficient, and the reader reads every count from it (see
-_subset_table).  clique_counts, clique_count and clique_polynomial are thin
+The format has one encoder, _pack, which the kernel and _Counting.pack
+call, and one decoder, _coefficients, which _Counting.add, _Counting.unpack
+and clique_counts_in call; term scales a count by coeff x**r and
+coefficient reads one coefficient of a sum, so no other module shifts by a
+lane.  A graph of more than _SUBSET_TABLE_MAX_N vertices counts each mask
+once with one kernel, _poly_of(adj, mask, memo, lane): the clique
+polynomial of the subgraph that a vertex bitmask induces over bit-row
+adjacency, packed at the graph's lane, which the reader keeps as it comes.
+It lists nothing; clique_counts_in(adj, mask) decodes its count into
+clique counts.  A smaller graph does not call the kernel: it fills one
+table of the clique polynomials of its induced subgraphs by the vertex
+recurrence C(S + v) = C(S) + x C(S & N(v)), packed 16 bits a coefficient,
+and the reader reads every count from it (see _subset_table).  clique_counts, clique_count and clique_polynomial are thin
 wrappers over both.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
@@ -40,9 +41,11 @@ triangle one of three more, so the extension makes no call for it.  Sets of
 out about two thirds of its calls.
 
 A mask under the cutoff, most of the masks the identity checks ask for, is
-grown straight into its row, with no memo.  Results are memoised at two
-lifetimes.  Within one call on a mask of at least the cutoff, a dict keyed by
-candidate set holds every pivot node, so a set reached along several
+grown straight into its row and packed, with no memo.  A pivot node sums its
+terms as packed integers, which cannot carry (see _poly_of), so the kernel
+has one count format, the reader's.  Results are memoised at two lifetimes.
+Within one call on a mask of at least the cutoff, a dict keyed by candidate
+set holds every pivot node's packed count, so a set reached along several
 branches is counted once: K64 and complete multipartite graphs take one
 entry per level, and the complement of a 64-vertex path 52 entries.  The
 dict goes when the call returns, so no state is kept at module level.
@@ -73,7 +76,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
 
@@ -293,14 +296,16 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     each term counted by the same rule, and memoised on its candidate set in
     a dict made for this call alone.  A universal vertex is a pivot with no
     non-neighbours, and on a complete multipartite graph every S_w & N(w)
-    equals S & N(u), so both take one memo entry per level.  Terms below the
-    cutoff are grown straight into the node's coefficient row by the
-    depth-first count.
+    equals S & N(u), so both take one memo entry per level.  A node sums its
+    terms packed, at the lane of as many vertices as adj has rows (_poly_of);
+    the terms below the cutoff are grown into one row by the depth-first
+    count and packed once.  The count is decoded once, by _coefficients.
     """
     limit = min(len(adj), MAX_VERTICES)
     if mask < 0 or mask >> limit:
         raise ValueError(f"mask has bits outside 0..{limit - 1}")
-    return tuple(_poly_of(adj, mask, {})[1:])
+    lane = _lane(limit)
+    return tuple(_coefficients(_poly_of(adj, mask, {}, lane), lane))[1:]
 
 
 def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
@@ -343,55 +348,59 @@ def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
             _grow(adj, row, size, nxt)
 
 
-def _poly_of(adj: tuple[int, ...], cand: int,
-             memo: dict[int, tuple[int, ...]]) -> list[int] | tuple[int, ...]:
-    """C(G[cand], x) without trailing zeros; pivot nodes are memoised in memo."""
+def _poly_of(adj: tuple[int, ...], cand: int, memo: dict[int, int], lane: int) -> int:
+    """C(G[cand], x) packed at lane bits a coefficient (_pack); the count of
+    each pivot node is memoised in memo, keyed by its candidate set.
+
+    A set below the cutoff grows its row and packs it.  A pivot node writes
+    the recurrence as sums of packed counts: inner + (inner << lane) is
+    (1 + x) C(S & N(u)) for inner = C(S & N(u)), a non-neighbour's set at or
+    above the cutoff adds its count shifted by one lane, and those below it
+    grow one row, packed once.  No partial sum can carry: every term is a
+    polynomial with non-negative coefficients, and the terms add up to
+    C(G[cand]), whose coefficients are at most C(n, n // 2) < 2**lane for a
+    graph on n vertices at its lane _lane(n).
+    """
     size = cand.bit_count()
     if size < _PIVOT_MIN_SIZE:
         row = [0] * (size + 1)
         row[0] = 1
         if cand:
             _grow(adj, row, 1, cand)
-    else:
-        known = memo.get(cand)
-        if known is not None:
-            return known
-        row = [0] * (size + 1)
-        best = -1
-        c = cand
-        while c:
-            w = c.bit_length() - 1
-            c ^= _BIT[w]
-            d = (cand & adj[w]).bit_count()
-            if d > best:
-                best, u = d, w
-                if d == size - 1:
-                    break
-        nb = adj[u]
-        for j, a in enumerate(_poly_of(adj, cand & nb, memo)):
-            row[j] += a
-            row[j + 1] += a
-        left = cand ^ _BIT[u]
-        rest = left & ~nb
-        while rest:
-            w = rest.bit_length() - 1
-            bit = _BIT[w]
-            rest ^= bit
-            sub = left & adj[w]
-            if sub.bit_count() >= _PIVOT_MIN_SIZE:
-                for j, a in enumerate(_poly_of(adj, sub, memo), 1):
-                    row[j] += a
-            else:
-                row[1] += 1
-                if sub:
-                    _grow(adj, row, 2, sub)
-            left ^= bit
-    while not row[-1]:
-        row.pop()
-    if size >= _PIVOT_MIN_SIZE:
-        # frozen: a tuple is smaller, and the garbage collector stops tracking it
-        row = memo[cand] = tuple(row)
-    return row
+        return _pack(row, lane)
+    known = memo.get(cand)
+    if known is not None:
+        return known
+    best = -1
+    c = cand
+    while c:
+        w = c.bit_length() - 1
+        c ^= _BIT[w]
+        d = (cand & adj[w]).bit_count()
+        if d > best:
+            best, u = d, w
+            if d == size - 1:
+                break
+    nb = adj[u]
+    inner = _poly_of(adj, cand & nb, memo, lane)
+    packed = inner + (inner << lane)
+    row = [0] * (size + 1)
+    left = cand ^ _BIT[u]
+    rest = left & ~nb
+    while rest:
+        w = rest.bit_length() - 1
+        bit = _BIT[w]
+        rest ^= bit
+        sub = left & adj[w]
+        if sub.bit_count() >= _PIVOT_MIN_SIZE:
+            packed += _poly_of(adj, sub, memo, lane) << lane
+        else:
+            row[1] += 1
+            if sub:
+                _grow(adj, row, 2, sub)
+        left ^= bit
+    packed = memo[cand] = packed + _pack(row, lane)
+    return packed
 
 
 def _subset_table(adj: tuple[int, ...]) -> list[int]:
@@ -425,10 +434,11 @@ class _Counting:
     holds the top vertex t, which the table leaves out, is
     C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the table.
     A larger graph has no table; it counts a mask with the kernel,
-    clique_counts_in, the first time it is read, and keeps the packed count
-    in a dict of its reader, so each mask is counted once per graph.  The
-    reader closes over the table or that dict and the rows, and the state
-    holds no Graph, so it keeps nothing alive that the memo does not.
+    _poly_of, the first time it is read, and keeps the kernel's packed count
+    as it comes in a dict of its reader, so each mask is counted once per
+    graph.  The reader closes over the table or that dict and the rows, and
+    the state holds no Graph, so it keeps nothing alive that the memo does
+    not.
     """
 
     __slots__ = ("adj", "lane", "read", "subset", "counts", "catalog", "splits")
@@ -456,7 +466,7 @@ class _Counting:
             def read(mask: int) -> int:
                 packed = get(mask)
                 if packed is None:
-                    packed = known[mask] = _pack((1, *clique_counts_in(adj, mask)), lane)
+                    packed = known[mask] = _poly_of(adj, mask, {}, lane)
                 return packed
         self.read = read
 
@@ -501,14 +511,10 @@ class _Counting:
         sum carries, and each sum is unpacked into the row once."""
         counts = iter(counts)
         lane = self.lane
-        field = (1 << lane) - 1
         # every packed count has the constant term 1, so only an empty batch sums to 0
         while packed := sum(itertools.islice(counts, _PACKED_UNITS)):
-            j = shift
-            while packed:
-                row[j] += coeff * (packed & field)
-                packed >>= lane
-                j += 1
+            for j, c in enumerate(_coefficients(packed, lane), shift):
+                row[j] += coeff * c
 
     def term(self, mask: int, r: int, coeff: int = 1) -> int:
         """coeff * x**r * C(G[mask], x) packed."""
@@ -523,11 +529,8 @@ class _Counting:
         return _pack(row, self.lane)
 
     def unpack(self, packed: int) -> tuple[int, ...]:
-        """(c_1, ..., c_omega) of a packed count, whose constant term is 1,
-        decoded by add into a row as long as the count has coefficients."""
-        row = [0] * -(-packed.bit_length() // self.lane)
-        self.add(row, [packed])
-        return tuple(row[1:])
+        """(c_1, ..., c_omega) of a packed count, whose constant term is 1."""
+        return tuple(_coefficients(packed, self.lane))[1:]
 
 
 def _pack(row: Sequence[int], lane: int) -> int | None:
@@ -541,6 +544,15 @@ def _pack(row: Sequence[int], lane: int) -> int | None:
             return None
         packed = packed << lane | c
     return packed
+
+
+def _coefficients(packed: int, lane: int) -> Iterator[int]:
+    """The coefficients of a packed sum that does not carry, lowest first,
+    up to its highest nonzero one: the one decoder of packed counts."""
+    field = (1 << lane) - 1
+    while packed:
+        yield packed & field
+        packed >>= lane
 
 
 def _counting(g: Graph) -> _Counting:

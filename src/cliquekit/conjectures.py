@@ -41,14 +41,21 @@ CHECKS: dict[str, CheckDef] = {cd.name: cd for cd in CATALOG}
 ALL_THEOREMS = tuple(name for name, cd in CHECKS.items() if cd.kind == THEOREM)
 
 
+def _check_def(name: str) -> CheckDef:
+    """The catalog's check of that id; ValueError for an unknown one, which
+    may come from outside the program, as in a saved report."""
+    if name not in CHECKS:
+        raise ValueError(f"unknown check id {name!r}")
+    return CHECKS[name]
+
+
 def resolve_checks(names) -> tuple[str, ...]:
     """Expand 'all-theorems' and validate ids, preserving order without duplicates."""
     out: list[str] = []
     for name in names:
         expanded = ALL_THEOREMS if name == "all-theorems" else (name,)
         for item in expanded:
-            if item not in CHECKS:
-                raise ValueError(f"unknown check id {item!r}")
+            _check_def(item)
             if item not in out:
                 out.append(item)
     if not out:
@@ -59,7 +66,7 @@ def resolve_checks(names) -> tuple[str, ...]:
 # -- shrinking ---------------------------------------------------------------------
 
 def _failure_predicate(check: str, params: Optional[dict]) -> Callable[[Graph], bool]:
-    cd = CHECKS[check]
+    cd = _check_def(check)
     locked_k = (params or {}).get("k")
     k_range = (locked_k, locked_k) if locked_k is not None else None
 
@@ -77,8 +84,6 @@ def shrink_counterexample(g: Graph, check: str, params: Optional[dict] = None) -
     during shrinking; vertex-indexed parameters cannot survive re-indexing,
     so failure means "some parameter instance fails".
     """
-    if check not in CHECKS:
-        raise ValueError(f"unknown check id {check!r}")
     fails = _failure_predicate(check, params)
     if not fails(g):
         raise ValueError("check does not fail on the input graph")
@@ -293,9 +298,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
 
 def replay_counterexample(ce: Counterexample, k_range: KRange = None) -> bool:
-    """Re-parse a recorded counterexample and confirm it still fails the same way."""
-    g = parse_graph6(ce.graph6)
-    reports = CHECKS[ce.check].run(g, k_range)
+    """Re-parse a recorded counterexample and confirm it still fails the same
+    way.  An unknown check id raises ValueError, as shrink_counterexample's."""
+    cd = _check_def(ce.check)
+    reports = cd.run(parse_graph6(ce.graph6), k_range)
     return any(
         r.holds is False and r.params == ce.params
         and r.lhs == ce.lhs and r.rhs == ce.rhs

@@ -696,25 +696,33 @@ def spy_subset_tables(monkeypatch) -> list[int]:
     return made
 
 
+def spy_kernel_frames(monkeypatch) -> list[tuple[str, int, int]]:
+    """Record (caller, id(adj), cand) of every _poly_of frame: the kernel's
+    reads are those whose caller is a graph's packed reader, read."""
+    poly_of = cliquekit.cliques._poly_of
+    nodes = []
+
+    def spy(adj, cand, memo, lane):
+        nodes.append((sys._getframe(1).f_code.co_name, id(adj), cand))
+        return poly_of(adj, cand, memo, lane)
+
+    monkeypatch.setattr(cliquekit.cliques, "_poly_of", spy)
+    return nodes
+
+
 def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     """Every graph of the small-graph theorem campaign has at most
     _SUBSET_TABLE_MAX_N vertices, so it fills one subset table and answers
-    every count from it: 200 tables and no kernel call.  Counting each mask
+    every count from it: 200 tables and no kernel call, so no _poly_of
+    frame at all, from its reader or any other caller.  Counting each mask
     with the kernel, once per graph, took 8 847 calls."""
-    kernel = cliquekit.cliques.clique_counts_in
     graphs = record_campaign_graphs(monkeypatch)
     made = spy_subset_tables(monkeypatch)
-    calls = []
-
-    def spy(adj, mask):
-        calls.append(mask)
-        return kernel(adj, mask)
-
-    monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
+    nodes = spy_kernel_frames(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert max(g.n for g in graphs) <= cliquekit.cliques._SUBSET_TABLE_MAX_N
-    assert (len(made), len(calls)) == (200, 0)
+    assert (len(made), len(nodes)) == (200, 0)
     assert [len(g.memo.cliques.subset) for g in graphs] == [1 << (g.n - 1) for g in graphs]
 
 
@@ -722,39 +730,28 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     """The mid-size theorem campaign (CI's, n = 20..30, above the subset
     table's gate) counts every subgraph, G - Q included, as a vertex mask
     over its graph's own rows, each mask once per graph: 10 297 kernel
-    calls and no subset table.  Every mask is read through its graph's
-    packed reader, which counts it once, the small neighbourhood terms of a
-    G - Q split too (8 404 calls when those were grown into the split's row
-    and not kept).  Every mask enters through one _poly_of frame, and those
-    of at least _PIVOT_MIN_SIZE vertices enter the pivot recursion: 27 676
-    frames, 14 471 of them on a candidate set at or above the cutoff and
-    4 020 the one frame of a mask below it, which is grown straight into
-    its row (23 656 frames when those masks were grown without one)."""
-    kernel = cliquekit.cliques.clique_counts_in
-    poly_of = cliquekit.cliques._poly_of
+    reads, the _poly_of frames that the graph's reader makes, and no subset
+    table.  Every mask is read through its graph's packed reader, which
+    counts it once, the small neighbourhood terms of a G - Q split too
+    (8 404 reads when those were grown into the split's row and not kept).
+    Every mask enters through one _poly_of frame, and those of at least
+    _PIVOT_MIN_SIZE vertices enter the pivot recursion: 27 676 frames,
+    14 471 of them on a candidate set at or above the cutoff and 4 020 the
+    one frame of a mask below it, which is grown straight into its packed
+    row (23 656 frames when those masks were grown without one)."""
     graphs = record_campaign_graphs(monkeypatch)
     made = spy_subset_tables(monkeypatch)
-    calls = []
-    nodes = []
-
-    def spy(adj, mask):
-        calls.append((id(adj), mask))
-        return kernel(adj, mask)
-
-    def spy_poly_of(adj, cand, memo):
-        nodes.append(cand.bit_count())
-        return poly_of(adj, cand, memo)
-
-    monkeypatch.setattr(cliquekit.cliques, "clique_counts_in", spy)
-    monkeypatch.setattr(cliquekit.cliques, "_poly_of", spy_poly_of)
+    nodes = spy_kernel_frames(monkeypatch)
     assert main(list(FUZZ_MID_SIZE)) == 0
     capsys.readouterr()
-    assert {adj for adj, _ in calls} <= {id(g.adj) for g in graphs}
-    assert len(calls) == len(set(calls)) == 10297
+    reads = [(adj, cand) for caller, adj, cand in nodes if caller == "read"]
+    assert {adj for adj, _ in reads} <= {id(g.adj) for g in graphs}
+    assert len(reads) == len(set(reads)) == 10297
     assert made == []
     cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
-    assert (len(nodes), sum(size >= cutoff for size in nodes)) == (27676, 14471)
-    assert sum(mask.bit_count() < cutoff for _, mask in calls) == 4020
+    assert (len(nodes), sum(cand.bit_count() >= cutoff for _, _, cand in nodes)) \
+        == (27676, 14471)
+    assert sum(cand.bit_count() < cutoff for _, cand in reads) == 4020
 
 
 def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):

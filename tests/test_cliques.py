@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -446,12 +447,27 @@ class TestPivotPath:
     @pytest.mark.parametrize("g, entries", [
         (complement(path_graph(64)), 52),
         (complete_multipartite([2] * 32), 27),
+        (random_gnp(48, 0.95, RngSpec(1)), 745),
     ])
     def test_memo_entries_of_one_count(self, g, entries):
-        """One entry per pivot level: the recursion's work, counted instead of timed."""
+        """One entry per pivot level: the recursion's work, counted instead of
+        timed.  Each entry is its candidate set's count packed at the graph's
+        lane, checked against the co-component oracle, so a carry or a wrong
+        shift in the packed sums of an inner node shows."""
+        lane = cliquekit.cliques._lane(g.n)
         memo = {}
-        cliquekit.cliques._poly_of(g.adj, (1 << g.n) - 1, memo)
+        cliquekit.cliques._poly_of(g.adj, (1 << g.n) - 1, memo, lane)
         assert len(memo) == entries
+        for cand, packed in memo.items():
+            expected = (1, *co_component_counts(induced_subgraph(g, bits(cand))))
+            assert type(packed) is int
+            assert packed == cliquekit.cliques._pack(expected, lane), cand
+
+    def test_memory_of_one_dense_count(self):
+        """The traced peak of counting G(48, 0.95), whose pivot memo holds
+        745 packed counts: about 0.15 MiB on Python 3.11, and 0.26-0.28 MiB
+        when the memo held coefficient tuples."""
+        assert traced_count_peak_mib(random_gnp(48, 0.95, RngSpec(1))) < 0.2
 
     def test_dense_graph_near_the_vertex_cap_is_counted_quickly(self):
         g = random_gnp(48, 0.95, RngSpec(1))
@@ -459,6 +475,30 @@ class TestPivotPath:
         poly = clique_polynomial(g)
         assert time.perf_counter() - start < 30
         assert poly[:3] == [1, 48, g.m]
+
+
+def traced_count_peak_mib(g: Graph) -> float:
+    """The peak, in MiB, that tracemalloc reads while C(g) is counted for
+    the first time: mostly the pivot memo of the kernel's full-mask count."""
+    tracemalloc.start()
+    try:
+        clique_polynomial(g)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def sweep_memory_at_the_vertex_cap(bound_mib: float = 8.0) -> None:
+    """Check the traced peak of counting G(64, 0.95) (seed 1, `cliquekit gen
+    64 0.95 1`), whose pivot memo holds 31 341 counts packed at the 67-bit
+    lane of 64 vertices: about 5.7 MiB on Python 3.11, and 10.5 MiB when
+    the memo held coefficient tuples.  It takes about 6-8 s on a 2-core
+    x86-64 host, too slow for the default test run; CI runs it as
+
+        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_memory_at_the_vertex_cap()"
+    """
+    peak = traced_count_peak_mib(random_gnp(64, 0.95, RngSpec(1)))
+    assert peak < bound_mib, f"traced peak {peak:.2f} MiB"
 
 
 def dense_band(count: int, n_range=(40, 64)):

@@ -12,6 +12,7 @@ from cliquekit import (
     CHECKS,
     CampaignConfig,
     CliqueBudgetExceeded,
+    Counterexample,
     Graph,
     RngSpec,
     check_conjecture1,
@@ -384,6 +385,12 @@ class TestCampaign:
         for tally in report.tallies.values():
             for ce in tally.counterexamples:
                 assert replay_counterexample(ce)
+
+    def test_replay_rejects_an_unknown_check(self):
+        """A replayed counterexample comes from outside the program, such as
+        a saved report: an unknown id is rejected as shrinking rejects it."""
+        with pytest.raises(ValueError, match="unknown check id 'nope'"):
+            replay_counterexample(Counterexample("nope", "Bw", {}, [1], [1]))
 
     def test_catalog_instances_are_not_checked_again(self, monkeypatch):
         """Every instance the catalog lists is a clique by construction, so a
