@@ -6,8 +6,8 @@ into masks by the vertex recurrence (see _Counting.split).  Each graph has
 one counting state, _counting(g), kept in g.memo.cliques: its packed reader,
 read(mask), is C(G[mask], x) at x = 2**lane, with lane = _lane(n) bits a
 coefficient, wide enough that packed counts add as polynomials without a
-carry (see _SUBSET_TABLE_BITS).  split reads one count with a clique's
-edges deleted, add sums many, and the identity checks compare such sums.
+carry (see _PACKED_UNITS).  split reads one count with a clique's edges
+deleted, add sums many, and the identity checks compare such sums.
 The format has one encoder, _pack, which the kernel and _Counting.pack
 call, and one decoder, _coefficients, which _Counting.add, _Counting.unpack
 and clique_counts_in call; term scales a count by coeff x**r and
@@ -19,9 +19,10 @@ adjacency, packed at the graph's lane, which the reader keeps as it comes.
 It lists nothing; clique_counts_in(adj, mask) decodes its count into
 clique counts.  A smaller graph does not call the kernel: it fills one
 table of the clique polynomials of its induced subgraphs by the vertex
-recurrence C(S + v) = C(S) + x C(S & N(v)), packed 16 bits a coefficient,
-and the reader reads every count from it (see _subset_table).  clique_counts, clique_count and clique_polynomial are thin
-wrappers over both.
+recurrence C(S + v) = C(S) + x C(S & N(v)), packed at the graph's lane,
+and the reader reads every count from it (see _subset_table).
+clique_counts, clique_count and clique_polynomial are thin wrappers over
+both.
 
 The kernel is one recurrence on the candidate set S, split on a pivot u
 (Jain & Seshadhri, "The Power of Pivoting for Exact Clique Counting", WSDM
@@ -130,18 +131,17 @@ _SUBSET_TABLE_MAX_N = 12
 
 # A packed count is C(x) at x = 2**lane (Kronecker substitution), lane bits
 # a coefficient, so packed counts add as polynomials as long as no
-# coefficient of the sum reaches 2**lane and carries into the next.  A graph
-# on n vertices has at most C(n, n // 2) cliques of one size, so a sum of at
-# most _PACKED_UNITS = 70 packed counts of it, each taken as often as its
-# |coefficient| says, cannot carry at the lane _lane(n) (a tuple lookup):
+# coefficient of the sum reaches 2**lane and carries into the next.  The
+# identity checks sum up to _PACKED_UNITS packed counts of one graph, each
+# taken as often as its |coefficient| says: one side of a 6-clique's
+# expansion sums 66 (identities._PACKED_CLIQUE_MAX).  A graph on n vertices
+# has at most C(n, n // 2) cliques of one size, so no such sum carries at
+# the lane _lane(n) (a tuple lookup), the bit length of 70 * C(n, n // 2):
 # two such sums are equal exactly when their polynomials are.  The lane is
-# _SUBSET_TABLE_BITS = 16 up to n = 12, where 70 * C(12, 6) = 64 680 < 2**16,
-# so the subset table packs every entry at 16 bits, and 67 at n = 64.  A
-# longer sum is unpacked every _PACKED_UNITS counts (see _Counting.add).
-_SUBSET_TABLE_BITS = 16
-_PACKED_UNITS = (((1 << _SUBSET_TABLE_BITS) - 1)
-                 // comb(_SUBSET_TABLE_MAX_N, _SUBSET_TABLE_MAX_N // 2))
-_lane = tuple(max(_SUBSET_TABLE_BITS, (_PACKED_UNITS * comb(n, n // 2)).bit_length())
+# 7 bits up to n = 1, 16 at n = 12, 17 at n = 13 and 67 at n = 64.  A longer
+# sum is unpacked every _PACKED_UNITS counts (see _Counting.add).
+_PACKED_UNITS = 70
+_lane = tuple((_PACKED_UNITS * comb(n, n // 2)).bit_length()
               for n in range(MAX_VERTICES + 1)).__getitem__
 
 # _BIT[v] is the bit of vertex v: the kernel clears the candidate it takes
@@ -403,20 +403,20 @@ def _poly_of(adj: tuple[int, ...], cand: int, memo: dict[int, int], lane: int) -
     return packed
 
 
-def _subset_table(adj: tuple[int, ...]) -> list[int]:
+def _subset_table(adj: tuple[int, ...], lane: int) -> list[int]:
     """C(G[S], x) for every mask S of the vertices below the top one of the
-    rows adj, packed with _SUBSET_TABLE_BITS bits per coefficient.
+    rows adj, packed at lane bits a coefficient, the graph's lane.
 
     Vertex v's step extends the table of the vertices below v to the masks
     that hold v by the vertex recurrence, C(G[S + v]) = C(G[S]) + x C(G[S & N(v)]),
     where S & N(v) lies below v and is already in the table; shifting a
-    packed polynomial by one coefficient multiplies it by x.  The top
-    vertex's step is left to each read (see _Counting): it would double the
-    table, and a graph is asked far fewer counts than that.
+    packed polynomial by one lane multiplies it by x.  The top vertex's step
+    is left to each read (see _Counting): it would double the table, and a
+    graph is asked far fewer counts than that.
     """
     table = [1]
     for row in adj[:-1]:
-        table += [p + (table[s & row] << _SUBSET_TABLE_BITS) for s, p in enumerate(table)]
+        table += [p + (table[s & row] << lane) for s, p in enumerate(table)]
     return table
 
 
@@ -430,9 +430,10 @@ class _Counting:
 
     read(mask) is C(G[mask], x) packed at lane bits a coefficient, in one
     Python call.  A graph of at most _SUBSET_TABLE_MAX_N vertices, the gate
-    as it is when the state is made, reads its subset table: a mask that
-    holds the top vertex t, which the table leaves out, is
-    C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the table.
+    as it is when the state is made, reads its subset table, packed at the
+    same lane: a mask that holds the top vertex t, which the table leaves
+    out, is C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the
+    table.
     A larger graph has no table; it counts a mask with the kernel,
     _poly_of, the first time it is read, and keeps the kernel's packed count
     as it comes in a dict of its reader, so each mask is counted once per
@@ -449,7 +450,7 @@ class _Counting:
         self.counts = self.catalog = None
         self.splits: dict[int, int] = {}
         if g.n <= _SUBSET_TABLE_MAX_N:
-            table = self.subset = _subset_table(adj)
+            table = self.subset = _subset_table(adj, lane)
             top = len(table)  # the bit of the top vertex
             last = adj[-1] if adj else 0
 
@@ -457,7 +458,7 @@ class _Counting:
                 if mask < top:
                     return table[mask]
                 mask ^= top
-                return table[mask] + (table[mask & last] << _SUBSET_TABLE_BITS)
+                return table[mask] + (table[mask & last] << lane)
         else:
             self.subset = None
             known: dict[int, int] = {}
@@ -470,39 +471,34 @@ class _Counting:
                 return packed
         self.read = read
 
-    def split(self, without: int, mask: int | None = None) -> int:
-        """C(G[mask] - Q, x) packed, for the clique Q = without in mask (0
-        for none).  Without a mask it is C(G - E(Q)), split once per graph
-        and kept in splits, which every reader of it shares.
+    def split(self, without: int) -> int:
+        """C(G - E(Q), x) packed, for the clique Q = without (0 for none),
+        split once per graph and kept in splits, which every reader of it
+        shares.
 
         Keep Q's highest vertex and eliminate the others, Q': a clique of
-        G[mask] - Q holds at most one vertex of Q, so by the vertex
-        recurrence at each vertex of Q'
+        G - E(Q) holds at most one vertex of Q, so by the vertex recurrence
+        at each vertex of Q'
 
-            C(G[mask] - Q) = C(G[mask - Q']) + x sum over q in Q' of C(G[mask & N(q) - Q]),
+            C(G - E(Q)) = C(G - Q') + x sum over q in Q' of C(G[N(q) - Q]),
 
         and no term has a deleted edge.  Each term is read as a plain mask
         over the graph's own rows, and the terms are summed packed: every
         coefficient of the sum is a count of a subgraph, so it cannot carry.
         """
-        if mask is None:
-            packed = self.splits.get(without)
-            if packed is None:
-                packed = self.splits[without] = self.split(without, (1 << len(self.adj)) - 1)
-            return packed
-        read = self.read
-        if not without:
-            return read(mask)
-        adj = self.adj
-        eliminated = without ^ 1 << (without.bit_length() - 1)
-        rest = mask & ~without
-        first = read(mask & ~eliminated)
-        packed = 0
-        while eliminated:
-            low = eliminated & -eliminated
-            eliminated ^= low
-            packed += read(rest & adj[low.bit_length() - 1])
-        return first + (packed << self.lane)
+        packed = self.splits.get(without)
+        if packed is None:
+            read, adj = self.read, self.adj
+            # Q's highest vertex stays (an empty Q has none) and the rest go
+            eliminated = without ^ (1 << without.bit_length() >> 1)
+            first = read(((1 << len(adj)) - 1) ^ eliminated)
+            packed = 0
+            while eliminated:
+                low = eliminated & -eliminated
+                eliminated ^= low
+                packed += read(adj[low.bit_length() - 1] & ~without)
+            packed = self.splits[without] = first + (packed << self.lane)
+        return packed
 
     def add(self, row: list[int], counts: Iterable[int], shift: int = 0,
             coeff: int = 1) -> None:

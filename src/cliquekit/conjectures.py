@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .cliques import CliqueBudgetExceeded
 from .graphs import (
@@ -79,31 +79,23 @@ def _failure_predicate(check: str, params: Optional[dict]) -> Callable[[Graph], 
 def shrink_counterexample(g: Graph, check: str, params: Optional[dict] = None) -> Graph:
     """Greedily delete vertices, then edges, while the check keeps failing.
 
-    The result is a local minimum: every further single deletion makes the
-    check pass or become inapplicable.  A k parameter in params stays locked
-    during shrinking; vertex-indexed parameters cannot survive re-indexing,
-    so failure means "some parameter instance fails".
+    Each pass tries every single-vertex deletion and then every single-edge
+    deletion, one lazy sequence of candidates, and the first that fails
+    replaces g.  The result is a local minimum: every further single
+    deletion makes the check pass or become inapplicable.  A k parameter in
+    params stays locked during shrinking; vertex-indexed parameters cannot
+    survive re-indexing, so failure means "some parameter instance fails".
     """
     fails = _failure_predicate(check, params)
     if not fails(g):
         raise ValueError("check does not fail on the input graph")
-    improved = True
-    while improved:
-        improved = False
-        for v in range(g.n):
-            candidate = delete_vertex(g, v)
-            if fails(candidate):
-                g = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        for e in g.edges():
-            candidate = delete_edge(g, e)
-            if fails(candidate):
-                g = candidate
-                improved = True
-                break
+
+    def candidates(g: Graph) -> Iterator[Graph]:
+        yield from (delete_vertex(g, v) for v in range(g.n))
+        yield from (delete_edge(g, e) for e in g.edges())
+
+    while (smaller := next(filter(fails, candidates(g)), None)) is not None:
+        g = smaller
     return g
 
 

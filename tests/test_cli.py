@@ -688,9 +688,9 @@ def spy_subset_tables(monkeypatch) -> list[int]:
     build = cliquekit.cliques._subset_table
     made = []
 
-    def spy(adj):
+    def spy(adj, lane):
         made.append(len(adj))
-        return build(adj)
+        return build(adj, lane)
 
     monkeypatch.setattr(cliquekit.cliques, "_subset_table", spy)
     return made
@@ -876,24 +876,27 @@ def test_campaign_builds_no_theorem_row(monkeypatch, capsys):
 
 
 def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
-    """The small-graph theorem campaign splits G - E(Q) into masks
-    (_Counting.split with a clique and a mask) 6 519 times, once per edge,
+    """The small-graph theorem campaign makes 10 357 _Counting.split calls
+    and splits G - E(Q) into masks on the 6 519 that miss, once per edge,
     triangle and 4-clique of its graphs, each kept in its graph's splits:
     the clique-deletion verdicts, the edge deck and
     triangle_deletion_counts read the same entry.  Splitting again for the
-    deck and the counts made 10 357 calls."""
+    deck and the counts made 10 357 splits, and when a miss reached the
+    split through a call to itself the campaign made 16 876 split frames."""
     split = cliquekit.cliques._Counting.split
     graphs = record_campaign_graphs(monkeypatch)
-    splits = []
+    frames, splits = [], []
 
-    def spy(counting, without, mask=None):
-        if without and mask is not None:
+    def spy(counting, without):
+        frames.append(without)
+        if without not in counting.splits:
             splits.append((id(counting), without))
-        return split(counting, without, mask)
+        return split(counting, without)
 
     monkeypatch.setattr(cliquekit.cliques._Counting, "split", spy)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
+    assert len(frames) == 10357
     assert len(splits) == len(set(splits)) == 6519
     assert sum(len(g.memo.cliques.splits) for g in graphs) == 6519
 

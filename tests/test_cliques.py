@@ -78,12 +78,15 @@ def complete_multipartite(parts):
     )
 
 
-def split_counts(g, mask, without):
-    """The counts of G[mask] without the edges of the clique whose mask is
-    without, split through g's counting state and unpacked.  Only the
-    clique's vertices in mask delete edges, so without is cut to mask."""
-    counting = cliquekit.cliques._counting(g)
-    return counting.unpack(counting.split(without & mask, mask))
+def split_counts(g, kept, q):
+    """The counts of G[kept] without the edges of the clique q, split
+    through the counting state of a fresh induced_subgraph(g, kept) and
+    unpacked.  Only q's vertices in kept delete edges, relabelled as
+    induced_subgraph relabels them."""
+    kept = sorted(kept)
+    h = induced_subgraph(g, kept)
+    counting = cliquekit.cliques._counting(h)
+    return counting.unpack(counting.split(sum(1 << kept.index(v) for v in q if v in kept)))
 
 
 class TestEnumeration:
@@ -330,47 +333,49 @@ class TestSubsetTable:
         g = random_gnp(n, 0.8, RngSpec(n))
         q = enumerate_cliques(g, 3).cliques(3)[0]
         clique_counts(g)
-        full = (1 << g.n) - 1
-        assert split_counts(g, full, sum(1 << v for v in q)) \
+        counting = cliquekit.cliques._counting(g)
+        assert counting.unpack(counting.split(sum(1 << v for v in q))) \
             == networkx_counts(delete_edge_set(g, itertools.combinations(q, 2)))
         assert g.memo.cliques.subset is None
 
 
 class TestDeletedCliqueSplit:
-    """C(G[mask] - Q) from G's own rows, by eliminating every vertex of Q but
-    its highest, checked against counts of the edge-deleted graph itself."""
+    """C(G - E(Q)) from G's own rows, by eliminating every vertex of Q but
+    its highest, checked against counts of the edge-deleted graph itself.
+    Each clique is split in G and in the induced subgraphs without its
+    kept vertex and without its lowest eliminated one, where it is the
+    relabelled rest of Q."""
 
     @staticmethod
     def cases(g, q):
-        """(mask, expected vertex set) for the full mask, the mask without
-        the kept vertex and the mask without the lowest eliminated one."""
-        full = (1 << g.n) - 1
-        return [(full, range(g.n)),
-                (full & ~(1 << q[-1]), [v for v in range(g.n) if v != q[-1]]),
-                (full & ~(1 << q[0]), [v for v in range(g.n) if v != q[0]])]
+        """The kept vertex sets: all of g, all but q's highest vertex, and
+        all but its lowest."""
+        return [range(g.n),
+                [v for v in range(g.n) if v != q[-1]],
+                [v for v in range(g.n) if v != q[0]]]
 
     def test_every_small_clique_of_the_corpus_matches_the_oracle(self, corpus):
         for g in corpus:
             for size in (2, 3, 4):
                 for q in naive_cliques_of_size(g, size):
                     deleted = delete_edge_set(g, itertools.combinations(q, 2))
-                    for mask, kept in self.cases(g, q):
-                        counts = split_counts(Graph(g.n, g.adj), mask, sum(1 << v for v in q))
-                        assert counts == brute_force_counts(induced_subgraph(deleted, kept)), \
-                            (g.adj, q, mask)
+                    for kept in self.cases(g, q):
+                        assert split_counts(g, kept, q) \
+                            == brute_force_counts(induced_subgraph(deleted, kept)), \
+                            (g.adj, q, kept)
 
     @pytest.mark.parametrize("p", [0.5, 0.8])
     def test_every_small_clique_of_seeded_graphs_matches_the_oracle(self, p):
         """On the subset table's side of its gate, every clique of at most
         four vertices of G(10, p), with the full mask."""
         g = random_gnp(10, p, RngSpec(10))
-        full = (1 << g.n) - 1
+        counting = cliquekit.cliques._counting(g)
         for size in (2, 3, 4):
             cliques = naive_cliques_of_size(g, size)
             assert cliques
             for q in cliques:
                 deleted = delete_edge_set(g, itertools.combinations(q, 2))
-                counts = split_counts(g, full, sum(1 << v for v in q))
+                counts = counting.unpack(counting.split(sum(1 << v for v in q)))
                 assert counts == brute_force_counts(deleted), q
         assert len(g.memo.cliques.subset) == 1 << (g.n - 1)
 
@@ -384,9 +389,9 @@ class TestDeletedCliqueSplit:
                 without = sum(1 << v for v in q)
                 large += sum((g.adj[v] & ~without).bit_count() >= cutoff for v in q[:-1])
                 deleted = delete_edge_set(g, itertools.combinations(q, 2))
-                for mask, kept in self.cases(g, q):
-                    counts = split_counts(Graph(g.n, g.adj), mask, without)
-                    assert counts == networkx_counts(induced_subgraph(deleted, kept)), (q, mask)
+                for kept in self.cases(g, q):
+                    assert split_counts(g, kept, q) \
+                        == networkx_counts(induced_subgraph(deleted, kept)), (q, kept)
         assert large  # some neighbourhood term is counted by the kernel, not grown
 
 

@@ -190,7 +190,7 @@ def test_one_pass_deletion_verdicts_match_the_oracle_on_seeded_gnp(n, p, seed):
 
 @pytest.mark.parametrize("n, p, seed", [(8, 0.6, 1), (10, 0.75, 2), (12, 0.8, 3)])
 def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed):
-    """Add 1 << 16, one clique of one vertex, to the subset-table entry of
+    """Add 1 << lane, one clique of one vertex, to the subset-table entry of
     the common neighbourhood of g's first edge before any verdict.  Every
     clique whose expansion, evaluated term by term from the corrupted reads
     each unpacked on its own, no longer holds is affected.  Each clique is
@@ -206,7 +206,7 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     entry = g.adj[u] & g.adj[v] & (top - 1)
     # C(G) reads neither entry, so the left side stays right
     assert entry not in (top - 1, g.adj[-1] & (top - 1))
-    table[entry] += 1 << 16
+    table[entry] += 1 << counting.lane
     full = (1 << g.n) - 1
 
     def unpacked(packed):
@@ -216,7 +216,7 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     assert lhs == [1, *brute_force_counts(g)]
     expected = {}
     for q in small_cliques(g):
-        rhs = unpacked(counting.split(mask_of(q), full))
+        rhs = unpacked(counting.split(mask_of(q)))
         rhs += [0] * (g.n + 1 - len(rhs))
         for r in range(2, len(q) + 1):
             for s in itertools.combinations(q, r):

@@ -617,9 +617,9 @@ def with_table_of(g, h):
     """A fresh copy of g whose counting state reads h's subset table: g's
     rows with the counts of h on n vertices."""
     wrong = Graph(g.n, g.adj)
-    table = cliquekit.cliques._subset_table(h.adj)
+    table = cliquekit.cliques._subset_table(h.adj, cliquekit.cliques._lane(h.n))
     with pytest.MonkeyPatch.context() as planted:
-        planted.setattr(cliquekit.cliques, "_subset_table", lambda adj: table)
+        planted.setattr(cliquekit.cliques, "_subset_table", lambda adj, lane: table)
         cliquekit.cliques._counting(wrong)
     return wrong
 
@@ -771,26 +771,26 @@ class TestPackedVerdicts:
 
     def test_the_weight_bounds_cannot_carry(self):
         """A sum of _PACKED_UNITS packed counts of a graph on n vertices
-        stays under 2**_lane(n) in every coefficient, for every n up to 64;
-        inside the gate the lane is the subset table's 16 bits.  The one
+        stays under 2**_lane(n) in every coefficient, for every n up to 64,
+        and _lane(n) is the bit length of that widest sum: the subset table
+        of a graph inside the gate packs at it too.  The one
         encoder, _pack, and the one decoder, _Counting.unpack, carry such a
         sum, _PACKED_UNITS (1 + x)**n at its widest, there and back, and a
         coefficient of 2**lane packs to None.  The expansion of a clique of
         _PACKED_CLIQUE_MAX vertices, but not one more, sums at most that many
         a side."""
-        gate = cliquekit.cliques._SUBSET_TABLE_MAX_N
         units = cliquekit.cliques._PACKED_UNITS
         lane = cliquekit.cliques._lane
         pack = cliquekit.cliques._pack
         for n in range(MAX_VERTICES + 1):
-            assert units * comb(n, n // 2) < 1 << lane(n), n
+            assert lane(n) == (units * comb(n, n // 2)).bit_length(), n
             row = [units * comb(n, k) for k in range(n + 1)]
             counting = cliquekit.cliques._counting(empty_graph(n))
             assert counting.unpack(pack(row, lane(n))) == tuple(row[1:]), n
             assert pack([1 << lane(n), *row[1:]], lane(n)) is None
             assert pack([*row, 1 << lane(n)], lane(n)) is None
-        assert {lane(n) for n in range(gate + 1)} == {cliquekit.cliques._SUBSET_TABLE_BITS}
-        assert lane(MAX_VERTICES) == 67
+        assert (units, lane(0), lane(1), lane(12), lane(13), lane(MAX_VERTICES)) \
+            == (70, 7, 7, 16, 17, 67)
 
         def side_units(s):
             return [1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
@@ -816,11 +816,10 @@ class TestPackedVerdicts:
         g = complete_graph(n)
         counting = cliquekit.cliques._counting(g)
         read, unpack = counting.read, counting.unpack
-        full = (1 << n) - 1
         for q in range(2, 7):
             clique = tuple(range(n - q, n))
             without = sum(1 << v for v in clique)
-            deleted = counting.split(without, full)
+            deleted = counting.split(without)
             expected = [1, *(comb(n - q, k) + q * comb(n - q, k - 1) for k in range(1, n - q + 2))]
             assert [1, *unpack(deleted)] == expected
             rhs = list(expected)
