@@ -13,7 +13,6 @@ from .graphs import (
     RngSpec,
     Splitmix64,
     bits,
-    common_neighborhood,
     common_neighborhood_bits,
     complete_graph,
     cycle_graph,
@@ -22,7 +21,6 @@ from .graphs import (
     delete_vertex,
     disjoint_union,
     edge,
-    edge_deleted_adj,
     empty_graph,
     induced_subgraph,
     is_connected,

@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Optional
 from .cliques import CliqueBudgetExceeded
 from .graphs import (
     MAX_VERTICES,
+    RNG_ALGORITHM,
     Graph,
     RngSpec,
     Splitmix64,
@@ -32,7 +33,7 @@ from .graphs import (
     parse_graph6,
     random_gnp,
 )
-from .identities import CATALOG, THEOREM, CheckDef, KRange
+from .identities import CATALOG, THEOREM, CheckDef
 
 # -- check catalog ---------------------------------------------------------------
 
@@ -136,7 +137,7 @@ class CampaignConfig:
             "p_range": list(self.p_range),
             "samples": self.samples,
             "seed": self.rng.seed,
-            "algorithm": self.rng.algorithm,
+            "algorithm": RNG_ALGORITHM,
             "checks": list(resolve_checks(self.checks)),
             "shrink": self.shrink,
             "k_range": list(self.k_range) if self.k_range else None,
@@ -289,11 +290,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     return CampaignReport(cfg, tallies, elapsed)
 
 
-def replay_counterexample(ce: Counterexample, k_range: KRange = None) -> bool:
-    """Re-parse a recorded counterexample and confirm it still fails the same
-    way.  An unknown check id raises ValueError, as shrink_counterexample's."""
+def replay_counterexample(ce: Counterexample) -> bool:
+    """Re-parse a recorded counterexample and confirm that one of its check's
+    instances, over every k, still fails with the recorded params and sides.
+    An unknown check id raises ValueError, as shrink_counterexample's."""
     cd = _check_def(ce.check)
-    reports = cd.run(parse_graph6(ce.graph6), k_range)
+    reports = cd.run(parse_graph6(ce.graph6), None)
     return any(
         r.holds is False and r.params == ce.params
         and r.lhs == ce.lhs and r.rhs == ce.rhs

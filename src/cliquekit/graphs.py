@@ -337,21 +337,6 @@ def _edge_pairs(edge_set: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     return pairs
 
 
-def edge_deleted_adj(g: Graph, edge_set: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Adjacency rows of g with exactly the given edges deleted, every vertex kept.
-
-    The rows of delete_edge_set(g, edge_set), without building (and so
-    without re-validating) a Graph; clique_counts_in takes them as they are.
-    """
-    rows = list(g.adj)
-    for u, v in _edge_pairs(edge_set):
-        if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
-            raise ValueError(f"({u}, {v}) is not an edge of the graph")
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    return tuple(rows)
-
-
 def _vertex_mask(vertices: Iterable[int]) -> int:
     """The bitmask of vertices that the caller has checked to lie in range."""
     mask = 0
@@ -361,12 +346,21 @@ def _vertex_mask(vertices: Iterable[int]) -> int:
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    return Graph(g.n, edge_deleted_adj(g, [e]))
+    return delete_edge_set(g, [e])
 
 
 def delete_edge_set(g: Graph, edge_set: Iterable[tuple[int, int]]) -> Graph:
-    """Delete exactly the given edges, keeping every vertex."""
-    return Graph(g.n, edge_deleted_adj(g, edge_set))
+    """Delete exactly the given edges, keeping every vertex.
+
+    A self-loop or a pair that is not an edge of g raises ValueError.
+    """
+    rows = list(g.adj)
+    for u, v in _edge_pairs(edge_set):
+        if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
+            raise ValueError(f"({u}, {v}) is not an edge of the graph")
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return Graph(g.n, tuple(rows))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -394,10 +388,6 @@ def common_neighborhood_bits(g: Graph, vertices: Iterable[int]) -> int:
     if acc is None:
         raise ValueError("common neighborhood of the empty set is rejected")
     return acc
-
-
-def common_neighborhood(g: Graph, vertices: Iterable[int]) -> set[int]:
-    return set(bits(common_neighborhood_bits(g, vertices)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -451,10 +441,10 @@ RNG_ALGORITHM = "splitmix64"
 
 @dataclass(frozen=True)
 class RngSpec:
-    """PRNG seed plus algorithm tag; equal specs give identical streams everywhere."""
+    """The seed of a splitmix64 stream (RNG_ALGORITHM, the only generator);
+    equal specs give identical streams everywhere."""
 
     seed: int
-    algorithm: str = RNG_ALGORITHM
 
 
 class Splitmix64:
@@ -478,7 +468,8 @@ class Splitmix64:
 
 def random_gnp(n: int, p: float, rng: RngSpec) -> Graph:
     """G(n, p): each pair {u, v} with u < v, visited in lexicographic order,
-    costs exactly one PRNG draw and is included iff draw < p * 2**64.
+    costs exactly one draw of the splitmix64 stream seeded by rng.seed and is
+    included iff draw < p * 2**64.
 
     The threshold is exact for any float p (multiplying a double by 2**64
     only shifts its exponent), so p = 0 and p = 1 behave exactly.
@@ -487,8 +478,6 @@ def random_gnp(n: int, p: float, rng: RngSpec) -> Graph:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    if rng.algorithm != RNG_ALGORITHM:
-        raise ValueError(f"unknown PRNG algorithm {rng.algorithm!r}")
     threshold = int(p * 2.0**64)
     stream = Splitmix64(rng.seed)
     rows = [0] * n

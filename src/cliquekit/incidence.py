@@ -46,13 +46,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .cliques import enumerate_cliques
 from .graphs import Graph, bits
-
-if TYPE_CHECKING:
-    import numpy as np
 
 KIND_SUBCLIQUE_SUPERCLIQUE = "subclique-superclique"
 KIND_VERTEX_DECK = "vertex-deck"
@@ -146,16 +142,6 @@ class IncidenceMatrix:
         width, digits = len(self.col_labels), "".join(self._digits)
         return tuple(digits[j::width].count("1") for j in range(width))
 
-    def _dense_rows(self) -> list[list[int]]:
-        """Every row as a list of its 0/1 cells, column 0 first."""
-        return [list(d.encode().translate(_DIGIT_VALUES)) for d in self._digits]
-
-    def to_dense(self) -> np.ndarray:
-        """Dense uint8 copy of the matrix; needs the optional numpy extra (dense)."""
-        import numpy as np
-
-        return np.array(self._dense_rows(), dtype=np.uint8).reshape(self.shape)
-
     def to_csv(self) -> str:
         """CSV with labels, a trailing row_sum column, and a trailing col_sum row.
 
@@ -197,7 +183,7 @@ class IncidenceMatrix:
             "k": self.k,
             "row_labels": [list(l) for l in self.row_labels],
             "col_labels": [list(l) for l in self.col_labels],
-            "matrix": self._dense_rows(),
+            "matrix": [list(d.encode().translate(_DIGIT_VALUES)) for d in self._digits],
             "row_sums": rsums,
             "col_sums": csums,
             "double_count": [sum(rsums), sum(csums)],

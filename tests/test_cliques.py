@@ -31,7 +31,6 @@ from cliquekit import (
     delete_edge,
     delete_edge_set,
     disjoint_union,
-    edge_deleted_adj,
     empty_graph,
     enumerate_cliques,
     induced_subgraph,
@@ -178,18 +177,18 @@ class TestCountingKernel:
         for g in corpus:
             full = (1 << g.n) - 1
             for e in g.edges():
-                assert clique_counts_in(edge_deleted_adj(g, [e]), full) \
+                assert clique_counts_in(delete_edge(g, e).adj, full) \
                     == enumerate_cliques(delete_edge(g, e)).counts
             for d in triangles(g):
                 pairs = list(itertools.combinations(d, 2))
-                assert clique_counts_in(edge_deleted_adj(g, pairs), full) \
+                assert clique_counts_in(delete_edge_set(g, pairs).adj, full) \
                     == enumerate_cliques(delete_edge_set(g, pairs)).counts
 
-    def test_edge_deleted_adj_rejects_a_non_edge(self):
+    def test_delete_edge_set_rejects_a_non_edge(self):
         with pytest.raises(ValueError, match="is not an edge"):
-            edge_deleted_adj(cycle_graph(5), [(0, 2)])
+            delete_edge_set(cycle_graph(5), [(0, 2)])
         with pytest.raises(ValueError, match="is not an edge"):
-            edge_deleted_adj(cycle_graph(5), [(0, 9)])
+            delete_edge_set(cycle_graph(5), [(0, 9)])
 
     def test_rejects_mask_outside_the_rows(self):
         g = complete_graph(3)

@@ -11,7 +11,8 @@ from cliquekit import (
     GraphFormatError,
     RngSpec,
     Splitmix64,
-    common_neighborhood,
+    bits,
+    common_neighborhood_bits,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -346,24 +347,24 @@ class TestDeletions:
 
 class TestNeighborhoods:
     def test_pair_in_k4(self):
-        assert common_neighborhood(complete_graph(4), {0, 1}) == {2, 3}
+        assert common_neighborhood_bits(complete_graph(4), {0, 1}) == 0b1100
 
     def test_pair_in_c5_empty(self):
-        assert common_neighborhood(cycle_graph(5), {0, 1}) == set()
+        assert common_neighborhood_bits(cycle_graph(5), {0, 1}) == 0
 
     def test_triple_in_k4(self):
-        assert common_neighborhood(complete_graph(4), {0, 1, 2}) == {3}
+        assert common_neighborhood_bits(complete_graph(4), {0, 1, 2}) == 0b1000
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            common_neighborhood(complete_graph(4), set())
+            common_neighborhood_bits(complete_graph(4), set())
 
     @given(graphs(min_n=2))
     def test_pair_is_intersection_of_singles(self, g):
         u, v = 0, g.n - 1
-        lhs = common_neighborhood(g, {u, v})
-        assert lhs == common_neighborhood(g, {u}) & common_neighborhood(g, {v})
-        assert lhs == naive_common_neighbors(g, [u, v])
+        lhs = common_neighborhood_bits(g, {u, v})
+        assert lhs == common_neighborhood_bits(g, {u}) & common_neighborhood_bits(g, {v})
+        assert set(bits(lhs)) == naive_common_neighbors(g, [u, v])
 
     def test_induced_subgraph_reindexes(self):
         g = cycle_graph(5)
@@ -416,10 +417,6 @@ class TestRandomGnp:
             random_gnp(5, 1.5, RngSpec(0))
         with pytest.raises(ValueError, match="outside"):
             random_gnp(5, -0.1, RngSpec(0))
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            random_gnp(5, 0.5, RngSpec(0, algorithm="mystery"))
 
     def test_splitmix64_reference_values(self):
         # Published test vectors for the standard splitmix64 constants.

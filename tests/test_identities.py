@@ -650,20 +650,32 @@ class TestPackedVerdicts:
 
     def test_cliques_past_the_weight_bound_match_the_kernel_path(self, monkeypatch):
         """Cliques of 5 to 12 vertices of K12; those of more than
-        _PACKED_CLIQUE_MAX vertices build their right side in a row."""
+        _PACKED_CLIQUE_MAX vertices build their right side in a row, so
+        exactly the cliques of 7 to 12 vertices reach _expansion_verdict,
+        on the table path and on the kernel path."""
         n = cliquekit.cliques._SUBSET_TABLE_MAX_N
         cliques = [tuple(range(size)) for size in range(5, n + 1)]
+        expansion_verdict = cliquekit.identities._expansion_verdict
+        sizes = []
+
+        def spy(g, q, *args):
+            sizes.append(len(q))
+            return expansion_verdict(g, q, *args)
 
         def reports():
             g = complete_graph(n)
             return [clique_deletion_expansion(g, list(itertools.combinations(q, 2)))
                     for q in cliques]
 
+        monkeypatch.setattr(cliquekit.identities, "_expansion_verdict", spy)
         packed = reports()
         assert all(report.holds for report in packed)
         assert packed[-1].lhs == [comb(n, k) for k in range(n + 1)]
+        assert sizes == list(range(7, n + 1))
         monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", 0)
+        sizes.clear()
         assert reports() == packed
+        assert sizes == list(range(7, n + 1))
 
     def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
         """With the subset table of G - e in place of G's, the expansion

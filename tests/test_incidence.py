@@ -295,15 +295,6 @@ class TestExport:
         assert d["matrix"] == [[0, 1], [1, 0]]
         assert d["double_count"] == [2, 2]
 
-    def test_dense_matches_entries(self):
-        np = pytest.importorskip("numpy")
-        m = edge_deck_matrix(complete_graph(4), 2)
-        dense = m.to_dense()
-        assert dense.shape == (6, 6)
-        assert dense.dtype == np.uint8
-        assert int(dense.sum()) == len(m.entries)
-        assert all(dense[i, j] == 1 for i, j in m.entries)
-
     @pytest.mark.parametrize("g, kind, k, text", [
         (complete_graph(3), "super", 3, ",row_sum\n0-1-2,0\ncol_sum,0\n"),
         (complete_graph(3), "super", 4, ",row_sum\ncol_sum,0\n"),

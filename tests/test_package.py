@@ -24,10 +24,10 @@ EXPORTS = {
     "check_triangle_deck_identity", "check_triangle_recurrence",
     "check_vertex_deck_identity", "check_vertex_recurrence", "clique_count",
     "clique_counts", "clique_counts_in", "clique_deletion_expansion", "clique_polynomial",
-    "clique_value", "cliques", "common_neighborhood", "common_neighborhood_bits",
+    "clique_value", "cliques", "common_neighborhood_bits",
     "complete_graph", "conjectures", "cycle_graph", "delete_edge", "delete_edge_set",
     "delete_vertex", "disjoint_union", "double_count", "edge", "edge_deck_matrix",
-    "edge_deleted_adj", "empty_graph", "enumerate_cliques", "graphs", "identities",
+    "empty_graph", "enumerate_cliques", "graphs", "identities",
     "incidence", "induced_subgraph", "is_clique", "is_connected", "parse_edge_list",
     "parse_graph6", "path_graph", "poly_add", "poly_derivative", "poly_divided_derivative",
     "poly_equal", "poly_normalize", "poly_reverse", "poly_sub", "poly_sum", "random_gnp",
