@@ -44,16 +44,20 @@ out about two thirds of its calls.
 A mask under the cutoff, most of the masks the identity checks ask for, is
 grown straight into its row and packed, with no memo.  A pivot node sums its
 terms as packed integers, which cannot carry (see _poly_of), so the kernel
-has one count format, the reader's.  Results are memoised at two lifetimes.
-Within one call on a mask of at least the cutoff, a dict keyed by candidate
-set holds every pivot node's packed count, so a set reached along several
-branches is counted once: K64 and complete multipartite graphs take one
-entry per level, and the complement of a 64-vertex path 52 entries.  The
-dict goes when the call returns, so no state is kept at module level.
-Across calls, each graph's counting state keeps what was counted and listed
-over it: the reader of a larger graph counts each mask once and keeps its
-packed count, C(G)'s counts are unpacked once, and the splits and the
-catalog are kept too.  The state lives exactly as long as the graph.
+has one count format, the reader's.  A graph above the gate keeps one store
+of packed counts, its reader's dict, keyed by vertex mask.  A mask read and
+a pivot node's candidate set are keys of one kind, so the store is also the
+kernel's node memo, and a node counted for one read answers every later
+read of the graph that reaches it.  Within a read, a set reached along
+several branches is counted once: K64 and complete multipartite graphs take
+one entry per level, and the complement of a 64-vertex path 52 entries.
+Two rules bound what a graph keeps.  Its first read passes the kernel a
+throwaway memo, so a graph asked one count, as by clique_polynomial alone,
+keeps that count only.  Once the store holds _STORE_MAX entries, a read
+passes a throwaway memo again and adds only its own mask.  No state is kept
+at module level: each graph's counting state keeps what was counted and
+listed over it, the store, C(G)'s counts (unpacked once), the splits and
+the catalog, and lives exactly as long as the graph.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
@@ -106,8 +110,24 @@ Polynomial = list[int]
 # 1.07-1.14), 1.00x at 10 (0.98-1.02) and 1.09x at 14 (1.06-1.12) as at 12.
 # A lower cutoff pays only at the dense end, 0.89x at 8 on G(36, 0.85), and
 # so do single counts of G(64, 0.9) and G(64, 0.95), but it costs the sparse
-# end up to 1.32x; so 12 stays until a per-graph node memo wins that back.
+# end up to 1.32x; so 12 stays.  The table was measured with a node memo per
+# count; the per-graph store (_STORE_MAX) now keeps pivot nodes across the
+# reads of a graph, and the cutoff has not been re-measured with it.
 _PIVOT_MIN_SIZE = 12
+
+# A graph above the subset table's gate keeps one store of packed counts, its
+# reader's dict, which every read after the first passes to the kernel as its
+# pivot memo (see _Counting).  A read that finds this many entries or more in
+# the store passes a throwaway memo and adds only its own mask, so a store
+# passes the bound by at most the nodes of one read, plus one mask per later
+# read.  `cliquekit verify --identity clique_deletion --clique 0-1-2-4` on
+# `cliquekit gen 64 0.9 1` reads 16 masks, and its second read keeps 66 540
+# pivot nodes, so at this bound the store stops sharing after it.  That
+# verify peaks at 40 MB RSS with this bound and with no sharing at all, at
+# 53 MB with the bound at 2**17 and at 68 MB with no bound (Python 3.11,
+# x86-64).  The largest store of the mid-size and large sparse theorem
+# campaigns (see README) holds 20 608 entries, under the bound.
+_STORE_MAX = 1 << 16
 
 # Graphs of at most this many vertices fill a subset table when their
 # counting state is made and answer every count from it, never calling the
@@ -294,7 +314,8 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
         C(S) = (1 + x) C(S & N(u)) + sum over w of x C(S_w & N(w)),
 
     each term counted by the same rule, and memoised on its candidate set in
-    a dict made for this call alone.  A universal vertex is a pivot with no
+    a dict made for this call alone, not in a graph's store (see _Counting),
+    since no graph is given.  A universal vertex is a pivot with no
     non-neighbours, and on a complete multipartite graph every S_w & N(w)
     equals S & N(u), so both take one memo entry per level.  A node sums its
     terms packed, at the lane of as many vertices as adj has rows (_poly_of);
@@ -350,7 +371,10 @@ def _grow(adj: tuple[int, ...], row: list[int], size: int, cand: int) -> None:
 
 def _poly_of(adj: tuple[int, ...], cand: int, memo: dict[int, int], lane: int) -> int:
     """C(G[cand], x) packed at lane bits a coefficient (_pack); the count of
-    each pivot node is memoised in memo, keyed by its candidate set.
+    each pivot node is memoised in memo, keyed by its candidate set.  memo
+    is a dict of the call's own or a graph's store, whose entries are the
+    same packed counts keyed by mask (see _Counting), so a node found there
+    was counted by an earlier read of the graph.
 
     A set below the cutoff grows its row and packs it.  A pivot node writes
     the recurrence as sums of packed counts: inner + (inner << lane) is
@@ -423,10 +447,12 @@ def _subset_table(adj: tuple[int, ...], lane: int) -> list[int]:
 class _Counting:
     """One graph's counting state, kept in g.memo.cliques (see _counting):
     adj, the graph's rows; lane, _lane(n); read, its packed reader; subset,
-    its subset table or None; counts, C(G)'s counts (c_1, ..., c_omega),
-    None until clique_counts unpacks them once; catalog, the largest
-    catalog listed for the identity checks (_stored_catalog) or None; and
-    splits, C(G - E(Q)) packed, keyed by the clique Q's mask (split).
+    its subset table or None; store, the reader's dict of packed counts
+    keyed by mask, or None where there is a table; counts, C(G)'s counts
+    (c_1, ..., c_omega), None until clique_counts unpacks them once;
+    catalog, the largest catalog listed for the identity checks
+    (_stored_catalog) or None; and splits, C(G - E(Q)) packed, keyed by the
+    clique Q's mask (split).
 
     read(mask) is C(G[mask], x) packed at lane bits a coefficient, in one
     Python call.  A graph of at most _SUBSET_TABLE_MAX_N vertices, the gate
@@ -434,20 +460,25 @@ class _Counting:
     same lane: a mask that holds the top vertex t, which the table leaves
     out, is C(G[S]) + x C(G[S & N(t)]) for S = mask - t, two entries of the
     table.
-    A larger graph has no table; it counts a mask with the kernel,
-    _poly_of, the first time it is read, and keeps the kernel's packed count
-    as it comes in a dict of its reader, so each mask is counted once per
-    graph.  The reader closes over the table or that dict and the rows, and
-    the state holds no Graph, so it keeps nothing alive that the memo does
-    not.
+    A larger graph has no table: the reader reads a mask from the store,
+    or counts it with the kernel, _poly_of, and keeps the packed count as
+    it comes, so each mask is counted once per graph.  The store is also
+    the kernel's pivot memo, under two rules.  The first read passes a
+    throwaway memo, so a graph asked one count keeps one entry.  Every
+    later read passes the store while it holds fewer than _STORE_MAX
+    entries, so the kernel keeps its pivot nodes there and finds those of
+    earlier reads; a read past the bound passes a throwaway memo again and
+    adds only its own mask.  The reader closes over the table or the store
+    and the rows, and the state holds no Graph, so it keeps nothing alive
+    that the memo does not.
     """
 
-    __slots__ = ("adj", "lane", "read", "subset", "counts", "catalog", "splits")
+    __slots__ = ("adj", "lane", "read", "subset", "store", "counts", "catalog", "splits")
 
     def __init__(self, g: Graph) -> None:
         adj = self.adj = g.adj
         lane = self.lane = _lane(g.n)
-        self.counts = self.catalog = None
+        self.store = self.counts = self.catalog = None
         self.splits: dict[int, int] = {}
         if g.n <= _SUBSET_TABLE_MAX_N:
             table = self.subset = _subset_table(adj, lane)
@@ -461,13 +492,14 @@ class _Counting:
                 return table[mask] + (table[mask & last] << lane)
         else:
             self.subset = None
-            known: dict[int, int] = {}
+            known = self.store = {}
             get = known.get
 
             def read(mask: int) -> int:
                 packed = get(mask)
                 if packed is None:
-                    packed = known[mask] = _poly_of(adj, mask, {}, lane)
+                    memo = known if 0 < len(known) < _STORE_MAX else {}
+                    packed = known[mask] = _poly_of(adj, mask, memo, lane)
                 return packed
         self.read = read
 

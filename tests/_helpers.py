@@ -13,6 +13,7 @@ import itertools
 import os
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import strategies as st
@@ -193,18 +194,25 @@ def reference_deletion_rhs(g, q, counts=brute_force_counts):
 
 
 def co_component_counts(g: Graph) -> tuple[int, ...]:
-    """(c_1, ..., c_omega) as the independence polynomial of g's complement
-    (Levit & Mandrescu, "The independence polynomial of a graph - a survey",
-    2005), an independent oracle that reaches the dense band near 64
-    vertices, where no listing does.
+    """(c_1, ..., c_omega) of g by the co-component oracle (co_component_reader)."""
+    return co_component_reader(g)((1 << g.n) - 1)
+
+
+def co_component_reader(g: Graph) -> Callable[[int], tuple[int, ...]]:
+    """The function that maps a vertex mask of g to (c_1, ..., c_omega) of
+    the subgraph it induces, computed as the independence polynomial of
+    that subgraph's complement (Levit & Mandrescu, "The independence
+    polynomial of a graph - a survey", 2005): an independent oracle that
+    reaches the dense band near 64 vertices, where no listing does.
 
     A vertex set S first splits into the connected components A_i of the
     complement of G[S]; G[S] is the join of the G[A_i], so C(G[S]) is the
     product of the C(G[A_i]).  A component of one vertex is 1 + x, and a
     larger one branches on its vertex v with the fewest neighbours,
-    C(G[A]) = C(G[A - v]) + x C(G[A & N(v)]).  Every set is memoised within
-    the call.  Neighbours come from the naive edge set, and nothing is
-    shared with cliquekit.cliques: no pivot, no subset table, no packing.
+    C(G[A]) = C(G[A - v]) + x C(G[A & N(v)]).  Every set is memoised for as
+    long as the function lives, across the masks it is asked.  Neighbours
+    come from the naive edge set, and nothing is shared with
+    cliquekit.cliques: no pivot, no subset table, no packing.
     """
     nbrs = [0] * g.n
     for u, v in naive_edge_set(g):
@@ -252,7 +260,7 @@ def co_component_counts(g: Graph) -> tuple[int, ...]:
             out[j] += c
         return out
 
-    return tuple(poly((1 << g.n) - 1)[1:])
+    return lambda mask: tuple(poly(mask)[1:])
 
 
 def poly_product(a: list[int], b: list[int]) -> list[int]:
@@ -264,13 +272,18 @@ def poly_product(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def networkx_counts(g: Graph) -> tuple[int, ...]:
-    """(c_1, ..., c_omega) from networkx's clique listing, an independent oracle."""
+def networkx_cliques(g: Graph):
+    """Every clique of g, as networkx lists it, an independent oracle."""
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
-    sizes = Counter(len(q) for q in nx.enumerate_all_cliques(h))
+    return nx.enumerate_all_cliques(h)
+
+
+def networkx_counts(g: Graph) -> tuple[int, ...]:
+    """(c_1, ..., c_omega) from networkx's clique listing."""
+    sizes = Counter(len(q) for q in networkx_cliques(g))
     return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
 
 

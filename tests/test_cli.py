@@ -726,31 +726,56 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     assert [len(g.memo.cliques.subset) for g in graphs] == [1 << (g.n - 1) for g in graphs]
 
 
+def spy_reader_masks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (id(adj), mask) of every mask asked of a graph's packed reader,
+    read, whether its store holds the count already or not."""
+    init = cliquekit.cliques._Counting.__init__
+    asked = []
+
+    def spy(counting, g):
+        init(counting, g)
+        read = counting.read
+
+        def recorded(mask):
+            asked.append((id(counting.adj), mask))
+            return read(mask)
+
+        counting.read = recorded
+
+    monkeypatch.setattr(cliquekit.cliques._Counting, "__init__", spy)
+    return asked
+
+
 def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     """The mid-size theorem campaign (CI's, n = 20..30, above the subset
     table's gate) counts every subgraph, G - Q included, as a vertex mask
-    over its graph's own rows, each mask once per graph: 10 297 kernel
-    reads, the _poly_of frames that the graph's reader makes, and no subset
-    table.  Every mask is read through its graph's packed reader, which
-    counts it once, the small neighbourhood terms of a G - Q split too
-    (8 404 reads when those were grown into the split's row and not kept).
-    Every mask enters through one _poly_of frame, and those of at least
-    _PIVOT_MIN_SIZE vertices enter the pivot recursion: 27 676 frames,
-    14 471 of them on a candidate set at or above the cutoff and 4 020 the
+    over its graph's own rows, and fills no subset table.  Its checks ask
+    the graphs' packed readers 10 297 distinct masks.  A reader answers a
+    mask that its graph's store holds, as an earlier read or as a pivot node
+    that an earlier read kept, so only 10 186 of them are kernel reads, the
+    _poly_of frames that a reader makes (10 297 when every read passed the
+    kernel a memo of its own, and 8 404 when the small neighbourhood terms
+    of a G - Q split were grown into the split's row and not kept).  Every
+    mask read enters through one _poly_of frame, and those of at least
+    _PIVOT_MIN_SIZE vertices enter the pivot recursion: 21 269 frames,
+    13 227 of them on a candidate set at or above the cutoff, and 4 020 the
     one frame of a mask below it, which is grown straight into its packed
-    row (23 656 frames when those masks were grown without one)."""
+    row.  With a memo per read they were 27 676, 14 471 and 4 020: a pivot
+    node that an earlier read of the graph kept is now not counted again."""
     graphs = record_campaign_graphs(monkeypatch)
     made = spy_subset_tables(monkeypatch)
+    asked = spy_reader_masks(monkeypatch)
     nodes = spy_kernel_frames(monkeypatch)
     assert main(list(FUZZ_MID_SIZE)) == 0
     capsys.readouterr()
+    assert {adj for adj, _ in asked} <= {id(g.adj) for g in graphs}
+    assert len(set(asked)) == 10297
     reads = [(adj, cand) for caller, adj, cand in nodes if caller == "read"]
-    assert {adj for adj, _ in reads} <= {id(g.adj) for g in graphs}
-    assert len(reads) == len(set(reads)) == 10297
+    assert len(reads) == len(set(reads)) == 10186
     assert made == []
     cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
     assert (len(nodes), sum(cand.bit_count() >= cutoff for _, _, cand in nodes)) \
-        == (27676, 14471)
+        == (21269, 13227)
     assert sum(cand.bit_count() < cutoff for _, cand in reads) == 4020
 
 

@@ -4,7 +4,9 @@ import random
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -52,8 +54,10 @@ from cliquekit import (
 from _helpers import (
     all_labelled_graphs,
     co_component_counts,
+    co_component_reader,
     graphs,
     naive_cliques_of_size,
+    networkx_cliques,
     networkx_counts,
     record_listings,
     relabelled,
@@ -535,6 +539,188 @@ def sweep_dense_band_against_the_oracle(count: int, n_range=(40, 64)) -> None:
     """
     for g in dense_band(count, n_range):
         assert clique_counts(g) == co_component_counts(g), to_graph6(g)
+
+
+# The kernel masks that `cliquekit verify --identity clique_deletion --clique
+# 0-1-2-4` reads on `cliquekit gen 64 0.9 1`, in the order it reads them:
+# C(G), the split of G - E(Q) and the neighbourhood sums of Q's subsets.
+DENSE_VERIFY_MASKS = (
+    0xffffffffffffffff, 0xfffffffffffffff8, 0xf7bbffffbfffffe0, 0xdf7eeffefefff7e8,
+    0xfeffffdfffbfffe8, 0xd73aeffebefff7f4, 0xf6bbffdfbfbffff2, 0xf63bffffbffff9e6,
+    0xde7eefdefebff7f9, 0xde7eeffefefff1ed, 0xfe7fffdfffbff9eb, 0xd63aefdebebff7f0,
+    0xd63aeffebefff1e4, 0xf63bffdfbfbff9e2, 0xde7eefdefebff1e9, 0xd63aefdebebff1e0,
+)
+
+
+def sweep_store_at_the_vertex_cap() -> None:
+    """Read the 16 kernel masks of CI's dense clique-deletion verify through
+    one graph, G(64, 0.9) seed 1, and check each count against the
+    co-component oracle.  The first read keeps only its own count, the
+    second shares the store and takes it past _STORE_MAX, and every later
+    read adds only its own mask.  It takes about 12 s on a 2-core x86-64
+    host, too slow for the default test run; CI runs it as
+
+        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_store_at_the_vertex_cap()"
+    """
+    g = random_gnp(64, 0.9, RngSpec(1))
+    reads = [("read", mask) for mask in DENSE_VERIFY_MASKS]
+    sizes = []
+    check_in_campaign_order(g, reads, co_component_oracle(g), sizes)
+    bound = cliquekit.cliques._STORE_MAX
+    assert sizes[0] == 1 and sizes[1] > bound, sizes[:2]
+    assert [after - before for before, after in zip(sizes[1:], sizes[2:])] \
+        == [1] * (len(sizes) - 2), sizes
+
+
+def campaign_reads(g: Graph, cliques) -> list[tuple[str, int]]:
+    """The reads of g's counting state in the order a theorem campaign makes
+    them: C(G), then G - v and N(v) for every vertex v, then G - E(Q) for
+    each clique Q of cliques, as ("read", mask) and ("split", Q's mask)."""
+    full = (1 << g.n) - 1
+    reads = [("read", full)]
+    for v in range(g.n):
+        reads += [("read", full ^ 1 << v), ("read", g.adj[v])]
+    return reads + [("split", sum(1 << v for v in q)) for q in cliques]
+
+
+def small_cliques(g: Graph, pick: slice = slice(None)) -> list[tuple[int, ...]]:
+    """The cliques of 2, 3 and 4 vertices of g, by size, in listing order;
+    pick selects from each size."""
+    catalog = enumerate_cliques(g, 4)
+    return [q for size in (2, 3, 4) for q in catalog.cliques(size)[pick]]
+
+
+def listing_oracle(cliques) -> Callable[[str, int], tuple[int, ...]]:
+    """The counts of a campaign read, from every clique of G listed once as a
+    vertex mask: a mask holds the cliques inside it, and G - E(Q) those
+    with at most one vertex of Q."""
+    def expected(kind: str, mask: int) -> tuple[int, ...]:
+        if kind == "read":
+            sizes = Counter(q.bit_count() for q in cliques if not q & ~mask)
+        else:
+            sizes = Counter(q.bit_count() for q in cliques if (q & mask).bit_count() <= 1)
+        return tuple(sizes[k] for k in range(1, max(sizes, default=0) + 1))
+
+    return expected
+
+
+def co_component_oracle(g: Graph) -> Callable[[str, int], tuple[int, ...]]:
+    """The counts of a campaign read by the co-component oracle: one reader
+    over g's masks, and G - E(Q) counted as a graph of its own."""
+    read = co_component_reader(g)
+
+    def expected(kind: str, mask: int) -> tuple[int, ...]:
+        if kind == "read":
+            return read(mask)
+        return co_component_counts(delete_edge_set(g, itertools.combinations(bits(mask), 2)))
+
+    return expected
+
+
+def check_in_campaign_order(g: Graph, reads, expected, sizes=None) -> list[tuple[int, int]]:
+    """Make reads, ("read", mask) or ("split", Q's mask), through g's one
+    counting state in order, and check each count against expected(kind,
+    mask).  Return (i, S) for every pivot node S that read i found in g's
+    store, kept there by an earlier read, so a wrong node would feed every
+    later count that reaches it.  sizes, if given, receives the store's size
+    after each read."""
+    counting = cliquekit.cliques._counting(g)
+    store = counting.store
+    earlier: set[int] = set()
+    shared = []
+    poly_of = cliquekit.cliques._poly_of
+
+    def spy(adj, cand, memo, lane):
+        if memo is store and cand in earlier:
+            shared.append((i, cand))
+        return poly_of(adj, cand, memo, lane)
+
+    cliquekit.cliques._poly_of = spy
+    try:
+        for i, (kind, mask) in enumerate(reads):
+            packed = counting.read(mask) if kind == "read" else counting.split(mask)
+            assert counting.unpack(packed) == expected(kind, mask), (to_graph6(g), i, kind, mask)
+            earlier.update(itertools.islice(store, len(earlier), None))
+            if sizes is not None:
+                sizes.append(len(store))
+    finally:
+        cliquekit.cliques._poly_of = poly_of
+    return shared
+
+
+class TestCountStore:
+    """A graph above the subset table's gate keeps one store of packed
+    counts: its reader's dict, which every read after the first passes to
+    the kernel as its pivot memo until it holds _STORE_MAX entries.  A node
+    kept by one read then answers later reads of the graph, so each count
+    of a sequence made in campaign order is checked against an oracle that
+    shares nothing with the kernel."""
+
+    @pytest.mark.parametrize("n, p", [
+        (13, 0.9), (14, 0.85), (15, 0.8), (16, 0.85), (17, 0.75), (18, 0.8),
+        (19, 0.7), (20, 0.65),
+    ])
+    def test_campaign_order_against_the_exhaustive_oracle(self, n, p):
+        """Every clique of G, as listed by enumerate_cliques, is first checked
+        against brute_force_counts size by size; then every read counts
+        the listed cliques that it keeps.  At 13 vertices no read finds a
+        node of an earlier one: G - v has 12 vertices, the pivot cutoff, so
+        no node below a read's own mask is kept."""
+        g = random_gnp(n, p, RngSpec(1000 * n + round(100 * p)))
+        catalog = enumerate_cliques(g)
+        assert catalog.counts == brute_force_counts(g)
+        listed = [sum(1 << v for v in q) for k in range(1, catalog.omega + 1)
+                  for q in catalog.cliques(k)]
+        shared = check_in_campaign_order(
+            g, campaign_reads(g, small_cliques(g)), listing_oracle(listed))
+        assert shared or n == 13
+
+    @pytest.mark.parametrize("n, p", [(24, 0.6), (27, 0.55), (30, 0.5)])
+    def test_campaign_order_against_networkx(self, n, p):
+        g = random_gnp(n, p, RngSpec(1000 * n + round(100 * p)))
+        listed = [sum(1 << v for v in q) for q in networkx_cliques(g)]
+        assert check_in_campaign_order(
+            g, campaign_reads(g, small_cliques(g)), listing_oracle(listed))
+
+    @pytest.mark.parametrize("g", list(dense_band(3)), ids=lambda g: f"G({g.n}, m={g.m})")
+    def test_dense_band_against_the_co_component_oracle(self, g):
+        """C(G), G - v and N(v) for every v, then G - E(Q) for a few cliques
+        of each size, where no listing reaches."""
+        reads = campaign_reads(g, small_cliques(g, slice(None, 291, 97)))
+        assert check_in_campaign_order(g, reads, co_component_oracle(g))
+
+    def test_a_wrong_node_in_the_store_is_caught(self):
+        """Plant one wrong count, with one vertex too many, in a node that
+        an earlier read kept and a later read reaches: the later read's
+        count is then wrong, and the check sees it."""
+        g = random_gnp(18, 0.8, RngSpec(18080))
+        reads = campaign_reads(g, small_cliques(g))
+        expected = co_component_oracle(g)
+        i, node = check_in_campaign_order(Graph(g.n, g.adj), reads, expected)[0]
+        check_in_campaign_order(g, reads[:i], expected)
+        counting = cliquekit.cliques._counting(g)
+        counting.store[node] += 1 << counting.lane
+        with pytest.raises(AssertionError):
+            check_in_campaign_order(g, reads[i:i + 1], expected)
+
+    def test_one_count_keeps_one_entry_and_a_second_read_keeps_its_nodes(self):
+        g = random_gnp(48, 0.95, RngSpec(1))
+        clique_polynomial(g)
+        store = g.memo.cliques.store
+        assert list(store) == [(1 << g.n) - 1]
+        check_in_campaign_order(g, [("read", (1 << g.n) - 2)], co_component_oracle(g))
+        assert len(store) > 2
+
+    def test_a_read_past_the_bound_adds_only_its_own_mask(self, monkeypatch):
+        monkeypatch.setattr(cliquekit.cliques, "_STORE_MAX", 3)
+        g = random_gnp(48, 0.95, RngSpec(1))
+        full = (1 << g.n) - 1
+        sizes = []
+        reads = [("read", full ^ 1 << v) for v in range(4)]
+        check_in_campaign_order(g, reads, co_component_oracle(g), sizes)
+        assert sizes[0] == 1 and sizes[1] > 3
+        assert sizes[2:] == [sizes[1] + 1, sizes[1] + 2]
+        assert list(g.memo.cliques.store)[-2:] == [full ^ 4, full ^ 8]
 
 
 class TestCoComponentOracle:
