@@ -532,17 +532,21 @@ class _Counting:
             packed = self.splits[without] = first + (packed << self.lane)
         return packed
 
-    def add(self, row: list[int], counts: Iterable[int], shift: int = 0,
-            coeff: int = 1) -> None:
-        """row += coeff * x**shift times the sum of the packed counts, in
-        place.  They are summed packed, _PACKED_UNITS at a time so that no
-        sum carries, and each sum is unpacked into the row once."""
+    def add(self, counts: Iterable[int], shift: int = 0, coeff: int = 1,
+            row: Polynomial | None = None) -> Polynomial:
+        """row (by default n + 1 zeros) plus coeff * x**shift times the sum
+        of the packed counts, in place, and returned.  They are summed
+        packed, _PACKED_UNITS at a time so that no sum carries, and each sum
+        is unpacked into the row once."""
+        if row is None:
+            row = [0] * (len(self.adj) + 1)
         counts = iter(counts)
         lane = self.lane
         # every packed count has the constant term 1, so only an empty batch sums to 0
         while packed := sum(itertools.islice(counts, _PACKED_UNITS)):
             for j, c in enumerate(_coefficients(packed, lane), shift):
                 row[j] += coeff * c
+        return row
 
     def term(self, mask: int, r: int, coeff: int = 1) -> int:
         """coeff * x**r * C(G[mask], x) packed."""

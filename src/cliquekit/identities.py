@@ -56,10 +56,10 @@ side can pass the lane.  Equal integers give the held verdict (True, lhs,
 tuple(lhs)); the vertex recurrence and the expansion share one per graph
 (_Terms.held).  Only a failing verdict, or one past a bound, builds the
 right side that a report shows, in one row of g.n + 1 coefficients (enough
-for x**r C(G[N(S)], x) with |S| >= r): _count_sum and the expansion add the
-packed counts as integers and unpack each batch into the row once, times
-one coefficient (cliques._Counting.add), and _poly_verdict compares the
-row, kept trimmed as a tuple, with the left side.
+for x**r C(G[N(S)], x) with |S| >= r): cliques._Counting.add sums the
+packed counts as integers and unpacks each batch into the row once, times
+one coefficient, and _poly_verdict compares the row, kept trimmed as a
+tuple, with the left side.
 
 The expansion decides each clique alone, on either side of the subset
 table's gate, from the graph's one expansion context (_Terms): C(G)
@@ -257,18 +257,6 @@ def _renderer(identity: str, params: Callable[[Graph, object], dict],
     return render
 
 
-def _count_sum(g: Graph, masks: Iterable[int], shift: int = 0,
-               row: Optional[list[int]] = None) -> list[int]:
-    """row (by default g.n + 1 zeros) plus x**shift times the sum of C(x)
-    over the subgraphs that masks induce, in place: the counts are read
-    packed and each batch is unpacked once (cliques._Counting.add)."""
-    if row is None:
-        row = [0] * (g.n + 1)
-    counting = _counting(g)
-    counting.add(row, map(counting.read, masks), shift)
-    return row
-
-
 def _without_vertex(g: Graph, v: int) -> int:
     """The vertex set of G - v, as a mask over the rows of g."""
     return ((1 << g.n) - 1) & ~(1 << v)
@@ -306,11 +294,7 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     else:
         deleted = _edges(g) if deck == "edge" else _triangles(g)
         members = (counting.split(_vertex_mask(q)) for q in deleted)
-    row = [0] * (g.n + 1)
-    counting.add(row, members)
-    while row and not row[-1]:
-        row.pop()
-    return tuple(row)
+    return tuple(poly_normalize(counting.add(members)))
 
 
 def _deck_verdict(g: Graph, deck: str, r: int, k: int) -> Verdict:
@@ -522,10 +506,10 @@ def check_vertex_recurrence(g: Graph, v: int) -> Verdict:
     counting = _counting(g)
     read = counting.read
     without = _without_vertex(g, v)
-    if read(without) + counting.term(g.adj[v], 1) == read(without | 1 << v):
+    rhs = read(without) + counting.term(g.adj[v], 1)
+    if rhs == read(without | 1 << v):
         return _terms(g).held
-    rhs = _count_sum(g, [g.adj[v]], 1, _count_sum(g, [without]))
-    return _poly_verdict(clique_polynomial(g), rhs)
+    return _poly_verdict(clique_polynomial(g), counting.add([rhs]))
 
 
 @_identity("edge_recurrence", THEOREM, _EDGE)
@@ -656,14 +640,13 @@ def _derivative_verdict(g: Graph, r: int, masks: Sequence[int]) -> Verdict:
     is below 2**lane (cliques._Counting.pack).  Then equal integers decide
     that it holds, and the verdict's right side is its left.  Past either
     bound, and where the integers differ, the right side is built in a row
-    (_count_sum).
+    (cliques._Counting.add).
     """
     lhs = poly_divided_derivative(clique_polynomial(g), r)
-    if len(masks) <= _PACKED_UNITS:
-        counting = _counting(g)
-        if counting.pack(lhs) == sum(map(counting.read, masks)):
-            return True, lhs, tuple(lhs)
-    return _poly_verdict(lhs, _count_sum(g, masks))
+    counting = _counting(g)
+    if len(masks) <= _PACKED_UNITS and counting.pack(lhs) == sum(map(counting.read, masks)):
+        return True, lhs, tuple(lhs)
+    return _poly_verdict(lhs, counting.add(map(counting.read, masks)))
 
 
 @_identity("first_derivative", THEOREM, _GRAPH)
@@ -795,10 +778,9 @@ def _expansion_verdict(g: Graph, q: tuple[int, ...],
     adj = g.adj
     counting = _counting(g)
     read, add = counting.read, counting.add
-    rhs = [0] * (g.n + 1)
-    add(rhs, [counting.split(_vertex_mask(q))])
+    rhs = add([counting.split(_vertex_mask(q))])
     for r in range(2, len(q) + 1):
-        add(rhs, (read(_common(adj, s)) for s in family(r)), r, (-1) ** r * (r - 1))
+        add((read(_common(adj, s)) for s in family(r)), r, (-1) ** r * (r - 1), rhs)
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
@@ -932,9 +914,10 @@ class TriangleIdentityParts:
 
 
 def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
-    adj = g.adj
-    edge_sum = _count_sum(g, (adj[a] & adj[b] for a, b in itertools.combinations(d, 2)))
-    tri = _count_sum(g, [_common(adj, d)])
+    adj, counting = g.adj, _counting(g)
+    edge_sum = counting.add(counting.read(adj[a] & adj[b])
+                            for a, b in itertools.combinations(d, 2))
+    tri = counting.add([counting.read(_common(adj, d))])
     return TriangleIdentityParts(d, poly_normalize(edge_sum), poly_normalize(tri))
 
 
@@ -972,9 +955,8 @@ def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     never match, which is reported rather than repaired).
     """
     counting = _counting(g)
-    rhs = [0] * (g.n + 1)
-    counting.add(rhs, [counting.split(_vertex_mask(delta))])
-    return _poly_verdict(clique_polynomial(g), _count_sum(g, [_common(g.adj, delta)], 3, rhs))
+    rhs = counting.split(_vertex_mask(delta)) + counting.term(_common(g.adj, delta), 3)
+    return _poly_verdict(clique_polynomial(g), counting.add([rhs]))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -19,7 +20,6 @@ import pytest
 from hypothesis import strategies as st
 
 import cliquekit.cliques
-import cliquekit.conjectures
 from cliquekit import (
     Graph,
     RngSpec,
@@ -46,33 +46,46 @@ def subprocess_env() -> dict[str, str]:
     return env
 
 
+def record_calls(monkeypatch, owner, name: str, what: Callable = lambda *args: args,
+                 caller: bool = False) -> list:
+    """Wrap owner.name, through monkeypatch, so that each call appends
+    what(*args) to the list returned, as (name of the calling function,
+    what(*args)) when caller is set, and then runs the original.  A name
+    that owner lacks fails at once, as monkeypatch.setattr does."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        seen = what(*args)
+        calls.append((sys._getframe(1).f_code.co_name, seen) if caller else seen)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def forbid_calls(monkeypatch, owner, name: str) -> None:
+    """Make every call of owner.name fail with "<name> called"; a name that
+    owner lacks fails at once."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
 def record_listings(monkeypatch) -> list:
     """Record the size limit of every listing by cliquekit.cliques' one
     lister, _list_cliques, which enumerate_cliques and the identity checks'
     catalog both call, budgeted or not."""
-    listing = cliquekit.cliques._list_cliques
-    asked = []
-
-    def spy(g, limit):
-        asked.append(limit)
-        return listing(g, limit)
-
-    monkeypatch.setattr(cliquekit.cliques, "_list_cliques", spy)
-    return asked
+    return record_calls(monkeypatch, cliquekit.cliques, "_list_cliques", lambda g, limit: limit)
 
 
 def record_campaign_graphs(monkeypatch) -> list[Graph]:
-    """Keep every graph that run_campaign draws, in order.  They stay alive,
-    so the id of each graph and of its rows stays its own."""
-    draw = cliquekit.conjectures.random_gnp
-    graphs = []
-
-    def spy(*args):
-        graphs.append(draw(*args))
-        return graphs[-1]
-
-    monkeypatch.setattr(cliquekit.conjectures, "random_gnp", spy)
-    return graphs
+    """Keep every graph whose counting state is made, in order: in a campaign
+    that does not shrink, each graph that run_campaign draws, at its first
+    count, since no check counts a graph of its own.  They stay alive, so
+    the id of each graph and of its rows stays its own."""
+    return record_calls(monkeypatch, cliquekit.cliques._Counting, "__init__", lambda counting, g: g)
 
 
 @st.composite

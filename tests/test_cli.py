@@ -29,7 +29,9 @@ from cliquekit import cli
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
 
-from _helpers import record_campaign_graphs, record_listings, subprocess_env
+from _helpers import (
+    forbid_calls, record_calls, record_campaign_graphs, record_listings, subprocess_env,
+)
 
 K4_G6 = to_graph6(complete_graph(4))
 K5_G6 = to_graph6(complete_graph(5))
@@ -683,31 +685,11 @@ def test_verify_all_theorems_above_the_gate_is_pinned(capsys):
         == "015411cc56326e2aa47440062b43574a59e736fbbfdf36dd22bcc9d54bcd78c9"
 
 
-def spy_subset_tables(monkeypatch) -> list[int]:
-    """Record the vertex count of every graph whose subset table is built."""
-    build = cliquekit.cliques._subset_table
-    made = []
-
-    def spy(adj, lane):
-        made.append(len(adj))
-        return build(adj, lane)
-
-    monkeypatch.setattr(cliquekit.cliques, "_subset_table", spy)
-    return made
-
-
-def spy_kernel_frames(monkeypatch) -> list[tuple[str, int, int]]:
-    """Record (caller, id(adj), cand) of every _poly_of frame: the kernel's
+def record_kernel_frames(monkeypatch) -> list[tuple[str, tuple[int, int]]]:
+    """Record (caller, (id(adj), cand)) of every _poly_of frame: the kernel's
     reads are those whose caller is a graph's packed reader, read."""
-    poly_of = cliquekit.cliques._poly_of
-    nodes = []
-
-    def spy(adj, cand, memo, lane):
-        nodes.append((sys._getframe(1).f_code.co_name, id(adj), cand))
-        return poly_of(adj, cand, memo, lane)
-
-    monkeypatch.setattr(cliquekit.cliques, "_poly_of", spy)
-    return nodes
+    return record_calls(monkeypatch, cliquekit.cliques, "_poly_of",
+                        lambda adj, cand, memo, lane: (id(adj), cand), caller=True)
 
 
 def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
@@ -715,32 +697,31 @@ def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     _SUBSET_TABLE_MAX_N vertices, so it fills one subset table and answers
     every count from it: 200 tables and no kernel call, so no _poly_of
     frame at all, from its reader or any other caller.  Counting each mask
-    with the kernel, once per graph, took 8 847 calls."""
+    with the kernel, once per graph, took 8 847 calls.  K13, one vertex
+    above the gate, reads C(G) through the kernel: its reader's frame and
+    two pivot frames below it."""
     graphs = record_campaign_graphs(monkeypatch)
-    made = spy_subset_tables(monkeypatch)
-    nodes = spy_kernel_frames(monkeypatch)
+    nodes = record_kernel_frames(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert max(g.n for g in graphs) <= cliquekit.cliques._SUBSET_TABLE_MAX_N
-    assert (len(made), len(nodes)) == (200, 0)
+    assert (len(graphs), len(nodes)) == (200, 0)
     assert [len(g.memo.cliques.subset) for g in graphs] == [1 << (g.n - 1) for g in graphs]
+    cliquekit.clique_counts(complete_graph(13))
+    assert [caller for caller, _ in nodes] == ["read", "_poly_of", "_poly_of"]
 
 
-def spy_reader_masks(monkeypatch) -> list[tuple[int, int]]:
-    """Record (id(adj), mask) of every mask asked of a graph's packed reader,
-    read, whether its store holds the count already or not."""
+def spy_reader_masks(monkeypatch) -> list[list[int]]:
+    """Record the masks asked of each graph's packed reader, read, whether
+    its store holds the count already or not: one list per counting state,
+    in the order the states are made."""
+    # a hand spy: read is a closure that each counting state makes for itself
     init = cliquekit.cliques._Counting.__init__
     asked = []
 
     def spy(counting, g):
         init(counting, g)
-        read = counting.read
-
-        def recorded(mask):
-            asked.append((id(counting.adj), mask))
-            return read(mask)
-
-        counting.read = recorded
+        asked.append(record_calls(monkeypatch, counting, "read", lambda mask: mask))
 
     monkeypatch.setattr(cliquekit.cliques._Counting, "__init__", spy)
     return asked
@@ -763,18 +744,18 @@ def test_mid_size_campaign_kernel_calls_are_pinned(monkeypatch, capsys):
     row.  With a memo per read they were 27 676, 14 471 and 4 020: a pivot
     node that an earlier read of the graph kept is now not counted again."""
     graphs = record_campaign_graphs(monkeypatch)
-    made = spy_subset_tables(monkeypatch)
     asked = spy_reader_masks(monkeypatch)
-    nodes = spy_kernel_frames(monkeypatch)
+    nodes = record_kernel_frames(monkeypatch)
     assert main(list(FUZZ_MID_SIZE)) == 0
     capsys.readouterr()
-    assert {adj for adj, _ in asked} <= {id(g.adj) for g in graphs}
-    assert len(set(asked)) == 10297
-    reads = [(adj, cand) for caller, adj, cand in nodes if caller == "read"]
+    assert len(graphs) == len(asked) == 3
+    assert all(g.memo.cliques.subset is None for g in graphs)
+    assert cliquekit.cliques._counting(complete_graph(12)).subset
+    assert sum(len(set(masks)) for masks in asked) == 10297
+    reads = [frame for caller, frame in nodes if caller == "read"]
     assert len(reads) == len(set(reads)) == 10186
-    assert made == []
     cutoff = cliquekit.cliques._PIVOT_MIN_SIZE
-    assert (len(nodes), sum(cand.bit_count() >= cutoff for _, _, cand in nodes)) \
+    assert (len(nodes), sum(cand.bit_count() >= cutoff for _, (_, cand) in nodes)) \
         == (21269, 13227)
     assert sum(cand.bit_count() < cutoff for _, cand in reads) == 4020
 
@@ -787,15 +768,9 @@ def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
     the held verdict they share.  triangle_deletion_counts compares its
     formula with C(G - E(d)) packed, so a holding verdict unpacks nothing,
     and every verdict of the campaign holds."""
-    unpack = cliquekit.cliques._Counting.unpack
     graphs = record_campaign_graphs(monkeypatch)
-    unpacked = []
-
-    def spy(counting, packed):
-        unpacked.append((sys._getframe(1).f_code.co_name, packed))
-        return unpack(counting, packed)
-
-    monkeypatch.setattr(cliquekit.cliques._Counting, "unpack", spy)
+    unpacked = record_calls(monkeypatch, cliquekit.cliques._Counting, "unpack",
+                            lambda counting, packed: packed, caller=True)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert len(graphs) == 200
@@ -811,25 +786,16 @@ def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
 ])
 def test_campaign_sums_each_deck_once_per_graph(checks, decks, monkeypatch, capsys):
     """Over 200 campaign graphs, the deck checks sum each deck they read
-    once per graph: vertex_deck and edge_deck at every k, triangle_deck,
-    conjecture2 and conjecture3 share the triangle deck's row."""
-    sum_deck = cliquekit.identities._sum_deck
+    once per graph, into its expansion context's decks: vertex_deck and
+    edge_deck at every k, triangle_deck, conjecture2 and conjecture3 share
+    the triangle deck's row."""
     graphs = record_campaign_graphs(monkeypatch)
-    sums = []
-
-    def spy(g, deck):
-        sums.append((id(g), deck))
-        return sum_deck(g, deck)
-
-    monkeypatch.setattr(cliquekit.identities, "_sum_deck", spy)
     argv = ["fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200", "--seed", "7",
             "--check", checks]
     assert main(argv) == 0
     capsys.readouterr()
     assert len(graphs) == 200
-    assert len(set(sums)) == len(sums)
-    assert {g for g, _ in sums} == {id(g) for g in graphs}
-    assert Counter(deck for _, deck in sums) == decks
+    assert Counter(deck for g in graphs for deck in g.memo.identities.decks) == decks
 
 
 def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
@@ -857,25 +823,18 @@ def test_campaign_lists_each_graphs_cliques_once(monkeypatch, capsys):
     neither Graph.edges nor graphs.triangles is called."""
     graphs = record_campaign_graphs(monkeypatch)
     asked = record_listings(monkeypatch)
-    listed_apart = []
-    edges, triangles = cliquekit.graphs.Graph.edges, cliquekit.graphs.triangles
-
-    def spy_edges(g):
-        listed_apart.append("edges")
-        return edges(g)
-
-    def spy_triangles(g):
-        listed_apart.append("triangles")
-        return triangles(g)
-
-    monkeypatch.setattr(cliquekit.graphs.Graph, "edges", spy_edges)
+    forbid_calls(monkeypatch, cliquekit.graphs.Graph, "edges")
     for module in (cliquekit, cliquekit.graphs):
-        monkeypatch.setattr(module, "triangles", spy_triangles)
+        forbid_calls(monkeypatch, module, "triangles")
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert len(graphs) == len(asked) == 200
     assert asked == [max(len(cliquekit.clique_counts(g)), 1) for g in graphs]
-    assert listed_apart == []
+    with pytest.raises(AssertionError, match="edges called"):
+        graphs[0].edges()
+    for module in (cliquekit, cliquekit.graphs):
+        with pytest.raises(AssertionError, match="triangles called"):
+            module.triangles(graphs[0])
 
 
 def test_campaign_builds_no_theorem_row(monkeypatch, capsys):
@@ -884,14 +843,8 @@ def test_campaign_builds_no_theorem_row(monkeypatch, capsys):
     right side in a row: no _poly_verdict call, the comparison every
     row-built verdict ends in.  Deciding the vertex recurrence and the
     derivative formulas in rows made 2 116 calls."""
-    poly_verdict = cliquekit.identities._poly_verdict
-    built = []
-
-    def spy(lhs, rhs):
-        built.append(len(lhs))
-        return poly_verdict(lhs, rhs)
-
-    monkeypatch.setattr(cliquekit.identities, "_poly_verdict", spy)
+    built = record_calls(monkeypatch, cliquekit.identities, "_poly_verdict",
+                         lambda lhs, rhs: len(lhs))
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert built == []
@@ -908,21 +861,11 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     triangle_deletion_counts read the same entry.  Splitting again for the
     deck and the counts made 10 357 splits, and when a miss reached the
     split through a call to itself the campaign made 16 876 split frames."""
-    split = cliquekit.cliques._Counting.split
     graphs = record_campaign_graphs(monkeypatch)
-    frames, splits = [], []
-
-    def spy(counting, without):
-        frames.append(without)
-        if without not in counting.splits:
-            splits.append((id(counting), without))
-        return split(counting, without)
-
-    monkeypatch.setattr(cliquekit.cliques._Counting, "split", spy)
+    frames = record_calls(monkeypatch, cliquekit.cliques._Counting, "split")
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
-    assert len(frames) == 10357
-    assert len(splits) == len(set(splits)) == 6519
+    assert (len(graphs), len(frames)) == (200, 10357)
     assert sum(len(g.memo.cliques.splits) for g in graphs) == 6519
 
 
@@ -931,29 +874,21 @@ def test_campaign_reads_each_term_and_clique_size_from_the_memo(monkeypatch, cap
     stores its clique's own term, and the campaign asks the edges, then the
     triangles, then the 4-cliques, so every proper subset's term is stored
     before it is read: _Terms.__missing__ is never called (6 519 calls when
-    each clique's own term was read there).  Every check reads one size of
-    cliques from its graph's one stored catalog, so the 200 listings are the
-    only CliqueCatalog objects made (1 107 when each size read made a
+    each clique's own term was read there), while a triangle asked of a
+    fresh graph reads its edges' terms there.  Every check reads one size
+    of cliques from its graph's one stored catalog, so the 200 listings are
+    the only CliqueCatalog objects made (1 107 when each size read made a
     prefix catalog)."""
-    terms_type = cliquekit.identities._Terms
-    missing, init = terms_type.__missing__, cliquekit.cliques.CliqueCatalog.__init__
-    asked, made = [], []
-
-    def spy_missing(terms, s):
-        asked.append(s)
-        return missing(terms, s)
-
-    def spy_init(catalog, *args):
-        made.append(args[0])
-        init(catalog, *args)
-
-    monkeypatch.setattr(terms_type, "__missing__", spy_missing)
-    monkeypatch.setattr(cliquekit.cliques.CliqueCatalog, "__init__", spy_init)
+    asked = record_calls(monkeypatch, cliquekit.identities._Terms, "__missing__",
+                         lambda terms, s: s)
+    made = record_calls(monkeypatch, cliquekit.cliques.CliqueCatalog, "__init__")
     listed = record_listings(monkeypatch)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert asked == []
     assert len(made) == len(listed) == 200
+    CHECKS["clique_deletion"].check(complete_graph(3), (0, 1, 2))
+    assert asked == [(0, 1), (0, 2), (1, 2)]
 
 
 @pytest.mark.parametrize("gen", [("12", "0.9", "3"), ("16", "0.85", "1")])
@@ -961,30 +896,20 @@ def test_one_asked_clique_reads_its_subsets_terms_on_demand(gen, monkeypatch, ca
     """A single `verify --clique` on a fresh graph, on either side of the
     subset table's gate, has no earlier verdict to supply its subsets'
     terms: each of the 10 proper subsets of 2 or 3 vertices of the asked
-    4-clique is read on demand (_Terms.__missing__), its own term is
-    stored by its verdict, and it alone is decided."""
+    4-clique is read on demand (_Terms.__missing__) into the graph's one
+    expansion context, its own term is stored by its verdict, and it alone
+    is decided."""
     assert main(["gen", *gen]) == 0
     g6 = capsys.readouterr().out.strip()
-    load, missing = cli._load_graph, cliquekit.identities._Terms.__missing__
-    loaded, asked = [], []
-
-    def spy_load(args):
-        loaded.append(load(args))
-        return loaded[-1]
-
-    def spy_missing(terms, s):
-        asked.append(s)
-        return missing(terms, s)
-
-    monkeypatch.setattr(cli, "_load_graph", spy_load)
-    monkeypatch.setattr(cliquekit.identities._Terms, "__missing__", spy_missing)
+    asked = record_calls(monkeypatch, cliquekit.identities._Terms, "__missing__",
+                         lambda terms, s: (terms, s))
     assert main(["verify", "-g", g6, "--identity", "clique_deletion", "--clique", "0-1-2-4"]) == 0
     assert capsys.readouterr().out.rstrip("\n").endswith("holds=true")
-    (g,) = loaded
     q = (0, 1, 2, 4)
     subsets = [s for r in (2, 3) for s in itertools.combinations(q, r)]
-    assert sorted(asked) == sorted(subsets)
-    terms = g.memo.identities
+    assert sorted(s for _, s in asked) == sorted(subsets)
+    terms = asked[0][0]
+    assert all(t is terms for t, _ in asked)
     assert list(terms.deletions) == [q]
     assert terms.deletions[q] is terms.held
     assert set(terms) == {*subsets, q}
@@ -993,14 +918,8 @@ def test_one_asked_clique_reads_its_subsets_terms_on_demand(gen, monkeypatch, ca
 def test_theorem_campaign_renders_no_report(monkeypatch, capsys):
     """Every theorem holds on the small-graph theorem campaign, and a campaign
     renders a report only for a failing instance, so it renders none."""
-    init = IdentityReport.__init__
-    rendered = []
-
-    def spy(self, identity, *args, **kwargs):
-        rendered.append(identity)
-        init(self, identity, *args, **kwargs)
-
-    monkeypatch.setattr(IdentityReport, "__init__", spy)
+    rendered = record_calls(monkeypatch, IdentityReport, "__init__",
+                            lambda report, identity, *rest: identity)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert rendered == []
@@ -1013,9 +932,10 @@ def test_shrinking_evaluates_instances_up_to_the_first_failure(monkeypatch, caps
     check's instances on a candidate graph only up to the first that fails:
     6 869 instances over its 2 983 candidate graphs, where evaluating every
     instance took 7 898."""
+    # a hand spy: the predicate evaluates instances through its frozen
+    # CheckDef's check field, which no attribute of a module or class reaches
     predicate = cliquekit.conjectures._failure_predicate
     evaluated = []
-    candidates = []
 
     def spy(check, params):
         cd = CHECKS[check]
@@ -1027,21 +947,18 @@ def test_shrinking_evaluates_instances_up_to_the_first_failure(monkeypatch, caps
         monkeypatch.setitem(CHECKS, check, dataclasses.replace(cd, check=counted))
         fails = predicate(check, params)
         monkeypatch.setitem(CHECKS, check, cd)
-
-        def counted_fails(g):
-            candidates.append(g)
-            return fails(g)
-
-        return counted_fails
+        return fails
 
     monkeypatch.setattr(cliquekit.conjectures, "_failure_predicate", spy)
+    # each candidate graph is one call of the predicate, fails
+    tried = record_calls(monkeypatch, cliquekit.identities.CheckDef, "first_failure", caller=True)
     argv = ("fuzz", "--n", "4..10", "--p", "0.3..0.8", "--count", "60", "--seed", "5",
             "--check", CONJECTURE_CHECKS, "--shrink", "--json")
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() \
         == "e76e360fc4625255a4bebae24c29397838384b95787ca3026310a76f46d56ce9"
-    assert (len(candidates), len(evaluated)) == (2983, 6869)
+    assert (sum(caller == "fails" for caller, _ in tried), len(evaluated)) == (2983, 6869)
 
 
 def test_readme_identity_catalog_matches_the_checks():

@@ -55,10 +55,12 @@ from _helpers import (
     all_labelled_graphs,
     co_component_counts,
     co_component_reader,
+    forbid_calls,
     graphs,
     naive_cliques_of_size,
     networkx_cliques,
     networkx_counts,
+    record_calls,
     record_listings,
     relabelled,
 )
@@ -205,15 +207,14 @@ class TestCountingKernel:
         g = random_gnp(14, 0.6, RngSpec(5))
         expected = enumerate_cliques(g).counts
 
-        def listing(*args, **kwargs):
-            raise AssertionError("cliques listed")
-
-        monkeypatch.setattr(cliquekit.cliques, "enumerate_cliques", listing)
-        monkeypatch.setattr(cliquekit.cliques, "_list_cliques", listing)
+        for name in ("enumerate_cliques", "_list_cliques"):
+            forbid_calls(monkeypatch, cliquekit.cliques, name)
         assert clique_counts(g) == expected
         assert clique_polynomial(g) == [1, *expected]
         assert [clique_count(g, k) for k in range(len(expected) + 2)] \
             == [1, *expected, 0]
+        with pytest.raises(AssertionError, match="_list_cliques called"):
+            cliquekit.cliques._stored_catalog(g, 2)
 
     def test_results_live_exactly_as_long_as_their_graph(self):
         """No module-level cache: counts, the subset table, clique-deletion
@@ -628,23 +629,17 @@ def check_in_campaign_order(g: Graph, reads, expected, sizes=None) -> list[tuple
     store = counting.store
     earlier: set[int] = set()
     shared = []
-    poly_of = cliquekit.cliques._poly_of
-
-    def spy(adj, cand, memo, lane):
-        if memo is store and cand in earlier:
-            shared.append((i, cand))
-        return poly_of(adj, cand, memo, lane)
-
-    cliquekit.cliques._poly_of = spy
-    try:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        frames = record_calls(monkeypatch, cliquekit.cliques, "_poly_of",
+                              lambda adj, cand, memo, lane: (memo is store, cand))
         for i, (kind, mask) in enumerate(reads):
             packed = counting.read(mask) if kind == "read" else counting.split(mask)
             assert counting.unpack(packed) == expected(kind, mask), (to_graph6(g), i, kind, mask)
+            shared += [(i, cand) for kept, cand in frames if kept and cand in earlier]
+            frames.clear()
             earlier.update(itertools.islice(store, len(earlier), None))
             if sizes is not None:
                 sizes.append(len(store))
-    finally:
-        cliquekit.cliques._poly_of = poly_of
     return shared
 
 
@@ -793,20 +788,8 @@ class TestDepthFirstCount:
     GROW_CALLS = [999, 1339, 1690, 2019, 2643, 2954, 2705, 2434, 2002]
 
     def test_grow_calls_on_the_dense_reference(self, monkeypatch):
-        grow = cliquekit.cliques._grow
-        calls = []  # (calls open inside _grow, candidates) per call
-        depth = 0
-
-        def counted(adj, row, size, cand):
-            nonlocal depth
-            calls.append((depth, cand.bit_count()))
-            depth += 1
-            try:
-                grow(adj, row, size, cand)
-            finally:
-                depth -= 1
-
-        monkeypatch.setattr(cliquekit.cliques, "_grow", counted)
+        calls = record_calls(monkeypatch, cliquekit.cliques, "_grow",
+                             lambda adj, row, size, cand: cand.bit_count(), caller=True)
         totals = []
         for template in json.loads(DENSE_REFERENCE.read_text())["templates"]:
             g6, poly = template["items"][0]
@@ -814,7 +797,7 @@ class TestDepthFirstCount:
             calls.clear()
             assert [1, *clique_counts_in(g.adj, (1 << g.n) - 1)] == poly
             totals.append(len(calls))
-            assert min(size for depth_at, size in calls if depth_at) >= 4
+            assert min(size for caller, size in calls if caller == "_grow") >= 4
         assert totals == self.GROW_CALLS
 
 
@@ -860,6 +843,18 @@ class TestListingBudget:
         assert enumerate_cliques(complete_graph(64), k_max=3).counts \
             == (64, comb(64, 2), comb(64, 3))
 
+    def test_the_catalog_lists_up_to_triangles_unasked_within_the_budget(self, monkeypatch):
+        """_stored_catalog lists cliques of up to _UNBUDGETED_SIZE vertices
+        without asking the budget: on 64 vertices at most 64 + C(64, 2) +
+        C(64, 3) = 43 744 of them, which must stay within LISTING_BUDGET."""
+        size = cliquekit.cliques._UNBUDGETED_SIZE
+        unasked = sum(comb(MAX_VERTICES, j) for j in range(1, size + 1))
+        assert (size, unasked) == (3, 43744)
+        assert unasked <= cliquekit.cliques.LISTING_BUDGET
+        monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 0)
+        catalog = cliquekit.cliques._stored_catalog(complete_graph(MAX_VERTICES), size)
+        assert sum(map(len, catalog.by_size)) == unasked
+
     def test_the_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 15)
         assert enumerate_cliques(complete_graph(4)).counts == (4, 6, 4, 1)
@@ -876,10 +871,7 @@ class TestListingBudget:
         g = random_gnp(20, 0.7, RngSpec(3))
         expected = enumerate_cliques(g, k_max=5).counts
 
-        def counting(*args, **kwargs):
-            raise AssertionError("clique_counts called")
-
-        monkeypatch.setattr(cliquekit.cliques, "clique_counts", counting)
+        forbid_calls(monkeypatch, cliquekit.cliques, "clique_counts")
         assert enumerate_cliques(g, k_max=5).counts == expected
         with pytest.raises(AssertionError, match="clique_counts called"):
             enumerate_cliques(g)

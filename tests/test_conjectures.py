@@ -21,6 +21,7 @@ from cliquekit import (
     check_triangle_deck_identity,
     clique_counts,
     clique_polynomial,
+    clique_value,
     complete_graph,
     cycle_graph,
     delete_edge,
@@ -42,7 +43,7 @@ from cliquekit import (
     triangles,
 )
 
-from _helpers import record_listings
+from _helpers import forbid_calls, record_calls, record_listings
 
 TWO_TRIANGLES = disjoint_union(complete_graph(3), complete_graph(3))
 
@@ -280,13 +281,12 @@ class TestCatalog:
         """The skip names the first k over the budget, found by counting alone."""
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 20)
 
-        def listing(*args, **kwargs):
-            raise AssertionError("_list_cliques called")
-
-        monkeypatch.setattr(cliquekit.cliques, "_list_cliques", listing)
+        forbid_calls(monkeypatch, cliquekit.cliques, "_list_cliques")
         for name in ("handshake", "kth_derivative"):
             with pytest.raises(CliqueBudgetExceeded, match="up to 2 vertices would list 21 "):
                 CHECKS[name].run(complete_graph(6), None)
+        with pytest.raises(AssertionError, match="_list_cliques called"):
+            CHECKS["handshake"].run(complete_graph(3), None)
 
     def test_k_min_is_the_lowest_k_with_an_instance(self):
         g = complete_graph(6)
@@ -395,19 +395,17 @@ class TestCampaign:
     def test_catalog_instances_are_not_checked_again(self, monkeypatch):
         """Every instance the catalog lists is a clique by construction, so a
         campaign over all 19 checks never asks is_clique."""
-        calls = []
-
-        def spy(g, vertices):
-            calls.append(vertices)
-            return is_clique(g, vertices)
-
-        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "cliquekit"]:
-            if getattr(module, "is_clique", None) is is_clique:
-                monkeypatch.setattr(module, "is_clique", spy)
+        calls = [record_calls(monkeypatch, module, "is_clique")
+                 for name, module in list(sys.modules.items())
+                 if name.split(".")[0] == "cliquekit"
+                 and getattr(module, "is_clique", None) is is_clique]
         cfg = CampaignConfig((4, 12), (0.2, 0.8), 200, RngSpec(7), tuple(CHECKS))
         assert len(CHECKS) == 19
         assert run_campaign(cfg).tallies["handshake"].tested == 200
-        assert calls == []
+        assert not any(calls)
+        # clique_value asks is_clique of every clique it is given
+        assert clique_value(complete_graph(3), (0, 1)) == 1
+        assert sum(map(len, calls)) == 1
 
     def test_not_applicable_tally(self):
         cfg = CampaignConfig((3, 4), (0.0, 0.2), 30, RngSpec(2), ("conjecture2",))

@@ -31,7 +31,7 @@ from cliquekit import (
     triangles,
 )
 
-from _helpers import graphs, naive_common_neighbors, seeded_corpus
+from _helpers import graphs, naive_common_neighbors, record_calls, seeded_corpus
 
 
 def per_edge_transpose(rows):
@@ -239,13 +239,7 @@ class TestGraph6:
         assert parse_graph6(to_graph6(g)) == g
 
     def test_graph6_property_encodes_once_per_graph(self, monkeypatch):
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return to_graph6(g)
-
-        monkeypatch.setattr(cliquekit.graphs, "to_graph6", counted)
+        calls = record_calls(monkeypatch, cliquekit.graphs, "to_graph6", lambda g: g)
         g = cycle_graph(5)
         assert g.graph6 == g.graph6 == to_graph6(g)
         assert calls == [g]

@@ -64,6 +64,7 @@ from _helpers import (
     naive_cliques_of_size,
     naive_common_neighbors,
     networkx_counts,
+    record_calls,
     reference_deletion_rhs,
     relabelled,
 )
@@ -321,21 +322,14 @@ class TestDeckSums:
         self.assert_decks_match(random_gnp(n, p, RngSpec(n)))
 
     def test_each_deck_is_summed_once_per_graph(self, monkeypatch):
-        sum_deck = cliquekit.identities._sum_deck
-        sums = []
-
-        def spy(g, deck):
-            sums.append(deck)
-            return sum_deck(g, deck)
-
-        monkeypatch.setattr(cliquekit.identities, "_sum_deck", spy)
+        sums = record_calls(monkeypatch, cliquekit.identities, "_sum_deck", lambda g, deck: deck)
         g = random_gnp(12, 0.6, RngSpec(3))
         for deck, r in DECKS.items():
             for k in range(r, 6):
                 deck_check(deck, g, k)
         CHECKS["conjecture2"].check(g, None)
         CHECKS["conjecture3"].check(g, None)
-        assert sums == list(DECKS)
+        assert sums == list(DECKS) == list(g.memo.identities.decks)
 
 
 class TestDerivativeTheorems:
@@ -655,19 +649,14 @@ class TestPackedVerdicts:
         on the table path and on the kernel path."""
         n = cliquekit.cliques._SUBSET_TABLE_MAX_N
         cliques = [tuple(range(size)) for size in range(5, n + 1)]
-        expansion_verdict = cliquekit.identities._expansion_verdict
-        sizes = []
-
-        def spy(g, q, *args):
-            sizes.append(len(q))
-            return expansion_verdict(g, q, *args)
+        sizes = record_calls(monkeypatch, cliquekit.identities, "_expansion_verdict",
+                             lambda g, q, family: len(q))
 
         def reports():
             g = complete_graph(n)
             return [clique_deletion_expansion(g, list(itertools.combinations(q, 2)))
                     for q in cliques]
 
-        monkeypatch.setattr(cliquekit.identities, "_expansion_verdict", spy)
         packed = reports()
         assert all(report.holds for report in packed)
         assert packed[-1].lhs == [comb(n, k) for k in range(n + 1)]
@@ -700,18 +689,19 @@ class TestPackedVerdicts:
     def row_built(g, name, p):
         """The verdict of instance p of the vertex recurrence or a derivative
         formula on g with its right side built in a row, as the report
-        shows it: the counts summed by _count_sum over masks listed here (a
-        derivative's r-cliques by naive listing), the row trimmed and kept
-        as a tuple."""
-        count_sum = cliquekit.identities._count_sum
+        shows it: the counts of masks listed here (a derivative's r-cliques
+        by naive listing) summed by _Counting.add, one mask set at a time,
+        the row trimmed and kept as a tuple."""
+        counting = cliquekit.cliques._counting(g)
+        read, add = counting.read, counting.add
         lhs = clique_polynomial(g)
         if name == "vertex_recurrence":
-            rhs = count_sum(g, [g.adj[p]], 1, count_sum(g, [((1 << g.n) - 1) ^ 1 << p]))
+            rhs = add([read(g.adj[p])], 1, 1, add([read(((1 << g.n) - 1) ^ 1 << p)]))
         else:
             r = {"first_derivative": 1, "second_derivative": 2,
                  "third_derivative_k5free": 3}.get(name, p)
             lhs = poly_divided_derivative(lhs, r)
-            rhs = count_sum(g, [common_neighborhood_bits(g, q) for q in naive_cliques_of_size(g, r)])
+            rhs = add(read(common_neighborhood_bits(g, q)) for q in naive_cliques_of_size(g, r))
         rhs = poly_normalize(rhs)
         return lhs == rhs, lhs, tuple(rhs)
 
@@ -752,21 +742,15 @@ class TestPackedVerdicts:
         c_1 raised by 2 << lane and c_2 lowered by 1 packs its first
         derivative to the right side's integer, so only the guard keeps the
         verdict from holding, and it equals the row-built one."""
-        count_sum = cliquekit.identities._count_sum
-        rows = []
-
-        def spy(g, masks, *args):
-            rows.append(g.n)
-            return count_sum(g, masks, *args)
-
-        monkeypatch.setattr(cliquekit.identities, "_count_sum", spy)
+        rows = record_calls(monkeypatch, cliquekit.cliques._Counting, "add",
+                            lambda counting, *args: len(counting.adj), caller=True)
         report = check_second_derivative(complete_graph(13))
-        assert rows == [13] and report.holds
+        assert rows == [("_derivative_verdict", 13)] and report.holds
         assert report.lhs == report.rhs == [comb(13, 2) * comb(11, j) for j in range(12)]
         with monkeypatch.context() as raised:
             raised.setattr(cliquekit.identities, "_PACKED_UNITS", comb(13, 2))
             assert check_second_derivative(complete_graph(13)) == report
-        assert rows == [13]
+        assert rows == [("_derivative_verdict", 13)]
 
         g = random_gnp(10, 0.5, RngSpec(5))
         c1, c2, *rest = clique_counts(g)
@@ -777,7 +761,7 @@ class TestPackedVerdicts:
         lhs = poly_divided_derivative(clique_polynomial(planted), 1)
         assert sum(c << lane * j for j, c in enumerate(lhs)) == sum(map(counting.read, g.adj))
         verdict = CHECKS["first_derivative"].check(planted, None)
-        assert rows[1:] == [10]
+        assert rows[1:] == [("_derivative_verdict", 10)]
         assert verdict[0] is False and verdict[1] == lhs
         assert verdict == self.row_built(planted, "first_derivative", None)
 
@@ -973,14 +957,7 @@ class TestTriangleDeletionCounts:
         right = triangle_deletion_counts(g, d)
         assert right.matches
         lane = cliquekit.cliques._counting(g).lane
-        unpack = cliquekit.cliques._Counting.unpack
-        unpacked = []
-
-        def spy(counting, packed):
-            unpacked.append(packed)
-            return unpack(counting, packed)
-
-        monkeypatch.setattr(cliquekit.cliques._Counting, "unpack", spy)
+        unpacked = record_calls(monkeypatch, cliquekit.cliques._Counting, "unpack")
         c1, c2, c3, c4 = counts
         for planted in [(c1, c2, c3 + 1, c4), (c1, 2, c3, c4), (c1 + (1 << lane), c2 - 1, c3, c4)]:
             wrong = Graph(g.n, g.adj)
