@@ -7,10 +7,12 @@ check.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -34,6 +36,7 @@ from cliquekit import (
     random_gnp,
     star_graph,
 )
+from cliquekit.cli import main
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +47,28 @@ def subprocess_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def run_cli(*args, stdin=None, timeout=120) -> subprocess.CompletedProcess:
+    """Run `python -m cliquekit *args` in a child process, with stdin as its input."""
+    return subprocess.run([sys.executable, "-m", "cliquekit", *args], capture_output=True,
+                          text=True, input=stdin, timeout=timeout, env=subprocess_env())
+
+
+def run_main(*args, stdin=None) -> subprocess.CompletedProcess:
+    """What run_cli returns, from cliquekit.cli.main(args) in this process:
+    stdout and stderr captured, sys.stdin reading stdin (nothing if None)
+    until the call returns, and argparse's SystemExit as the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin = saved
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def record_calls(monkeypatch, owner, name: str, what: Callable = lambda *args: args,

@@ -7,15 +7,12 @@ plus 300 seeded G(n, p) samples with n in [6, 12] and p in {0.2, 0.5, 0.8}.
 
 import itertools
 import json
-import subprocess
-import sys
 import time
 from math import comb
 
 import pytest
 
 from cliquekit import (
-    Graph,
     RngSpec,
     brute_force_counts,
     check_conjecture3,
@@ -44,25 +41,12 @@ from cliquekit import (
     vertex_deck_matrix,
 )
 
-from _helpers import subprocess_env
+from _helpers import all_labelled_graphs, run_cli
 
 
 def _verdict(num: int, ok: bool, description: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {description}")
     assert ok, f"criterion {num} failed: {description}"
-
-
-def _exhaustive_small(max_n: int = 5):
-    out = []
-    for n in range(max_n + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            out.append(
-                Graph.from_edges(
-                    n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-                )
-            )
-    return out
 
 
 def _gnp_corpus(count: int = 300):
@@ -75,7 +59,7 @@ def _gnp_corpus(count: int = 300):
 
 @pytest.fixture(scope="module")
 def small_graphs():
-    return _exhaustive_small()
+    return [g for n in range(6) for g in all_labelled_graphs(n)]
 
 
 @pytest.fixture(scope="module")
@@ -86,16 +70,6 @@ def gnp_graphs():
 @pytest.fixture(scope="module")
 def full_corpus(small_graphs, gnp_graphs):
     return small_graphs + gnp_graphs
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "cliquekit", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=subprocess_env(),
-    )
 
 
 def test_criterion_1_oracle_equivalence(small_graphs, gnp_graphs):
@@ -206,7 +180,7 @@ def test_criterion_7_conjecture3_campaign():
     start = time.perf_counter()
     result = run_cli(
         "fuzz", "--check", "conjecture3", "--n", "3..8", "--count", "200",
-        "--seed", "7", "--shrink", "--json",
+        "--seed", "7", "--shrink", "--json", timeout=300,
     )
     elapsed = time.perf_counter() - start
     assert result.returncode == 0
@@ -272,8 +246,8 @@ def test_criterion_9_campaign_determinism():
         "fuzz", "--n", "4..9", "--p", "0.1..0.9", "--count", "120", "--seed", "99",
         "--check", "conjecture3,triangle_deck,conjecture2", "--shrink", "--json",
     )
-    first = run_cli(*args)
-    second = run_cli(*args)
+    first = run_cli(*args, timeout=300)
+    second = run_cli(*args, timeout=300)
     ok = first.returncode == 0 and first.stdout == second.stdout and first.stdout
     _verdict(9, bool(ok), "equal seeds produce byte-identical JSON campaign reports")
 

@@ -428,18 +428,23 @@ class TestPivotPath:
             expected = brute_force_counts(sub) if k <= 20 else networkx_counts(sub)
             assert clique_counts_in(g.adj, (1 << k) - 1) == expected, k
 
-    @pytest.mark.parametrize("cutoff", [2, 3, 5, 65])
-    def test_counts_do_not_depend_on_the_cutoff(self, monkeypatch, cutoff):
-        """2 splits every set of two or more candidates, 65 never splits."""
-        monkeypatch.setattr(cliquekit.cliques, "_PIVOT_MIN_SIZE", cutoff)
-        for n in range(5):
-            for g in all_labelled_graphs(n):
-                for mask in range(1 << n):
-                    assert clique_counts_in(g.adj, mask) \
-                        == brute_force_counts(induced_subgraph(g, bits(mask)))
+    @pytest.fixture(scope="module")
+    def cutoff_cases(self):
+        """(adj, mask, brute-force counts) for every mask of every labelled
+        graph on at most 4 vertices, and the whole of three seeded G(n, p)."""
+        cases = [(g.adj, mask, brute_force_counts(induced_subgraph(g, bits(mask))))
+                 for n in range(5) for g in all_labelled_graphs(n) for mask in range(1 << n)]
         for n, p in [(12, 0.5), (16, 0.8), (18, 0.95)]:
             g = random_gnp(n, p, RngSpec(n))
-            assert clique_counts_in(g.adj, (1 << n) - 1) == brute_force_counts(g)
+            cases.append((g.adj, (1 << n) - 1, brute_force_counts(g)))
+        return cases
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 5, 65])
+    def test_counts_do_not_depend_on_the_cutoff(self, monkeypatch, cutoff, cutoff_cases):
+        """2 splits every set of two or more candidates, 65 never splits."""
+        monkeypatch.setattr(cliquekit.cliques, "_PIVOT_MIN_SIZE", cutoff)
+        for adj, mask, counts in cutoff_cases:
+            assert clique_counts_in(adj, mask) == counts, (adj, mask)
 
     def test_complements_of_paths_and_cycles_match_their_independence_recurrences(self):
         """C(complement of H) is the independence polynomial I(H), and
@@ -519,26 +524,26 @@ def dense_band(count: int, n_range=(40, 64)):
         yield random_gnp(n, round(draw.uniform(0.85, 0.95), 3), RngSpec(seed))
 
 
-def sweep_relabelled_dense_band(count: int, n_range=(40, 64)) -> None:
-    """Check C(G) == C(reversed G) on the count graphs of dense_band.
-    Twenty such graphs take about 5 s on a 2-core x86-64 host, too slow for
-    the default test run; CI runs them as
+def sweep_relabelled_dense_band(sample) -> None:
+    """Check C(G) == C(reversed G) on each graph of sample.  The twenty graphs of
+    dense_band(20) take about 5 s on a 2-core x86-64 host, too slow for the
+    default test run; CI runs this sweep and
+    sweep_dense_band_against_the_oracle over one list of them, so that each
+    graph's memo keeps C(G) from the first sweep for the second:
 
-        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_relabelled_dense_band(20)"
+        gs = list(dense_band(20))
+        sweep_relabelled_dense_band(gs)
+        sweep_dense_band_against_the_oracle(gs)
     """
-    for g in dense_band(count, n_range):
+    for g in sample:
         reversed_g = relabelled(g, range(g.n - 1, -1, -1))
         assert clique_polynomial(g) == clique_polynomial(reversed_g), to_graph6(g)
 
 
-def sweep_dense_band_against_the_oracle(count: int, n_range=(40, 64)) -> None:
-    """Check C(G) against the co-component oracle on the count graphs of
-    dense_band, the ones that sweep_relabelled_dense_band relabels.  CI runs
-    twenty of them as
-
-        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_dense_band_against_the_oracle(20)"
-    """
-    for g in dense_band(count, n_range):
+def sweep_dense_band_against_the_oracle(sample) -> None:
+    """Check C(G) against the co-component oracle on each graph of sample, in CI
+    the ones that sweep_relabelled_dense_band relabels."""
+    for g in sample:
         assert clique_counts(g) == co_component_counts(g), to_graph6(g)
 
 
@@ -742,7 +747,7 @@ class TestCoComponentOracle:
     def test_the_oracle_sweep_runs(self):
         """CI's oracle sweep of the dense band, on graphs small enough for
         the default run."""
-        sweep_dense_band_against_the_oracle(4, n_range=(16, 24))
+        sweep_dense_band_against_the_oracle(dense_band(4, n_range=(16, 24)))
 
 
 class TestRelabelling:
@@ -776,7 +781,7 @@ class TestRelabelling:
 
     def test_the_dense_band_sweep_runs(self):
         """CI's dense-band sweep, on graphs small enough for the default run."""
-        sweep_relabelled_dense_band(4, n_range=(16, 24))
+        sweep_relabelled_dense_band(dense_band(4, n_range=(16, 24)))
 
 
 class TestDepthFirstCount:

@@ -37,7 +37,9 @@ from cliquekit import (
 )
 from cliquekit.cli import main
 
-from _helpers import naive_cliques_of_size, naive_common_neighbors, reference_deletion_rhs
+from _helpers import (
+    all_labelled_graphs, naive_cliques_of_size, naive_common_neighbors, reference_deletion_rhs,
+)
 
 # The first labeled graph of at most 5 vertices, in sweep order, on which
 # each conjecture that fails there fails.
@@ -50,13 +52,6 @@ SMALLEST_COUNTEREXAMPLES = {
 }
 
 
-def labeled_graphs(n: int):
-    """Every labeled graph on n vertices, one per set of vertex pairs."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for chosen in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [pair for i, pair in enumerate(pairs) if chosen >> i & 1])
-
-
 def sweep_theorems(n_max: int) -> int:
     """Check every theorem on every labeled graph of 1..n_max vertices and
     return how many graphs were checked.  Every check runs on the graph
@@ -64,7 +59,7 @@ def sweep_theorems(n_max: int) -> int:
     filled; an AssertionError names the first failing graph and theorem."""
     checked = 0
     for n in range(1, n_max + 1):
-        for g in labeled_graphs(n):
+        for g in all_labelled_graphs(n):
             for cd in CHECKS.values():
                 cd.first_failure(g, None)
             for name in ALL_THEOREMS:
@@ -104,7 +99,7 @@ def sweep_deletion_verdicts(n_max: int) -> int:
     """Check the clique-deletion verdicts of every labeled graph of 1..n_max
     vertices against the oracle and return how many cliques were checked."""
     return sum(assert_deletion_verdicts_match_the_oracle(g)
-               for n in range(1, n_max + 1) for g in labeled_graphs(n))
+               for n in range(1, n_max + 1) for g in all_labelled_graphs(n))
 
 
 def test_every_theorem_holds_on_every_graph_of_at_most_5_vertices():
@@ -118,7 +113,7 @@ def test_smallest_counterexample_of_each_conjecture_is_pinned():
     conjectures = [name for name, cd in CHECKS.items() if cd.kind == "conjecture"]
     first = {}
     for n in range(1, 6):
-        for g in labeled_graphs(n):
+        for g in all_labelled_graphs(n):
             for name in conjectures:
                 if name not in first and CHECKS[name].first_failure(g, None)[1] is not None:
                     first[name] = to_graph6(g)
@@ -162,7 +157,7 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
     the induced subgraph counted by brute force."""
     masks = 0
     for n in range(1, 6):
-        for g in labeled_graphs(n):
+        for g in all_labelled_graphs(n):
             counting = cliquekit.cliques._counting(g)
             for mask in range(1 << n):
                 counts = counting.unpack(counting.read(mask))

@@ -1,5 +1,7 @@
-"""The call recorder that the work pins read: _helpers.record_calls and
-forbid_calls."""
+"""The call recorder that the work pins read, _helpers.record_calls and
+forbid_calls, and the in-process CLI runner, _helpers.run_main."""
+
+import sys
 
 import pytest
 
@@ -7,7 +9,7 @@ import cliquekit.cliques
 import cliquekit.graphs
 from cliquekit import clique_counts_in, complete_graph, cycle_graph
 
-from _helpers import forbid_calls, record_calls
+from _helpers import forbid_calls, record_calls, run_cli, run_main
 
 
 def test_a_name_the_owner_lacks_fails_at_once(monkeypatch):
@@ -36,3 +38,17 @@ def test_a_forbidden_call_fails_until_the_patch_is_undone(monkeypatch):
         cycle_graph(5).graph6
     monkeypatch.undo()
     assert cycle_graph(5).graph6 == "Dhc"
+
+
+@pytest.mark.parametrize("args, stdin, code", [
+    (("poly", "-g", "Bw"), None, 0),
+    (("poly", "-g", "Bw", "--derivative", "one"), None, 2),  # argparse's usage error
+    (("poly",), "Bw\n", 0),
+], ids=["success", "usage-error", "stdin"])
+def test_main_in_process_gives_what_the_process_gives(args, stdin, code, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the width
+    before = sys.stdin
+    ours, theirs = run_main(*args, stdin=stdin), run_cli(*args, stdin=stdin)
+    assert sys.stdin is before and ours.returncode == code
+    assert [ours.returncode, ours.stdout, ours.stderr] \
+        == [theirs.returncode, theirs.stdout, theirs.stderr]
