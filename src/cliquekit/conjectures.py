@@ -8,8 +8,11 @@ rendered only where one is read: verify renders every applicable instance,
 a campaign only the first failing instance of a check on a graph, and the
 shrinker none.  Checks are classed as 'theorem' (proved; a campaign failure
 is a regression alarm) or 'conjecture' (open; failures are findings,
-collected and optionally shrunk).  Campaigns are deterministic: identical
-configs, including the seed, produce identical reports.
+collected and optionally shrunk).  A CampaignConfig is checked once, when
+it is made (a ValueError otherwise), and trusted after: it holds its checks
+resolved, and run_campaign and the report read them as they are.  Campaigns
+are deterministic: identical configs, including the seed, produce identical
+reports.
 
 Tallies, counterexamples and shrunk forms serialize as their dataclass
 fields (dataclasses.asdict; a tally omits skipped_budget when it is 0).
@@ -102,9 +105,20 @@ def shrink_counterexample(g: Graph, check: str, params: Optional[dict] = None) -
 
 # -- campaigns ----------------------------------------------------------------------
 
+def _require_ints(name: str, value, ends) -> None:
+    """ValueError naming the config field unless each of ends is an int (a
+    bool is not one)."""
+    if any(isinstance(end, bool) or not isinstance(end, int) for end in ends):
+        raise ValueError(f"{name} takes ints only, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything a campaign needs; equal configs give byte-identical reports."""
+    """Everything a campaign needs; equal configs give byte-identical reports.
+
+    A config is checked when it is made, so an invalid one raises ValueError
+    where it is built, and trusted after: checks holds the resolved ids
+    ('all-theorems' expanded)."""
 
     n_range: tuple[int, int]
     p_range: tuple[float, float]
@@ -114,22 +128,27 @@ class CampaignConfig:
     shrink: bool = False
     k_range: Optional[tuple[int, int]] = None
 
-    def validate(self) -> tuple[str, ...]:
-        """Raise ValueError if the config is invalid; return its checks,
-        resolved once (resolve_checks)."""
+    def __post_init__(self) -> None:
+        """Raise ValueError if the config is invalid; store its checks
+        resolved (resolve_checks)."""
+        _require_ints("n_range", self.n_range, self.n_range)
         if not 0 <= self.n_range[0] <= self.n_range[1] <= MAX_VERTICES:
             raise ValueError(f"invalid vertex range {self.n_range}")
         if not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
             raise ValueError(f"invalid probability range {self.p_range}")
+        _require_ints("samples", self.samples, (self.samples,))
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
+        _require_ints("k_range", self.k_range, self.k_range or ())
         if self.k_range is not None and self.k_range[0] > self.k_range[1]:
             raise ValueError(f"invalid k range {self.k_range}")
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks takes a sequence of ids, got the string {self.checks!r}")
         names = resolve_checks(self.checks)
         if self.k_range is not None and not any(CHECKS[n].takes_k(self.k_range) for n in names):
             lo, hi = self.k_range
             raise ValueError(f"--k {lo}..{hi} is not taken by any selected check")
-        return names
+        object.__setattr__(self, "checks", names)
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,7 +157,7 @@ class CampaignConfig:
             "samples": self.samples,
             "seed": self.rng.seed,
             "algorithm": RNG_ALGORITHM,
-            "checks": list(resolve_checks(self.checks)),
+            "checks": list(self.checks),
             "shrink": self.shrink,
             "k_range": list(self.k_range) if self.k_range else None,
         }
@@ -222,17 +241,13 @@ class CampaignReport:
                 line += f", skipped (budget) {tally.skipped_budget}"
             lines.append(line)
             for ce in tally.counterexamples[:max_listed]:
-                lines.append(
-                    f"  counterexample graph6={ce.graph6} "
-                    f"params={json.dumps(ce.params, sort_keys=True)} "
-                    f"lhs={ce.lhs} rhs={ce.rhs}"
-                )
-                if ce.shrunk:
-                    lines.append(
-                        f"    shrunk graph6={ce.shrunk.graph6} "
-                        f"params={json.dumps(ce.shrunk.params, sort_keys=True)} "
-                        f"lhs={ce.shrunk.lhs} rhs={ce.shrunk.rhs}"
-                    )
+                for lead, form in (("  counterexample", ce), ("    shrunk", ce.shrunk)):
+                    if form:
+                        lines.append(
+                            f"{lead} graph6={form.graph6} "
+                            f"params={json.dumps(form.params, sort_keys=True)} "
+                            f"lhs={form.lhs} rhs={form.rhs}"
+                        )
             hidden = len(tally.counterexamples) - max_listed
             if hidden > 0:
                 lines.append(f"  ... and {hidden} more counterexamples")
@@ -249,9 +264,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     instances on a graph are evaluated up to the first that fails, and only
     that one is rendered as a report.
     """
-    names = cfg.validate()
     start = time.perf_counter()
-    tallies = {name: CheckTally(CHECKS[name].kind) for name in names}
+    tallies = {name: CheckTally(CHECKS[name].kind) for name in cfg.checks}
     stream = Splitmix64(cfg.rng.seed)
     n_lo, n_hi = cfg.n_range
     p_lo, p_hi = cfg.p_range
@@ -259,7 +273,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         n = n_lo + stream.next_u64() % (n_hi - n_lo + 1)
         p = p_lo + (stream.next_u64() / 2.0**64) * (p_hi - p_lo)
         g = random_gnp(n, p, RngSpec(stream.next_u64()))
-        for name in names:
+        for name in cfg.checks:
             tally = tallies[name]
             cd = CHECKS[name]
             try:

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import sys
 
 import pytest
@@ -414,20 +415,32 @@ class TestCampaign:
         assert tally.holds + tally.not_applicable + tally.fails == 30
 
     def test_invalid_configs_rejected(self):
+        """A config is checked when it is made, with no run_campaign, and
+        raises the message run_campaign raised before."""
         good = dict(n_range=(3, 6), p_range=(0.0, 1.0), samples=5,
                     rng=RngSpec(1), checks=("conjecture3",))
-        run_campaign(CampaignConfig(**good))
-        for overrides in (
-            {"n_range": (6, 3)},
-            {"n_range": (0, 65)},
-            {"p_range": (0.5, 0.2)},
-            {"p_range": (-0.1, 0.5)},
-            {"samples": 0},
-            {"checks": ("nosuch",)},
-            {"k_range": (4, 2)},
+        CampaignConfig(**good)
+        for overrides, message in (
+            ({"n_range": (6, 3)}, r"invalid vertex range \(6, 3\)"),
+            ({"n_range": (0, 65)}, r"invalid vertex range \(0, 65\)"),
+            ({"p_range": (0.5, 0.2)}, r"invalid probability range \(0.5, 0.2\)"),
+            ({"p_range": (-0.1, 0.5)}, r"invalid probability range \(-0.1, 0.5\)"),
+            ({"samples": 0}, "sample count must be >= 1"),
+            ({"checks": ("nosuch",)}, "unknown check id 'nosuch'"),
+            ({"checks": ()}, "no checks selected"),
+            ({"k_range": (4, 2)}, r"invalid k range \(4, 2\)"),
+            # one string is not a list of ids, and a bool or a float is not a
+            # count or a range end: each error names its field
+            ({"checks": "conjecture3"}, "^checks takes a sequence of ids"),
+            ({"samples": True}, "^samples takes ints only, got True"),
+            ({"samples": 2.5}, "^samples takes ints only"),
+            ({"n_range": (4.0, 8.0)}, "^n_range takes ints only"),
+            ({"n_range": (False, 8)}, "^n_range takes ints only"),
+            ({"k_range": (2.0, 3.0)}, "^k_range takes ints only"),
+            ({"k_range": (2, True)}, "^k_range takes ints only"),
         ):
-            with pytest.raises(ValueError):
-                run_campaign(CampaignConfig(**{**good, **overrides}))
+            with pytest.raises(ValueError, match=message):
+                CampaignConfig(**{**good, **overrides})
 
     @pytest.mark.parametrize("checks, k_range", [
         (("handshake",), (0, 0)),
@@ -436,9 +449,24 @@ class TestCampaign:
         (("first_derivative",), (1, 5)),
     ])
     def test_a_k_range_no_selected_check_takes_is_rejected(self, checks, k_range):
-        cfg = CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1), checks, k_range=k_range)
         with pytest.raises(ValueError, match=f"--k {k_range[0]}..{k_range[1]} is not taken"):
-            cfg.validate()
+            CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1), checks, k_range=k_range)
+
+    def test_a_config_holds_its_checks_resolved(self):
+        cfg = CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1),
+                             ("all-theorems", "conjecture3", "handshake"))
+        assert cfg.checks == ALL_THEOREMS + ("conjecture3",)
+        assert CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1),
+                              ("all-theorems",)).checks == ALL_THEOREMS
+        assert not hasattr(CampaignConfig, "validate")
+
+    def test_a_made_config_is_not_resolved_again(self, monkeypatch):
+        """run_campaign and the JSON report trust the checks the config
+        resolved when it was made."""
+        cfg = CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1), ("all-theorems",))
+        forbid_calls(monkeypatch, cliquekit.conjectures, "resolve_checks")
+        report = run_campaign(cfg)
+        assert json.loads(report.to_json())["config"]["checks"] == list(ALL_THEOREMS)
 
     def test_a_k_range_above_every_clique_number_is_valid(self):
         cfg = CampaignConfig((3, 6), (0.0, 1.0), 5, RngSpec(1), ("edge_deck",),
