@@ -67,9 +67,9 @@ clique upward from its lowest vertex, where the kernel works down from the
 highest, and its per-size lists keep that lexicographic order.  The identity
 checks read each size of cliques, edges and triangles included, as one
 tuple of the largest catalog listed for a graph (_stored_catalog, kept in
-the counting state), with no prefix catalog made per size read.  Both list
-with one lister, _list_cliques; the stored catalog asks the budget only for
-cliques of more than three vertices, so edges and triangles stay outside it.
+the counting state), with no prefix catalog made per size read.  That
+catalog is listed by enumerate_cliques too, so every listing asks the one
+budget, edges and triangles included.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -111,8 +111,12 @@ Polynomial = list[int]
 # A lower cutoff pays only at the dense end, 0.89x at 8 on G(36, 0.85), and
 # so do single counts of G(64, 0.9) and G(64, 0.95), but it costs the sparse
 # end up to 1.32x; so 12 stays.  The table was measured with a node memo per
-# count; the per-graph store (_STORE_MAX) now keeps pivot nodes across the
-# reads of a graph, and the cutoff has not been re-measured with it.
+# count.  With the per-graph store (_STORE_MAX), which keeps pivot nodes
+# across the reads of a graph, cutoff 8 against 12 over three alternating
+# rounds of the theorem campaigns (see README) took 0.14-0.26 s against
+# 0.22-0.36 s on --n 13..16, 1.49-1.61 s against 1.68-1.71 s on the mid-size
+# one and 0.51-0.69 s against 0.58-0.59 s on the large sparse one: mixed,
+# and single counts still pay the sparse end's cost above, so 12 stays.
 _PIVOT_MIN_SIZE = 12
 
 # A graph above the subset table's gate keeps one store of packed counts, its
@@ -206,27 +210,19 @@ class CliqueCatalog:
 def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     """Materialize every clique of every size up to k_max (default: all sizes).
 
-    Depth-first extension over bit rows (_list_cliques): a clique is only
-    ever extended by common neighbors above its largest vertex, so each
-    clique appears exactly once and each per-size list comes out in
-    lexicographic order.  More than LISTING_BUDGET cliques raise
-    CliqueBudgetExceeded before any is listed.  They are counted first,
-    unless no graph on g.n vertices has that many: at most C(n, j) j-cliques.
-    """
-    limit = g.n if k_max is None else max(0, min(k_max, g.n))
-    _require_listing_budget(g, limit)
-    return _list_cliques(g, limit)
-
-
-def _list_cliques(g: Graph, limit: int) -> CliqueCatalog:
-    """The catalog of g's cliques of up to limit vertices, 0 <= limit <= g.n,
-    listed without asking the budget: the one lister of enumerate_cliques
-    and _stored_catalog.
+    More than LISTING_BUDGET cliques raise CliqueBudgetExceeded before any is
+    listed.  They are counted first, unless no graph on g.n vertices has that
+    many: at most C(n, j) j-cliques.  The one lister of the package: the
+    identity checks' catalog (_stored_catalog) lists through it too.
 
     grow(q, cand) appends q extended by each candidate w, lowest first, and
     extends each such clique by the candidates above w adjacent to it; a
     clique of limit vertices, or one with no candidate left, makes no call.
+    So each clique appears exactly once and each per-size list comes out in
+    lexicographic order.
     """
+    limit = g.n if k_max is None else max(0, min(k_max, g.n))
+    _require_listing_budget(g, limit)
     per: list[list[Clique]] = [[] for _ in range(limit + 1)]
     adj = g.adj
 
@@ -260,12 +256,6 @@ def _require_listing_budget(g: Graph, k_max: int) -> None:
             )
 
 
-# The largest clique size that _stored_catalog lists without asking the
-# budget: a graph on 64 vertices has at most 64 + C(64, 2) + C(64, 3) = 43 744
-# cliques of up to 3 vertices, its vertices, edges and triangles.
-_UNBUDGETED_SIZE = 3
-
-
 def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     """The largest catalog listed for g, kept in its counting state, holding
     every clique of up to k_max vertices and maybe larger ones: the identity
@@ -273,20 +263,16 @@ def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
 
     Its size limit is len(catalog.by_size) - 1.  It answers any k_max up to
     that limit, and any k_max at all once that limit reaches the clique
-    number; a larger k_max lists again and replaces it.  Only a listing of
-    cliques of more than _UNBUDGETED_SIZE vertices asks LISTING_BUDGET, so
-    a graph's edges and triangles are always listed.
+    number; a larger k_max lists again through enumerate_cliques, under its
+    budget, and replaces it.
     """
     counting = _counting(g)
     catalog = counting.catalog
-    limit = max(0, min(k_max, g.n))
     if catalog is not None:
         have = len(catalog.by_size) - 1
-        if limit <= have or have >= len(clique_counts(g)):
+        if k_max <= have or have >= len(clique_counts(g)):
             return catalog
-    if limit > _UNBUDGETED_SIZE:
-        _require_listing_budget(g, limit)
-    catalog = counting.catalog = _list_cliques(g, limit)
+    catalog = counting.catalog = enumerate_cliques(g, k_max)
     return catalog
 
 
@@ -395,6 +381,13 @@ def _poly_of(adj: tuple[int, ...], cand: int, memo: dict[int, int], lane: int) -
     known = memo.get(cand)
     if known is not None:
         return known
+    # The pivot has the most neighbours in cand, ties going to the highest
+    # vertex, the first met.  Over the 360 dense_poly reference graphs, one
+    # count each with a memo of its own, that takes 738 149 _grow calls and
+    # 87 758 pivot nodes; ties going to the lowest vertex take 763 937 and
+    # 88 444, and global degree as a second key, then the highest vertex,
+    # 745 394 calls with the higher degree first and 748 785 with the lower.
+    # The labelling-free key does not do better, so the highest vertex stays.
     best = -1
     c = cand
     while c:

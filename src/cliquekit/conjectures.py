@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from math import inf
 from typing import Callable, Iterator, Optional
 
 from .cliques import CliqueBudgetExceeded
@@ -105,11 +106,23 @@ def shrink_counterexample(g: Graph, check: str, params: Optional[dict] = None) -
 
 # -- campaigns ----------------------------------------------------------------------
 
-def _require_ints(name: str, value, ends) -> None:
-    """ValueError naming the config field unless each of ends is an int (a
-    bool is not one)."""
-    if any(isinstance(end, bool) or not isinstance(end, int) for end in ends):
-        raise ValueError(f"{name} takes ints only, got {value!r}")
+def _require_type(name: str, value, ends, kind=int, noun: str = "ints") -> None:
+    """ValueError naming the config field unless each of ends is of kind (a
+    bool is not an int)."""
+    if any(isinstance(end, bool) or not isinstance(end, kind) for end in ends):
+        raise ValueError(f"{name} takes {noun} only, got {value!r}")
+
+
+def _require_range(name: str, value, what: str, bounds=(-inf, inf), kind=int,
+                   noun: str = "ints") -> None:
+    """ValueError naming the config field unless value is a pair (lo, hi)
+    whose ends are of kind (_require_type); then ValueError naming what
+    range it is unless lo <= hi, both within bounds."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValueError(f"{name} takes a pair (lo, hi), got {value!r}")
+    _require_type(name, value, value, kind, noun)
+    if not bounds[0] <= value[0] <= value[1] <= bounds[1]:
+        raise ValueError(f"invalid {what} range {value}")
 
 
 @dataclass(frozen=True)
@@ -131,17 +144,20 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         """Raise ValueError if the config is invalid; store its checks
         resolved (resolve_checks)."""
-        _require_ints("n_range", self.n_range, self.n_range)
-        if not 0 <= self.n_range[0] <= self.n_range[1] <= MAX_VERTICES:
-            raise ValueError(f"invalid vertex range {self.n_range}")
-        if not 0.0 <= self.p_range[0] <= self.p_range[1] <= 1.0:
-            raise ValueError(f"invalid probability range {self.p_range}")
-        _require_ints("samples", self.samples, (self.samples,))
+        _require_range("n_range", self.n_range, "vertex", (0, MAX_VERTICES))
+        _require_range("p_range", self.p_range, "probability", (0.0, 1.0), (int, float),
+                       "numbers")
+        _require_type("samples", self.samples, (self.samples,))
         if self.samples < 1:
             raise ValueError("sample count must be >= 1")
-        _require_ints("k_range", self.k_range, self.k_range or ())
-        if self.k_range is not None and self.k_range[0] > self.k_range[1]:
-            raise ValueError(f"invalid k range {self.k_range}")
+        _require_type("rng", self.rng, (self.rng,), RngSpec, "an RngSpec")
+        _require_type("rng seed", self.rng.seed, (self.rng.seed,))
+        if not 0 <= self.rng.seed < 1 << 64:
+            raise ValueError(f"rng seed {self.rng.seed} outside 0..2**64-1")
+        if not isinstance(self.shrink, bool):
+            raise ValueError(f"shrink takes a bool, got {self.shrink!r}")
+        if self.k_range is not None:
+            _require_range("k_range", self.k_range, "k")
         if isinstance(self.checks, str):
             raise ValueError(f"checks takes a sequence of ids, got the string {self.checks!r}")
         names = resolve_checks(self.checks)

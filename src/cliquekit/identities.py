@@ -81,11 +81,10 @@ and the report's params key.  Every clique instance, edges and triangles
 included, is read as one size of the graph's one stored catalog
 (cliques._stored_catalog), in lexicographic order; so are the edge and
 triangle deck members and the derivative formulas' edges and triangles.
-Edges and triangles are listed outside the listing budget.  An instance
-is validated once, where it enters from outside the program (a public
-function's argument or a verify flag's text), by the parser of its kind:
-ids and k are ints, and a vertex set is a clique when its mask lies in
-each member's closed neighbourhood.
+An instance is validated once, where it enters from outside the program (a
+public function's argument or a verify flag's text), by the parser of its
+kind: ids and k are ints, and a vertex set is a clique when its mask lies
+in each member's closed neighbourhood.
 A body trusts its instance, as the catalog lists it: the common
 neighbourhood of a clique or a pair of its vertices is the AND of their
 rows, with no range check.
@@ -368,8 +367,7 @@ def _k5_free(g: Graph) -> bool:
 
 def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
     """g's edges as its catalog lists them, in lexicographic order as
-    Graph.edges lists them.  The catalog lists them with the triangles, both
-    outside the listing budget."""
+    Graph.edges lists them.  The catalog lists them with the triangles."""
     return _stored_catalog(g, 3).cliques(2)
 
 

@@ -99,10 +99,11 @@ def forbid_calls(monkeypatch, owner, name: str) -> None:
 
 
 def record_listings(monkeypatch) -> list:
-    """Record the size limit of every listing by cliquekit.cliques' one
-    lister, _list_cliques, which enumerate_cliques and the identity checks'
-    catalog both call, budgeted or not."""
-    return record_calls(monkeypatch, cliquekit.cliques, "_list_cliques", lambda g, limit: limit)
+    """Record the k_max (None for every size) of each call of
+    cliquekit.cliques' one lister, enumerate_cliques, which the identity
+    checks' catalog calls too."""
+    return record_calls(monkeypatch, cliquekit.cliques, "enumerate_cliques",
+                        lambda g, k_max=None: k_max)
 
 
 def record_campaign_graphs(monkeypatch) -> list[Graph]:

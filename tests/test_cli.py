@@ -391,7 +391,8 @@ class TestSixtyFourVertices:
 class TestBudgetSkips:
     """A check over the listing budget is skipped; the others still report."""
 
-    # K6 lists 21 cliques up to size 2, so handshake and clique_deletion go over 20
+    # K6 lists 21 cliques up to size 2, 41 up to 3 and 56 up to 4, so every
+    # check that lists its edges, triangles or 4-cliques goes over 20
     def test_verify_prints_the_checks_within_the_budget(self, monkeypatch, capsys):
         monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
         code = main(["verify", "-g", K6_G6, "--all-theorems"])
@@ -399,11 +400,15 @@ class TestBudgetSkips:
         assert code == 2
         printed = {line.split()[0] for line in out.splitlines()}
         not_applicable = {"third_derivative_k5free", "triangle_deletion_counts"}
-        assert printed == set(ALL_THEOREMS) - {"handshake", "clique_deletion"} - not_applicable
+        over = ["edge_recurrence", "edge_deck", "second_derivative", "triangle_identity"]
+        assert printed == set(ALL_THEOREMS) - {"handshake", "clique_deletion", *over} \
+            - not_applicable
         assert "holds=false" not in out
         assert err.splitlines() == [
             "skipped handshake: listing the cliques of up to 2 vertices would list "
             "21 cliques, over the budget of 20",
+            *(f"skipped {name}: listing the cliques of up to 3 vertices would list "
+              "41 cliques, over the budget of 20" for name in over),
             "skipped clique_deletion: listing the cliques of up to 4 vertices would list "
             "56 cliques, over the budget of 20",
         ]
@@ -452,20 +457,21 @@ class TestBudgetSkips:
             ]
 
 
-    # handshake lists more than 20 cliques on 17 of the 30 graphs, and each of
-    # conjecture3's 26 counterexamples carries its shrunk form
+    # handshake lists more than 20 cliques on 17 of the 30 graphs, and so does
+    # conjecture3, which lists the triangles; each of its 9 counterexamples on
+    # the other 13 carries its shrunk form
     def test_json_with_skips_and_shrunk_counterexamples_is_pinned(self, monkeypatch, capsys):
         monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
         assert main(["fuzz", "--n", "4..8", "--p", "0.3..0.9", "--count", "30", "--seed", "3",
                      "--check", "handshake,conjecture3", "--shrink", "--json"]) == 0
         out = capsys.readouterr().out
         checks = json.loads(out)["checks"]
-        assert checks["handshake"]["skipped_budget"] == 17
-        assert "skipped_budget" not in checks["conjecture3"]
+        for name in ("handshake", "conjecture3"):
+            assert (checks[name]["skipped_budget"], checks[name]["tested"]) == (17, 13)
         ces = checks["conjecture3"]["counterexamples"]
-        assert len(ces) == 26 and all(ce["shrunk"] is not None for ce in ces)
+        assert len(ces) == 9 and all(ce["shrunk"] is not None for ce in ces)
         assert hashlib.sha256(out.encode()).hexdigest() \
-            == "496a62b36548b1128e19756bc461296f4add9bc45818d95185ee16d8b86b5162"
+            == "540ab5fc0a6ecae61f7bb04d0d97856743c4c1be1e3205aed6c826011504716c"
 
 
 class TestFuzz:

@@ -207,13 +207,12 @@ class TestCountingKernel:
         g = random_gnp(14, 0.6, RngSpec(5))
         expected = enumerate_cliques(g).counts
 
-        for name in ("enumerate_cliques", "_list_cliques"):
-            forbid_calls(monkeypatch, cliquekit.cliques, name)
+        forbid_calls(monkeypatch, cliquekit.cliques, "enumerate_cliques")
         assert clique_counts(g) == expected
         assert clique_polynomial(g) == [1, *expected]
         assert [clique_count(g, k) for k in range(len(expected) + 2)] \
             == [1, *expected, 0]
-        with pytest.raises(AssertionError, match="_list_cliques called"):
+        with pytest.raises(AssertionError, match="enumerate_cliques called"):
             cliquekit.cliques._stored_catalog(g, 2)
 
     def test_results_live_exactly_as_long_as_their_graph(self):
@@ -848,17 +847,29 @@ class TestListingBudget:
         assert enumerate_cliques(complete_graph(64), k_max=3).counts \
             == (64, comb(64, 2), comb(64, 3))
 
-    def test_the_catalog_lists_up_to_triangles_unasked_within_the_budget(self, monkeypatch):
-        """_stored_catalog lists cliques of up to _UNBUDGETED_SIZE vertices
-        without asking the budget: on 64 vertices at most 64 + C(64, 2) +
-        C(64, 3) = 43 744 of them, which must stay within LISTING_BUDGET."""
-        size = cliquekit.cliques._UNBUDGETED_SIZE
-        unasked = sum(comb(MAX_VERTICES, j) for j in range(1, size + 1))
-        assert (size, unasked) == (3, 43744)
-        assert unasked <= cliquekit.cliques.LISTING_BUDGET
+    def test_the_catalog_asks_the_budget_for_every_size(self, monkeypatch):
+        """_stored_catalog lists through enumerate_cliques, so a listing of
+        vertices, edges or triangles asks the budget as any other does."""
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 0)
-        catalog = cliquekit.cliques._stored_catalog(complete_graph(MAX_VERTICES), size)
-        assert sum(map(len, catalog.by_size)) == unasked
+        g = complete_graph(6)
+        for size, listed in ((1, 6), (2, 21), (3, 41)):
+            with pytest.raises(CliqueBudgetExceeded,
+                               match=f"up to {size} vertices would list {listed} cliques"):
+                cliquekit.cliques._stored_catalog(g, size)
+        assert g.memo.cliques.catalog is None
+        assert cliquekit.cliques._stored_catalog(g, 0).by_size == ((),)
+
+    def test_up_to_4_vertices_at_the_cap_is_within_the_budget_uncounted(self, monkeypatch):
+        """K64 has 679 120 cliques of up to 4 vertices, the most of any graph
+        within the cap, so at the real budget they are allowed by the
+        binomial bound alone and nothing is counted: edges and triangles,
+        in particular, are never refused."""
+        g = complete_graph(MAX_VERTICES)
+        assert sum(comb(MAX_VERTICES, j) for j in range(1, 5)) == 679120
+        forbid_calls(monkeypatch, cliquekit.cliques, "clique_counts")
+        cliquekit.cliques._require_listing_budget(g, 4)
+        with pytest.raises(AssertionError, match="clique_counts called"):
+            cliquekit.cliques._require_listing_budget(g, 5)
 
     def test_the_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 15)

@@ -282,11 +282,11 @@ class TestCatalog:
         """The skip names the first k over the budget, found by counting alone."""
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 20)
 
-        forbid_calls(monkeypatch, cliquekit.cliques, "_list_cliques")
+        forbid_calls(monkeypatch, cliquekit.cliques, "enumerate_cliques")
         for name in ("handshake", "kth_derivative"):
             with pytest.raises(CliqueBudgetExceeded, match="up to 2 vertices would list 21 "):
                 CHECKS[name].run(complete_graph(6), None)
-        with pytest.raises(AssertionError, match="_list_cliques called"):
+        with pytest.raises(AssertionError, match="enumerate_cliques called"):
             CHECKS["handshake"].run(complete_graph(3), None)
 
     def test_k_min_is_the_lowest_k_with_an_instance(self):
@@ -441,6 +441,23 @@ class TestCampaign:
         ):
             with pytest.raises(ValueError, match=message):
                 CampaignConfig(**{**good, **overrides})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_range": (3,)}, r"^n_range takes a pair \(lo, hi\), got \(3,\)"),
+        ({"k_range": (3,)}, r"^k_range takes a pair \(lo, hi\), got \(3,\)"),
+        ({"p_range": (0.2,)}, r"^p_range takes a pair \(lo, hi\), got \(0.2,\)"),
+        ({"p_range": ("a", "b")}, r"^p_range takes numbers only, got \('a', 'b'\)"),
+        ({"rng": 7}, "^rng takes an RngSpec only, got 7"),
+        ({"rng": RngSpec(-1)}, r"^rng seed -1 outside 0..2\*\*64-1"),
+        ({"rng": RngSpec(1.5)}, "^rng seed takes ints only, got 1.5"),
+        ({"shrink": "yes"}, "^shrink takes a bool, got 'yes'"),
+    ])
+    def test_a_wrong_shape_field_is_refused_where_the_config_is_made(self, overrides, message):
+        good = dict(n_range=(3, 6), p_range=(0.0, 1.0), samples=5,
+                    rng=RngSpec(1), checks=("handshake",), k_range=(3, 4))
+        CampaignConfig(**good)
+        with pytest.raises(ValueError, match=message):
+            CampaignConfig(**{**good, **overrides})
 
     @pytest.mark.parametrize("checks, k_range", [
         (("handshake",), (0, 0)),

@@ -83,9 +83,15 @@ class TestCatalogInstances:
             catalog = cliquekit.cliques._stored_catalog(g, 3)
             assert list(catalog.cliques(2)) == g.edges(), g.adj
             assert list(catalog.cliques(3)) == triangles(g), g.adj
-        # edges and triangles are listed outside the budget; cliques of
-        # every size for handshake and of up to 4 vertices for the
-        # expansion are not
+        g = complete_graph(6)
+        assert [r.params["e"] for r in CHECKS["edge_recurrence"].run(g, None)] \
+            == list(map(list, g.edges()))
+        assert [r.params["delta"] for r in CHECKS["triangle_identity"].run(g, None)] \
+            == list(map(list, triangles(g)))
+        assert len(CHECKS["edge_deck"].run(g, None)) == 5
+        # every listing asks the one budget: at 0, each check that reads
+        # cliques of any size, edges and triangles included, lists nothing,
+        # and the others still report
         monkeypatch.setattr(cliquekit.cliques, "LISTING_BUDGET", 0)
         g = complete_graph(6)
         skipped, reports = set(), {}
@@ -94,11 +100,9 @@ class TestCatalogInstances:
                 reports[name] = CHECKS[name].run(g, None)
             except CliqueBudgetExceeded:
                 skipped.add(name)
-        assert skipped == {"handshake", "clique_deletion"}
-        assert [r.params["e"] for r in reports["edge_recurrence"]] == list(map(list, g.edges()))
-        assert [r.params["delta"] for r in reports["triangle_identity"]] \
-            == list(map(list, triangles(g)))
-        assert len(reports["edge_deck"]) == 5
+        assert skipped == {"handshake", "edge_recurrence", "edge_deck", "second_derivative",
+                           "triangle_identity", "clique_deletion"}
+        assert g.memo.cliques.catalog is None
         assert all(r.holds for rs in reports.values() for r in rs)
 
 
