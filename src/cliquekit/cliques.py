@@ -61,15 +61,19 @@ the catalog, and lives exactly as long as the graph.
 
 enumerate_cliques lists cliques and serves only where the cliques themselves
 are needed; it counts them first and refuses, with CliqueBudgetExceeded, to
-list more than LISTING_BUDGET.  It and brute_force_counts are the
-independent references of the kernel and the subset table: it extends each
-clique upward from its lowest vertex, where the kernel works down from the
-highest, and its per-size lists keep that lexicographic order.  The identity
-checks read each size of cliques, edges and triangles included, as one
-tuple of the largest catalog listed for a graph (_stored_catalog, kept in
-the counting state), with no prefix catalog made per size read.  That
-catalog is listed by enumerate_cliques too, so every listing asks the one
-budget, edges and triangles included.
+list more than LISTING_BUDGET, except on a graph of at most 19 vertices,
+which has fewer cliques than that in all.  It and brute_force_counts are
+the independent references of the kernel and the subset table: it extends
+each clique upward from its lowest vertex, where the kernel works down from
+the highest, and its per-size lists keep that lexicographic order.  Beside
+each clique Q it keeps N(Q), the common neighbourhood that it extends Q
+within, as a bitmask at 8 bytes a clique (CliqueCatalog.common_neighborhoods),
+so a check that reads N(Q) of every listed clique ANDs no rows.  The
+identity checks read each size of cliques, edges and triangles included,
+as one tuple of the largest catalog listed for a graph (_stored_catalog,
+kept in the counting state), with no prefix catalog made per size read.
+That catalog is listed by enumerate_cliques too, so every listing asks the
+one budget, edges and triangles included.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -79,7 +83,8 @@ identity arithmetic cannot wrap.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -185,14 +190,28 @@ class CliqueCatalog:
     """All cliques of a graph grouped by size, each size lexicographically sorted.
 
     by_size[k] holds the k-cliques; by_size[0] is an empty placeholder.
+    commons[k] holds their common neighbourhoods N(Q), the AND of the rows
+    of Q's members, as vertex bitmasks in the same order, read-only: one
+    unsigned 64-bit word a clique (an array("Q") seen through a read-only
+    memoryview), against 40 + 8k bytes for the tuple of a k-clique.  They
+    follow from the graph and by_size, so they take no part in the
+    catalog's equality, hash or repr.
     """
 
     n: int
     by_size: tuple[tuple[Clique, ...], ...]
+    commons: tuple[Sequence[int], ...] = field(default=(), compare=False, repr=False)
 
     def cliques(self, k: int) -> tuple[Clique, ...]:
         if 1 <= k < len(self.by_size):
             return self.by_size[k]
+        return ()
+
+    def common_neighborhoods(self, k: int) -> Sequence[int]:
+        """N(Q) of each k-clique Q as a bitmask, in the order of cliques(k);
+        empty where cliques(k) is."""
+        if 1 <= k < len(self.commons):
+            return self.commons[k]
         return ()
 
     @property
@@ -208,44 +227,56 @@ class CliqueCatalog:
 
 
 def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
-    """Materialize every clique of every size up to k_max (default: all sizes).
+    """Materialize every clique of every size up to k_max (default: all sizes),
+    each with its common neighbourhood (CliqueCatalog.common_neighborhoods).
 
     More than LISTING_BUDGET cliques raise CliqueBudgetExceeded before any is
     listed.  They are counted first, unless no graph on g.n vertices has that
-    many: at most C(n, j) j-cliques.  The one lister of the package: the
-    identity checks' catalog (_stored_catalog) lists through it too.
+    many: none has more than 2**n - 1 cliques, which is within the budget up
+    to n = 19, and none more than C(n, j) j-cliques.  The one lister of the
+    package: the identity checks' catalog (_stored_catalog) lists through
+    it too.
 
-    grow(q, cand) appends q extended by each candidate w, lowest first, and
-    extends each such clique by the candidates above w adjacent to it; a
-    clique of limit vertices, or one with no candidate left, makes no call.
-    So each clique appears exactly once and each per-size list comes out in
-    lexicographic order.
+    grow(q, common, cand) appends q extended by each candidate w, lowest
+    first, with its common neighbourhood common & adj[w], and extends each
+    such clique by the candidates above w in that neighbourhood; a clique of
+    limit vertices, or one with no candidate left, makes no call.  So each
+    clique appears exactly once and each per-size list comes out in
+    lexicographic order.  A mask costs one AND and 8 bytes a clique.
     """
     limit = g.n if k_max is None else max(0, min(k_max, g.n))
     _require_listing_budget(g, limit)
     per: list[list[Clique]] = [[] for _ in range(limit + 1)]
+    masks = [array("Q") for _ in range(limit + 1)]
     adj = g.adj
 
-    def grow(q: Clique, cand: int) -> None:
+    def grow(q: Clique, common: int, cand: int) -> None:
         size = len(q) + 1
-        out = per[size]
+        out, out_common = per[size], masks[size]
         while cand:
             low = cand & -cand
             w = low.bit_length() - 1
             cand ^= low
             clique = (*q, w)
+            nw = common & adj[w]
             out.append(clique)
-            if size < limit and cand & adj[w]:
-                grow(clique, cand & adj[w])
+            out_common.append(nw)
+            if size < limit and cand & nw:
+                grow(clique, nw, cand & nw)
 
     if limit >= 1:
-        grow((), (1 << g.n) - 1)
-    return CliqueCatalog(g.n, tuple(map(tuple, per)))
+        full = (1 << g.n) - 1
+        grow((), full, full)
+    return CliqueCatalog(g.n, tuple(map(tuple, per)),
+                         tuple(memoryview(m).toreadonly() for m in masks))
 
 
 def _require_listing_budget(g: Graph, k_max: int) -> None:
     """Raise CliqueBudgetExceeded if g has more than LISTING_BUDGET cliques of
-    up to k_max vertices; lists nothing."""
+    up to k_max vertices; lists nothing.  A graph of at most 19 vertices has
+    at most 2**n - 1 cliques, within the budget, and is passed at once."""
+    if (1 << g.n) - 1 <= LISTING_BUDGET:
+        return
     limit = max(0, min(k_max, g.n))
     if sum(comb(g.n, j) for j in range(1, limit + 1)) > LISTING_BUDGET:
         listed = sum(clique_counts(g)[:limit])

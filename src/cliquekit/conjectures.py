@@ -10,7 +10,8 @@ shrinker none.  Checks are classed as 'theorem' (proved; a campaign failure
 is a regression alarm) or 'conjecture' (open; failures are findings,
 collected and optionally shrunk).  A CampaignConfig is checked once, when
 it is made (a ValueError otherwise), and trusted after: it holds its checks
-resolved, and run_campaign and the report read them as they are.  Campaigns
+resolved and its ranges as tuples, and run_campaign and the report read
+them as they are.  Campaigns
 are deterministic: identical configs, including the seed, produce identical
 reports.
 
@@ -131,7 +132,8 @@ class CampaignConfig:
 
     A config is checked when it is made, so an invalid one raises ValueError
     where it is built, and trusted after: checks holds the resolved ids
-    ('all-theorems' expanded)."""
+    ('all-theorems' expanded), and each range a tuple, however it was given,
+    so equal configs compare and hash equal."""
 
     n_range: tuple[int, int]
     p_range: tuple[float, float]
@@ -143,7 +145,7 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         """Raise ValueError if the config is invalid; store its checks
-        resolved (resolve_checks)."""
+        resolved (resolve_checks) and its ranges as tuples."""
         _require_range("n_range", self.n_range, "vertex", (0, MAX_VERTICES))
         _require_range("p_range", self.p_range, "probability", (0.0, 1.0), (int, float),
                        "numbers")
@@ -165,6 +167,9 @@ class CampaignConfig:
             lo, hi = self.k_range
             raise ValueError(f"--k {lo}..{hi} is not taken by any selected check")
         object.__setattr__(self, "checks", names)
+        for name in ("n_range", "p_range", "k_range"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -35,7 +35,8 @@ packed integers, with nothing unpacked where it holds:
 - the vertex recurrence: C(G - v) plus the term x C(G[N(v)]), against C(G);
 - the derivative formulas (first, second and third, and kth_derivative):
   the divided r-th derivative of C(G), packed, against the sum of
-  C(G[N(Q)]) over the r-cliques Q (_derivative_verdict);
+  C(G[N(Q)]) over the r-cliques Q, each N(Q) as the catalog keeps it
+  (_derivative_verdict);
 - the expansion, whose verdict for a clique is also the edge recurrence's
   and the triangle identity's for edges and triangles: C(G) plus its odd-r
   terms against C(G - Q) plus its even-r terms, compared inline in
@@ -85,9 +86,12 @@ An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
 kind: ids and k are ints, and a vertex set is a clique when its mask lies
 in each member's closed neighbourhood.
-A body trusts its instance, as the catalog lists it: the common
-neighbourhood of a clique or a pair of its vertices is the AND of their
-rows, with no range check.
+A body that reads N(Q) of every clique of a size (the handshake, the
+derivative formulas and conjecture 2's test) reads it from the catalog,
+which keeps it beside each clique (CliqueCatalog.common_neighborhoods), so
+it ANDs no rows.  A body trusts its instance, as the catalog lists it: the
+common neighbourhood of one clique or of a subset of it is the AND of their
+rows (_common), with no range check.
 """
 
 from __future__ import annotations
@@ -482,10 +486,10 @@ def check_handshake(g: Graph, k: int) -> Verdict:
 
     Each (k+1)-clique contains k+1 k-cliques, and a k-clique extends to a
     (k+1)-clique once per common neighbor, so both sides count the entries of
-    the containment matrix of order k.
+    the containment matrix of order k.  The left side reads the catalog's
+    common neighbourhoods, which the lister keeps beside the cliques.
     """
-    adj = g.adj
-    lhs = sum(_common(adj, q).bit_count() for q in _stored_catalog(g, k).cliques(k))
+    lhs = sum(map(int.bit_count, _stored_catalog(g, k).common_neighborhoods(k)))
     rhs = (k + 1) * clique_count(g, k + 1)
     return lhs == rhs, lhs, rhs
 
@@ -542,10 +546,11 @@ def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
 
 def _triangle_graph_is_edgeless(g: Graph) -> bool:
     """Whether no two triangles of g share an edge: every edge uv lies in at
-    most one triangle, one per common neighbour of u and v.  Not through
+    most one triangle, one per common neighbour of u and v, read from the
+    catalog's common neighbourhoods of the edges.  Not through
     triangle_graph(), which caps the triangle count at 64."""
-    adj = g.adj
-    return all((adj[u] & adj[v]).bit_count() <= 1 for u, v in _edges(g))
+    return all(common.bit_count() <= 1
+               for common in _stored_catalog(g, 3).common_neighborhoods(2))
 
 
 def _render_conjecture2(g: Graph, _, verdict: Verdict) -> IdentityReport:
@@ -658,10 +663,10 @@ def check_second_derivative(g: Graph) -> Verdict:
     """(1/2!) d^2/dx^2 C(G, x) == sum over e of C(G[N(e)], x).
 
     The halved derivative is computed with binomial coefficients, so the
-    comparison stays in exact integers.
+    comparison stays in exact integers.  Each N(e) is read from the
+    catalog's common neighbourhoods of the edges.
     """
-    adj = g.adj
-    return _derivative_verdict(g, 2, [adj[u] & adj[v] for u, v in _edges(g)])
+    return _derivative_verdict(g, 2, _stored_catalog(g, 3).common_neighborhoods(2))
 
 
 def _third_derivative_params(g: Graph, _) -> dict:
@@ -675,12 +680,12 @@ def check_third_derivative_k5free(g: Graph) -> Verdict:
 
     Stated for connected graphs with no 5-clique; connectivity is recorded in
     the report rather than required, so campaigns can probe whether it
-    matters.
+    matters.  Each N(d) is read from the catalog's common neighbourhoods of
+    the triangles.
     """
     if len(clique_counts(g)) >= 5:
         raise NotApplicable("graph contains a 5-clique")
-    adj = g.adj
-    return _derivative_verdict(g, 3, [adj[u] & adj[v] & adj[w] for u, v, w in _triangles(g)])
+    return _derivative_verdict(g, 3, _stored_catalog(g, 3).common_neighborhoods(3))
 
 
 @_identity("conjecture3", CONJECTURE, _GRAPH)
@@ -708,10 +713,10 @@ def check_kth_derivative_general(g: Graph, k: int) -> Verdict:
     C(j + k, k) c_{j+k} (at j = 0, one pair per k-clique: c_k).  The catalog
     still classes it as a conjecture: the paper proves the first and second
     derivative formulas and leaves higher derivatives open, and re-classing
-    it would change the exit codes of verify and fuzz.
+    it would change the exit codes of verify and fuzz.  Each N(Q) is read
+    from the catalog's common neighbourhoods of the k-cliques.
     """
-    adj = g.adj
-    return _derivative_verdict(g, k, [_common(adj, q) for q in _stored_catalog(g, k).cliques(k)])
+    return _derivative_verdict(g, k, _stored_catalog(g, k).common_neighborhoods(k))
 
 
 # -- clique-deletion expansion ------------------------------------------------------

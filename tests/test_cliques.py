@@ -15,9 +15,10 @@ from math import comb
 import cliquekit.cliques
 import cliquekit.identities
 from cliquekit.cliques import LISTING_BUDGET
-from cliquekit.graphs import MAX_VERTICES, _vertex_mask
+from cliquekit.graphs import MAX_VERTICES, _vertex_mask, common_neighborhood_bits
 from cliquekit import (
     CliqueBudgetExceeded,
+    CliqueCatalog,
     Graph,
     RngSpec,
     bits,
@@ -514,6 +515,26 @@ def sweep_memory_at_the_vertex_cap(bound_mib: float = 8.0) -> None:
     assert peak < bound_mib, f"traced peak {peak:.2f} MiB"
 
 
+def sweep_listing_memory_at_the_cap(bound_mib: float = 63.0) -> None:
+    """Check the traced peak of listing the 679 120 cliques of up to 4
+    vertices of K64, the largest listing that the budget lets through
+    uncounted: about 56.8 MiB for the clique tuples and their lists on
+    Python 3.11, and 62.3 MiB with their common neighbourhoods, 8 bytes a
+    clique.  It takes about 4 s on a 2-core x86-64 host; CI runs it as
+
+        PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_listing_memory_at_the_cap()"
+    """
+    g = complete_graph(MAX_VERTICES)
+    tracemalloc.start()
+    try:
+        catalog = enumerate_cliques(g, 4)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert len(catalog.common_neighborhoods(4)) == comb(MAX_VERTICES, 4)
+    assert peak < bound_mib, f"traced peak {peak:.2f} MiB"
+
+
 def dense_band(count: int, n_range=(40, 64)):
     """count seeded G(n, p), n drawn from n_range and p from 0.85..0.95: the
     dense band, where no listing reaches and the pivot recursion is deepest."""
@@ -805,6 +826,61 @@ class TestDepthFirstCount:
         assert totals == self.GROW_CALLS
 
 
+class TestCommonNeighborhoods:
+    """The common neighbourhood of each listed clique, against
+    graphs.common_neighborhood_bits, which shares no code with the lister."""
+
+    @staticmethod
+    def assert_masks(g, k_max, expected):
+        """Every size of enumerate_cliques(g, k_max), and the sizes around
+        them, reads the masks that expected maps each clique to, in the
+        order of its cliques; a size out of range reads an empty sequence."""
+        cat = enumerate_cliques(g, k_max)
+        limit = len(cat.by_size) - 1
+        for k in range(-1, limit + 3):
+            masks = cat.common_neighborhoods(k)
+            assert len(masks) == len(cat.cliques(k)), (g.adj, k_max, k)
+            assert list(masks) == [expected(q) for q in cat.cliques(k)], (g.adj, k_max, k)
+        assert cat.common_neighborhoods(0) == () == cat.common_neighborhoods(limit + 1)
+
+    def test_every_labelled_graph_of_up_to_5_vertices(self):
+        for n in range(6):
+            for g in all_labelled_graphs(n):
+                for k_max in (*range(n + 1), None):
+                    self.assert_masks(g, k_max, lambda q: common_neighborhood_bits(g, q))
+
+    def test_seeded_graphs_of_6_to_20_vertices(self):
+        for n in range(6, 21):
+            g = random_gnp(n, (0.2, 0.4, 0.6, 0.8)[n % 4], RngSpec(4200 + n))
+            expected = {q: common_neighborhood_bits(g, q)
+                        for size in enumerate_cliques(g).by_size for q in size}
+            for k_max in range(n + 1):
+                self.assert_masks(g, k_max, expected.__getitem__)
+
+    def test_no_vertices(self):
+        for k_max in (0, 1, None):
+            cat = enumerate_cliques(empty_graph(0), k_max)
+            assert [cat.common_neighborhoods(k) for k in range(-1, 3)] == [()] * 4
+
+    def test_the_masks_are_read_only(self):
+        masks = enumerate_cliques(complete_graph(4)).common_neighborhoods(2)
+        assert masks[0] == 0b1100
+        with pytest.raises(TypeError):
+            masks[0] = 0
+
+    def test_catalogs_compare_and_hash_without_the_masks(self):
+        """A listed catalog equals, hashes and shows as the catalog of the
+        same cliques made without masks."""
+        for g in (complete_graph(5), random_gnp(12, 0.6, RngSpec(9)), empty_graph(0)):
+            cat = enumerate_cliques(g)
+            bare = CliqueCatalog(g.n, cat.by_size)
+            assert bare.common_neighborhoods(1) == ()
+            assert cat == enumerate_cliques(g) == bare
+            assert hash(cat) == hash(enumerate_cliques(g)) == hash(bare)
+            assert repr(cat) == repr(bare)
+        assert enumerate_cliques(complete_graph(4), 2) != enumerate_cliques(complete_graph(4), 3)
+
+
 class TestListingOncePerGraph:
     def test_every_request_order_reads_the_same_cliques(self, corpus):
         """However the sizes are asked for, the stored catalog holds each
@@ -891,6 +967,33 @@ class TestListingBudget:
         assert enumerate_cliques(g, k_max=5).counts == expected
         with pytest.raises(AssertionError, match="clique_counts called"):
             enumerate_cliques(g)
+
+
+    def test_the_bound_on_complete_graphs(self, monkeypatch):
+        """K_n has C(n, j) j-cliques, the most of any graph on n vertices, so
+        it is refused exactly where their sum up to k_max is over the budget.
+        A graph of at most 19 vertices has at most 2**19 - 1 cliques in all
+        and is passed without a count."""
+        require = cliquekit.cliques._require_listing_budget
+        refused = []
+        forbid_calls(monkeypatch, cliquekit.cliques, "clique_counts")
+        for n in range(25):
+            if n == 20:
+                monkeypatch.undo()
+            g = complete_graph(n)
+            for k_max in range(n + 2):
+                limit = min(k_max, n)
+                listed = sum(comb(n, j) for j in range(1, limit + 1))
+                if listed <= LISTING_BUDGET:
+                    require(g, k_max)
+                    continue
+                with pytest.raises(CliqueBudgetExceeded) as info:
+                    require(g, k_max)
+                assert str(info.value) == (
+                    f"listing the cliques of up to {limit} vertices would list {listed} "
+                    f"cliques, over the budget of {LISTING_BUDGET}")
+                refused.append((n, k_max))
+        assert refused[0] == (20, 14) and {n for n, _ in refused} == set(range(20, 25))
 
 
 class TestPolynomial:

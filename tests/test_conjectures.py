@@ -361,6 +361,17 @@ class TestCampaign:
                              ("conjecture3", "triangle_deck"), shrink=True)
         assert run_campaign(cfg).to_json() == run_campaign(cfg).to_json()
 
+    def test_ranges_given_as_lists_make_an_equal_config(self):
+        """A config keeps its ranges as tuples, so one built with lists
+        equals, hashes and reports as the one built with tuples."""
+        checks = ("handshake", "kth_derivative")
+        listed = CampaignConfig([3, 8], [0, 1.0], 12, RngSpec(5), list(checks), k_range=[1, 3])
+        tupled = CampaignConfig((3, 8), (0, 1.0), 12, RngSpec(5), checks, k_range=(1, 3))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert (listed.n_range, listed.p_range, listed.k_range) == ((3, 8), (0, 1.0), (1, 3))
+        assert run_campaign(listed).to_text() == run_campaign(tupled).to_text()
+
     def test_theorems_never_fail(self):
         cfg = CampaignConfig((4, 12), (0.1, 0.9), 60, RngSpec(3), ("all-theorems",))
         report = run_campaign(cfg)
