@@ -10,12 +10,14 @@ carry (see _PACKED_UNITS).  split reads one count with a clique's edges
 deleted, add sums many, and the identity checks compare such sums.
 The format has one encoder, _pack, which the kernel and _Counting.pack
 call, and one decoder, _coefficients, which _Counting.add, _Counting.unpack
-and clique_counts_in call; term scales a count by coeff x**r and
-coefficient reads one coefficient of a sum, so no other module shifts by a
-lane.  A graph of more than _SUBSET_TABLE_MAX_N vertices counts each mask
-once with one kernel, _poly_of(adj, mask, memo, lane): the clique
-polynomial of the subgraph that a vertex bitmask induces over bit-row
-adjacency, packed at the graph's lane, which the reader keeps as it comes.
+and clique_counts_in call; term scales a count by coeff x**r, deletion
+reads a clique's split with its own term of the clique-deletion expansion,
+(r - 1) x**r C(G[N(Q)]), in one call, and coefficient reads one
+coefficient of a sum, so no other module shifts by a lane.  A graph of
+more than _SUBSET_TABLE_MAX_N vertices counts each mask once with one
+kernel, _poly_of(adj, mask, memo, lane): the clique polynomial of the
+subgraph that a vertex bitmask induces over bit-row adjacency, packed at
+the graph's lane, which the reader keeps as it comes.
 It lists nothing; clique_counts_in(adj, mask) decodes its count into
 clique counts.  A smaller graph does not call the kernel: it fills one
 table of the clique polynomials of its induced subgraphs by the vertex
@@ -476,7 +478,7 @@ class _Counting:
     (c_1, ..., c_omega), None until clique_counts unpacks them once;
     catalog, the largest catalog listed for the identity checks
     (_stored_catalog) or None; and splits, C(G - E(Q)) packed, keyed by the
-    clique Q's mask (split).
+    clique Q's mask (split, which deletion shares).
 
     read(mask) is C(G[mask], x) packed at lane bits a coefficient, in one
     Python call.  A graph of at most _SUBSET_TABLE_MAX_N vertices, the gate
@@ -555,6 +557,17 @@ class _Counting:
                 packed += read(adj[low.bit_length() - 1] & ~without)
             packed = self.splits[without] = first + (packed << self.lane)
         return packed
+
+    def deletion(self, without: int, common: int, r: int) -> tuple[int, int]:
+        """C(G - E(Q), x) and (r - 1) x**r C(G[N(Q)], x) packed, for the
+        clique Q = without of r >= 2 vertices and its common neighbourhood
+        common: the two counts that the clique-deletion expansion reads of
+        Q itself.  C(G - E(Q)) is read from splits, and split only where it
+        is missing there."""
+        packed = self.splits.get(without)
+        if packed is None:
+            packed = self.split(without)
+        return packed, (r - 1) * self.read(common) << self.lane * r
 
     def add(self, counts: Iterable[int], shift: int = 0, coeff: int = 1,
             row: Polynomial | None = None) -> Polynomial:

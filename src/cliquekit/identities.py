@@ -22,11 +22,12 @@ subgraph or edits a row.  Every count is read packed through g's one
 counting state (cliquekit.cliques._counting), C(x) at x = 2**lane with
 lane bits a coefficient, whatever the size of g, on both sides of the
 subset table's gate.  That state owns the format: a term
-coeff x**r C(G[mask]) is read through _Counting.term, a coefficient of a
-packed sum through _Counting.coefficient, and a row is packed by
-_Counting.pack, so this module does no lane arithmetic.  The state also
-splits C(G - E(Q)) of a clique Q into masks once per graph and keeps it:
-the expansion's verdicts, the edge and triangle decks and
+coeff x**r C(G[mask]) is read through _Counting.term, a clique's split
+with its own term of the expansion through _Counting.deletion, a
+coefficient of a packed sum through _Counting.coefficient, and a row is
+packed by _Counting.pack, so this module does no lane arithmetic.  The
+state also splits C(G - E(Q)) of a clique Q into masks once per graph and
+keeps it: the expansion's verdicts, the edge and triangle decks and
 triangle_deletion_counts read the same entry.  What this module keeps of a
 graph it keeps in one expansion context (_Terms, Graph.memo.identities).
 
@@ -857,38 +858,60 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     parser returns it (an EdgeRef is equal to its tuple): for |q| = 2 and 3
     it is the edge recurrence's and the triangle identity's as well.
 
-    Only q is decided, on either side of the subset table's gate, from one
-    loop over q for its mask and N(Q) and the graph's split of q.
+    Only q is decided, on either side of the subset table's gate, in one
+    pass: one loop over q for its mask and N(Q), then one counting-state
+    call (_Counting.deletion) for the graph's split of q, shared through
+    its splits with the decks and the triangle checks, and q's own term,
+    which is stored in the graph's one expansion context (_Terms) for
+    every larger clique.
     A clique of at most _PACKED_CLIQUE_MAX vertices is decided by comparing
     two packed sums, each term moved to the side where it adds: C(G) plus
     the odd-r terms against C(G - Q) plus the even-r terms.  Its proper
-    subsets' terms come from the graph's one expansion context (_Terms),
-    and q's own term is read from N(Q) and stored there for every larger
-    clique.  Neither sum carries, so equal sums give the held verdict with
-    nothing unpacked.  Where the sums differ (a failing verdict, which a
-    report shows) or the clique is larger, the right side is built in one
-    row (_expansion_verdict).
+    subsets' terms come from the expansion context: those of 2 and 3
+    vertices are added straight to their sides, and only a clique of 5 or
+    6 vertices loops over r >= 4.  A clique of at most one vertex deletes
+    no edge and has no term, so it reads its split alone.  Neither sum
+    carries, so equal sums give the held verdict with nothing unpacked.
+    Where the sums differ (a failing verdict, which a report shows) or the
+    clique is larger, the right side is built in one row
+    (_expansion_verdict).
     """
-    terms = _terms(g)
+    terms = g.memo.identities
+    if terms is None:
+        terms = _terms(g)
     deletions = terms.deletions
     verdict = deletions.get(q)
     if verdict is None:
         counting = terms.counting
-        term, adj = counting.term, counting.adj
+        adj = counting.adj
         mask, common = 0, -1
         for v in q:
             mask |= 1 << v
             common &= adj[v]
         size = len(q)
         if size <= _PACKED_CLIQUE_MAX:
-            sides = [counting.split(mask), terms.whole]
             if size > 1:
+                rhs, own = counting.deletion(mask, common, size)
+                terms[q] = own
+            else:
+                rhs, own = counting.split(mask), 0
+            lhs = terms.whole
+            if size > 2:
                 stored = terms.__getitem__
-                for r in range(2, size):
-                    sides[r & 1] += sum(map(stored, itertools.combinations(q, r)))
-                own = terms[q] = term(common, size, size - 1)
-                sides[size & 1] += own
-            if sides[0] == sides[1]:
+                rhs += sum(map(stored, itertools.combinations(q, 2)))
+                if size > 3:
+                    lhs += sum(map(stored, itertools.combinations(q, 3)))
+                    for r in range(4, size):
+                        side = sum(map(stored, itertools.combinations(q, r)))
+                        if r & 1:
+                            lhs += side
+                        else:
+                            rhs += side
+            if size & 1:
+                lhs += own
+            else:
+                rhs += own
+            if lhs == rhs:
                 verdict = terms.held
         if verdict is None:
             verdict = _expansion_verdict(g, q, functools.partial(itertools.combinations, q))

@@ -858,13 +858,31 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     the clique-deletion verdicts, the edge deck and
     triangle_deletion_counts read the same entry.  Splitting again for the
     deck and the counts made 10 357 splits, and when a miss reached the
-    split through a call to itself the campaign made 16 876 split frames."""
+    split through a call to itself the campaign made 16 876 split frames.
+
+    Each decided clique makes exactly one _Counting.deletion call, which
+    reads the split with the clique's own term, and no _Counting.term call:
+    the campaign decides every clique first, so each deletion call misses
+    and reaches split once (the call per miss that sharing split's body
+    costs), and the deck and the counts find the entry kept."""
     graphs = record_campaign_graphs(monkeypatch)
-    frames = record_calls(monkeypatch, cliquekit.cliques._Counting, "split")
+    frames = record_calls(monkeypatch, cliquekit.cliques._Counting, "split",
+                          lambda counting, without: without, caller=True)
+    deleted = record_calls(monkeypatch, cliquekit.cliques._Counting, "deletion",
+                           lambda counting, without, common, r: (id(counting), without),
+                           caller=True)
+    scaled = record_calls(monkeypatch, cliquekit.cliques._Counting, "term",
+                          lambda counting, *args: None, caller=True)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert (len(graphs), len(frames)) == (200, 10357)
+    assert Counter(caller for caller, _ in frames) \
+        == {"deletion": 6519, "<genexpr>": 2906, "triangle_deletion_counts": 932}
     assert sum(len(g.memo.cliques.splits) for g in graphs) == 6519
+    assert sum(len(g.memo.identities.deletions) for g in graphs) == 6519
+    assert len(deleted) == len(set(deleted)) == 6519
+    assert {caller for caller, _ in deleted} == {"_deletion_verdict"}
+    assert {caller for caller, _ in scaled} == {"check_vertex_recurrence"}
 
 
 def test_campaign_reads_each_term_and_clique_size_from_the_memo(monkeypatch, capsys):

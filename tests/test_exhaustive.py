@@ -7,7 +7,8 @@ kernel in a campaign (they are counted from their subset table), so this
 is also where the subset table, the kernel and the brute-force oracle meet
 on every vertex mask.
 
-The theorem sweep and the clique-deletion verdict sweep over at most 6
+The theorem sweep and the clique-deletion verdict sweep (every clique asked
+largest first, then smallest first on a fresh graph) over at most 6
 vertices (33 867 graphs) are too slow for the default test run; CI runs
 them as
 
@@ -80,24 +81,37 @@ def mask_of(q) -> int:
 
 def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
     """Ask g for the clique-deletion verdict of every clique of 2 to 4
-    vertices, largest first, and check that each equals the expansion
-    evaluated from brute_force_counts of delete_edge_set(g, E(Q)) and of
-    each induced G[N(S)], and that g's expansion context keeps exactly the
-    verdicts asked.  Returns how many cliques were checked."""
+    vertices, largest first, so that a clique's subsets have their terms
+    read on demand (_Terms.__missing__), then ask a fresh copy of g
+    smallest first, in campaign order, so that every subset's term is the
+    own term an earlier verdict stored.  Check that each verdict equals the
+    expansion evaluated from brute_force_counts of delete_edge_set(g, E(Q))
+    and of each induced G[N(S)], that each expansion context keeps exactly
+    the verdicts asked, and that the ascending one stored the cliques'
+    terms in the order asked, none on demand.  Returns how many verdicts
+    were checked, two per clique."""
     cliques = small_cliques(g)
     lhs = [1, *brute_force_counts(g)]
-    for q in reversed(cliques):
+    expected = {}
+    for q in cliques:
         rhs = reference_deletion_rhs(g, q)
-        assert CHECKS["clique_deletion"].check(g, q) == (lhs == rhs, lhs, tuple(rhs)), \
-            (to_graph6(g), q)
-    kept = g.memo.identities.deletions if cliques else {}
-    assert sorted(kept) == sorted(cliques), to_graph6(g)
-    return len(cliques)
+        expected[q] = (lhs == rhs, lhs, tuple(rhs))
+    check = CHECKS["clique_deletion"].check
+    ascending = Graph(g.n, g.adj)
+    for h, order in ((g, reversed(cliques)), (ascending, cliques)):
+        for q in order:
+            assert check(h, q) == expected[q], (to_graph6(g), q, h is ascending)
+        kept = h.memo.identities.deletions if cliques else {}
+        assert sorted(kept) == sorted(cliques), to_graph6(g)
+    if cliques:
+        assert list(ascending.memo.identities) == cliques, to_graph6(g)
+    return 2 * len(cliques)
 
 
 def sweep_deletion_verdicts(n_max: int) -> int:
     """Check the clique-deletion verdicts of every labeled graph of 1..n_max
-    vertices against the oracle and return how many cliques were checked."""
+    vertices against the oracle, largest clique first and then smallest
+    first, and return how many verdicts were checked."""
     return sum(assert_deletion_verdicts_match_the_oracle(g)
                for n in range(1, n_max + 1) for g in all_labelled_graphs(n))
 
@@ -170,10 +184,11 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
 def test_one_pass_deletion_verdicts_match_the_oracle_on_every_graph_of_at_most_5_vertices():
     """On each of the 1 099 labeled graphs of at most 5 vertices, one pass
     asks the clique-deletion verdict of every clique of 2 to 4 vertices,
-    and each equals the expansion of brute-force counts of built
-    subgraphs.  A k-set of vertices is a clique of 2 ** (C(n, 2) - C(k, 2))
-    of the graphs on n."""
-    assert sweep_deletion_verdicts(n_max=5) == sum(
+    largest first, and one pass on a fresh graph asks them smallest first,
+    as a campaign does; each verdict equals the expansion of brute-force
+    counts of built subgraphs.  A k-set of vertices is a clique of
+    2 ** (C(n, 2) - C(k, 2)) of the graphs on n, and is asked twice."""
+    assert sweep_deletion_verdicts(n_max=5) == 2 * sum(
         comb(n, k) << comb(n, 2) - comb(k, 2) for n in range(1, 6) for k in (2, 3, 4) if k <= n)
 
 

@@ -612,14 +612,12 @@ def every_verdict(g):
             for p, verdict in cd.verdicts(g, cd.params(g, None))}
 
 
-def with_table_of(g, h):
-    """A fresh copy of g whose counting state reads h's subset table: g's
-    rows with the counts of h on n vertices."""
+def with_counts_of(g, h):
+    """A fresh copy of g whose counting state reads every mask of g's rows
+    as h's reader does: from h's subset table inside the gate, or with
+    the kernel over h's rows above it."""
     wrong = Graph(g.n, g.adj)
-    table = cliquekit.cliques._subset_table(h.adj, cliquekit.cliques._lane(h.n))
-    with pytest.MonkeyPatch.context() as planted:
-        planted.setattr(cliquekit.cliques, "_subset_table", lambda adj, lane: table)
-        cliquekit.cliques._counting(wrong)
+    cliquekit.cliques._counting(wrong).read = cliquekit.cliques._Counting(h).read
     return wrong
 
 
@@ -682,11 +680,41 @@ class TestPackedVerdicts:
         cd = CHECKS["clique_deletion"]
 
         def verdicts():
-            wrong = with_table_of(g, h)
+            wrong = with_counts_of(g, h)
             return [cd.check(wrong, q) for q in cd.params(wrong, None)]
 
         packed = verdicts()
         assert not all(holds for holds, _, _ in packed)
+        monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
+        assert verdicts() == packed
+
+    def test_wrong_counts_fail_cliques_of_5_and_6_vertices_alike_on_both_paths(self, monkeypatch):
+        """With every count of G read as G - e's, from G - e's subset table
+        or, with the gate at 0, by the kernel over G - e's rows, the
+        expansion holds on some cliques of 5 and of 6 vertices and fails on
+        others.  Asked in campaign order, smallest first, each clique of 5
+        or 6 vertices adds its stored subsets' terms of 4 and 5 vertices in
+        the r >= 4 loop; every verdict, decided packed, equals the one whose
+        right side is built in a row from the same counts once
+        _PACKED_CLIQUE_MAX is 0, on both paths alike."""
+        g = random_gnp(10, 0.8, RngSpec(2))
+        h = delete_edge(g, g.edges()[0])
+        cd = CHECKS["clique_deletion"]
+        cliques = [q for size in range(2, 7) for q in naive_cliques_of_size(g, size)]
+
+        def verdicts():
+            wrong = with_counts_of(g, h)
+            return [cd.check(wrong, q) for q in cliques]
+
+        packed = verdicts()
+        assert {(len(q), verdict[0]) for q, verdict in zip(cliques, packed) if len(q) > 4} \
+            == {(5, True), (5, False), (6, True), (6, False)}
+        with monkeypatch.context() as patched:
+            patched.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
+            assert verdicts() == packed
+        monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", 0)
+        assert verdicts() == packed
+        assert with_counts_of(g, h).memo.cliques.subset is None
         monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
         assert verdicts() == packed
 
@@ -720,7 +748,7 @@ class TestPackedVerdicts:
         verdict."""
         g = random_gnp(10, 0.5, RngSpec(5))
         e = g.edges()[0]
-        wrong = with_table_of(g, delete_edge(g, e))
+        wrong = with_counts_of(g, delete_edge(g, e))
         failing = {}
         held = set()
         for name in ("vertex_recurrence", "first_derivative", "second_derivative",

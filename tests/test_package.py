@@ -146,3 +146,17 @@ def test_identities_reads_cliques_through_its_counting_state():
     from cliquekit.graphs import _Memo
 
     assert _Memo.__slots__ == ("cliques", "identities")
+
+
+def test_the_counting_state_splits_in_one_body():
+    """_Counting.split is the only function that stores a split: deletion,
+    which reads a clique's split with its own term, calls it on a miss, and
+    no other module writes a graph's splits."""
+    writers = set()
+    for path in SRC.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                writers |= {(path.stem, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                            and isinstance(node.value, ast.Attribute) and node.value.attr == "splits"}
+    assert writers == {("cliques", "split")}
