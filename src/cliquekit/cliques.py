@@ -562,12 +562,8 @@ class _Counting:
         """C(G - E(Q), x) and (r - 1) x**r C(G[N(Q)], x) packed, for the
         clique Q = without of r >= 2 vertices and its common neighbourhood
         common: the two counts that the clique-deletion expansion reads of
-        Q itself.  C(G - E(Q)) is read from splits, and split only where it
-        is missing there."""
-        packed = self.splits.get(without)
-        if packed is None:
-            packed = self.split(without)
-        return packed, (r - 1) * self.read(common) << self.lane * r
+        Q itself.  C(G - E(Q)) is split's, so it is shared through splits."""
+        return self.split(without), (r - 1) * self.read(common) << self.lane * r
 
     def add(self, counts: Iterable[int], shift: int = 0, coeff: int = 1,
             row: Polynomial | None = None) -> Polynomial:

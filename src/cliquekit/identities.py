@@ -876,9 +876,7 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     clique is larger, the right side is built in one row
     (_expansion_verdict).
     """
-    terms = g.memo.identities
-    if terms is None:
-        terms = _terms(g)
+    terms = _terms(g)
     deletions = terms.deletions
     verdict = deletions.get(q)
     if verdict is None:

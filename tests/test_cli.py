@@ -862,9 +862,9 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
 
     Each decided clique makes exactly one _Counting.deletion call, which
     reads the split with the clique's own term, and no _Counting.term call:
-    the campaign decides every clique first, so each deletion call misses
-    and reaches split once (the call per miss that sharing split's body
-    costs), and the deck and the counts find the entry kept."""
+    each deletion call reaches split once (the call that sharing split's
+    body costs), the campaign decides every clique first, so each of those
+    misses, and the deck and the counts find the entry kept."""
     graphs = record_campaign_graphs(monkeypatch)
     frames = record_calls(monkeypatch, cliquekit.cliques._Counting, "split",
                           lambda counting, without: without, caller=True)
