@@ -239,38 +239,41 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     package: the identity checks' catalog (_stored_catalog) lists through
     it too.
 
-    grow(q, common, cand) appends q extended by each candidate w, lowest
-    first, with its common neighbourhood common & adj[w], and extends each
-    such clique by the candidates above w in that neighbourhood; a clique of
-    limit vertices, or one with no candidate left, makes no call.  So each
-    clique appears exactly once and each per-size list comes out in
-    lexicographic order.  A mask costs one AND and 8 bytes a clique.
+    The cliques are grown by _extend, a module-level recursion, so a
+    listing leaves no reference cycle and its lists are freed as soon as
+    the catalog is dropped.
     """
     limit = g.n if k_max is None else max(0, min(k_max, g.n))
     _require_listing_budget(g, limit)
     per: list[list[Clique]] = [[] for _ in range(limit + 1)]
     masks = [array("Q") for _ in range(limit + 1)]
-    adj = g.adj
-
-    def grow(q: Clique, common: int, cand: int) -> None:
-        size = len(q) + 1
-        out, out_common = per[size], masks[size]
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            clique = (*q, w)
-            nw = common & adj[w]
-            out.append(clique)
-            out_common.append(nw)
-            if size < limit and cand & nw:
-                grow(clique, nw, cand & nw)
-
     if limit >= 1:
         full = (1 << g.n) - 1
-        grow((), full, full)
+        _extend(g.adj, per, masks, limit, (), full, full)
     return CliqueCatalog(g.n, tuple(map(tuple, per)),
                          tuple(memoryview(m).toreadonly() for m in masks))
+
+
+def _extend(adj: tuple[int, ...], per: list[list[Clique]], masks: list[array], limit: int,
+            q: Clique, common: int, cand: int) -> None:
+    """Append q extended by each candidate w, lowest first, to per and its
+    common neighbourhood common & adj[w] to masks, and extend each such
+    clique by the candidates above w in that neighbourhood; a clique of
+    limit vertices, or one with no candidate left, makes no call.  So each
+    clique appears exactly once and each per-size list comes out in
+    lexicographic order.  A mask costs one AND and 8 bytes a clique."""
+    size = len(q) + 1
+    out, out_common = per[size], masks[size]
+    while cand:
+        low = cand & -cand
+        w = low.bit_length() - 1
+        cand ^= low
+        clique = (*q, w)
+        nw = common & adj[w]
+        out.append(clique)
+        out_common.append(nw)
+        if size < limit and cand & nw:
+            _extend(adj, per, masks, limit, clique, nw, cand & nw)
 
 
 def _require_listing_budget(g: Graph, k_max: int) -> None:

@@ -326,17 +326,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return Graph(g.n - 1, tuple(rows))
 
 
-def _edge_pairs(edge_set: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The distinct edges of edge_set as plain (u, v) pairs with u < v, as edge()
-    orders them; a self-loop is rejected before any pair is returned."""
-    pairs = set()
-    for u, v in edge_set:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        pairs.add((u, v) if u < v else (v, u))
-    return pairs
-
-
 def _vertex_mask(vertices: Iterable[int]) -> int:
     """The bitmask of vertices that the caller has checked to lie in range."""
     mask = 0
@@ -355,7 +344,7 @@ def delete_edge_set(g: Graph, edge_set: Iterable[tuple[int, int]]) -> Graph:
     A self-loop or a pair that is not an edge of g raises ValueError.
     """
     rows = list(g.adj)
-    for u, v in _edge_pairs(edge_set):
+    for u, v in {edge(u, v) for u, v in edge_set}:
         if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
         rows[u] &= ~(1 << v)

@@ -77,16 +77,21 @@ vertex, edge or triangle, is summed once per graph into one row of
 _Terms.decks (its member count at x**0, the sum of the members' c_k at
 x**k), and the deck identities read coefficient k of it.
 
-An instance kind (whole graph, k >= lo, vertex, edge, triangle, clique or
+An instance kind (whole graph, k >= lo, vertex, cliques of some sizes, or
 unit) fixes the lister of a graph's instances, the parser, the verify flag
-and the report's params key.  Every clique instance, edges and triangles
-included, is read as one size of the graph's one stored catalog
-(cliques._stored_catalog), in lexicographic order; so are the edge and
-triangle deck members and the derivative formulas' edges and triangles.
+and the report's params key.  The edges, the triangles and the cliques of 2
+to 4 vertices are one kind made three times (_cliques): its lister reads
+its sizes of the graph's one stored catalog (cliques._stored_catalog), in
+lexicographic order, and so do the edge and triangle decks.  The kind of a
+check stated only for graphs with no 5-clique is wrapped so that its lister
+lists nothing on any other graph (_k5_free).
 An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
-kind: ids and k are ints, and a vertex set is a clique when its mask lies
-in each member's closed neighbourhood.
+kind: ids and k are ints, and a vertex set of a clique kind is read by one
+rule, so an edge, a triangle and a clique are rejected alike: first a wrong
+number of ids, then an id out of range, then ids that repeat a vertex or
+miss an edge, as not an edge, a triangle or a clique of the graph.  A
+clique is returned as a plain tuple, sorted.
 A body that reads N(Q) of every clique of a size (the handshake, the
 derivative formulas and conjecture 2's test) reads it from the catalog,
 which keeps it beside each clique (CliqueCatalog.common_neighborhoods), so
@@ -118,14 +123,7 @@ from .cliques import (
     poly_normalize,
     poly_reverse,
 )
-from .graphs import (
-    EdgeRef,
-    Graph,
-    _edge_pairs,
-    _vertex_mask,
-    edge,
-    is_connected,
-)
+from .graphs import Graph, _vertex_mask, edge, is_connected
 
 Side = Union[int, list, tuple, None]
 Verdict = tuple[Optional[bool], Side, Side]  # (holds, lhs, rhs); holds None: does not apply
@@ -296,7 +294,7 @@ def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
     if deck == "vertex":
         members = (counting.read(_without_vertex(g, v)) for v in range(g.n))
     else:
-        deleted = _edges(g) if deck == "edge" else _triangles(g)
+        deleted = (_EDGE if deck == "edge" else _TRIANGLE).params(g, None)
         members = (counting.split(_vertex_mask(q)) for q in deleted)
     return tuple(poly_normalize(counting.add(members)))
 
@@ -345,48 +343,6 @@ def _parse_vertex(g: Graph, v: int) -> int:
     return v
 
 
-def _parse_edge(g: Graph, raw) -> EdgeRef:
-    e = edge(*_vertex_ids(raw, 2))
-    if not (0 <= e.u and e.v < g.n and g.has_edge(*e)):
-        raise ValueError(f"({e.u}, {e.v}) is not an edge of the graph")
-    return e
-
-
-def _parse_triangle(g: Graph, raw) -> tuple[int, int, int]:
-    ids = _vertex_ids(raw, 3)
-    if not is_clique(g, ids):
-        raise ValueError(f"{ids} is not a triangle of the graph")
-    return tuple(sorted(ids))
-
-
-def _parse_clique(g: Graph, raw) -> tuple[int, ...]:
-    ids = _vertex_ids(raw)
-    if not is_clique(g, ids):
-        raise ValueError(f"{ids} is not a clique of the graph")
-    return tuple(sorted(ids))
-
-
-def _k5_free(g: Graph) -> bool:
-    return len(clique_counts(g)) < 5
-
-
-def _edges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """g's edges as its catalog lists them, in lexicographic order as
-    Graph.edges lists them.  The catalog lists them with the triangles."""
-    return _stored_catalog(g, 3).cliques(2)
-
-
-def _triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """g's triangles as its catalog lists them, in lexicographic order as
-    graphs.triangles lists them."""
-    return _stored_catalog(g, 3).cliques(3)
-
-
-def _small_cliques(g: Graph, k_range: KRange) -> list[tuple[int, ...]]:
-    catalog = _stored_catalog(g, 4)
-    return [q for size in (2, 3, 4) for q in catalog.cliques(size)]
-
-
 class _Kind(NamedTuple):
     """An instance kind: its verify flag's param (None for the whole graph),
     the report's params key, the lister and parser of its instances as
@@ -405,14 +361,45 @@ class _Kind(NamedTuple):
         return {self.key: list(instance) if isinstance(instance, tuple) else instance}
 
 
+def _cliques(param: str, sizes: tuple[int, ...], noun: str) -> _Kind:
+    """The kind of g's cliques of the ascending sizes, whose verify flag and
+    params key are param.
+
+    Its lister reads those sizes of g's one stored catalog, listed up to at
+    least 3 vertices, so that the edges are listed with the triangles: a kind
+    of one size hands back the catalog's tuple itself, and one of several
+    sizes lists them size after size.  Its parser takes as many vertex ids as
+    a one-size kind's size (any number otherwise), and returns them sorted if
+    they form a clique of g; if not, it names them as not noun of the graph.
+    """
+    top = max(3, sizes[-1])
+    count = sizes[0] if len(sizes) == 1 else None
+    if count is None:
+        params = lambda g, _: list(itertools.chain(*map(_stored_catalog(g, top).cliques, sizes)))
+    else:
+        params = lambda g, _: _stored_catalog(g, top).cliques(count)
+
+    def parse(g: Graph, raw) -> tuple[int, ...]:
+        ids = _vertex_ids(raw, count)
+        if not is_clique(g, ids):
+            raise ValueError(f"{ids} is not {noun} of the graph")
+        return tuple(sorted(ids))
+
+    return _Kind(param, param, params, parse)
+
+
+def _k5_free(kind: _Kind) -> _Kind:
+    """kind, but listing nothing on a graph with a 5-clique."""
+    params = kind.params
+    return kind._replace(
+        params=lambda g, k_range: params(g, k_range) if len(clique_counts(g)) < 5 else ())
+
+
 _GRAPH = _Kind(None, None, lambda g, _: [None])
-_GRAPH_K5_FREE = _Kind(None, None, lambda g, _: [None] if _k5_free(g) else [])
 _VERTEX = _Kind("v", "v", lambda g, _: range(g.n), _parse_vertex)
-_EDGE = _Kind("e", "e", lambda g, _: _edges(g), _parse_edge)
-_TRIANGLE = _Kind("delta", "delta", lambda g, _: _triangles(g), _parse_triangle)
-_TRIANGLE_K5_FREE = _Kind("delta", "delta", lambda g, _: _triangles(g) if _k5_free(g) else [],
-                          _parse_triangle)
-_CLIQUE = _Kind("clique", "clique", _small_cliques, _parse_clique)
+_EDGE = _cliques("e", (2,), "an edge")
+_TRIANGLE = _cliques("delta", (3,), "a triangle")
+_CLIQUE = _cliques("clique", (2, 3, 4), "a clique")
 _UNIT = _Kind("unit", "include_unit", lambda g, _: [False])
 
 
@@ -674,7 +661,7 @@ def _third_derivative_params(g: Graph, _) -> dict:
     return {"connected": is_connected(g), "omega": len(clique_counts(g))}
 
 
-@_identity("third_derivative_k5free", THEOREM, _GRAPH_K5_FREE,
+@_identity("third_derivative_k5free", THEOREM, _k5_free(_GRAPH),
            render=_renderer("third_derivative_k5free", _third_derivative_params))
 def check_third_derivative_k5free(g: Graph) -> Verdict:
     """(1/3!) d^3/dx^3 C(G, x) == sum over triangles d of C(G[N(d)], x).
@@ -741,7 +728,7 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     An edge set is this function's own kind of instance: it is parsed here
     into the sorted clique it spans, the form the catalog lists.
     """
-    normalized = _edge_pairs((_integer(u, "vertex id"), _integer(v, "vertex id")) for u, v in edge_set)
+    normalized = {edge(_integer(u, "vertex id"), _integer(v, "vertex id")) for u, v in edge_set}
     support = sorted({v for e in normalized for v in e})
     q = len(support)
     for v in support:
@@ -816,9 +803,8 @@ class _Terms(dict):
     with lhs the row of C(G), the verdict of every clique on which the
     expansion holds and of every vertex at which the vertex recurrence
     holds; deletions, the clique-deletion verdicts keyed by the clique's
-    sorted tuple as the catalog lists it or a parser returns it (an EdgeRef
-    hashes and compares equal to its tuple); and decks, each deck's row
-    keyed by its name (_deck).
+    sorted tuple as the catalog lists it or a parser returns it; and decks,
+    each deck's row keyed by its name (_deck).
 
     Each clique's verdict stores the clique's own term (_deletion_verdict),
     so a later clique reads it as a subset's; a subset that no earlier
@@ -855,8 +841,8 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'cliques' reading for the sorted clique
     q, decided once per clique and graph and kept in the graph's expansion
     context (_Terms.deletions) under q itself, as the catalog lists it or a
-    parser returns it (an EdgeRef is equal to its tuple): for |q| = 2 and 3
-    it is the edge recurrence's and the triangle identity's as well.
+    parser returns it: for |q| = 2 and 3 it is the edge recurrence's and the
+    triangle identity's as well.
 
     Only q is decided, on either side of the subset table's gate, in one
     pass: one loop over q for its mask and N(Q), then one counting-state
@@ -1002,8 +988,8 @@ class TriangleDeletionCounts:
 
 
 # the catalog's report has the two count tuples as its sides, untrimmed
-@_identity("triangle_deletion_counts", THEOREM, _TRIANGLE_K5_FREE,
-           render=_renderer("triangle_deletion_counts", _TRIANGLE_K5_FREE.named, sides=list),
+@_identity("triangle_deletion_counts", THEOREM, _k5_free(_TRIANGLE),
+           render=_renderer("triangle_deletion_counts", _TRIANGLE.named, sides=list),
            public=lambda render, g, d, verdict: TriangleDeletionCounts(d, verdict[1], verdict[2]))
 def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     """Predict c_1..c_4 of G - d from counts of G, for graphs with no 5-clique:

@@ -417,7 +417,7 @@ class TestBudgetSkips:
                                                                           capsys):
         monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)
         assert main(["verify", "-g", K6_G6, "--all-theorems", "--e", "0-9"]) == 2
-        assert capsys.readouterr() == ("", "error: (0, 9) is not an edge of the graph\n")
+        assert capsys.readouterr() == ("", "error: vertex 9 out of range\n")
 
     def test_a_theorem_failure_outranks_a_skip(self, monkeypatch, capsys):
         monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)

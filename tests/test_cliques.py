@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -17,6 +18,7 @@ import cliquekit.identities
 from cliquekit.cliques import LISTING_BUDGET
 from cliquekit.graphs import MAX_VERTICES, _vertex_mask, common_neighborhood_bits
 from cliquekit import (
+    CampaignConfig,
     CliqueBudgetExceeded,
     CliqueCatalog,
     Graph,
@@ -48,6 +50,7 @@ from cliquekit import (
     poly_reverse,
     poly_sub,
     random_gnp,
+    run_campaign,
     to_graph6,
     triangles,
 )
@@ -907,6 +910,23 @@ class TestListingOncePerGraph:
         for k in (2, 1, 2, 3, 2, omega, g.n, 3):
             assert cliquekit.cliques._stored_catalog(g, k) is g.memo.cliques.catalog
         assert asked == [2, 3, omega]
+
+    def test_listings_and_a_campaign_leave_no_cyclic_garbage(self):
+        """A listing makes no reference cycle, so a dropped catalog is freed
+        at once: with the cyclic collector off, catalogs listed and dropped
+        and an all-theorems campaign over G(12, 0.7..0.8) leave it nothing."""
+        config = CampaignConfig(n_range=(12, 12), p_range=(0.7, 0.8), samples=20,
+                                rng=RngSpec(1), checks=("all-theorems",))
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(10):
+                enumerate_cliques(random_gnp(12, 0.7, RngSpec(seed)))
+            run_campaign(config)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
 
 class TestListingBudget:

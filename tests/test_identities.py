@@ -66,6 +66,7 @@ from _helpers import (
     record_calls,
     reference_deletion_rhs,
     relabelled,
+    run_main,
 )
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -89,6 +90,27 @@ class TestCatalogInstances:
         assert [r.params["delta"] for r in CHECKS["triangle_identity"].run(g, None)] \
             == list(map(list, triangles(g)))
         assert len(CHECKS["edge_deck"].run(g, None)) == 5
+        # each clique kind lists exactly its sizes of the stored catalog, in
+        # order: a kind of one size the catalog's tuple itself, the clique
+        # kind its sizes 2, 3 and 4 back to back
+        for g in mixed_corpus() + seeded[:9]:
+            catalog = cliquekit.cliques._stored_catalog(g, 4)
+            assert CHECKS["edge_recurrence"].params(g, None) is catalog.cliques(2)
+            assert CHECKS["triangle_identity"].params(g, None) is catalog.cliques(3)
+            assert CHECKS["clique_deletion"].params(g, None) \
+                == [*catalog.cliques(2), *catalog.cliques(3), *catalog.cliques(4)], g.adj
+        # the K5-free kinds list nothing on a graph with a 5-clique, and their
+        # bodies, called directly, still refuse it
+        k4, k5 = complete_graph(4), complete_graph(5)
+        assert list(CHECKS["third_derivative_k5free"].params(k4, None)) == [None]
+        assert CHECKS["triangle_deletion_counts"].params(k4, None) \
+            is cliquekit.cliques._stored_catalog(k4, 3).cliques(3)
+        for name in ("third_derivative_k5free", "triangle_deletion_counts"):
+            assert list(CHECKS[name].params(k5, None)) == [], name
+        with pytest.raises(NotApplicable):
+            check_third_derivative_k5free(k5)
+        with pytest.raises(NotApplicable):
+            triangle_deletion_counts(k5, (0, 1, 2))
         # every listing asks the one budget: at 0, each check that reads
         # cliques of any size, edges and triangles included, lists nothing,
         # and the others still report
@@ -226,13 +248,38 @@ class TestEdgeRecurrence:
     (triangle_identity, [0, 1, 2, 3], "(0, 1, 2, 3)"),
     (check_triangle_recurrence, (0, 1), "(0, 1)"),
     (triangle_deletion_counts, (0, 1), "(0, 1)"),
+    (check_edge_recurrence, (0, 9), "(0, 9)"),
+    (check_edge_recurrence, (0, 0), "(0, 0)"),
+    (check_edge_recurrence, (1, 0), "(1, 0)"),
+    (triangle_identity, (0, 2, 9), "(0, 2, 9)"),
+    (triangle_identity, (2, 3, 2), "(2, 3, 2)"),
+    (triangle_identity, (2, 1, 0), "(2, 1, 0)"),
+    (cliquekit.identities._clique_deletion, (0, 2, 3, 9), "(0, 2, 3, 9)"),
+    (cliquekit.identities._clique_deletion, (0, 2, 0), "(0, 2, 0)"),
+    (cliquekit.identities._clique_deletion, (0, 1, 2, 3), "(0, 1, 2, 3)"),
 ])
 def test_wrong_number_of_vertex_ids_is_rejected(check, raw, shown):
-    """A tuple of the wrong size is rejected as a verify flag's text is."""
-    count = 2 if check is check_edge_recurrence else 3
+    """An invalid vertex set of an edge, a triangle or a clique is rejected
+    by one rule, as a tuple given to the public function and as the text of
+    its verify flag, which exits 2 before any check runs: first a wrong
+    number of ids, then an id out of range, then ids that repeat a vertex
+    or miss an edge (DIAMOND lacks 01), named as given."""
+    name, param = check.entry.name, check.entry.param
+    count, noun = {"e": (2, "an edge"), "delta": (3, "a triangle"),
+                   "clique": (None, "a clique")}[param]
+    text = "-".join(map(str, raw))
+    if count is not None and len(raw) != count:
+        message = f"expected {count} vertex ids in {shown}"
+        flag_message = f"expected {count} vertex ids in {text!r}"
+    elif max(raw) >= DIAMOND.n:
+        message = flag_message = f"vertex {max(raw)} out of range"
+    else:
+        message = flag_message = f"{shown} is not {noun} of the graph"
     with pytest.raises(ValueError) as info:
-        check(complete_graph(4), raw)
-    assert str(info.value) == f"expected {count} vertex ids in {shown}"
+        check(DIAMOND, raw)
+    assert str(info.value) == message
+    flag = run_main("verify", "-g", to_graph6(DIAMOND), "--identity", name, f"--{param}", text)
+    assert (flag.returncode, flag.stdout, flag.stderr) == (2, "", f"error: {flag_message}\n")
 
 
 class TestDeckIdentities:
