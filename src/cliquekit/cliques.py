@@ -658,10 +658,9 @@ def clique_polynomial(g: Graph) -> Polynomial:
 
 def is_clique(g: Graph, vertices) -> bool:
     """Whether the distinct vertices form a nonempty clique: the set's mask
-    lies in the closed neighbourhood of each of its vertices."""
+    lies in the closed neighbourhood of each of its vertices.  Every id is
+    range-checked first, so an id out of range raises even where ids repeat."""
     vs = tuple(vertices)
-    if not vs or len(set(vs)) != len(vs):
-        return False
     mask = 0
     common = -1  # the vertices in every closed neighbourhood N[v] seen so far
     for v in vs:
@@ -670,7 +669,7 @@ def is_clique(g: Graph, vertices) -> bool:
         bit = 1 << v
         mask |= bit
         common &= g.adj[v] | bit
-    return common & mask == mask
+    return 0 < mask.bit_count() == len(vs) and common & mask == mask
 
 
 def clique_value(g: Graph, q) -> int:

@@ -27,7 +27,7 @@ with its own term of the expansion through _Counting.deletion, a
 coefficient of a packed sum through _Counting.coefficient, and a row is
 packed by _Counting.pack, so this module does no lane arithmetic.  The
 state also splits C(G - E(Q)) of a clique Q into masks once per graph and
-keeps it: the expansion's verdicts, the edge and triangle decks and
+keeps it: the expansion's verdicts, the decks of r >= 2 and
 triangle_deletion_counts read the same entry.  What this module keeps of a
 graph it keeps in one expansion context (_Terms, Graph.memo.identities).
 
@@ -72,17 +72,20 @@ finds every proper subset's term stored.
 Both readings of the expansion build a right side in a row with one
 routine, which takes the reading's family of vertex sets
 (_expansion_verdict).
-Likewise each deck, the graphs G - v, G - E(e) or G - E(d) over every
-vertex, edge or triangle, is summed once per graph into one row of
-_Terms.decks (its member count at x**0, the sum of the members' c_k at
-x**k), and the deck identities read coefficient k of it.
+Likewise each deck is keyed by r, the size of the clique its members
+delete: the r-deck is the graphs G - v over the vertices for r = 1 and
+G - E(Q) over the r-cliques Q for r >= 2 (G - E(e) over the edges, G - E(d)
+over the triangles).  It is summed once per graph into one row of
+_Terms.decks under r (its member count at x**0, the sum of the members' c_k
+at x**k), and the deck identities and the reversed-polynomial claims read
+it.
 
 An instance kind (whole graph, k >= lo, vertex, cliques of some sizes, or
 unit) fixes the lister of a graph's instances, the parser, the verify flag
 and the report's params key.  The edges, the triangles and the cliques of 2
 to 4 vertices are one kind made three times (_cliques): its lister reads
 its sizes of the graph's one stored catalog (cliques._stored_catalog), in
-lexicographic order, and so do the edge and triangle decks.  The kind of a
+lexicographic order, and so do the decks of r >= 2.  The kind of a
 check stated only for graphs with no 5-clique is wrapped so that its lister
 lists nothing on any other graph (_k5_free).
 An instance is validated once, where it enters from outside the program (a
@@ -119,7 +122,6 @@ from .cliques import (
     clique_polynomial,
     is_clique,
     poly_divided_derivative,
-    poly_derivative,
     poly_normalize,
     poly_reverse,
 )
@@ -273,39 +275,43 @@ def _common(adj: tuple[int, ...], vertices) -> int:
     return common
 
 
-def _deck(g: Graph, deck: str) -> tuple[int, ...]:
-    """The row of deck ('vertex', 'edge' or 'triangle'), summed on first use
-    and kept in g's expansion context (_Terms.decks)."""
+def _deck(g: Graph, r: int) -> tuple[int, ...]:
+    """The row of the r-deck, summed on first use and kept in g's expansion
+    context (_Terms.decks) under r."""
     decks = _terms(g).decks
-    row = decks.get(deck)
+    row = decks.get(r)
     if row is None:
-        row = decks[deck] = _sum_deck(g, deck)
+        row = decks[r] = _sum_deck(g, r)
     return row
 
 
-def _sum_deck(g: Graph, deck: str) -> tuple[int, ...]:
-    """The sum of C(x) over the members of deck, G - v for each vertex v,
-    G - E(e) for each edge e or G - E(d) for each triangle d, with trailing
-    zeros trimmed: the member count at x**0 and the sum of their c_k at
-    x**k.  Each member is read packed, G - E(e) and G - E(d) as the splits
-    that the clique-deletion verdicts share (cliques._Counting.split), and
-    the members are summed packed."""
+def _sum_deck(g: Graph, r: int) -> tuple[int, ...]:
+    """The sum of C(x) over the members of the r-deck, the graphs left after
+    deleting an r-clique: G - v for each vertex v (r = 1), G - E(Q) for each
+    r-clique Q (r >= 2), with trailing zeros trimmed: the member count at
+    x**0 and the sum of their c_k at x**k.  Each member is read packed,
+    G - E(Q) as the split that the clique-deletion verdicts share
+    (cliques._Counting.split), and the members are summed packed.  The
+    r-cliques are read from the stored catalog, under its listing budget."""
     counting = _counting(g)
-    if deck == "vertex":
+    if r == 1:
         members = (counting.read(_without_vertex(g, v)) for v in range(g.n))
     else:
-        deleted = (_EDGE if deck == "edge" else _TRIANGLE).params(g, None)
+        deleted = _stored_catalog(g, max(3, r)).cliques(r)
         members = (counting.split(_vertex_mask(q)) for q in deleted)
     return tuple(poly_normalize(counting.add(members)))
 
 
-def _deck_verdict(g: Graph, deck: str, r: int, k: int) -> Verdict:
-    """(|deck| - C(k, r)) * c_k(G) against the sum of c_k over the deck,
-    whose members delete a vertex (r = 1), an edge (r = 2) or a triangle's
-    edges (r = 3).  For r <= 2 a k-clique is missing from exactly the C(k, r)
-    members that delete a vertex or an edge of it; a triangle's deletion
-    also cuts a clique that holds just two of its vertices."""
-    row = _deck(g, deck)
+def _deck_verdict(g: Graph, r: int, k: int) -> Verdict:
+    """(|deck| - C(k, r)) * c_k(G) against the sum of c_k over the r-deck.
+
+    A k-clique is missing from Q's member exactly when it holds at least
+    min(r, 2) vertices of Q: G - v loses the cliques through v, and G - E(Q)
+    those with an edge of Q.  For r <= 2 that is exactly C(k, r) members,
+    so the verdict holds; for r >= 3 a clique that holds just two of Q's
+    vertices is cut too, which is why the triangle deck is a conjecture.
+    """
+    row = _deck(g, r)
     size = row[0] if row else 0
     rhs = row[k] if k < len(row) else 0
     lhs = (size - comb(k, r)) * clique_count(g, k)
@@ -513,13 +519,13 @@ def check_edge_recurrence(g: Graph, e) -> Verdict:
 @_identity("vertex_deck", THEOREM, _k(1))
 def check_vertex_deck_identity(g: Graph, k: int) -> Verdict:
     """(n - k) * c_k(G) == sum over v of c_k(G - v)."""
-    return _deck_verdict(g, "vertex", 1, k)
+    return _deck_verdict(g, 1, k)
 
 
 @_identity("edge_deck", THEOREM, _k(2))
 def check_edge_deck_identity(g: Graph, k: int) -> Verdict:
     """(m - C(k, 2)) * c_k(G) == sum over e of c_k(G - e)."""
-    return _deck_verdict(g, "edge", 2, k)
+    return _deck_verdict(g, 2, k)
 
 
 @_identity("triangle_deck", CONJECTURE, _k(3))
@@ -529,7 +535,7 @@ def check_triangle_deck_identity(g: Graph, k: int) -> Verdict:
     where t is the triangle count and G - d deletes the triangle's edges.
     Reported, never asserted globally: it fails already on the 4-clique.
     """
-    return _deck_verdict(g, "triangle", 3, k)
+    return _deck_verdict(g, 3, k)
 
 
 def _triangle_graph_is_edgeless(g: Graph) -> bool:
@@ -561,7 +567,7 @@ def check_conjecture2(g: Graph) -> Verdict:
         return None, None, None
     lhs, rhs = [], []
     for k in range(3, len(clique_counts(g)) + 1):
-        _, sub_lhs, sub_rhs = _deck_verdict(g, "triangle", 3, k)
+        _, sub_lhs, sub_rhs = _deck_verdict(g, 3, k)
         lhs.append(sub_lhs)
         rhs.append(sub_rhs)
     return lhs == rhs, lhs, rhs
@@ -569,15 +575,18 @@ def check_conjecture2(g: Graph) -> Verdict:
 
 # -- reversed-polynomial conjectures -------------------------------------------
 
-def _reversed_deck(g: Graph, deck: str, base: int, include_unit: bool) -> Polynomial:
-    """The sum over the members of deck of C(x) reversed at base, each with
-    its own unit if include_unit: the deck's row reversed at base, plus the
-    member count (the row's x**0) at x**0."""
-    row = _deck(g, deck)
-    rhs = poly_reverse(row, base)
+def _reversed_deck_verdict(g: Graph, r: int, include_unit: bool) -> Verdict:
+    """The divided r-th derivative of C(G) reversed at n against the sum over
+    the r-deck of C(x) reversed at the member's vertex count (n - 1 for r = 1,
+    n otherwise), each member with its own unit if include_unit: the deck's
+    row reversed, plus the member count (the row's x**0) at x**0."""
+    n = g.n
+    lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), r)
+    row = _deck(g, r)
+    rhs = poly_reverse(row, n - 1 if r == 1 else n)
     if include_unit and row:
         rhs[0] += row[0]
-    return rhs
+    return _poly_verdict(lhs, rhs)
 
 
 @_identity("conjecture1_first", CONJECTURE, _UNIT)
@@ -595,16 +604,12 @@ def _conjecture1_first(g: Graph, include_unit: bool) -> Verdict:
     it as a conjecture, as the paper poses it; re-classing it would change
     the exit codes of verify and fuzz.
     """
-    n = g.n
-    lhs = poly_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 1)
-    return _poly_verdict(lhs, _reversed_deck(g, "vertex", n - 1, include_unit))
+    return _reversed_deck_verdict(g, 1, include_unit)
 
 
 @_identity("conjecture1_second", CONJECTURE, _UNIT)
 def _conjecture1_second(g: Graph, include_unit: bool) -> Verdict:
-    n = g.n
-    lhs = poly_divided_derivative(poly_reverse(clique_polynomial(g), n, include_unit), 2)
-    return _poly_verdict(lhs, _reversed_deck(g, "edge", n, include_unit))
+    return _reversed_deck_verdict(g, 2, include_unit)
 
 
 def check_conjecture1(g: Graph, include_unit: bool = False) -> tuple[IdentityReport, IdentityReport]:
@@ -684,7 +689,7 @@ def check_conjecture3(g: Graph) -> Verdict:
     edge-deleted graphs instead of neighborhood subgraphs; fails on any graph
     containing a triangle.
     """
-    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), _deck(g, "triangle"))
+    return _poly_verdict(poly_divided_derivative(clique_polynomial(g), 3), _deck(g, 3))
 
 
 @_identity("kth_derivative", CONJECTURE, _k(1, listing=True))
@@ -804,7 +809,8 @@ class _Terms(dict):
     expansion holds and of every vertex at which the vertex recurrence
     holds; deletions, the clique-deletion verdicts keyed by the clique's
     sorted tuple as the catalog lists it or a parser returns it; and decks,
-    each deck's row keyed by its name (_deck).
+    each deck's row keyed by r, the size of the clique its members delete
+    (_deck).
 
     Each clique's verdict stores the clique's own term (_deletion_verdict),
     so a later clique reads it as a subset's; a subset that no earlier
@@ -819,7 +825,7 @@ class _Terms(dict):
         self.whole = counting.read((1 << g.n) - 1)
         self.held = True, lhs, tuple(lhs)
         self.deletions: dict[tuple[int, ...], Verdict] = {}
-        self.decks: dict[str, tuple[int, ...]] = {}
+        self.decks: dict[int, tuple[int, ...]] = {}
 
     def __missing__(self, s: tuple[int, ...]) -> int:
         counting = self.counting

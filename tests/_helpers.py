@@ -29,6 +29,7 @@ from cliquekit import (
     complete_graph,
     cycle_graph,
     delete_edge_set,
+    delete_vertex,
     disjoint_union,
     empty_graph,
     induced_subgraph,
@@ -205,10 +206,13 @@ def naive_is_clique(g: Graph, vertices) -> bool:
 
 
 def naive_cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
+    """The k-cliques of g, found by testing every k-set of vertices against
+    the edge set, built once."""
+    es = naive_edge_set(g)
     return [
         q
         for q in itertools.combinations(range(g.n), k)
-        if naive_is_clique(g, q)
+        if all(pair in es for pair in itertools.combinations(q, 2))
     ]
 
 
@@ -230,6 +234,29 @@ def reference_deletion_rhs(g, q, counts=brute_force_counts):
     while row and not row[-1]:
         row.pop()
     return row
+
+
+def oracle_counts(h: Graph) -> tuple[int, ...]:
+    """The clique counts of h by brute force, or by networkx above 20 vertices."""
+    return brute_force_counts(h) if h.n <= 20 else networkx_counts(h)
+
+
+def reference_deck(g: Graph, r: int) -> tuple[int, ...]:
+    """The r-deck's row summed over its members rebuilt as graphs, G - v for
+    r = 1 and G - E(Q) over the r-cliques Q for r >= 2, each counted by an
+    oracle: the member count at x**0, the sum of their c_k at x**k."""
+    if r == 1:
+        members = [delete_vertex(g, v) for v in range(g.n)]
+    else:
+        members = [delete_edge_set(g, itertools.combinations(q, 2))
+                   for q in naive_cliques_of_size(g, r)]
+    row = [len(members)] + [0] * g.n
+    for h in members:
+        for k, c in enumerate(oracle_counts(h), 1):
+            row[k] += c
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
 
 
 def co_component_counts(g: Graph) -> tuple[int, ...]:

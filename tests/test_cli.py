@@ -779,14 +779,14 @@ def test_campaign_unpacks_each_graphs_counts_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("checks, decks", [
-    ("all-theorems", {"vertex": 200, "edge": 200}),
-    ("triangle_deck,conjecture2,conjecture3", {"triangle": 200}),
+    ("all-theorems", {1: 200, 2: 200}),
+    ("triangle_deck,conjecture2,conjecture3", {3: 200}),
 ])
 def test_campaign_sums_each_deck_once_per_graph(checks, decks, monkeypatch, capsys):
     """Over 200 campaign graphs, the deck checks sum each deck they read
-    once per graph, into its expansion context's decks: vertex_deck and
-    edge_deck at every k, triangle_deck, conjecture2 and conjecture3 share
-    the triangle deck's row."""
+    once per graph, into its expansion context's decks keyed by r:
+    vertex_deck (r = 1) and edge_deck (r = 2) at every k, and
+    triangle_deck, conjecture2 and conjecture3 share the 3-deck's row."""
     graphs = record_campaign_graphs(monkeypatch)
     argv = ["fuzz", "--n", "4..12", "--p", "0.2..0.8", "--count", "200", "--seed", "7",
             "--check", checks]

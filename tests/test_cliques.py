@@ -262,7 +262,7 @@ class TestCountingKernel:
                 assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
                 assert list(asked.memo.identities.deletions) == [q]
                 assert list(asked.memo.cliques.splits) == [_vertex_mask(q)]
-            assert cliquekit.identities._deck(g, "vertex") == terms.decks["vertex"]
+            assert cliquekit.identities._deck(g, 1) == terms.decks[1]
             assert vars(g)["memo"] is memo
             refs = [weakref.ref(g), weakref.ref(counting.catalog)]
             del g, memo, counting, terms

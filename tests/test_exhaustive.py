@@ -7,13 +7,14 @@ kernel in a campaign (they are counted from their subset table), so this
 is also where the subset table, the kernel and the brute-force oracle meet
 on every vertex mask.
 
-The theorem sweep and the clique-deletion verdict sweep (every clique asked
-largest first, then smallest first on a fresh graph) over at most 6
-vertices (33 867 graphs) are too slow for the default test run; CI runs
-them as
+The theorem sweep, the clique-deletion verdict sweep (every clique asked
+largest first, then smallest first on a fresh graph) and the deck sweep
+(every r-deck, r = 1..n) over at most 6 vertices (33 867 graphs) are too
+slow for the default test run; CI runs them as
 
     PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_theorems(n_max=6)"
     PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_deletion_verdicts(n_max=6)"
+    PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_decks(n_max=6)"
 """
 
 import itertools
@@ -23,6 +24,7 @@ from math import comb
 import pytest
 
 import cliquekit.cliques
+import cliquekit.identities
 from cliquekit import (
     ALL_THEOREMS,
     CHECKS,
@@ -39,7 +41,8 @@ from cliquekit import (
 from cliquekit.cli import main
 
 from _helpers import (
-    all_labelled_graphs, naive_cliques_of_size, naive_common_neighbors, reference_deletion_rhs,
+    all_labelled_graphs, naive_cliques_of_size, naive_common_neighbors, reference_deck,
+    reference_deletion_rhs,
 )
 
 # The first labeled graph of at most 5 vertices, in sweep order, on which
@@ -67,6 +70,20 @@ def sweep_theorems(n_max: int) -> int:
                 _, failure = CHECKS[name].first_failure(g, None)
                 assert failure is None, (to_graph6(g), name, failure)
             checked += 1
+    return checked
+
+
+def sweep_decks(n_max: int) -> int:
+    """Check the r-deck of every labeled graph of 1..n_max vertices, for each
+    r from 1 to n, against its members rebuilt by deletion and counted by
+    brute force (reference_deck), and return how many (graph, r) pairs were
+    checked."""
+    checked = 0
+    for n in range(1, n_max + 1):
+        for g in all_labelled_graphs(n):
+            for r in range(1, n + 1):
+                assert cliquekit.identities._deck(g, r) == reference_deck(g, r), (to_graph6(g), r)
+                checked += 1
     return checked
 
 
@@ -118,6 +135,10 @@ def sweep_deletion_verdicts(n_max: int) -> int:
 
 def test_every_theorem_holds_on_every_graph_of_at_most_5_vertices():
     assert sweep_theorems(n_max=5) == 1 + 2 + 8 + 64 + 1024
+
+
+def test_every_deck_matches_the_oracle_on_every_graph_of_at_most_5_vertices():
+    assert sweep_decks(n_max=5) == 1 + 2 * 2 + 8 * 3 + 64 * 4 + 1024 * 5
 
 
 def test_smallest_counterexample_of_each_conjecture_is_pinned():

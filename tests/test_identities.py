@@ -17,7 +17,6 @@ from cliquekit import (
     Graph,
     RngSpec,
     bits,
-    brute_force_counts,
     check_edge_deck_identity,
     check_edge_recurrence,
     check_first_derivative,
@@ -63,7 +62,9 @@ from _helpers import (
     mixed_corpus,
     naive_cliques_of_size,
     networkx_counts,
+    oracle_counts,
     record_calls,
+    reference_deck,
     reference_deletion_rhs,
     relabelled,
     run_main,
@@ -257,13 +258,17 @@ class TestEdgeRecurrence:
     (cliquekit.identities._clique_deletion, (0, 2, 3, 9), "(0, 2, 3, 9)"),
     (cliquekit.identities._clique_deletion, (0, 2, 0), "(0, 2, 0)"),
     (cliquekit.identities._clique_deletion, (0, 1, 2, 3), "(0, 1, 2, 3)"),
+    (check_edge_recurrence, (9, 9), "(9, 9)"),
+    (triangle_identity, (0, 9, 9), "(0, 9, 9)"),
+    (cliquekit.identities._clique_deletion, (9, 0, 9), "(9, 0, 9)"),
 ])
 def test_wrong_number_of_vertex_ids_is_rejected(check, raw, shown):
     """An invalid vertex set of an edge, a triangle or a clique is rejected
     by one rule, as a tuple given to the public function and as the text of
     its verify flag, which exits 2 before any check runs: first a wrong
-    number of ids, then an id out of range, then ids that repeat a vertex
-    or miss an edge (DIAMOND lacks 01), named as given."""
+    number of ids, then an id out of range, even where ids repeat, then
+    ids that repeat a vertex or miss an edge (DIAMOND lacks 01), named as
+    given."""
     name, param = check.entry.name, check.entry.param
     count, noun = {"e": (2, "an edge"), "delta": (3, "a triangle"),
                    "clique": (None, "a clique")}[param]
@@ -315,51 +320,30 @@ class TestDeckIdentities:
                     assert check_edge_deck_identity(g, k).holds
 
 
-# deck: r, where a member deletes a vertex (r = 1), an edge (2) or a triangle's edges (3)
-DECKS = {"vertex": 1, "edge": 2, "triangle": 3}
+# the identity of the r-deck, whose members delete a vertex (r = 1), an
+# edge (2) or a triangle's edges (3)
+DECKS = {1: "vertex_deck", 2: "edge_deck", 3: "triangle_deck"}
 
 
-def oracle_counts(h):
-    """The clique counts of h by brute force, or by networkx above 20 vertices."""
-    return brute_force_counts(h) if h.n <= 20 else networkx_counts(h)
-
-
-def reference_deck(g, deck):
-    """The deck's row summed over its members rebuilt as graphs, each counted
-    by an oracle: the member count at x**0, the sum of their c_k at x**k."""
-    if deck == "vertex":
-        members = [delete_vertex(g, v) for v in range(g.n)]
-    elif deck == "edge":
-        members = [delete_edge(g, e) for e in g.edges()]
-    else:
-        members = [delete_edge_set(g, itertools.combinations(d, 2)) for d in triangles(g)]
-    row = [len(members)] + [0] * g.n
-    for h in members:
-        for k, c in enumerate(oracle_counts(h), 1):
-            row[k] += c
-    while row and not row[-1]:
-        row.pop()
-    return tuple(row)
-
-
-def deck_check(deck, g, k):
-    """The deck identity's verdict for k, as the catalog evaluates it."""
-    return CHECKS[f"{deck}_deck"].check(g, k)
+def deck_check(r, g, k):
+    """The r-deck identity's verdict for k, as the catalog evaluates it."""
+    return CHECKS[DECKS[r]].check(g, k)
 
 
 class TestDeckSums:
-    """Each deck's row, summed once per graph from its table, against the
-    members rebuilt by deletion and counted independently."""
+    """Each r-deck's row, r = 1..5, summed once per graph from its table,
+    against the members rebuilt by deletion and counted independently."""
 
     def assert_decks_match(self, g):
         fresh = Graph(g.n, g.adj)
-        for deck, r in DECKS.items():
-            expected = reference_deck(g, deck)
-            assert cliquekit.identities._deck(fresh, deck) == expected, (g.adj, deck)
-            assert fresh.memo.identities.decks[deck] == expected
-            for k in range(r, len(expected) + 2):
-                _, _, rhs = deck_check(deck, fresh, k)
-                assert rhs == (expected[k] if k < len(expected) else 0), (g.adj, deck, k)
+        for r in range(1, 6):
+            expected = reference_deck(g, r)
+            assert cliquekit.identities._deck(fresh, r) == expected, (g.adj, r)
+            assert fresh.memo.identities.decks[r] == expected
+            if r in DECKS:
+                for k in range(r, len(expected) + 2):
+                    _, _, rhs = deck_check(r, fresh, k)
+                    assert rhs == (expected[k] if k < len(expected) else 0), (g.adj, r, k)
 
     def test_corpus_matches_rebuilt_members(self, corpus):
         for g in corpus:
@@ -373,14 +357,27 @@ class TestDeckSums:
     def test_larger_graphs_match_networkx(self, n, p):
         self.assert_decks_match(random_gnp(n, p, RngSpec(n)))
 
+    def test_a_deck_over_the_listing_budget_is_refused_and_not_stored(self):
+        """The 5-deck of K64 lists the cliques of up to 5 vertices, 8 303 632
+        of them: the stored catalog refuses before listing any, and the
+        expansion context keeps no row under 5."""
+        g = complete_graph(64)
+        with pytest.raises(CliqueBudgetExceeded, match="would list 8303632 cliques"):
+            cliquekit.identities._deck(g, 5)
+        assert 5 not in g.memo.identities.decks
+        assert g.memo.cliques.catalog is None
+
     def test_each_deck_is_summed_once_per_graph(self, monkeypatch):
-        sums = record_calls(monkeypatch, cliquekit.identities, "_sum_deck", lambda g, deck: deck)
+        sums = record_calls(monkeypatch, cliquekit.identities, "_sum_deck", lambda g, r: r)
         g = random_gnp(12, 0.6, RngSpec(3))
-        for deck, r in DECKS.items():
+        for r in DECKS:
             for k in range(r, 6):
-                deck_check(deck, g, k)
+                deck_check(r, g, k)
         CHECKS["conjecture2"].check(g, None)
         CHECKS["conjecture3"].check(g, None)
+        for include_unit in (False, True):
+            CHECKS["conjecture1_first"].check(g, include_unit)
+            CHECKS["conjecture1_second"].check(g, include_unit)
         assert sums == list(DECKS) == list(g.memo.identities.decks)
 
 
