@@ -22,8 +22,8 @@ subgraph or edits a row.  Every count is read packed through g's one
 counting state (cliquekit.cliques._counting), C(x) at x = 2**lane with
 lane bits a coefficient, whatever the size of g, on both sides of the
 subset table's gate.  That state owns the format: a term
-coeff x**r C(G[mask]) is read through _Counting.term, a clique's split
-with its own term of the expansion through _Counting.deletion, a
+coeff x**r C(G[mask]) is read through _Counting.term, a clique's own term
+of the expansion included, a clique's split through _Counting.split, a
 coefficient of a packed sum through _Counting.coefficient, and a row is
 packed by _Counting.pack, so this module does no lane arithmetic.  The
 state also splits C(G - E(Q)) of a clique Q into masks once per graph and
@@ -39,10 +39,11 @@ packed integers, with nothing unpacked where it holds:
   C(G[N(Q)]) over the r-cliques Q, each N(Q) as the catalog keeps it
   (_derivative_verdict);
 - the expansion, whose verdict for a clique is also the edge recurrence's
-  and the triangle identity's for edges and triangles: C(G) plus its odd-r
-  terms against C(G - Q) plus its even-r terms, compared inline in
-  _deletion_verdict once per clique and graph (_Terms.deletions, keyed by
-  the clique's tuple as it is listed or parsed);
+  and the triangle identity's for edges and triangles, and the
+  edge-subsets reading's for every clique of at most three vertices: C(G)
+  plus its odd-r terms against C(G - Q) plus its even-r terms, compared
+  inline in _deletion_verdict once per clique and graph (_Terms.deletions,
+  keyed by the clique's tuple as it is listed or parsed);
 - triangle_deletion_counts: its formula for c_1..c_4 of G - d, packed,
   against the split C(G - E(d)); a formula coefficient that is negative or
   past the lane packs to None, and only then, or where the integers differ,
@@ -69,9 +70,11 @@ packed, the held verdict and each subset's term, read once for every
 clique that contains it.  Each verdict stores its clique's own term, so a
 campaign, which asks the edges, then the triangles, then the 4-cliques,
 finds every proper subset's term stored.
-Both readings of the expansion build a right side in a row with one
-routine, which takes the reading's family of vertex sets
-(_expansion_verdict).
+The two readings of the expansion coincide on a clique of at most three
+vertices, so the edge-subsets reading takes the cliques reading's verdict
+there, and only a 4-clique has a verdict of its own under it.  Both
+readings build a right side in a row with one routine, which takes the
+reading's family of vertex sets (_expansion_verdict).
 Likewise each deck is keyed by r, the size of the clique its members
 delete: the r-deck is the graphs G - v over the vertices for r = 1 and
 G - E(Q) over the r-cliques Q for r >= 2 (G - E(e) over the edges, G - E(d)
@@ -786,7 +789,15 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'edge-subsets' reading for the sorted
     clique q: its vertex sets of size r are the vertex unions of the
     C(r, 2)-edge subsets of Q, cliques or not (C(r, 2) <= C(|q|, 2) edges,
-    whose vertices number at least r)."""
+    whose vertices number at least r).
+
+    On a clique of at most three vertices every such union of C(r, 2)
+    edges spans exactly r vertices, so the family is the r-subsets of Q, in
+    the same order, and the verdict is the cliques reading's: q takes the
+    one verdict that _deletion_verdict keeps for it.  Only a 4-clique,
+    where three edges can span four vertices, is evaluated here."""
+    if len(q) <= 3:
+        return _deletion_verdict(g, q)
     edges = list(itertools.combinations(q, 2))
     return _expansion_verdict(g, q, lambda r: ({v for e in s for v in e}
                                                for s in itertools.combinations(edges, comb(r, 2))))
@@ -848,14 +859,14 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     q, decided once per clique and graph and kept in the graph's expansion
     context (_Terms.deletions) under q itself, as the catalog lists it or a
     parser returns it: for |q| = 2 and 3 it is the edge recurrence's and the
-    triangle identity's as well.
+    triangle identity's as well, and for |q| <= 3 the edge-subsets
+    reading's (_clique_deletion_edge_subsets).
 
     Only q is decided, on either side of the subset table's gate, in one
-    pass: one loop over q for its mask and N(Q), then one counting-state
-    call (_Counting.deletion) for the graph's split of q, shared through
-    its splits with the decks and the triangle checks, and q's own term,
-    which is stored in the graph's one expansion context (_Terms) for
-    every larger clique.
+    pass: one loop over q for its mask and N(Q), then the graph's split of
+    q (_Counting.split), shared through its splits with the decks and the
+    triangle checks, and q's own term (_Counting.term), which is stored in
+    the graph's one expansion context (_Terms) for every larger clique.
     A clique of at most _PACKED_CLIQUE_MAX vertices is decided by comparing
     two packed sums, each term moved to the side where it adds: C(G) plus
     the odd-r terms against C(G - Q) plus the even-r terms.  Its proper
@@ -880,11 +891,10 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
             common &= adj[v]
         size = len(q)
         if size <= _PACKED_CLIQUE_MAX:
+            rhs = counting.split(mask)
+            own = 0
             if size > 1:
-                rhs, own = counting.deletion(mask, common, size)
-                terms[q] = own
-            else:
-                rhs, own = counting.split(mask), 0
+                own = terms[q] = counting.term(common, size, size - 1)
             lhs = terms.whole
             if size > 2:
                 stored = terms.__getitem__

@@ -24,21 +24,23 @@ it (super, vdeck, edeck, tdeck):
   is not its statement.
 
 A kind's columns are cliques too, the (k+1)-cliques or the deck members'
-vertices, edges or triangles, so one table (_KINDS) holds each kind's
-column-clique size and row rule.  One routine (_matrix), which the public
-builders and the CLI call, lists a kind's rows and columns in one catalog
-and builds it.
+vertices, edges or triangles, so one table (_KINDS) keys each kind by r,
+the size of a deck's column cliques (None for super).  One routine
+(_matrix), which the public builders and the CLI call, lists a kind's rows
+and columns in one catalog and builds it.
 
 Every matrix is stored as one bit row per matrix row (bit j of a row is its
-entry in column j).  Each kind is a rule on how many vertices a row clique q
-shares with a column label c: super keeps the columns that contain q, the
-vertex deck those sharing no vertex with q, and the edge and triangle decks
-those sharing at most one.  One helper builds every row from touch[v], the
-mask of the columns whose label contains vertex v, so a row costs a few
-big-int operations per vertex of q rather than one test per cell.  The 0/1
-digits of each row and the column sums are derived once per matrix, and
-every rendering reads them.  Summing all entries by rows and by columns is
-the double-counting step that turns each matrix into a counting identity.
+entry in column j).  r fixes the rule on the vertices a row clique q shares
+with a column clique Q: super (r None) keeps the columns that contain q,
+and the deck of r-cliques keeps those that share fewer than min(r, 2)
+vertices with q, the k-cliques that survive deleting Q (its vertex for
+r = 1, its edges for r >= 2), as identities._deck_verdict states it.  One
+helper builds every row from touch[v], the mask of the columns whose label
+contains vertex v, so a row costs a few big-int operations per vertex of q
+rather than one test per cell.  The 0/1 digits of each row and the column
+sums are derived once per matrix, and every rendering reads them.  Summing
+all entries by rows and by columns is the double-counting step that turns
+each matrix into a counting identity.
 """
 
 from __future__ import annotations
@@ -190,14 +192,9 @@ class IncidenceMatrix:
         }
 
 
-# what a row keeps, as a rule on the vertices its clique q shares with column c
-_CONTAINS = "c contains q"
-_DISJOINT = "q and c share no vertex"
-_AT_MOST_ONE = "q and c share at most one vertex"
-
-
-def _incidence(kind: str, k: int, row_labels, col_labels, n: int, rule: str) -> IncidenceMatrix:
-    """The matrix over vertices 0..n-1 whose entry (i, j) is 1 iff the labels obey rule."""
+def _incidence(kind: str, k: int, row_labels, col_labels, n: int, r: int | None) -> IncidenceMatrix:
+    """The matrix over vertices 0..n-1 whose entry (i, j) is 1 iff the labels
+    obey the rule that r fixes (see the module docstring)."""
     touch = [0] * n  # touch[v]: the columns whose label contains v
     for j, label in enumerate(col_labels):
         for v in label:
@@ -212,17 +209,18 @@ def _incidence(kind: str, k: int, row_labels, col_labels, n: int, rule: str) -> 
             two |= one & t
             one |= t
             every &= t
-        rows.append(every if rule == _CONTAINS else full & ~(one if rule == _DISJOINT else two))
+        rows.append(every if r is None else full & ~(one if r == 1 else two))
     return IncidenceMatrix(kind, k, tuple(row_labels), tuple(col_labels), tuple(rows))
 
 
-# each kind, keyed by its `cliquekit matrix --kind` name: the matrix's kind,
-# the size of its column cliques (None: k + 1) and the rule its rows keep
+# each kind, keyed by its `cliquekit matrix --kind` name: the matrix's kind
+# and r, the size of its column cliques (None: k + 1), which fixes the rule
+# its rows keep
 _KINDS = {
-    "super": (KIND_SUBCLIQUE_SUPERCLIQUE, None, _CONTAINS),
-    "vdeck": (KIND_VERTEX_DECK, 1, _DISJOINT),
-    "edeck": (KIND_EDGE_DECK, 2, _AT_MOST_ONE),
-    "tdeck": (KIND_TRIANGLE_DECK, 3, _AT_MOST_ONE),
+    "super": (KIND_SUBCLIQUE_SUPERCLIQUE, None),
+    "vdeck": (KIND_VERTEX_DECK, 1),
+    "edeck": (KIND_EDGE_DECK, 2),
+    "tdeck": (KIND_TRIANGLE_DECK, 3),
 }
 
 
@@ -237,10 +235,10 @@ def _column_size(kind: str, k: int) -> int:
 
 def _matrix(g: Graph, kind: str, k: int) -> IncidenceMatrix:
     """The kind matrix of order k on g, its rows and columns listed at once."""
-    name, _, rule = _KINDS[kind]
+    name, r = _KINDS[kind]
     size = _column_size(kind, k)
     catalog = enumerate_cliques(g, max(k, size))
-    return _incidence(name, k, catalog.cliques(k), catalog.cliques(size), g.n, rule)
+    return _incidence(name, k, catalog.cliques(k), catalog.cliques(size), g.n, r)
 
 
 def subclique_superclique_matrix(g: Graph, k: int) -> IncidenceMatrix:

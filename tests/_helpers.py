@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from math import comb
 from pathlib import Path
 from typing import Callable
 
@@ -216,20 +217,28 @@ def naive_cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
     ]
 
 
-def reference_deletion_rhs(g, q, counts=brute_force_counts):
+def reference_deletion_rhs(g, q, counts=brute_force_counts, edge_subsets=False):
     """C(G - Q, x) + sum over r >= 2 of (-1)**r (r-1) x**r * sum over the
     r-subsets S of q of C(G[N(S)], x), from built subgraphs and the counts
     of an independent oracle (exhaustive by default): no counts table and no
-    code shared with the identity checks."""
+    code shared with the identity checks.  With edge_subsets, the inner sum
+    is the 'edge-subsets' reading's: S runs over the vertex sets that the
+    C(r, 2)-edge subsets of Q's edges span, cliques or not."""
     row = [0] * (g.n + 1)
 
     def add(h, shift, coeff):
         for j, c in enumerate([1, *counts(h)], shift):
             row[j] += coeff * c
 
-    add(delete_edge_set(g, itertools.combinations(q, 2)), 0, 1)
+    edges = list(itertools.combinations(q, 2))
+    add(delete_edge_set(g, edges), 0, 1)
     for r in range(2, len(q) + 1):
-        for s in itertools.combinations(q, r):
+        if edge_subsets:
+            family = [set(itertools.chain(*chosen))
+                      for chosen in itertools.combinations(edges, comb(r, 2))]
+        else:
+            family = itertools.combinations(q, r)
+        for s in family:
             add(induced_subgraph(g, naive_common_neighbors(g, s)), r, (-1) ** r * (r - 1))
     while row and not row[-1]:
         row.pop()

@@ -71,6 +71,10 @@ class TestPoly:
         assert r.stdout == ""
         assert "error:" in r.stderr and flag in r.stderr
 
+    def test_derivative_order_below_one_is_a_usage_error(self, capsys):
+        assert main(["poly", "-g", "Bw", "--derivative", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: derivative order must be >= 1\n")
+
     def test_parse_error_exit_code(self):
         r = run_main("poly", "-g", "??bad")
         assert r.returncode == 2
@@ -329,6 +333,11 @@ class TestVerify:
 def test_wrong_number_of_ids_in_a_flag_is_a_usage_error(name, flag, value, count, capsys):
     assert main(["verify", "-g", K4_G6, "--identity", name, flag, value]) == 2
     assert capsys.readouterr() == ("", f"error: expected {count} vertex ids in '{value}'\n")
+
+
+def test_vertex_ids_that_are_not_integers_are_a_usage_error(capsys):
+    assert main(["verify", "-g", "Bw", "--identity", "edge_recurrence", "--e", "a-b"]) == 2
+    assert capsys.readouterr() == ("", "error: expected dash-separated vertex ids, got 'a-b'\n")
 
 
 @pytest.mark.parametrize("name, flag, value, params", [
@@ -860,29 +869,26 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     deck and the counts made 10 357 splits, and when a miss reached the
     split through a call to itself the campaign made 16 876 split frames.
 
-    Each decided clique makes exactly one _Counting.deletion call, which
-    reads the split with the clique's own term, and no _Counting.term call:
-    each deletion call reaches split once (the call that sharing split's
-    body costs), the campaign decides every clique first, so each of those
-    misses, and the deck and the counts find the entry kept."""
+    Each decided clique makes exactly one split call and one _Counting.term
+    call, for its own term, straight from _deletion_verdict: the campaign
+    decides every clique first, so each of those splits misses, and the
+    deck and the counts find the entry kept."""
     graphs = record_campaign_graphs(monkeypatch)
     frames = record_calls(monkeypatch, cliquekit.cliques._Counting, "split",
-                          lambda counting, without: without, caller=True)
-    deleted = record_calls(monkeypatch, cliquekit.cliques._Counting, "deletion",
-                           lambda counting, without, common, r: (id(counting), without),
-                           caller=True)
+                          lambda counting, without: (id(counting), without), caller=True)
     scaled = record_calls(monkeypatch, cliquekit.cliques._Counting, "term",
                           lambda counting, *args: None, caller=True)
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     assert (len(graphs), len(frames)) == (200, 10357)
     assert Counter(caller for caller, _ in frames) \
-        == {"deletion": 6519, "<genexpr>": 2906, "triangle_deletion_counts": 932}
+        == {"_deletion_verdict": 6519, "<genexpr>": 2906, "triangle_deletion_counts": 932}
     assert sum(len(g.memo.cliques.splits) for g in graphs) == 6519
     assert sum(len(g.memo.identities.deletions) for g in graphs) == 6519
-    assert len(deleted) == len(set(deleted)) == 6519
-    assert {caller for caller, _ in deleted} == {"_deletion_verdict"}
-    assert {caller for caller, _ in scaled} == {"check_vertex_recurrence"}
+    decided = [seen for caller, seen in frames if caller == "_deletion_verdict"]
+    assert len(set(decided)) == 6519
+    assert Counter(caller for caller, _ in scaled) \
+        == {"_deletion_verdict": 6519, "check_vertex_recurrence": 1549}
 
 
 def test_campaign_reads_each_term_and_clique_size_from_the_memo(monkeypatch, capsys):

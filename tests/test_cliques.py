@@ -1024,6 +1024,10 @@ class TestPolynomial:
     def test_c5(self):
         assert clique_polynomial(cycle_graph(5)) == [1, 5, 5]
 
+    def test_negative_clique_size_is_refused(self):
+        with pytest.raises(ValueError, match=r"^clique size must be nonnegative$"):
+            clique_count(complete_graph(3), -1)
+
     def test_diamond(self):
         diamond = delete_edge(complete_graph(4), (0, 1))
         assert clique_polynomial(diamond) == [1, 4, 5, 2]
@@ -1087,6 +1091,8 @@ class TestPolyCalculus:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             poly_derivative([1], 0)
+        with pytest.raises(ValueError, match=r"^derivative order must be >= 0$"):
+            poly_divided_derivative([1, 2], -1)
 
     def test_divided_matches_scaled(self, corpus):
         for g in corpus[:10]:

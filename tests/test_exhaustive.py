@@ -8,9 +8,11 @@ is also where the subset table, the kernel and the brute-force oracle meet
 on every vertex mask.
 
 The theorem sweep, the clique-deletion verdict sweep (every clique asked
-largest first, then smallest first on a fresh graph) and the deck sweep
-(every r-deck, r = 1..n) over at most 6 vertices (33 867 graphs) are too
-slow for the default test run; CI runs them as
+largest first, then smallest first on a fresh graph, under the 'cliques'
+reading, and once more on a third fresh graph under the 'edge-subsets'
+reading, against its own brute-force evaluation) and the deck sweep (every
+r-deck, r = 1..n) over at most 6 vertices (33 867 graphs) are too slow for
+the default test run; CI runs them as
 
     PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_theorems(n_max=6)"
     PYTHONPATH=src:tests python -c "import test_exhaustive as t; t.sweep_deletion_verdicts(n_max=6)"
@@ -105,14 +107,21 @@ def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
     expansion evaluated from brute_force_counts of delete_edge_set(g, E(Q))
     and of each induced G[N(S)], that each expansion context keeps exactly
     the verdicts asked, and that the ascending one stored the cliques'
-    terms in the order asked, none on demand.  Returns how many verdicts
-    were checked, two per clique."""
+    terms in the order asked, none on demand.  Then ask a third fresh copy
+    for the 'edge-subsets' reading's verdict of every such clique and check
+    it against that reading evaluated the same way, over the vertex sets
+    that Q's C(r, 2)-edge subsets span: on a clique of at most three
+    vertices that verdict is the 'cliques' reading's, so this keeps it
+    checked against a reference of its own.  Returns how many verdicts
+    were checked, three per clique."""
     cliques = small_cliques(g)
     lhs = [1, *brute_force_counts(g)]
-    expected = {}
+    expected, subsets_expected = {}, {}
     for q in cliques:
         rhs = reference_deletion_rhs(g, q)
         expected[q] = (lhs == rhs, lhs, tuple(rhs))
+        rhs = reference_deletion_rhs(g, q, edge_subsets=True)
+        subsets_expected[q] = (lhs == rhs, lhs, tuple(rhs))
     check = CHECKS["clique_deletion"].check
     ascending = Graph(g.n, g.adj)
     for h, order in ((g, reversed(cliques)), (ascending, cliques)):
@@ -122,13 +131,18 @@ def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
         assert sorted(kept) == sorted(cliques), to_graph6(g)
     if cliques:
         assert list(ascending.memo.identities) == cliques, to_graph6(g)
-    return 2 * len(cliques)
+    check = CHECKS["clique_deletion_edge_subsets"].check
+    fresh = Graph(g.n, g.adj)
+    for q in cliques:
+        assert check(fresh, q) == subsets_expected[q], (to_graph6(g), q)
+    return 3 * len(cliques)
 
 
 def sweep_deletion_verdicts(n_max: int) -> int:
     """Check the clique-deletion verdicts of every labeled graph of 1..n_max
     vertices against the oracle, largest clique first and then smallest
-    first, and return how many verdicts were checked."""
+    first, and then the 'edge-subsets' reading's, and return how many
+    verdicts were checked."""
     return sum(assert_deletion_verdicts_match_the_oracle(g)
                for n in range(1, n_max + 1) for g in all_labelled_graphs(n))
 
@@ -205,11 +219,12 @@ def test_both_counting_paths_match_the_oracle_on_every_mask():
 def test_one_pass_deletion_verdicts_match_the_oracle_on_every_graph_of_at_most_5_vertices():
     """On each of the 1 099 labeled graphs of at most 5 vertices, one pass
     asks the clique-deletion verdict of every clique of 2 to 4 vertices,
-    largest first, and one pass on a fresh graph asks them smallest first,
-    as a campaign does; each verdict equals the expansion of brute-force
+    largest first, one pass on a fresh graph asks them smallest first, as a
+    campaign does, and one pass on a third asks the 'edge-subsets'
+    reading's; each verdict equals its reading's expansion of brute-force
     counts of built subgraphs.  A k-set of vertices is a clique of
-    2 ** (C(n, 2) - C(k, 2)) of the graphs on n, and is asked twice."""
-    assert sweep_deletion_verdicts(n_max=5) == 2 * sum(
+    2 ** (C(n, 2) - C(k, 2)) of the graphs on n, and is asked three times."""
+    assert sweep_deletion_verdicts(n_max=5) == 3 * sum(
         comb(n, k) << comb(n, 2) - comb(k, 2) for n in range(1, 6) for k in (2, 3, 4) if k <= n)
 
 

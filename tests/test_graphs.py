@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import cliquekit.graphs
+from cliquekit.graphs import edge
 from cliquekit import (
     Graph,
     GraphFormatError,
@@ -96,6 +97,8 @@ class TestGraphInvariants:
         ((0b000, 0b1010, 0b100), "row 1 has bits outside 0..2"),
         ((0b110, 0b101, 0b111), "self-loop at vertex 2"),
         ((-1, 0b000, 0b000), "row 0 has bits outside 0..2"),
+        # the row count is checked before any row
+        ((0b1000, 0b000), "adjacency row count differs from vertex count"),
     ])
     def test_rejects_with_the_first_fault_in_row_order(self, adj, message):
         assert raised_message(lambda: Graph(3, adj)) == message
@@ -119,6 +122,25 @@ class TestGraphInvariants:
                 assert Graph(n, tuple(adj)).adj == tuple(adj)
             else:
                 assert raised_message(lambda: Graph(n, tuple(adj))) == expected
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: edge(3, 3), "self-loop at vertex 3"),
+        (lambda: Graph.from_edges(3, [(0, 5)]), "edge (0, 5) outside 0..2"),
+        (lambda: cycle_graph(2), "cycle needs at least 3 vertices"),
+        (lambda: disjoint_union(complete_graph(40), complete_graph(30)),
+         "union exceeds the vertex cap"),
+        (lambda: induced_subgraph(complete_graph(3), [5]), "vertex id out of range"),
+        (lambda: common_neighborhood_bits(complete_graph(3), [9]), "vertex 9 out of range"),
+        (lambda: random_gnp(65, 0.5, RngSpec(1)), "vertex count 65 outside 0..64"),
+        (lambda: parse_edge_list("x\n"), "vertex count is not an integer: 'x'"),
+        (lambda: parse_edge_list("65\n"), "vertex count 65 outside 0..64"),
+    ], ids=["edge-self-loop", "from-edges-range", "short-cycle", "union-cap",
+            "induced-range", "common-range", "gnp-n65", "edge-list-count", "edge-list-n65"])
+    def test_an_invalid_argument_is_refused_with_its_message(self, build, message):
+        assert raised_message(build) == message
+
+    def test_rows_given_as_a_list_are_kept_as_a_tuple(self):
+        assert Graph(2, [0, 0]).adj == (0, 0)
 
     def test_rejects_too_many_vertices(self):
         with pytest.raises(ValueError):
@@ -255,6 +277,9 @@ class TestEdgeList:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError, match="self-loop"):
             parse_edge_list("2\n0 0")
+
+    def test_blank_line_skipped(self):
+        assert parse_edge_list("3\n0 1\n\n1 2\n") == path_graph(3)
 
     def test_duplicate_edges_idempotent(self):
         g = parse_edge_list("3\n0 1\n0 1\n1 0")

@@ -58,6 +58,7 @@ from cliquekit.graphs import MAX_VERTICES
 from cliquekit.identities import NotApplicable
 
 from _helpers import (
+    forbid_calls,
     graphs,
     mixed_corpus,
     naive_cliques_of_size,
@@ -501,6 +502,30 @@ class TestCliqueDeletionExpansion:
         assert loose.holds is False
         assert loose.rhs == [1, 4, 6, -28, 1]
 
+    def test_cliques_of_at_most_three_vertices_share_one_verdict(self, monkeypatch):
+        """On a graph above the subset table's gate whose cliques of 2 to 4
+        vertices clique_deletion has decided, the edge-subsets reading of
+        each clique of at most three vertices is the verdict already kept,
+        the same object, with no row built (_expansion_verdict) and nothing
+        counted (_poly_of); each 4-clique alone reaches the row."""
+        g = random_gnp(16, 0.7, RngSpec(4))
+        cliques = CHECKS["clique_deletion"].params(g, None)
+        decided = {q: CHECKS["clique_deletion"].check(g, q) for q in cliques}
+        assert {len(q) for q in cliques} == {2, 3, 4}
+        edge_subsets = CHECKS["clique_deletion_edge_subsets"].check
+        with monkeypatch.context() as patched:
+            forbid_calls(patched, cliquekit.identities, "_expansion_verdict")
+            forbid_calls(patched, cliquekit.cliques, "_poly_of")
+            for q in cliques:
+                if len(q) <= 3:
+                    assert edge_subsets(g, q) is decided[q], q
+        rows = record_calls(monkeypatch, cliquekit.identities, "_expansion_verdict",
+                            lambda g, q, family: q)
+        for q in cliques:
+            if len(q) == 4:
+                edge_subsets(g, q)
+        assert rows == [q for q in cliques if len(q) == 4]
+
     def test_rejects_non_clique_edge_set(self):
         with pytest.raises(ValueError, match="complete"):
             clique_deletion_expansion(path_graph(3), [(0, 1), (1, 2)])
@@ -849,9 +874,7 @@ class TestPackedVerdicts:
         of a graph inside the gate packs at it too.  The one
         encoder, _pack, and the one decoder, _Counting.unpack, carry such a
         sum, _PACKED_UNITS (1 + x)**n at its widest, there and back, and a
-        coefficient of 2**lane packs to None.  The expansion of a clique of
-        _PACKED_CLIQUE_MAX vertices, but not one more, sums at most that many
-        a side."""
+        coefficient of 2**lane packs to None."""
         units = cliquekit.cliques._PACKED_UNITS
         lane = cliquekit.cliques._lane
         pack = cliquekit.cliques._pack
@@ -865,12 +888,21 @@ class TestPackedVerdicts:
         assert (units, lane(0), lane(1), lane(12), lane(13), lane(MAX_VERTICES)) \
             == (70, 7, 7, 16, 17, 67)
 
+    def test_the_packed_clique_cap_follows_from_the_carry_bound(self):
+        """_PACKED_CLIQUE_MAX is the largest s whose expansion sums at most
+        _PACKED_UNITS packed counts a side, each taken |coefficient| times:
+        1 + sum over odd r of (r - 1) C(s, r) on the left and 1 + sum over
+        even r >= 2 of (r - 1) C(s, r) on the right, which grow with s.
+        So the two constants cannot be changed apart: a cap above this s
+        would let a clique's packed sums carry."""
         def side_units(s):
-            return [1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
-                    for parity in (0, 1)]
+            return tuple(1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
+                         for parity in (1, 0))
 
-        largest = cliquekit.identities._PACKED_CLIQUE_MAX
-        assert max(side_units(largest)) <= units < max(side_units(largest + 1))
+        units = cliquekit.cliques._PACKED_UNITS
+        largest = max(s for s in range(1, MAX_VERTICES + 1) if max(side_units(s)) <= units)
+        assert largest == cliquekit.identities._PACKED_CLIQUE_MAX
+        assert (side_units(6), side_units(7)) == ((65, 66), (161, 162))
 
     @pytest.mark.parametrize("n", [13, 20, MAX_VERTICES])
     def test_complete_graphs_above_the_gate_match_closed_forms(self, n, monkeypatch):

@@ -149,8 +149,8 @@ def test_identities_reads_cliques_through_its_counting_state():
 
 
 def test_the_counting_state_splits_in_one_body():
-    """_Counting.split is the only function that stores a split: deletion,
-    which reads a clique's split with its own term, calls it, and
+    """_Counting.split is the only function that stores a split: the
+    clique-deletion verdicts, the decks and the triangle checks call it, and
     no other module writes a graph's splits."""
     writers = set()
     for path in SRC.glob("*.py"):
