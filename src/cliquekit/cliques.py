@@ -164,8 +164,10 @@ _SUBSET_TABLE_MAX_N = 12
 # a coefficient, so packed counts add as polynomials as long as no
 # coefficient of the sum reaches 2**lane and carries into the next.  The
 # identity checks sum up to _PACKED_UNITS packed counts of one graph, each
-# taken as often as its |coefficient| says: one side of a 6-clique's
-# expansion sums 66 (identities._PACKED_CLIQUE_MAX).  A graph on n vertices
+# taken as often as its |coefficient| says: a derivative formula sums one
+# count per r-clique, so the second derivative of K12 sums 66, one per edge,
+# and every graph inside the subset table's gate decides it packed (one side
+# of a 4-clique's expansion sums at most 10).  A graph on n vertices
 # has at most C(n, n // 2) cliques of one size, so no such sum carries at
 # the lane _lane(n) (a tuple lookup), the bit length of 70 * C(n, n // 2):
 # two such sums are equal exactly when their polynomials are.  The lane is

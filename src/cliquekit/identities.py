@@ -51,18 +51,20 @@ packed integers, with nothing unpacked where it holds:
 A packed sum is exact only while no coefficient reaches 2**lane, which a
 sum of at most cliquekit.cliques._PACKED_UNITS counts never does.  The
 vertex recurrence adds two counts, and the expansion is compared packed
-only for cliques of at most _PACKED_CLIQUE_MAX vertices.  A derivative is
+only for the clique kind's sizes, 2 to 4 vertices (_CLIQUE_SIZES), whose
+sides sum at most 10 counts.  A derivative is
 compared packed only where its right side sums at most _PACKED_UNITS counts
 and every coefficient of its left side is below 2**lane (the carry guard):
 the second derivative of K13 sums 78 counts, and near 64 vertices a left
 side can pass the lane.  Equal integers give the held verdict (True, lhs,
 tuple(lhs)); the vertex recurrence and the expansion share one per graph
-(_Terms.held).  Only a failing verdict, or one past a bound, builds the
-right side that a report shows, in one row of g.n + 1 coefficients (enough
-for x**r C(G[N(S)], x) with |S| >= r): cliques._Counting.add sums the
-packed counts as integers and unpacks each batch into the row once, times
-one coefficient, and _poly_verdict compares the row, kept trimmed as a
-tuple, with the left side.
+(_Terms.held).  Only a failing verdict, or one past a bound (a clique of
+any other size included), builds the right side that a report shows, in
+one row of g.n + 1 coefficients (enough for x**r C(G[N(S)], x) with
+|S| >= r): cliques._Counting.add sums the packed counts as integers and
+unpacks each batch into the row once, times one coefficient, and
+_poly_verdict compares the row, kept trimmed as a tuple, with the left
+side.
 
 The expansion decides each clique alone, on either side of the subset
 table's gate, from the graph's one expansion context (_Terms): C(G)
@@ -74,7 +76,8 @@ The two readings of the expansion coincide on a clique of at most three
 vertices, so the edge-subsets reading takes the cliques reading's verdict
 there, and only a 4-clique has a verdict of its own under it.  Both
 readings build a right side in a row with one routine, which takes the
-reading's family of vertex sets (_expansion_verdict).
+reading's family of vertex sets (_expansion_verdict) and refuses one
+that would sum more than the listing budget's worth of terms.
 Likewise each deck is keyed by r, the size of the clique its members
 delete: the r-deck is the graphs G - v over the vertices for r = 1 and
 G - E(Q) over the r-cliques Q for r >= 2 (G - E(e) over the edges, G - E(d)
@@ -114,6 +117,7 @@ from dataclasses import asdict, dataclass, field
 from math import comb
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from . import cliques
 from .cliques import (
     _PACKED_UNITS,
     Polynomial,
@@ -408,7 +412,12 @@ _GRAPH = _Kind(None, None, lambda g, _: [None])
 _VERTEX = _Kind("v", "v", lambda g, _: range(g.n), _parse_vertex)
 _EDGE = _cliques("e", (2,), "an edge")
 _TRIANGLE = _cliques("delta", (3,), "a triangle")
-_CLIQUE = _cliques("clique", (2, 3, 4), "a clique")
+# the clique kind's sizes, whose expansion _deletion_verdict decides packed: a
+# clique of s vertices sums 1 + sum over odd r of (r - 1) C(s, r) counts on the
+# left and 1 + sum over even r >= 2 of (r - 1) C(s, r) on the right, 9 and 10 at
+# s = 4, within cliques._PACKED_UNITS
+_CLIQUE_SIZES = (2, 3, 4)
+_CLIQUE = _cliques("clique", _CLIQUE_SIZES, "a clique")
 _UNIT = _Kind("unit", "include_unit", lambda g, _: [False])
 
 
@@ -768,12 +777,25 @@ def _render_expansion(interpretation: str) -> Render:
 
 
 def _expansion_verdict(g: Graph, q: tuple[int, ...],
-                       family: Callable[[int], Iterable[Iterable[int]]]) -> Verdict:
+                       family: Callable[[int], Iterable[Iterable[int]]],
+                       width: Optional[Callable[[int], int]] = None) -> Verdict:
     """The verdict of the expansion on the sorted clique q with its right
     side built in one row, under the reading whose vertex sets S of size
     r are family(r): C(G - E(Q)) (the graph's split of q), then one packed
     sum per r from 2 to |q| adds (-1)**r (r - 1) x**r C(G[N(S)]) over
-    them."""
+    them.
+
+    width(r) is how many sets family(r) yields, C(|q|, r) by default (the
+    cliques reading's).  A reading that would sum more than
+    cliques.LISTING_BUDGET terms raises CliqueBudgetExceeded before any
+    count is read: 2**s - s - 1 terms on a clique of s vertices under the
+    cliques reading, so from s = 20 on, and sum over r of C(C(s, 2), C(r, 2))
+    under the edge-subsets reading, so from s = 8 on."""
+    summed = sum(map(width or functools.partial(comb, len(q)), range(2, len(q) + 1)))
+    if summed > cliques.LISTING_BUDGET:
+        raise cliques.CliqueBudgetExceeded(
+            f"expanding C(G) on a clique of {len(q)} vertices would sum {summed} terms, "
+            f"over the budget of {cliques.LISTING_BUDGET}")
     adj = g.adj
     counting = _counting(g)
     read, add = counting.read, counting.add
@@ -789,26 +811,21 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     """The verdict of the expansion's 'edge-subsets' reading for the sorted
     clique q: its vertex sets of size r are the vertex unions of the
     C(r, 2)-edge subsets of Q, cliques or not (C(r, 2) <= C(|q|, 2) edges,
-    whose vertices number at least r).
+    whose vertices number at least r).  The row sums
+    C(C(|q|, 2), C(r, 2)) terms for each r, so a clique of 8 or more
+    vertices is refused (_expansion_verdict).
 
     On a clique of at most three vertices every such union of C(r, 2)
     edges spans exactly r vertices, so the family is the r-subsets of Q, in
     the same order, and the verdict is the cliques reading's: q takes the
-    one verdict that _deletion_verdict keeps for it.  Only a 4-clique,
-    where three edges can span four vertices, is evaluated here."""
+    one verdict that _deletion_verdict keeps for it.  Every larger
+    clique, where three edges can span four vertices, is evaluated here."""
     if len(q) <= 3:
         return _deletion_verdict(g, q)
     edges = list(itertools.combinations(q, 2))
     return _expansion_verdict(g, q, lambda r: ({v for e in s for v in e}
-                                               for s in itertools.combinations(edges, comb(r, 2))))
-
-
-# The largest clique whose expansion sums at most cliques._PACKED_UNITS
-# packed counts a side, each taken |coefficient| times: a clique of s
-# vertices sums 1 + sum over odd r of (r - 1) C(s, r) on the left and
-# 1 + sum over even r >= 2 of (r - 1) C(s, r) on the right: 65 and 66 at
-# s = 6, against 161 and 162 at s = 7.
-_PACKED_CLIQUE_MAX = 6
+                                               for s in itertools.combinations(edges, comb(r, 2))),
+                              width=lambda r: comb(len(edges), comb(r, 2)))
 
 
 class _Terms(dict):
@@ -823,10 +840,10 @@ class _Terms(dict):
     each deck's row keyed by r, the size of the clique its members delete
     (_deck).
 
-    Each clique's verdict stores the clique's own term (_deletion_verdict),
-    so a later clique reads it as a subset's; a subset that no earlier
-    clique supplied, as under a single asked clique, is read on first use
-    (__missing__)."""
+    Each verdict that _deletion_verdict decides packed, of a clique of 2
+    to 4 vertices, stores the clique's own term, so a later clique reads
+    it as a subset's; a subset that no earlier clique supplied, as under a
+    single asked clique, is read on first use (__missing__)."""
 
     __slots__ = ("counting", "whole", "held", "deletions", "decks")
 
@@ -862,55 +879,42 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     triangle identity's as well, and for |q| <= 3 the edge-subsets
     reading's (_clique_deletion_edge_subsets).
 
-    Only q is decided, on either side of the subset table's gate, in one
-    pass: one loop over q for its mask and N(Q), then the graph's split of
-    q (_Counting.split), shared through its splits with the decks and the
-    triangle checks, and q's own term (_Counting.term), which is stored in
-    the graph's one expansion context (_Terms) for every larger clique.
-    A clique of at most _PACKED_CLIQUE_MAX vertices is decided by comparing
-    two packed sums, each term moved to the side where it adds: C(G) plus
-    the odd-r terms against C(G - Q) plus the even-r terms.  Its proper
-    subsets' terms come from the expansion context: those of 2 and 3
-    vertices are added straight to their sides, and only a clique of 5 or
-    6 vertices loops over r >= 4.  A clique of at most one vertex deletes
-    no edge and has no term, so it reads its split alone.  Neither sum
-    carries, so equal sums give the held verdict with nothing unpacked.
-    Where the sums differ (a failing verdict, which a report shows) or the
-    clique is larger, the right side is built in one row
-    (_expansion_verdict).
+    Only q is decided, on either side of the subset table's gate.  A
+    clique of the clique kind's sizes, 2 to 4 vertices (_CLIQUE_SIZES), is
+    decided packed in one pass: one loop over q for its mask and N(Q), then
+    the graph's split of q (_Counting.split), shared through its splits
+    with the decks and the triangle checks, and q's own term
+    (_Counting.term), which is stored in the graph's one expansion context
+    (_Terms) for every larger clique.  Two packed sums are compared, each
+    term moved to the side where it adds: C(G) plus the odd-r terms
+    against C(G - Q) plus the even-r terms.  Q's own term is added to its
+    side, and its proper subsets' terms, of 2 and 3 vertices, are read
+    from the expansion context.  Neither sum carries, so equal sums give
+    the held verdict with nothing unpacked.  Where the sums differ (a
+    failing verdict, which a report shows), and for a clique of any other
+    size, the right side is built in one row (_expansion_verdict), which
+    refuses a clique of 20 or more vertices.
     """
     terms = _terms(g)
     deletions = terms.deletions
     verdict = deletions.get(q)
     if verdict is None:
-        counting = terms.counting
-        adj = counting.adj
-        mask, common = 0, -1
-        for v in q:
-            mask |= 1 << v
-            common &= adj[v]
         size = len(q)
-        if size <= _PACKED_CLIQUE_MAX:
+        if size in _CLIQUE_SIZES:
+            counting = terms.counting
+            adj = counting.adj
+            mask, common = 0, -1
+            for v in q:
+                mask |= 1 << v
+                common &= adj[v]
             rhs = counting.split(mask)
-            own = 0
-            if size > 1:
-                own = terms[q] = counting.term(common, size, size - 1)
-            lhs = terms.whole
+            own = terms[q] = counting.term(common, size, size - 1)
+            lhs, rhs = (terms.whole + own, rhs) if size & 1 else (terms.whole, rhs + own)
             if size > 2:
                 stored = terms.__getitem__
                 rhs += sum(map(stored, itertools.combinations(q, 2)))
                 if size > 3:
                     lhs += sum(map(stored, itertools.combinations(q, 3)))
-                    for r in range(4, size):
-                        side = sum(map(stored, itertools.combinations(q, r)))
-                        if r & 1:
-                            lhs += side
-                        else:
-                            rhs += side
-            if size & 1:
-                lhs += own
-            else:
-                rhs += own
             if lhs == rhs:
                 verdict = terms.held
         if verdict is None:

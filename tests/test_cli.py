@@ -422,6 +422,40 @@ class TestBudgetSkips:
             "56 cliques, over the budget of 20",
         ]
 
+    # the cliques reading of an s-clique sums 2**s - s - 1 terms and the
+    # edge-subsets reading sum over r of C(C(s, 2), C(r, 2)), refused past the budget
+    @pytest.mark.parametrize("n, size, name, terms", [
+        (22, 22, "clique_deletion", 4_194_281),
+        (9, 8, "clique_deletion_edge_subsets", 52_129_355),
+    ])
+    def test_verify_refuses_an_expansion_over_the_budget_before_reading_a_count(
+            self, monkeypatch, capsys, n, size, name, terms):
+        forbid_calls(monkeypatch, cliquekit.cliques._Counting, "split")
+        clique = "-".join(map(str, range(size)))
+        code = main(["verify", "-g", to_graph6(complete_graph(n)), "--identity", name,
+                     "--clique", clique])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"skipped {name}: expanding C(G) on a clique of {size} vertices would sum "
+                   f"{terms} terms, over the budget of {LISTING_BUDGET}\n")
+
+    @pytest.mark.parametrize("n, size, name, terms", [
+        (14, 14, "clique_deletion", 16_369),
+        (9, 7, "clique_deletion_edge_subsets", 462_596),
+    ])
+    def test_verify_builds_an_expansion_within_the_budget(self, monkeypatch, capsys,
+                                                          n, size, name, terms):
+        """Each verifies at the budget, and is refused once the budget,
+        read where the listing budget is read, is one term short."""
+        args = ["verify", "-g", to_graph6(complete_graph(n)), "--identity", name,
+                "--clique", "-".join(map(str, range(size)))]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("clique_deletion params=")
+        assert out.endswith(f"holds={'true' if name == 'clique_deletion' else 'false'}\n")
+        monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", terms - 1)
+        assert main(args) == 2
+        assert f"would sum {terms} terms, over the budget of {terms - 1}" in capsys.readouterr().err
+
     def test_an_invalid_instance_flag_stops_verify_before_any_check_runs(self, monkeypatch,
                                                                           capsys):
         monkeypatch.setattr("cliquekit.cliques.LISTING_BUDGET", 20)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import random
@@ -633,8 +634,8 @@ class TestSharedDeletionRhs:
         four on G(24, 0.8), whose clique number is 9), each decided on a
         fresh Graph and on one where every theorem check has run first, in
         campaign order, so the verdict reads counts that other checks made.
-        A clique of 7 or 8 vertices is past _PACKED_CLIQUE_MAX, so its right
-        side is built in a row."""
+        A clique of 5 to 8 vertices is past the clique kind's sizes, so its
+        right side is built in a row."""
         g = random_gnp(n, p, RngSpec(seed))
         warm = Graph(g.n, g.adj)
         for name in ALL_THEOREMS:
@@ -698,6 +699,18 @@ def dense_twelve_vertex_graphs():
     return [complete_graph(n), matching, *seeded]
 
 
+def assert_packed_matches_the_row(g, cliques):
+    """Ask g for the clique-deletion verdict of each of cliques, in order,
+    and check each against the one _expansion_verdict builds in a row on
+    g; returns the verdicts, some of which must fail."""
+    cd = CHECKS["clique_deletion"]
+    verdicts = [cd.check(g, q) for q in cliques]
+    assert not all(holds for holds, _, _ in verdicts)
+    row = cliquekit.identities._expansion_verdict
+    assert [row(g, q, functools.partial(itertools.combinations, q)) for q in cliques] == verdicts
+    return verdicts
+
+
 class TestPackedVerdicts:
     """Every graph decides its verdicts from packed counts.  Inside the
     subset table's gate they are read from the table; with the gate at 0
@@ -715,10 +728,10 @@ class TestPackedVerdicts:
             assert fresh.n == 0 or fresh.memo.cliques.subset is None
 
     def test_cliques_past_the_weight_bound_match_the_kernel_path(self, monkeypatch):
-        """Cliques of 5 to 12 vertices of K12; those of more than
-        _PACKED_CLIQUE_MAX vertices build their right side in a row, so
-        exactly the cliques of 7 to 12 vertices reach _expansion_verdict,
-        on the table path and on the kernel path."""
+        """Cliques of 5 to 12 vertices of K12; those past the clique kind's
+        sizes, 2 to 4 vertices, build their right side in a row, so every
+        one of them reaches _expansion_verdict, on the table path and on
+        the kernel path."""
         n = cliquekit.cliques._SUBSET_TABLE_MAX_N
         cliques = [tuple(range(size)) for size in range(5, n + 1)]
         sizes = record_calls(monkeypatch, cliquekit.identities, "_expansion_verdict",
@@ -732,60 +745,44 @@ class TestPackedVerdicts:
         packed = reports()
         assert all(report.holds for report in packed)
         assert packed[-1].lhs == [comb(n, k) for k in range(n + 1)]
-        assert sizes == list(range(7, n + 1))
+        assert sizes == list(range(5, n + 1))
         monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", 0)
         sizes.clear()
         assert reports() == packed
-        assert sizes == list(range(7, n + 1))
+        assert sizes == list(range(5, n + 1))
 
     def test_a_wrong_table_fails_alike_on_both_paths(self, monkeypatch):
-        """With the subset table of G - e in place of G's, the expansion
-        fails on some cliques, and each verdict, decided from packed sums,
-        equals the one whose right side is built in a row from the same
-        table once _PACKED_CLIQUE_MAX is 0: a packed sum that says "holds"
-        where the sides differ shows here."""
+        """With the counts of G - e in place of G's, read from G - e's
+        subset table or, with the gate at 0, by the kernel over G - e's
+        rows, the expansion fails on some cliques, and each verdict,
+        decided from packed sums, equals the one whose right side
+        _expansion_verdict builds in a row from the same counts: a packed
+        sum that says "holds" where the sides differ shows here."""
         g = random_gnp(9, 0.7, RngSpec(9))
         h = delete_edge(g, g.edges()[0])
         cd = CHECKS["clique_deletion"]
-
-        def verdicts():
-            wrong = with_counts_of(g, h)
-            return [cd.check(wrong, q) for q in cd.params(wrong, None)]
-
-        packed = verdicts()
-        assert not all(holds for holds, _, _ in packed)
-        monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
-        assert verdicts() == packed
+        for gate in (cliquekit.cliques._SUBSET_TABLE_MAX_N, 0):
+            monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", gate)
+            assert_packed_matches_the_row(with_counts_of(g, h), cd.params(g, None))
 
     def test_wrong_counts_fail_cliques_of_5_and_6_vertices_alike_on_both_paths(self, monkeypatch):
         """With every count of G read as G - e's, from G - e's subset table
         or, with the gate at 0, by the kernel over G - e's rows, the
         expansion holds on some cliques of 5 and of 6 vertices and fails on
-        others.  Asked in campaign order, smallest first, each clique of 5
-        or 6 vertices adds its stored subsets' terms of 4 and 5 vertices in
-        the r >= 4 loop; every verdict, decided packed, equals the one whose
-        right side is built in a row from the same counts once
-        _PACKED_CLIQUE_MAX is 0, on both paths alike."""
+        others.  Asked in campaign order, smallest first, the cliques of 2
+        to 4 vertices are decided packed and those of 5 and 6 in a row;
+        every verdict equals the one whose right side _expansion_verdict
+        builds in a row from the same counts, on both paths alike."""
         g = random_gnp(10, 0.8, RngSpec(2))
         h = delete_edge(g, g.edges()[0])
-        cd = CHECKS["clique_deletion"]
         cliques = [q for size in range(2, 7) for q in naive_cliques_of_size(g, size)]
-
-        def verdicts():
+        for gate in (cliquekit.cliques._SUBSET_TABLE_MAX_N, 0):
+            monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", gate)
             wrong = with_counts_of(g, h)
-            return [cd.check(wrong, q) for q in cliques]
-
-        packed = verdicts()
-        assert {(len(q), verdict[0]) for q, verdict in zip(cliques, packed) if len(q) > 4} \
-            == {(5, True), (5, False), (6, True), (6, False)}
-        with monkeypatch.context() as patched:
-            patched.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
-            assert verdicts() == packed
-        monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", 0)
-        assert verdicts() == packed
-        assert with_counts_of(g, h).memo.cliques.subset is None
-        monkeypatch.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
-        assert verdicts() == packed
+            verdicts = assert_packed_matches_the_row(wrong, cliques)
+            assert {(len(q), verdict[0]) for q, verdict in zip(cliques, verdicts) if len(q) > 4} \
+                == {(5, True), (5, False), (6, True), (6, False)}
+            assert (wrong.memo.cliques.subset is None) == (gate == 0)
 
     @staticmethod
     def row_built(g, name, p):
@@ -888,29 +885,28 @@ class TestPackedVerdicts:
         assert (units, lane(0), lane(1), lane(12), lane(13), lane(MAX_VERTICES)) \
             == (70, 7, 7, 16, 17, 67)
 
-    def test_the_packed_clique_cap_follows_from_the_carry_bound(self):
-        """_PACKED_CLIQUE_MAX is the largest s whose expansion sums at most
-        _PACKED_UNITS packed counts a side, each taken |coefficient| times:
-        1 + sum over odd r of (r - 1) C(s, r) on the left and 1 + sum over
-        even r >= 2 of (r - 1) C(s, r) on the right, which grow with s.
-        So the two constants cannot be changed apart: a cap above this s
-        would let a clique's packed sums carry."""
-        def side_units(s):
-            return tuple(1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
-                         for parity in (1, 0))
-
-        units = cliquekit.cliques._PACKED_UNITS
-        largest = max(s for s in range(1, MAX_VERTICES + 1) if max(side_units(s)) <= units)
-        assert largest == cliquekit.identities._PACKED_CLIQUE_MAX
-        assert (side_units(6), side_units(7)) == ((65, 66), (161, 162))
+    def test_the_clique_kinds_sizes_sum_within_the_carry_bound(self):
+        """_deletion_verdict decides packed exactly the clique kind's sizes,
+        whose expansion sums, each count taken |coefficient| times,
+        1 + sum over odd r of (r - 1) C(s, r) counts on the left and
+        1 + sum over even r >= 2 of (r - 1) C(s, r) on the right: 9 and 10
+        at the largest, s = 4, within _PACKED_UNITS, so neither packed sum
+        carries."""
+        sizes = cliquekit.identities._CLIQUE_SIZES
+        s = max(sizes)
+        sides = tuple(1 + sum((r - 1) * comb(s, r) for r in range(2, s + 1) if r % 2 == parity)
+                      for parity in (1, 0))
+        assert (sizes, sides) == ((2, 3, 4), (9, 10))
+        assert max(sides) <= cliquekit.cliques._PACKED_UNITS
 
     @pytest.mark.parametrize("n", [13, 20, MAX_VERTICES])
-    def test_complete_graphs_above_the_gate_match_closed_forms(self, n, monkeypatch):
+    def test_complete_graphs_above_the_gate_match_closed_forms(self, n):
         """On K_n, with q = |Q| and s = |S|, C(K_n) = (1 + x)**n,
         C(K_n - E(Q)) = (1 + x)**(n - q) (1 + qx) and
         C(K_n[N(S)]) = (1 + x)**(n - s).  The packed reads of every term of
-        the expansion of a clique of 2 to 6 vertices, and its verdict with
-        the right side decided packed and built in a row, match these.  K64's
+        the expansion of a clique of 2 to 6 vertices, and its verdict as
+        the catalog decides it and as _expansion_verdict builds it in a
+        row, match these.  K64's
         coefficients reach C(64, 32) > 2**60, so a lane too narrow for them
         garbles every unpacked side."""
         cd = CHECKS["clique_deletion"]
@@ -936,9 +932,9 @@ class TestPackedVerdicts:
                                                for c in binomial(n - r)])
             assert rhs == binomial(n)
             assert cd.check(Graph(n, g.adj), clique) == (True, rhs, tuple(rhs))
-            with monkeypatch.context() as patched:
-                patched.setattr(cliquekit.identities, "_PACKED_CLIQUE_MAX", 0)
-                assert cd.check(Graph(n, g.adj), clique) == (True, rhs, tuple(rhs))
+            assert cliquekit.identities._expansion_verdict(
+                Graph(n, g.adj), clique, functools.partial(itertools.combinations, clique)) \
+                == (True, rhs, tuple(rhs))
 
 
 class TestTriangleIdentity:
