@@ -90,7 +90,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import MAX_VERTICES, Graph, common_neighborhood_bits
+from .graphs import MAX_VERTICES, Graph, _integer, _vertex, common_neighborhood_bits
 
 Clique = tuple[int, ...]
 Polynomial = list[int]
@@ -245,7 +245,7 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     listing leaves no reference cycle and its lists are freed as soon as
     the catalog is dropped.
     """
-    limit = g.n if k_max is None else max(0, min(k_max, g.n))
+    limit = g.n if k_max is None else max(0, min(_integer(k_max, "k_max"), g.n))
     _require_listing_budget(g, limit)
     per: list[list[Clique]] = [[] for _ in range(limit + 1)]
     masks = [array("Q") for _ in range(limit + 1)]
@@ -347,7 +347,7 @@ def clique_counts_in(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     count and packed once.  The count is decoded once, by _coefficients.
     """
     limit = min(len(adj), MAX_VERTICES)
-    if mask < 0 or mask >> limit:
+    if _integer(mask, "mask") < 0 or mask >> limit:
         raise ValueError(f"mask has bits outside 0..{limit - 1}")
     lane = _lane(limit)
     return tuple(_coefficients(_poly_of(adj, mask, {}, lane), lane))[1:]
@@ -638,7 +638,7 @@ def clique_counts(g: Graph) -> tuple[int, ...]:
 
 
 def clique_count(g: Graph, k: int) -> int:
-    if k < 0:
+    if _integer(k, "clique size") < 0:
         raise ValueError("clique size must be nonnegative")
     if k == 0:
         return 1
@@ -654,14 +654,13 @@ def clique_polynomial(g: Graph) -> Polynomial:
 def is_clique(g: Graph, vertices) -> bool:
     """Whether the distinct vertices form a nonempty clique: the set's mask
     lies in the closed neighbourhood of each of its vertices.  Every id is
-    range-checked first, so an id out of range raises even where ids repeat."""
+    checked (graphs._vertex) first, so an id out of range raises even where
+    ids repeat."""
     vs = tuple(vertices)
     mask = 0
     common = -1  # the vertices in every closed neighbourhood N[v] seen so far
     for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        bit = 1 << v
+        bit = 1 << _vertex(g.n, v)
         mask |= bit
         common &= g.adj[v] | bit
     return 0 < mask.bit_count() == len(vs) and common & mask == mask
@@ -747,7 +746,7 @@ def poly_sum(ps) -> Polynomial:
 
 def poly_derivative(p: Polynomial, order: int = 1) -> Polynomial:
     """Formal derivative taken `order` times."""
-    if order < 1:
+    if _integer(order, "derivative order") < 1:
         raise ValueError("derivative order must be >= 1")
     cur = list(p)
     for _ in range(order):
@@ -761,7 +760,7 @@ def poly_divided_derivative(p: Polynomial, order: int) -> Polynomial:
     Coefficient j of the result is C(j + order, order) * p[j + order], which is
     an integer for any integer polynomial.
     """
-    if order < 0:
+    if _integer(order, "derivative order") < 0:
         raise ValueError("derivative order must be >= 0")
     return poly_normalize(
         [comb(j + order, order) * p[j + order] for j in range(len(p) - order)]
@@ -776,7 +775,7 @@ def poly_reverse(p: Polynomial, n: int, include_unit: bool = False) -> Polynomia
     """
     norm = poly_normalize(p)
     degree = len(norm) - 1
-    if degree > n:
+    if degree > _integer(n, "base"):
         raise ValueError(f"base {n} is smaller than the polynomial degree {degree}")
     out = [0] * (n + 1)
     for k, c in enumerate(norm):

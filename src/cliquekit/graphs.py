@@ -37,6 +37,21 @@ class EdgeRef(NamedTuple):
     v: int
 
 
+def _integer(value, what: str) -> int:
+    """value, if it is an int and not a bool; otherwise a ValueError naming what."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _vertex(n: int, v) -> int:
+    """v, if it is a vertex id of a graph on n vertices: an int, not a bool, in
+    0..n-1.  The one check of an id that enters from outside the package."""
+    if not 0 <= _integer(v, "vertex id") < n:
+        raise ValueError(f"vertex {v} out of range")
+    return v
+
+
 def edge(u: int, v: int) -> EdgeRef:
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
@@ -126,7 +141,7 @@ class Graph:
     m: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
+        if not 0 <= _integer(self.n, "vertex count") <= MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if not isinstance(self.adj, tuple):
             object.__setattr__(self, "adj", tuple(self.adj))
@@ -141,12 +156,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        rows = [0] * _integer(n, "vertex count")
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
+            u, v = edge(_vertex(n, u), _vertex(n, v))
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
@@ -314,9 +326,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Induced subgraph on V - {v}; vertices above v shift down by one."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    low = (1 << v) - 1
+    low = (1 << _vertex(g.n, v)) - 1
     rows = []
     for u in range(g.n):
         if u == v:
@@ -341,11 +351,13 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 def delete_edge_set(g: Graph, edge_set: Iterable[tuple[int, int]]) -> Graph:
     """Delete exactly the given edges, keeping every vertex.
 
-    A self-loop or a pair that is not an edge of g raises ValueError.
+    Every id is checked (_vertex) before any edge is read, so an id out of
+    range is refused first; then a self-loop, then a pair that is not an edge
+    of g, raises ValueError.
     """
     rows = list(g.adj)
-    for u, v in {edge(u, v) for u, v in edge_set}:
-        if not (0 <= u and v < g.n and g.adj[u] >> v & 1):
+    for u, v in {edge(_vertex(g.n, u), _vertex(g.n, v)) for u, v in edge_set}:
+        if not g.adj[u] >> v & 1:
             raise ValueError(f"({u}, {v}) is not an edge of the graph")
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -354,9 +366,7 @@ def delete_edge_set(g: Graph, edge_set: Iterable[tuple[int, int]]) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Induced subgraph on the given vertex set, re-indexed in sorted order."""
-    vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError("vertex id out of range")
+    vs = sorted({_vertex(g.n, v) for v in vertices})
     rows = []
     for a in vs:
         r = 0
@@ -371,9 +381,8 @@ def common_neighborhood_bits(g: Graph, vertices: Iterable[int]) -> int:
     """Bitmask of the vertices adjacent to every member of the (nonempty) set."""
     acc = None
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        acc = g.adj[v] if acc is None else acc & g.adj[v]
+        row = g.adj[_vertex(g.n, v)]
+        acc = row if acc is None else acc & row
     if acc is None:
         raise ValueError("common neighborhood of the empty set is rejected")
     return acc
@@ -443,7 +452,7 @@ class Splitmix64:
     """
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= seed <= _MASK64:
+        if not 0 <= _integer(seed, "seed") <= _MASK64:
             raise ValueError(f"seed {seed} outside 0..2**64-1")
         self._state = seed
 
@@ -465,7 +474,7 @@ def random_gnp(n: int, p: float, rng: RngSpec) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    if not 0 <= n <= MAX_VERTICES:
+    if not 0 <= _integer(n, "vertex count") <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
     threshold = int(p * 2.0**64)
     stream = Splitmix64(rng.seed)

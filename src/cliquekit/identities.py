@@ -96,11 +96,14 @@ check stated only for graphs with no 5-clique is wrapped so that its lister
 lists nothing on any other graph (_k5_free).
 An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
-kind: ids and k are ints, and a vertex set of a clique kind is read by one
-rule, so an edge, a triangle and a clique are rejected alike: first a wrong
-number of ids, then an id out of range, then ids that repeat a vertex or
-miss an edge, as not an edge, a triangle or a clique of the graph.  A
-clique is returned as a plain tuple, sorted.
+kind.  k is an int (graphs._integer), and every vertex id is read by the
+package's one rule for ids, graphs._vertex: the vertex kind calls it, and
+is_clique calls it for each id of a clique kind.  A vertex set of a clique
+kind is read by one rule, so an edge, a triangle and a clique are rejected
+alike: first a wrong number of ids, then an id that is not an int or is out
+of range, then ids that repeat a vertex or miss an edge, as not an edge, a
+triangle or a clique of the graph.  A clique is returned as a plain tuple,
+sorted.
 A body that reads N(Q) of every clique of a size (the handshake, the
 derivative formulas and conjecture 2's test) reads it from the catalog,
 which keeps it beside each clique (CliqueCatalog.common_neighborhoods), so
@@ -132,7 +135,7 @@ from .cliques import (
     poly_normalize,
     poly_reverse,
 )
-from .graphs import Graph, _vertex_mask, edge, is_connected
+from .graphs import Graph, _integer, _vertex, _vertex_mask, edge, is_connected
 
 Side = Union[int, list, tuple, None]
 Verdict = tuple[Optional[bool], Side, Side]  # (holds, lhs, rhs); holds None: does not apply
@@ -327,33 +330,21 @@ def _deck_verdict(g: Graph, r: int, k: int) -> Verdict:
 
 # -- instances ----------------------------------------------------------------
 
-def _integer(value, what: str) -> int:
-    """value, if it is an int and not a bool; otherwise a ValueError naming what."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
-    """raw as a tuple of count vertex ids (any number if count is None); a
-    verify flag gives them dash-separated."""
+    """raw as a tuple of count vertex ids (any number if count is None),
+    unchecked until is_clique reads them; a verify flag gives them
+    dash-separated."""
     if isinstance(raw, str):
         try:
             ids = tuple(int(tok) for tok in raw.split("-"))
         except ValueError:
             raise ValueError(f"expected dash-separated vertex ids, got {raw!r}") from None
     else:
-        ids = tuple(_integer(v, "vertex id") for v in raw)
+        ids = tuple(raw)
     if count is not None and len(ids) != count:
         shown = raw if isinstance(raw, str) else ids
         raise ValueError(f"expected {count} vertex ids in {shown!r}")
     return ids
-
-
-def _parse_vertex(g: Graph, v: int) -> int:
-    if not 0 <= _integer(v, "vertex id") < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return v
 
 
 class _Kind(NamedTuple):
@@ -409,7 +400,7 @@ def _k5_free(kind: _Kind) -> _Kind:
 
 
 _GRAPH = _Kind(None, None, lambda g, _: [None])
-_VERTEX = _Kind("v", "v", lambda g, _: range(g.n), _parse_vertex)
+_VERTEX = _Kind("v", "v", lambda g, _: range(g.n), lambda g, v: _vertex(g.n, v))
 _EDGE = _cliques("e", (2,), "an edge")
 _TRIANGLE = _cliques("delta", (3,), "a triangle")
 # the clique kind's sizes, whose expansion _deletion_verdict decides packed: a
@@ -745,12 +736,9 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     An edge set is this function's own kind of instance: it is parsed here
     into the sorted clique it spans, the form the catalog lists.
     """
-    normalized = {edge(_integer(u, "vertex id"), _integer(v, "vertex id")) for u, v in edge_set}
+    normalized = {edge(_vertex(g.n, u), _vertex(g.n, v)) for u, v in edge_set}
     support = sorted({v for e in normalized for v in e})
     q = len(support)
-    for v in support:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
     # every pair of normalized lies in support, so it holds them all iff it has C(q, 2)
     if len(normalized) != comb(q, 2):
         raise ValueError("edge set does not induce a complete subgraph")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cliques import enumerate_cliques
-from .graphs import Graph, bits
+from .graphs import Graph, _integer, bits
 
 KIND_SUBCLIQUE_SUPERCLIQUE = "subclique-superclique"
 KIND_VERTEX_DECK = "vertex-deck"
@@ -228,7 +228,7 @@ def _column_size(kind: str, k: int) -> int:
     """The size of the column cliques of the kind matrix of order k.  Raises
     ValueError below the kind's smallest order: 1, or j for a deck of j-cliques."""
     size = _KINDS[kind][1]
-    if k < (size or 1):
+    if _integer(k, "order k") < (size or 1):
         raise ValueError(f"order k must be >= {size or 1}")
     return size or k + 1
 

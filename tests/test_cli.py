@@ -730,7 +730,7 @@ def record_kernel_frames(monkeypatch) -> list[tuple[str, tuple[int, int]]]:
     """Record (caller, (id(adj), cand)) of every _poly_of frame: the kernel's
     reads are those whose caller is a graph's packed reader, read."""
     return record_calls(monkeypatch, cliquekit.cliques, "_poly_of",
-                        lambda adj, cand, memo, lane: (id(adj), cand), caller=True)
+                        lambda adj, cand, *_: (id(adj), cand), caller=True)
 
 
 def test_campaign_kernel_calls_are_pinned(monkeypatch, capsys):

@@ -125,17 +125,46 @@ class TestGraphInvariants:
 
     @pytest.mark.parametrize("build, message", [
         (lambda: edge(3, 3), "self-loop at vertex 3"),
-        (lambda: Graph.from_edges(3, [(0, 5)]), "edge (0, 5) outside 0..2"),
+        (lambda: Graph.from_edges(3, [(0, 5)]), "vertex 5 out of range"),
         (lambda: cycle_graph(2), "cycle needs at least 3 vertices"),
         (lambda: disjoint_union(complete_graph(40), complete_graph(30)),
          "union exceeds the vertex cap"),
-        (lambda: induced_subgraph(complete_graph(3), [5]), "vertex id out of range"),
+        (lambda: induced_subgraph(complete_graph(3), [5]), "vertex 5 out of range"),
         (lambda: common_neighborhood_bits(complete_graph(3), [9]), "vertex 9 out of range"),
         (lambda: random_gnp(65, 0.5, RngSpec(1)), "vertex count 65 outside 0..64"),
         (lambda: parse_edge_list("x\n"), "vertex count is not an integer: 'x'"),
         (lambda: parse_edge_list("65\n"), "vertex count 65 outside 0..64"),
+        # a float or a bool id or size is refused by graphs._integer, through
+        # graphs._vertex for an id
+        (lambda: Graph(2.0, (0, 0)), "vertex count must be an integer, got 2.0"),
+        (lambda: Graph(True, (0,)), "vertex count must be an integer, got True"),
+        (lambda: Graph.from_edges(2.0, []), "vertex count must be an integer, got 2.0"),
+        (lambda: Graph.from_edges(3, [(0, 1.5)]), "vertex id must be an integer, got 1.5"),
+        (lambda: Graph.from_edges(3, [(True, 0)]), "vertex id must be an integer, got True"),
+        (lambda: delete_vertex(complete_graph(3), 0.5), "vertex id must be an integer, got 0.5"),
+        (lambda: delete_vertex(complete_graph(3), True), "vertex id must be an integer, got True"),
+        (lambda: delete_edge_set(cycle_graph(5), [(0.0, 1)]),
+         "vertex id must be an integer, got 0.0"),
+        (lambda: delete_edge_set(cycle_graph(5), [(True, 2)]),
+         "vertex id must be an integer, got True"),
+        (lambda: induced_subgraph(complete_graph(3), [0.5]),
+         "vertex id must be an integer, got 0.5"),
+        (lambda: induced_subgraph(complete_graph(3), [True]),
+         "vertex id must be an integer, got True"),
+        (lambda: common_neighborhood_bits(complete_graph(3), [0.5]),
+         "vertex id must be an integer, got 0.5"),
+        (lambda: common_neighborhood_bits(complete_graph(3), [True]),
+         "vertex id must be an integer, got True"),
+        (lambda: random_gnp(3.5, 0.5, RngSpec(1)), "vertex count must be an integer, got 3.5"),
+        (lambda: random_gnp(True, 0.5, RngSpec(1)), "vertex count must be an integer, got True"),
+        (lambda: Splitmix64(1.5), "seed must be an integer, got 1.5"),
+        (lambda: Splitmix64(True), "seed must be an integer, got True"),
     ], ids=["edge-self-loop", "from-edges-range", "short-cycle", "union-cap",
-            "induced-range", "common-range", "gnp-n65", "edge-list-count", "edge-list-n65"])
+            "induced-range", "common-range", "gnp-n65", "edge-list-count", "edge-list-n65",
+            "graph-n-float", "graph-n-bool", "from-edges-n-float", "from-edges-float", "from-edges-bool",
+            "delete-vertex-float", "delete-vertex-bool", "delete-edge-set-float",
+            "delete-edge-set-bool", "induced-float", "induced-bool", "common-float",
+            "common-bool", "gnp-n-float", "gnp-n-bool", "seed-float", "seed-bool"])
     def test_an_invalid_argument_is_refused_with_its_message(self, build, message):
         assert raised_message(build) == message
 

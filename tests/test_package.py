@@ -160,3 +160,19 @@ def test_the_counting_state_splits_in_one_body():
                             if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
                             and isinstance(node.value, ast.Attribute) and node.value.attr == "splits"}
     assert writers == {("cliques", "split")}
+
+
+def test_a_vertex_id_is_checked_in_one_body():
+    """graphs._vertex is the only function that refuses a vertex out of range:
+    every other entry point calls it, and the identity layer keeps no copy of
+    it or of the integer rule (graphs._integer)."""
+    raisers = set()
+    for path in SRC.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                raisers |= {(path.stem, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Raise) and "out of range" in ast.unparse(node)}
+    assert raisers == {("graphs", "_vertex")}
+    identities = ast.parse((SRC / "identities.py").read_text())
+    defined = {node.name for node in ast.walk(identities) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_integer", "_parse_vertex"}
