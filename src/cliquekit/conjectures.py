@@ -23,16 +23,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from math import inf
 from typing import Callable, Iterator, Optional
 
 from .cliques import CliqueBudgetExceeded
 from .graphs import (
-    MAX_VERTICES,
     RNG_ALGORITHM,
     Graph,
     RngSpec,
     Splitmix64,
+    _integer,
+    _probability,
+    _seed,
+    _vertex_count,
     delete_edge,
     delete_vertex,
     parse_graph6,
@@ -107,22 +109,14 @@ def shrink_counterexample(g: Graph, check: str, params: Optional[dict] = None) -
 
 # -- campaigns ----------------------------------------------------------------------
 
-def _require_type(name: str, value, ends, kind=int, noun: str = "ints") -> None:
-    """ValueError naming the config field unless each of ends is of kind (a
-    bool is not an int)."""
-    if any(isinstance(end, bool) or not isinstance(end, kind) for end in ends):
-        raise ValueError(f"{name} takes {noun} only, got {value!r}")
-
-
-def _require_range(name: str, value, what: str, bounds=(-inf, inf), kind=int,
-                   noun: str = "ints") -> None:
-    """ValueError naming the config field unless value is a pair (lo, hi)
-    whose ends are of kind (_require_type); then ValueError naming what
-    range it is unless lo <= hi, both within bounds."""
+def _require_range(name: str, value, what: str, end: Callable) -> None:
+    """ValueError naming the config field unless value is a pair (lo, hi);
+    then each end is checked by its kind's rule in cliquekit.graphs (end),
+    and ValueError naming what range it is unless lo <= hi."""
     if not isinstance(value, (tuple, list)) or len(value) != 2:
         raise ValueError(f"{name} takes a pair (lo, hi), got {value!r}")
-    _require_type(name, value, value, kind, noun)
-    if not bounds[0] <= value[0] <= value[1] <= bounds[1]:
+    lo, hi = map(end, value)
+    if lo > hi:
         raise ValueError(f"invalid {what} range {value}")
 
 
@@ -146,20 +140,17 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         """Raise ValueError if the config is invalid; store its checks
         resolved (resolve_checks) and its ranges as tuples."""
-        _require_range("n_range", self.n_range, "vertex", (0, MAX_VERTICES))
-        _require_range("p_range", self.p_range, "probability", (0.0, 1.0), (int, float),
-                       "numbers")
-        _require_type("samples", self.samples, (self.samples,))
-        if self.samples < 1:
+        _require_range("n_range", self.n_range, "vertex", _vertex_count)
+        _require_range("p_range", self.p_range, "probability", _probability)
+        if _integer(self.samples, "samples") < 1:
             raise ValueError("sample count must be >= 1")
-        _require_type("rng", self.rng, (self.rng,), RngSpec, "an RngSpec")
-        _require_type("rng seed", self.rng.seed, (self.rng.seed,))
-        if not 0 <= self.rng.seed < 1 << 64:
-            raise ValueError(f"rng seed {self.rng.seed} outside 0..2**64-1")
+        if not isinstance(self.rng, RngSpec):
+            raise ValueError(f"rng takes an RngSpec only, got {self.rng!r}")
+        _seed(self.rng.seed)
         if not isinstance(self.shrink, bool):
             raise ValueError(f"shrink takes a bool, got {self.shrink!r}")
         if self.k_range is not None:
-            _require_range("k_range", self.k_range, "k")
+            _require_range("k_range", self.k_range, "k", lambda k: _integer(k, "k"))
         if isinstance(self.checks, str):
             raise ValueError(f"checks takes a sequence of ids, got the string {self.checks!r}")
         names = resolve_checks(self.checks)

@@ -52,6 +52,30 @@ def _vertex(n: int, v) -> int:
     return v
 
 
+def _vertex_count(n) -> int:
+    """n, if it is a vertex count: an int, not a bool, in 0..MAX_VERTICES.
+    The one check of a count that enters from outside the package."""
+    if not 0 <= _integer(n, "vertex count") <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    return n
+
+
+def _probability(p) -> float:
+    """p, if it is an edge probability: an int or a float, not a bool, in
+    [0, 1] (NaN is refused).  The one check of a probability."""
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0 <= p <= 1:
+        raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
+    return p
+
+
+def _seed(seed) -> int:
+    """seed, if it is a splitmix64 seed: an int, not a bool, in 0..2**64-1
+    (a seed outside would alias one inside).  The one check of a seed."""
+    if not 0 <= _integer(seed, "seed") <= _MASK64:
+        raise ValueError(f"seed {seed} outside 0..2**64-1")
+    return seed
+
+
 def edge(u: int, v: int) -> EdgeRef:
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
@@ -141,8 +165,7 @@ class Graph:
     m: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= _integer(self.n, "vertex count") <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _vertex_count(self.n)
         if not isinstance(self.adj, tuple):
             object.__setattr__(self, "adj", tuple(self.adj))
         adj = self.adj
@@ -156,7 +179,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * _integer(n, "vertex count")
+        rows = [0] * _vertex_count(n)
         for u, v in edges:
             u, v = edge(_vertex(n, u), _vertex(n, v))
             rows[u] |= 1 << v
@@ -174,13 +197,13 @@ class Graph:
         return _Memo()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        return bool(self.adj[_vertex(self.n, u)] >> _vertex(self.n, v) & 1)
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.adj[_vertex(self.n, v)].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
+        return list(bits(self.adj[_vertex(self.n, v)]))
 
     def edges(self) -> list[EdgeRef]:
         """The edges in lexicographic order, listed anew on every call."""
@@ -194,32 +217,30 @@ class Graph:
 # -- named small graphs -----------------------------------------------------
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph(n, (0,) * _vertex_count(n))
 
 
 def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
+    full = (1 << _vertex_count(n)) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, [(i, i + 1) for i in range(_vertex_count(n) - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if _vertex_count(n) < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices with center 0."""
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return Graph.from_edges(n, [(0, i) for i in range(1, _vertex_count(n))])
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise ValueError("union exceeds the vertex cap")
     rows = list(g.adj) + [row << g.n for row in h.adj]
     return Graph(g.n + h.n, tuple(rows))
 
@@ -300,9 +321,10 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise GraphFormatError(f"vertex count is not an integer: {lines[0]!r}") from None
-    if not 0 <= n <= MAX_VERTICES:
-        raise GraphFormatError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    rows = [0] * n
+    try:
+        rows = [0] * _vertex_count(n)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -313,10 +335,10 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer token in {line!r}") from None
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"line {lineno}: vertex id outside 0..{n - 1}")
+        try:
+            u, v = edge(_vertex(n, u), _vertex(n, v))
+        except ValueError as exc:
+            raise GraphFormatError(f"line {lineno}: {exc}") from None
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
@@ -448,13 +470,11 @@ class RngSpec:
 class Splitmix64:
     """The splitmix64 generator: 64-bit state, platform-independent output.
 
-    The seed must lie in 0..2**64-1; a seed outside would alias one inside.
+    The seed must lie in 0..2**64-1 (_seed).
     """
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= _integer(seed, "seed") <= _MASK64:
-            raise ValueError(f"seed {seed} outside 0..2**64-1")
-        self._state = seed
+        self._state = _seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -472,13 +492,9 @@ def random_gnp(n: int, p: float, rng: RngSpec) -> Graph:
     The threshold is exact for any float p (multiplying a double by 2**64
     only shifts its exponent), so p = 0 and p = 1 behave exactly.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
-    if not 0 <= _integer(n, "vertex count") <= MAX_VERTICES:
-        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-    threshold = int(p * 2.0**64)
+    threshold = int(_probability(p) * 2.0**64)
+    rows = [0] * _vertex_count(n)
     stream = Splitmix64(rng.seed)
-    rows = [0] * n
     for u in range(n - 1):
         for v in range(u + 1, n):
             if stream.next_u64() < threshold:

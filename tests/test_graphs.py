@@ -27,6 +27,7 @@ from cliquekit import (
     parse_graph6,
     path_graph,
     random_gnp,
+    star_graph,
     to_graph6,
     triangle_graph,
     triangles,
@@ -128,12 +129,14 @@ class TestGraphInvariants:
         (lambda: Graph.from_edges(3, [(0, 5)]), "vertex 5 out of range"),
         (lambda: cycle_graph(2), "cycle needs at least 3 vertices"),
         (lambda: disjoint_union(complete_graph(40), complete_graph(30)),
-         "union exceeds the vertex cap"),
+         "vertex count 70 outside 0..64"),
         (lambda: induced_subgraph(complete_graph(3), [5]), "vertex 5 out of range"),
         (lambda: common_neighborhood_bits(complete_graph(3), [9]), "vertex 9 out of range"),
         (lambda: random_gnp(65, 0.5, RngSpec(1)), "vertex count 65 outside 0..64"),
         (lambda: parse_edge_list("x\n"), "vertex count is not an integer: 'x'"),
         (lambda: parse_edge_list("65\n"), "vertex count 65 outside 0..64"),
+        (lambda: parse_edge_list("3\n0 5"), "line 2: vertex 5 out of range"),
+        (lambda: parse_edge_list("3\n5 5"), "line 2: vertex 5 out of range"),
         # a float or a bool id or size is refused by graphs._integer, through
         # graphs._vertex for an id
         (lambda: Graph(2.0, (0, 0)), "vertex count must be an integer, got 2.0"),
@@ -159,12 +162,42 @@ class TestGraphInvariants:
         (lambda: random_gnp(True, 0.5, RngSpec(1)), "vertex count must be an integer, got True"),
         (lambda: Splitmix64(1.5), "seed must be an integer, got 1.5"),
         (lambda: Splitmix64(True), "seed must be an integer, got True"),
+        # a probability that is not an int or a float, or is a bool, is refused
+        # by graphs._probability, never read as a number
+        (lambda: random_gnp(5, "a", RngSpec(1)),
+         "edge probability must be a number in [0, 1], got 'a'"),
+        (lambda: random_gnp(5, None, RngSpec(1)),
+         "edge probability must be a number in [0, 1], got None"),
+        (lambda: random_gnp(5, True, RngSpec(1)),
+         "edge probability must be a number in [0, 1], got True"),
+        (lambda: random_gnp(5, float("nan"), RngSpec(1)),
+         "edge probability must be a number in [0, 1], got nan"),
+        # each named builder reads its size by graphs._vertex_count
+        (lambda: empty_graph(2.5), "vertex count must be an integer, got 2.5"),
+        (lambda: complete_graph(2.5), "vertex count must be an integer, got 2.5"),
+        (lambda: path_graph(2.5), "vertex count must be an integer, got 2.5"),
+        (lambda: cycle_graph(2.5), "vertex count must be an integer, got 2.5"),
+        (lambda: star_graph(2.5), "vertex count must be an integer, got 2.5"),
+        (lambda: complete_graph(-1), "vertex count -1 outside 0..64"),
+        # a Graph method reads each id by graphs._vertex: a negative id is not
+        # another vertex's row
+        (lambda: complete_graph(4).has_edge(-1, 0), "vertex -1 out of range"),
+        (lambda: complete_graph(4).has_edge(0, 70), "vertex 70 out of range"),
+        (lambda: complete_graph(4).degree(-1), "vertex -1 out of range"),
+        (lambda: complete_graph(4).degree(70), "vertex 70 out of range"),
+        (lambda: complete_graph(4).neighbors(-1), "vertex -1 out of range"),
+        (lambda: complete_graph(4).neighbors(70), "vertex 70 out of range"),
     ], ids=["edge-self-loop", "from-edges-range", "short-cycle", "union-cap",
             "induced-range", "common-range", "gnp-n65", "edge-list-count", "edge-list-n65",
+            "edge-list-range", "edge-list-loop-range",
             "graph-n-float", "graph-n-bool", "from-edges-n-float", "from-edges-float", "from-edges-bool",
             "delete-vertex-float", "delete-vertex-bool", "delete-edge-set-float",
             "delete-edge-set-bool", "induced-float", "induced-bool", "common-float",
-            "common-bool", "gnp-n-float", "gnp-n-bool", "seed-float", "seed-bool"])
+            "common-bool", "gnp-n-float", "gnp-n-bool", "seed-float", "seed-bool",
+            "gnp-p-str", "gnp-p-none", "gnp-p-bool",
+            "gnp-p-nan", "empty-float", "complete-float", "path-float", "cycle-float",
+            "star-float", "complete-negative", "has-edge-negative", "has-edge-large",
+            "degree-negative", "degree-large", "neighbors-negative", "neighbors-large"])
     def test_an_invalid_argument_is_refused_with_its_message(self, build, message):
         assert raised_message(build) == message
 
@@ -315,7 +348,7 @@ class TestEdgeList:
         assert g.m == 1
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(GraphFormatError, match="outside"):
+        with pytest.raises(GraphFormatError, match="^line 2: vertex 2 out of range$"):
             parse_edge_list("2\n0 2")
 
     def test_non_integer_token(self):
@@ -461,9 +494,9 @@ class TestRandomGnp:
         assert a == b
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"must be a number in \[0, 1\], got 1.5"):
             random_gnp(5, 1.5, RngSpec(0))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"must be a number in \[0, 1\], got -0.1"):
             random_gnp(5, -0.1, RngSpec(0))
 
     def test_splitmix64_reference_values(self):

@@ -162,17 +162,27 @@ def test_the_counting_state_splits_in_one_body():
     assert writers == {("cliques", "split")}
 
 
-def test_a_vertex_id_is_checked_in_one_body():
-    """graphs._vertex is the only function that refuses a vertex out of range:
-    every other entry point calls it, and the identity layer keeps no copy of
-    it or of the integer rule (graphs._integer)."""
-    raisers = set()
+def test_each_kind_of_outside_value_is_checked_in_one_body():
+    """Each kind of value that enters from outside the package (an integer,
+    a vertex id, a vertex count, an edge probability, a seed) has one rule in
+    graphs, the only function that raises that rule's message: every other
+    entry point calls it, and no other module keeps a copy of it."""
+    rules = {"must be an integer": "_integer", "out of range": "_vertex",
+             "outside 0..{MAX_VERTICES}": "_vertex_count", "edge probability": "_probability",
+             "outside 0..2**64-1": "_seed"}
+    raisers = {message: set() for message in rules}
+    defined = {}
     for path in SRC.glob("*.py"):
-        for func in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        defined[path.stem] = {node.name for node in ast.walk(tree)
+                              if isinstance(node, ast.FunctionDef)}
+        for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
-                raisers |= {(path.stem, func.name) for node in ast.walk(func)
-                            if isinstance(node, ast.Raise) and "out of range" in ast.unparse(node)}
-    assert raisers == {("graphs", "_vertex")}
-    identities = ast.parse((SRC / "identities.py").read_text())
-    defined = {node.name for node in ast.walk(identities) if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"_integer", "_parse_vertex"}
+                for text in (ast.unparse(node) for node in ast.walk(func)
+                             if isinstance(node, ast.Raise)):
+                    for message in rules:
+                        if message in text:
+                            raisers[message].add((path.stem, func.name))
+    assert raisers == {message: {("graphs", name)} for message, name in rules.items()}
+    assert not defined["identities"] & {"_integer", "_parse_vertex"}
+    assert "_require_type" not in defined["conjectures"]
