@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from math import comb
 from pathlib import Path
@@ -276,6 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("seed", type=int)
     p_gen.set_defaults(func=cmd_gen)
 
+    # Each subcommand reads a token that starts with '-' and then a digit or
+    # '.' as a value, never as a flag (no flag of cliquekit is so spelled), so
+    # a value such as --p -0.1..0.5 or --e -1-2 reaches its own rule; argparse
+    # alone takes only plain numbers such as -1 as values.  The matcher is a
+    # private argparse attribute with no stability promise; the CLI test
+    # test_a_flag_value_that_starts_with_a_minus_sign_reaches_its_own_rule
+    # fails if a later argparse stops reading it.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

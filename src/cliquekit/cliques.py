@@ -67,15 +67,19 @@ list more than LISTING_BUDGET, except on a graph of at most 19 vertices,
 which has fewer cliques than that in all.  It and brute_force_counts are
 the independent references of the kernel and the subset table: it extends
 each clique upward from its lowest vertex, where the kernel works down from
-the highest, and its per-size lists keep that lexicographic order.  Beside
-each clique Q it keeps N(Q), the common neighbourhood that it extends Q
-within, as a bitmask at 8 bytes a clique (CliqueCatalog.common_neighborhoods),
-so a check that reads N(Q) of every listed clique ANDs no rows.  The
-identity checks read each size of cliques, edges and triangles included,
-as one tuple of the largest catalog listed for a graph (_stored_catalog,
-kept in the counting state), with no prefix catalog made per size read.
-That catalog is listed by enumerate_cliques too, so every listing asks the
-one budget, edges and triangles included.
+the highest, and its per-size lists keep that lexicographic order.  A clique
+has one shape, its vertex mask (bit v for each member v), listed at 8 bytes
+a clique; beside each clique Q the lister keeps N(Q), the common
+neighbourhood that it extends Q within, as a mask of 8 bytes too
+(CliqueCatalog.common_neighborhoods), so a check that reads N(Q) of every
+listed clique ANDs no rows.  A clique's vertex ids are decoded from its mask
+by the package's one decoder of masks, graphs.bits, only where they are
+shown: CliqueCatalog.cliques, the identity reports and the incidence
+labels.  The identity checks read each size of cliques, edges and triangles
+included, as the masks of the largest catalog listed for a graph
+(_stored_catalog, kept in the counting state), with no prefix catalog made
+per size read.  That catalog is listed by enumerate_cliques too, so every
+listing asks the one budget, edges and triangles included.
 
 Polynomials are plain lists of Python ints, coefficient of x**k at index k.
 All arithmetic is exact; Python integers never overflow, so counts and
@@ -90,7 +94,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import MAX_VERTICES, Graph, _integer, _vertex, common_neighborhood_bits
+from .graphs import MAX_VERTICES, Graph, _integer, _vertex, bits, common_neighborhood_bits
 
 Clique = tuple[int, ...]
 Polynomial = list[int]
@@ -193,37 +197,44 @@ class CliqueBudgetExceeded(ValueError):
 class CliqueCatalog:
     """All cliques of a graph grouped by size, each size lexicographically sorted.
 
-    by_size[k] holds the k-cliques; by_size[0] is an empty placeholder.
+    by_size[k] holds the k-cliques as vertex masks, bit v set for each member
+    v, read-only: one unsigned 64-bit word a clique (an array("Q") seen
+    through a read-only memoryview); by_size[0] is an empty placeholder.
+    cliques(k) decodes them into sorted vertex tuples (graphs.bits).
     commons[k] holds their common neighbourhoods N(Q), the AND of the rows
-    of Q's members, as vertex bitmasks in the same order, read-only: one
-    unsigned 64-bit word a clique (an array("Q") seen through a read-only
-    memoryview), against 40 + 8k bytes for the tuple of a k-clique.  They
-    follow from the graph and by_size, so they take no part in the
-    catalog's equality, hash or repr.
+    of Q's members, as masks of the same shape and in the same order.  They follow
+    from the graph and by_size, so they take no part in the catalog's
+    equality, hash or repr.  A memoryview of 64-bit words has no hash, so
+    the hash, like the repr, reads the masks as tuples of ints.
     """
 
     n: int
-    by_size: tuple[tuple[Clique, ...], ...]
+    by_size: tuple[Sequence[int], ...]
     commons: tuple[Sequence[int], ...] = field(default=(), compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(map(tuple, self.by_size))))
+
+    def __repr__(self) -> str:
+        return f"CliqueCatalog(n={self.n}, by_size={tuple(map(tuple, self.by_size))})"
+
+    def masks(self, k: int) -> Sequence[int]:
+        """The k-cliques' masks, by_size[k]; empty where k is not listed."""
+        return self.by_size[k] if 1 <= k < len(self.by_size) else ()
+
     def cliques(self, k: int) -> tuple[Clique, ...]:
-        if 1 <= k < len(self.by_size):
-            return self.by_size[k]
-        return ()
+        """The k-cliques as sorted vertex tuples, decoded from masks(k)."""
+        return tuple(tuple(bits(q)) for q in self.masks(k))
 
     def common_neighborhoods(self, k: int) -> Sequence[int]:
-        """N(Q) of each k-clique Q as a bitmask, in the order of cliques(k);
-        empty where cliques(k) is."""
-        if 1 <= k < len(self.commons):
-            return self.commons[k]
-        return ()
+        """N(Q) of each k-clique Q as a bitmask, in the order of masks(k);
+        empty where masks(k) is."""
+        return self.commons[k] if 1 <= k < len(self.commons) else ()
 
     @property
     def omega(self) -> int:
-        for k in range(len(self.by_size) - 1, 0, -1):
-            if self.by_size[k]:
-                return k
-        return 0
+        """The largest size listed with a clique; by_size[0] is empty."""
+        return max((k for k, size in enumerate(self.by_size) if size), default=0)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -232,7 +243,8 @@ class CliqueCatalog:
 
 def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     """Materialize every clique of every size up to k_max (default: all sizes),
-    each with its common neighbourhood (CliqueCatalog.common_neighborhoods).
+    each as its vertex mask with its common neighbourhood
+    (CliqueCatalog.common_neighborhoods).
 
     More than LISTING_BUDGET cliques raise CliqueBudgetExceeded before any is
     listed.  They are counted first, unless no graph on g.n vertices has that
@@ -242,40 +254,39 @@ def enumerate_cliques(g: Graph, k_max: int | None = None) -> CliqueCatalog:
     it too.
 
     The cliques are grown by _extend, a module-level recursion, so a
-    listing leaves no reference cycle and its lists are freed as soon as
+    listing leaves no reference cycle and its arrays are freed as soon as
     the catalog is dropped.
     """
     limit = g.n if k_max is None else max(0, min(_integer(k_max, "k_max"), g.n))
     _require_listing_budget(g, limit)
-    per: list[list[Clique]] = [[] for _ in range(limit + 1)]
-    masks = [array("Q") for _ in range(limit + 1)]
+    per = [array("Q") for _ in range(limit + 1)]
+    commons = [array("Q") for _ in range(limit + 1)]
     if limit >= 1:
         full = (1 << g.n) - 1
-        _extend(g.adj, per, masks, limit, (), full, full)
-    return CliqueCatalog(g.n, tuple(map(tuple, per)),
-                         tuple(memoryview(m).toreadonly() for m in masks))
+        _extend(g.adj, per, commons, limit, 1, 0, full, full)
+    return CliqueCatalog(g.n, tuple(memoryview(a).toreadonly() for a in per),
+                         tuple(memoryview(a).toreadonly() for a in commons))
 
 
-def _extend(adj: tuple[int, ...], per: list[list[Clique]], masks: list[array], limit: int,
-            q: Clique, common: int, cand: int) -> None:
-    """Append q extended by each candidate w, lowest first, to per and its
-    common neighbourhood common & adj[w] to masks, and extend each such
-    clique by the candidates above w in that neighbourhood; a clique of
-    limit vertices, or one with no candidate left, makes no call.  So each
-    clique appears exactly once and each per-size list comes out in
-    lexicographic order.  A mask costs one AND and 8 bytes a clique."""
-    size = len(q) + 1
-    out, out_common = per[size], masks[size]
+def _extend(adj: tuple[int, ...], per: list[array], commons: list[array], limit: int,
+            size: int, q: int, common: int, cand: int) -> None:
+    """Append the mask of the (size - 1)-clique q extended by each candidate
+    w, lowest first, to per[size] and its common neighbourhood common &
+    adj[w] to commons[size], and extend each such clique by the candidates
+    above w in that neighbourhood; a clique of limit vertices, or one with no
+    candidate left, makes no call.  So each clique appears exactly once and
+    each per-size array comes out in lexicographic order.  A clique costs
+    one OR, one AND and 16 bytes."""
+    out, out_common = per[size], commons[size]
     while cand:
         low = cand & -cand
-        w = low.bit_length() - 1
         cand ^= low
-        clique = (*q, w)
-        nw = common & adj[w]
+        clique = q | low
+        nw = common & adj[low.bit_length() - 1]
         out.append(clique)
         out_common.append(nw)
         if size < limit and cand & nw:
-            _extend(adj, per, masks, limit, clique, nw, cand & nw)
+            _extend(adj, per, commons, limit, size + 1, clique, nw, cand & nw)
 
 
 def _require_listing_budget(g: Graph, k_max: int) -> None:
@@ -297,7 +308,7 @@ def _require_listing_budget(g: Graph, k_max: int) -> None:
 def _stored_catalog(g: Graph, k_max: int) -> CliqueCatalog:
     """The largest catalog listed for g, kept in its counting state, holding
     every clique of up to k_max vertices and maybe larger ones: the identity
-    checks read the k-cliques, k <= k_max, as its cliques(k).
+    checks read the k-cliques, k <= k_max, as its masks(k).
 
     Its size limit is len(catalog.by_size) - 1.  It answers any k_max up to
     that limit, and any k_max at all once that limit reaches the clique
@@ -652,10 +663,15 @@ def clique_polynomial(g: Graph) -> Polynomial:
 
 
 def is_clique(g: Graph, vertices) -> bool:
-    """Whether the distinct vertices form a nonempty clique: the set's mask
-    lies in the closed neighbourhood of each of its vertices.  Every id is
-    checked (graphs._vertex) first, so an id out of range raises even where
-    ids repeat."""
+    """Whether the distinct vertices form a nonempty clique (_clique_mask)."""
+    return _clique_mask(g, vertices) != 0
+
+
+def _clique_mask(g: Graph, vertices) -> int:
+    """The mask of the distinct vertices if they form a nonempty clique, 0
+    if not: the set's mask lies in the closed neighbourhood of each of its
+    vertices.  Every id is checked (graphs._vertex) first, so an id out of
+    range raises even where ids repeat."""
     vs = tuple(vertices)
     mask = 0
     common = -1  # the vertices in every closed neighbourhood N[v] seen so far
@@ -663,7 +679,7 @@ def is_clique(g: Graph, vertices) -> bool:
         bit = 1 << _vertex(g.n, v)
         mask |= bit
         common &= g.adj[v] | bit
-    return 0 < mask.bit_count() == len(vs) and common & mask == mask
+    return mask if 0 < mask.bit_count() == len(vs) and common & mask == mask else 0
 
 
 def clique_value(g: Graph, q) -> int:

@@ -248,7 +248,8 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # -- graph6 codec -----------------------------------------------------------
 #
 # One printable character per 6 bits, offset by 63.  The vertex count comes
-# first (one character for n <= 62, '~' + three characters otherwise), then
+# first (one character for n <= 62, '~' + three characters up to 258 047 and
+# '~~' + six above; the decoder reads each form and holds n to the cap), then
 # the upper triangle of the adjacency matrix column by column:
 # x(0,1), x(0,2), x(1,2), x(0,3), ..., MSB first, zero-padded to a multiple
 # of six bits.  Column col is the low part of row col read from bit 0 up, so
@@ -271,13 +272,15 @@ def parse_graph6(text: str) -> Graph:
     if s[0] != "~":
         n, pos = ord(s[0]) - 63, 1
     else:
-        if len(s) < 4:
+        # n in 18 bits after one '~', or in 36 bits after two
+        start, pos = (2, 8) if s[1:2] == "~" else (1, 4)
+        if len(s) < pos:
             raise GraphFormatError("truncated graph6 vertex-count field")
-        if s[1] == "~":
-            raise GraphFormatError(f"vertex count exceeds {MAX_VERTICES}")
-        n, pos = int(s[1:4].translate(_GRAPH6_BITS), 2), 4
-    if n > MAX_VERTICES:
-        raise GraphFormatError(f"vertex count {n} exceeds {MAX_VERTICES}")
+        n = int(s[start:pos].translate(_GRAPH6_BITS), 2)
+    try:  # before the adjacency field is sized
+        _vertex_count(n)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(s) - pos != need:
@@ -356,14 +359,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
         r = g.adj[u]
         rows.append((r & low) | (r >> (v + 1)) << v)
     return Graph(g.n - 1, tuple(rows))
-
-
-def _vertex_mask(vertices: Iterable[int]) -> int:
-    """The bitmask of vertices that the caller has checked to lie in range."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:

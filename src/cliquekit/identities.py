@@ -43,7 +43,7 @@ packed integers, with nothing unpacked where it holds:
   edge-subsets reading's for every clique of at most three vertices: C(G)
   plus its odd-r terms against C(G - Q) plus its even-r terms, compared
   inline in _deletion_verdict once per clique and graph (_Terms.deletions,
-  keyed by the clique's tuple as it is listed or parsed);
+  keyed by the clique's vertex mask, as it is listed or parsed);
 - triangle_deletion_counts: its formula for c_1..c_4 of G - d, packed,
   against the split C(G - E(d)); a formula coefficient that is negative or
   past the lane packs to None, and only then, or where the integers differ,
@@ -98,18 +98,21 @@ An instance is validated once, where it enters from outside the program (a
 public function's argument or a verify flag's text), by the parser of its
 kind.  k is an int (graphs._integer), and every vertex id is read by the
 package's one rule for ids, graphs._vertex: the vertex kind calls it, and
-is_clique calls it for each id of a clique kind.  A vertex set of a clique
-kind is read by one rule, so an edge, a triangle and a clique are rejected
-alike: first a wrong number of ids, then an id that is not an int or is out
-of range, then ids that repeat a vertex or miss an edge, as not an edge, a
-triangle or a clique of the graph.  A clique is returned as a plain tuple,
-sorted.
+cliques._clique_mask calls it for each id of a clique kind.  A vertex set
+of a clique kind is read by one rule, so an edge, a triangle and a clique
+are rejected alike: first a wrong number of ids, then an id that is not an
+int or is out of range, then ids that repeat a vertex or miss an edge, as
+not an edge, a triangle or a clique of the graph.  A clique is returned as
+its vertex mask, the one shape in which the catalog lists it, a body reads
+it and a cache keys it; its vertex ids are decoded (graphs.bits) only
+where a report, TriangleIdentityParts or TriangleDeletionCounts shows
+them.
 A body that reads N(Q) of every clique of a size (the handshake, the
 derivative formulas and conjecture 2's test) reads it from the catalog,
 which keeps it beside each clique (CliqueCatalog.common_neighborhoods), so
 it ANDs no rows.  A body trusts its instance, as the catalog lists it: the
-common neighbourhood of one clique or of a subset of it is the AND of their
-rows (_common), with no range check.
+common neighbourhood of one clique or of a subset of it is the AND of the
+rows of its mask's members (_common), with no range check.
 """
 
 from __future__ import annotations
@@ -124,18 +127,18 @@ from . import cliques
 from .cliques import (
     _PACKED_UNITS,
     Polynomial,
+    _clique_mask,
     _counting,
     _require_listing_budget,
     _stored_catalog,
     clique_count,
     clique_counts,
     clique_polynomial,
-    is_clique,
     poly_divided_derivative,
     poly_normalize,
     poly_reverse,
 )
-from .graphs import Graph, _integer, _vertex, _vertex_mask, edge, is_connected
+from .graphs import Graph, _integer, _vertex, bits, edge, is_connected
 
 Side = Union[int, list, tuple, None]
 Verdict = tuple[Optional[bool], Side, Side]  # (holds, lhs, rhs); holds None: does not apply
@@ -276,11 +279,11 @@ def _without_vertex(g: Graph, v: int) -> int:
     return ((1 << g.n) - 1) & ~(1 << v)
 
 
-def _common(adj: tuple[int, ...], vertices) -> int:
-    """N(S), the AND of the rows of S's members, for a nonempty vertex set S
-    already checked to lie in range (common_neighborhood_bits checks it)."""
+def _common(adj: tuple[int, ...], mask: int) -> int:
+    """N(S), the AND of the rows of S's members, for the nonempty vertex set
+    S given as its mask, already checked to lie in range."""
     common = -1
-    for v in vertices:
+    for v in bits(mask):
         common &= adj[v]
     return common
 
@@ -307,8 +310,7 @@ def _sum_deck(g: Graph, r: int) -> tuple[int, ...]:
     if r == 1:
         members = (counting.read(_without_vertex(g, v)) for v in range(g.n))
     else:
-        deleted = _stored_catalog(g, max(3, r)).cliques(r)
-        members = (counting.split(_vertex_mask(q)) for q in deleted)
+        members = map(counting.split, _stored_catalog(g, max(3, r)).masks(r))
     return tuple(poly_normalize(counting.add(members)))
 
 
@@ -332,8 +334,8 @@ def _deck_verdict(g: Graph, r: int, k: int) -> Verdict:
 
 def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
     """raw as a tuple of count vertex ids (any number if count is None),
-    unchecked until is_clique reads them; a verify flag gives them
-    dash-separated."""
+    unchecked until cliques._clique_mask reads them; a verify flag gives
+    them dash-separated."""
     if isinstance(raw, str):
         try:
             ids = tuple(int(tok) for tok in raw.split("-"))
@@ -350,46 +352,50 @@ def _vertex_ids(raw, count: int | None = None) -> tuple[int, ...]:
 class _Kind(NamedTuple):
     """An instance kind: its verify flag's param (None for the whole graph),
     the report's params key, the lister and parser of its instances as
-    CheckDef takes them, and the smallest k of a k kind."""
+    CheckDef takes them, the smallest k of a k kind, and whether its
+    instances are clique masks."""
 
     param: Optional[str]
     key: Optional[str]
     params: Callable[[Graph, KRange], Iterable]
     parse: Callable[[Graph, object], object] = CheckDef.parse
     k_min: Optional[int] = None
+    masks: bool = False
 
     def named(self, g: Graph, instance) -> dict:
-        """The report's params {key: instance}, a tuple of vertex ids as a list."""
-        if self.key is None:
-            return {}
-        return {self.key: list(instance) if isinstance(instance, tuple) else instance}
+        """The report's params {key: instance}, a clique mask as its list of
+        vertex ids."""
+        return {} if self.key is None else {
+            self.key: list(bits(instance)) if self.masks else instance}
 
 
 def _cliques(param: str, sizes: tuple[int, ...], noun: str) -> _Kind:
     """The kind of g's cliques of the ascending sizes, whose verify flag and
     params key are param.
 
-    Its lister reads those sizes of g's one stored catalog, listed up to at
-    least 3 vertices, so that the edges are listed with the triangles: a kind
-    of one size hands back the catalog's tuple itself, and one of several
-    sizes lists them size after size.  Its parser takes as many vertex ids as
-    a one-size kind's size (any number otherwise), and returns them sorted if
-    they form a clique of g; if not, it names them as not noun of the graph.
+    Its instances are clique masks.  Its lister reads those sizes of g's one
+    stored catalog, listed up to at least 3 vertices, so that the edges are
+    listed with the triangles: a kind of one size hands back the catalog's
+    masks themselves, and one of several sizes lists them size after size.
+    Its parser takes as many vertex ids as a one-size kind's size (any
+    number otherwise), in any order, and returns their mask if they form a
+    clique of g; if not, it names them as not noun of the graph.
     """
     top = max(3, sizes[-1])
     count = sizes[0] if len(sizes) == 1 else None
     if count is None:
-        params = lambda g, _: list(itertools.chain(*map(_stored_catalog(g, top).cliques, sizes)))
+        params = lambda g, _: list(itertools.chain(*map(_stored_catalog(g, top).masks, sizes)))
     else:
-        params = lambda g, _: _stored_catalog(g, top).cliques(count)
+        params = lambda g, _: _stored_catalog(g, top).masks(count)
 
-    def parse(g: Graph, raw) -> tuple[int, ...]:
+    def parse(g: Graph, raw) -> int:
         ids = _vertex_ids(raw, count)
-        if not is_clique(g, ids):
+        mask = _clique_mask(g, ids)
+        if not mask:
             raise ValueError(f"{ids} is not {noun} of the graph")
-        return tuple(sorted(ids))
+        return mask
 
-    return _Kind(param, param, params, parse)
+    return _Kind(param, param, params, parse, masks=True)
 
 
 def _k5_free(kind: _Kind) -> _Kind:
@@ -734,18 +740,17 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
     The readings coincide when M has at most three edges.
 
     An edge set is this function's own kind of instance: it is parsed here
-    into the sorted clique it spans, the form the catalog lists.
+    into the mask of the clique it spans, the form the catalog lists.
     """
     normalized = {edge(_vertex(g.n, u), _vertex(g.n, v)) for u, v in edge_set}
-    support = sorted({v for e in normalized for v in e})
-    q = len(support)
-    # every pair of normalized lies in support, so it holds them all iff it has C(q, 2)
-    if len(normalized) != comb(q, 2):
+    support = {v for e in normalized for v in e}
+    # every pair of normalized lies in support, so it holds them all iff it has C(|support|, 2)
+    if len(normalized) != comb(len(support), 2):
         raise ValueError("edge set does not induce a complete subgraph")
-    if support and not is_clique(g, support):
+    clique = _clique_mask(g, support)
+    if support and not clique:
         u, v = next(e for e in normalized if not g.has_edge(*e))
         raise ValueError(f"({u}, {v}) is not an edge of the graph")
-    clique = tuple(support)
     if interpretation == INTERPRETATION_CLIQUES:
         entry = _clique_deletion.entry
     elif interpretation == INTERPRETATION_EDGE_SUBSETS:
@@ -757,20 +762,19 @@ def clique_deletion_expansion(g: Graph, edge_set, interpretation: str = INTERPRE
 
 def _render_expansion(interpretation: str) -> Render:
     """The renderer of the expansion's verdicts under one reading."""
-    def params(g: Graph, q: tuple[int, ...]) -> dict:
-        return {"m": [list(e) for e in itertools.combinations(q, 2)],
+    def params(g: Graph, q: int) -> dict:
+        return {"m": [list(e) for e in itertools.combinations(bits(q), 2)],
                 "interpretation": interpretation}
 
     return _renderer("clique_deletion", params)
 
 
-def _expansion_verdict(g: Graph, q: tuple[int, ...],
-                       family: Callable[[int], Iterable[Iterable[int]]],
+def _expansion_verdict(g: Graph, q: int, family: Callable[[int], Iterable[int]],
                        width: Optional[Callable[[int], int]] = None) -> Verdict:
-    """The verdict of the expansion on the sorted clique q with its right
-    side built in one row, under the reading whose vertex sets S of size
-    r are family(r): C(G - E(Q)) (the graph's split of q), then one packed
-    sum per r from 2 to |q| adds (-1)**r (r - 1) x**r C(G[N(S)]) over
+    """The verdict of the expansion on the clique mask q with its right side
+    built in one row, under the reading whose vertex sets S of size r are
+    the masks family(r): C(G - E(Q)) (the graph's split of q), then one
+    packed sum per r from 2 to |q| adds (-1)**r (r - 1) x**r C(G[N(S)]) over
     them.
 
     width(r) is how many sets family(r) yields, C(|q|, r) by default (the
@@ -779,25 +783,26 @@ def _expansion_verdict(g: Graph, q: tuple[int, ...],
     count is read: 2**s - s - 1 terms on a clique of s vertices under the
     cliques reading, so from s = 20 on, and sum over r of C(C(s, 2), C(r, 2))
     under the edge-subsets reading, so from s = 8 on."""
-    summed = sum(map(width or functools.partial(comb, len(q)), range(2, len(q) + 1)))
+    size = q.bit_count()
+    summed = sum(map(width or functools.partial(comb, size), range(2, size + 1)))
     if summed > cliques.LISTING_BUDGET:
         raise cliques.CliqueBudgetExceeded(
-            f"expanding C(G) on a clique of {len(q)} vertices would sum {summed} terms, "
+            f"expanding C(G) on a clique of {size} vertices would sum {summed} terms, "
             f"over the budget of {cliques.LISTING_BUDGET}")
     adj = g.adj
     counting = _counting(g)
     read, add = counting.read, counting.add
-    rhs = add([counting.split(_vertex_mask(q))])
-    for r in range(2, len(q) + 1):
+    rhs = add([counting.split(q)])
+    for r in range(2, size + 1):
         add((read(_common(adj, s)) for s in family(r)), r, (-1) ** r * (r - 1), rhs)
     return _poly_verdict(clique_polynomial(g), rhs)
 
 
 @_identity("clique_deletion_edge_subsets", CONJECTURE, _CLIQUE,
            render=_render_expansion(INTERPRETATION_EDGE_SUBSETS))
-def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'edge-subsets' reading for the sorted
-    clique q: its vertex sets of size r are the vertex unions of the
+def _clique_deletion_edge_subsets(g: Graph, q: int) -> Verdict:
+    """The verdict of the expansion's 'edge-subsets' reading for the clique
+    mask q: its vertex sets of size r are the vertex unions of the
     C(r, 2)-edge subsets of Q, cliques or not (C(r, 2) <= C(|q|, 2) edges,
     whose vertices number at least r).  The row sums
     C(C(|q|, 2), C(r, 2)) terms for each r, so a clique of 8 or more
@@ -808,23 +813,24 @@ def _clique_deletion_edge_subsets(g: Graph, q: tuple[int, ...]) -> Verdict:
     the same order, and the verdict is the cliques reading's: q takes the
     one verdict that _deletion_verdict keeps for it.  Every larger
     clique, where three edges can span four vertices, is evaluated here."""
-    if len(q) <= 3:
+    if q.bit_count() <= 3:
         return _deletion_verdict(g, q)
-    edges = list(itertools.combinations(q, 2))
-    return _expansion_verdict(g, q, lambda r: ({v for e in s for v in e}
+    edges = list(map(sum, itertools.combinations([1 << v for v in bits(q)], 2)))
+    return _expansion_verdict(g, q, lambda r: (functools.reduce(int.__or__, s)
                                                for s in itertools.combinations(edges, comb(r, 2))),
                               width=lambda r: comb(len(edges), comb(r, 2)))
 
 
 class _Terms(dict):
     """One graph's expansion context, kept in g.memo.identities (see
-    _terms): the packed terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the
-    sorted subset S; counting, the graph's counting state, through which
-    every count and term is read (_Counting.term); whole, C(G) packed; held, (True, lhs, tuple(lhs))
-    with lhs the row of C(G), the verdict of every clique on which the
-    expansion holds and of every vertex at which the vertex recurrence
-    holds; deletions, the clique-deletion verdicts keyed by the clique's
-    sorted tuple as the catalog lists it or a parser returns it; and decks,
+    _terms): the packed terms (|S| - 1) x**|S| C(G[N(S)]) keyed by the mask
+    of the vertex set S; counting, the graph's counting state, through which
+    every count and term is read (_Counting.term); whole, C(G) packed;
+    held, (True, lhs, tuple(lhs)) with lhs the row of C(G), the verdict of
+    every clique on which the expansion holds and of every vertex at which
+    the vertex recurrence holds; deletions, the clique-deletion verdicts
+    keyed by the clique's mask, as the catalog lists it or a parser returns
+    it, so a clique has one entry however its ids were ordered; and decks,
     each deck's row keyed by r, the size of the clique its members delete
     (_deck).
 
@@ -840,12 +846,12 @@ class _Terms(dict):
         lhs = clique_polynomial(g)
         self.whole = counting.read((1 << g.n) - 1)
         self.held = True, lhs, tuple(lhs)
-        self.deletions: dict[tuple[int, ...], Verdict] = {}
+        self.deletions: dict[int, Verdict] = {}
         self.decks: dict[int, tuple[int, ...]] = {}
 
-    def __missing__(self, s: tuple[int, ...]) -> int:
-        counting = self.counting
-        term = self[s] = counting.term(_common(counting.adj, s), len(s), len(s) - 1)
+    def __missing__(self, s: int) -> int:
+        counting, r = self.counting, s.bit_count()
+        term = self[s] = counting.term(_common(counting.adj, s), r, r - 1)
         return term
 
 
@@ -859,26 +865,28 @@ def _terms(g: Graph) -> _Terms:
     return terms
 
 
-def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
-    """The verdict of the expansion's 'cliques' reading for the sorted clique
+def _deletion_verdict(g: Graph, q: int) -> Verdict:
+    """The verdict of the expansion's 'cliques' reading for the clique mask
     q, decided once per clique and graph and kept in the graph's expansion
-    context (_Terms.deletions) under q itself, as the catalog lists it or a
-    parser returns it: for |q| = 2 and 3 it is the edge recurrence's and the
-    triangle identity's as well, and for |q| <= 3 the edge-subsets
+    context (_Terms.deletions) under the mask q itself, as the catalog lists
+    it or a parser returns it: for |q| = 2 and 3 it is the edge recurrence's
+    and the triangle identity's as well, and for |q| <= 3 the edge-subsets
     reading's (_clique_deletion_edge_subsets).
 
     Only q is decided, on either side of the subset table's gate.  A
     clique of the clique kind's sizes, 2 to 4 vertices (_CLIQUE_SIZES), is
-    decided packed in one pass: one loop over q for its mask and N(Q), then
-    the graph's split of q (_Counting.split), shared through its splits
-    with the decks and the triangle checks, and q's own term
-    (_Counting.term), which is stored in the graph's one expansion context
-    (_Terms) for every larger clique.  Two packed sums are compared, each
-    term moved to the side where it adds: C(G) plus the odd-r terms
-    against C(G - Q) plus the even-r terms.  Q's own term is added to its
-    side, and its proper subsets' terms, of 2 and 3 vertices, are read
-    from the expansion context.  Neither sum carries, so equal sums give
-    the held verdict with nothing unpacked.  Where the sums differ (a
+    decided packed in one pass: N(Q) and the one-bit masks of q's members,
+    in one walk over q's bits, then the graph's split of q
+    (_Counting.split), shared through its splits with the decks and the
+    triangle checks, and q's own term (_Counting.term), which is stored in
+    the graph's one expansion context (_Terms) for every larger clique.
+    Two packed sums are compared, each term moved to the side where it
+    adds: C(G) plus the odd-r terms against C(G - Q) plus the even-r
+    terms.  Q's own term is added to its side, and its proper subsets'
+    terms, of 2 and 3 vertices, are read from the expansion context: an
+    edge's mask is the sum of two members' bits, and a triangle of a
+    4-clique's is q less one member's bit.  Neither sum carries, so equal
+    sums give the held verdict with nothing unpacked.  Where the sums differ (a
     failing verdict, which a report shows), and for a clique of any other
     size, the right side is built in one row (_expansion_verdict), which
     refuses a clique of 20 or more vertices.
@@ -887,26 +895,27 @@ def _deletion_verdict(g: Graph, q: tuple[int, ...]) -> Verdict:
     deletions = terms.deletions
     verdict = deletions.get(q)
     if verdict is None:
-        size = len(q)
+        counting = terms.counting
+        adj, lows, common, rest = counting.adj, [], -1, q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lows.append(low)
+            common &= adj[low.bit_length() - 1]
+        size = len(lows)
         if size in _CLIQUE_SIZES:
-            counting = terms.counting
-            adj = counting.adj
-            mask, common = 0, -1
-            for v in q:
-                mask |= 1 << v
-                common &= adj[v]
-            rhs = counting.split(mask)
+            rhs = counting.split(q)
             own = terms[q] = counting.term(common, size, size - 1)
             lhs, rhs = (terms.whole + own, rhs) if size & 1 else (terms.whole, rhs + own)
-            if size > 2:
+            if size > 2:  # a subset's mask sums its members' bits, or drops one
                 stored = terms.__getitem__
-                rhs += sum(map(stored, itertools.combinations(q, 2)))
+                rhs += sum(map(stored, map(sum, itertools.combinations(lows, 2))))
                 if size > 3:
-                    lhs += sum(map(stored, itertools.combinations(q, 3)))
+                    lhs += sum(map(stored, map(q.__xor__, lows)))
             if lhs == rhs:
                 verdict = terms.held
         if verdict is None:
-            verdict = _expansion_verdict(g, q, functools.partial(itertools.combinations, q))
+            verdict = _expansion_verdict(g, q, lambda r: map(sum, itertools.combinations(lows, r)))
         deletions[q] = verdict
     return verdict
 
@@ -931,12 +940,14 @@ class TriangleIdentityParts:
     triangle_neighborhood: Polynomial
 
 
-def _triangle_parts(g: Graph, d: tuple[int, int, int]) -> TriangleIdentityParts:
+def _triangle_parts(g: Graph, d: int) -> TriangleIdentityParts:
+    """The parts of the triangle identity for the triangle mask d, whose
+    ids are decoded for delta."""
     adj, counting = g.adj, _counting(g)
     edge_sum = counting.add(counting.read(adj[a] & adj[b])
-                            for a, b in itertools.combinations(d, 2))
+                            for a, b in itertools.combinations(bits(d), 2))
     tri = counting.add([counting.read(_common(adj, d))])
-    return TriangleIdentityParts(d, poly_normalize(edge_sum), poly_normalize(tri))
+    return TriangleIdentityParts(tuple(bits(d)), poly_normalize(edge_sum), poly_normalize(tri))
 
 
 @_identity("triangle_identity", THEOREM, _TRIANGLE,
@@ -951,11 +962,11 @@ def triangle_identity(g: Graph, delta) -> Verdict:
     return _deletion_verdict(g, delta)
 
 
-def _triangle_recurrence_params(g: Graph, d: tuple[int, int, int]) -> dict:
+def _triangle_recurrence_params(g: Graph, d: int) -> dict:
     parts = _triangle_parts(g, d)
     shifted = [0, *(3 * c for c in parts.triangle_neighborhood)]
     return {
-        "delta": list(d),
+        "delta": list(parts.delta),
         "edge_neighborhood_sum": parts.edge_neighborhood_sum,
         "triangle_neighborhood_times_3x": shifted,
         "equivalent_condition_holds": parts.edge_neighborhood_sum == shifted,
@@ -973,7 +984,7 @@ def check_triangle_recurrence(g: Graph, delta) -> Verdict:
     never match, which is reported rather than repaired).
     """
     counting = _counting(g)
-    rhs = counting.split(_vertex_mask(delta)) + counting.term(_common(g.adj, delta), 3)
+    rhs = counting.split(delta) + counting.term(_common(g.adj, delta), 3)
     return _poly_verdict(clique_polynomial(g), counting.add([rhs]))
 
 
@@ -998,7 +1009,7 @@ class TriangleDeletionCounts:
 # the catalog's report has the two count tuples as its sides, untrimmed
 @_identity("triangle_deletion_counts", THEOREM, _k5_free(_TRIANGLE),
            render=_renderer("triangle_deletion_counts", _TRIANGLE.named, sides=list),
-           public=lambda render, g, d, verdict: TriangleDeletionCounts(d, verdict[1], verdict[2]))
+           public=lambda render, g, d, v: TriangleDeletionCounts(tuple(bits(d)), *v[1:]))
 def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     """Predict c_1..c_4 of G - d from counts of G, for graphs with no 5-clique:
 
@@ -1022,7 +1033,7 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
     c1, c2, c3, c4 = (*counts, 0, 0, 0)[:4]
     adj = g.adj
     counting = _counting(g)
-    u, v, w = delta
+    u, v, w = bits(delta)
     edge_nbhds = (adj[u] & adj[v], adj[u] & adj[w], adj[v] & adj[w])
     formula = (
         c1,
@@ -1031,7 +1042,7 @@ def triangle_deletion_counts(g: Graph, delta) -> Verdict:
         c4 - counting.coefficient(sum(map(counting.read, edge_nbhds)), 2)
         + 2 * (edge_nbhds[0] & adj[w]).bit_count(),
     )
-    split = counting.split(_vertex_mask(delta))
+    split = counting.split(delta)
     if counting.pack((1, *formula)) == split:
         return True, formula, formula
     direct = (*counting.unpack(split), 0, 0, 0)[:4]

@@ -27,7 +27,10 @@ A kind's columns are cliques too, the (k+1)-cliques or the deck members'
 vertices, edges or triangles, so one table (_KINDS) keys each kind by r,
 the size of a deck's column cliques (None for super).  One routine
 (_matrix), which the public builders and the CLI call, lists a kind's rows
-and columns in one catalog and builds it.
+and columns in one catalog and builds it.  The catalog holds each clique as
+its vertex mask; the labels are those masks decoded by the one decoder,
+graphs.bits (CliqueCatalog.cliques), once a matrix, where the matrix that
+shows them is made, and each row is built from its label's ids.
 
 Every matrix is stored as one bit row per matrix row (bit j of a row is its
 entry in column j).  r fixes the rule on the vertices a row clique q shares

@@ -206,6 +206,33 @@ def naive_is_clique(g: Graph, vertices) -> bool:
     )
 
 
+def bottom_up_cliques(g: Graph, k_max: int) -> list[list[tuple[int, ...]]]:
+    """The cliques of g of 1 to k_max vertices, size by size, listed bottom
+    up: the (k + 1)-cliques are the k-cliques, each extended by every vertex
+    above its last that the naive edge set joins to each of its members.
+    Each size comes out in lexicographic order and the listing stops at the
+    first empty size.  It shares no code with enumerate_cliques: no masks,
+    no candidate sets, only the edge set."""
+    es = naive_edge_set(g)
+    sizes = [[(v,) for v in range(g.n)]] if g.n and k_max >= 1 else []
+    while sizes and sizes[-1] and len(sizes) < k_max:
+        sizes.append([(*q, w) for q in sizes[-1] for w in range(q[-1] + 1, g.n)
+                      if all((u, w) in es for u in q)])
+    return sizes
+
+
+def mask_of(q) -> int:
+    """The vertex mask of the ids q, the shape in which a check takes a clique."""
+    return sum(1 << v for v in set(q))
+
+
+def subset_masks(q: int):
+    """The cliques reading's family on the clique mask q, as the row path
+    takes it: r -> the masks of q's r-vertex subsets, from its ids."""
+    ids = [v for v in range(q.bit_length()) if q >> v & 1]
+    return lambda r: [mask_of(s) for s in itertools.combinations(ids, r)]
+
+
 def naive_cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:
     """The k-cliques of g, found by testing every k-set of vertices against
     the edge set, built once."""

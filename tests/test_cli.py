@@ -26,6 +26,7 @@ from cliquekit import (
 from cliquekit import cli
 from cliquekit.cli import main
 from cliquekit.cliques import LISTING_BUDGET
+from cliquekit.graphs import bits
 
 from _helpers import (
     forbid_calls, record_calls, record_campaign_graphs, record_listings, run_cli, run_main,
@@ -340,6 +341,30 @@ def test_vertex_ids_that_are_not_integers_are_a_usage_error(capsys):
     assert capsys.readouterr() == ("", "error: expected dash-separated vertex ids, got 'a-b'\n")
 
 
+FUZZ_ONE = ["fuzz", "--count", "1", "--seed", "1", "--check", "handshake"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*FUZZ_ONE, "--n", "4..6", "--p", "-0.1..0.5"],
+     "edge probability must be a number in [0, 1], got -0.1"),
+    ([*FUZZ_ONE, "--n", "4..6", "--p", "-.5..1"],
+     "edge probability must be a number in [0, 1], got -0.5"),
+    ([*FUZZ_ONE, "--n", "-1..6"], "vertex count -1 outside 0..64"),
+    (["verify", "-g", "Bw", "--identity", "edge_recurrence", "--e", "-1-2"],
+     "expected dash-separated vertex ids, got '-1-2'"),
+], ids=["p", "p-no-leading-digit", "n", "e"])
+def test_a_flag_value_that_starts_with_a_minus_sign_reaches_its_own_rule(argv, message, capsys):
+    """A value that starts with '-' and a digit or '.' is read as the value
+    of its flag, not as a flag of its own, so its own rule refuses it in one
+    error line with exit 2, as it does the same value written --flag=value."""
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    flag = max(i for i, token in enumerate(argv) if token.startswith("--"))
+    joined = [*argv[:flag], f"{argv[flag]}={argv[flag + 1]}", *argv[flag + 2:]]
+    assert main(joined) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("name, flag, value, params", [
     ("edge_recurrence", "--e", "2-0", {"e": [0, 2]}),
     ("triangle_identity", "--delta", "2-1-0", {"delta": [0, 1, 2]}),
@@ -353,8 +378,33 @@ def test_unordered_instance_flag_is_normalised(name, flag, value, params, capsys
     assert report["params"] == params and report["holds"] is True
 
 
-def _flag_value(instance) -> str:
-    return str(instance) if isinstance(instance, int) else "-".join(map(str, instance))
+def test_a_clique_has_one_verdict_and_one_report_however_its_ids_are_ordered(capsys):
+    """The triangle 0-1-2 of K4 listed by the catalog and the same clique
+    parsed from --clique 2-0-1 are one mask: they share one entry of the
+    graph's deletion verdicts (_Terms.deletions), the very verdict object,
+    and render one report, which verify prints as the catalog's line."""
+    cd = CHECKS["clique_deletion"]
+    g = complete_graph(4)
+    listed = cd.reports(g, None)
+    kept = dict(g.memo.identities.deletions)
+    assert len(kept) == len(listed) == 11
+    parsed = cd.parse(g, "2-0-1")
+    assert parsed in kept and cd.check(g, parsed) is kept[parsed]
+    assert g.memo.identities.deletions == kept
+    [report] = cd.reports(g, None, [parsed])
+    assert report == next(r for r in listed if r.params["m"] == [[0, 1], [0, 2], [1, 2]])
+    assert main(["verify", "-g", K4_G6, "--identity", "clique_deletion"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for ids in ("2-0-1", "0-1-2", "1-2-0"):
+        assert main(["verify", "-g", K4_G6, "--identity", "clique_deletion", "--clique", ids]) == 0
+        [line] = capsys.readouterr().out.splitlines()
+        assert line in lines and '"m": [[0, 1], [0, 2], [1, 2]]' in line
+
+
+def _flag_value(param, instance) -> str:
+    """An instance as its verify flag writes it: a vertex as its id, a
+    clique's mask as its ids, dash-separated."""
+    return str(instance) if param == "v" else "-".join(map(str, bits(instance)))
 
 
 @pytest.mark.parametrize(
@@ -364,7 +414,8 @@ def test_flag_selects_the_matching_default_line(name):
     cd = CHECKS[name]
     first = list(cd.params(complete_graph(4), None))[0]
     default = run_main("verify", "-g", K4_G6, "--identity", name)
-    r = run_main("verify", "-g", K4_G6, "--identity", name, f"--{cd.param}", _flag_value(first))
+    r = run_main("verify", "-g", K4_G6, "--identity", name, f"--{cd.param}",
+                 _flag_value(cd.param, first))
     assert r.returncode == default.returncode
     assert r.stdout == default.stdout.splitlines(keepends=True)[0]
 
@@ -851,7 +902,7 @@ def test_campaign_assembles_one_deletion_rhs_per_clique(monkeypatch, capsys):
     assert main(list(FUZZ_THEOREMS)) == 0
     capsys.readouterr()
     terms = [g.memo.identities for g in graphs]
-    sizes = Counter(len(q) for t in terms for q in t.deletions)
+    sizes = Counter(q.bit_count() for t in terms for q in t.deletions)
     assert sizes == {2: 2906, 3: 2378, 4: 1235}
     assert [set(t) for t in terms] == [set(t.deletions) for t in terms]
     assert sum(map(len, terms)) == 6519
@@ -899,7 +950,9 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     and splits G - E(Q) into masks on the 6 519 that miss, once per edge,
     triangle and 4-clique of its graphs, each kept in its graph's splits:
     the clique-deletion verdicts, the edge deck and
-    triangle_deletion_counts read the same entry.  Splitting again for the
+    triangle_deletion_counts read the same entry; the edge deck maps split
+    over the catalog's edge masks, so _Counting.add's batched sum calls it
+    there.  Splitting again for the
     deck and the counts made 10 357 splits, and when a miss reached the
     split through a call to itself the campaign made 16 876 split frames.
 
@@ -916,7 +969,7 @@ def test_campaign_splits_each_deleted_clique_once(monkeypatch, capsys):
     capsys.readouterr()
     assert (len(graphs), len(frames)) == (200, 10357)
     assert Counter(caller for caller, _ in frames) \
-        == {"_deletion_verdict": 6519, "<genexpr>": 2906, "triangle_deletion_counts": 932}
+        == {"_deletion_verdict": 6519, "add": 2906, "triangle_deletion_counts": 932}
     assert sum(len(g.memo.cliques.splits) for g in graphs) == 6519
     assert sum(len(g.memo.identities.deletions) for g in graphs) == 6519
     decided = [seen for caller, seen in frames if caller == "_deletion_verdict"]
@@ -943,8 +996,8 @@ def test_campaign_reads_each_term_and_clique_size_from_the_memo(monkeypatch, cap
     capsys.readouterr()
     assert asked == []
     assert len(made) == len(listed) == 200
-    CHECKS["clique_deletion"].check(complete_graph(3), (0, 1, 2))
-    assert asked == [(0, 1), (0, 2), (1, 2)]
+    CHECKS["clique_deletion"].check(complete_graph(3), 0b111)
+    assert asked == [0b011, 0b101, 0b110]
 
 
 @pytest.mark.parametrize("gen", [("12", "0.9", "3"), ("16", "0.85", "1")])
@@ -961,8 +1014,9 @@ def test_one_asked_clique_reads_its_subsets_terms_on_demand(gen, monkeypatch, ca
                          lambda terms, s: (terms, s))
     assert main(["verify", "-g", g6, "--identity", "clique_deletion", "--clique", "0-1-2-4"]) == 0
     assert capsys.readouterr().out.rstrip("\n").endswith("holds=true")
-    q = (0, 1, 2, 4)
-    subsets = [s for r in (2, 3) for s in itertools.combinations(q, r)]
+    q = 0b10111
+    subsets = [sum(1 << v for v in s)
+               for r in (2, 3) for s in itertools.combinations((0, 1, 2, 4), r)]
     assert sorted(s for _, s in asked) == sorted(subsets)
     terms = asked[0][0]
     assert all(t is terms for t, _ in asked)

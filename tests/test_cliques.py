@@ -16,7 +16,7 @@ from math import comb
 import cliquekit.cliques
 import cliquekit.identities
 from cliquekit.cliques import LISTING_BUDGET
-from cliquekit.graphs import MAX_VERTICES, _vertex_mask, common_neighborhood_bits
+from cliquekit.graphs import MAX_VERTICES, common_neighborhood_bits
 from cliquekit import (
     CampaignConfig,
     CliqueBudgetExceeded,
@@ -58,10 +58,12 @@ from cliquekit import (
 
 from _helpers import (
     all_labelled_graphs,
+    bottom_up_cliques,
     co_component_counts,
     co_component_reader,
     forbid_calls,
     graphs,
+    mask_of,
     naive_cliques_of_size,
     networkx_cliques,
     networkx_counts,
@@ -252,17 +254,18 @@ class TestCountingKernel:
             held = (True, report.lhs, tuple(report.rhs))
             terms = memo.identities
             assert counting.catalog is None
-            assert terms.deletions == {(u, v): held}
-            assert terms.deletions[(u, v)] is terms.held
-            assert list(counting.splits) == [_vertex_mask((u, v))]
+            assert terms.deletions == {1 << u | 1 << v: held}
+            assert terms.deletions[1 << u | 1 << v] is terms.held
+            assert list(counting.splits) == [1 << u | 1 << v]
             assert cliquekit.cliques._stored_catalog(g, 2) is counting.catalog
             for size in (4, len(counts)):
                 q = enumerate_cliques(g, size).cliques(size)[0]
+                mask = mask_of(q)
                 asked = Graph(g.n, g.adj)
                 edges = itertools.combinations(q, 2)
                 assert cliquekit.identities.clique_deletion_expansion(asked, edges).holds
-                assert list(asked.memo.identities.deletions) == [q]
-                assert list(asked.memo.cliques.splits) == [_vertex_mask(q)]
+                assert list(asked.memo.identities.deletions) == [mask]
+                assert list(asked.memo.cliques.splits) == [mask]
             assert cliquekit.identities._deck(g, 1) == terms.decks[1]
             assert vars(g)["memo"] is memo
             refs = [weakref.ref(g), weakref.ref(counting.catalog)]
@@ -519,12 +522,14 @@ def sweep_memory_at_the_vertex_cap(bound_mib: float = 8.0) -> None:
     assert peak < bound_mib, f"traced peak {peak:.2f} MiB"
 
 
-def sweep_listing_memory_at_the_cap(bound_mib: float = 63.0) -> None:
+def sweep_listing_memory_at_the_cap(bound_mib: float = 12.0) -> None:
     """Check the traced peak of listing the 679 120 cliques of up to 4
     vertices of K64, the largest listing that the budget lets through
-    uncounted: about 56.8 MiB for the clique tuples and their lists on
-    Python 3.11, and 62.3 MiB with their common neighbourhoods, 8 bytes a
-    clique.  It takes about 4 s on a 2-core x86-64 host; CI runs it as
+    uncounted: about 10.9 MiB on Python 3.11 for their vertex masks and
+    common neighbourhoods, 8 bytes each a clique in arrays of 64-bit words
+    (62.3 MiB when each clique was a tuple in a list beside its mask).  The
+    bound is that peak plus 10 %.  It takes about 3 s on a 2-core x86-64
+    host; CI runs it as
 
         PYTHONPATH=src:tests python -c "import test_cliques as t; t.sweep_listing_memory_at_the_cap()"
     """
@@ -830,6 +835,47 @@ class TestDepthFirstCount:
         assert totals == self.GROW_CALLS
 
 
+class TestMaskCatalog:
+    """The catalog keeps each clique as its vertex mask.  Decoded by
+    cliques(k), each size reads as a bottom-up listing of the cliques
+    (bottom_up_cliques) that shares no code with the lister, in
+    lexicographic order, and the masks and their common neighbourhoods
+    (against graphs.common_neighborhood_bits) are in step with it."""
+
+    @staticmethod
+    def assert_listing(g, k_max, sizes):
+        cat = enumerate_cliques(g, k_max)
+        limit = g.n if k_max is None else min(k_max, g.n)
+        assert len(cat.by_size) == limit + 1, (g.adj, k_max)
+        for k in range(-1, limit + 2):
+            expected = sizes[k - 1] if 1 <= k <= min(limit, len(sizes)) else []
+            assert list(cat.cliques(k)) == expected, (g.adj, k_max, k)
+            assert list(cat.masks(k)) == list(map(mask_of, expected)), (g.adj, k_max, k)
+            assert list(cat.common_neighborhoods(k)) \
+                == [common_neighborhood_bits(g, q) for q in expected], (g.adj, k_max, k)
+
+    @staticmethod
+    def reference(g):
+        sizes = bottom_up_cliques(g, g.n)
+        assert all(size == sorted(size) for size in sizes)
+        return sizes
+
+    def test_every_labelled_graph_of_up_to_5_vertices(self):
+        for n in range(6):
+            for g in all_labelled_graphs(n):
+                sizes = self.reference(g)
+                for k_max in (*range(n + 1), None):
+                    self.assert_listing(g, k_max, sizes)
+
+    def test_seeded_graphs_of_6_to_20_vertices(self):
+        for n in range(6, 21):
+            for p in (0.3, 0.75):
+                g = random_gnp(n, p, RngSpec(5100 + n))
+                sizes = self.reference(g)
+                for k_max in (*range(n + 1), None):
+                    self.assert_listing(g, k_max, sizes)
+
+
 class TestCommonNeighborhoods:
     """The common neighbourhood of each listed clique, against
     graphs.common_neighborhood_bits, which shares no code with the lister."""
@@ -856,8 +902,9 @@ class TestCommonNeighborhoods:
     def test_seeded_graphs_of_6_to_20_vertices(self):
         for n in range(6, 21):
             g = random_gnp(n, (0.2, 0.4, 0.6, 0.8)[n % 4], RngSpec(4200 + n))
+            cat = enumerate_cliques(g)
             expected = {q: common_neighborhood_bits(g, q)
-                        for size in enumerate_cliques(g).by_size for q in size}
+                        for k in range(1, n + 1) for q in cat.cliques(k)}
             for k_max in range(n + 1):
                 self.assert_masks(g, k_max, expected.__getitem__)
 
@@ -900,7 +947,7 @@ class TestListingOncePerGraph:
                     limit = min(k, g.n)
                     assert len(fresh.by_size) == limit + 1, (k, g.adj)
                     assert [stored.cliques(j) for j in range(limit + 1)] \
-                        == list(fresh.by_size), (k, g.adj)
+                        == [fresh.cliques(j) for j in range(limit + 1)], (k, g.adj)
                 assert h.memo.cliques.catalog.counts == clique_counts(g)
 
     def test_only_a_request_beyond_the_listed_sizes_lists_again(self, monkeypatch):
@@ -954,7 +1001,7 @@ class TestListingBudget:
                                match=f"up to {size} vertices would list {listed} cliques"):
                 cliquekit.cliques._stored_catalog(g, size)
         assert g.memo.cliques.catalog is None
-        assert cliquekit.cliques._stored_catalog(g, 0).by_size == ((),)
+        assert [list(size) for size in cliquekit.cliques._stored_catalog(g, 0).by_size] == [[]]
 
     def test_up_to_4_vertices_at_the_cap_is_within_the_budget_uncounted(self, monkeypatch):
         """K64 has 679 120 cliques of up to 4 vertices, the most of any graph

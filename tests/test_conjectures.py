@@ -16,6 +16,7 @@ from cliquekit import (
     Counterexample,
     Graph,
     RngSpec,
+    bits,
     check_conjecture1,
     check_conjecture2,
     check_conjecture3,
@@ -241,8 +242,11 @@ class TestCatalog:
                 assert (cd.render(g, *failing) if failing else None) \
                     == next((r for r in reports if r.holds is False), None), (name, to_graph6(g))
                 if cd.param is not None:
-                    # the catalog lists its instances in the form parse returns
-                    assert [cd.parse(g, p) for p in instances] == instances, (name, to_graph6(g))
+                    # the catalog lists its instances in the form parse returns: a
+                    # clique kind's instance is the mask that parse makes of its ids
+                    raw = [bits(p) if cd.param in ("e", "delta", "clique") else p
+                           for p in instances]
+                    assert [cd.parse(g, p) for p in raw] == instances, (name, to_graph6(g))
 
     def test_k_range_selects_the_single_k_instance(self, corpus):
         for g in corpus:
@@ -406,18 +410,24 @@ class TestCampaign:
 
     def test_catalog_instances_are_not_checked_again(self, monkeypatch):
         """Every instance the catalog lists is a clique by construction, so a
-        campaign over all 19 checks never asks is_clique."""
-        calls = [record_calls(monkeypatch, module, "is_clique")
-                 for name, module in list(sys.modules.items())
-                 if name.split(".")[0] == "cliquekit"
-                 and getattr(module, "is_clique", None) is is_clique]
+        campaign over all 19 checks never asks is_clique, nor _clique_mask,
+        through which a clique kind parses the ids it is given."""
+        calls = {name: [record_calls(monkeypatch, module, name)
+                        for module_name, module in list(sys.modules.items())
+                        if module_name.split(".")[0] == "cliquekit"
+                        and getattr(module, name, None) is original]
+                 for name, original in (("is_clique", is_clique),
+                                        ("_clique_mask", cliquekit.cliques._clique_mask))}
+        assert all(calls.values())
         cfg = CampaignConfig((4, 12), (0.2, 0.8), 200, RngSpec(7), tuple(CHECKS))
         assert len(CHECKS) == 19
         assert run_campaign(cfg).tallies["handshake"].tested == 200
-        assert not any(calls)
-        # clique_value asks is_clique of every clique it is given
+        assert not any(map(any, calls.values()))
+        # clique_value asks is_clique, and so _clique_mask, of every clique
+        # it is given
         assert clique_value(complete_graph(3), (0, 1)) == 1
-        assert sum(map(len, calls)) == 1
+        assert {name: sum(map(len, lists)) for name, lists in calls.items()} \
+            == {"is_clique": 1, "_clique_mask": 1}
 
     def test_not_applicable_tally(self):
         cfg = CampaignConfig((3, 4), (0.0, 0.2), 30, RngSpec(2), ("conjecture2",))

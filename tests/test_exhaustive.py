@@ -43,8 +43,8 @@ from cliquekit import (
 from cliquekit.cli import main
 
 from _helpers import (
-    all_labelled_graphs, naive_cliques_of_size, naive_common_neighbors, reference_deck,
-    reference_deletion_rhs,
+    all_labelled_graphs, mask_of, naive_cliques_of_size, naive_common_neighbors,
+    reference_deck, reference_deletion_rhs,
 )
 
 # The first labeled graph of at most 5 vertices, in sweep order, on which
@@ -94,10 +94,6 @@ def small_cliques(g: Graph) -> list[tuple[int, ...]]:
     return [q for size in (2, 3, 4) for q in naive_cliques_of_size(g, size)]
 
 
-def mask_of(q) -> int:
-    return sum(1 << v for v in q)
-
-
 def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
     """Ask g for the clique-deletion verdict of every clique of 2 to 4
     vertices, largest first, so that a clique's subsets have their terms
@@ -126,15 +122,15 @@ def assert_deletion_verdicts_match_the_oracle(g: Graph) -> int:
     ascending = Graph(g.n, g.adj)
     for h, order in ((g, reversed(cliques)), (ascending, cliques)):
         for q in order:
-            assert check(h, q) == expected[q], (to_graph6(g), q, h is ascending)
+            assert check(h, mask_of(q)) == expected[q], (to_graph6(g), q, h is ascending)
         kept = h.memo.identities.deletions if cliques else {}
-        assert sorted(kept) == sorted(cliques), to_graph6(g)
+        assert sorted(kept) == sorted(map(mask_of, cliques)), to_graph6(g)
     if cliques:
-        assert list(ascending.memo.identities) == cliques, to_graph6(g)
+        assert list(ascending.memo.identities) == list(map(mask_of, cliques)), to_graph6(g)
     check = CHECKS["clique_deletion_edge_subsets"].check
     fresh = Graph(g.n, g.adj)
     for q in cliques:
-        assert check(fresh, q) == subsets_expected[q], (to_graph6(g), q)
+        assert check(fresh, mask_of(q)) == subsets_expected[q], (to_graph6(g), q)
     return 3 * len(cliques)
 
 
@@ -275,12 +271,12 @@ def test_a_corrupted_subset_table_entry_fails_every_clique_it_reaches(n, p, seed
     assert (u, v) in affected
 
     deletion = CHECKS["clique_deletion"]
-    assert deletion.check(g, (u, v))[0] is False
+    assert deletion.check(g, mask_of((u, v)))[0] is False
     for q, rhs in expected.items():
-        verdict = deletion.check(g, q)
+        verdict = deletion.check(g, mask_of(q))
         if q in affected:
             assert verdict[0] is False, q
-            [report] = deletion.reports(g, None, [q])
+            [report] = deletion.reports(g, None, [mask_of(q)])
             assert (report.holds, report.lhs, report.rhs) == (False, lhs, rhs), q
         else:
             assert verdict == (True, lhs, tuple(lhs)), q

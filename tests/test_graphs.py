@@ -253,7 +253,7 @@ class TestGraph6:
 
     def test_vertex_cap(self):
         too_big = nx.to_graph6_bytes(nx.empty_graph(65), header=False).decode().strip()
-        with pytest.raises(GraphFormatError, match="exceeds"):
+        with pytest.raises(GraphFormatError, match="^vertex count 65 outside 0..64$"):
             parse_graph6(too_big)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64])
@@ -271,18 +271,29 @@ class TestGraph6:
         ("Bw\x7f", "invalid graph6 character '\\x7f'"),
         ("~?!", "invalid graph6 character '!'"),
         ("~??", "truncated graph6 vertex-count field"),
-        ("~~??????", "vertex count exceeds 64"),
-        ("~?@@", "vertex count 65 exceeds 64"),
+        ("~~???~??", "vertex count 258048 outside 0..64"),
+        ("~~???", "truncated graph6 vertex-count field"),
+        ("~?@@", "vertex count 65 outside 0..64"),
+        ("~?AC", "vertex count 132 outside 0..64"),
         ("Bww", "expected 1 adjacency characters, got 2"),
         ("~?@?" + "?" * 335, "expected 336 adjacency characters, got 335"),
         ("B" + chr(63 + 0b111100), "nonzero padding bits"),
         ("~??~" + "?" * 325 + "@", "nonzero padding bits"),
     ], ids=["space", "delete", "in-long-header", "truncated-header", "double-tilde",
-            "n65", "too-long", "too-short", "padding", "padding-long-header"])
+            "truncated-double-tilde", "n65", "n132", "too-long", "too-short", "padding",
+            "padding-long-header"])
     def test_malformed_input_messages(self, text, message):
         with pytest.raises(GraphFormatError) as info:
             parse_graph6(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["~???", "~??@", "~~??????", "~~?????@"])
+    def test_a_long_vertex_count_field_reads_as_networkx_reads_it(self, text):
+        """Both long forms of the vertex count, '~' and 18 bits or '~~' and
+        36 bits, decode as networkx decodes them where the count is within
+        the cap."""
+        g = parse_graph6(text)
+        assert g == empty_graph(nx.from_graph6_bytes(text.encode()).number_of_nodes())
 
     def test_nonzero_padding_rejected(self):
         # K3 uses 3 of 6 bits; force a padding bit on.

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import itertools
 import random
@@ -61,6 +60,7 @@ from cliquekit.identities import NotApplicable
 from _helpers import (
     forbid_calls,
     graphs,
+    mask_of,
     mixed_corpus,
     naive_cliques_of_size,
     networkx_counts,
@@ -70,6 +70,7 @@ from _helpers import (
     reference_deletion_rhs,
     relabelled,
     run_main,
+    subset_masks,
 )
 
 DIAMOND = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
@@ -94,20 +95,20 @@ class TestCatalogInstances:
             == list(map(list, triangles(g)))
         assert len(CHECKS["edge_deck"].run(g, None)) == 5
         # each clique kind lists exactly its sizes of the stored catalog, in
-        # order: a kind of one size the catalog's tuple itself, the clique
-        # kind its sizes 2, 3 and 4 back to back
+        # order, as masks: a kind of one size the catalog's masks themselves,
+        # the clique kind its sizes 2, 3 and 4 back to back
         for g in mixed_corpus() + seeded[:9]:
             catalog = cliquekit.cliques._stored_catalog(g, 4)
-            assert CHECKS["edge_recurrence"].params(g, None) is catalog.cliques(2)
-            assert CHECKS["triangle_identity"].params(g, None) is catalog.cliques(3)
+            assert CHECKS["edge_recurrence"].params(g, None) is catalog.masks(2)
+            assert CHECKS["triangle_identity"].params(g, None) is catalog.masks(3)
             assert CHECKS["clique_deletion"].params(g, None) \
-                == [*catalog.cliques(2), *catalog.cliques(3), *catalog.cliques(4)], g.adj
+                == [*catalog.masks(2), *catalog.masks(3), *catalog.masks(4)], g.adj
         # the K5-free kinds list nothing on a graph with a 5-clique, and their
         # bodies, called directly, still refuse it
         k4, k5 = complete_graph(4), complete_graph(5)
         assert list(CHECKS["third_derivative_k5free"].params(k4, None)) == [None]
         assert CHECKS["triangle_deletion_counts"].params(k4, None) \
-            is cliquekit.cliques._stored_catalog(k4, 3).cliques(3)
+            is cliquekit.cliques._stored_catalog(k4, 3).masks(3)
         for name in ("third_derivative_k5free", "triangle_deletion_counts"):
             assert list(CHECKS[name].params(k5, None)) == [], name
         with pytest.raises(NotApplicable):
@@ -512,20 +513,20 @@ class TestCliqueDeletionExpansion:
         g = random_gnp(16, 0.7, RngSpec(4))
         cliques = CHECKS["clique_deletion"].params(g, None)
         decided = {q: CHECKS["clique_deletion"].check(g, q) for q in cliques}
-        assert {len(q) for q in cliques} == {2, 3, 4}
+        assert {q.bit_count() for q in cliques} == {2, 3, 4}
         edge_subsets = CHECKS["clique_deletion_edge_subsets"].check
         with monkeypatch.context() as patched:
             forbid_calls(patched, cliquekit.identities, "_expansion_verdict")
             forbid_calls(patched, cliquekit.cliques, "_poly_of")
             for q in cliques:
-                if len(q) <= 3:
+                if q.bit_count() <= 3:
                     assert edge_subsets(g, q) is decided[q], q
         rows = record_calls(monkeypatch, cliquekit.identities, "_expansion_verdict",
                             lambda g, q, family: q)
         for q in cliques:
-            if len(q) == 4:
+            if q.bit_count() == 4:
                 edge_subsets(g, q)
-        assert rows == [q for q in cliques if len(q) == 4]
+        assert rows == [q for q in cliques if q.bit_count() == 4]
 
     def test_rejects_non_clique_edge_set(self):
         with pytest.raises(ValueError, match="complete"):
@@ -554,8 +555,10 @@ class TestCliqueDeletionExpansion:
 
 
 def catalog_report(name, g, q):
-    """The report the catalog renders for its instance q of check name on g."""
+    """The report the catalog renders for the instance of check name on g
+    whose vertex ids are q, parsed into its mask as a verify flag is."""
     cd = CHECKS[name]
+    q = cd.parse(g, q)
     return cd.render(g, q, cd.check(g, q))
 
 
@@ -700,14 +703,14 @@ def dense_twelve_vertex_graphs():
 
 
 def assert_packed_matches_the_row(g, cliques):
-    """Ask g for the clique-deletion verdict of each of cliques, in order,
-    and check each against the one _expansion_verdict builds in a row on
-    g; returns the verdicts, some of which must fail."""
+    """Ask g for the clique-deletion verdict of each of cliques, masks, in
+    order, and check each against the one _expansion_verdict builds in a row
+    on g; returns the verdicts, some of which must fail."""
     cd = CHECKS["clique_deletion"]
     verdicts = [cd.check(g, q) for q in cliques]
     assert not all(holds for holds, _, _ in verdicts)
     row = cliquekit.identities._expansion_verdict
-    assert [row(g, q, functools.partial(itertools.combinations, q)) for q in cliques] == verdicts
+    assert [row(g, q, subset_masks(q)) for q in cliques] == verdicts
     return verdicts
 
 
@@ -735,7 +738,7 @@ class TestPackedVerdicts:
         n = cliquekit.cliques._SUBSET_TABLE_MAX_N
         cliques = [tuple(range(size)) for size in range(5, n + 1)]
         sizes = record_calls(monkeypatch, cliquekit.identities, "_expansion_verdict",
-                             lambda g, q, family: len(q))
+                             lambda g, q, family: q.bit_count())
 
         def reports():
             g = complete_graph(n)
@@ -779,7 +782,7 @@ class TestPackedVerdicts:
         for gate in (cliquekit.cliques._SUBSET_TABLE_MAX_N, 0):
             monkeypatch.setattr(cliquekit.cliques, "_SUBSET_TABLE_MAX_N", gate)
             wrong = with_counts_of(g, h)
-            verdicts = assert_packed_matches_the_row(wrong, cliques)
+            verdicts = assert_packed_matches_the_row(wrong, list(map(mask_of, cliques)))
             assert {(len(q), verdict[0]) for q, verdict in zip(cliques, verdicts) if len(q) > 4} \
                 == {(5, True), (5, False), (6, True), (6, False)}
             assert (wrong.memo.cliques.subset is None) == (gate == 0)
@@ -931,10 +934,9 @@ class TestPackedVerdicts:
                 rhs = poly_add(rhs, [0] * r + [(-1) ** r * (r - 1) * comb(q, r) * c
                                                for c in binomial(n - r)])
             assert rhs == binomial(n)
-            assert cd.check(Graph(n, g.adj), clique) == (True, rhs, tuple(rhs))
+            assert cd.check(Graph(n, g.adj), without) == (True, rhs, tuple(rhs))
             assert cliquekit.identities._expansion_verdict(
-                Graph(n, g.adj), clique, functools.partial(itertools.combinations, clique)) \
-                == (True, rhs, tuple(rhs))
+                Graph(n, g.adj), without, subset_masks(without)) == (True, rhs, tuple(rhs))
 
 
 class TestTriangleIdentity:

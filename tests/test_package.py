@@ -133,14 +133,16 @@ def test_no_private_name_crosses_between_identities_and_conjectures():
 
 
 def test_identities_reads_cliques_through_its_counting_state():
-    """identities reaches into cliques through four private names, one of
-    them the graph's counting state, and reads no lane: the counting state
-    packs, scales and reads its counts.  Graph.memo has one slot per layer
+    """identities reaches into cliques through five private names, one of
+    them the graph's counting state and one the parser of a clique's ids
+    into its mask, and reads no lane: the counting state packs, scales and
+    reads its counts.  Graph.memo has one slot per layer
     that keeps state on a graph."""
     tree = ast.parse((SRC / "identities.py").read_text())
     private = {name for module, name in imported_names(tree)
                if module == "cliques" and name and name.startswith("_")}
-    assert private == {"_PACKED_UNITS", "_counting", "_require_listing_budget", "_stored_catalog"}
+    assert private == {"_PACKED_UNITS", "_clique_mask", "_counting", "_require_listing_budget",
+                       "_stored_catalog"}
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "lane"] == []
     from cliquekit.graphs import _Memo
